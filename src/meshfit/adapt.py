@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dfield, replace
 import numpy as np
 
 from .basis import _gauss_legendre_01, gauss_lobatto_nodes, lagrange_1d, \
-    lagrange_1d_deriv, reference_element
+    lagrange_1d_deriv
 from .mesh import MixedOrderMesh, apply_edge_constraints
 from .tmop import FitConfig, mark_interface_faces, solve_r_adaptivity
 
@@ -81,26 +81,6 @@ class AdaptivityPlan:
 # ---------------------------------------------------------------------------
 # Face traces and errors
 
-def _face_trace(mesh: MixedOrderMesh, face: int) -> np.ndarray:
-    """Nodal coordinates of a face's curve in canonical direction, (p+1, 2).
-
-    The trace is taken from the side whose element is at the face's governing
-    order, so it is exactly the conforming geometry of the edge.
-    """
-    rec = mesh.edges[face]
-    order = mesh.edge_order(face)
-    side = min((s for s in rec.sides
-                if mesh.elements[s.element].order == order),
-               key=lambda s: s.element)
-    el = mesh.elements[side.element]
-    ref = reference_element(el.geometry, el.order)
-    ids = ref.edge_nodes[side.local_edge]
-    coords = el.coords[:, ids].T
-    if not side.forward:
-        coords = coords[::-1]
-    return coords
-
-
 def _trace_error_and_length(coords: np.ndarray, field, nq: int):
     """Arc-length weighted sigma^2 integral and length of one trace."""
     p = len(coords) - 1
@@ -117,13 +97,13 @@ def _trace_error_and_length(coords: np.ndarray, field, nq: int):
 
 def face_error(mesh: MixedOrderMesh, field, face: int) -> float:
     """Integral of sigma^2 over the physical face curve."""
-    coords = _face_trace(mesh, face)
+    coords = mesh.edge_trace(face)
     nq = 2 * (len(coords) - 1) + 3
     return _trace_error_and_length(coords, field, nq)[0]
 
 
 def face_arc_length(mesh: MixedOrderMesh, field, face: int) -> float:
-    coords = _face_trace(mesh, face)
+    coords = mesh.edge_trace(face)
     nq = 2 * (len(coords) - 1) + 3
     return _trace_error_and_length(coords, field, nq)[1]
 
@@ -151,7 +131,7 @@ def compute_face_errors(mesh: MixedOrderMesh, field,
     errors = np.zeros(len(faces))
     lengths = np.zeros(len(faces))
     for i, k in enumerate(faces):
-        coords = _face_trace(mesh, k)
+        coords = mesh.edge_trace(k)
         nq = 2 * (len(coords) - 1) + 3
         errors[i], lengths[i] = _trace_error_and_length(coords, field, nq)
     dm = mesh.dof_map()
@@ -319,7 +299,7 @@ def try_derefine(mesh: MixedOrderMesh, field, plan: AdaptivityPlan,
     p_face = mesh.edge_order(face)
     if p_face <= plan.p_init:
         return None
-    coords = _face_trace(mesh, face)
+    coords = mesh.edge_trace(face)
     nq = 2 * p_face + 3
     err_now, len_now = _trace_error_and_length(coords, field, nq)
     elems = [s.element for s in mesh.edges[face].sides]

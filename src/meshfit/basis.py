@@ -429,37 +429,33 @@ def reference_element(geometry: str, order: int) -> ReferenceElement:
 class BasisTables:
     """Precomputed quadrature and basis evaluations for one (geometry, order).
 
-    ``rule`` selects the integration points: ``"legendre"`` (interior Gauss
-    points) or, for quads, ``"lobatto"`` (tensor Gauss-Lobatto, which places
-    samples on element corners and edges).  The Lobatto variant matters for
-    barrier-type integrands that must detect degeneration at the element
-    boundary, where Gauss points never look.
+    Quality integration and validity checks share these points: tensor
+    Gauss-Lobatto for quads, which samples element corners and edges where
+    barrier-type integrands must detect degeneration and interior Gauss points
+    never look, and the collapsed Gauss-Legendre rule for triangles.  Validity
+    checks add the element nodes (``grad_at_nodes``).
     """
 
-    def __init__(self, geometry: str, order: int, rule: str = "legendre"):
+    def __init__(self, geometry: str, order: int):
         ref = reference_element(geometry, order)
         n = 2 * order + 3
-        if rule == "legendre" or geometry != QUAD:
-            pts, wts = quadrature_rule(geometry, n)
-        elif rule == "lobatto":
+        if geometry == QUAD:
             x, w = _gauss_lobatto_01(n)
             X, Y = np.meshgrid(x, x, indexing="ij")
             pts = np.column_stack([X.ravel(), Y.ravel()])
             wts = np.outer(w, w).ravel()
         else:
-            raise ValueError(f"unknown quadrature rule {rule!r}")
+            pts, wts = quadrature_rule(geometry, n)
         self.ref = ref
         self.quad_points = pts
         self.quad_weights = wts
-        self.basis_at_quad = ref.eval_basis(pts)
         self.grad_at_quad = ref.eval_basis_grad(pts)
         self.grad_at_nodes = ref.eval_basis_grad(ref.nodes)
-        for arr in (self.quad_points, self.quad_weights, self.basis_at_quad,
-                    self.grad_at_quad, self.grad_at_nodes):
+        for arr in (self.quad_points, self.quad_weights, self.grad_at_quad,
+                    self.grad_at_nodes):
             arr.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
-def basis_tables(geometry: str, order: int,
-                 rule: str = "legendre") -> BasisTables:
-    return BasisTables(geometry, order, rule)
+def basis_tables(geometry: str, order: int) -> BasisTables:
+    return BasisTables(geometry, order)

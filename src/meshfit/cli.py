@@ -18,15 +18,12 @@ import argparse
 import csv
 import sys
 
-from .adapt import AdaptivityPlan, compute_face_errors, run_rp_adaptivity
+from .adapt import compute_face_errors, run_rp_adaptivity
 from .levelset import make_levelset
 from .mesh_io import export_svg, export_vtk, generate_cartesian, read_mesh, \
     write_mesh
-from .study import run_study
-from .tmop import (FitConfig, QualityMetric, SolverControls, TargetSpec,
-                   mark_interface_faces, solve_r_adaptivity)
-
-_METRIC_NAMES = {"2": "mu2", "77": "mu77", "80": "mu80"}
+from .study import fit_config, plan_from, run_study
+from .tmop import mark_interface_faces, solve_r_adaptivity
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,27 +98,6 @@ def _parse_generate(text: str):
     return nx, ny, p
 
 
-def _plan_from_args(args) -> AdaptivityPlan:
-    kind, _, val = args.refine.partition(":")
-    if kind not in ("abs", "rel"):
-        raise SystemExit(f"--refine expects abs:<x> or rel:<x>, got "
-                         f"{args.refine!r}")
-    plan = dict(p_init=args.p_init, p_max=args.p_max,
-                refine_step=args.dp_ref, max_neighbor_diff=args.dp,
-                refine_kind="absolute" if kind == "abs" else "relative",
-                refine_threshold=float(val), fit_tol=args.fit_tol,
-                edge_touch_elevate=args.edge_touch_elevate)
-    if args.deref != "none":
-        dkind, _, dval = args.deref.partition(":")
-        mapping = {"b1": "ref", "b2": "change", "size": "size"}
-        if dkind not in mapping:
-            raise SystemExit(f"--deref expects b1:<x>, b2:<x>, size:<x> or "
-                             f"none, got {args.deref!r}")
-        plan["deref_kind"] = mapping[dkind]
-        plan["deref_threshold"] = float(dval)
-    return AdaptivityPlan(**plan)
-
-
 def _write_history(path, rows, columns):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -150,20 +126,23 @@ def main(argv=None) -> int:
         raise SystemExit("need --mesh or --generate (or --study)")
     field = make_levelset(args.levelset) if args.levelset else None
 
-    metric = QualityMetric(_METRIC_NAMES[args.metric], gamma=args.metric_gamma)
-    controls = SolverControls(max_iterations=args.max_outer,
-                              fit_tol=args.fit_tol)
-    fit = FitConfig(metric=metric, target=TargetSpec(args.target),
-                    fit_weight=args.fit_weight, controls=controls,
-                    boundary=args.boundary)
-
     adaptive = args.p_init is not None or args.p_max is not None
+    if adaptive and (args.p_init is None or args.p_max is None):
+        raise SystemExit("adaptive runs need both --p-init and --p-max")
+    if adaptive and field is None:
+        raise SystemExit("adaptive runs need --levelset")
+    try:
+        fit = fit_config(vars(args))  # argparse dests match the study keys
+        plan = plan_from(dict(
+            p_init=args.p_init, p_max=args.p_max, refine_step=args.dp_ref,
+            max_neighbor_diff=args.dp, refine=args.refine, deref=args.deref,
+            fit_tol=args.fit_tol, edge_touch_elevate=args.edge_touch_elevate)
+        ) if adaptive else None
+    except ValueError as exc:
+        raise SystemExit(f"meshfit: {exc}")
+
     if adaptive:
-        if args.p_init is None or args.p_max is None:
-            raise SystemExit("adaptive runs need both --p-init and --p-max")
-        if field is None:
-            raise SystemExit("adaptive runs need --levelset")
-        result = run_rp_adaptivity(mesh, field, fit, _plan_from_args(args),
+        result = run_rp_adaptivity(mesh, field, fit, plan,
                                    boundary_fit=args.boundary_fit)
         mesh = result.mesh
         _write_history(

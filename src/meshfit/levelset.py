@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import reference_element
 from .errors import PointLocationError
-from .mesh import MixedOrderMesh
+from .mesh import MixedOrderMesh, det2
 
 
 class FoundFlag(Enum):
@@ -120,7 +120,7 @@ class Locator:
             if residual <= tol:
                 return xi, residual, iterations, True
             A = mesh.eval_jacobian(e, xi[None, :])[0]
-            det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+            det = det2(A)
             if abs(det) < 1e-300:
                 return xi, residual, iterations, False
             step = np.array([(A[1, 1] * r[0] - A[0, 1] * r[1]) / det,
@@ -169,10 +169,6 @@ class Locator:
             hint = None if hints is None else hints[i]
             out.append(self.locate(pt, hint=hint))
         return out
-
-
-def build_locator(mesh: MixedOrderMesh) -> Locator:
-    return Locator(mesh)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,14 @@ the edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import (QUAD, TRI, basis_tables, gauss_lobatto_nodes, lagrange_1d,
-                    reference_element, _gauss_lobatto_cached)
+from .basis import (basis_tables, lagrange_1d, reference_element,
+                    _gauss_lobatto_cached)
 from .errors import MeshInvalidError, MeshStructureError
 
 
@@ -48,16 +48,38 @@ class EdgeRecord:
     sides: tuple[EdgeSide, ...]
 
 
-@dataclass(frozen=True)
-class EdgeConstraint:
-    """Interpolation rule tying a high-order edge trace to the low-order side."""
-    edge: int
-    order_low: int
-    order_high: int
-    matrix: np.ndarray       # (order_high + 1, order_low + 1) trace interpolation
+def map_jacobians(X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """T[e, q, a, c] = sum_i X[e, i, a] G[q, i, c] as one batched product.
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
+    X holds per-element node coordinates (E, n, 2) and G per-point basis
+    gradients (Q, n, 2), so T is the (E, Q, 2, 2) stack of map Jacobians.
+    Routing the contraction through matmul keeps the inner loops in BLAS,
+    which matters because this runs once per objective, gradient and Hessian
+    evaluation.
+    """
+    n_el = X.shape[0]
+    nq = G.shape[0]
+    Gf = G.transpose(1, 0, 2).reshape(X.shape[1], 2 * nq)
+    out = X.transpose(0, 2, 1) @ Gf
+    return out.reshape(n_el, 2, nq, 2).transpose(0, 2, 1, 3)
+
+
+def det2(A: np.ndarray) -> np.ndarray:
+    """Determinants of a (..., 2, 2) stack."""
+    return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+
+
+@lru_cache(maxsize=None)
+def validity_gradients(geometry: str, order: int) -> np.ndarray:
+    """Basis gradients at the validity sample set, (Q + num_nodes, n, 2).
+
+    The set is the quality quadrature points plus the element nodes; an
+    element is valid when its map determinant is positive on all of them.
+    """
+    tables = basis_tables(geometry, order)
+    out = np.concatenate([tables.grad_at_quad, tables.grad_at_nodes])
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -152,6 +174,21 @@ class MixedOrderMesh:
         rec = self.edges[edge_id]
         return min(self.elements[s.element].order for s in rec.sides)
 
+    def edge_trace(self, edge_id: int) -> np.ndarray:
+        """Node coordinates along an edge in canonical direction, (p + 1, 2).
+
+        The trace comes from a side at the edge's governing order, lowest
+        element id first, so it is exactly the conforming edge geometry.
+        """
+        p_edge = self.edge_order(edge_id)
+        side = min((s for s in self.edges[edge_id].sides
+                    if self.elements[s.element].order == p_edge),
+                   key=lambda s: s.element)
+        el = self.elements[side.element]
+        ids = reference_element(el.geometry, el.order).edge_nodes[side.local_edge]
+        coords = el.coords[:, ids].T
+        return coords if side.forward else coords[::-1]
+
     # -- geometry evaluation ----------------------------------------------
 
     def eval_map(self, e: int, ref_points) -> np.ndarray:
@@ -164,26 +201,20 @@ class MixedOrderMesh:
         """Jacobians of element ``e``'s map at reference points, (npts, 2, 2)."""
         el = self.elements[e]
         G = reference_element(el.geometry, el.order).eval_basis_grad(ref_points)
-        return np.einsum("ai,mib->mab", el.coords, G)
-
-    def _sample_dets(self, e: int) -> np.ndarray:
-        """det of the map Jacobian at quadrature plus nodal sample points."""
-        el = self.elements[e]
-        tables = basis_tables(el.geometry, el.order)
-        dets = []
-        for G in (tables.grad_at_quad, tables.grad_at_nodes):
-            A = np.einsum("ai,mib->mab", el.coords, G)
-            dets.append(A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0])
-        return np.concatenate(dets)
+        return map_jacobians(el.coords.T[None], G)[0]
 
     def min_det_jacobian(self, e: int) -> float:
         """Minimum Jacobian determinant of element ``e`` over the sample set."""
-        return float(self._sample_dets(e).min())
+        return self.min_det([e])
 
     def min_det(self, element_ids=None) -> float:
-        """Minimum Jacobian determinant over (a subset of) the mesh."""
-        ids = range(len(self.elements)) if element_ids is None else element_ids
-        return min(self.min_det_jacobian(e) for e in ids)
+        """Minimum Jacobian determinant of (some) elements at validity samples."""
+        worst = np.inf
+        for (geometry, order), ids in element_groups(self, element_ids).items():
+            X = np.stack([self.elements[e].coords.T for e in ids])
+            A = map_jacobians(X, validity_gradients(geometry, order))
+            worst = min(worst, float(det2(A).min()))
+        return worst
 
     def is_valid(self) -> bool:
         return self.min_det() > 0.0
@@ -273,16 +304,6 @@ class DofMap:
             pos += len(ref.interior)
         self.num_nodes = pos
 
-        # owner side of each edge: a side at the governing order, lowest
-        # element id first, so extraction is deterministic
-        self.edge_owner: list[EdgeSide] = []
-        for k, rec in enumerate(edges):
-            p_edge = mesh.edge_order(k)
-            owner = min((s for s in rec.sides
-                         if mesh.elements[s.element].order == p_edge),
-                        key=lambda s: s.element)
-            self.edge_owner.append(owner)
-
         self.element_slices: list[slice] = []
         self.local_node_ids: list[np.ndarray] = []
         rows, cols, vals = [], [], []
@@ -332,15 +353,10 @@ class DofMap:
         """Independent node positions, shape (num_nodes, 2)."""
         t = np.empty((self.num_nodes, 2))
         t[:self.num_vertices] = mesh.vertices
-        for k, owner in enumerate(self.edge_owner):
-            cnt = self.edge_counts[k]
-            if cnt == 0:
-                continue
-            el = mesh.elements[owner.element]
-            enodes = reference_element(el.geometry, el.order).edge_nodes[owner.local_edge]
-            canonical = enodes if owner.forward else enodes[::-1]
-            o = self.edge_offsets[k]
-            t[o:o + cnt] = el.coords[:, canonical[1:-1]].T
+        for k, cnt in enumerate(self.edge_counts):
+            if cnt:
+                o = self.edge_offsets[k]
+                t[o:o + cnt] = mesh.edge_trace(k)[1:-1]
         for e, el in enumerate(mesh.elements):
             cnt = self.interior_counts[e]
             if cnt == 0:
@@ -356,19 +372,6 @@ class DofMap:
         mesh.vertices[:] = t[:self.num_vertices]
         for e, el in enumerate(mesh.elements):
             el.coords[:] = x_all[self.element_slices[e]].T
-
-    def expand_blocks(self, t: np.ndarray) -> np.ndarray:
-        """Concatenated element node values for a per-node vector or stack."""
-        return self.expand @ t
-
-    def extract_scalar(self, mesh: MixedOrderMesh, blocks: list[np.ndarray]) -> np.ndarray:
-        """Independent nodal values of a per-element scalar field."""
-        t = np.empty(self.num_nodes)
-        for e, el in enumerate(mesh.elements):
-            ids = self.local_node_ids[e]
-            mapped = ids >= 0
-            t[ids[mapped]] = np.asarray(blocks[e])[mapped]
-        return t
 
     def scatter_scalar(self, t: np.ndarray) -> list[np.ndarray]:
         """Per-element blocks of a scalar field given independent nodal values."""
@@ -390,19 +393,6 @@ class DofMap:
         return np.array(sorted(ids), dtype=int)
 
 
-def edge_constraints(mesh: MixedOrderMesh) -> list[EdgeConstraint]:
-    """The active trace-interpolation constraints of all mixed-order edges."""
-    out = []
-    for k, rec in enumerate(mesh.edges):
-        if len(rec.sides) < 2:
-            continue
-        orders = sorted(mesh.elements[s.element].order for s in rec.sides)
-        if orders[0] != orders[1]:
-            out.append(EdgeConstraint(k, orders[0], orders[1],
-                                      prolongation_matrix(orders[0], orders[1])))
-    return out
-
-
 def apply_edge_constraints(mesh: MixedOrderMesh) -> MixedOrderMesh:
     """Overwrite dependent edge nodes from the governing low-order traces.
 
@@ -421,9 +411,13 @@ def require_valid(mesh: MixedOrderMesh, context: str = "operation"):
             f"{context} requires a non-inverted mesh (min det = {md:.3e})")
 
 
-def element_groups(mesh: MixedOrderMesh) -> dict[tuple[str, int], np.ndarray]:
-    """Element ids grouped by (geometry, order), for batched evaluation."""
+def element_groups(mesh: MixedOrderMesh, element_ids=None
+                   ) -> dict[tuple[str, int], np.ndarray]:
+    """Element ids (all, or the given ones) grouped by (geometry, order), for
+    batched evaluation."""
+    ids = range(len(mesh.elements)) if element_ids is None else element_ids
     groups: dict[tuple[str, int], list[int]] = {}
-    for e, el in enumerate(mesh.elements):
+    for e in ids:
+        el = mesh.elements[e]
         groups.setdefault((el.geometry, el.order), []).append(e)
     return {key: np.array(ids, dtype=int) for key, ids in sorted(groups.items())}

@@ -25,7 +25,7 @@ import numpy as np
 
 from .basis import QUAD, TRI, reference_element
 from .errors import MeshFileError, MeshStructureError
-from .mesh import MeshElement, MixedOrderMesh, apply_edge_constraints
+from .mesh import MeshElement, MixedOrderMesh
 
 FORMAT_NAME = "meshfit mesh"
 FORMAT_VERSION = 1

@@ -43,25 +43,47 @@ class StudyRecord:
                 num(self.total_error), num(self.sigma_max), orders, wall]
 
 
-def _metric_from(spec, gamma):
+def metric_from(spec, gamma) -> QualityMetric:
+    """Quality metric from a metric id (2, 77, 80) or name; ValueError if unknown."""
     names = {2: "mu2", 77: "mu77", 80: "mu80",
              "2": "mu2", "77": "mu77", "80": "mu80"}
     return QualityMetric(names.get(spec, spec), gamma=gamma)
 
 
-def _plan_from(cfg: dict) -> AdaptivityPlan:
+def _kind_and_threshold(key: str, spec, kinds: dict):
+    kind, _, val = str(spec).partition(":")
+    if kind not in kinds:
+        choices = ", ".join(f"{k}:<x>" for k in kinds)
+        raise ValueError(f"{key} expects {choices}, got {spec!r}")
+    return kinds[kind], float(val)
+
+
+def plan_from(cfg: dict) -> AdaptivityPlan:
+    """Adaptivity plan from plan keys, where ``refine`` (abs:<x> | rel:<x>) and
+    ``deref`` (b1:<x> | b2:<x> | size:<x> | none) abbreviate the kind and
+    threshold fields.  Raises ValueError on a malformed abbreviation."""
     kw = dict(cfg)
     refine = kw.pop("refine", None)
     if refine is not None:
-        kind, _, val = str(refine).partition(":")
-        kw["refine_kind"] = {"abs": "absolute", "rel": "relative"}[kind]
-        kw["refine_threshold"] = float(val)
+        kw["refine_kind"], kw["refine_threshold"] = _kind_and_threshold(
+            "refine", refine, {"abs": "absolute", "rel": "relative"})
     deref = kw.pop("deref", None)
     if deref is not None and deref != "none":
-        kind, _, val = str(deref).partition(":")
-        kw["deref_kind"] = {"b1": "ref", "b2": "change", "size": "size"}[kind]
-        kw["deref_threshold"] = float(val)
+        kw["deref_kind"], kw["deref_threshold"] = _kind_and_threshold(
+            "deref", deref, {"b1": "ref", "b2": "change", "size": "size"})
     return AdaptivityPlan(**kw)
+
+
+def fit_config(run: dict) -> FitConfig:
+    """Solver settings of a run from its keys ``metric``, ``metric_gamma``,
+    ``target``, ``fit_weight``, ``max_outer``, ``fit_tol`` and ``boundary``."""
+    metric = metric_from(run.get("metric", 2), run.get("metric_gamma", 0.5))
+    controls = SolverControls(
+        max_iterations=int(run.get("max_outer", 200)),
+        fit_tol=float(run.get("fit_tol", 1e-8)))
+    return FitConfig(metric=metric, target=TargetSpec(run.get("target", "ideal")),
+                     fit_weight=float(run.get("fit_weight", 1.0)),
+                     controls=controls, boundary=run.get("boundary", "slide"))
 
 
 def _build_mesh(run: dict):
@@ -78,18 +100,12 @@ def run_one(run: dict, field) -> StudyRecord:
     label = run.get("label", "run")
     t0 = time.perf_counter()
     mesh = _build_mesh(run)
-    metric = _metric_from(run.get("metric", 2), run.get("metric_gamma", 0.5))
-    controls = SolverControls(
-        max_iterations=int(run.get("max_outer", 200)),
-        fit_tol=float(run.get("fit_tol", 1e-8)))
-    fit = FitConfig(metric=metric, target=TargetSpec(run.get("target", "ideal")),
-                    fit_weight=float(run.get("fit_weight", 1.0)),
-                    controls=controls, boundary=run.get("boundary", "slide"))
+    fit = fit_config(run)
     boundary_fit = bool(run.get("boundary_fit", False))
     if "plan" in run:
         plan_cfg = dict(run["plan"])
-        plan_cfg.setdefault("fit_tol", controls.fit_tol)
-        result = run_rp_adaptivity(mesh, field, fit, _plan_from(plan_cfg),
+        plan_cfg.setdefault("fit_tol", fit.controls.fit_tol)
+        result = run_rp_adaptivity(mesh, field, fit, plan_from(plan_cfg),
                                    boundary_fit=boundary_fit)
         mesh = result.mesh
         status = next((r.solver_status for r in reversed(result.records)

@@ -19,10 +19,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import QUAD, TRI, basis_tables, reference_element
+from .basis import TRI, basis_tables, reference_element
 from .errors import MeshInvalidError
-from .mesh import (MixedOrderMesh, apply_edge_constraints, element_groups,
-                   require_valid)
+from .mesh import (MixedOrderMesh, apply_edge_constraints, det2,
+                   element_groups, map_jacobians, require_valid,
+                   validity_gradients)
 
 IDEAL_TRIANGLE_TARGET = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
 IDEAL_TRIANGLE_TARGET.flags.writeable = False
@@ -55,7 +56,7 @@ class QualityMetric:
     def values(self, T: np.ndarray) -> np.ndarray:
         """Metric values for a (..., 2, 2) stack; +inf where det T <= 0."""
         T = np.asarray(T, dtype=float)
-        tau = T[..., 0, 0] * T[..., 1, 1] - T[..., 0, 1] * T[..., 1, 0]
+        tau = det2(T)
         good = tau > 0.0
         safe = np.where(good, tau, 1.0)
         out = np.empty(tau.shape)
@@ -114,7 +115,7 @@ class QualityMetric:
         treat the whole configuration as invalid.
         """
         T = np.asarray(T, dtype=float)
-        tau = T[..., 0, 0] * T[..., 1, 1] - T[..., 0, 1] * T[..., 1, 0]
+        tau = det2(T)
         good = tau > 0.0
         safe = np.where(good, tau, 1.0)
         dtau = np.empty_like(T)
@@ -163,11 +164,11 @@ def element_quality(mesh: "MixedOrderMesh", metric: QualityMetric,
     target = target or TargetSpec()
     out = np.empty(len(mesh.elements))
     for (geometry, order), ids in element_groups(mesh).items():
-        tables = basis_tables(geometry, order, rule="lobatto")
+        tables = basis_tables(geometry, order)
         Winv = np.linalg.inv(target.for_geometry(geometry))
         K = np.einsum("qib,bc->qic", tables.grad_at_quad, Winv)
         X = np.stack([mesh.elements[e].coords.T for e in ids])
-        mu = metric.values(_contract_jac(X, K))
+        mu = metric.values(map_jacobians(X, K))
         out[ids] = mu.max(axis=1) if reduce == "max" else mu.mean(axis=1)
     return out
 
@@ -282,21 +283,6 @@ def mark_interface_faces(mesh: MixedOrderMesh, field=None,
 # ---------------------------------------------------------------------------
 # Assembly
 
-def _contract_jac(X: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """T[e, q, a, c] = sum_i X[e, i, a] G[q, i, c] as one batched product.
-
-    X holds per-element node coordinates (E, n, 2) and G per-point basis
-    gradients (Q, n, 2).  Routing the contraction through matmul keeps the
-    inner loops in BLAS, which matters because this runs once per objective,
-    gradient and Hessian evaluation.
-    """
-    n_el = X.shape[0]
-    nq = G.shape[0]
-    Gf = G.transpose(1, 0, 2).reshape(X.shape[1], 2 * nq)
-    out = X.transpose(0, 2, 1) @ Gf
-    return out.reshape(n_el, 2, nq, 2).transpose(0, 2, 1, 3)
-
-
 def _contract_grad(D: np.ndarray, K: np.ndarray) -> np.ndarray:
     """out[e, i, a] = sum_{q,c} D[e, q, a, c] K[q, i, c], batched over e."""
     n_el, nq = D.shape[:2]
@@ -317,26 +303,20 @@ class _Assembly:
         self.marked = self.dm.marked_node_ids(mesh)
         self.groups = []
         for (geometry, order), ids in element_groups(mesh).items():
-            # quality integration on a Lobatto rule: its boundary samples let
-            # the metric barrier feel corner degeneration that interior Gauss
-            # points cannot see
-            tables = basis_tables(geometry, order, rule="lobatto")
+            tables = basis_tables(geometry, order)
             W = problem.target.for_geometry(geometry)
             Winv = np.linalg.inv(W)
             detW = float(np.linalg.det(W))
             starts = np.array([self.dm.element_slices[e].start for e in ids])
             nn = tables.ref.num_nodes
             gather = starts[:, None] + np.arange(nn)[None, :]
-            # basis gradient contracted with the target inverse, and the
-            # nodal+quadrature gradient stack used for validity sampling
+            # basis gradient contracted with the target inverse
             K = np.einsum("qib,bc->qic", tables.grad_at_quad, Winv)
-            Gall = np.concatenate([tables.grad_at_quad, tables.grad_at_nodes])
             self.groups.append({
-                "ids": ids, "tables": tables, "Winv": Winv, "detW": detW,
-                "gather": gather, "K": K, "Gall": Gall,
+                "tables": tables, "detW": detW, "gather": gather, "K": K,
+                "Gall": validity_gradients(geometry, order),
             })
         self._E2 = None
-        self._hpattern = None
 
     @property
     def E2(self):
@@ -348,14 +328,12 @@ class _Assembly:
         return self.expand @ t
 
     def min_det(self, t: np.ndarray) -> float:
-        """Minimum map determinant over quadrature and nodal samples."""
+        """Minimum map determinant over the validity sample set."""
         x_all = self.x_all(t)
         worst = np.inf
         for g in self.groups:
-            X = x_all[g["gather"]]
-            A = _contract_jac(X, g["Gall"])
-            det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-            worst = min(worst, float(det.min()))
+            A = map_jacobians(x_all[g["gather"]], g["Gall"])
+            worst = min(worst, float(det2(A).min()))
         return worst
 
 
@@ -368,7 +346,7 @@ def _quality_terms(asm: _Assembly, metric: QualityMetric, t: np.ndarray,
     for g in asm.groups:
         X = x_all[g["gather"]]
         tables = g["tables"]
-        T = _contract_jac(X, g["K"])
+        T = map_jacobians(X, g["K"])
         if want_grad:
             mu, dmu = metric.values_and_derivs(T)
         else:
@@ -535,8 +513,8 @@ def _hessian(asm: _Assembly, problem: TmopProblem, t: np.ndarray,
         K = g["K"]
         nn = tables.ref.num_nodes
         nq = K.shape[0]
-        T = _contract_jac(X, K)
-        tau = T[..., 0, 0] * T[..., 1, 1] - T[..., 0, 1] * T[..., 1, 0]
+        T = map_jacobians(X, K)
+        tau = det2(T)
         frob2 = np.sum(T * T, axis=(-2, -1))
         adj = np.empty_like(T)
         adj[..., 0, 0] = T[..., 1, 1]

@@ -143,3 +143,32 @@ def test_cli_study_mode(tmp_path):
     lines = a.decode().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert lines[1].startswith("p1_n4,converged,25,")
+
+
+def test_cli_and_study_share_run_settings(tmp_path):
+    prefix = str(tmp_path / "cli")
+    assert cli.main(["--generate", "4,4,1", "--levelset", "name:circle",
+                     "--fit-tol", "1e-6", "--metric", "80",
+                     "--metric-gamma", "0.3", "--p-init", "1", "--p-max", "3",
+                     "--dp-ref", "2", "--refine", "abs:1e-14",
+                     "--deref", "size:1e-5", "--dp", "1",
+                     "--out-prefix", prefix]) == 0
+    final = (tmp_path / "cli_history.csv").read_text().splitlines()[-1]
+    dofs, e_f = final.split(",")[2:4]
+    records, _ = run_study({
+        "levelset": "name:circle",
+        "runs": [{"label": "a", "generate": [4, 4, 1], "fit_tol": 1e-6,
+                  "metric": 80, "metric_gamma": 0.3,
+                  "plan": {"p_init": 1, "p_max": 3, "refine_step": 2,
+                           "refine": "abs:1e-14", "deref": "size:1e-5",
+                           "max_neighbor_diff": 1}}]})
+    assert records[0].dofs == int(dofs)
+    assert records[0].total_error == float(e_f)
+
+
+def test_run_study_records_malformed_plan_as_value_error():
+    records, _ = run_study({
+        "levelset": "name:circle",
+        "runs": [{"label": "bad", "generate": [2, 2, 1],
+                  "plan": {"p_init": 1, "p_max": 2, "refine": "maybe:1"}}]})
+    assert records[0].status == "failed:ValueError"

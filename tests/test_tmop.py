@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from meshfit import (FitConfig, QualityMetric, SolverControls, TargetSpec,
-                     assign_materials, element_quality, generate_cartesian,
-                     gradient, mark_interface_faces, metric_value, objective,
+from meshfit import (FitConfig, MeshInvalidError, QualityMetric,
+                     SolverControls, TargetSpec, TmopProblem, assign_materials,
+                     element_quality, generate_cartesian, gradient,
+                     mark_interface_faces, metric_value, objective,
                      solve_r_adaptivity)
+from meshfit.mesh import require_valid
 from meshfit.levelset import ANALYTIC_LEVELSETS
 from meshfit.tmop import (IDEAL_TRIANGLE_TARGET, _Assembly, _hessian,
                           boundary_freedom, project_motion)
@@ -325,3 +327,24 @@ def test_mixed_order_gradient_with_constraints(rng):
             tm[i, a] -= eps
             fd = (objective(prob, tp) - objective(prob, tm)) / (2 * eps)
             assert abs(fd - g[i, a]) < 1e-5 * max(1.0, abs(g[i, a]))
+
+
+@pytest.mark.parametrize("seed", [64, 307, 346])
+def test_mesh_and_solver_agree_on_validity(seed):
+    # perturbations that leave every interior Gauss point and node valid but
+    # invert the map at a Lobatto point on the element boundary
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 4))
+    m = generate_cartesian(2, 2, p)
+    dm = m.dof_map()
+    t = dm.extract(m)
+    t = t + rng.uniform(-1, 1, t.shape) * float(rng.uniform(0.05, 0.4)) / (2 * p)
+    dm.scatter(m, t)
+    problem = TmopProblem(m, QualityMetric("mu2"))
+    assert m.min_det() == pytest.approx(_Assembly(problem).min_det(t),
+                                        rel=1e-12)
+    assert not m.is_valid()
+    with pytest.raises(MeshInvalidError):
+        require_valid(m)
+    with pytest.raises(MeshInvalidError):
+        solve_r_adaptivity(problem)
