@@ -14,6 +14,7 @@ mixed-order edge nodes follow through the trace-interpolation constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,28 +54,50 @@ class QualityMetric:
         if self.metric_id == "mu80" and not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
 
-    def values(self, T: np.ndarray) -> np.ndarray:
-        """Metric values for a (..., 2, 2) stack; +inf where det T <= 0."""
-        T = np.asarray(T, dtype=float)
+    def _partials(self, frob2: np.ndarray, tau: np.ndarray):
+        """mu and its partials (mu_f, mu_tau, mu_ftau, mu_tautau) in the
+        invariants f = |T|^2 and tau = det T > 0; mu_ff is zero here."""
+        tau2 = tau * tau
+        mu2 = (frob2 / (2.0 * tau) - 1.0, 0.5 / tau, -frob2 / (2.0 * tau2),
+               -0.5 / tau2, frob2 / tau ** 3)
+        if self.metric_id == "mu2":
+            return mu2
+        d = tau - 1.0 / tau
+        dd = 1.0 + 1.0 / tau2
+        zero = np.zeros_like(tau)
+        mu77 = (0.5 * d * d, zero, d * dd, zero, dd ** 2 - 2.0 * d / tau ** 3)
+        if self.metric_id == "mu77":
+            return mu77
+        g1, g2 = self.gamma, 1.0 - self.gamma
+        return tuple(g1 * a + g2 * b for a, b in zip(mu2, mu77))
+
+    def _eval(self, T: np.ndarray):
+        """(tau > 0 mask, partials) for a (..., 2, 2) stack."""
         tau = det2(T)
         good = tau > 0.0
-        safe = np.where(good, tau, 1.0)
-        out = np.empty(tau.shape)
-        if self.metric_id in ("mu2", "mu80"):
-            frob2 = np.sum(T * T, axis=(-2, -1))
-            mu2 = frob2 / (2.0 * safe) - 1.0
-        if self.metric_id in ("mu77", "mu80"):
-            d = safe - 1.0 / safe
-            mu77 = 0.5 * d * d
-        if self.metric_id == "mu2":
-            out = mu2
-        elif self.metric_id == "mu77":
-            out = mu77
-        else:
-            out = self.gamma * mu2 + (1.0 - self.gamma) * mu77
-        return np.where(good, out, np.inf)
+        frob2 = np.sum(T * T, axis=(-2, -1))
+        return good, self._partials(frob2, np.where(good, tau, 1.0))
 
-    def second_deriv_coeffs(self, tau: np.ndarray, frob2: np.ndarray):
+    def values(self, T: np.ndarray) -> np.ndarray:
+        """Metric values for a (..., 2, 2) stack; +inf where det T <= 0."""
+        good, (mu, *_) = self._eval(np.asarray(T, dtype=float))
+        return np.where(good, mu, np.inf)
+
+    def values_and_derivs(self, T: np.ndarray):
+        """Metric values and d(mu)/dT = 2 mu_f T + mu_tau adj2(T) for a
+        (..., 2, 2) stack.
+
+        Entries with det T <= 0 get value +inf and derivative 0; callers must
+        treat the whole configuration as invalid.
+        """
+        T = np.asarray(T, dtype=float)
+        good, (mu, mu_f, mu_tau, _, _) = self._eval(T)
+        der = (2.0 * mu_f)[..., None, None] * T \
+            + mu_tau[..., None, None] * adj2(T)
+        return (np.where(good, mu, np.inf),
+                np.where(good[..., None, None], der, 0.0))
+
+    def second_deriv_coeffs(self, T: np.ndarray):
         """Coefficients of the four structural terms of d2(mu)/dT2.
 
         In 2D the Hessian of each metric in T decomposes as
@@ -82,68 +105,19 @@ class QualityMetric:
             c_id * (delta_ab delta_cd) + c_sym * sym(T (x) adj)
             + c_dd * (adj (x) adj) + c_eps * (eps_ab eps_cd)
 
-        with adj = d(tau)/dT and eps the alternating symbol.  Only the scalar
-        coefficients depend on the metric; callers assemble the terms.
+        with adj = adj2(T) = d(tau)/dT and eps the alternating symbol, and
+        (c_id, c_sym, c_dd, c_eps) = (2 mu_f, 2 mu_ftau, mu_tautau, mu_tau).
+        Only the scalar coefficients depend on the metric; callers assemble
+        the terms.  They are zero where det T <= 0.
         """
-        tau = np.asarray(tau, dtype=float)
-        safe = np.where(tau > 0.0, tau, 1.0)
-        zeros = np.zeros_like(safe)
-        if self.metric_id in ("mu2", "mu80"):
-            c_id2 = 1.0 / safe
-            c_sym2 = -1.0 / (safe * safe)
-            c_dd2 = frob2 / safe ** 3
-            c_eps2 = -frob2 / (2.0 * safe * safe)
-        if self.metric_id in ("mu77", "mu80"):
-            d = safe - 1.0 / safe
-            fp = d * (1.0 + 1.0 / (safe * safe))
-            fpp = (1.0 + 1.0 / (safe * safe)) ** 2 - 2.0 * d / safe ** 3
-        if self.metric_id == "mu2":
-            out = (c_id2, c_sym2, c_dd2, c_eps2)
-        elif self.metric_id == "mu77":
-            out = (zeros, zeros, fpp, fp)
-        else:
-            g1, g2 = self.gamma, 1.0 - self.gamma
-            out = (g1 * c_id2, g1 * c_sym2,
-                   g1 * c_dd2 + g2 * fpp, g1 * c_eps2 + g2 * fp)
-        bad = tau <= 0.0
-        return tuple(np.where(bad, 0.0, c) for c in out)
+        good, (_, mu_f, mu_tau, mu_ftau, mu_tautau) = self._eval(T)
+        return tuple(np.where(good, c, 0.0) for c in
+                     (2.0 * mu_f, 2.0 * mu_ftau, mu_tautau, mu_tau))
 
-    def values_and_derivs(self, T: np.ndarray):
-        """Metric values and d(mu)/dT for a (..., 2, 2) stack.
 
-        Entries with det T <= 0 get value +inf and derivative 0; callers must
-        treat the whole configuration as invalid.
-        """
-        T = np.asarray(T, dtype=float)
-        tau = det2(T)
-        good = tau > 0.0
-        safe = np.where(good, tau, 1.0)
-        dtau = np.empty_like(T)
-        dtau[..., 0, 0] = T[..., 1, 1]
-        dtau[..., 0, 1] = -T[..., 1, 0]
-        dtau[..., 1, 0] = -T[..., 0, 1]
-        dtau[..., 1, 1] = T[..., 0, 0]
-        val = np.zeros(tau.shape)
-        der = np.zeros_like(T)
-        if self.metric_id in ("mu2", "mu80"):
-            frob2 = np.sum(T * T, axis=(-2, -1))
-            mu2 = frob2 / (2.0 * safe) - 1.0
-            dmu2 = (T / safe[..., None, None]
-                    - (frob2 / (2.0 * safe * safe))[..., None, None] * dtau)
-        if self.metric_id in ("mu77", "mu80"):
-            d = safe - 1.0 / safe
-            mu77 = 0.5 * d * d
-            dmu77 = (d * (1.0 + 1.0 / (safe * safe)))[..., None, None] * dtau
-        if self.metric_id == "mu2":
-            val, der = mu2, dmu2
-        elif self.metric_id == "mu77":
-            val, der = mu77, dmu77
-        else:
-            val = self.gamma * mu2 + (1.0 - self.gamma) * mu77
-            der = self.gamma * dmu2 + (1.0 - self.gamma) * dmu77
-        val = np.where(good, val, np.inf)
-        der = np.where(good[..., None, None], der, 0.0)
-        return val, der
+def adj2(T: np.ndarray) -> np.ndarray:
+    """d(det T)/dT, the transposed adjugate, of a (..., 2, 2) stack."""
+    return T[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def metric_value(metric: QualityMetric, T) -> float:
@@ -164,9 +138,7 @@ def element_quality(mesh: "MixedOrderMesh", metric: QualityMetric,
     target = target or TargetSpec()
     out = np.empty(len(mesh.elements))
     for (geometry, order), ids in element_groups(mesh).items():
-        tables = basis_tables(geometry, order)
-        Winv = np.linalg.inv(target.for_geometry(geometry))
-        K = np.einsum("qib,bc->qic", tables.grad_at_quad, Winv)
+        _, K, _ = _target_tables(geometry, order, target)
         X = np.stack([mesh.elements[e].coords.T for e in ids])
         mu = metric.values(map_jacobians(X, K))
         out[ids] = mu.max(axis=1) if reduce == "max" else mu.mean(axis=1)
@@ -203,16 +175,28 @@ class TargetSpec:
 
 @dataclass
 class SolverControls:
-    """Knobs of the fitting solver."""
+    """Settings of the fitting solver.
+
+    Only ``max_iterations`` and ``fit_tol`` are settable; the rest are fixed
+    constants.  The fit weight schedule: whenever the worst marked-node
+    residual falls by less than a factor ``weight_trigger`` in an iteration,
+    the weight is multiplied by ``weight_growth``, up to ``weight_cap``.
+    """
     max_iterations: int = 200
     fit_tol: float = 1e-8
-    grad_rtol: float = 1e-12
-    grad_atol: float = 1e-13
-    max_backtracks: int = 12
-    weight_growth: float = 10.0
-    weight_trigger: float = 1.1
-    weight_cap: float = 1e10
-    initial_damping: float = 1e-4
+    grad_rtol: ClassVar[float] = 1e-12
+    grad_atol: ClassVar[float] = 1e-13
+    max_backtracks: ClassVar[int] = 12
+    weight_growth: ClassVar[float] = 10.0
+    weight_trigger: ClassVar[float] = 1.1
+    weight_cap: ClassVar[float] = 1e10
+    initial_damping: ClassVar[float] = 1e-4
+
+
+def _check_fit_weight(fit_weight) -> None:
+    if not (np.isfinite(fit_weight) and fit_weight >= 0.0):
+        raise ValueError(f"fit_weight must be finite and non-negative, "
+                         f"got {fit_weight}")
 
 
 @dataclass
@@ -223,6 +207,9 @@ class FitConfig:
     fit_weight: float = 1.0
     controls: SolverControls = dfield(default_factory=SolverControls)
     boundary: str = "slide"
+
+    def __post_init__(self):
+        _check_fit_weight(self.fit_weight)
 
     def problem(self, mesh: "MixedOrderMesh", field=None) -> "TmopProblem":
         return TmopProblem(mesh, self.metric, self.target, field,
@@ -240,8 +227,8 @@ class TmopProblem:
     controls: SolverControls = dfield(default_factory=SolverControls)
     boundary: str = "slide"  # "slide" | "fixed" | "free"
 
-    def marked_node_ids(self) -> np.ndarray:
-        return self.mesh.dof_map().marked_node_ids(self.mesh)
+    def __post_init__(self):
+        _check_fit_weight(self.fit_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -292,26 +279,31 @@ def _contract_grad(D: np.ndarray, K: np.ndarray) -> np.ndarray:
     return (Df @ Kf).transpose(0, 2, 1)
 
 
+def _target_tables(geometry: str, order: int, target: TargetSpec):
+    """Basis tables of one element group, K = grad(phi) W^{-1} at their
+    quadrature points, and det W, for the group's target matrix W."""
+    tables = basis_tables(geometry, order)
+    W = target.for_geometry(geometry)
+    K = np.einsum("qib,bc->qic", tables.grad_at_quad, np.linalg.inv(W))
+    return tables, K, float(np.linalg.det(W))
+
+
 class _Assembly:
     """Cached quantities for objective/gradient/Hessian evaluation."""
 
     def __init__(self, problem: TmopProblem):
         mesh = problem.mesh
-        self.mesh = mesh
         self.dm = mesh.dof_map()
         self.expand = self.dm.expand
         self.marked = self.dm.marked_node_ids(mesh)
+        # the level set, or None when there is nothing to fit
+        self.field = problem.field if self.marked.size else None
         self.groups = []
         for (geometry, order), ids in element_groups(mesh).items():
-            tables = basis_tables(geometry, order)
-            W = problem.target.for_geometry(geometry)
-            Winv = np.linalg.inv(W)
-            detW = float(np.linalg.det(W))
+            tables, K, detW = _target_tables(geometry, order, problem.target)
             starts = np.array([self.dm.element_slices[e].start for e in ids])
             nn = tables.ref.num_nodes
             gather = starts[:, None] + np.arange(nn)[None, :]
-            # basis gradient contracted with the target inverse
-            K = np.einsum("qib,bc->qic", tables.grad_at_quad, Winv)
             self.groups.append({
                 "tables": tables, "detW": detW, "gather": gather, "K": K,
                 "Gall": validity_gradients(geometry, order),
@@ -324,23 +316,30 @@ class _Assembly:
             self._E2 = sp.kron(self.expand, sp.eye(2), format="csr")
         return self._E2
 
-    def x_all(self, t: np.ndarray) -> np.ndarray:
-        return self.expand @ t
-
     def min_det(self, t: np.ndarray) -> float:
         """Minimum map determinant over the validity sample set."""
-        x_all = self.x_all(t)
+        x_all = self.expand @ t
         worst = np.inf
         for g in self.groups:
             A = map_jacobians(x_all[g["gather"]], g["Gall"])
             worst = min(worst, float(det2(A).min()))
         return worst
 
+    def sigma(self, t: np.ndarray):
+        """Level-set values at the marked nodes; None when nothing is fitted."""
+        return None if self.field is None else self.field.values(t[self.marked])
+
+    def sigma_gradients(self, t: np.ndarray):
+        """Level-set gradients at the marked nodes; None when nothing is fitted."""
+        return None if self.field is None \
+            else self.field.gradients(t[self.marked])
+
 
 def _quality_terms(asm: _Assembly, metric: QualityMetric, t: np.ndarray,
                    want_grad: bool):
-    """Quality objective and optionally its gradient on independent nodes."""
-    x_all = asm.x_all(t)
+    """Quality objective and optionally its gradient on independent nodes;
+    the objective is inf on an inverted configuration."""
+    x_all = asm.expand @ t
     total = 0.0
     g_all = np.zeros((asm.dm.total_local, 2)) if want_grad else None
     for g in asm.groups:
@@ -359,22 +358,23 @@ def _quality_terms(asm: _Assembly, metric: QualityMetric, t: np.ndarray,
             contrib = g["detW"] * _contract_grad(
                 wq[None, :, None, None] * dmu, g["K"])
             g_all[g["gather"]] = contrib
-    return total, g_all
+    return total, (asm.expand.T @ g_all if want_grad else None)
 
 
-def _fit_terms(asm: _Assembly, problem: TmopProblem, t: np.ndarray,
-               fit_weight: float, want_grad: bool):
-    if problem.field is None or asm.marked.size == 0 or fit_weight == 0.0:
-        return 0.0, None, 0.0
-    pts = t[asm.marked]
-    sigma = problem.field.values(pts)
-    value = fit_weight * float(sigma @ sigma)
-    sigma_max = float(np.abs(sigma).max())
-    grad = None
-    if want_grad:
-        grads = problem.field.gradients(pts)
-        grad = 2.0 * fit_weight * sigma[:, None] * grads
-    return value, grad, sigma_max
+def _total(fq: float, sigma, fit_weight: float) -> float:
+    """Objective from its quality part and the marked-node level-set values."""
+    return fq if sigma is None else fq + fit_weight * float(sigma @ sigma)
+
+
+def _total_gradient(asm: _Assembly, gq: np.ndarray, sigma, dsigma,
+                    fit_weight: float) -> np.ndarray:
+    """Gradient from its quality part and the marked-node level-set values
+    and gradients."""
+    if sigma is None:
+        return gq
+    g = gq.copy()
+    g[asm.marked] += 2.0 * fit_weight * sigma[:, None] * dsigma
+    return g
 
 
 def objective(problem: TmopProblem, coords: np.ndarray | None = None) -> float:
@@ -384,31 +384,22 @@ def objective(problem: TmopProblem, coords: np.ndarray | None = None) -> float:
     fq, _ = _quality_terms(asm, problem.metric, t, want_grad=False)
     if np.isinf(fq):
         return np.inf
-    fs, _, _ = _fit_terms(asm, problem, t, problem.fit_weight, want_grad=False)
-    return fq + fs
+    return _total(fq, asm.sigma(t), problem.fit_weight)
 
 
-def gradient(problem: TmopProblem, coords: np.ndarray | None = None,
-             project_boundary: bool = False) -> np.ndarray:
+def gradient(problem: TmopProblem, coords: np.ndarray | None = None) -> np.ndarray:
     """Analytic gradient dF/dx on independent nodes, shape (num_nodes, 2).
 
     Dependent mixed-order edge nodes contribute through the transpose of
-    their trace interpolation.  ``project_boundary`` applies the boundary
-    movement policy (slide along boundary lines, corners fixed).
+    their trace interpolation.
     """
     asm = _Assembly(problem)
     t = asm.dm.extract(problem.mesh) if coords is None else coords
-    fq, g_all = _quality_terms(asm, problem.metric, t, want_grad=True)
+    fq, gq = _quality_terms(asm, problem.metric, t, want_grad=True)
     if np.isinf(fq):
         raise MeshInvalidError("gradient requested on an inverted configuration")
-    g = asm.expand.T @ g_all
-    _, g_fit, _ = _fit_terms(asm, problem, t, problem.fit_weight, want_grad=True)
-    if g_fit is not None:
-        g[asm.marked] += g_fit
-    if project_boundary:
-        kinds, tangents = boundary_freedom(problem.mesh, problem.boundary)
-        g = project_motion(g, kinds, tangents)
-    return g
+    return _total_gradient(asm, gq, asm.sigma(t), asm.sigma_gradients(t),
+                           problem.fit_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -449,63 +440,44 @@ def boundary_freedom(mesh: MixedOrderMesh, mode: str = "slide"):
     return kinds, tangents
 
 
+def _projector_blocks(kinds: np.ndarray, tangents: np.ndarray) -> np.ndarray:
+    """Per-node 2x2 motion projectors: I for a free node, t t^T for a node
+    sliding along tangent t, 0 for a fixed node."""
+    blocks = np.zeros((len(kinds), 2, 2))
+    blocks[kinds == 0] = np.eye(2)
+    line = kinds == 1
+    blocks[line] = tangents[line, :, None] * tangents[line, None, :]
+    return blocks
+
+
 def project_motion(vec: np.ndarray, kinds: np.ndarray,
                    tangents: np.ndarray) -> np.ndarray:
     """Project per-node motions onto the allowed movement subspaces."""
-    out = vec.copy()
-    line = kinds == 1
-    dots = np.sum(out[line] * tangents[line], axis=1)
-    out[line] = dots[:, None] * tangents[line]
-    out[kinds == 2] = 0.0
-    return out
+    return np.einsum("nab,nb->na", _projector_blocks(kinds, tangents), vec)
 
 
 def _projector_matrices(kinds: np.ndarray, tangents: np.ndarray):
-    """Sparse projector P and complement (I - P) on interleaved coordinates."""
+    """Sparse projector P and complement C = I - P on interleaved coordinates."""
     n = len(kinds)
-    rows, cols, vals = [], [], []
-    crows, ccols, cvals = [], [], []
-    for i in range(n):
-        if kinds[i] == 0:
-            for a in range(2):
-                rows.append(2 * i + a)
-                cols.append(2 * i + a)
-                vals.append(1.0)
-        elif kinds[i] == 1:
-            tt = np.outer(tangents[i], tangents[i])
-            comp = np.eye(2) - tt
-            for a in range(2):
-                for b in range(2):
-                    rows.append(2 * i + a)
-                    cols.append(2 * i + b)
-                    vals.append(tt[a, b])
-                    crows.append(2 * i + a)
-                    ccols.append(2 * i + b)
-                    cvals.append(comp[a, b])
-        else:
-            for a in range(2):
-                crows.append(2 * i + a)
-                ccols.append(2 * i + a)
-                cvals.append(1.0)
-    shape = (2 * n, 2 * n)
-    P = sp.csr_matrix((vals, (rows, cols)), shape=shape)
-    C = sp.csr_matrix((cvals, (crows, ccols)), shape=shape)
-    return P, C
+    P = sp.bsr_matrix((_projector_blocks(kinds, tangents), np.arange(n),
+                       np.arange(n + 1)), shape=(2 * n, 2 * n)).tocsr()
+    return P, sp.identity(2 * n, format="csr") - P
 
 
 # ---------------------------------------------------------------------------
 # Gauss-Newton model Hessian
 
 def _hessian(asm: _Assembly, problem: TmopProblem, t: np.ndarray,
-             fit_weight: float) -> sp.csr_matrix:
+             fit_weight: float, dsigma=None) -> sp.csr_matrix:
     """Model of d2F/dx2 on interleaved independent coordinates.
 
     The quality term is differentiated exactly (closed-form metric Hessian in
-    2D); the fitting term uses the Gauss-Newton block 2 w (grad sigma)(grad
-    sigma)^T per marked node, exact for affine fields.  Indefiniteness of the
-    quality part is handled by the solver's damping, not here.
+    2D).  Given the level-set gradients ``dsigma`` at the marked nodes, the
+    fitting term adds the Gauss-Newton block 2 w (grad sigma)(grad sigma)^T
+    per marked node, exact for affine fields.  Indefiniteness of the quality
+    part is handled by the solver's damping, not here.
     """
-    x_all = asm.x_all(t)
+    x_all = asm.expand @ t
     blocks_rows, blocks_cols, blocks_vals = [], [], []
     for g in asm.groups:
         X = x_all[g["gather"]]
@@ -514,15 +486,8 @@ def _hessian(asm: _Assembly, problem: TmopProblem, t: np.ndarray,
         nn = tables.ref.num_nodes
         nq = K.shape[0]
         T = map_jacobians(X, K)
-        tau = det2(T)
-        frob2 = np.sum(T * T, axis=(-2, -1))
-        adj = np.empty_like(T)
-        adj[..., 0, 0] = T[..., 1, 1]
-        adj[..., 0, 1] = -T[..., 1, 0]
-        adj[..., 1, 0] = -T[..., 0, 1]
-        adj[..., 1, 1] = T[..., 0, 0]
-        c_id, c_sym, c_dd, c_eps = \
-            problem.metric.second_deriv_coeffs(tau, frob2)
+        adj = adj2(T)
+        c_id, c_sym, c_dd, c_eps = problem.metric.second_deriv_coeffs(T)
         base_w = g["detW"] * tables.quad_weights[None, :]
         # per-point products of T (and its adjugate) with the basis gradient,
         # flattened to the interleaved block index 2 * node + component
@@ -556,17 +521,12 @@ def _hessian(asm: _Assembly, problem: TmopProblem, t: np.ndarray,
                       shape=(size, size))
     E2 = asm.E2
     H = (E2.T @ B @ E2).tocsr()
-    if problem.field is not None and asm.marked.size and fit_weight > 0.0:
-        grads = problem.field.gradients(t[asm.marked])
-        rows, cols, vals = [], [], []
-        for s, gr in zip(asm.marked, grads):
-            block = 2.0 * fit_weight * np.outer(gr, gr)
-            for a in range(2):
-                for b in range(2):
-                    rows.append(2 * s + a)
-                    cols.append(2 * s + b)
-                    vals.append(block[a, b])
-        H = H + sp.csr_matrix((vals, (rows, cols)), shape=H.shape)
+    if dsigma is not None:
+        idx = 2 * asm.marked[:, None] + np.arange(2)
+        block = (2.0 * fit_weight) * (dsigma[:, :, None] * dsigma[:, None, :])
+        H = H + sp.csr_matrix(
+            (block.ravel(), (np.repeat(idx, 2, axis=1).ravel(),
+                             np.tile(idx, 2).ravel())), shape=H.shape)
     return H
 
 
@@ -609,9 +569,10 @@ def solve_r_adaptivity(problem: TmopProblem):
 
     Runs a damped Gauss-Newton descent with a halving line search.  Steps are
     accepted only when they decrease the objective and keep every element's
-    Jacobian determinant positive on the sample set.  When the worst marked
-    node residual stalls (decrease factor below ``weight_trigger``), the
-    fitting weight is multiplied by ``weight_growth`` up to ``weight_cap``.
+    Jacobian determinant positive on the sample set.  The fit weight follows
+    a fixed schedule: when the worst marked-node residual falls by less than
+    a factor 1.1 in an iteration, the weight is multiplied by 10, up to 1e10.
+    ``problem.controls`` sets only the iteration cap and the fit tolerance.
 
     Returns
     -------
@@ -631,56 +592,53 @@ def solve_r_adaptivity(problem: TmopProblem):
     w = float(problem.fit_weight)
     report = SolveReport()
 
-    def fit_state(tv):
-        return _fit_terms(asm, problem, tv, w, want_grad=False)[2] \
-            if (problem.field is not None and asm.marked.size) else None
-
-    def obj(tv):
+    def evaluate(tv):
+        """Objective, its quality part and the marked-node level-set values
+        at tv; the objective is inf on an inverted configuration."""
         fq, _ = _quality_terms(asm, problem.metric, tv, want_grad=False)
         if np.isinf(fq):
-            return np.inf
-        fs, _, _ = _fit_terms(asm, problem, tv, w, want_grad=False)
-        return fq + fs
+            return np.inf, fq, None
+        sigma = asm.sigma(tv)
+        return _total(fq, sigma, w), fq, sigma
 
-    def grad_projected(tv):
-        fq, g_all = _quality_terms(asm, problem.metric, tv, want_grad=True)
-        g = asm.expand.T @ g_all
-        _, g_fit, _ = _fit_terms(asm, problem, tv, w, want_grad=True)
-        if g_fit is not None:
-            g[asm.marked] += g_fit
-        return project_motion(g, kinds, tangents)
+    def projected_gradient():
+        """Projected total gradient from the terms stored for the iterate."""
+        return project_motion(_total_gradient(asm, gq, sigma, dsigma, w),
+                              kinds, tangents)
 
-    F = obj(t)
-    sigma = fit_state(t)
+    F, fq, sigma = evaluate(t)
+    smax = None if sigma is None else float(np.abs(sigma).max())
     report.initial_objective = F
-    report.initial_sigma_max = sigma
+    report.initial_sigma_max = smax
     fitting = sigma is not None
 
     def finish(status, reason):
         report.status = status
         report.reason = reason
         report.final_objective = F
-        report.final_sigma_max = fit_state(t)
+        report.final_sigma_max = smax
         report.final_fit_weight = w
         report.final_min_det = asm.min_det(t)
         asm.dm.scatter(mesh, t)
         return mesh, report
 
-    if fitting and sigma <= controls.fit_tol:
+    if fitting and smax <= controls.fit_tol:
         return finish("converged", "marked nodes already on the isocontour")
-    gp = grad_projected(t)
+    _, gq = _quality_terms(asm, problem.metric, t, want_grad=True)
+    dsigma = asm.sigma_gradients(t)
+    gp = projected_gradient()
     gnorm0 = float(np.linalg.norm(gp))
     if gnorm0 <= controls.grad_atol:
         return finish("converged", "gradient already negligible")
 
     lam = controls.initial_damping
-    sigma_prev = sigma
+    smax_prev = smax
     # cap the initial trial displacement at a fraction of the smallest
     # element diameter so a stiff penalty cannot tangle the mesh in one jump
     h_min = min(mesh.element_diameter(e) for e in range(len(mesh.elements)))
     step_cap = 0.5 * h_min
     for it in range(1, controls.max_iterations + 1):
-        H = _hessian(asm, problem, t, w)
+        H = _hessian(asm, problem, t, w, dsigma)
         Hp = (P @ H @ P + C).tocsc()
         diag = Hp.diagonal()
         dfloor = np.maximum(diag, 1e-12 * diag.max() + 1e-300)
@@ -712,15 +670,15 @@ def solve_r_adaptivity(problem: TmopProblem):
             alpha = start_step
             for bt in range(controls.max_backtracks + 1):
                 t_new = t + alpha * dvec
-                F_new = obj(t_new)
-                if F_new < F and asm.min_det(t_new) > 0.0:
-                    return t_new, F_new, alpha, bt
+                trial = evaluate(t_new)
+                if trial[0] < F and asm.min_det(t_new) > 0.0:
+                    return t_new, trial, alpha, bt
                 alpha *= 0.5
             return None, None, None, None
 
         dmax = float(np.abs(d).max())
         start = min(1.0, step_cap / dmax) if dmax > 0.0 else 1.0
-        t_new, F_new, alpha, bt = line_search(d, start)
+        t_new, trial, alpha, bt = line_search(d, start)
         if t_new is None and direction == "newton":
             direction = "steepest"
             d = -gp
@@ -728,31 +686,33 @@ def solve_r_adaptivity(problem: TmopProblem):
             dmax = max(float(np.abs(d).max()), 1e-300)
             scale = (d.ravel() @ d.ravel()) / Hg if Hg > 0.0 else \
                 0.1 * mesh.diameter() / dmax
-            t_new, F_new, alpha, bt = line_search(d, min(scale, step_cap / dmax))
+            t_new, trial, alpha, bt = line_search(d, min(scale, step_cap / dmax))
             lam *= 16.0
         if t_new is None:
             return finish("stalled", "no valid decreasing step found")
 
-        t, F_before, F = t_new, F, F_new
+        t, F_before, (F, fq, sigma) = t_new, F, trial
+        smax = None if sigma is None else float(np.abs(sigma).max())
         lam = max(lam * 0.25, 1e-10)
-        sigma = fit_state(t)
-        gp = grad_projected(t)
+        _, gq = _quality_terms(asm, problem.metric, t, want_grad=True)
+        dsigma = asm.sigma_gradients(t)
+        gp = projected_gradient()
         gnorm = float(np.linalg.norm(gp))
         report.iterations.append(IterationRecord(
             index=it, objective_before=F_before, objective_after=F,
-            fit_weight=w, sigma_max=sigma, step_size=alpha, grad_norm=gnorm,
+            fit_weight=w, sigma_max=smax, step_size=alpha, grad_norm=gnorm,
             min_det=asm.min_det(t), backtracks=bt, direction=direction))
 
-        if fitting and sigma <= controls.fit_tol:
+        if fitting and smax <= controls.fit_tol:
             return finish("converged", "fit tolerance reached")
         if gnorm <= max(controls.grad_rtol * gnorm0, controls.grad_atol):
             return finish("converged", "gradient tolerance reached")
         if fitting and w < controls.weight_cap and \
-                sigma_prev / max(sigma, 1e-300) < controls.weight_trigger:
+                smax_prev / max(smax, 1e-300) < controls.weight_trigger:
             w = min(w * controls.weight_growth, controls.weight_cap)
-            F = obj(t)
-            gp = grad_projected(t)
-        sigma_prev = sigma
+            F = _total(fq, sigma, w)
+            gp = projected_gradient()
+        smax_prev = smax
 
     return finish("max_iterations",
                   f"no convergence in {controls.max_iterations} iterations")

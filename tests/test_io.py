@@ -417,5 +417,8 @@ def test_cli_argument_errors(tmp_path):
         _run_cli(["--generate", "2,2,1", "--levelset", "name:circle",
                   "--p-init", "1", "--p-max", "2", "--deref", "b9:1",
                   "--out-prefix", str(tmp_path / "x")])
+    with pytest.raises(SystemExit, match="^meshfit: fit_weight"):
+        _run_cli(["--generate", "2,2,1", "--levelset", "name:circle",
+                  "--fit-weight", "-1", "--out-prefix", str(tmp_path / "x")])
     with pytest.raises(SystemExit):  # argparse rejects the metric choice
         _run_cli(["--generate", "2,2,1", "--metric", "9"])

@@ -170,5 +170,7 @@ def test_run_study_records_malformed_plan_as_value_error():
     records, _ = run_study({
         "levelset": "name:circle",
         "runs": [{"label": "bad", "generate": [2, 2, 1],
-                  "plan": {"p_init": 1, "p_max": 2, "refine": "maybe:1"}}]})
-    assert records[0].status == "failed:ValueError"
+                  "plan": {"p_init": 1, "p_max": 2, "refine": "maybe:1"}},
+                 {"label": "negative weight", "generate": [2, 2, 1],
+                  "fit_weight": -1}]})
+    assert [r.status for r in records] == ["failed:ValueError"] * 2

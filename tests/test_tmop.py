@@ -9,7 +9,8 @@ from meshfit import (FitConfig, MeshInvalidError, QualityMetric,
 from meshfit.mesh import require_valid
 from meshfit.levelset import ANALYTIC_LEVELSETS
 from meshfit.tmop import (IDEAL_TRIANGLE_TARGET, _Assembly, _hessian,
-                          boundary_freedom, project_motion)
+                          _projector_matrices, boundary_freedom,
+                          project_motion)
 
 from conftest import meshes_identical, perturbed_mesh, random_order_mesh
 
@@ -160,15 +161,29 @@ def test_gradient_matches_fd_with_fit_term(rng):
             assert abs(fd - g[i, a]) < 1e-5 * max(1.0, abs(g[i, a]))
 
 
-def test_quality_hessian_matches_fd(rng):
+@pytest.mark.parametrize("metric, field, fit_weight", [
+    ("mu2", None, 0.0), ("mu77", None, 0.0), ("mu80", None, 0.0),
+    # Gauss-Newton is exact for the affine plane field y = 0.3
+    ("mu2", ANALYTIC_LEVELSETS["plane"](0.3), 5.0)],
+    ids=["mu2", "mu77", "mu80", "mu2-plane"])
+def test_quality_hessian_matches_fd(rng, metric, field, fit_weight):
     m = perturbed_mesh(3, 3, 2, seed=17)
-    prob = FitConfig(metric=QualityMetric("mu2")).problem(m)
+    if field is not None:
+        mark_interface_faces(m, field)
+        assert m.marked_faces
+    prob = FitConfig(metric=QualityMetric(metric, gamma=0.3),
+                     fit_weight=fit_weight).problem(m, field)
     asm = _Assembly(prob)
     t = m.dof_map().extract(m)
-    H = _hessian(asm, prob, t, 0.0).toarray()
+    dsigma = None if field is None else asm.sigma_gradients(t)
+    H = _hessian(asm, prob, t, fit_weight, dsigma).toarray()
     assert np.abs(H - H.T).max() < 1e-10
+    # mu77 entries reach about 1e4 on this mesh, so the bound scales with H
+    tol = 2e-9 * np.abs(H).max()
     eps = 1e-6
     idx = rng.choice(t.shape[0], size=5, replace=False)
+    if field is not None:  # include marked nodes, where the fit block acts
+        idx[:2] = asm.marked[:2]
     for i in idx:
         for a in range(2):
             tp = t.copy()
@@ -176,7 +191,7 @@ def test_quality_hessian_matches_fd(rng):
             tm = t.copy()
             tm[i, a] -= eps
             col = (gradient(prob, tp) - gradient(prob, tm)).ravel() / (2 * eps)
-            assert np.abs(col - H[:, 2 * i + a]).max() < 2e-7
+            assert np.abs(col - H[:, 2 * i + a]).max() < tol
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +229,23 @@ def test_project_motion():
     assert np.all(kinds_f[kinds > 0] == 2)
     kinds_free, _ = boundary_freedom(m, "free")
     assert np.all(kinds_free == 0)
+
+
+def test_projector_matrices_match_project_motion(rng):
+    # shear the mesh so that the boundary tangents are not axis-aligned
+    m = generate_cartesian(3, 3, 1)
+    dm = m.dof_map()
+    t = dm.extract(m)
+    t[:, 0] += 0.3 * t[:, 1]
+    dm.scatter(m, t)
+    kinds, tangents = boundary_freedom(m, "slide")
+    assert (kinds == 1).any() and (kinds == 2).any()
+    P, C = _projector_matrices(kinds, tangents)
+    v = rng.normal(size=t.shape)
+    assert np.allclose(project_motion(v, kinds, tangents),
+                       (P @ v.ravel()).reshape(-1, 2), rtol=0.0, atol=1e-15)
+    assert np.allclose((P @ P).toarray(), P.toarray(), rtol=0.0, atol=1e-15)
+    assert np.array_equal((P + C).toarray(), np.eye(2 * len(kinds)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +359,32 @@ def test_mixed_order_gradient_with_constraints(rng):
             tm[i, a] -= eps
             fd = (objective(prob, tp) - objective(prob, tm)) / (2 * eps)
             assert abs(fd - g[i, a]) < 1e-5 * max(1.0, abs(g[i, a]))
+
+
+def test_zero_fit_weight_reports_true_residual():
+    sq = ANALYTIC_LEVELSETS["squircle2d"]()
+    m = generate_cartesian(4, 4, 1)
+    mark_interface_faces(m, sq)
+
+    def residual():
+        dm = m.dof_map()
+        return float(np.abs(sq.values(dm.extract(m)[dm.marked_node_ids(m)])).max())
+
+    initial = residual()
+    assert initial == pytest.approx(4.49e-3, abs=1e-5)
+    _, report = solve_r_adaptivity(FitConfig(fit_weight=0.0).problem(m, sq))
+    assert report.initial_sigma_max == initial
+    assert report.final_sigma_max == residual()
+    assert "already on the isocontour" not in report.reason
+
+
+@pytest.mark.parametrize("fit_weight", [-1.0, np.inf, np.nan])
+def test_invalid_fit_weight_rejected(fit_weight):
+    m = generate_cartesian(2, 2, 1)
+    with pytest.raises(ValueError, match="fit_weight"):
+        TmopProblem(m, QualityMetric("mu2"), fit_weight=fit_weight)
+    with pytest.raises(ValueError, match="fit_weight"):
+        FitConfig(fit_weight=fit_weight)
 
 
 @pytest.mark.parametrize("seed", [64, 307, 346])
