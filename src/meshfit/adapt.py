@@ -81,18 +81,26 @@ class AdaptivityPlan:
 # ---------------------------------------------------------------------------
 # Face traces and errors
 
-def _trace_error_and_length(coords: np.ndarray, field, nq: int):
-    """Arc-length weighted sigma^2 integral and length of one trace."""
+def _trace_quadrature(coords: np.ndarray, nq: int):
+    """Physical quadrature points of one trace, their weights and the speed
+    of the trace there."""
     p = len(coords) - 1
     tq, wq = _gauss_legendre_01(nq)
     nodes = gauss_lobatto_nodes(p)
     x = lagrange_1d(nodes, tq) @ coords
     dx = lagrange_1d_deriv(nodes, tq) @ coords
-    speed = np.hypot(dx[:, 0], dx[:, 1])
-    sigma = field.values(x)
-    err = float(np.sum(wq * sigma * sigma * speed))
-    length = float(np.sum(wq * speed))
-    return err, length
+    return x, wq, np.hypot(dx[:, 0], dx[:, 1])
+
+
+def _error_and_length(sigma, wq, speed):
+    """Arc-length weighted sigma^2 integral and length of one trace."""
+    return float(np.sum(wq * sigma * sigma * speed)), float(np.sum(wq * speed))
+
+
+def _trace_error_and_length(coords: np.ndarray, field, nq: int):
+    """Arc-length weighted sigma^2 integral and length of one trace."""
+    x, wq, speed = _trace_quadrature(coords, nq)
+    return _error_and_length(field.values(x), wq, speed)
 
 
 def face_error(mesh: MixedOrderMesh, field, face: int) -> float:
@@ -130,10 +138,15 @@ def compute_face_errors(mesh: MixedOrderMesh, field,
         faces = sorted(faces)
     errors = np.zeros(len(faces))
     lengths = np.zeros(len(faces))
-    for i, k in enumerate(faces):
-        coords = mesh.edge_trace(k)
-        nq = 2 * (len(coords) - 1) + 3
-        errors[i], lengths[i] = _trace_error_and_length(coords, field, nq)
+    traces = [_trace_quadrature(c, 2 * (len(c) - 1) + 3)
+              for c in map(mesh.edge_trace, faces)]
+    if traces:
+        # one field query for every face trace, split back per face
+        sigma = field.values(np.concatenate([x for x, _, _ in traces]))
+        ends = np.cumsum([len(x) for x, _, _ in traces])[:-1]
+        for i, ((_, wq, speed), s) in enumerate(zip(traces,
+                                                    np.split(sigma, ends))):
+            errors[i], lengths[i] = _error_and_length(s, wq, speed)
     dm = mesh.dof_map()
     marked_nodes = dm.marked_node_ids(mesh)
     if marked_nodes.size:

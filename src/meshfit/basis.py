@@ -68,41 +68,42 @@ def gauss_lobatto_nodes(p: int) -> np.ndarray:
     return _gauss_lobatto_cached(p).copy()
 
 
+def _lagrange_denominators(nodes: np.ndarray) -> np.ndarray:
+    """prod_{j != i} (nodes[i] - nodes[j]) for every node i."""
+    eye = np.eye(nodes.size, dtype=bool)
+    return np.where(eye, 1.0, nodes[:, None] - nodes).prod(axis=1)
+
+
 def lagrange_1d(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Values of the 1D Lagrange basis on ``nodes`` at points ``x``.
 
     Shape (len(x), len(nodes)).  Evaluation at a node reproduces the
-    Kronecker delta exactly.
+    Kronecker delta exactly.  Each numerator is a product over a
+    (points, nodes, nodes) array whose diagonal is set to 1, so node i's own
+    factor drops out without a loop over nodes.
     """
     nodes = np.asarray(nodes, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = nodes.size
-    diff = x[:, None] - nodes[None, :]
-    out = np.empty((x.size, n))
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        num = np.prod(diff[:, others], axis=1) if others else np.ones(x.size)
-        den = np.prod(nodes[i] - nodes[others]) if others else 1.0
-        out[:, i] = num / den
-    return out
+    eye = np.eye(nodes.size, dtype=bool)
+    num = np.where(eye, 1.0, (x[:, None] - nodes)[:, None, :]).prod(axis=2)
+    return num / _lagrange_denominators(nodes)
 
 
 def lagrange_1d_deriv(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """First derivatives of the 1D Lagrange basis, shape (len(x), len(nodes))."""
+    """First derivatives of the 1D Lagrange basis, shape (len(x), len(nodes)).
+
+    d/dx l_i = sum_{k != i} prod_{j != i, k} (x - x_j) / den_i.  The terms
+    are masked products over a (points, k, i, j) array; the sum over k runs
+    along a leading axis, so it adds in ascending k.
+    """
     nodes = np.asarray(nodes, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = nodes.size
-    diff = x[:, None] - nodes[None, :]
-    out = np.zeros((x.size, n))
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        den = np.prod(nodes[i] - nodes[others]) if others else 1.0
-        acc = np.zeros(x.size)
-        for k in others:
-            rest = [j for j in others if j != k]
-            acc += np.prod(diff[:, rest], axis=1) if rest else 1.0
-        out[:, i] = acc / den
-    return out
+    eye = np.eye(nodes.size, dtype=bool)
+    skip = eye[:, None, :] | eye[None, :, :]
+    terms = np.where(skip, 1.0,
+                     (x[:, None] - nodes)[:, None, None, :]).prod(axis=3)
+    terms[:, eye] = 0.0
+    return terms.sum(axis=1) / _lagrange_denominators(nodes)
 
 
 @lru_cache(maxsize=None)
@@ -375,34 +376,37 @@ class ReferenceElement:
         vals, grads = _dubiner(pts, self.order, with_grad=True)
         return np.einsum("mkd,kn->mnd", grads, self._vinv)
 
-    def contains(self, point: np.ndarray, tol: float = 1e-10) -> bool:
-        x, y = point
+    def contains(self, points, tol: float = 1e-10):
+        """Whether reference points (a (2,) point or an (..., 2) stack) lie in
+        the element, within ``tol``."""
+        pts = np.asarray(points, dtype=float)
+        x, y = pts[..., 0], pts[..., 1]
         if self.geometry == QUAD:
-            return (-tol <= x <= 1.0 + tol) and (-tol <= y <= 1.0 + tol)
-        return x >= -tol and y >= -tol and x + y <= 1.0 + tol
+            return (-tol <= x) & (x <= 1.0 + tol) & (-tol <= y) & (y <= 1.0 + tol)
+        return (x >= -tol) & (y >= -tol) & (x + y <= 1.0 + tol)
 
-    def boundary_distance(self, point: np.ndarray) -> float:
-        """Signed distance-like margin to the reference boundary (positive inside)."""
-        x, y = point
+    def boundary_distance(self, points):
+        """Signed distance-like margin to the reference boundary (positive
+        inside), per point of a (2,) point or an (..., 2) stack."""
+        pts = np.asarray(points, dtype=float)
+        x, y = pts[..., 0], pts[..., 1]
         if self.geometry == QUAD:
-            return min(x, y, 1.0 - x, 1.0 - y)
-        return min(x, y, 1.0 - x - y)
+            return np.minimum(np.minimum(x, y), np.minimum(1.0 - x, 1.0 - y))
+        return np.minimum(np.minimum(x, y), 1.0 - x - y)
 
-    def clamp(self, point: np.ndarray) -> np.ndarray:
-        """Closest-point style projection of a reference point into the domain."""
-        x, y = float(point[0]), float(point[1])
+    def clamp(self, points) -> np.ndarray:
+        """Closest-point style projection of reference points into the domain,
+        for a (2,) point or an (..., 2) stack."""
+        pts = np.asarray(points, dtype=float)
         if self.geometry == QUAD:
-            return np.array([min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0)])
-        x, y = max(x, 0.0), max(y, 0.0)
-        if x + y > 1.0:
-            shift = 0.5 * (x + y - 1.0)
-            x, y = x - shift, y - shift
-            x, y = max(x, 0.0), max(y, 0.0)
-            if x > 1.0:
-                x = 1.0
-            if y > 1.0:
-                y = 1.0
-        return np.array([x, y])
+            return np.clip(pts, 0.0, 1.0)
+        x = np.maximum(pts[..., 0], 0.0)
+        y = np.maximum(pts[..., 1], 0.0)
+        # past the hypotenuse: shift both coordinates back along (1, 1)
+        shift = np.where(x + y > 1.0, 0.5 * (x + y - 1.0), 0.0)
+        x = np.minimum(np.maximum(x - shift, 0.0), 1.0)
+        y = np.minimum(np.maximum(y - shift, 0.0), 1.0)
+        return np.stack([x, y], axis=-1)
 
     def edge_point(self, local_edge: int, t) -> np.ndarray:
         """Reference coordinates of parameter(s) t in [0,1] along a local edge."""

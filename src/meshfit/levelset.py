@@ -1,11 +1,23 @@
 """Level-set fields and point location in high-order meshes.
 
 Analytic fields wrap closed-form value/gradient pairs.  Discrete fields carry
-nodal values on a background mesh and answer queries by locating the point
-(bounding-box hash grid + Newton inversion of the element map) and
-interpolating.  Gradients of discrete fields come from a precomputed nodal
+nodal values on a background mesh and answer queries by locating the points
+and interpolating.  Gradients of discrete fields come from a precomputed nodal
 gradient field: element-wise derivatives averaged at shared nodes, then
 interpolated like any other nodal field.
+
+Location is batched, in the style of gslib ``findpts``.  A grid over the
+inflated element bounding boxes gives every (point, candidate element) pair;
+one Newton iteration per (geometry, order) element group inverts the element
+maps for all of that group's pairs at once, and interpolation evaluates the
+basis once per group.  A point goes to the first converged candidate whose
+reference point lies inside its element; candidates are tried in ascending id
+order (after the hint, when ``Locator.locate`` is given one), so on a shared
+vertex or edge the lowest element id wins.  A point just outside the mesh
+snaps to the closest clamped candidate within ``Locator.SNAP_RTOL``.
+Non-finite points (nan, +-inf) have no candidates and are not found:
+``Locator.locate`` returns ``NOT_FOUND``, and a field query raises
+``PointLocationError`` (``strict=True``) or returns NaN there.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ import numpy as np
 
 from .basis import reference_element
 from .errors import PointLocationError
-from .mesh import MixedOrderMesh, det2
+from .mesh import MixedOrderMesh, det2, element_groups, map_jacobians
 
 
 class FoundFlag(Enum):
@@ -42,7 +54,8 @@ class ComputationalCoords:
 
 
 class Locator:
-    """findpts-style point locator: inflated element boxes on a uniform grid."""
+    """findpts-style point locator: inflated element boxes on a uniform grid,
+    inverted by one batched Newton per (geometry, order) element group."""
 
     #: element bounding boxes are inflated by this fraction of their diameter
     BOX_INFLATION = 0.01
@@ -59,116 +72,231 @@ class Locator:
             raise ValueError("cannot build a locator for an empty mesh")
         self.mesh = mesh
         self.diameter = mesh.diameter()
-        boxes = np.empty((len(mesh.elements), 4))
-        for e, el in enumerate(mesh.elements):
-            ref = reference_element(el.geometry, el.order)
-            # curved edges can bulge past the node hull, so bound the geometry
-            # with a dense edge sampling before inflating
-            samples = [el.coords.T]
-            if el.order > 1:
-                t = np.linspace(0.0, 1.0, 4 * el.order + 1)
-                for le in range(len(el.verts)):
-                    samples.append(mesh.eval_map(e, ref.edge_point(le, t)))
-            pts = np.vstack(samples)
-            lo = pts.min(axis=0)
-            hi = pts.max(axis=0)
-            pad = self.BOX_INFLATION * float(np.hypot(*(hi - lo)))
-            boxes[e] = [lo[0] - pad, lo[1] - pad, hi[0] + pad, hi[1] + pad]
+        num_el = len(mesh.elements)
+        #: per (geometry, order) group: element ids, reference element and
+        #: node coordinates; element e is row row_of[e] of group group_of[e]
+        self.groups = element_groups(mesh)
+        self.group_refs = [reference_element(*key) for key in self.groups]
+        self.group_coords = [mesh.group_coords(ids)
+                             for ids in self.groups.values()]
+        self.group_of = np.empty(num_el, dtype=int)
+        self.row_of = np.empty(num_el, dtype=int)
+        boxes = np.empty((num_el, 4))
+        for g, ((geometry, order), ids) in enumerate(self.groups.items()):
+            self.group_of[ids] = g
+            self.row_of[ids] = np.arange(len(ids))
+            X = self.group_coords[g]
+            pts = X
+            if order > 1:
+                # curved edges can bulge past the node hull, so bound the
+                # geometry with a dense edge sampling before inflating
+                ref = self.group_refs[g]
+                t = np.linspace(0.0, 1.0, 4 * order + 1)
+                edges = np.vstack([ref.edge_point(le, t)
+                                   for le in range(len(ref.corners))])
+                pts = np.concatenate([X, ref.eval_basis(edges) @ X], axis=1)
+            lo = pts.min(axis=1)
+            hi = pts.max(axis=1)
+            pad = self.BOX_INFLATION * np.hypot(*(hi - lo).T)
+            boxes[ids] = np.column_stack([lo - pad[:, None], hi + pad[:, None]])
         self.boxes = boxes
         self.grid_lo = boxes[:, :2].min(axis=0)
         self.grid_hi = boxes[:, 2:].max(axis=0)
-        n = max(1, int(math.sqrt(len(mesh.elements))))
+        n = max(1, int(math.sqrt(num_el)))
         self.grid_n = n
         self.cell_size = (self.grid_hi - self.grid_lo) / n
         self.cell_size[self.cell_size <= 0] = 1.0
-        cells: dict[tuple[int, int], list[int]] = {}
-        for e in range(len(mesh.elements)):
-            i0, j0 = self._cell_of(boxes[e, :2])
-            i1, j1 = self._cell_of(boxes[e, 2:])
-            for i in range(i0, i1 + 1):
-                for j in range(j0, j1 + 1):
-                    cells.setdefault((i, j), []).append(e)
-        self.cells = cells
+        # CSR from grid cell i * n + j to the ascending ids of the elements
+        # whose box overlaps it
+        lo_ij = self._cell_ij(boxes[:, :2])
+        span = self._cell_ij(boxes[:, 2:]) - lo_ij + 1
+        elem = np.repeat(np.arange(num_el), span[:, 0] * span[:, 1])
+        k = _ranks(span[:, 0] * span[:, 1])
+        cell = ((lo_ij[elem, 0] + k // span[elem, 1]) * n
+                + lo_ij[elem, 1] + k % span[elem, 1])
+        order_by_cell = np.argsort(cell, kind="stable")
+        self.cell_elements = elem[order_by_cell]
+        self.cell_start = np.concatenate(
+            [[0], np.cumsum(np.bincount(cell, minlength=n * n))])
 
-    def _cell_of(self, point) -> tuple[int, int]:
-        ij = (np.asarray(point) - self.grid_lo) / self.cell_size
-        i = min(max(int(ij[0]), 0), self.grid_n - 1)
-        j = min(max(int(ij[1]), 0), self.grid_n - 1)
-        return i, j
+    def _cell_ij(self, points: np.ndarray) -> np.ndarray:
+        """Grid cell (i, j) of finite points, clamped to the grid, (npts, 2)."""
+        inside = np.clip(points, self.grid_lo, self.grid_hi)
+        ij = (inside - self.grid_lo) / self.cell_size
+        return np.clip(ij, 0, self.grid_n - 1).astype(int)
+
+    def _candidate_pairs(self, points: np.ndarray):
+        """(point index, element id) of every point lying in an inflated
+        element box, by point and then ascending element id.  Non-finite
+        points have no candidates."""
+        finite = np.isfinite(points).all(axis=1)
+        cell = np.zeros(len(points), dtype=int)
+        ij = self._cell_ij(points[finite])
+        cell[finite] = ij[:, 0] * self.grid_n + ij[:, 1]
+        start = self.cell_start[cell]
+        count = np.where(finite, self.cell_start[cell + 1] - start, 0)
+        pt = np.repeat(np.arange(len(points)), count)
+        el = self.cell_elements[np.repeat(start, count) + _ranks(count)]
+        b = self.boxes[el]
+        x = points[pt]
+        inside = ((b[:, 0] <= x[:, 0]) & (x[:, 0] <= b[:, 2])
+                  & (b[:, 1] <= x[:, 1]) & (x[:, 1] <= b[:, 3]))
+        return pt[inside], el[inside]
 
     def candidates(self, point) -> list[int]:
         """Element ids whose inflated box contains the point, ascending."""
-        point = np.asarray(point, dtype=float)
-        found = self.cells.get(self._cell_of(point), ())
-        out = [e for e in found
-               if (self.boxes[e, 0] <= point[0] <= self.boxes[e, 2]
-                   and self.boxes[e, 1] <= point[1] <= self.boxes[e, 3])]
-        return sorted(out)
+        point = np.asarray(point, dtype=float).reshape(1, 2)
+        return self._candidate_pairs(point)[1].tolist()
 
-    def _newton(self, e: int, target: np.ndarray):
-        """Invert the element map for one physical point."""
-        mesh = self.mesh
-        el = mesh.elements[e]
-        ref = reference_element(el.geometry, el.order)
+    def _map(self, g: int, el: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """Physical images of reference points xi[s] under elements el[s] of
+        group g, (npts, 2)."""
+        ref = self.group_refs[g]
+        X = self.group_coords[g][self.row_of[el]]
+        return np.einsum("sn,snd->sd", ref.eval_basis(xi), X)
+
+    def _invert(self, g: int, el: np.ndarray, target: np.ndarray):
+        """Invert the maps of elements el[s] of group g at points target[s].
+
+        Every pair starts from the reference center and stops updating once
+        its residual is within ``NEWTON_RTOL * diameter`` or its Jacobian is
+        singular.  Returns the reference points, residuals, iteration counts
+        and convergence flags.
+        """
+        ref = self.group_refs[g]
+        X = self.group_coords[g][self.row_of[el]]
         tol = self.NEWTON_RTOL * self.diameter
-        xi = ref.center.copy()
-        iterations = 0
-        residual = np.inf
-        for _ in range(self.MAX_NEWTON):
-            r = target - mesh.eval_map(e, xi[None, :])[0]
-            residual = float(np.hypot(*r))
-            if residual <= tol:
-                return xi, residual, iterations, True
-            A = mesh.eval_jacobian(e, xi[None, :])[0]
+        xi = np.tile(ref.center, (len(el), 1))
+        residual = np.full(len(el), np.inf)
+        iterations = np.zeros(len(el), dtype=int)
+        converged = np.zeros(len(el), dtype=bool)
+        active = np.arange(len(el))
+        for it in range(self.MAX_NEWTON + 1):
+            r = target[active] - self._map(g, el[active], xi[active])
+            residual[active] = np.hypot(r[:, 0], r[:, 1])
+            done = residual[active] <= tol
+            converged[active[done]] = True
+            active, r = active[~done], r[~done]
+            if it == self.MAX_NEWTON or not active.size:
+                break
+            A = np.einsum("sna,snc->sac", X[active],
+                          ref.eval_basis_grad(xi[active]))
             det = det2(A)
-            if abs(det) < 1e-300:
-                return xi, residual, iterations, False
-            step = np.array([(A[1, 1] * r[0] - A[0, 1] * r[1]) / det,
-                             (-A[1, 0] * r[0] + A[0, 0] * r[1]) / det])
-            xi = xi + step
+            regular = np.abs(det) >= 1e-300
+            active, r, A, det = active[regular], r[regular], A[regular], det[regular]
+            if not active.size:
+                break
+            step = np.column_stack([
+                (A[:, 1, 1] * r[:, 0] - A[:, 0, 1] * r[:, 1]) / det,
+                (-A[:, 1, 0] * r[:, 0] + A[:, 0, 0] * r[:, 1]) / det])
             # keep the iterate near the element: reference box inflated by 0.5
-            np.clip(xi, -0.5, 1.5, out=xi)
-            iterations += 1
-        r = target - mesh.eval_map(e, xi[None, :])[0]
-        residual = float(np.hypot(*r))
-        return xi, residual, iterations, residual <= tol
+            xi[active] = np.clip(xi[active] + step, -0.5, 1.5)
+            iterations[active] += 1
+        return xi, residual, iterations, converged
+
+    def _locate(self, points: np.ndarray, hint: int | None = None
+                ) -> "_Located":
+        """Locate a batch of physical points, (npts, 2).
+
+        Among the converged candidates of a point (the hint first, then
+        ascending ids) the first one whose reference point lies inside the
+        element within ``REF_TOL`` wins.  Otherwise the candidate whose
+        clamped reference point maps closest to the point wins, if that is
+        within ``SNAP_RTOL * diameter``.  Otherwise the point is not found.
+        """
+        npts = len(points)
+        pt, el = self._candidate_pairs(points)
+        if hint is not None:
+            rank = np.lexsort((el, el != hint, pt))
+            pt, el = pt[rank], el[rank]
+        pair_group = self.group_of[el]
+        xi = np.empty((len(el), 2))
+        residual = np.empty(len(el))
+        iterations = np.empty(len(el), dtype=int)
+        converged = np.empty(len(el), dtype=bool)
+        inside = np.empty(len(el), dtype=bool)
+        interior = np.empty(len(el), dtype=bool)
+        for g, ref in enumerate(self.group_refs):
+            s = np.flatnonzero(pair_group == g)
+            if not s.size:
+                continue
+            xi[s], residual[s], iterations[s], converged[s] = self._invert(
+                g, el[s], points[pt[s]])
+            inside[s] = ref.contains(xi[s], tol=self.REF_TOL)
+            interior[s] = ref.boundary_distance(xi[s]) > self.REF_TOL
+        out = _Located(np.full(npts, -1), np.full((npts, 2), np.nan),
+                       np.full(npts, FoundFlag.NOT_FOUND), np.full(npts, np.inf),
+                       np.zeros(npts, dtype=int))
+        win = np.flatnonzero(converged & inside)
+        win = win[_first_per_point(pt[win])]
+        out.set(pt[win], el[win], xi[win], residual[win], iterations[win],
+                np.where(interior[win], FoundFlag.INTERIOR, FoundFlag.BORDER))
+        # converged candidates outside their element, for unfound points
+        outside = np.flatnonzero(converged & ~inside & (out.element[pt] < 0))
+        if outside.size:
+            clamped = np.empty((outside.size, 2))
+            snap = np.empty(outside.size)
+            for g, ref in enumerate(self.group_refs):
+                s = np.flatnonzero(pair_group[outside] == g)
+                if not s.size:
+                    continue
+                pairs = outside[s]
+                clamped[s] = ref.clamp(xi[pairs])
+                r = points[pt[pairs]] - self._map(g, el[pairs], clamped[s])
+                snap[s] = np.hypot(r[:, 0], r[:, 1])
+            # smallest snap residual per point; ties keep the candidate order
+            best = np.lexsort((outside, snap, pt[outside]))
+            best = best[_first_per_point(pt[outside][best])]
+            best = best[snap[best] <= self.SNAP_RTOL * self.diameter]
+            pairs = outside[best]
+            out.set(pt[pairs], el[pairs], clamped[best], snap[best],
+                    iterations[pairs], FoundFlag.BORDER)
+        return out
 
     def locate(self, point, hint: int | None = None) -> ComputationalCoords:
-        """Locate one physical point; ties go to the lowest element id."""
-        target = np.asarray(point, dtype=float)
-        cands = self.candidates(target)
-        if hint is not None and hint in cands:
-            cands = [hint] + [e for e in cands if e != hint]
-        best_outside = None
-        for e in cands:
-            xi, residual, iterations, converged = self._newton(e, target)
-            if not converged:
-                continue
-            ref = reference_element(self.mesh.elements[e].geometry,
-                                    self.mesh.elements[e].order)
-            if ref.contains(xi, tol=self.REF_TOL):
-                margin = ref.boundary_distance(xi)
-                flag = FoundFlag.INTERIOR if margin > self.REF_TOL else FoundFlag.BORDER
-                return ComputationalCoords(e, xi, flag, residual, iterations)
-            clamped = ref.clamp(xi)
-            snap_res = float(np.hypot(*(target - self.mesh.eval_map(e, clamped[None, :])[0])))
-            if best_outside is None or snap_res < best_outside[2]:
-                best_outside = (e, clamped, snap_res, iterations)
-        if best_outside is not None:
-            e, clamped, snap_res, iterations = best_outside
-            if snap_res <= self.SNAP_RTOL * self.diameter:
-                return ComputationalCoords(e, clamped, FoundFlag.BORDER,
-                                           snap_res, iterations)
-        return ComputationalCoords(-1, np.full(2, np.nan), FoundFlag.NOT_FOUND,
-                                   np.inf, 0)
+        """Locate one physical point; ties go to the hint, then to the lowest
+        element id."""
+        point = np.asarray(point, dtype=float).reshape(1, 2)
+        return self._locate(point, hint).coords(0)
 
-    def locate_many(self, points, hints=None) -> list[ComputationalCoords]:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = []
-        for i, pt in enumerate(points):
-            hint = None if hints is None else hints[i]
-            out.append(self.locate(pt, hint=hint))
-        return out
+    def locate_many(self, points) -> list[ComputationalCoords]:
+        """Locate a batch of physical points with the rule of ``locate``."""
+        located = self._locate(np.atleast_2d(np.asarray(points, dtype=float)))
+        return [located.coords(i) for i in range(len(located.element))]
+
+
+@dataclass
+class _Located:
+    """Array form of the ``ComputationalCoords`` of a batch of points."""
+    element: np.ndarray
+    ref: np.ndarray
+    flag: np.ndarray        # FoundFlag per point
+    residual: np.ndarray
+    iterations: np.ndarray
+
+    def set(self, i, element, ref, residual, iterations, flag):
+        self.element[i] = element
+        self.ref[i] = ref
+        self.residual[i] = residual
+        self.iterations[i] = iterations
+        self.flag[i] = flag
+
+    def coords(self, i: int) -> ComputationalCoords:
+        return ComputationalCoords(int(self.element[i]), self.ref[i].copy(),
+                                   self.flag[i], float(self.residual[i]),
+                                   int(self.iterations[i]))
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each c in counts, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+
+
+def _first_per_point(pt: np.ndarray) -> np.ndarray:
+    """Positions of the first entry of each run of equal values in the
+    sorted array ``pt``."""
+    return np.flatnonzero(np.diff(pt, prepend=-1) != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +372,8 @@ class DiscreteLevelSet:
             if b.shape != (n,):
                 raise ValueError(f"block {e} has shape {b.shape}, expected ({n},)")
         self._locator: Locator | None = None
-        self._grad_blocks: tuple[list, list] | None = None
+        self._value_blocks: list[np.ndarray] | None = None
+        self._grad_blocks: list[np.ndarray] | None = None
 
     @classmethod
     def sample(cls, mesh: MixedOrderMesh, analytic) -> "DiscreteLevelSet":
@@ -265,50 +394,59 @@ class DiscreteLevelSet:
         """Continuous nodal gradient: element derivatives averaged at shared nodes."""
         if self._grad_blocks is not None:
             return self._grad_blocks
-        mesh = self.mesh
-        dm = mesh.dof_map()
+        loc = self.locator
+        dm = self.mesh.dof_map()
         sums = np.zeros((dm.num_nodes, 2))
         counts = np.zeros(dm.num_nodes)
-        for e, el in enumerate(mesh.elements):
-            ref = reference_element(el.geometry, el.order)
-            G = ref.eval_basis_grad(ref.nodes)              # (n, n, 2)
-            du = np.einsum("i,mib->mb", self.blocks[e], G)  # reference gradient
-            A = mesh.eval_jacobian(e, ref.nodes)
-            g = np.linalg.solve(np.swapaxes(A, 1, 2), du[..., None])[..., 0]
-            ids = dm.local_node_ids[e]
-            mapped = ids >= 0
-            np.add.at(sums, ids[mapped], g[mapped])
-            np.add.at(counts, ids[mapped], 1.0)
+        for ids, ref, X in zip(loc.groups.values(), loc.group_refs,
+                               loc.group_coords):
+            G = ref.eval_basis_grad(ref.nodes)                   # (n, n, 2)
+            U = np.stack([self.blocks[e] for e in ids])
+            du = np.einsum("ei,mib->emb", U, G)                  # reference gradients
+            A = map_jacobians(X, G)
+            g = np.linalg.solve(np.swapaxes(A, -1, -2), du[..., None])[..., 0]
+            node_ids = np.stack([dm.local_node_ids[e] for e in ids])
+            mapped = node_ids >= 0
+            np.add.at(sums, node_ids[mapped], g[mapped])
+            np.add.at(counts, node_ids[mapped], 1.0)
         nodal = sums / counts[:, None]
         gx = dm.scatter_scalar(nodal[:, 0])
         gy = dm.scatter_scalar(nodal[:, 1])
-        self._grad_blocks = (gx, gy)
+        self._grad_blocks = self._group_blocks([gx, gy])
         return self._grad_blocks
 
-    def _interp(self, points, blocks_list, strict):
+    def _group_blocks(self, blocks_list) -> list[np.ndarray]:
+        """Nodal values of one or more fields per locator element group,
+        (num elements, num_nodes, num fields) each."""
+        return [np.stack([np.stack([blocks[e] for blocks in blocks_list], axis=-1)
+                          for e in ids])
+                for ids in self.locator.groups.values()]
+
+    def _interp(self, points, group_blocks, strict):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        coords = self.locator.locate_many(pts)
-        missing = [i for i, c in enumerate(coords) if not c.found]
-        if missing and strict:
+        loc = self.locator
+        located = loc._locate(pts)
+        missing = np.flatnonzero(located.element < 0)
+        if missing.size and strict:
             raise PointLocationError(
-                f"{len(missing)} of {len(pts)} points lie outside the "
+                f"{missing.size} of {len(pts)} points lie outside the "
                 f"background mesh (first: {pts[missing[0]]})")
-        out = np.full((pts.shape[0], len(blocks_list)), np.nan)
-        for i, c in enumerate(coords):
-            if not c.found:
-                continue
-            el = self.mesh.elements[c.element]
-            B = reference_element(el.geometry, el.order).eval_basis(c.ref[None, :])[0]
-            for j, blocks in enumerate(blocks_list):
-                out[i, j] = B @ blocks[c.element]
+        out = np.full((len(pts), group_blocks[0].shape[-1]), np.nan)
+        group = np.where(located.element >= 0, loc.group_of[located.element], -1)
+        for g, ref in enumerate(loc.group_refs):
+            s = np.flatnonzero(group == g)
+            if s.size:
+                V = group_blocks[g][loc.row_of[located.element[s]]]
+                out[s] = np.einsum("sn,snk->sk", ref.eval_basis(located.ref[s]), V)
         return out
 
     def values(self, points, strict: bool = True) -> np.ndarray:
-        return self._interp(points, [self.blocks], strict)[:, 0]
+        if self._value_blocks is None:
+            self._value_blocks = self._group_blocks([self.blocks])
+        return self._interp(points, self._value_blocks, strict)[:, 0]
 
     def gradients(self, points, strict: bool = True) -> np.ndarray:
-        gx, gy = self._gradient_blocks()
-        return self._interp(points, [gx, gy], strict)
+        return self._interp(points, self._gradient_blocks(), strict)
 
 
 def interpolate(field, points, strict: bool = True) -> np.ndarray:

@@ -197,11 +197,10 @@ class MixedOrderMesh:
         B = reference_element(el.geometry, el.order).eval_basis(ref_points)
         return B @ el.coords.T
 
-    def eval_jacobian(self, e: int, ref_points) -> np.ndarray:
-        """Jacobians of element ``e``'s map at reference points, (npts, 2, 2)."""
-        el = self.elements[e]
-        G = reference_element(el.geometry, el.order).eval_basis_grad(ref_points)
-        return map_jacobians(el.coords.T[None], G)[0]
+    def group_coords(self, ids) -> np.ndarray:
+        """Node coordinates of elements sharing one (geometry, order), as an
+        (len(ids), num_nodes, 2) stack."""
+        return np.stack([self.elements[e].coords.T for e in ids])
 
     def min_det_jacobian(self, e: int) -> float:
         """Minimum Jacobian determinant of element ``e`` over the sample set."""
@@ -211,8 +210,8 @@ class MixedOrderMesh:
         """Minimum Jacobian determinant of (some) elements at validity samples."""
         worst = np.inf
         for (geometry, order), ids in element_groups(self, element_ids).items():
-            X = np.stack([self.elements[e].coords.T for e in ids])
-            A = map_jacobians(X, validity_gradients(geometry, order))
+            A = map_jacobians(self.group_coords(ids),
+                              validity_gradients(geometry, order))
             worst = min(worst, float(det2(A).min()))
         return worst
 

@@ -139,8 +139,7 @@ def element_quality(mesh: "MixedOrderMesh", metric: QualityMetric,
     out = np.empty(len(mesh.elements))
     for (geometry, order), ids in element_groups(mesh).items():
         _, K, _ = _target_tables(geometry, order, target)
-        X = np.stack([mesh.elements[e].coords.T for e in ids])
-        mu = metric.values(map_jacobians(X, K))
+        mu = metric.values(map_jacobians(mesh.group_coords(ids), K))
         out[ids] = mu.max(axis=1) if reduce == "max" else mu.mean(axis=1)
     return out
 
@@ -235,11 +234,19 @@ class TmopProblem:
 # Material attributes and the marked face set
 
 def assign_materials(mesh: MixedOrderMesh, field) -> None:
-    """Set element attributes from the field sign at element centers (1 in, 2 out)."""
-    for e, el in enumerate(mesh.elements):
-        center = reference_element(el.geometry, el.order).center
-        value = float(field.values(mesh.eval_map(e, center[None, :]))[0])
-        el.attribute = 1 if value < 0.0 else 2
+    """Set element attributes from the field sign at element centers (1 in,
+    2 out), with one field query for the whole mesh."""
+    if not mesh.elements:
+        return
+    groups = element_groups(mesh)
+    centers = []
+    for (geometry, order), ids in groups.items():
+        ref = reference_element(geometry, order)
+        B = ref.eval_basis(ref.center[None, :])
+        centers.append((B @ mesh.group_coords(ids))[:, 0])
+    values = field.values(np.concatenate(centers))
+    for e, value in zip(np.concatenate(list(groups.values())), values):
+        mesh.elements[e].attribute = 1 if value < 0.0 else 2
 
 
 def mark_interface_faces(mesh: MixedOrderMesh, field=None,

@@ -39,6 +39,32 @@ def test_lagrange_deriv_matches_fd():
     assert np.allclose(lagrange_1d_deriv(nodes, x), fd, atol=1e-7)
 
 
+def _lagrange_products(nodes, x):
+    """Reference 1D Lagrange values and derivatives, one node at a time, with
+    the factors multiplied and the terms added in the same order as
+    ``lagrange_1d`` and ``lagrange_1d_deriv``."""
+    n = len(nodes)
+    vals = np.empty((len(x), n))
+    ders = np.empty((len(x), n))
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        den = np.prod(nodes[i] - nodes[others])
+        vals[:, i] = np.prod(x[:, None] - nodes[others], axis=1) / den
+        ders[:, i] = sum(np.prod(x[:, None] - nodes[[j for j in others if j != k]],
+                                 axis=1) for k in others) / den
+    return vals, ders
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_lagrange_basis_matches_product_formula(p, rng):
+    nodes = gauss_lobatto_nodes(p)
+    x = np.concatenate([rng.uniform(-0.5, 1.5, 200), nodes])
+    vals, ders = _lagrange_products(nodes, x)
+    assert np.array_equal(lagrange_1d(nodes, x), vals)
+    assert np.array_equal(lagrange_1d_deriv(nodes, x), ders)
+    assert np.array_equal(lagrange_1d(nodes, nodes), np.eye(p + 1))
+
+
 def test_legendre_rule_exactness():
     # n-point Gauss-Legendre on [0,1] integrates degree 2n-1 exactly
     for n in (2, 3, 5):
