@@ -264,10 +264,10 @@ def _projected_trace(coords: np.ndarray, p_low: int) -> np.ndarray:
     return lagrange_1d(nodes, gauss_lobatto_nodes(p_low)) @ coords
 
 
-def _deref_criterion_ok(plan: AdaptivityPlan, field, coords, p_hat: int,
-                        err_now: float, len_now: float, nq: int) -> bool:
-    proj = _projected_trace(coords, p_hat)
-    err_hat, len_hat = _trace_error_and_length(proj, field, nq)
+def _deref_criterion_ok(plan: AdaptivityPlan, err_hat: float, len_hat: float,
+                        err_now: float, len_now: float) -> bool:
+    """The plan's derefinement test on a projected trace's error and length
+    against the current trace's."""
     if plan.deref_kind == "ref":
         return err_hat < plan.deref_threshold * plan.refine_threshold
     if plan.deref_kind == "change":
@@ -314,14 +314,21 @@ def try_derefine(mesh: MixedOrderMesh, field, plan: AdaptivityPlan,
         return None
     coords = mesh.edge_trace(face)
     nq = 2 * p_face + 3
-    err_now, len_now = _trace_error_and_length(coords, field, nq)
+    candidates = range(plan.p_init, p_face)
+    # one field query for the current trace and every projected candidate
+    traces = [_trace_quadrature(c, nq) for c in
+              [coords] + [_projected_trace(coords, p) for p in candidates]]
+    sigma = np.split(field.values(np.concatenate([x for x, _, _ in traces])),
+                     len(traces))
+    (err_now, len_now), *projected = [
+        _error_and_length(s, wq, speed)
+        for s, (_, wq, speed) in zip(sigma, traces)]
     elems = [s.element for s in mesh.edges[face].sides]
     variants = [list(elems)]
     if len(elems) == 2:
         variants += [[elems[0]], [elems[1]]]
-    for p_hat in range(plan.p_init, p_face):
-        if not _deref_criterion_ok(plan, field, coords, p_hat,
-                                   err_now, len_now, nq):
+    for p_hat, (err_hat, len_hat) in zip(candidates, projected):
+        if not _deref_criterion_ok(plan, err_hat, len_hat, err_now, len_now):
             continue
         for variant in variants:
             lowered = [e for e in variant

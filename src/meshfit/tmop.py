@@ -315,13 +315,6 @@ class _Assembly:
                 "tables": tables, "detW": detW, "gather": gather, "K": K,
                 "Gall": validity_gradients(geometry, order),
             })
-        self._E2 = None
-
-    @property
-    def E2(self):
-        if self._E2 is None:
-            self._E2 = sp.kron(self.expand, sp.eye(2), format="csr")
-        return self._E2
 
     def min_det(self, t: np.ndarray) -> float:
         """Minimum map determinant over the validity sample set."""
@@ -474,18 +467,24 @@ def _projector_matrices(kinds: np.ndarray, tangents: np.ndarray):
 # ---------------------------------------------------------------------------
 # Gauss-Newton model Hessian
 
-def _hessian(asm: _Assembly, problem: TmopProblem, t: np.ndarray,
-             fit_weight: float, dsigma=None) -> sp.csr_matrix:
-    """Model of d2F/dx2 on interleaved independent coordinates.
+def _hessian_values(asm: _Assembly, metric: QualityMetric, t: np.ndarray,
+                    fit_weight: float, dsigma=None) -> np.ndarray:
+    """Values of the model of d2F/dx2, laid out for ``_NewtonPattern``.
+
+    The vector holds, in order: each group's dense element blocks on
+    interleaved local coordinates (2 * node + component), element by element
+    and row-major; the 2x2 Gauss-Newton block of each marked node; and a
+    trailing 1 for the constant part of the Newton matrix.
 
     The quality term is differentiated exactly (closed-form metric Hessian in
     2D).  Given the level-set gradients ``dsigma`` at the marked nodes, the
     fitting term adds the Gauss-Newton block 2 w (grad sigma)(grad sigma)^T
-    per marked node, exact for affine fields.  Indefiniteness of the quality
-    part is handled by the solver's damping, not here.
+    per marked node, exact for affine fields; without them the blocks are 0.
+    Indefiniteness of the quality part is handled by the solver's damping,
+    not here.
     """
     x_all = asm.expand @ t
-    blocks_rows, blocks_cols, blocks_vals = [], [], []
+    values = []
     for g in asm.groups:
         X = x_all[g["gather"]]
         tables = g["tables"]
@@ -494,7 +493,7 @@ def _hessian(asm: _Assembly, problem: TmopProblem, t: np.ndarray,
         nq = K.shape[0]
         T = map_jacobians(X, K)
         adj = adj2(T)
-        c_id, c_sym, c_dd, c_eps = problem.metric.second_deriv_coeffs(T)
+        c_id, c_sym, c_dd, c_eps = metric.second_deriv_coeffs(T)
         base_w = g["detW"] * tables.quad_weights[None, :]
         # per-point products of T (and its adjugate) with the basis gradient,
         # flattened to the interleaved block index 2 * node + component
@@ -505,10 +504,6 @@ def _hessian(asm: _Assembly, problem: TmopProblem, t: np.ndarray,
             g["Wepsf"] = (K[:, :, None, 0] * K[:, None, :, 1]
                           - K[:, :, None, 1] * K[:, None, :, 0]) \
                 .reshape(nq, nn * nn)
-            base = 2 * g["gather"][:, 0]  # first interleaved row of each block
-            offs = base[:, None] + np.arange(2 * nn)[None, :]
-            g["hrows"] = np.repeat(offs[:, :, None], 2 * nn, axis=2).ravel()
-            g["hcols"] = np.repeat(offs[:, None, :], 2 * nn, axis=1).ravel()
         Hid = ((base_w * c_id) @ g["KKf"]).reshape(-1, nn, nn)
         Heps = ((base_w * c_eps) @ g["Wepsf"]).reshape(-1, nn, nn)
         He = np.matmul(np.swapaxes(tK * (base_w * c_sym)[:, :, None], 1, 2), dK)
@@ -519,22 +514,101 @@ def _hessian(asm: _Assembly, problem: TmopProblem, t: np.ndarray,
         He5[:, :, 1, :, 1] += Hid
         He5[:, :, 0, :, 1] += Heps
         He5[:, :, 1, :, 0] -= Heps
-        blocks_rows.append(g["hrows"])
-        blocks_cols.append(g["hcols"])
-        blocks_vals.append(He.ravel())
-    size = 2 * asm.dm.total_local
-    B = sp.csr_matrix((np.concatenate(blocks_vals),
-                       (np.concatenate(blocks_rows), np.concatenate(blocks_cols))),
-                      shape=(size, size))
-    E2 = asm.E2
-    H = (E2.T @ B @ E2).tocsr()
-    if dsigma is not None:
-        idx = 2 * asm.marked[:, None] + np.arange(2)
-        block = (2.0 * fit_weight) * (dsigma[:, :, None] * dsigma[:, None, :])
-        H = H + sp.csr_matrix(
-            (block.ravel(), (np.repeat(idx, 2, axis=1).ravel(),
-                             np.tile(idx, 2).ravel())), shape=H.shape)
-    return H
+        values.append(He.ravel())
+    if dsigma is None:
+        values.append(np.zeros(4 * asm.marked.size))
+    else:
+        values.append(((2.0 * fit_weight)
+                       * (dsigma[:, :, None] * dsigma[:, None, :])).ravel())
+    values.append(np.ones(1))
+    return np.concatenate(values)
+
+
+def _row_entries(Q: sp.csr_matrix, rows: np.ndarray):
+    """(position in ``rows``, column, value) of every stored entry of the
+    given rows of the CSR matrix Q, row by row."""
+    start = Q.indptr[rows]
+    count = Q.indptr[rows + 1] - start
+    owner = np.repeat(np.arange(len(rows)), count)
+    first = np.cumsum(count) - count
+    pos = np.repeat(start - first, count) + np.arange(owner.size)
+    return owner, Q.indices[pos], Q.data[pos]
+
+
+def _product_terms(Q: sp.csr_matrix, rows_a: np.ndarray, rows_b: np.ndarray):
+    """Terms of sum_k Q[ra_k, :]^T v_k Q[rb_k, :]: for each term its value
+    index k, its CSC key j * n + i for entry (i, j), and its weight
+    Q[ra_k, i] Q[rb_k, j]."""
+    ka, i, wa = _row_entries(Q, rows_a)
+    kb, j, wb = _row_entries(Q, rows_b[ka])
+    return ka[kb], j * Q.shape[1] + i[kb], wa[kb] * wb
+
+
+class _NewtonPattern:
+    """Fixed sparsity pattern of the Newton matrix P H P + C of one solve.
+
+    H = E2^T B E2 + GN, where B holds the element blocks on local
+    coordinates, E2 expands independent coordinates to them (trace
+    interpolation included) and GN holds the marked-node Gauss-Newton
+    blocks; P projects onto the allowed motions and C = I - P.  None of
+    E2, P, C or the marked nodes changes during a solve, so the CSC data of
+    P H P + C is one sparse linear map ``S`` of the ``_hessian_values``
+    vector.  ``diag`` holds the slot of each diagonal entry, all of which
+    are stored.
+    """
+
+    def __init__(self, asm: _Assembly, P: sp.csr_matrix, C: sp.csr_matrix):
+        n = P.shape[0]
+        # rows of E2 P (element blocks) stacked over rows of P (marked nodes)
+        E2 = sp.kron(asm.expand, sp.eye(2), format="csr")
+        Q = sp.vstack([E2 @ P, P], format="csr")
+        Q.eliminate_zeros()
+        rows_a, rows_b = [], []
+        for g in asm.groups:
+            m = 2 * g["tables"].ref.num_nodes
+            offs = 2 * g["gather"][:, :1] + np.arange(m)
+            rows_a.append(np.repeat(offs, m, axis=1).ravel())
+            rows_b.append(np.tile(offs, m).ravel())
+        idx = 2 * asm.dm.total_local + 2 * asm.marked[:, None] + np.arange(2)
+        rows_a.append(np.repeat(idx, 2, axis=1).ravel())
+        rows_b.append(np.tile(idx, 2).ravel())
+        num_values = sum(r.size for r in rows_a)
+        k, keys, w = _product_terms(Q, np.concatenate(rows_a),
+                                    np.concatenate(rows_b))
+        # the constant column: C, with its whole diagonal stored
+        C = C.tocoo()
+        off = C.row != C.col
+        diag = np.arange(n) * (n + 1)
+        keys = np.concatenate([keys, C.col[off] * n + C.row[off], diag])
+        k = np.concatenate([k, np.full(off.sum() + n, num_values)])
+        w = np.concatenate([w, C.data[off], C.diagonal()])
+        # sorting the terms by key makes them the rows of S in CSR order;
+        # a (slot, value) pair occurs at most once
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        slots = keys[starts]
+        self.shape = (n, n)
+        self.indices = slots % n
+        self.indptr = np.searchsorted(slots // n, np.arange(n + 1))
+        self.diag = np.searchsorted(slots, diag)
+        self.S = sp.csr_matrix((w[order], k[order], np.r_[starts, keys.size]),
+                               shape=(slots.size, num_values + 1))
+
+    def assemble(self, values: np.ndarray) -> np.ndarray:
+        """CSC data of P H P + C from ``_hessian_values`` output."""
+        return self.S @ values
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """The matrix with the given CSC data."""
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+    def damped(self, data: np.ndarray, shift: np.ndarray) -> sp.csc_matrix:
+        """The matrix with ``shift`` added to its diagonal, on a copy."""
+        damped = data.copy()
+        damped[self.diag] += shift
+        return self.matrix(damped)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +639,11 @@ class SolveReport:
     final_sigma_max: float | None = None
     final_fit_weight: float = np.nan
     final_min_det: float = np.nan
+    # sparse LU factorizations of the damped Newton matrix, and those of
+    # them rejected (singular, non-finite or not a descent direction), each
+    # of which raises the damping 16x
+    factorizations: int = 0
+    damping_retries: int = 0
 
     @property
     def num_iterations(self) -> int:
@@ -576,9 +655,14 @@ def solve_r_adaptivity(problem: TmopProblem):
 
     Runs a damped Gauss-Newton descent with a halving line search.  Steps are
     accepted only when they decrease the objective and keep every element's
-    Jacobian determinant positive on the sample set.  The fit weight follows
-    a fixed schedule: when the worst marked-node residual falls by less than
-    a factor 1.1 in an iteration, the weight is multiplied by 10, up to 1e10.
+    Jacobian determinant positive on the sample set.  The Newton matrix
+    P H P + C has one sparsity pattern per solve (``_NewtonPattern``): each
+    iteration fills it with one sparse matrix-vector product, damping adds
+    a multiple of its floored diagonal on a copy of its values, and SuperLU
+    factors it in symmetric mode with an MMD ordering on A^T + A.  The fit
+    weight follows a fixed schedule: when the worst marked-node residual
+    falls by less than a factor 1.1 in an iteration, the weight is
+    multiplied by 10, up to 1e10.
     ``problem.controls`` sets only the iteration cap and the fit tolerance.
 
     Returns
@@ -638,6 +722,7 @@ def solve_r_adaptivity(problem: TmopProblem):
     if gnorm0 <= controls.grad_atol:
         return finish("converged", "gradient already negligible")
 
+    newton = _NewtonPattern(asm, P, C)
     lam = controls.initial_damping
     smax_prev = smax
     # cap the initial trial displacement at a fraction of the smallest
@@ -645,9 +730,9 @@ def solve_r_adaptivity(problem: TmopProblem):
     h_min = min(mesh.element_diameter(e) for e in range(len(mesh.elements)))
     step_cap = 0.5 * h_min
     for it in range(1, controls.max_iterations + 1):
-        H = _hessian(asm, problem, t, w, dsigma)
-        Hp = (P @ H @ P + C).tocsc()
-        diag = Hp.diagonal()
+        data = newton.assemble(
+            _hessian_values(asm, problem.metric, t, w, dsigma))
+        diag = data[newton.diag]
         dfloor = np.maximum(diag, 1e-12 * diag.max() + 1e-300)
         gflat = gp.ravel()
 
@@ -655,18 +740,19 @@ def solve_r_adaptivity(problem: TmopProblem):
         d = None
         lam_try = lam
         for _ in range(8):
-            M = Hp + sp.diags(lam_try * dfloor)
+            report.factorizations += 1
             try:
-                cand = spla.spsolve(M, -gflat)
-            except RuntimeError:
-                lam_try *= 16.0
-                continue
-            if not np.all(np.isfinite(cand)):
-                lam_try *= 16.0
-                continue
-            if cand @ gflat < 0.0:
+                lu = spla.splu(newton.damped(data, lam_try * dfloor),
+                               permc_spec="MMD_AT_PLUS_A",
+                               options={"SymmetricMode": True})
+                cand = lu.solve(-gflat)
+            except RuntimeError:  # exactly singular
+                cand = None
+            if cand is not None and np.all(np.isfinite(cand)) \
+                    and cand @ gflat < 0.0:
                 d = project_motion(cand.reshape(-1, 2), kinds, tangents)
                 break
+            report.damping_retries += 1
             lam_try *= 16.0
         if d is None:
             direction = "steepest"
@@ -689,7 +775,7 @@ def solve_r_adaptivity(problem: TmopProblem):
         if t_new is None and direction == "newton":
             direction = "steepest"
             d = -gp
-            Hg = (Hp @ d.ravel()) @ d.ravel()
+            Hg = (newton.matrix(data) @ d.ravel()) @ d.ravel()
             dmax = max(float(np.abs(d).max()), 1e-300)
             scale = (d.ravel() @ d.ravel()) / Hg if Hg > 0.0 else \
                 0.1 * mesh.diameter() / dmax

@@ -1,9 +1,11 @@
 import json
+import os
 
 import numpy as np
 
-from meshfit import run_study
-from meshfit.study import CSV_COLUMNS, StudyRecord, expand_runs, run_one
+from meshfit import QualityMetric, SolverControls, run_study
+from meshfit.study import (CSV_COLUMNS, StudyRecord, expand_runs, fit_config,
+                           run_one)
 from meshfit import cli
 from meshfit.levelset import ANALYTIC_LEVELSETS
 
@@ -174,3 +176,21 @@ def test_run_study_records_malformed_plan_as_value_error():
                  {"label": "negative weight", "generate": [2, 2, 1],
                   "fit_weight": -1}]})
     assert [r.status for r in records] == ["failed:ValueError"] * 2
+
+
+def test_robustness_study_config_parses():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
+                        "robustness_study.json")
+    with open(path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    runs = expand_runs(config)
+    assert [r["label"] for r in runs] == [
+        "m77_p1", "m77_p2", "m80_p1", "m80_p2", "tri_fixed", "tri_free",
+        "p2n8"]
+    fits = {r["label"]: fit_config(r) for r in runs}
+    assert fits["m80_p1"].metric == QualityMetric("mu80", gamma=0.3)
+    assert {fits["tri_fixed"].boundary, fits["tri_free"].boundary} == \
+        {"fixed", "free"}
+    assert fits["p2n8"].controls.fit_tol == SolverControls().fit_tol
+    assert all(f.controls.fit_tol == 1e-7 for k, f in fits.items()
+               if k != "p2n8")

@@ -8,9 +8,9 @@ from meshfit import (FitConfig, MeshInvalidError, QualityMetric,
                      solve_r_adaptivity)
 from meshfit.mesh import require_valid
 from meshfit.levelset import ANALYTIC_LEVELSETS
-from meshfit.tmop import (IDEAL_TRIANGLE_TARGET, _Assembly, _hessian,
-                          _projector_matrices, boundary_freedom,
-                          project_motion)
+from meshfit.tmop import (IDEAL_TRIANGLE_TARGET, _Assembly, _hessian_values,
+                          _NewtonPattern, _projector_matrices,
+                          boundary_freedom, project_motion)
 
 from conftest import meshes_identical, perturbed_mesh, random_order_mesh
 
@@ -176,7 +176,11 @@ def test_quality_hessian_matches_fd(rng, metric, field, fit_weight):
     asm = _Assembly(prob)
     t = m.dof_map().extract(m)
     dsigma = None if field is None else asm.sigma_gradients(t)
-    H = _hessian(asm, prob, t, fit_weight, dsigma).toarray()
+    # the matrix the solver factors; with a free boundary P = I and C = 0
+    P, C = _projector_matrices(*boundary_freedom(m, "free"))
+    newton = _NewtonPattern(asm, P, C)
+    H = newton.matrix(newton.assemble(_hessian_values(
+        asm, prob.metric, t, fit_weight, dsigma))).toarray()
     assert np.abs(H - H.T).max() < 1e-10
     # mu77 entries reach about 1e4 on this mesh, so the bound scales with H
     tol = 2e-9 * np.abs(H).max()
@@ -192,6 +196,58 @@ def test_quality_hessian_matches_fd(rng, metric, field, fit_weight):
             tm[i, a] -= eps
             col = (gradient(prob, tp) - gradient(prob, tm)).ravel() / (2 * eps)
             assert np.abs(col - H[:, 2 * i + a]).max() < tol
+
+
+def test_newton_pattern_matches_dense_assembly(rng):
+    # p1 next to p3 leaves constrained edge nodes; the shear makes the
+    # sliding tangents of the left and right sides oblique
+    m = random_order_mesh(4, 4, orders=(1, 3), seed=5)
+    dm = m.dof_map()
+    t = dm.extract(m)
+    t[:, 0] += 0.2 * t[:, 1]
+    dm.scatter(m, t)
+    circle = ANALYTIC_LEVELSETS["circle"]()
+    mark_interface_faces(m, circle)
+    prob = FitConfig(metric=QualityMetric("mu80", gamma=0.3),
+                     fit_weight=7.0).problem(m, circle)
+    asm = _Assembly(prob)
+    assert asm.marked.size
+    assert np.any((asm.expand.data != 0.0) & (asm.expand.data != 1.0))
+    kinds, tangents = boundary_freedom(m, "slide")
+    oblique = (kinds == 1) & (np.abs(tangents).min(axis=1) > 0.1)
+    assert oblique.any() and (kinds == 2).any()
+    P, C = _projector_matrices(kinds, tangents)
+    newton = _NewtonPattern(asm, P, C)
+    values = _hessian_values(asm, prob.metric, t, prob.fit_weight,
+                             asm.sigma_gradients(t))
+    data = newton.assemble(values)
+    Hp = newton.matrix(data).toarray()
+
+    # dense reference P (E2^T B E2 + GN) P + C from the same values
+    n_local = 2 * dm.total_local
+    B = np.zeros((n_local, n_local))
+    pos = 0
+    for g in asm.groups:
+        size = 2 * g["tables"].ref.num_nodes
+        for first in 2 * g["gather"][:, 0]:
+            B[first:first + size, first:first + size] = \
+                values[pos:pos + size * size].reshape(size, size)
+            pos += size * size
+    GN = np.zeros(P.shape)
+    for node in asm.marked:
+        GN[2 * node:2 * node + 2, 2 * node:2 * node + 2] = \
+            values[pos:pos + 4].reshape(2, 2)
+        pos += 4
+    assert pos == values.size - 1 and values[-1] == 1.0
+    E2, Pd = np.kron(asm.expand.toarray(), np.eye(2)), P.toarray()
+    ref = Pd @ (E2.T @ B @ E2 + GN) @ Pd + C.toarray()
+    assert np.abs(Hp - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    # damping shifts the diagonal only, on a copy of the values
+    shift = 1e-3 * rng.uniform(0.5, 1.0, P.shape[0])
+    damped = newton.damped(data, shift).toarray()
+    assert np.array_equal(damped, Hp + np.diag(shift))
+    assert np.array_equal(newton.matrix(data).toarray(), Hp)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +326,20 @@ def test_solver_converges_on_circle():
     ids = m.dof_map().marked_node_ids(m)
     vals = circle.values(m.dof_map().extract(m)[ids])
     assert np.abs(vals).max() <= 1e-7
+
+
+def test_solver_counts_factorizations():
+    m = generate_cartesian(4, 4, 2)
+    circle = ANALYTIC_LEVELSETS["circle"]()
+    mark_interface_faces(m, circle)
+    fit = FitConfig(controls=SolverControls(fit_tol=1e-7))
+    _, report = solve_r_adaptivity(fit.problem(m, circle))
+    assert report.status == "converged"
+    assert report.num_iterations > 0
+    # every iteration factors at least once; rejected factorizations are
+    # damping retries
+    assert report.factorizations >= report.num_iterations
+    assert 0 <= report.damping_retries <= report.factorizations
 
 
 def test_solver_early_exit_already_fitted():
