@@ -19,8 +19,7 @@ from .tmop import (FitConfig, QualityMetric, SolveReport, SolverControls,
                    gradient, mark_interface_faces, metric_value, objective,
                    solve_r_adaptivity)
 from .adapt import (AdaptivityPlan, AdaptResult, FaceErrorReport,
-                    compute_face_errors, face_arc_length, face_error,
-                    run_rp_adaptivity)
+                    compute_face_errors, run_rp_adaptivity)
 from .study import StudyRecord, run_study
 
 __version__ = "0.1.0"
@@ -33,8 +32,7 @@ __all__ = [
     "SolverControls",
     "StudyRecord", "TargetSpec", "TmopProblem", "apply_edge_constraints",
     "assign_materials", "compute_face_errors", "element_quality",
-    "export_svg", "export_vtk",
-    "face_arc_length", "face_error", "generate_cartesian", "gradient",
+    "export_svg", "export_vtk", "generate_cartesian", "gradient",
     "make_levelset", "mark_interface_faces", "metric_value", "objective",
     "read_mesh", "run_rp_adaptivity", "run_study", "solve_r_adaptivity",
     "write_mesh",

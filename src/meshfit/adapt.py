@@ -81,12 +81,12 @@ class AdaptivityPlan:
 # ---------------------------------------------------------------------------
 # Face traces and errors
 
-def _trace_quadrature(coords: np.ndarray, nq: int):
+def _trace_quadrature(coords: np.ndarray, order: int):
     """Physical quadrature points of one trace, their weights and the speed
-    of the trace there."""
-    p = len(coords) - 1
-    tq, wq = _gauss_legendre_01(nq)
-    nodes = gauss_lobatto_nodes(p)
+    of the trace there, with the 2 order + 3 point Gauss rule of a face of
+    the given order."""
+    tq, wq = _gauss_legendre_01(2 * order + 3)
+    nodes = gauss_lobatto_nodes(len(coords) - 1)
     x = lagrange_1d(nodes, tq) @ coords
     dx = lagrange_1d_deriv(nodes, tq) @ coords
     return x, wq, np.hypot(dx[:, 0], dx[:, 1])
@@ -95,25 +95,6 @@ def _trace_quadrature(coords: np.ndarray, nq: int):
 def _error_and_length(sigma, wq, speed):
     """Arc-length weighted sigma^2 integral and length of one trace."""
     return float(np.sum(wq * sigma * sigma * speed)), float(np.sum(wq * speed))
-
-
-def _trace_error_and_length(coords: np.ndarray, field, nq: int):
-    """Arc-length weighted sigma^2 integral and length of one trace."""
-    x, wq, speed = _trace_quadrature(coords, nq)
-    return _error_and_length(field.values(x), wq, speed)
-
-
-def face_error(mesh: MixedOrderMesh, field, face: int) -> float:
-    """Integral of sigma^2 over the physical face curve."""
-    coords = mesh.edge_trace(face)
-    nq = 2 * (len(coords) - 1) + 3
-    return _trace_error_and_length(coords, field, nq)[0]
-
-
-def face_arc_length(mesh: MixedOrderMesh, field, face: int) -> float:
-    coords = mesh.edge_trace(face)
-    nq = 2 * (len(coords) - 1) + 3
-    return _trace_error_and_length(coords, field, nq)[1]
 
 
 @dataclass
@@ -138,7 +119,7 @@ def compute_face_errors(mesh: MixedOrderMesh, field,
         faces = sorted(faces)
     errors = np.zeros(len(faces))
     lengths = np.zeros(len(faces))
-    traces = [_trace_quadrature(c, 2 * (len(c) - 1) + 3)
+    traces = [_trace_quadrature(c, len(c) - 1)
               for c in map(mesh.edge_trace, faces)]
     if traces:
         # one field query for every face trace, split back per face
@@ -212,9 +193,7 @@ def edge_touching_elevation(mesh: MixedOrderMesh) -> set[int]:
         vertex_faces.setdefault(b, []).append(k)
     changed = set()
     for e, el in enumerate(mesh.elements):
-        own_edges = {mesh.edge_id(v0, v1)
-                     for v0, v1 in zip(el.verts, np.roll(el.verts, -1))}
-        if own_edges & marked:
+        if marked.intersection(mesh.element_edges[e]):
             continue
         for v in el.verts:
             incident = vertex_faces.get(int(v), [])
@@ -277,19 +256,16 @@ def _deref_criterion_ok(plan: AdaptivityPlan, err_hat: float, len_hat: float,
 
 def _neighbors_of(mesh: MixedOrderMesh, elems) -> set[int]:
     out = set(elems)
-    for e in list(elems):
-        el = mesh.elements[e]
-        for v0, v1 in zip(el.verts, np.roll(el.verts, -1)):
-            rec = mesh.edges[mesh.edge_id(int(v0), int(v1))]
-            out.update(s.element for s in rec.sides)
+    for e in elems:
+        for k in mesh.element_edges[e]:
+            out.update(s.element for s in mesh.edges[k].sides)
     return out
 
 
 def _orders_within(mesh: MixedOrderMesh, elems, max_diff: int) -> bool:
     for e in elems:
-        el = mesh.elements[e]
-        for v0, v1 in zip(el.verts, np.roll(el.verts, -1)):
-            rec = mesh.edges[mesh.edge_id(int(v0), int(v1))]
+        for k in mesh.element_edges[e]:
+            rec = mesh.edges[k]
             if len(rec.sides) != 2:
                 continue
             pa, pb = (mesh.elements[s.element].order for s in rec.sides)
@@ -313,10 +289,9 @@ def try_derefine(mesh: MixedOrderMesh, field, plan: AdaptivityPlan,
     if p_face <= plan.p_init:
         return None
     coords = mesh.edge_trace(face)
-    nq = 2 * p_face + 3
     candidates = range(plan.p_init, p_face)
     # one field query for the current trace and every projected candidate
-    traces = [_trace_quadrature(c, nq) for c in
+    traces = [_trace_quadrature(c, p_face) for c in
               [coords] + [_projected_trace(coords, p) for p in candidates]]
     sigma = np.split(field.values(np.concatenate([x for x, _, _ in traces])),
                      len(traces))

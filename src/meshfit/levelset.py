@@ -30,7 +30,7 @@ import numpy as np
 
 from .basis import reference_element
 from .errors import PointLocationError
-from .mesh import MixedOrderMesh, det2, element_groups, map_jacobians
+from .mesh import MixedOrderMesh, det2, map_jacobians
 
 
 class FoundFlag(Enum):
@@ -75,7 +75,7 @@ class Locator:
         num_el = len(mesh.elements)
         #: per (geometry, order) group: element ids, reference element and
         #: node coordinates; element e is row row_of[e] of group group_of[e]
-        self.groups = element_groups(mesh)
+        self.groups = mesh.groups()
         self.group_refs = [reference_element(*key) for key in self.groups]
         self.group_coords = [mesh.group_coords(ids)
                              for ids in self.groups.values()]

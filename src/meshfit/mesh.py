@@ -7,6 +7,15 @@ element orders), and inside elements.  On a mixed-order edge the high-order
 side carries no independent edge unknowns: its edge nodes are interpolated
 from the low-order side's trace, which keeps the geometry continuous across
 the edge.
+
+Four tables describe a mesh state, each built once by the object that owns
+it.  The mesh owns the edge table (``edges``, ``edge_id``), the edge ids of
+each element in local-edge order (``element_edges``) and the element groups
+by (geometry, order) (``groups()``).  The ``DofMap`` owns the governing order
+of each edge (``edge_orders``), the node numbering, ``expand`` and the slot
+each non-vertex node is read from (``read_slots``).  Edges and element edges
+depend only on the vertex lists; the groups and the DofMap are dropped by
+``invalidate()`` after an order change and rebuilt on their next use.
 """
 
 from __future__ import annotations
@@ -109,6 +118,8 @@ class MixedOrderMesh:
         self.marked_faces: set[int] = set(marked_faces)
         self._edges: tuple[EdgeRecord, ...] | None = None
         self._edge_index: dict[tuple[int, int], int] | None = None
+        self._element_edges: tuple[tuple[int, ...], ...] | None = None
+        self._groups: dict[tuple[str, int], np.ndarray] | None = None
         self._dofmap: DofMap | None = None
         nv = len(self.vertices)
         for e, el in enumerate(self.elements):
@@ -116,6 +127,10 @@ class MixedOrderMesh:
             if el.verts.min(initial=0) < 0 or el.verts.max(initial=-1) >= nv:
                 raise MeshStructureError(f"element {e} references unknown vertices")
             ref = reference_element(el.geometry, el.order)
+            if len(el.verts) != len(ref.corners):
+                raise MeshStructureError(
+                    f"element {e} has {len(el.verts)} vertices, a "
+                    f"{el.geometry} has {len(ref.corners)}")
             el.coords = np.asarray(el.coords, dtype=float)
             if el.coords.shape != (2, ref.num_nodes):
                 raise MeshStructureError(
@@ -130,6 +145,13 @@ class MixedOrderMesh:
             self._build_edges()
         return self._edges
 
+    @property
+    def element_edges(self) -> tuple[tuple[int, ...], ...]:
+        """Edge ids of each element, in local-edge order."""
+        if self._element_edges is None:
+            self._build_edges()
+        return self._element_edges
+
     def edge_id(self, v0: int, v1: int) -> int:
         if self._edge_index is None:
             self._build_edges()
@@ -139,23 +161,24 @@ class MixedOrderMesh:
         return self._edge_index[key]
 
     def _build_edges(self):
+        # edge ids follow first appearance, which is the dict's key order
         found: dict[tuple[int, int], list[EdgeSide]] = {}
-        order_of_keys: list[tuple[int, int]] = []
+        index: dict[tuple[int, int], int] = {}
+        element_edges = []
         for e, el in enumerate(self.elements):
             nverts = len(el.verts)
+            own = []
             for le in range(nverts):
                 a = int(el.verts[le])
                 b = int(el.verts[(le + 1) % nverts])
                 if a == b:
                     raise MeshStructureError(f"element {e} has a degenerate edge")
                 key = (min(a, b), max(a, b))
-                if key not in found:
-                    found[key] = []
-                    order_of_keys.append(key)
-                found[key].append(EdgeSide(e, le, forward=(a < b)))
+                own.append(index.setdefault(key, len(index)))
+                found.setdefault(key, []).append(EdgeSide(e, le, forward=(a < b)))
+            element_edges.append(tuple(own))
         records = []
-        for key in order_of_keys:
-            sides = found[key]
+        for key, sides in found.items():
             if len(sides) > 2:
                 raise MeshStructureError(f"edge {key} is shared by {len(sides)} elements")
             if len(sides) == 2 and sides[0].forward == sides[1].forward:
@@ -164,7 +187,8 @@ class MixedOrderMesh:
                     "element orientations are inconsistent")
             records.append(EdgeRecord(key, tuple(sides)))
         self._edges = tuple(records)
-        self._edge_index = {r.verts: k for k, r in enumerate(records)}
+        self._edge_index = index
+        self._element_edges = tuple(element_edges)
 
     def boundary_edges(self) -> list[int]:
         return [k for k, r in enumerate(self.edges) if len(r.sides) == 1]
@@ -197,23 +221,31 @@ class MixedOrderMesh:
         B = reference_element(el.geometry, el.order).eval_basis(ref_points)
         return B @ el.coords.T
 
+    def groups(self) -> dict[tuple[str, int], np.ndarray]:
+        """Ascending element ids per (geometry, order), keys sorted, for
+        batched evaluation.  Cached until the next ``invalidate()``."""
+        if self._groups is None:
+            found: dict[tuple[str, int], list[int]] = {}
+            for e, el in enumerate(self.elements):
+                found.setdefault((el.geometry, el.order), []).append(e)
+            self._groups = {key: np.array(ids, dtype=int)
+                            for key, ids in sorted(found.items())}
+        return self._groups
+
     def group_coords(self, ids) -> np.ndarray:
         """Node coordinates of elements sharing one (geometry, order), as an
         (len(ids), num_nodes, 2) stack."""
         return np.stack([self.elements[e].coords.T for e in ids])
 
-    def min_det_jacobian(self, e: int) -> float:
-        """Minimum Jacobian determinant of element ``e`` over the sample set."""
-        return self.min_det([e])
-
     def min_det(self, element_ids=None) -> float:
         """Minimum Jacobian determinant of (some) elements at validity samples."""
-        worst = np.inf
-        for (geometry, order), ids in element_groups(self, element_ids).items():
-            A = map_jacobians(self.group_coords(ids),
-                              validity_gradients(geometry, order))
-            worst = min(worst, float(det2(A).min()))
-        return worst
+        groups = self.groups()
+        if element_ids is not None:
+            wanted = np.zeros(len(self.elements), dtype=bool)
+            wanted[list(element_ids)] = True
+            groups = {key: ids[wanted[ids]] for key, ids in groups.items()}
+        return min_det_of((key, self.group_coords(ids))
+                          for key, ids in groups.items() if len(ids))
 
     def is_valid(self) -> bool:
         return self.min_det() > 0.0
@@ -230,6 +262,8 @@ class MixedOrderMesh:
     # -- mutation ----------------------------------------------------------
 
     def invalidate(self):
+        """Drop the tables that depend on element orders."""
+        self._groups = None
         self._dofmap = None
 
     def set_order(self, e: int, new_order: int):
@@ -276,75 +310,66 @@ class DofMap:
     """Mapping between independent position nodes and element node blocks.
 
     Node numbering: vertices first, then edge-interior nodes per edge at the
-    edge's governing order, then element-interior nodes.  ``expand`` is a
-    sparse matrix taking a per-node vector (or (n, k) stack) to the
-    concatenation of all element node blocks, applying trace interpolation on
-    constrained high-order edge nodes.
+    edge's governing order (``edge_orders``), then element-interior nodes.
+    ``expand`` is a sparse matrix taking a per-node vector (or (n, k) stack)
+    to the concatenation of all element node blocks, applying trace
+    interpolation on constrained high-order edge nodes.  ``read_slots`` gives,
+    for each non-vertex node, the slot of that concatenation it is read
+    from: its first directly mapped slot in element order, which for an edge
+    node is the lowest element id at the edge's governing order.
     """
 
     def __init__(self, mesh: MixedOrderMesh):
         edges = mesh.edges
         nv = len(mesh.vertices)
         self.num_vertices = nv
-        self.edge_offsets = np.zeros(len(edges), dtype=int)
-        self.edge_counts = np.zeros(len(edges), dtype=int)
-        pos = nv
-        for k in range(len(edges)):
-            cnt = mesh.edge_order(k) - 1
-            self.edge_offsets[k] = pos
-            self.edge_counts[k] = cnt
-            pos += cnt
-        self.interior_offsets = np.zeros(len(mesh.elements), dtype=int)
-        self.interior_counts = np.zeros(len(mesh.elements), dtype=int)
-        for e, el in enumerate(mesh.elements):
-            ref = reference_element(el.geometry, el.order)
-            self.interior_offsets[e] = pos
-            self.interior_counts[e] = len(ref.interior)
-            pos += len(ref.interior)
-        self.num_nodes = pos
+        self.edge_orders = np.array(
+            [min(mesh.elements[s.element].order for s in rec.sides)
+             for rec in edges], dtype=int)
+        edge_counts = self.edge_orders - 1
+        self.edge_offsets = nv + np.cumsum(edge_counts) - edge_counts
+        refs = [reference_element(el.geometry, el.order)
+                for el in mesh.elements]
+        pos = nv + int(edge_counts.sum())
+        self.num_nodes = pos + sum(len(ref.interior) for ref in refs)
 
         self.element_slices: list[slice] = []
         self.local_node_ids: list[np.ndarray] = []
+        read = np.full(self.num_nodes, -1)
         rows, cols, vals = [], [], []
         base = 0
-        for e, el in enumerate(mesh.elements):
-            ref = reference_element(el.geometry, el.order)
+        for el, ref, own_edges in zip(mesh.elements, refs, mesh.element_edges):
             n = ref.num_nodes
             self.element_slices.append(slice(base, base + n))
             ids = np.full(n, -1, dtype=int)
-            for c, v in zip(ref.corners, el.verts):
-                ids[c] = int(v)
-            for le, enodes in enumerate(ref.edge_nodes):
-                a = int(el.verts[le])
-                b = int(el.verts[(le + 1) % len(el.verts)])
-                k = mesh.edge_id(a, b)
-                p_edge = mesh.edge_order(k)
-                forward = a < b
-                canonical = enodes if forward else enodes[::-1]
+            ids[ref.corners] = el.verts
+            for le, (k, enodes) in enumerate(zip(own_edges, ref.edge_nodes)):
+                vmin, vmax = edges[k].verts
+                p_edge = int(self.edge_orders[k])
+                o = int(self.edge_offsets[k])
+                canonical = enodes if el.verts[le] == vmin else enodes[::-1]
                 if el.order == p_edge:
-                    for idx in range(1, el.order):
-                        ids[canonical[idx]] = self.edge_offsets[k] + idx - 1
-                else:
-                    P = prolongation_matrix(p_edge, el.order)
-                    vmin, vmax = edges[k].verts
-                    low_cols = ([vmin]
-                                + [self.edge_offsets[k] + i for i in range(p_edge - 1)]
-                                + [vmax])
-                    for idx in range(1, el.order):
-                        local = canonical[idx]
-                        for col, w in zip(low_cols, P[idx]):
-                            rows.append(base + local)
-                            cols.append(col)
-                            vals.append(w)
-            for idx, node in enumerate(ref.interior):
-                ids[node] = self.interior_offsets[e] + idx
-            mapped = ids >= 0
-            rows.extend((base + np.nonzero(mapped)[0]).tolist())
-            cols.extend(ids[mapped].tolist())
-            vals.extend([1.0] * int(mapped.sum()))
+                    ids[canonical[1:-1]] = o + np.arange(p_edge - 1)
+                    continue
+                P = prolongation_matrix(p_edge, el.order)
+                low_cols = [vmin, *range(o, o + p_edge - 1), vmax]
+                for idx in range(1, el.order):
+                    rows.extend([base + canonical[idx]] * (p_edge + 1))
+                    cols.extend(low_cols)
+                    vals.extend(P[idx])
+            ids[ref.interior] = pos + np.arange(len(ref.interior))
+            pos += len(ref.interior)
+            mapped = np.flatnonzero(ids >= 0)
+            nodes = ids[mapped]
+            rows.extend((base + mapped).tolist())
+            cols.extend(nodes.tolist())
+            vals.extend([1.0] * len(mapped))
+            unread = read[nodes] < 0
+            read[nodes[unread]] = base + mapped[unread]
             self.local_node_ids.append(ids)
             base += n
         self.total_local = base
+        self.read_slots = read[nv:]
         self.expand = sp.csr_matrix(
             (vals, (rows, cols)), shape=(base, self.num_nodes))
 
@@ -352,17 +377,9 @@ class DofMap:
         """Independent node positions, shape (num_nodes, 2)."""
         t = np.empty((self.num_nodes, 2))
         t[:self.num_vertices] = mesh.vertices
-        for k, cnt in enumerate(self.edge_counts):
-            if cnt:
-                o = self.edge_offsets[k]
-                t[o:o + cnt] = mesh.edge_trace(k)[1:-1]
-        for e, el in enumerate(mesh.elements):
-            cnt = self.interior_counts[e]
-            if cnt == 0:
-                continue
-            ref = reference_element(el.geometry, el.order)
-            o = self.interior_offsets[e]
-            t[o:o + cnt] = el.coords[:, ref.interior].T
+        if self.total_local:
+            x_all = np.concatenate([el.coords for el in mesh.elements], axis=1)
+            t[self.num_vertices:] = x_all[:, self.read_slots].T
         return t
 
     def scatter(self, mesh: MixedOrderMesh, t: np.ndarray):
@@ -381,7 +398,7 @@ class DofMap:
         """Independent node ids along an edge in canonical order, endpoints included."""
         vmin, vmax = mesh.edges[edge_id].verts
         o = self.edge_offsets[edge_id]
-        cnt = self.edge_counts[edge_id]
+        cnt = self.edge_orders[edge_id] - 1
         return np.array([vmin] + list(range(o, o + cnt)) + [vmax], dtype=int)
 
     def marked_node_ids(self, mesh: MixedOrderMesh) -> np.ndarray:
@@ -403,20 +420,25 @@ def apply_edge_constraints(mesh: MixedOrderMesh) -> MixedOrderMesh:
     return mesh
 
 
+def element_min_dets(stacks) -> list[np.ndarray]:
+    """Per-element minimum map determinant over the validity sample set.
+
+    ``stacks`` yields (key, X) pairs: a (geometry, order) key and the
+    (E, n, 2) node coordinates of E elements with that key.  Returns one
+    length-E array per pair.
+    """
+    return [det2(map_jacobians(X, validity_gradients(*key))).min(axis=1)
+            for key, X in stacks]
+
+
+def min_det_of(stacks) -> float:
+    """Smallest determinant of ``element_min_dets(stacks)``; inf for none."""
+    return min([np.inf] + [float(d.min()) for d in element_min_dets(stacks)])
+
+
 def require_valid(mesh: MixedOrderMesh, context: str = "operation"):
     md = mesh.min_det()
     if md <= 0.0:
         raise MeshInvalidError(
             f"{context} requires a non-inverted mesh (min det = {md:.3e})")
 
-
-def element_groups(mesh: MixedOrderMesh, element_ids=None
-                   ) -> dict[tuple[str, int], np.ndarray]:
-    """Element ids (all, or the given ones) grouped by (geometry, order), for
-    batched evaluation."""
-    ids = range(len(mesh.elements)) if element_ids is None else element_ids
-    groups: dict[tuple[str, int], list[int]] = {}
-    for e in ids:
-        el = mesh.elements[e]
-        groups.setdefault((el.geometry, el.order), []).append(e)
-    return {key: np.array(ids, dtype=int) for key, ids in sorted(groups.items())}

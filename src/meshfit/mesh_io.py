@@ -25,7 +25,7 @@ import numpy as np
 
 from .basis import QUAD, TRI, reference_element
 from .errors import MeshFileError, MeshStructureError
-from .mesh import MeshElement, MixedOrderMesh
+from .mesh import MeshElement, MixedOrderMesh, element_min_dets
 
 FORMAT_NAME = "meshfit mesh"
 FORMAT_VERSION = 1
@@ -195,6 +195,7 @@ def read_mesh(path, with_scalar: bool = False):
 
     try:
         mesh = MixedOrderMesh(vertices, elements)
+        mesh.edges  # the edge table checks sharing and orientation
     except MeshStructureError as exc:
         raise MeshFileError(str(exc)) from exc
     for e, el in enumerate(mesh.elements):
@@ -255,13 +256,12 @@ _ORDER_COLORS = {1: "#dfe8f5", 2: "#9ecae1", 3: "#4292c6", 4: "#08519c",
 _MATERIAL_COLORS = {1: "#fdd49e", 2: "#a1d99b"}
 
 
-def _color_for(el, mode, det_range, mesh, e):
+def _color_for(el, mode, det_range, d):
     if mode == "order":
         return _ORDER_COLORS.get(el.order, "#222222")
     if mode == "material":
         return _MATERIAL_COLORS.get(el.attribute, "#cccccc")
     lo, hi = det_range
-    d = mesh.min_det_jacobian(e)
     if d <= 0.0:
         return "#d73027"
     span = hi - lo if hi > lo else 1.0
@@ -293,9 +293,13 @@ def export_svg(mesh: MixedOrderMesh, path, color_by: str = "order",
         return x, y
 
     det_range = (0.0, 1.0)
+    dets = np.zeros(len(mesh.elements))
     if color_by == "det":
-        dets = [mesh.min_det_jacobian(e) for e in range(len(mesh.elements))]
-        det_range = (min(dets), max(dets))
+        groups = mesh.groups()
+        for ids, d in zip(groups.values(), element_min_dets(
+                (key, mesh.group_coords(ids)) for key, ids in groups.items())):
+            dets[ids] = d
+        det_range = (float(dets.min()), float(dets.max()))
 
     t = np.linspace(0.0, 1.0, segments_per_edge + 1)
     body = []
@@ -312,7 +316,7 @@ def export_svg(mesh: MixedOrderMesh, path, color_by: str = "order",
         loop = np.vstack(loop)
         px, py = to_px(loop)
         poly = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
-        fill = _color_for(el, color_by, det_range, mesh, e)
+        fill = _color_for(el, color_by, det_range, float(dets[e]))
         body.append(f'<polygon points="{poly}" fill="{fill}" stroke="none" />')
     body.extend(['<g fill="none" stroke="#333333" stroke-width="1">']
                 + edge_paths + ["</g>"])

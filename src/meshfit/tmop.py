@@ -23,8 +23,7 @@ import scipy.sparse.linalg as spla
 from .basis import TRI, basis_tables, reference_element
 from .errors import MeshInvalidError
 from .mesh import (MixedOrderMesh, apply_edge_constraints, det2,
-                   element_groups, map_jacobians, require_valid,
-                   validity_gradients)
+                   map_jacobians, min_det_of, require_valid)
 
 IDEAL_TRIANGLE_TARGET = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
 IDEAL_TRIANGLE_TARGET.flags.writeable = False
@@ -137,7 +136,7 @@ def element_quality(mesh: "MixedOrderMesh", metric: QualityMetric,
         raise ValueError(f"unknown reduction {reduce!r}")
     target = target or TargetSpec()
     out = np.empty(len(mesh.elements))
-    for (geometry, order), ids in element_groups(mesh).items():
+    for (geometry, order), ids in mesh.groups().items():
         _, K, _ = _target_tables(geometry, order, target)
         mu = metric.values(map_jacobians(mesh.group_coords(ids), K))
         out[ids] = mu.max(axis=1) if reduce == "max" else mu.mean(axis=1)
@@ -238,7 +237,7 @@ def assign_materials(mesh: MixedOrderMesh, field) -> None:
     2 out), with one field query for the whole mesh."""
     if not mesh.elements:
         return
-    groups = element_groups(mesh)
+    groups = mesh.groups()
     centers = []
     for (geometry, order), ids in groups.items():
         ref = reference_element(geometry, order)
@@ -306,24 +305,20 @@ class _Assembly:
         # the level set, or None when there is nothing to fit
         self.field = problem.field if self.marked.size else None
         self.groups = []
-        for (geometry, order), ids in element_groups(mesh).items():
+        for (geometry, order), ids in mesh.groups().items():
             tables, K, detW = _target_tables(geometry, order, problem.target)
             starts = np.array([self.dm.element_slices[e].start for e in ids])
             nn = tables.ref.num_nodes
             gather = starts[:, None] + np.arange(nn)[None, :]
             self.groups.append({
-                "tables": tables, "detW": detW, "gather": gather, "K": K,
-                "Gall": validity_gradients(geometry, order),
+                "key": (geometry, order), "tables": tables, "detW": detW,
+                "gather": gather, "K": K,
             })
 
     def min_det(self, t: np.ndarray) -> float:
         """Minimum map determinant over the validity sample set."""
         x_all = self.expand @ t
-        worst = np.inf
-        for g in self.groups:
-            A = map_jacobians(x_all[g["gather"]], g["Gall"])
-            worst = min(worst, float(det2(A).min()))
-        return worst
+        return min_det_of((g["key"], x_all[g["gather"]]) for g in self.groups)
 
     def sigma(self, t: np.ndarray):
         """Level-set values at the marked nodes; None when nothing is fitted."""

@@ -3,9 +3,8 @@ import pytest
 
 from meshfit import (AdaptivityPlan, FitConfig, QualityMetric, SolverControls,
                      apply_edge_constraints, compute_face_errors,
-                     face_arc_length, face_error, generate_cartesian,
-                     mark_interface_faces, run_rp_adaptivity,
-                     solve_r_adaptivity)
+                     generate_cartesian, mark_interface_faces,
+                     run_rp_adaptivity, solve_r_adaptivity)
 from meshfit.adapt import (apply_refinement, derefinement_pass,
                            edge_touching_elevation, mark_for_refinement,
                            propagate_orders, try_derefine)
@@ -35,9 +34,9 @@ def test_face_error_constant_field():
     m.marked_faces = {m.edge_id(0, 1)}  # the bottom edge, length 1
     face = next(iter(m.marked_faces))
     # e_f = integral of sigma^2 over the face
-    assert np.isclose(face_error(m, _const_field(2.0), face), 4.0, atol=1e-12)
-    assert np.isclose(face_arc_length(m, _const_field(2.0), face), 1.0,
-                      atol=1e-13)
+    rep = compute_face_errors(m, _const_field(2.0), faces=[face])
+    assert np.isclose(rep.errors[0], 4.0, atol=1e-12)
+    assert np.isclose(rep.lengths[0], 1.0, atol=1e-13)
 
 
 def test_face_error_linear_field():
@@ -45,9 +44,11 @@ def test_face_error_linear_field():
     field = _linear_field(0.0, 1.0, -0.1)  # sigma = y - 0.1
     bottom = m.edge_id(0, 1)
     # on y = 0 the residual is 0.1 along a length-0.5 face
-    assert np.isclose(face_error(m, field, bottom), 0.01 * 0.5, atol=1e-14)
+    rep = compute_face_errors(m, field, faces=[bottom])
+    assert np.isclose(rep.errors[0], 0.01 * 0.5, atol=1e-14)
     mid = m.edge_id(3, 4)  # a face on y = 0.5
-    assert np.isclose(face_error(m, field, mid), 0.16 * 0.5, atol=1e-14)
+    rep = compute_face_errors(m, field, faces=[mid])
+    assert np.isclose(rep.errors[0], 0.16 * 0.5, atol=1e-14)
 
 
 def test_face_error_zero_on_contour():
@@ -55,7 +56,7 @@ def test_face_error_zero_on_contour():
     plane = ANALYTIC_LEVELSETS["plane"]()
     mark_interface_faces(m, plane)
     for face in m.marked_faces:
-        assert face_error(m, plane, face) < 1e-28
+        assert compute_face_errors(m, plane, faces=[face]).errors[0] < 1e-28
 
 
 def test_arc_length_of_curved_face():
@@ -70,7 +71,7 @@ def test_arc_length_of_curved_face():
     t[ids[mid]] += [0.08, 0.0]
     dm.scatter(m, t)
     apply_edge_constraints(m)
-    measured = face_arc_length(m, _const_field(0.0), k)
+    measured = compute_face_errors(m, _const_field(0.0), faces=[k]).lengths[0]
     # the face runs x(s) = 0.5 + 0.08 * 4 s (1 - s), y(s) = s
     s = np.linspace(0.0, 1.0, 20001)
     xs = 0.5 + 0.32 * s * (1 - s)
@@ -88,7 +89,8 @@ def test_compute_face_errors_report():
     assert np.isclose(rep.max_error, rep.errors.max(), atol=1e-15)
     for k, err in zip(rep.faces, rep.errors):
         assert np.isclose(rep.error_of(k), err, atol=1e-15)
-        assert np.isclose(err, face_error(m, circle, k), atol=1e-15)
+        single = compute_face_errors(m, circle, faces=[k]).errors[0]
+        assert np.isclose(err, single, atol=1e-15)
     ids = m.dof_map().marked_node_ids(m)
     direct = np.abs(circle.values(m.dof_map().extract(m)[ids])).max()
     assert np.isclose(rep.node_sigma_max, direct, atol=1e-15)

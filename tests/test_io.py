@@ -178,6 +178,20 @@ def test_reader_rejects_bad_faces_and_trailing(tmp_path):
     _expect_reject(tmp_path, lines, match="trailing")
 
 
+@pytest.mark.parametrize("tris, match", [
+    ([(0, 1, 2), (1, 0, 3), (0, 1, 4)], "shared by 3"),
+    ([(0, 1, 2), (0, 1, 3)], "same direction"),
+])
+def test_reader_rejects_bad_edges_without_marked_faces(tmp_path, tris, match):
+    verts = ["0 0", "1 0", "0.5 1", "0.5 -1", "0.5 2"]
+    lines = (["meshfit mesh 1", "dimension 2", f"vertices {len(verts)}"]
+             + verts + [f"elements {len(tris)}"]
+             + [f"tri 1 1 {a} {b} {c}" for a, b, c in tris] + ["nodes"]
+             + [" ".join(verts[v] for v in tri) for tri in tris]
+             + ["marked_faces 0"])
+    _expect_reject(tmp_path, lines, match=match)
+
+
 def test_reader_rejects_bad_scalar(tmp_path):
     base = _good_lines(tmp_path, scalar=True)
     i_sc = next(i for i, ln in enumerate(base) if ln.startswith("scalar"))

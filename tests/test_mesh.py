@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from meshfit import (MeshInvalidError, MixedOrderMesh, apply_edge_constraints,
-                     generate_cartesian)
+from meshfit import (AdaptivityPlan, MeshInvalidError, MixedOrderMesh,
+                     apply_edge_constraints, generate_cartesian)
+from meshfit.adapt import apply_refinement, propagate_orders, try_derefine
 from meshfit.basis import reference_element
 from meshfit.errors import MeshStructureError
-from meshfit.mesh import (MeshElement, element_groups, prolongation_matrix,
-                          require_valid)
+from meshfit.levelset import ANALYTIC_LEVELSETS
+from meshfit.mesh import MeshElement, prolongation_matrix, require_valid
 
 from conftest import meshes_identical, perturbed_mesh, random_order_mesh
 
@@ -70,6 +71,79 @@ def test_edge_overshare_rejected():
     bad = MixedOrderMesh(verts, [tri(1, 2, 0), tri(1, 2, 4), tri(2, 1, 5)])
     with pytest.raises(MeshStructureError):
         bad.edges  # edge table is built lazily
+
+
+def test_element_vertex_count_checked():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    quad_nodes = verts.T.copy()  # a p=1 quad has its 4 corners as nodes
+    with pytest.raises(MeshStructureError, match="3 vertices"):
+        MixedOrderMesh(verts, [MeshElement("quad", np.array([0, 1, 2]), 1,
+                                           quad_nodes)])
+    with pytest.raises(MeshStructureError, match="4 vertices"):
+        MixedOrderMesh(verts, [MeshElement("tri", np.array([0, 1, 2, 3]), 1,
+                                           quad_nodes[:, :3])])
+
+
+def _assert_tables_fresh(m):
+    """Cached groups, element edges and DofMap equal a fresh copy's."""
+    fresh = MixedOrderMesh(m.vertices, [el.copy() for el in m.elements])
+    groups, want = m.groups(), fresh.groups()
+    assert list(groups) == list(want)
+    assert all(np.array_equal(groups[key], want[key]) for key in want)
+    assert m.element_edges == fresh.element_edges
+    dm, dm0 = m.dof_map(), fresh.dof_map()
+    assert dm.num_nodes == dm0.num_nodes
+    for name in ("edge_orders", "edge_offsets", "read_slots"):
+        assert np.array_equal(getattr(dm, name), getattr(dm0, name))
+    for a, b in zip(dm.local_node_ids, dm0.local_node_ids, strict=True):
+        assert np.array_equal(a, b)
+    assert dm.expand.shape == dm0.expand.shape
+    assert (dm.expand != dm0.expand).nnz == 0
+    assert np.array_equal(dm.extract(m), dm0.extract(fresh))
+
+
+def test_order_changes_rebuild_cached_tables():
+    m = generate_cartesian(3, 3, 3)
+    m.set_order(0, 2)
+    m.set_order(1, 2)
+    apply_edge_constraints(m)
+    m.groups(), m.element_edges, m.dof_map()  # fill the caches
+    m.set_order(8, 1)
+    _assert_tables_fresh(m)
+
+    # every candidate lowers an element next to an order-3 one by 2 > 1,
+    # so the attempt is rolled back
+    face = (set(m.element_edges[0]) & set(m.element_edges[1])).pop()
+    plan = AdaptivityPlan(p_init=1, p_max=3, max_neighbor_diff=1,
+                          deref_kind="size", deref_threshold=0.5)
+    circle = ANALYTIC_LEVELSETS["circle"]()
+    assert try_derefine(m, circle, plan, face) is None
+    assert [m.elements[e].order for e in (0, 1, 8)] == [2, 2, 1]
+    _assert_tables_fresh(m)
+
+    assert apply_refinement(m, [face], AdaptivityPlan(p_max=3)) == {0, 1}
+    assert propagate_orders(m, 1) == {8}
+    _assert_tables_fresh(m)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_extract_reads_edges_through_edge_trace(split):
+    m = random_order_mesh(3, 3, seed=4, split_triangles=split)
+    assert len({el.order for el in m.elements}) == 3
+    # give every element its own copy of shared nodes, so the side an edge
+    # node is read from shows in the result
+    rng = np.random.default_rng(0)
+    for el in m.elements:
+        el.coords += 1e-3 * rng.standard_normal(el.coords.shape)
+    dm = m.dof_map()
+    expected = np.full((dm.num_nodes, 2), np.nan)
+    expected[:len(m.vertices)] = m.vertices
+    for k in range(len(m.edges)):
+        expected[dm.edge_node_ids(k, m)[1:-1]] = m.edge_trace(k)[1:-1]
+    for e, el in enumerate(m.elements):
+        interior = reference_element(el.geometry, el.order).interior
+        expected[dm.local_node_ids[e][interior]] = el.coords[:, interior].T
+    assert np.array_equal(dm.extract(m), expected)
 
 
 def test_dof_roundtrip_bitwise():
@@ -150,7 +224,7 @@ def test_min_det_subset_matches_global():
     m = perturbed_mesh(3, 3, 2, seed=9)
     all_ids = list(range(len(m.elements)))
     assert np.isclose(m.min_det(all_ids), m.min_det(), atol=1e-15)
-    per_el = min(m.min_det_jacobian(e) for e in all_ids)
+    per_el = min(m.min_det([e]) for e in all_ids)
     assert np.isclose(per_el, m.min_det(), atol=1e-15)
 
 
@@ -161,8 +235,9 @@ def test_order_histogram_and_groups():
     m.set_order(2, 2)
     apply_edge_constraints(m)
     assert m.order_histogram() == {1: 6, 2: 1, 3: 2}
-    groups = element_groups(m)
-    assert sorted(groups) == [("quad", 1), ("quad", 2), ("quad", 3)]
+    groups = m.groups()
+    assert list(groups) == [("quad", 1), ("quad", 2), ("quad", 3)]
+    assert groups[("quad", 3)].tolist() == [0, 1]
     assert sum(len(ids) for ids in groups.values()) == 9
 
 
