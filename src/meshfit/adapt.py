@@ -7,6 +7,12 @@ badly fitted faces, and re-run the node-movement solver.  Optionally, after
 each solve, faces that can be represented at lower order without losing
 geometry are projected down again.  The result is a mixed-order mesh whose
 high-order elements cluster along the interface.
+
+The loop exits for one of four reasons: ``"no faces refined"``,
+``"interface at p_max"``, ``"fixpoint"`` (a refinement reproduces the
+element orders of a state already solved; it is undone, so the mesh is the
+one before it, and that state is not solved again) and
+``"outer iteration cap"``.
 """
 
 from __future__ import annotations
@@ -379,8 +385,17 @@ def run_rp_adaptivity(mesh: MixedOrderMesh, field, fit: FitConfig,
     movement solve aligns the marked faces; then each outer iteration
     measures face errors, refines the neighbors of badly fitted faces,
     re-solves, and (when ``refine_step > 1`` and a derefinement criterion is
-    set) projects over-resolved faces back down.  The loop exits when no
-    face needs refinement or after ``plan.outer_cap`` iterations.
+    set) projects over-resolved faces back down.
+
+    ``exit_reason`` is ``"no faces refined"`` when no face needs
+    refinement, ``"interface at p_max"`` when every neighbor of a marked
+    face is at ``p_max``, ``"fixpoint"`` when a refinement (after
+    propagation) yields the element orders of a state already solved, and
+    ``"outer iteration cap"`` after ``plan.outer_cap`` iterations.  On
+    ``"fixpoint"`` the refinement is undone: every element gets back its
+    order and node block, so the mesh is exactly the one the iteration
+    began with (after derefinement, if any), and no record is added for
+    the undone refinement.
     """
     plan.validate()
     for e, el in enumerate(mesh.elements):
@@ -402,7 +417,11 @@ def run_rp_adaptivity(mesh: MixedOrderMesh, field, fit: FitConfig,
             solver_status=status, solver_iterations=iters))
         return report
 
+    def orders():
+        return tuple(el.order for el in mesh.elements)
+
     record(0, "initial")
+    solved = {orders()}        # order vectors of the states solved so far
     _, solve_rep = solve_r_adaptivity(fit.problem(mesh, field))
     report = record(0, "fit", solve_rep.status, solve_rep.num_iterations)
 
@@ -410,13 +429,25 @@ def run_rp_adaptivity(mesh: MixedOrderMesh, field, fit: FitConfig,
     for outer in range(1, plan.outer_cap + 1):
         result.outer_iterations = outer
         marked = mark_for_refinement(report, plan)
+        # refinement only resamples elements (never moves mesh.vertices),
+        # so the orders and node blocks restore the mesh exactly
+        before = [(el.order, el.coords.copy()) for el in mesh.elements]
         changed = apply_refinement(mesh, marked, plan)
         if plan.edge_touch_elevate:
             changed |= edge_touching_elevation(mesh)
         if not changed:
             result.exit_reason = "no faces refined"
             break
-        changed |= propagate_orders(mesh, plan.neighbor_limit)
+        propagate_orders(mesh, plan.neighbor_limit)
+        state = orders()
+        if state in solved:
+            # solving a state again would only retrace the same cycle
+            for el, (order, coords) in zip(mesh.elements, before):
+                el.order, el.coords = order, coords
+            mesh.invalidate()
+            result.exit_reason = "fixpoint"
+            break
+        solved.add(state)
         apply_edge_constraints(mesh)
         record(outer, "refine")
         _, solve_rep = solve_r_adaptivity(fit.problem(mesh, field))

@@ -432,13 +432,14 @@ def element_min_dets(stacks) -> list[np.ndarray]:
 
 
 def min_det_of(stacks) -> float:
-    """Smallest determinant of ``element_min_dets(stacks)``; inf for none."""
-    return min([np.inf] + [float(d.min()) for d in element_min_dets(stacks)])
+    """Smallest determinant of ``element_min_dets(stacks)``; inf for none,
+    NaN when any determinant is NaN, so that a ``> 0.0`` check fails."""
+    return float(np.min([np.inf] + [d.min() for d in element_min_dets(stacks)]))
 
 
 def require_valid(mesh: MixedOrderMesh, context: str = "operation"):
     md = mesh.min_det()
-    if md <= 0.0:
+    if not md > 0.0:
         raise MeshInvalidError(
             f"{context} requires a non-inverted mesh (min det = {md:.3e})")
 

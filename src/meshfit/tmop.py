@@ -755,18 +755,23 @@ def solve_r_adaptivity(problem: TmopProblem):
         lam = lam_try
 
         def line_search(dvec, start_step):
+            """First halving of start_step along dvec that lowers F and keeps
+            the mesh valid: the point, its evaluation, the step, the number
+            of backtracks and the point's min det."""
             alpha = start_step
             for bt in range(controls.max_backtracks + 1):
                 t_new = t + alpha * dvec
                 trial = evaluate(t_new)
-                if trial[0] < F and asm.min_det(t_new) > 0.0:
-                    return t_new, trial, alpha, bt
+                if trial[0] < F:
+                    md = asm.min_det(t_new)
+                    if md > 0.0:
+                        return t_new, trial, alpha, bt, md
                 alpha *= 0.5
-            return None, None, None, None
+            return None, None, None, None, None
 
         dmax = float(np.abs(d).max())
         start = min(1.0, step_cap / dmax) if dmax > 0.0 else 1.0
-        t_new, trial, alpha, bt = line_search(d, start)
+        t_new, trial, alpha, bt, md = line_search(d, start)
         if t_new is None and direction == "newton":
             direction = "steepest"
             d = -gp
@@ -774,7 +779,8 @@ def solve_r_adaptivity(problem: TmopProblem):
             dmax = max(float(np.abs(d).max()), 1e-300)
             scale = (d.ravel() @ d.ravel()) / Hg if Hg > 0.0 else \
                 0.1 * mesh.diameter() / dmax
-            t_new, trial, alpha, bt = line_search(d, min(scale, step_cap / dmax))
+            t_new, trial, alpha, bt, md = line_search(
+                d, min(scale, step_cap / dmax))
             lam *= 16.0
         if t_new is None:
             return finish("stalled", "no valid decreasing step found")
@@ -789,7 +795,7 @@ def solve_r_adaptivity(problem: TmopProblem):
         report.iterations.append(IterationRecord(
             index=it, objective_before=F_before, objective_after=F,
             fit_weight=w, sigma_max=smax, step_size=alpha, grad_norm=gnorm,
-            min_det=asm.min_det(t), backtracks=bt, direction=direction))
+            min_det=md, backtracks=bt, direction=direction))
 
         if fitting and smax <= controls.fit_tol:
             return finish("converged", "fit tolerance reached")

@@ -5,6 +5,7 @@ from meshfit import (AdaptivityPlan, FitConfig, QualityMetric, SolverControls,
                      apply_edge_constraints, compute_face_errors,
                      generate_cartesian, mark_interface_faces,
                      run_rp_adaptivity, solve_r_adaptivity)
+from meshfit import adapt
 from meshfit.adapt import (apply_refinement, derefinement_pass,
                            edge_touching_elevation, mark_for_refinement,
                            propagate_orders, try_derefine)
@@ -304,6 +305,52 @@ def test_driver_refines_to_p_max_on_circle():
     phases = [r.phase for r in res.records]
     assert phases[0] == "initial" and phases[-1] == "final"
     assert "refine" in phases and "fit" in phases
+
+
+@pytest.fixture(scope="module")
+def derefining_squircle_run():
+    """The 8x8 squircle run with derefinement, plus a copy of the mesh at
+    each record (the driver measures face errors once per record)."""
+    squircle = ANALYTIC_LEVELSETS["squircle2d"]()
+    plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2,
+                          refine_kind="absolute", refine_threshold=1e-14,
+                          deref_kind="size", deref_threshold=1e-5,
+                          fit_tol=1e-7)
+    at_record = []
+
+    def measure(mesh, field, faces=None):
+        at_record.append(mesh.copy())
+        return compute_face_errors(mesh, field, faces)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adapt, "compute_face_errors", measure)
+        res = run_rp_adaptivity(generate_cartesian(8, 8, 1), squircle,
+                                FitConfig(metric=QualityMetric("mu2")), plan)
+    assert len(at_record) == len(res.records)
+    return res, at_record
+
+
+def test_driver_stops_at_fixpoint(derefining_squircle_run):
+    # outer 2 would re-refine exactly what outer 1 derefined
+    res, _ = derefining_squircle_run
+    assert res.exit_reason == "fixpoint"
+    fits = [r for r in res.records if r.phase == "fit"]
+    assert len(fits) == 2
+    hists = [tuple(r.histogram.items()) for r in fits]
+    assert len(set(hists)) == len(hists)
+    deref1, = [r for r in res.records
+               if r.phase == "derefine" and r.outer == 1]
+    assert res.final.phase == "final"
+    assert res.final.dofs == deref1.dofs
+    assert res.final.histogram == deref1.histogram
+
+
+def test_fixpoint_exit_restores_the_derefined_mesh(derefining_squircle_run):
+    res, at_record = derefining_squircle_run
+    i, = [i for i, r in enumerate(res.records)
+          if r.phase == "derefine" and r.outer == 1]
+    # orders, node blocks, vertices and marked faces, compared exactly
+    assert meshes_identical(res.mesh, at_record[i])
 
 
 def test_driver_respects_neighbor_limit():

@@ -220,6 +220,24 @@ def test_min_det_and_validity():
         require_valid(m)
 
 
+@pytest.mark.parametrize("every_element", [False, True])
+def test_nan_node_makes_mesh_invalid(every_element):
+    # a NaN determinant must fail the > 0 check, not drop out of the minimum
+    m = generate_cartesian(2, 2, 1)
+    m.set_order(0, 2)
+    m.elements[0].coords[:, 4] = np.nan
+    if every_element:
+        for el in m.elements[1:]:
+            el.coords[:, 0] = np.nan
+    assert np.isnan(m.min_det())
+    assert not m.is_valid()
+    with pytest.raises(MeshInvalidError):
+        require_valid(m)
+    # the finite elements alone keep their finite minimum
+    if not every_element:
+        assert m.min_det([1, 2, 3]) == generate_cartesian(2, 2, 1).min_det()
+
+
 def test_min_det_subset_matches_global():
     m = perturbed_mesh(3, 3, 2, seed=9)
     all_ids = list(range(len(m.elements)))
