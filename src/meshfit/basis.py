@@ -12,7 +12,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_jacobi, gammaln
 
 QUAD = "quad"
 TRI = "tri"
@@ -231,6 +230,9 @@ def _tri_nodes(p: int) -> np.ndarray:
 
 def _jacobi_norm(n: int, a: float, b: float) -> float:
     """L2 norm of the Jacobi polynomial P_n^{a,b} under its weight on [-1,1]."""
+    # scipy.special is imported here and below, not at module level: only
+    # triangle bases need it, and it is a tenth of `import meshfit`'s time
+    from scipy.special import gammaln
     ln = ((a + b + 1.0) * np.log(2.0) - np.log(2.0 * n + a + b + 1.0)
           + gammaln(n + a + 1.0) + gammaln(n + b + 1.0)
           - gammaln(n + 1.0) - gammaln(n + a + b + 1.0))
@@ -238,12 +240,14 @@ def _jacobi_norm(n: int, a: float, b: float) -> float:
 
 
 def _jacobi(n: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
+    from scipy.special import eval_jacobi
     return eval_jacobi(n, a, b, x) / _jacobi_norm(n, a, b)
 
 
 def _jacobi_deriv(n: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.zeros_like(x)
+    from scipy.special import eval_jacobi
     d = 0.5 * (n + a + b + 1.0) * eval_jacobi(n - 1, a + 1.0, b + 1.0, x)
     return d / _jacobi_norm(n, a, b)
 

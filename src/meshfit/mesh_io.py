@@ -288,8 +288,8 @@ def export_svg(mesh: MixedOrderMesh, path, color_by: str = "order",
     scale = size / (span + 2 * margin)
 
     def to_px(pts):
-        x = (pts[:, 0] - lo[0] + margin) * scale
-        y = size - (pts[:, 1] - lo[1] + margin) * scale
+        x = (pts[..., 0] - lo[0] + margin) * scale
+        y = size - (pts[..., 1] - lo[1] + margin) * scale
         return x, y
 
     det_range = (0.0, 1.0)
@@ -302,20 +302,24 @@ def export_svg(mesh: MixedOrderMesh, path, color_by: str = "order",
         det_range = (float(dets.min()), float(dets.max()))
 
     t = np.linspace(0.0, 1.0, segments_per_edge + 1)
+    # each element's edge points, (local edge, t, 2), from one basis
+    # evaluation per (geometry, order) group
+    outlines = [None] * len(mesh.elements)
+    for (geometry, order), ids in mesh.groups().items():
+        ref = reference_element(geometry, order)
+        edges = [ref.edge_point(le, t) for le in range(len(ref.corners))]
+        pts = ref.eval_basis(np.vstack(edges)) @ mesh.group_coords(ids)
+        for e, p in zip(ids, pts.reshape(len(ids), len(edges), t.size, 2)):
+            outlines[e] = p
     body = []
     edge_paths = []
     for e, el in enumerate(mesh.elements):
-        ref = reference_element(el.geometry, el.order)
-        loop = []
-        for le in range(len(el.verts)):
-            pts = mesh.eval_map(e, ref.edge_point(le, t))
-            loop.append(pts[:-1])
-            px, py = to_px(pts)
-            path_pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+        px, py = to_px(outlines[e])
+        for ex, ey in zip(px, py):
+            path_pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(ex, ey))
             edge_paths.append(f'<polyline points="{path_pts}" />')
-        loop = np.vstack(loop)
-        px, py = to_px(loop)
-        poly = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+        poly = " ".join(f"{x:.2f},{y:.2f}" for x, y in
+                        zip(px[:, :-1].ravel(), py[:, :-1].ravel()))
         fill = _color_for(el, color_by, det_range, float(dets[e]))
         body.append(f'<polygon points="{poly}" fill="{fill}" stroke="none" />')
     body.extend(['<g fill="none" stroke="#333333" stroke-width="1">']

@@ -9,6 +9,11 @@ nodes onto the zero isocontour of a scalar field:
 where T = A W^{-1} couples the map Jacobian A to a per-element target matrix
 W.  Minimization moves only the independent position nodes; dependent
 mixed-order edge nodes follow through the trace-interpolation constraints.
+
+A Newton iterate makes one element pass (``_element_pass``): the accepted
+line-search trial's Jacobians and metric partials give the objective, the
+gradient and the Hessian, whose element blocks are one GEMM per (geometry,
+order) group against a basis-gradient table built once per solve.
 """
 
 from __future__ import annotations
@@ -90,28 +95,16 @@ class QualityMetric:
         treat the whole configuration as invalid.
         """
         T = np.asarray(T, dtype=float)
-        good, (mu, mu_f, mu_tau, _, _) = self._eval(T)
-        der = (2.0 * mu_f)[..., None, None] * T \
-            + mu_tau[..., None, None] * adj2(T)
-        return (np.where(good, mu, np.inf),
-                np.where(good[..., None, None], der, 0.0))
+        good, partials = self._eval(T)
+        return (np.where(good, partials[0], np.inf),
+                np.where(good[..., None, None], _metric_derivs(T, partials),
+                         0.0))
 
-    def second_deriv_coeffs(self, T: np.ndarray):
-        """Coefficients of the four structural terms of d2(mu)/dT2.
 
-        In 2D the Hessian of each metric in T decomposes as
-
-            c_id * (delta_ab delta_cd) + c_sym * sym(T (x) adj)
-            + c_dd * (adj (x) adj) + c_eps * (eps_ab eps_cd)
-
-        with adj = adj2(T) = d(tau)/dT and eps the alternating symbol, and
-        (c_id, c_sym, c_dd, c_eps) = (2 mu_f, 2 mu_ftau, mu_tautau, mu_tau).
-        Only the scalar coefficients depend on the metric; callers assemble
-        the terms.  They are zero where det T <= 0.
-        """
-        good, (_, mu_f, mu_tau, mu_ftau, mu_tautau) = self._eval(T)
-        return tuple(np.where(good, c, 0.0) for c in
-                     (2.0 * mu_f, 2.0 * mu_ftau, mu_tautau, mu_tau))
+def _metric_derivs(T: np.ndarray, partials) -> np.ndarray:
+    """d(mu)/dT = 2 mu_f T + mu_tau adj2(T) from the partials of ``_eval``."""
+    _, mu_f, mu_tau, _, _ = partials
+    return (2.0 * mu_f)[..., None, None] * T + mu_tau[..., None, None] * adj2(T)
 
 
 def adj2(T: np.ndarray) -> np.ndarray:
@@ -308,11 +301,13 @@ class _Assembly:
         for (geometry, order), ids in mesh.groups().items():
             tables, K, detW = _target_tables(geometry, order, problem.target)
             starts = np.array([self.dm.element_slices[e].start for e in ids])
-            nn = tables.ref.num_nodes
+            nq, nn = K.shape[:2]
             gather = starts[:, None] + np.arange(nn)[None, :]
+            # KK[(q, c, d), (i, j)] = K[q, i, c] K[q, j, d], for _hessian_values
+            KK = np.einsum("qic,qjd->qcdij", K, K).reshape(4 * nq, nn * nn)
             self.groups.append({
                 "key": (geometry, order), "tables": tables, "detW": detW,
-                "gather": gather, "K": K,
+                "gather": gather, "K": K, "KK": KK,
             })
 
     def min_det(self, t: np.ndarray) -> float:
@@ -330,30 +325,34 @@ class _Assembly:
             else self.field.gradients(t[self.marked])
 
 
-def _quality_terms(asm: _Assembly, metric: QualityMetric, t: np.ndarray,
-                   want_grad: bool):
-    """Quality objective and optionally its gradient on independent nodes;
-    the objective is inf on an inverted configuration."""
+def _element_pass(asm: _Assembly, metric: QualityMetric, t: np.ndarray):
+    """Quality objective at t and its state: per group, the Jacobians T and
+    the partials of ``QualityMetric._eval``, from which the gradient and the
+    Hessian are computed without another pass.  The objective is inf and
+    the state None on an inverted configuration."""
     x_all = asm.expand @ t
     total = 0.0
-    g_all = np.zeros((asm.dm.total_local, 2)) if want_grad else None
+    state = []
     for g in asm.groups:
-        X = x_all[g["gather"]]
-        tables = g["tables"]
-        T = map_jacobians(X, g["K"])
-        if want_grad:
-            mu, dmu = metric.values_and_derivs(T)
-        else:
-            mu = metric.values(T)
-        if np.isinf(mu).any():
+        T = map_jacobians(x_all[g["gather"]], g["K"])
+        good, partials = metric._eval(T)
+        if not good.all() or np.isinf(partials[0]).any():
             return np.inf, None
-        wq = tables.quad_weights
-        total += g["detW"] * float((mu @ wq).sum())
-        if want_grad:
-            contrib = g["detW"] * _contract_grad(
-                wq[None, :, None, None] * dmu, g["K"])
-            g_all[g["gather"]] = contrib
-    return total, (asm.expand.T @ g_all if want_grad else None)
+        total += g["detW"] * float((partials[0] @ g["tables"].quad_weights)
+                                   .sum())
+        state.append((T, partials))
+    return total, state
+
+
+def _quality_gradient(asm: _Assembly, state) -> np.ndarray:
+    """Gradient of the quality objective on independent nodes from the state
+    of ``_element_pass``."""
+    g_all = np.zeros((asm.dm.total_local, 2))
+    for g, (T, partials) in zip(asm.groups, state):
+        wq = g["tables"].quad_weights
+        g_all[g["gather"]] = g["detW"] * _contract_grad(
+            wq[None, :, None, None] * _metric_derivs(T, partials), g["K"])
+    return asm.expand.T @ g_all
 
 
 def _total(fq: float, sigma, fit_weight: float) -> float:
@@ -376,8 +375,8 @@ def objective(problem: TmopProblem, coords: np.ndarray | None = None) -> float:
     """Total objective at the mesh's (or the given) independent node positions."""
     asm = _Assembly(problem)
     t = asm.dm.extract(problem.mesh) if coords is None else coords
-    fq, _ = _quality_terms(asm, problem.metric, t, want_grad=False)
-    if np.isinf(fq):
+    fq, state = _element_pass(asm, problem.metric, t)
+    if state is None:
         return np.inf
     return _total(fq, asm.sigma(t), problem.fit_weight)
 
@@ -390,11 +389,11 @@ def gradient(problem: TmopProblem, coords: np.ndarray | None = None) -> np.ndarr
     """
     asm = _Assembly(problem)
     t = asm.dm.extract(problem.mesh) if coords is None else coords
-    fq, gq = _quality_terms(asm, problem.metric, t, want_grad=True)
-    if np.isinf(fq):
+    _, state = _element_pass(asm, problem.metric, t)
+    if state is None:
         raise MeshInvalidError("gradient requested on an inverted configuration")
-    return _total_gradient(asm, gq, asm.sigma(t), asm.sigma_gradients(t),
-                           problem.fit_weight)
+    return _total_gradient(asm, _quality_gradient(asm, state), asm.sigma(t),
+                           asm.sigma_gradients(t), problem.fit_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -462,54 +461,52 @@ def _projector_matrices(kinds: np.ndarray, tangents: np.ndarray):
 # ---------------------------------------------------------------------------
 # Gauss-Newton model Hessian
 
-def _hessian_values(asm: _Assembly, metric: QualityMetric, t: np.ndarray,
-                    fit_weight: float, dsigma=None) -> np.ndarray:
+def _hessian_values(asm: _Assembly, state, fit_weight: float,
+                    dsigma=None) -> np.ndarray:
     """Values of the model of d2F/dx2, laid out for ``_NewtonPattern``.
 
-    The vector holds, in order: each group's dense element blocks on
-    interleaved local coordinates (2 * node + component), element by element
-    and row-major; the 2x2 Gauss-Newton block of each marked node; and a
-    trailing 1 for the constant part of the Newton matrix.
+    The vector holds, in order: each group's element blocks, element by
+    element, each in (a, b, i, j) order (row: node i, component a; column:
+    node j, component b); the 2x2 Gauss-Newton block of each marked node;
+    and a trailing 1 for the constant part of the Newton matrix.
 
-    The quality term is differentiated exactly (closed-form metric Hessian in
-    2D).  Given the level-set gradients ``dsigma`` at the marked nodes, the
-    fitting term adds the Gauss-Newton block 2 w (grad sigma)(grad sigma)^T
-    per marked node, exact for affine fields; without them the blocks are 0.
-    Indefiniteness of the quality part is handled by the solver's damping,
-    not here.
+    The quality term is exact, from the ``_element_pass`` state.  In 2D
+    d2(mu)/dT_ac dT_bd = c_id delta_ab delta_cd + c_sym (T_ac adj_bd +
+    adj_ac T_bd) + c_dd adj_ac adj_bd + c_eps eps_ab eps_cd, with adj =
+    adj2(T), eps the alternating symbol and (c_id, c_sym, c_dd, c_eps) =
+    (2 mu_f, 2 mu_ftau, mu_tautau, mu_tau).  Weighted by quadrature, it
+    fills N[e, a, b, q, c, d], and a group's blocks are the one GEMM N @ KK.
+    The fitting term adds 2 w (grad sigma)(grad sigma)^T per marked node
+    from the level-set gradients ``dsigma``, exact for affine fields;
+    without them these blocks are 0.  Indefiniteness of the quality part is
+    handled by the solver's damping, not here.
     """
-    x_all = asm.expand @ t
     values = []
-    for g in asm.groups:
-        X = x_all[g["gather"]]
-        tables = g["tables"]
-        K = g["K"]
-        nn = tables.ref.num_nodes
-        nq = K.shape[0]
-        T = map_jacobians(X, K)
-        adj = adj2(T)
-        c_id, c_sym, c_dd, c_eps = metric.second_deriv_coeffs(T)
-        base_w = g["detW"] * tables.quad_weights[None, :]
-        # per-point products of T (and its adjugate) with the basis gradient,
-        # flattened to the interleaved block index 2 * node + component
-        tK = np.matmul(K[None], T.transpose(0, 1, 3, 2)).reshape(-1, nq, 2 * nn)
-        dK = np.matmul(K[None], adj.transpose(0, 1, 3, 2)).reshape(-1, nq, 2 * nn)
-        if "KKf" not in g:
-            g["KKf"] = np.einsum("qic,qjc->qij", K, K).reshape(nq, nn * nn)
-            g["Wepsf"] = (K[:, :, None, 0] * K[:, None, :, 1]
-                          - K[:, :, None, 1] * K[:, None, :, 0]) \
-                .reshape(nq, nn * nn)
-        Hid = ((base_w * c_id) @ g["KKf"]).reshape(-1, nn, nn)
-        Heps = ((base_w * c_eps) @ g["Wepsf"]).reshape(-1, nn, nn)
-        He = np.matmul(np.swapaxes(tK * (base_w * c_sym)[:, :, None], 1, 2), dK)
-        He = He + np.swapaxes(He, 1, 2)
-        He += np.matmul(np.swapaxes(dK * (base_w * c_dd)[:, :, None], 1, 2), dK)
-        He5 = He.reshape(-1, nn, 2, nn, 2)
-        He5[:, :, 0, :, 0] += Hid
-        He5[:, :, 1, :, 1] += Hid
-        He5[:, :, 0, :, 1] += Heps
-        He5[:, :, 1, :, 0] -= Heps
-        values.append(He.ravel())
+    for g, (T, (_, mu_f, mu_tau, mu_ftau, mu_tautau)) in zip(asm.groups,
+                                                             state):
+        n_el, nq = T.shape[:2]
+        w = g["detW"] * g["tables"].quad_weights
+        c_id, c_sym = (2.0 * w) * mu_f, (2.0 * w) * mu_ftau
+        c_dd, c_eps = w * mu_tautau, w * mu_tau
+        A = adj2(T)
+        Tc = [T[:, :, a, c] for a in range(2) for c in range(2)]
+        adj = [A[:, :, a, c] for a in range(2) for c in range(2)]
+        N = np.empty((n_el, 2, 2, nq, 2, 2))
+        # N[:, a, b, :, c, d] = N[:, b, a, :, d, c]: each pair ac <= bd once
+        for ac in range(4):
+            a, c = divmod(ac, 2)
+            left = c_sym * Tc[ac] + c_dd * adj[ac]
+            right = c_sym * adj[ac]
+            for bd in range(ac, 4):
+                b, d = divmod(bd, 2)
+                v = left * adj[bd] + right * Tc[bd]
+                if bd == ac:
+                    v += c_id
+                elif ac + bd == 3:  # eps_ab eps_cd = +1 for a = c, else -1
+                    v += c_eps if a == c else -c_eps
+                N[:, a, b, :, c, d] = v
+                N[:, b, a, :, d, c] = v
+        values.append((N.reshape(4 * n_el, 4 * nq) @ g["KK"]).ravel())
     if dsigma is None:
         values.append(np.zeros(4 * asm.marked.size))
     else:
@@ -560,10 +557,12 @@ class _NewtonPattern:
         Q.eliminate_zeros()
         rows_a, rows_b = [], []
         for g in asm.groups:
-            m = 2 * g["tables"].ref.num_nodes
-            offs = 2 * g["gather"][:, :1] + np.arange(m)
-            rows_a.append(np.repeat(offs, m, axis=1).ravel())
-            rows_b.append(np.tile(offs, m).ravel())
+            # element block entries in the (a, b, i, j) order of the values
+            nn = g["gather"].shape[1]
+            a, b, i, j = np.indices((2, 2, nn, nn)).reshape(4, -1)
+            first = 2 * g["gather"][:, :1]
+            rows_a.append((first + 2 * i + a).ravel())
+            rows_b.append((first + 2 * j + b).ravel())
         idx = 2 * asm.dm.total_local + 2 * asm.marked[:, None] + np.arange(2)
         rows_a.append(np.repeat(idx, 2, axis=1).ravel())
         rows_b.append(np.tile(idx, 2).ravel())
@@ -679,20 +678,22 @@ def solve_r_adaptivity(problem: TmopProblem):
     report = SolveReport()
 
     def evaluate(tv):
-        """Objective, its quality part and the marked-node level-set values
-        at tv; the objective is inf on an inverted configuration."""
-        fq, _ = _quality_terms(asm, problem.metric, tv, want_grad=False)
-        if np.isinf(fq):
-            return np.inf, fq, None
+        """Objective, its quality part, the marked-node level-set values and
+        the ``_element_pass`` state at tv; the objective is inf on an
+        inverted configuration."""
+        fq, state = _element_pass(asm, problem.metric, tv)
+        if state is None:
+            return np.inf, fq, None, None
         sigma = asm.sigma(tv)
-        return _total(fq, sigma, w), fq, sigma
+        return _total(fq, sigma, w), fq, sigma, state
 
     def projected_gradient():
         """Projected total gradient from the terms stored for the iterate."""
         return project_motion(_total_gradient(asm, gq, sigma, dsigma, w),
                               kinds, tangents)
 
-    F, fq, sigma = evaluate(t)
+    F, fq, sigma, state = evaluate(t)
+    md = None  # min det of the last accepted trial
     smax = None if sigma is None else float(np.abs(sigma).max())
     report.initial_objective = F
     report.initial_sigma_max = smax
@@ -704,13 +705,13 @@ def solve_r_adaptivity(problem: TmopProblem):
         report.final_objective = F
         report.final_sigma_max = smax
         report.final_fit_weight = w
-        report.final_min_det = asm.min_det(t)
+        report.final_min_det = asm.min_det(t) if md is None else md
         asm.dm.scatter(mesh, t)
         return mesh, report
 
     if fitting and smax <= controls.fit_tol:
         return finish("converged", "marked nodes already on the isocontour")
-    _, gq = _quality_terms(asm, problem.metric, t, want_grad=True)
+    gq = _quality_gradient(asm, state)
     dsigma = asm.sigma_gradients(t)
     gp = projected_gradient()
     gnorm0 = float(np.linalg.norm(gp))
@@ -725,8 +726,7 @@ def solve_r_adaptivity(problem: TmopProblem):
     h_min = min(mesh.element_diameter(e) for e in range(len(mesh.elements)))
     step_cap = 0.5 * h_min
     for it in range(1, controls.max_iterations + 1):
-        data = newton.assemble(
-            _hessian_values(asm, problem.metric, t, w, dsigma))
+        data = newton.assemble(_hessian_values(asm, state, w, dsigma))
         diag = data[newton.diag]
         dfloor = np.maximum(diag, 1e-12 * diag.max() + 1e-300)
         gflat = gp.ravel()
@@ -757,38 +757,38 @@ def solve_r_adaptivity(problem: TmopProblem):
         def line_search(dvec, start_step):
             """First halving of start_step along dvec that lowers F and keeps
             the mesh valid: the point, its evaluation, the step, the number
-            of backtracks and the point's min det."""
+            of backtracks and the point's min det; None if there is none."""
             alpha = start_step
             for bt in range(controls.max_backtracks + 1):
                 t_new = t + alpha * dvec
                 trial = evaluate(t_new)
                 if trial[0] < F:
-                    md = asm.min_det(t_new)
-                    if md > 0.0:
-                        return t_new, trial, alpha, bt, md
+                    md_new = asm.min_det(t_new)
+                    if md_new > 0.0:
+                        return t_new, trial, alpha, bt, md_new
                 alpha *= 0.5
-            return None, None, None, None, None
+            return None
 
         dmax = float(np.abs(d).max())
         start = min(1.0, step_cap / dmax) if dmax > 0.0 else 1.0
-        t_new, trial, alpha, bt, md = line_search(d, start)
-        if t_new is None and direction == "newton":
+        found = line_search(d, start)
+        if found is None and direction == "newton":
             direction = "steepest"
             d = -gp
             Hg = (newton.matrix(data) @ d.ravel()) @ d.ravel()
             dmax = max(float(np.abs(d).max()), 1e-300)
             scale = (d.ravel() @ d.ravel()) / Hg if Hg > 0.0 else \
                 0.1 * mesh.diameter() / dmax
-            t_new, trial, alpha, bt, md = line_search(
-                d, min(scale, step_cap / dmax))
+            found = line_search(d, min(scale, step_cap / dmax))
             lam *= 16.0
-        if t_new is None:
+        if found is None:
             return finish("stalled", "no valid decreasing step found")
 
-        t, F_before, (F, fq, sigma) = t_new, F, trial
+        F_before = F
+        t, (F, fq, sigma, state), alpha, bt, md = found
         smax = None if sigma is None else float(np.abs(sigma).max())
         lam = max(lam * 0.25, 1e-10)
-        _, gq = _quality_terms(asm, problem.metric, t, want_grad=True)
+        gq = _quality_gradient(asm, state)
         dsigma = asm.sigma_gradients(t)
         gp = projected_gradient()
         gnorm = float(np.linalg.norm(gp))

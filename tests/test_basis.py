@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import meshfit
 from meshfit.basis import (QUAD, TRI, BasisTables, basis_tables,
                            _gauss_legendre_01, _gauss_lobatto_01,
                            gauss_lobatto_nodes, lagrange_1d, lagrange_1d_deriv,
@@ -172,3 +177,25 @@ def test_basis_tables_rules():
     assert leg.min() > 0.0
     assert lob.quad_points.min() == 0.0 and lob.quad_points.max() == 1.0
     assert np.isclose(lob.quad_weights.sum(), 1.0, atol=1e-13)
+
+
+def test_quad_fit_does_not_load_scipy_special():
+    # only triangle bases need scipy.special, so a quad run never imports it
+    code = "\n".join([
+        "import sys",
+        "import meshfit as mf",
+        "m = mf.generate_cartesian(4, 4, 2)",
+        "sq = mf.ANALYTIC_LEVELSETS['squircle2d']()",
+        "mf.mark_interface_faces(m, sq)",
+        "_, rep = mf.solve_r_adaptivity(mf.FitConfig().problem(m, sq))",
+        "assert rep.num_iterations > 0, rep.reason",
+        "print('scipy.special' in sys.modules)",
+    ])
+    src = os.path.dirname(os.path.dirname(meshfit.__file__))
+    path = os.pathsep.join([src] + [p for p in
+                                    [os.environ.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

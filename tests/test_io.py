@@ -262,6 +262,30 @@ def test_svg_renders_curved_edges(tmp_path):
     assert worst < 2 * 0.005 / scale + 1e-12
 
 
+def test_svg_draws_mixed_order_triangles_in_element_order(tmp_path):
+    # three (geometry, order) groups whose ids interleave
+    m = random_order_mesh(3, 3, orders=(1, 2, 3), seed=4, split_triangles=True)
+    assert len(m.groups()) == 3
+    path = tmp_path / "t.svg"
+    export_svg(m, path, segments_per_edge=5)
+    text = path.read_text()
+    polys = re.findall(r'<polyline points="([^"]+)"', text)
+    fills = re.findall(r'<polygon points="([^"]+)"', text)
+    assert len(polys) == 3 * len(m.elements) and len(fills) == len(m.elements)
+    size, margin, scale = 640, 0.05, 640 / 1.1
+    t = np.linspace(0.0, 1.0, 6)
+    for e, el in enumerate(m.elements):
+        ref = reference_element(el.geometry, el.order)
+        truth = [m.eval_map(e, ref.edge_point(le, t)) for le in range(3)]
+        drawn = [polys[3 * e + le] for le in range(3)] + [fills[e]]
+        for pts, want in zip(drawn, truth + [np.vstack([p[:-1] for p in truth])]):
+            pix = np.array([[float(v) for v in pt.split(",")]
+                            for pt in pts.split()])
+            phys = np.column_stack([pix[:, 0] / scale - margin,
+                                    (size - pix[:, 1]) / scale - margin])
+            assert np.abs(phys - want).max() < 2 * 0.005 / scale + 1e-12
+
+
 def test_svg_legend_covers_orders(tmp_path):
     m = random_order_mesh(3, 3, orders=(1, 2, 3), seed=1)
     path = tmp_path / "l.svg"

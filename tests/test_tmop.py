@@ -6,11 +6,12 @@ from meshfit import (FitConfig, MeshInvalidError, QualityMetric,
                      element_quality, generate_cartesian, gradient,
                      mark_interface_faces, metric_value, objective,
                      solve_r_adaptivity)
-from meshfit.mesh import require_valid
+from meshfit.mesh import map_jacobians, require_valid
 from meshfit.levelset import ANALYTIC_LEVELSETS
-from meshfit.tmop import (IDEAL_TRIANGLE_TARGET, _Assembly, _hessian_values,
-                          _NewtonPattern, _projector_matrices,
-                          boundary_freedom, project_motion)
+from meshfit.tmop import (IDEAL_TRIANGLE_TARGET, _Assembly, _element_pass,
+                          _hessian_values, _NewtonPattern,
+                          _projector_matrices, adj2, boundary_freedom,
+                          project_motion)
 
 from conftest import meshes_identical, perturbed_mesh, random_order_mesh
 
@@ -161,13 +162,33 @@ def test_gradient_matches_fd_with_fit_term(rng):
             assert abs(fd - g[i, a]) < 1e-5 * max(1.0, abs(g[i, a]))
 
 
-@pytest.mark.parametrize("metric, field, fit_weight", [
-    ("mu2", None, 0.0), ("mu77", None, 0.0), ("mu80", None, 0.0),
-    # Gauss-Newton is exact for the affine plane field y = 0.3
-    ("mu2", ANALYTIC_LEVELSETS["plane"](0.3), 5.0)],
-    ids=["mu2", "mu77", "mu80", "mu2-plane"])
-def test_quality_hessian_matches_fd(rng, metric, field, fit_weight):
-    m = perturbed_mesh(3, 3, 2, seed=17)
+def _sheared_mixed_mesh():
+    """3x3 mesh of orders 1 and 3, with constrained edge nodes, sheared."""
+    m = random_order_mesh(3, 3, orders=(1, 3), seed=5)
+    dm = m.dof_map()
+    t = dm.extract(m)
+    t[:, 0] += 0.2 * t[:, 1]
+    dm.scatter(m, t)
+    return m
+
+
+FD_MESHES = {
+    "quad2": lambda: perturbed_mesh(3, 3, 2, seed=17),
+    "mixed13": _sheared_mixed_mesh,
+    "tri2": lambda: perturbed_mesh(3, 3, 2, seed=17, split_triangles=True),
+}
+FD_CASES = {"mu2": ("mu2", None, 0.0), "mu77": ("mu77", None, 0.0),
+            "mu80": ("mu80", None, 0.0),
+            # Gauss-Newton is exact for the affine plane field y = 0.3
+            "mu2-plane": ("mu2", ANALYTIC_LEVELSETS["plane"](0.3), 5.0)}
+
+
+@pytest.mark.parametrize("metric, field, fit_weight, mesh", [
+    case + (mesh,) for mesh in FD_MESHES for case in FD_CASES.values()],
+    ids=[name if mesh == "quad2" else f"{name}-{mesh}"
+         for mesh in FD_MESHES for name in FD_CASES])
+def test_quality_hessian_matches_fd(rng, metric, field, fit_weight, mesh):
+    m = FD_MESHES[mesh]()
     if field is not None:
         mark_interface_faces(m, field)
         assert m.marked_faces
@@ -180,7 +201,8 @@ def test_quality_hessian_matches_fd(rng, metric, field, fit_weight):
     P, C = _projector_matrices(*boundary_freedom(m, "free"))
     newton = _NewtonPattern(asm, P, C)
     H = newton.matrix(newton.assemble(_hessian_values(
-        asm, prob.metric, t, fit_weight, dsigma))).toarray()
+        asm, _element_pass(asm, prob.metric, t)[1], fit_weight,
+        dsigma))).toarray()
     assert np.abs(H - H.T).max() < 1e-10
     # mu77 entries reach about 1e4 on this mesh, so the bound scales with H
     tol = 2e-9 * np.abs(H).max()
@@ -218,8 +240,8 @@ def test_newton_pattern_matches_dense_assembly(rng):
     assert oblique.any() and (kinds == 2).any()
     P, C = _projector_matrices(kinds, tangents)
     newton = _NewtonPattern(asm, P, C)
-    values = _hessian_values(asm, prob.metric, t, prob.fit_weight,
-                             asm.sigma_gradients(t))
+    values = _hessian_values(asm, _element_pass(asm, prob.metric, t)[1],
+                             prob.fit_weight, asm.sigma_gradients(t))
     data = newton.assemble(values)
     Hp = newton.matrix(data).toarray()
 
@@ -228,10 +250,13 @@ def test_newton_pattern_matches_dense_assembly(rng):
     B = np.zeros((n_local, n_local))
     pos = 0
     for g in asm.groups:
-        size = 2 * g["tables"].ref.num_nodes
+        nn = g["tables"].ref.num_nodes
+        size = 2 * nn
         for first in 2 * g["gather"][:, 0]:
+            # values in (a, b, i, j) order, B rows 2 i + a and columns 2 j + b
             B[first:first + size, first:first + size] = \
-                values[pos:pos + size * size].reshape(size, size)
+                values[pos:pos + size * size].reshape(2, 2, nn, nn) \
+                .transpose(2, 0, 3, 1).reshape(size, size)
             pos += size * size
     GN = np.zeros(P.shape)
     for node in asm.marked:
@@ -248,6 +273,62 @@ def test_newton_pattern_matches_dense_assembly(rng):
     damped = newton.damped(data, shift).toarray()
     assert np.array_equal(damped, Hp + np.diag(shift))
     assert np.array_equal(newton.matrix(data).toarray(), Hp)
+
+
+def _tk_dk_element_blocks(asm, metric, t):
+    """Reference element Hessian blocks from batched products of T K^T and
+    adj(T) K^T, one (E, 2 nn, 2 nn) stack per group on local coordinates
+    2 node + component."""
+    x_all = asm.expand @ t
+    blocks = []
+    for g in asm.groups:
+        K = g["K"]
+        nq, nn = K.shape[:2]
+        T = map_jacobians(x_all[g["gather"]], K)
+        adj = adj2(T)
+        good, (_, mu_f, mu_tau, mu_ftau, mu_tautau) = metric._eval(T)
+        assert good.all()
+        w = g["detW"] * g["tables"].quad_weights[None, :]
+        c_id, c_sym, c_dd, c_eps = (w * c for c in (
+            2.0 * mu_f, 2.0 * mu_ftau, mu_tautau, mu_tau))
+        tK = np.matmul(K[None], T.transpose(0, 1, 3, 2)).reshape(-1, nq, 2 * nn)
+        dK = np.matmul(K[None], adj.transpose(0, 1, 3, 2)).reshape(-1, nq, 2 * nn)
+        KK = np.einsum("qic,qjc->qij", K, K).reshape(nq, nn * nn)
+        Weps = (K[:, :, None, 0] * K[:, None, :, 1]
+                - K[:, :, None, 1] * K[:, None, :, 0]).reshape(nq, nn * nn)
+        He = np.matmul(np.swapaxes(tK * c_sym[:, :, None], 1, 2), dK)
+        He = He + np.swapaxes(He, 1, 2)
+        He += np.matmul(np.swapaxes(dK * c_dd[:, :, None], 1, 2), dK)
+        He5 = He.reshape(-1, nn, 2, nn, 2)
+        Hid = (c_id @ KK).reshape(-1, nn, nn)
+        Heps = (c_eps @ Weps).reshape(-1, nn, nn)
+        He5[:, :, 0, :, 0] += Hid
+        He5[:, :, 1, :, 1] += Hid
+        He5[:, :, 0, :, 1] += Heps
+        He5[:, :, 1, :, 0] -= Heps
+        blocks.append(He)
+    return blocks
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["quad", "tri"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("metric", ["mu2", "mu77", "mu80"])
+def test_element_hessian_gemm_matches_tk_dk_reference(metric, order, split):
+    m = perturbed_mesh(3, 3, order, seed=order, split_triangles=split)
+    prob = FitConfig(metric=QualityMetric(metric, gamma=0.3)).problem(m)
+    asm = _Assembly(prob)
+    t = m.dof_map().extract(m)
+    values = _hessian_values(asm, _element_pass(asm, prob.metric, t)[1], 0.0)
+    pos = 0
+    for g, ref in zip(asm.groups, _tk_dk_element_blocks(asm, prob.metric, t)):
+        n_el, size = ref.shape[:2]
+        nn = size // 2
+        # values in (e, a, b, i, j) order, reference rows 2 i + a
+        got = values[pos:pos + ref.size].reshape(n_el, 2, 2, nn, nn) \
+            .transpose(0, 3, 1, 4, 2).reshape(ref.shape)
+        pos += ref.size
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert pos == values.size - 1
 
 
 # ---------------------------------------------------------------------------
