@@ -454,10 +454,9 @@ def run_rp_adaptivity(mesh: MixedOrderMesh, field, fit: FitConfig,
         report = record(outer, "fit", solve_rep.status,
                         solve_rep.num_iterations)
         if derefine:
-            accepted = derefinement_pass(mesh, field, plan)
-            if accepted:
-                propagate_orders(mesh, plan.neighbor_limit)
-                apply_edge_constraints(mesh)
+            # try_derefine accepts a lowering only with the edge constraints
+            # applied and the neighbor limit held: nothing is left to propagate
+            derefinement_pass(mesh, field, plan)
             report = record(outer, "derefine")
         if all(mesh.elements[s.element].order >= plan.p_max
                for k in mesh.marked_faces for s in mesh.edges[k].sides):

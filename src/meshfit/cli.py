@@ -19,6 +19,7 @@ import csv
 import sys
 
 from .adapt import compute_face_errors, run_rp_adaptivity
+from .errors import MeshInvalidError
 from .levelset import make_levelset
 from .mesh_io import export_svg, export_vtk, generate_cartesian, read_mesh, \
     write_mesh
@@ -117,33 +118,41 @@ def main(argv=None) -> int:
         print(f"wrote {args.out_prefix}_study.csv ({len(records)} rows)")
         return 0
 
-    if args.mesh:
-        mesh = read_mesh(args.mesh)
-    elif args.generate:
-        nx, ny, p = _parse_generate(args.generate)
-        mesh = generate_cartesian(nx, ny, p, split_triangles=args.split_tri)
-    else:
-        raise SystemExit("need --mesh or --generate (or --study)")
-    field = make_levelset(args.levelset) if args.levelset else None
-
-    adaptive = args.p_init is not None or args.p_max is not None
-    if adaptive and (args.p_init is None or args.p_max is None):
-        raise SystemExit("adaptive runs need both --p-init and --p-max")
-    if adaptive and field is None:
-        raise SystemExit("adaptive runs need --levelset")
     try:
+        if args.mesh:
+            mesh = read_mesh(args.mesh)
+        elif args.generate:
+            nx, ny, p = _parse_generate(args.generate)
+            mesh = generate_cartesian(nx, ny, p,
+                                      split_triangles=args.split_tri)
+        else:
+            raise SystemExit("need --mesh or --generate (or --study)")
+        field = make_levelset(args.levelset) if args.levelset else None
+        adaptive = args.p_init is not None or args.p_max is not None
+        if adaptive and (args.p_init is None or args.p_max is None):
+            raise SystemExit("adaptive runs need both --p-init and --p-max")
+        if adaptive and field is None:
+            raise SystemExit("adaptive runs need --levelset")
         fit = fit_config(vars(args))  # argparse dests match the study keys
         plan = plan_from(dict(
             p_init=args.p_init, p_max=args.p_max, refine_step=args.dp_ref,
             max_neighbor_diff=args.dp, refine=args.refine, deref=args.deref,
             fit_tol=args.fit_tol, edge_touch_elevate=args.edge_touch_elevate)
         ) if adaptive else None
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # unreadable or malformed input
+        raise SystemExit(f"meshfit: {exc}")
+
+    try:
+        if adaptive:
+            result = run_rp_adaptivity(mesh, field, fit, plan,
+                                       boundary_fit=args.boundary_fit)
+        else:
+            mark_interface_faces(mesh, field, boundary_mode=args.boundary_fit)
+            _, report = solve_r_adaptivity(fit.problem(mesh, field))
+    except MeshInvalidError as exc:  # an inverted input mesh
         raise SystemExit(f"meshfit: {exc}")
 
     if adaptive:
-        result = run_rp_adaptivity(mesh, field, fit, plan,
-                                   boundary_fit=args.boundary_fit)
         mesh = result.mesh
         _write_history(
             f"{args.out_prefix}_history.csv",
@@ -157,8 +166,6 @@ def main(argv=None) -> int:
         print(f"adaptive run: exit '{result.exit_reason}' after "
               f"{result.outer_iterations} outer iterations")
     else:
-        mark_interface_faces(mesh, field, boundary_mode=args.boundary_fit)
-        _, report = solve_r_adaptivity(fit.problem(mesh, field))
         _write_history(
             f"{args.out_prefix}_history.csv",
             [[r.index, "%.17g" % r.objective_before,

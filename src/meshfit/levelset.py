@@ -12,8 +12,7 @@ one Newton iteration per (geometry, order) element group inverts the element
 maps for all of that group's pairs at once, and interpolation evaluates the
 basis once per group.  A point goes to the first converged candidate whose
 reference point lies inside its element; candidates are tried in ascending id
-order (after the hint, when ``Locator.locate`` is given one), so on a shared
-vertex or edge the lowest element id wins.  A point just outside the mesh
+order, so on a shared vertex or edge the lowest element id wins.  A point just outside the mesh
 snaps to the closest clamped candidate within ``Locator.SNAP_RTOL``.
 Non-finite points (nan, +-inf) have no candidates and are not found:
 ``Locator.locate`` returns ``NOT_FOUND``, and a field query raises
@@ -194,21 +193,17 @@ class Locator:
             iterations[active] += 1
         return xi, residual, iterations, converged
 
-    def _locate(self, points: np.ndarray, hint: int | None = None
-                ) -> "_Located":
+    def _locate(self, points: np.ndarray) -> "_Located":
         """Locate a batch of physical points, (npts, 2).
 
-        Among the converged candidates of a point (the hint first, then
-        ascending ids) the first one whose reference point lies inside the
+        Among the converged candidates of a point (in ascending id order)
+        the first one whose reference point lies inside the
         element within ``REF_TOL`` wins.  Otherwise the candidate whose
         clamped reference point maps closest to the point wins, if that is
         within ``SNAP_RTOL * diameter``.  Otherwise the point is not found.
         """
         npts = len(points)
         pt, el = self._candidate_pairs(points)
-        if hint is not None:
-            rank = np.lexsort((el, el != hint, pt))
-            pt, el = pt[rank], el[rank]
         pair_group = self.group_of[el]
         xi = np.empty((len(el), 2))
         residual = np.empty(len(el))
@@ -253,11 +248,10 @@ class Locator:
                     iterations[pairs], FoundFlag.BORDER)
         return out
 
-    def locate(self, point, hint: int | None = None) -> ComputationalCoords:
-        """Locate one physical point; ties go to the hint, then to the lowest
-        element id."""
+    def locate(self, point) -> ComputationalCoords:
+        """Locate one physical point; ties go to the lowest element id."""
         point = np.asarray(point, dtype=float).reshape(1, 2)
-        return self._locate(point, hint).coords(0)
+        return self._locate(point).coords(0)
 
     def locate_many(self, points) -> list[ComputationalCoords]:
         """Locate a batch of physical points with the rule of ``locate``."""
@@ -447,13 +441,6 @@ class DiscreteLevelSet:
 
     def gradients(self, points, strict: bool = True) -> np.ndarray:
         return self._interp(points, self._gradient_blocks(), strict)
-
-
-def interpolate(field, points, strict: bool = True) -> np.ndarray:
-    """Field values at physical points, in input order."""
-    if isinstance(field, DiscreteLevelSet):
-        return field.values(points, strict=strict)
-    return field.values(points)
 
 
 def make_levelset(spec: str):

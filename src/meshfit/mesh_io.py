@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import QUAD, TRI, reference_element
-from .errors import MeshFileError, MeshStructureError
+from .errors import MeshFileError
 from .mesh import MeshElement, MixedOrderMesh, element_min_dets
 
 FORMAT_NAME = "meshfit mesh"
@@ -129,11 +129,37 @@ def _expect(tokens, what, n=None):
     return tokens
 
 
+def _count(tokens, what):
+    """The count n of a "<what> <n>" block header line."""
+    _expect(tokens, what, 2)
+    if tokens[0] != what:
+        raise MeshFileError(f"expected {what} block")
+    n = int(tokens[1])
+    if n < 0:
+        raise MeshFileError(f"negative {what} count {n}")
+    return n
+
+
 def read_mesh(path, with_scalar: bool = False):
-    """Read a mesh file; returns the mesh, or (mesh, scalar blocks) if requested."""
+    """Read a mesh file; returns the mesh, or (mesh, scalar blocks) if requested.
+
+    Every malformed file raises ``MeshFileError``.
+    """
     with open(path) as f:
         raw = [ln.strip() for ln in f]
-    lines = [ln for ln in raw if ln and not ln.startswith("#")]
+    try:
+        mesh, scalar_blocks = _parse_mesh(
+            [ln for ln in raw if ln and not ln.startswith("#")])
+    except MeshFileError:
+        raise
+    except ValueError as exc:  # a non-numeric token or a structure error
+        raise MeshFileError(f"malformed mesh file: {exc}") from exc
+    return (mesh, scalar_blocks) if with_scalar else mesh
+
+
+def _parse_mesh(lines):
+    """The mesh and its scalar blocks (None without a scalar block) from the
+    content lines of a mesh file."""
     it = iter(lines)
 
     def next_line(what):
@@ -151,20 +177,16 @@ def read_mesh(path, with_scalar: bool = False):
     if dim[0] != "dimension" or dim[1] != "2":
         raise MeshFileError("only dimension 2 is supported")
 
-    tok = _expect(next_line("vertices").split(), "vertices", 2)
-    if tok[0] != "vertices":
-        raise MeshFileError("expected vertices block")
-    nv = int(tok[1])
+    nv = _count(next_line("vertices").split(), "vertices")
     vertices = np.empty((nv, 2))
     for i in range(nv):
         parts = _expect(next_line("vertex").split(), "vertex", 2)
         vertices[i] = [float(parts[0]), float(parts[1])]
+    if not np.isfinite(vertices).all():
+        raise MeshFileError("non-finite vertex coordinate")
     _reject_duplicate_vertices(vertices)
 
-    tok = _expect(next_line("elements").split(), "elements", 2)
-    if tok[0] != "elements":
-        raise MeshFileError("expected elements block")
-    ne = int(tok[1])
+    ne = _count(next_line("elements").split(), "elements")
     headers = []
     for _ in range(ne):
         parts = next_line("element").split()
@@ -191,13 +213,12 @@ def read_mesh(path, with_scalar: bool = False):
             raise MeshFileError(
                 f"node block has {len(parts)} values, expected {2 * ref.num_nodes}")
         coords = np.array([float(x) for x in parts]).reshape(-1, 2).T.copy()
+        if not np.isfinite(coords).all():
+            raise MeshFileError("non-finite node coordinate")
         elements.append(MeshElement(geometry, verts, order, coords, attribute))
 
-    try:
-        mesh = MixedOrderMesh(vertices, elements)
-        mesh.edges  # the edge table checks sharing and orientation
-    except MeshStructureError as exc:
-        raise MeshFileError(str(exc)) from exc
+    mesh = MixedOrderMesh(vertices, elements)
+    mesh.edges  # the edge table checks sharing and orientation
     for e, el in enumerate(mesh.elements):
         ref = reference_element(el.geometry, el.order)
         stored = el.coords[:, ref.corners].T
@@ -205,15 +226,9 @@ def read_mesh(path, with_scalar: bool = False):
             raise MeshFileError(
                 f"element {e} corner nodes disagree with the shared vertex table")
 
-    tok = _expect(next_line("marked_faces").split(), "marked_faces", 2)
-    if tok[0] != "marked_faces":
-        raise MeshFileError("expected marked_faces block")
-    for _ in range(int(tok[1])):
+    for _ in range(_count(next_line("marked_faces").split(), "marked_faces")):
         a, b = (int(x) for x in _expect(next_line("face").split(), "face", 2))
-        try:
-            mesh.marked_faces.add(mesh.edge_id(a, b))
-        except MeshStructureError as exc:
-            raise MeshFileError(str(exc)) from exc
+        mesh.marked_faces.add(mesh.edge_id(a, b))
 
     scalar_blocks = None
     remaining = list(it)
@@ -231,9 +246,7 @@ def read_mesh(path, with_scalar: bool = False):
                 raise MeshFileError(
                     f"scalar block row has {len(parts)} values, expected {ref.num_nodes}")
             scalar_blocks.append(np.array([float(x) for x in parts]))
-    if with_scalar:
-        return mesh, scalar_blocks
-    return mesh
+    return mesh, scalar_blocks
 
 
 def _reject_duplicate_vertices(vertices: np.ndarray, tol: float = 1e-14):

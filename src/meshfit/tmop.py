@@ -294,9 +294,9 @@ class _Assembly:
         mesh = problem.mesh
         self.dm = mesh.dof_map()
         self.expand = self.dm.expand
-        self.marked = self.dm.marked_node_ids(mesh)
-        # the level set, or None when there is nothing to fit
-        self.field = problem.field if self.marked.size else None
+        self.field = problem.field
+        self.marked = np.zeros(0, dtype=int) if problem.field is None \
+            else self.dm.marked_node_ids(mesh)
         self.groups = []
         for (geometry, order), ids in mesh.groups().items():
             tables, K, detW = _target_tables(geometry, order, problem.target)
@@ -315,14 +315,15 @@ class _Assembly:
         x_all = self.expand @ t
         return min_det_of((g["key"], x_all[g["gather"]]) for g in self.groups)
 
-    def sigma(self, t: np.ndarray):
-        """Level-set values at the marked nodes; None when nothing is fitted."""
-        return None if self.field is None else self.field.values(t[self.marked])
+    def sigma(self, t: np.ndarray) -> np.ndarray:
+        """Level-set values at the marked nodes, shape (marked,)."""
+        return self.field.values(t[self.marked]) if self.marked.size \
+            else np.zeros(0)
 
-    def sigma_gradients(self, t: np.ndarray):
-        """Level-set gradients at the marked nodes; None when nothing is fitted."""
-        return None if self.field is None \
-            else self.field.gradients(t[self.marked])
+    def sigma_gradients(self, t: np.ndarray) -> np.ndarray:
+        """Level-set gradients at the marked nodes, shape (marked, 2)."""
+        return self.field.gradients(t[self.marked]) if self.marked.size \
+            else np.zeros((0, 2))
 
 
 def _element_pass(asm: _Assembly, metric: QualityMetric, t: np.ndarray):
@@ -355,17 +356,15 @@ def _quality_gradient(asm: _Assembly, state) -> np.ndarray:
     return asm.expand.T @ g_all
 
 
-def _total(fq: float, sigma, fit_weight: float) -> float:
+def _total(fq: float, sigma: np.ndarray, fit_weight: float) -> float:
     """Objective from its quality part and the marked-node level-set values."""
-    return fq if sigma is None else fq + fit_weight * float(sigma @ sigma)
+    return fq + fit_weight * float(sigma @ sigma)
 
 
-def _total_gradient(asm: _Assembly, gq: np.ndarray, sigma, dsigma,
-                    fit_weight: float) -> np.ndarray:
+def _total_gradient(asm: _Assembly, gq: np.ndarray, sigma: np.ndarray,
+                    dsigma: np.ndarray, fit_weight: float) -> np.ndarray:
     """Gradient from its quality part and the marked-node level-set values
     and gradients."""
-    if sigma is None:
-        return gq
     g = gq.copy()
     g[asm.marked] += 2.0 * fit_weight * sigma[:, None] * dsigma
     return g
@@ -434,41 +433,34 @@ def boundary_freedom(mesh: MixedOrderMesh, mode: str = "slide"):
     return kinds, tangents
 
 
-def _projector_blocks(kinds: np.ndarray, tangents: np.ndarray) -> np.ndarray:
-    """Per-node 2x2 motion projectors: I for a free node, t t^T for a node
-    sliding along tangent t, 0 for a fixed node."""
-    blocks = np.zeros((len(kinds), 2, 2))
-    blocks[kinds == 0] = np.eye(2)
-    line = kinds == 1
-    blocks[line] = tangents[line, :, None] * tangents[line, None, :]
-    return blocks
-
-
-def project_motion(vec: np.ndarray, kinds: np.ndarray,
-                   tangents: np.ndarray) -> np.ndarray:
-    """Project per-node motions onto the allowed movement subspaces."""
-    return np.einsum("nab,nb->na", _projector_blocks(kinds, tangents), vec)
-
-
-def _projector_matrices(kinds: np.ndarray, tangents: np.ndarray):
-    """Sparse projector P and complement C = I - P on interleaved coordinates."""
-    n = len(kinds)
-    P = sp.bsr_matrix((_projector_blocks(kinds, tangents), np.arange(n),
-                       np.arange(n + 1)), shape=(2 * n, 2 * n)).tocsr()
-    return P, sp.identity(2 * n, format="csr") - P
+def _motion_basis(kinds: np.ndarray, tangents: np.ndarray) -> sp.csr_matrix:
+    """Orthonormal basis Z of the allowed node motions on interleaved
+    coordinates, from the output of ``boundary_freedom``: two unit columns
+    per free node, its tangent per sliding node and none per fixed node,
+    in node order.  Z^T Z = I, and Z Z^T projects onto the allowed motions."""
+    first = np.cumsum(2 - kinds) - (2 - kinds)
+    free, line = np.flatnonzero(kinds == 0), np.flatnonzero(kinds == 1)
+    rows = np.concatenate([2 * free, 2 * free + 1, 2 * line, 2 * line + 1])
+    cols = np.concatenate([first[free], first[free] + 1, first[line],
+                           first[line]])
+    vals = np.concatenate([np.ones(2 * free.size), tangents[line].T.ravel()])
+    Z = sp.csr_matrix((vals, (rows, cols)),
+                      shape=(2 * len(kinds), 2 * free.size + line.size))
+    Z.eliminate_zeros()
+    return Z
 
 
 # ---------------------------------------------------------------------------
 # Gauss-Newton model Hessian
 
 def _hessian_values(asm: _Assembly, state, fit_weight: float,
-                    dsigma=None) -> np.ndarray:
+                    dsigma: np.ndarray) -> np.ndarray:
     """Values of the model of d2F/dx2, laid out for ``_NewtonPattern``.
 
     The vector holds, in order: each group's element blocks, element by
     element, each in (a, b, i, j) order (row: node i, component a; column:
-    node j, component b); the 2x2 Gauss-Newton block of each marked node;
-    and a trailing 1 for the constant part of the Newton matrix.
+    node j, component b); then the 2x2 Gauss-Newton block of each marked
+    node.
 
     The quality term is exact, from the ``_element_pass`` state.  In 2D
     d2(mu)/dT_ac dT_bd = c_id delta_ab delta_cd + c_sym (T_ac adj_bd +
@@ -477,8 +469,8 @@ def _hessian_values(asm: _Assembly, state, fit_weight: float,
     (2 mu_f, 2 mu_ftau, mu_tautau, mu_tau).  Weighted by quadrature, it
     fills N[e, a, b, q, c, d], and a group's blocks are the one GEMM N @ KK.
     The fitting term adds 2 w (grad sigma)(grad sigma)^T per marked node
-    from the level-set gradients ``dsigma``, exact for affine fields;
-    without them these blocks are 0.  Indefiniteness of the quality part is
+    from the level-set gradients ``dsigma``, exact for affine fields.
+    Indefiniteness of the quality part is
     handled by the solver's damping, not here.
     """
     values = []
@@ -507,12 +499,8 @@ def _hessian_values(asm: _Assembly, state, fit_weight: float,
                 N[:, a, b, :, c, d] = v
                 N[:, b, a, :, d, c] = v
         values.append((N.reshape(4 * n_el, 4 * nq) @ g["KK"]).ravel())
-    if dsigma is None:
-        values.append(np.zeros(4 * asm.marked.size))
-    else:
-        values.append(((2.0 * fit_weight)
-                       * (dsigma[:, :, None] * dsigma[:, None, :])).ravel())
-    values.append(np.ones(1))
+    values.append(((2.0 * fit_weight)
+                   * (dsigma[:, :, None] * dsigma[:, None, :])).ravel())
     return np.concatenate(values)
 
 
@@ -537,23 +525,23 @@ def _product_terms(Q: sp.csr_matrix, rows_a: np.ndarray, rows_b: np.ndarray):
 
 
 class _NewtonPattern:
-    """Fixed sparsity pattern of the Newton matrix P H P + C of one solve.
+    """Fixed sparsity pattern of the Newton matrix Z^T H Z of one solve.
 
     H = E2^T B E2 + GN, where B holds the element blocks on local
     coordinates, E2 expands independent coordinates to them (trace
     interpolation included) and GN holds the marked-node Gauss-Newton
-    blocks; P projects onto the allowed motions and C = I - P.  None of
-    E2, P, C or the marked nodes changes during a solve, so the CSC data of
-    P H P + C is one sparse linear map ``S`` of the ``_hessian_values``
-    vector.  ``diag`` holds the slot of each diagonal entry, all of which
-    are stored.
+    blocks; Z is the ``_motion_basis`` of the allowed node motions.  None
+    of E2, Z or the marked nodes changes during a solve, so the CSC data of
+    Z^T H Z is one sparse linear map ``S`` of the ``_hessian_values``
+    vector.  ``diag`` holds the slot of each diagonal entry; all of them are
+    stored, because every allowed coordinate moves some element's nodes.
     """
 
-    def __init__(self, asm: _Assembly, P: sp.csr_matrix, C: sp.csr_matrix):
-        n = P.shape[0]
-        # rows of E2 P (element blocks) stacked over rows of P (marked nodes)
+    def __init__(self, asm: _Assembly, Z: sp.csr_matrix):
+        n = Z.shape[1]
+        # rows of E2 Z (element blocks) stacked over rows of Z (marked nodes)
         E2 = sp.kron(asm.expand, sp.eye(2), format="csr")
-        Q = sp.vstack([E2 @ P, P], format="csr")
+        Q = sp.vstack([E2 @ Z, Z], format="csr")
         Q.eliminate_zeros()
         rows_a, rows_b = [], []
         for g in asm.groups:
@@ -569,13 +557,6 @@ class _NewtonPattern:
         num_values = sum(r.size for r in rows_a)
         k, keys, w = _product_terms(Q, np.concatenate(rows_a),
                                     np.concatenate(rows_b))
-        # the constant column: C, with its whole diagonal stored
-        C = C.tocoo()
-        off = C.row != C.col
-        diag = np.arange(n) * (n + 1)
-        keys = np.concatenate([keys, C.col[off] * n + C.row[off], diag])
-        k = np.concatenate([k, np.full(off.sum() + n, num_values)])
-        w = np.concatenate([w, C.data[off], C.diagonal()])
         # sorting the terms by key makes them the rows of S in CSR order;
         # a (slot, value) pair occurs at most once
         order = np.argsort(keys, kind="stable")
@@ -585,12 +566,12 @@ class _NewtonPattern:
         self.shape = (n, n)
         self.indices = slots % n
         self.indptr = np.searchsorted(slots // n, np.arange(n + 1))
-        self.diag = np.searchsorted(slots, diag)
+        self.diag = np.searchsorted(slots, np.arange(n) * (n + 1))
         self.S = sp.csr_matrix((w[order], k[order], np.r_[starts, keys.size]),
-                               shape=(slots.size, num_values + 1))
+                               shape=(slots.size, num_values))
 
     def assemble(self, values: np.ndarray) -> np.ndarray:
-        """CSC data of P H P + C from ``_hessian_values`` output."""
+        """CSC data of Z^T H Z from ``_hessian_values`` output."""
         return self.S @ values
 
     def matrix(self, data: np.ndarray) -> sp.csc_matrix:
@@ -649,14 +630,19 @@ def solve_r_adaptivity(problem: TmopProblem):
 
     Runs a damped Gauss-Newton descent with a halving line search.  Steps are
     accepted only when they decrease the objective and keep every element's
-    Jacobian determinant positive on the sample set.  The Newton matrix
-    P H P + C has one sparsity pattern per solve (``_NewtonPattern``): each
-    iteration fills it with one sparse matrix-vector product, damping adds
-    a multiple of its floored diagonal on a copy of its values, and SuperLU
-    factors it in symmetric mode with an MMD ordering on A^T + A.  The fit
-    weight follows a fixed schedule: when the worst marked-node residual
-    falls by less than a factor 1.1 in an iteration, the weight is
-    multiplied by 10, up to 1e10.
+    Jacobian determinant positive on the sample set.  Each step is solved in
+    the coordinates of the allowed node motions: interior nodes move freely,
+    domain-boundary nodes slide along their boundary line and corners stay
+    put.  With Z the orthonormal ``_motion_basis`` of these motions, the
+    reduced gradient is g_z = Z^T g, the damped system is (Z^T H Z + lam D)
+    dz = -g_z with D the floored diagonal of Z^T H Z, and the step is
+    d = Z dz.  The Newton matrix Z^T H Z has one sparsity pattern per solve
+    (``_NewtonPattern``): each iteration fills it with one sparse
+    matrix-vector product, damping adds to its diagonal on a copy of its
+    values, and SuperLU factors it in symmetric mode with an MMD ordering on
+    A^T + A.  The fit weight follows a fixed schedule: when the worst
+    marked-node residual falls by less than a factor 1.1 in an iteration,
+    the weight is multiplied by 10, up to 1e10.
     ``problem.controls`` sets only the iteration cap and the fit tolerance.
 
     Returns
@@ -671,10 +657,10 @@ def solve_r_adaptivity(problem: TmopProblem):
     apply_edge_constraints(mesh)
     require_valid(mesh, "solve_r_adaptivity")
     asm = _Assembly(problem)
-    kinds, tangents = boundary_freedom(mesh, problem.boundary)
-    P, C = _projector_matrices(kinds, tangents)
+    Z = _motion_basis(*boundary_freedom(mesh, problem.boundary))
     t = asm.dm.extract(mesh)
     w = float(problem.fit_weight)
+    fitting = asm.marked.size > 0
     report = SolveReport()
 
     def evaluate(tv):
@@ -687,17 +673,20 @@ def solve_r_adaptivity(problem: TmopProblem):
         sigma = asm.sigma(tv)
         return _total(fq, sigma, w), fq, sigma, state
 
-    def projected_gradient():
-        """Projected total gradient from the terms stored for the iterate."""
-        return project_motion(_total_gradient(asm, gq, sigma, dsigma, w),
-                              kinds, tangents)
+    def worst(sigma):
+        """Worst marked-node residual; None when nothing is fitted."""
+        return float(np.abs(sigma).max()) if fitting else None
+
+    def reduced_gradient():
+        """Total gradient in motion coordinates, from the terms stored for
+        the iterate."""
+        return Z.T @ _total_gradient(asm, gq, sigma, dsigma, w).ravel()
 
     F, fq, sigma, state = evaluate(t)
     md = None  # min det of the last accepted trial
-    smax = None if sigma is None else float(np.abs(sigma).max())
+    smax = worst(sigma)
     report.initial_objective = F
     report.initial_sigma_max = smax
-    fitting = sigma is not None
 
     def finish(status, reason):
         report.status = status
@@ -713,12 +702,12 @@ def solve_r_adaptivity(problem: TmopProblem):
         return finish("converged", "marked nodes already on the isocontour")
     gq = _quality_gradient(asm, state)
     dsigma = asm.sigma_gradients(t)
-    gp = projected_gradient()
-    gnorm0 = float(np.linalg.norm(gp))
+    gz = reduced_gradient()
+    gnorm0 = float(np.linalg.norm(gz))
     if gnorm0 <= controls.grad_atol:
         return finish("converged", "gradient already negligible")
 
-    newton = _NewtonPattern(asm, P, C)
+    newton = _NewtonPattern(asm, Z)
     lam = controls.initial_damping
     smax_prev = smax
     # cap the initial trial displacement at a fraction of the smallest
@@ -729,7 +718,6 @@ def solve_r_adaptivity(problem: TmopProblem):
         data = newton.assemble(_hessian_values(asm, state, w, dsigma))
         diag = data[newton.diag]
         dfloor = np.maximum(diag, 1e-12 * diag.max() + 1e-300)
-        gflat = gp.ravel()
 
         direction = "newton"
         d = None
@@ -740,18 +728,17 @@ def solve_r_adaptivity(problem: TmopProblem):
                 lu = spla.splu(newton.damped(data, lam_try * dfloor),
                                permc_spec="MMD_AT_PLUS_A",
                                options={"SymmetricMode": True})
-                cand = lu.solve(-gflat)
+                dz = lu.solve(-gz)
             except RuntimeError:  # exactly singular
-                cand = None
-            if cand is not None and np.all(np.isfinite(cand)) \
-                    and cand @ gflat < 0.0:
-                d = project_motion(cand.reshape(-1, 2), kinds, tangents)
+                dz = None
+            if dz is not None and np.all(np.isfinite(dz)) and dz @ gz < 0.0:
+                d = (Z @ dz).reshape(-1, 2)
                 break
             report.damping_retries += 1
             lam_try *= 16.0
         if d is None:
             direction = "steepest"
-            d = -gp
+            d = -(Z @ gz).reshape(-1, 2)
         lam = lam_try
 
         def line_search(dvec, start_step):
@@ -774,10 +761,10 @@ def solve_r_adaptivity(problem: TmopProblem):
         found = line_search(d, start)
         if found is None and direction == "newton":
             direction = "steepest"
-            d = -gp
-            Hg = (newton.matrix(data) @ d.ravel()) @ d.ravel()
+            d = -(Z @ gz).reshape(-1, 2)
+            Hg = gz @ (newton.matrix(data) @ gz)
             dmax = max(float(np.abs(d).max()), 1e-300)
-            scale = (d.ravel() @ d.ravel()) / Hg if Hg > 0.0 else \
+            scale = (gz @ gz) / Hg if Hg > 0.0 else \
                 0.1 * mesh.diameter() / dmax
             found = line_search(d, min(scale, step_cap / dmax))
             lam *= 16.0
@@ -786,12 +773,12 @@ def solve_r_adaptivity(problem: TmopProblem):
 
         F_before = F
         t, (F, fq, sigma, state), alpha, bt, md = found
-        smax = None if sigma is None else float(np.abs(sigma).max())
+        smax = worst(sigma)
         lam = max(lam * 0.25, 1e-10)
         gq = _quality_gradient(asm, state)
         dsigma = asm.sigma_gradients(t)
-        gp = projected_gradient()
-        gnorm = float(np.linalg.norm(gp))
+        gz = reduced_gradient()
+        gnorm = float(np.linalg.norm(gz))
         report.iterations.append(IterationRecord(
             index=it, objective_before=F_before, objective_after=F,
             fit_weight=w, sigma_max=smax, step_size=alpha, grad_norm=gnorm,
@@ -805,7 +792,7 @@ def solve_r_adaptivity(problem: TmopProblem):
                 smax_prev / max(smax, 1e-300) < controls.weight_trigger:
             w = min(w * controls.weight_growth, controls.weight_cap)
             F = _total(fq, sigma, w)
-            gp = projected_gradient()
+            gz = reduced_gradient()
         smax_prev = smax
 
     return finish("max_iterations",

@@ -353,6 +353,35 @@ def test_fixpoint_exit_restores_the_derefined_mesh(derefining_squircle_run):
     assert meshes_identical(res.mesh, at_record[i])
 
 
+@pytest.mark.parametrize("limit", [None, 1], ids=["deref", "limited_deref"])
+def test_derefinement_pass_leaves_orders_and_constraints_settled(limit):
+    # propagation and constraint re-application after an accepting pass
+    # would change nothing
+    squircle = ANALYTIC_LEVELSETS["squircle2d"]()
+    plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2,
+                          refine_kind="absolute", refine_threshold=1e-14,
+                          deref_kind="size", deref_threshold=1e-5,
+                          max_neighbor_diff=limit, fit_tol=1e-7)
+    passes = []
+
+    def checked(mesh, field, plan):
+        accepted = derefinement_pass(mesh, field, plan)
+        coords = [el.coords.copy() for el in mesh.elements]
+        raised = propagate_orders(mesh, plan.neighbor_limit)
+        apply_edge_constraints(mesh)
+        unchanged = all(np.array_equal(c, el.coords)
+                        for c, el in zip(coords, mesh.elements))
+        passes.append((len(accepted), raised, unchanged))
+        return accepted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adapt, "derefinement_pass", checked)
+        run_rp_adaptivity(generate_cartesian(8, 8, 1), squircle,
+                          FitConfig(metric=QualityMetric("mu2")), plan)
+    assert any(n > 0 for n, _, _ in passes)
+    assert all(raised == set() and unchanged for _, raised, unchanged in passes)
+
+
 def test_driver_respects_neighbor_limit():
     circle = ANALYTIC_LEVELSETS["circle"]()
     m = generate_cartesian(4, 4, 1)

@@ -205,6 +205,32 @@ def test_reader_rejects_bad_scalar(tmp_path):
     _expect_reject(tmp_path, lines, match="scalar")
 
 
+ONE_QUAD = ["meshfit mesh 1", "dimension 2", "vertices 4", "0 0", "1 0", "0 1",
+            "1 1", "elements 1", "quad 1 1 0 1 3 2", "nodes",
+            "0 0 1 0 0 1 1 1", "marked_faces 0"]
+
+
+@pytest.mark.parametrize("edits, match", [
+    ({0: "meshfit mesh one"}, "malformed mesh file"),
+    ({2: "vertices four"}, "malformed mesh file"),
+    ({3: "zero 0"}, "malformed mesh file"),
+    ({8: "quad x 1 0 1 3 2"}, "malformed mesh file"),
+    ({10: "q 0 1 0 0 1 1 1"}, "malformed mesh file"),
+    ({11: "marked_faces z"}, "malformed mesh file"),
+    ({2: "vertices -1"}, "negative vertices count"),
+    ({3: "inf 0", 10: "inf 0 1 0 0 1 1 1"}, "non-finite"),
+], ids=["version", "count", "coordinate", "attribute", "node", "faces",
+        "negative-count", "inf-vertex"])
+def test_reader_rejects_malformed_numbers(tmp_path, edits, match):
+    path = tmp_path / "one.mesh"
+    path.write_text("\n".join(ONE_QUAD) + "\n")
+    read_mesh(path)  # the unedited file is valid
+    lines = list(ONE_QUAD)
+    for i, line in edits.items():
+        lines[i] = line
+    _expect_reject(tmp_path, lines, match=match)
+
+
 def test_reader_ignores_comments_and_blanks(tmp_path):
     lines = _good_lines(tmp_path)
     decorated = ["# produced by hand", ""]
@@ -460,3 +486,21 @@ def test_cli_argument_errors(tmp_path):
                   "--fit-weight", "-1", "--out-prefix", str(tmp_path / "x")])
     with pytest.raises(SystemExit):  # argparse rejects the metric choice
         _run_cli(["--generate", "2,2,1", "--metric", "9"])
+    # bad input files and specs end in one message, not a traceback
+    malformed = tmp_path / "malformed.mesh"
+    malformed.write_text("meshfit mesh 1\ndimension 2\nvertices four\n")
+    inverted = tmp_path / "inverted.mesh"
+    m = generate_cartesian(2, 2, 1)
+    dm = m.dof_map()
+    t = dm.extract(m)
+    t[np.all(t == 0.5, axis=1)] = [1.5, 0.5]  # folds the left elements
+    dm.scatter(m, t)
+    assert m.min_det() < 0.0
+    write_mesh(m, inverted)
+    for args in (["--mesh", str(malformed)],
+                 ["--mesh", str(tmp_path / "missing.mesh")],
+                 ["--generate", "2,2,1", "--levelset", "name:foo"],
+                 ["--generate", "2,2,1", "--levelset", f"file:{malformed}"],
+                 ["--mesh", str(inverted)]):
+        with pytest.raises(SystemExit, match="^meshfit: "):
+            _run_cli(args + ["--out-prefix", str(tmp_path / "x")])

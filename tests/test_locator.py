@@ -6,7 +6,7 @@ from meshfit import (DiscreteLevelSet, FitConfig, Locator, generate_cartesian,
                      write_mesh)
 from meshfit.basis import reference_element
 from meshfit.errors import PointLocationError
-from meshfit.levelset import ANALYTIC_LEVELSETS, FoundFlag, interpolate
+from meshfit.levelset import ANALYTIC_LEVELSETS, FoundFlag
 
 from conftest import perturbed_mesh, random_order_mesh
 
@@ -54,16 +54,6 @@ def test_locate_outside_returns_not_found():
     res = loc.locate(np.array([1.7, 0.5]))
     assert res.flag is FoundFlag.NOT_FOUND
     assert not res.found
-
-
-def test_locate_with_hint():
-    mesh = generate_cartesian(4, 4, 1)
-    loc = Locator(mesh)
-    x = np.array([0.55, 0.55])
-    res = loc.locate(x, hint=0)
-    assert res.found
-    back = mesh.eval_map(res.element, res.ref[None, :])[0]
-    assert np.allclose(back, x, atol=1e-12)
 
 
 def test_located_points_map_back(located_mesh, rng):
@@ -131,7 +121,7 @@ def test_non_finite_points_are_not_found(bad):
     assert loc.candidates([bad, 0.5]) == []
     res = loc.locate([bad, 0.5])
     assert res.flag is FoundFlag.NOT_FOUND
-    assert loc.locate([0.5, bad], hint=0).flag is FoundFlag.NOT_FOUND
+    assert loc.locate([0.5, bad]).flag is FoundFlag.NOT_FOUND
     field = DiscreteLevelSet.sample(bg, lambda pts: pts[:, 0])
     pts = np.array([[bad, 0.5], [0.25, 0.5]])
     with pytest.raises(PointLocationError):
@@ -211,7 +201,7 @@ def test_interpolate_strict_raises_outside():
     bg = generate_cartesian(2, 2, 1)
     field = DiscreteLevelSet.sample(bg, lambda pts: pts[:, 0])
     with pytest.raises(PointLocationError):
-        interpolate(field, np.array([[3.0, 3.0]]))
+        field.values(np.array([[3.0, 3.0]]))
     relaxed = field.values(np.array([[3.0, 3.0], [0.5, 0.5]]), strict=False)
     assert np.isnan(relaxed[0])  # unlocatable points are NaN, not an error
     assert np.isclose(relaxed[1], 0.5, atol=1e-12)

@@ -9,9 +9,8 @@ from meshfit import (FitConfig, MeshInvalidError, QualityMetric,
 from meshfit.mesh import map_jacobians, require_valid
 from meshfit.levelset import ANALYTIC_LEVELSETS
 from meshfit.tmop import (IDEAL_TRIANGLE_TARGET, _Assembly, _element_pass,
-                          _hessian_values, _NewtonPattern,
-                          _projector_matrices, adj2, boundary_freedom,
-                          project_motion)
+                          _hessian_values, _motion_basis, _NewtonPattern,
+                          adj2, boundary_freedom)
 
 from conftest import meshes_identical, perturbed_mesh, random_order_mesh
 
@@ -196,13 +195,11 @@ def test_quality_hessian_matches_fd(rng, metric, field, fit_weight, mesh):
                      fit_weight=fit_weight).problem(m, field)
     asm = _Assembly(prob)
     t = m.dof_map().extract(m)
-    dsigma = None if field is None else asm.sigma_gradients(t)
-    # the matrix the solver factors; with a free boundary P = I and C = 0
-    P, C = _projector_matrices(*boundary_freedom(m, "free"))
-    newton = _NewtonPattern(asm, P, C)
+    # the matrix the solver factors; with a free boundary Z = I
+    newton = _NewtonPattern(asm, _motion_basis(*boundary_freedom(m, "free")))
     H = newton.matrix(newton.assemble(_hessian_values(
         asm, _element_pass(asm, prob.metric, t)[1], fit_weight,
-        dsigma))).toarray()
+        asm.sigma_gradients(t)))).toarray()
     assert np.abs(H - H.T).max() < 1e-10
     # mu77 entries reach about 1e4 on this mesh, so the bound scales with H
     tol = 2e-9 * np.abs(H).max()
@@ -238,14 +235,14 @@ def test_newton_pattern_matches_dense_assembly(rng):
     kinds, tangents = boundary_freedom(m, "slide")
     oblique = (kinds == 1) & (np.abs(tangents).min(axis=1) > 0.1)
     assert oblique.any() and (kinds == 2).any()
-    P, C = _projector_matrices(kinds, tangents)
-    newton = _NewtonPattern(asm, P, C)
+    Z = _motion_basis(kinds, tangents)
+    newton = _NewtonPattern(asm, Z)
     values = _hessian_values(asm, _element_pass(asm, prob.metric, t)[1],
                              prob.fit_weight, asm.sigma_gradients(t))
     data = newton.assemble(values)
     Hp = newton.matrix(data).toarray()
 
-    # dense reference P (E2^T B E2 + GN) P + C from the same values
+    # dense reference Z^T (E2^T B E2 + GN) Z from the same values
     n_local = 2 * dm.total_local
     B = np.zeros((n_local, n_local))
     pos = 0
@@ -258,18 +255,18 @@ def test_newton_pattern_matches_dense_assembly(rng):
                 values[pos:pos + size * size].reshape(2, 2, nn, nn) \
                 .transpose(2, 0, 3, 1).reshape(size, size)
             pos += size * size
-    GN = np.zeros(P.shape)
+    GN = np.zeros((2 * len(kinds), 2 * len(kinds)))
     for node in asm.marked:
         GN[2 * node:2 * node + 2, 2 * node:2 * node + 2] = \
             values[pos:pos + 4].reshape(2, 2)
         pos += 4
-    assert pos == values.size - 1 and values[-1] == 1.0
-    E2, Pd = np.kron(asm.expand.toarray(), np.eye(2)), P.toarray()
-    ref = Pd @ (E2.T @ B @ E2 + GN) @ Pd + C.toarray()
+    assert pos == values.size
+    E2, Zd = np.kron(asm.expand.toarray(), np.eye(2)), Z.toarray()
+    ref = Zd.T @ (E2.T @ B @ E2 + GN) @ Zd
     assert np.abs(Hp - ref).max() <= 1e-13 * np.abs(ref).max()
 
     # damping shifts the diagonal only, on a copy of the values
-    shift = 1e-3 * rng.uniform(0.5, 1.0, P.shape[0])
+    shift = 1e-3 * rng.uniform(0.5, 1.0, Z.shape[1])
     damped = newton.damped(data, shift).toarray()
     assert np.array_equal(damped, Hp + np.diag(shift))
     assert np.array_equal(newton.matrix(data).toarray(), Hp)
@@ -318,7 +315,8 @@ def test_element_hessian_gemm_matches_tk_dk_reference(metric, order, split):
     prob = FitConfig(metric=QualityMetric(metric, gamma=0.3)).problem(m)
     asm = _Assembly(prob)
     t = m.dof_map().extract(m)
-    values = _hessian_values(asm, _element_pass(asm, prob.metric, t)[1], 0.0)
+    values = _hessian_values(asm, _element_pass(asm, prob.metric, t)[1], 0.0,
+                             asm.sigma_gradients(t))
     pos = 0
     for g, ref in zip(asm.groups, _tk_dk_element_blocks(asm, prob.metric, t)):
         n_el, size = ref.shape[:2]
@@ -328,7 +326,7 @@ def test_element_hessian_gemm_matches_tk_dk_reference(metric, order, split):
             .transpose(0, 3, 1, 4, 2).reshape(ref.shape)
         pos += ref.size
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert pos == values.size - 1
+    assert pos == values.size
 
 
 # ---------------------------------------------------------------------------
@@ -351,38 +349,66 @@ def test_boundary_freedom_classification():
     assert np.allclose(norms, 1.0, atol=1e-14)
 
 
-def test_project_motion():
+def test_boundary_freedom_fixed_and_free_modes():
     m = generate_cartesian(2, 2, 1)
-    kinds, tangents = boundary_freedom(m, "slide")
-    g = np.ones((m.num_position_dofs, 2))
-    pg = project_motion(g.copy(), kinds, tangents)
-    assert np.allclose(pg[kinds == 2], 0.0)
-    for i in np.where(kinds == 1)[0]:
-        # sliding nodes keep only the tangential component
-        cross = pg[i, 0] * tangents[i, 1] - pg[i, 1] * tangents[i, 0]
-        assert np.isclose(cross, 0.0, atol=1e-14)
-    assert np.allclose(pg[kinds == 0], 1.0)
+    kinds, _ = boundary_freedom(m, "slide")
     kinds_f, _ = boundary_freedom(m, "fixed")
-    assert np.all(kinds_f[kinds > 0] == 2)
+    assert np.all(kinds_f[kinds > 0] == 2) and np.all(kinds_f[kinds == 0] == 0)
     kinds_free, _ = boundary_freedom(m, "free")
     assert np.all(kinds_free == 0)
 
 
-def test_projector_matrices_match_project_motion(rng):
-    # shear the mesh so that the boundary tangents are not axis-aligned
-    m = generate_cartesian(3, 3, 1)
+def _sheared_cartesian(n, order, shear=0.3):
+    m = generate_cartesian(n, n, order)
     dm = m.dof_map()
     t = dm.extract(m)
-    t[:, 0] += 0.3 * t[:, 1]
+    t[:, 0] += shear * t[:, 1]
     dm.scatter(m, t)
+    return m
+
+
+def test_motion_basis_spans_the_allowed_motions():
+    # the shear makes the tangents of the left and right sides oblique
+    kinds, tangents = boundary_freedom(_sheared_cartesian(3, 2), "slide")
+    oblique = (kinds == 1) & (np.abs(tangents).min(axis=1) > 0.1)
+    assert oblique.any() and (kinds == 2).any() and (kinds == 0).any()
+    Z = _motion_basis(kinds, tangents).toarray()
+    assert Z.shape == (2 * len(kinds), int(np.sum(2 - kinds)))
+    assert np.allclose(Z.T @ Z, np.eye(Z.shape[1]), rtol=0.0, atol=1e-15)
+    # Z Z^T is block diagonal: I per free node, t t^T per sliding node and
+    # 0 per fixed node
+    blocks = np.zeros((len(kinds), 2, 2))
+    blocks[kinds == 0] = np.eye(2)
+    line = kinds == 1
+    blocks[line] = tangents[line, :, None] * tangents[line, None, :]
+    n = len(kinds)
+    expected = np.zeros((2 * n, 2 * n))
+    for node in range(n):
+        expected[2 * node:2 * node + 2, 2 * node:2 * node + 2] = blocks[node]
+    assert np.allclose(Z @ Z.T, expected, rtol=0.0, atol=1e-15)
+
+
+def test_slide_solve_keeps_boundary_nodes_on_their_lines():
+    m = _sheared_cartesian(4, 2, shear=0.4)
+    circle = ANALYTIC_LEVELSETS["circle"]()
+    mark_interface_faces(m, circle)
+    dm = m.dof_map()
+    t0 = dm.extract(m)
     kinds, tangents = boundary_freedom(m, "slide")
-    assert (kinds == 1).any() and (kinds == 2).any()
-    P, C = _projector_matrices(kinds, tangents)
-    v = rng.normal(size=t.shape)
-    assert np.allclose(project_motion(v, kinds, tangents),
-                       (P @ v.ravel()).reshape(-1, 2), rtol=0.0, atol=1e-15)
-    assert np.allclose((P @ P).toarray(), P.toarray(), rtol=0.0, atol=1e-15)
-    assert np.array_equal((P + C).toarray(), np.eye(2 * len(kinds)))
+    assert ((kinds == 1) & (np.abs(tangents).min(axis=1) > 0.1)).any()
+    fit = FitConfig(metric=QualityMetric("mu2"),
+                    controls=SolverControls(fit_tol=1e-7))
+    _, report = solve_r_adaptivity(fit.problem(m, circle))
+    assert report.num_iterations > 0
+    t1 = dm.extract(m)
+    moved = t1 - t0
+    line = kinds == 1
+    assert np.abs(moved[line]).max() > 1e-6
+    # no motion across the boundary line of a sliding node
+    normal = moved[line, 0] * tangents[line, 1] \
+        - moved[line, 1] * tangents[line, 0]
+    assert np.abs(normal).max() <= 1e-12 * m.diameter()
+    assert np.array_equal(t1[kinds == 2], t0[kinds == 2])
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +483,9 @@ def test_solver_pure_quality_improves_perturbed_mesh():
     assert f1 < f0
     assert report.status == "converged"
     assert m.min_det() > 0.0
+    # with nothing fitted there is no residual to report
+    assert report.initial_sigma_max is None and report.final_sigma_max is None
+    assert all(rec.sigma_max is None for rec in report.iterations)
 
 
 def test_weight_escalation_schedule():
