@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dfield, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .basis import _gauss_legendre_01, gauss_lobatto_nodes, lagrange_1d, \
     lagrange_1d_deriv
-from .mesh import MixedOrderMesh, apply_edge_constraints
+from .mesh import MixedOrderMesh, apply_edge_constraints, interpolation_matrix
 from .tmop import FitConfig, mark_interface_faces, solve_r_adaptivity
 
 REFINE_KINDS = ("absolute", "relative")
@@ -87,15 +88,26 @@ class AdaptivityPlan:
 # ---------------------------------------------------------------------------
 # Face traces and errors
 
+@lru_cache(maxsize=None)
+def _trace_tables(trace_order: int, face_order: int):
+    """Values and derivatives of the order ``trace_order`` Lagrange basis at
+    the 2 face_order + 3 Gauss points of a face of order ``face_order``, and
+    the weights of that rule; read-only."""
+    tq, wq = _gauss_legendre_01(2 * face_order + 3)
+    nodes = gauss_lobatto_nodes(trace_order)
+    values, derivs = lagrange_1d(nodes, tq), lagrange_1d_deriv(nodes, tq)
+    values.flags.writeable = False
+    derivs.flags.writeable = False
+    return values, derivs, wq
+
+
 def _trace_quadrature(coords: np.ndarray, order: int):
     """Physical quadrature points of one trace, their weights and the speed
     of the trace there, with the 2 order + 3 point Gauss rule of a face of
     the given order."""
-    tq, wq = _gauss_legendre_01(2 * order + 3)
-    nodes = gauss_lobatto_nodes(len(coords) - 1)
-    x = lagrange_1d(nodes, tq) @ coords
-    dx = lagrange_1d_deriv(nodes, tq) @ coords
-    return x, wq, np.hypot(dx[:, 0], dx[:, 1])
+    values, derivs, wq = _trace_tables(len(coords) - 1, order)
+    dx = derivs @ coords
+    return values @ coords, wq, np.hypot(dx[:, 0], dx[:, 1])
 
 
 def _error_and_length(sigma, wq, speed):
@@ -118,7 +130,9 @@ class FaceErrorReport:
 
 def compute_face_errors(mesh: MixedOrderMesh, field,
                         faces=None) -> FaceErrorReport:
-    """Fresh per-face error integrals over the marked face set."""
+    """Fresh per-face error integrals over ``faces`` (default: the marked
+    face set); ``node_sigma_max`` is the worst level-set value at their
+    independent nodes."""
     if faces is None:
         faces = sorted(mesh.marked_faces)
     else:
@@ -135,9 +149,9 @@ def compute_face_errors(mesh: MixedOrderMesh, field,
                                                     np.split(sigma, ends))):
             errors[i], lengths[i] = _error_and_length(s, wq, speed)
     dm = mesh.dof_map()
-    marked_nodes = dm.marked_node_ids(mesh)
-    if marked_nodes.size:
-        pts = dm.extract(mesh)[marked_nodes]
+    face_nodes = dm.marked_node_ids(mesh, faces)
+    if face_nodes.size:
+        pts = dm.extract(mesh)[face_nodes]
         node_sigma = float(np.abs(field.values(pts)).max())
     else:
         node_sigma = 0.0
@@ -245,8 +259,7 @@ def propagate_orders(mesh: MixedOrderMesh, max_diff: int) -> set[int]:
 # Derefinement
 
 def _projected_trace(coords: np.ndarray, p_low: int) -> np.ndarray:
-    nodes = gauss_lobatto_nodes(len(coords) - 1)
-    return lagrange_1d(nodes, gauss_lobatto_nodes(p_low)) @ coords
+    return interpolation_matrix(len(coords) - 1, p_low) @ coords
 
 
 def _deref_criterion_ok(plan: AdaptivityPlan, err_hat: float, len_hat: float,

@@ -253,11 +253,6 @@ class Locator:
         point = np.asarray(point, dtype=float).reshape(1, 2)
         return self._locate(point).coords(0)
 
-    def locate_many(self, points) -> list[ComputationalCoords]:
-        """Locate a batch of physical points with the rule of ``locate``."""
-        located = self._locate(np.atleast_2d(np.asarray(points, dtype=float)))
-        return [located.coords(i) for i in range(len(located.element))]
-
 
 @dataclass
 class _Located:
@@ -392,14 +387,14 @@ class DiscreteLevelSet:
         dm = self.mesh.dof_map()
         sums = np.zeros((dm.num_nodes, 2))
         counts = np.zeros(dm.num_nodes)
-        for ids, ref, X in zip(loc.groups.values(), loc.group_refs,
-                               loc.group_coords):
+        for (key, ids), ref, X in zip(loc.groups.items(), loc.group_refs,
+                                      loc.group_coords):
             G = ref.eval_basis_grad(ref.nodes)                   # (n, n, 2)
             U = np.stack([self.blocks[e] for e in ids])
             du = np.einsum("ei,mib->emb", U, G)                  # reference gradients
             A = map_jacobians(X, G)
             g = np.linalg.solve(np.swapaxes(A, -1, -2), du[..., None])[..., 0]
-            node_ids = np.stack([dm.local_node_ids[e] for e in ids])
+            node_ids = dm.node_ids[key]
             mapped = node_ids >= 0
             np.add.at(sums, node_ids[mapped], g[mapped])
             np.add.at(counts, node_ids[mapped], 1.0)

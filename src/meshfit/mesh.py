@@ -10,11 +10,17 @@ the edge.
 
 Four tables describe a mesh state, each built once by the object that owns
 it.  The mesh owns the edge table (``edges``, ``edge_id``), the edge ids of
-each element in local-edge order (``element_edges``) and the element groups
-by (geometry, order) (``groups()``).  The ``DofMap`` owns the governing order
-of each edge (``edge_orders``), the node numbering, ``expand`` and the slot
-each non-vertex node is read from (``read_slots``).  Edges and element edges
-depend only on the vertex lists; the groups and the DofMap are dropped by
+each element in local-edge order (``element_edges``), the array forms of
+the element-vertex, element-edge and edge-element incidences
+(``element_vertex_ids``, ``element_edge_ids``, ``edge_element_ids``) and
+the element groups by (geometry, order) (``groups()``).  The ``DofMap`` owns
+the governing order of each edge (``edge_orders``), the node numbering,
+``expand`` and the slot each non-vertex node is read from (``read_slots``).
+It keeps its per-element tables per group, as (E_g, n) arrays ``slots`` and
+``node_ids``, and builds everything with a few array operations per group
+from the mesh's incidence arrays, so an order change costs no loop over
+elements.  Edges and the incidence arrays depend only on the vertex lists
+and are built once per mesh; the groups and the DofMap are dropped by
 ``invalidate()`` after an order change and rebuilt on their next use.
 """
 
@@ -92,15 +98,12 @@ def validity_gradients(geometry: str, order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def prolongation_matrix(order_low: int, order_high: int) -> np.ndarray:
-    """Edge-trace interpolation from order_low to order_high Gauss-Lobatto nodes."""
-    if order_high < order_low:
-        raise ValueError("order_high must be >= order_low")
-    if order_high == order_low:
-        out = np.eye(order_low + 1)
-    else:
-        out = lagrange_1d(_gauss_lobatto_cached(order_low),
-                          _gauss_lobatto_cached(order_high))
+def interpolation_matrix(order_from: int, order_to: int) -> np.ndarray:
+    """Edge-trace interpolation from order_from to order_to Gauss-Lobatto
+    nodes: the order_from Lagrange basis at the order_to nodes; read-only.
+    Equal orders give the identity exactly."""
+    out = lagrange_1d(_gauss_lobatto_cached(order_from),
+                      _gauss_lobatto_cached(order_to))
     out.flags.writeable = False
     return out
 
@@ -119,6 +122,9 @@ class MixedOrderMesh:
         self._edges: tuple[EdgeRecord, ...] | None = None
         self._edge_index: dict[tuple[int, int], int] | None = None
         self._element_edges: tuple[tuple[int, ...], ...] | None = None
+        self._element_vertex_ids: np.ndarray | None = None
+        self._element_edge_ids: np.ndarray | None = None
+        self._edge_element_ids: np.ndarray | None = None
         self._groups: dict[tuple[str, int], np.ndarray] | None = None
         self._dofmap: DofMap | None = None
         nv = len(self.vertices)
@@ -151,6 +157,30 @@ class MixedOrderMesh:
         if self._element_edges is None:
             self._build_edges()
         return self._element_edges
+
+    @property
+    def element_vertex_ids(self) -> np.ndarray:
+        """(E, max vertices) vertex ids of each element in local order,
+        padded with -1; read-only."""
+        if self._element_vertex_ids is None:
+            self._build_edges()
+        return self._element_vertex_ids
+
+    @property
+    def element_edge_ids(self) -> np.ndarray:
+        """(E, max vertices) array form of ``element_edges``, padded with -1;
+        read-only."""
+        if self._element_edge_ids is None:
+            self._build_edges()
+        return self._element_edge_ids
+
+    @property
+    def edge_element_ids(self) -> np.ndarray:
+        """(num edges, 2) elements of each edge in side order, -1 for the
+        missing side of a boundary edge; read-only."""
+        if self._edge_element_ids is None:
+            self._build_edges()
+        return self._edge_element_ids
 
     def edge_id(self, v0: int, v1: int) -> int:
         if self._edge_index is None:
@@ -189,6 +219,20 @@ class MixedOrderMesh:
         self._edges = tuple(records)
         self._edge_index = index
         self._element_edges = tuple(element_edges)
+        width = max((len(el.verts) for el in self.elements), default=0)
+        verts = np.full((len(self.elements), width), -1)
+        own = np.full((len(self.elements), width), -1)
+        for e, (el, ks) in enumerate(zip(self.elements, element_edges)):
+            verts[e, :len(ks)] = el.verts
+            own[e, :len(ks)] = ks
+        sides = np.full((len(records), 2), -1)
+        for k, rec in enumerate(records):
+            sides[k, :len(rec.sides)] = [s.element for s in rec.sides]
+        for a in (verts, own, sides):
+            a.flags.writeable = False
+        self._element_vertex_ids = verts
+        self._element_edge_ids = own
+        self._edge_element_ids = sides
 
     def boundary_edges(self) -> list[int]:
         return [k for k, r in enumerate(self.edges) if len(r.sides) == 1]
@@ -310,68 +354,107 @@ class DofMap:
     """Mapping between independent position nodes and element node blocks.
 
     Node numbering: vertices first, then edge-interior nodes per edge at the
-    edge's governing order (``edge_orders``), then element-interior nodes.
-    ``expand`` is a sparse matrix taking a per-node vector (or (n, k) stack)
-    to the concatenation of all element node blocks, applying trace
-    interpolation on constrained high-order edge nodes.  ``read_slots`` gives,
-    for each non-vertex node, the slot of that concatenation it is read
-    from: its first directly mapped slot in element order, which for an edge
-    node is the lowest element id at the edge's governing order.
+    edge's governing order (``edge_orders``), then element-interior nodes in
+    element order.  The element node blocks are concatenated in element
+    order.  For each (geometry, order) group of ``groups`` (the mesh's
+    ``groups()``), ``slots[key]`` and ``node_ids[key]`` are (E_g, n) arrays
+    over the group's elements: the position of each element node in that
+    concatenation, and the independent node it reads directly (-1 for a
+    constrained edge node).  ``expand`` is a sparse matrix taking a per-node
+    vector (or (n, k) stack) to the concatenation, applying trace
+    interpolation on constrained high-order edge nodes.  ``read_slots``
+    gives, for each non-vertex node, the slot of the concatenation it is
+    read from: its first directly mapped slot, which for an edge node is the
+    lowest element id at the edge's governing order.
+
+    The build is a few array operations per group and per local edge,
+    reading the mesh's element-vertex, element-edge and edge-element arrays;
+    no loop runs over elements.
     """
 
     def __init__(self, mesh: MixedOrderMesh):
-        edges = mesh.edges
+        self.groups = mesh.groups()
+        refs = {key: reference_element(*key) for key in self.groups}
         nv = len(mesh.vertices)
         self.num_vertices = nv
-        self.edge_orders = np.array(
-            [min(mesh.elements[s.element].order for s in rec.sides)
-             for rec in edges], dtype=int)
+        num_el = len(mesh.elements)
+        orders = np.empty(num_el, dtype=int)
+        sizes = np.empty(num_el, dtype=int)
+        inner = np.empty(num_el, dtype=int)
+        for key, ids in self.groups.items():
+            orders[ids] = key[1]
+            sizes[ids] = refs[key].num_nodes
+            inner[ids] = len(refs[key].interior)
+        # the missing side (-1) of a boundary edge reads the appended maximum
+        self.edge_orders = np.append(orders, np.iinfo(int).max)[
+            mesh.edge_element_ids].min(axis=1)
         edge_counts = self.edge_orders - 1
         self.edge_offsets = nv + np.cumsum(edge_counts) - edge_counts
-        refs = [reference_element(el.geometry, el.order)
-                for el in mesh.elements]
-        pos = nv + int(edge_counts.sum())
-        self.num_nodes = pos + sum(len(ref.interior) for ref in refs)
+        first_interior = nv + int(edge_counts.sum())
+        self.num_nodes = first_interior + int(inner.sum())
+        self.total_local = int(sizes.sum())
+        starts = np.cumsum(sizes) - sizes
+        interior_starts = first_interior + np.cumsum(inner) - inner
 
-        self.element_slices: list[slice] = []
-        self.local_node_ids: list[np.ndarray] = []
-        read = np.full(self.num_nodes, -1)
-        rows, cols, vals = [], [], []
-        base = 0
-        for el, ref, own_edges in zip(mesh.elements, refs, mesh.element_edges):
-            n = ref.num_nodes
-            self.element_slices.append(slice(base, base + n))
-            ids = np.full(n, -1, dtype=int)
-            ids[ref.corners] = el.verts
-            for le, (k, enodes) in enumerate(zip(own_edges, ref.edge_nodes)):
-                vmin, vmax = edges[k].verts
-                p_edge = int(self.edge_orders[k])
-                o = int(self.edge_offsets[k])
-                canonical = enodes if el.verts[le] == vmin else enodes[::-1]
-                if el.order == p_edge:
-                    ids[canonical[1:-1]] = o + np.arange(p_edge - 1)
+        self.slots: dict[tuple[str, int], np.ndarray] = {}
+        self.node_ids: dict[tuple[str, int], np.ndarray] = {}
+        # expand entries: direct (slot, node) pairs, then interpolated ones
+        empty = np.zeros(0, dtype=int)
+        direct_slots, direct_nodes = [empty], [empty]
+        rows, cols, vals = [empty], [empty], [np.zeros(0)]
+        for key, ids in self.groups.items():
+            ref, p = refs[key], key[1]
+            nverts = len(ref.corners)
+            slots = starts[ids, None] + np.arange(ref.num_nodes)
+            node = np.full(slots.shape, -1)
+            V = mesh.element_vertex_ids[ids, :nverts]
+            node[:, ref.corners] = V
+            node[:, ref.interior] = interior_starts[ids, None] \
+                + np.arange(len(ref.interior))
+            # per (element, local edge): its ends a and b, edge id, governing
+            # order, first edge node id, the element's row in the group and
+            # its p + 1 local edge nodes from the smaller to the larger
+            # vertex id
+            a, b = V, np.roll(V, -1, axis=1)
+            k = mesh.element_edge_ids[ids, :nverts]
+            p_edge, o = self.edge_orders[k], self.edge_offsets[k]
+            enodes = np.array(ref.edge_nodes)
+            canonical = np.where((a < b)[..., None], enodes, enodes[:, ::-1])
+            member = np.broadcast_to(np.arange(len(ids))[:, None], k.shape)
+            same = p_edge == p
+            node[member[same][:, None], canonical[same][:, 1:-1]] = \
+                o[same][:, None] + np.arange(p - 1)
+            for p_low in range(1, p):
+                # edge nodes interpolated from the order p_low trace
+                low = p_edge == p_low
+                if not low.any():
                     continue
-                P = prolongation_matrix(p_edge, el.order)
-                low_cols = [vmin, *range(o, o + p_edge - 1), vmax]
-                for idx in range(1, el.order):
-                    rows.extend([base + canonical[idx]] * (p_edge + 1))
-                    cols.extend(low_cols)
-                    vals.extend(P[idx])
-            ids[ref.interior] = pos + np.arange(len(ref.interior))
-            pos += len(ref.interior)
-            mapped = np.flatnonzero(ids >= 0)
-            nodes = ids[mapped]
-            rows.extend((base + mapped).tolist())
-            cols.extend(nodes.tolist())
-            vals.extend([1.0] * len(mapped))
-            unread = read[nodes] < 0
-            read[nodes[unread]] = base + mapped[unread]
-            self.local_node_ids.append(ids)
-            base += n
-        self.total_local = base
-        self.read_slots = read[nv:]
+                trace = np.column_stack(
+                    [np.minimum(a, b)[low],
+                     o[low][:, None] + np.arange(p_low - 1),
+                     np.maximum(a, b)[low]])
+                dest = slots[member[low][:, None], canonical[low][:, 1:-1]]
+                P = interpolation_matrix(p_low, p)[1:-1]
+                rows.append(np.repeat(dest.ravel(), p_low + 1))
+                cols.append(np.tile(trace, p - 1).ravel())
+                vals.append(np.tile(P.ravel(), len(trace)))
+            mapped = node >= 0
+            direct_slots.append(slots[mapped])
+            direct_nodes.append(node[mapped])
+            slots.flags.writeable = False
+            node.flags.writeable = False
+            self.slots[key] = slots
+            self.node_ids[key] = node
+        direct_slots = np.concatenate(direct_slots)
+        direct_nodes = np.concatenate(direct_nodes)
         self.expand = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(base, self.num_nodes))
+            (np.concatenate([np.ones(direct_slots.size), *vals]),
+             (np.concatenate([direct_slots, *rows]),
+              np.concatenate([direct_nodes, *cols]))),
+            shape=(self.total_local, self.num_nodes))
+        read = np.full(self.num_nodes, self.total_local)
+        np.minimum.at(read, direct_nodes, direct_slots)
+        self.read_slots = read[nv:]
 
     def extract(self, mesh: MixedOrderMesh) -> np.ndarray:
         """Independent node positions, shape (num_nodes, 2)."""
@@ -386,13 +469,18 @@ class DofMap:
         """Write independent node positions back into vertex and element storage."""
         x_all = self.expand @ t
         mesh.vertices[:] = t[:self.num_vertices]
-        for e, el in enumerate(mesh.elements):
-            el.coords[:] = x_all[self.element_slices[e]].T
+        for key, ids in self.groups.items():
+            for e, x in zip(ids, x_all[self.slots[key]]):
+                mesh.elements[e].coords[:] = x.T
 
     def scatter_scalar(self, t: np.ndarray) -> list[np.ndarray]:
         """Per-element blocks of a scalar field given independent nodal values."""
         x_all = self.expand @ t
-        return [x_all[s].copy() for s in self.element_slices]
+        out = [None] * sum(len(ids) for ids in self.groups.values())
+        for key, ids in self.groups.items():
+            for e, x in zip(ids, x_all[self.slots[key]]):
+                out[e] = x
+        return out
 
     def edge_node_ids(self, edge_id: int, mesh: MixedOrderMesh) -> np.ndarray:
         """Independent node ids along an edge in canonical order, endpoints included."""
@@ -401,10 +489,11 @@ class DofMap:
         cnt = self.edge_orders[edge_id] - 1
         return np.array([vmin] + list(range(o, o + cnt)) + [vmax], dtype=int)
 
-    def marked_node_ids(self, mesh: MixedOrderMesh) -> np.ndarray:
-        """Sorted independent node ids lying on the marked face set."""
+    def marked_node_ids(self, mesh: MixedOrderMesh, faces=None) -> np.ndarray:
+        """Sorted independent node ids lying on ``faces`` (default: the
+        marked face set)."""
         ids: set[int] = set()
-        for k in sorted(mesh.marked_faces):
+        for k in mesh.marked_faces if faces is None else faces:
             ids.update(self.edge_node_ids(k, mesh).tolist())
         return np.array(sorted(ids), dtype=int)
 

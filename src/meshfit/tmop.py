@@ -294,15 +294,14 @@ class _Assembly:
         mesh = problem.mesh
         self.dm = mesh.dof_map()
         self.expand = self.dm.expand
+        self.expand_T = self.expand.T
         self.field = problem.field
         self.marked = np.zeros(0, dtype=int) if problem.field is None \
             else self.dm.marked_node_ids(mesh)
         self.groups = []
-        for (geometry, order), ids in mesh.groups().items():
+        for (geometry, order), gather in self.dm.slots.items():
             tables, K, detW = _target_tables(geometry, order, problem.target)
-            starts = np.array([self.dm.element_slices[e].start for e in ids])
             nq, nn = K.shape[:2]
-            gather = starts[:, None] + np.arange(nn)[None, :]
             # KK[(q, c, d), (i, j)] = K[q, i, c] K[q, j, d], for _hessian_values
             KK = np.einsum("qic,qjd->qcdij", K, K).reshape(4 * nq, nn * nn)
             self.groups.append({
@@ -353,7 +352,7 @@ def _quality_gradient(asm: _Assembly, state) -> np.ndarray:
         wq = g["tables"].quad_weights
         g_all[g["gather"]] = g["detW"] * _contract_grad(
             wq[None, :, None, None] * _metric_derivs(T, partials), g["K"])
-    return asm.expand.T @ g_all
+    return asm.expand_T @ g_all
 
 
 def _total(fq: float, sigma: np.ndarray, fit_weight: float) -> float:
@@ -658,6 +657,7 @@ def solve_r_adaptivity(problem: TmopProblem):
     require_valid(mesh, "solve_r_adaptivity")
     asm = _Assembly(problem)
     Z = _motion_basis(*boundary_freedom(mesh, problem.boundary))
+    ZT = Z.T
     t = asm.dm.extract(mesh)
     w = float(problem.fit_weight)
     fitting = asm.marked.size > 0
@@ -680,7 +680,7 @@ def solve_r_adaptivity(problem: TmopProblem):
     def reduced_gradient():
         """Total gradient in motion coordinates, from the terms stored for
         the iterate."""
-        return Z.T @ _total_gradient(asm, gq, sigma, dsigma, w).ravel()
+        return ZT @ _total_gradient(asm, gq, sigma, dsigma, w).ravel()
 
     F, fq, sigma, state = evaluate(t)
     md = None  # min det of the last accepted trial

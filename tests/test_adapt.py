@@ -9,7 +9,10 @@ from meshfit import adapt
 from meshfit.adapt import (apply_refinement, derefinement_pass,
                            edge_touching_elevation, mark_for_refinement,
                            propagate_orders, try_derefine)
+from meshfit.basis import (_gauss_legendre_01, gauss_lobatto_nodes,
+                           lagrange_1d, lagrange_1d_deriv)
 from meshfit.levelset import ANALYTIC_LEVELSETS, AnalyticLevelSet
+from meshfit.mesh import interpolation_matrix
 
 from conftest import meshes_identical
 
@@ -38,6 +41,20 @@ def test_face_error_constant_field():
     rep = compute_face_errors(m, _const_field(2.0), faces=[face])
     assert np.isclose(rep.errors[0], 4.0, atol=1e-12)
     assert np.isclose(rep.lengths[0], 1.0, atol=1e-13)
+
+
+def test_node_sigma_max_covers_the_given_faces():
+    m = generate_cartesian(2, 2, 2)
+    assert not m.marked_faces
+    rep = compute_face_errors(m, _const_field(2.0), faces=[0])
+    assert np.isclose(rep.errors[0], 2.0, atol=1e-12)  # 4 on length 0.5
+    assert rep.node_sigma_max == 2.0
+    # the nodes of the given face, not of the marked ones: sigma = y is 1
+    # on the marked top edge and 0 on the bottom edge
+    m.marked_faces = {m.edge_id(6, 7)}
+    bottom = compute_face_errors(m, _linear_field(0.0, 1.0, 0.0),
+                                 faces=[m.edge_id(0, 1)])
+    assert bottom.node_sigma_max == 0.0
 
 
 def test_face_error_linear_field():
@@ -78,6 +95,30 @@ def test_arc_length_of_curved_face():
     xs = 0.5 + 0.32 * s * (1 - s)
     exact = np.hypot(np.diff(xs), np.diff(s)).sum()
     assert np.isclose(measured, exact, rtol=1e-8)
+
+
+def test_cached_trace_tables_match_direct_evaluation():
+    rng = np.random.default_rng(3)
+    for p in range(1, 5):
+        nodes = gauss_lobatto_nodes(p)
+        coords = rng.standard_normal((p + 1, 2))
+        for q in range(1, 5):
+            tq, wq = _gauss_legendre_01(2 * q + 3)
+            values, derivs, weights = adapt._trace_tables(p, q)
+            assert np.array_equal(values, lagrange_1d(nodes, tq))
+            assert np.array_equal(derivs, lagrange_1d_deriv(nodes, tq))
+            assert np.array_equal(weights, wq)
+            assert not (values.flags.writeable or derivs.flags.writeable)
+            x, w, speed = adapt._trace_quadrature(coords, q)
+            dx = lagrange_1d_deriv(nodes, tq) @ coords
+            assert np.array_equal(x, lagrange_1d(nodes, tq) @ coords)
+            assert np.array_equal(speed, np.hypot(dx[:, 0], dx[:, 1]))
+            P = interpolation_matrix(p, q)
+            assert np.array_equal(P,
+                                  lagrange_1d(nodes, gauss_lobatto_nodes(q)))
+            assert np.array_equal(adapt._projected_trace(coords, q),
+                                  P @ coords)
+            assert not P.flags.writeable
 
 
 def test_compute_face_errors_report():
@@ -414,3 +455,41 @@ def test_edge_touching_elevation():
     for e in raised:
         # raised to the highest order adjacent to the touched faces
         assert m.elements[e].order == 3
+
+
+def test_limited_run_is_at_its_order_floor():
+    """The 8x8 neighbor-limited squircle run of acceptance criterion 4 ends
+    at the smallest order field its rules allow, so no program following
+    those rules can use fewer DOFs there."""
+    squircle = ANALYTIC_LEVELSETS["squircle2d"]()
+    plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2,
+                          refine_kind="absolute", refine_threshold=1e-14,
+                          max_neighbor_diff=1, fit_tol=1e-7)
+    res = run_rp_adaptivity(generate_cartesian(8, 8, 1), squircle,
+                            FitConfig(metric=QualityMetric("mu2")), plan)
+    m = res.mesh
+    order = np.array([el.order for el in m.elements])
+
+    def edge_neighbors(elems):
+        return {s.element for e in elems for k in m.element_edges[e]
+                for s in m.edges[k].sides} - set(elems)
+
+    band = {s.element for k in m.marked_faces for s in m.edges[k].sides}
+    jacket = edge_neighbors(band)
+    assert set(np.flatnonzero(order == 3)) == band
+    assert set(np.flatnonzero(order == 2)) == jacket
+
+    # every face error is above the refine threshold, so refinement rules
+    # require p_max on both sides of every marked face
+    errors = compute_face_errors(m, squircle).errors
+    assert errors.min() > plan.refine_threshold
+    for e in range(len(m.elements)):
+        if order[e] == plan.p_init or e in band:
+            continue
+        # lowering e by one breaks the neighbor limit against some neighbor
+        assert max(order[list(edge_neighbors([e]))]) - (order[e] - 1) \
+            > plan.max_neighbor_diff
+    floor = generate_cartesian(8, 8, 1)
+    for e in sorted(band | jacket):
+        floor.set_order(e, 3 if e in band else 2)
+    assert m.num_position_dofs == floor.num_position_dofs

@@ -99,17 +99,17 @@ def test_points_outside_the_mesh_are_not_found(located_mesh):
                         [-1.0, -1.0], [2.0, 2.0]])
     for x in outside:
         assert loc.locate(x).flag is FoundFlag.NOT_FOUND
-    assert all(c.flag is FoundFlag.NOT_FOUND for c in loc.locate_many(outside))
 
 
 def test_locate_many_matches_locate(located_mesh, rng):
+    # many points in one batch, the path DiscreteLevelSet.values takes
     loc = Locator(located_mesh)
     pts = np.vstack([rng.uniform(-0.1, 1.1, size=(120, 2)),
                      [x for x, _ in _shared_points(located_mesh)]])
-    batch = loc.locate_many(pts)
-    assert len(batch) == len(pts)
-    for x, b in zip(pts, batch):
-        one = loc.locate(x)
+    batch = loc._locate(pts)
+    assert len(batch.element) == len(pts)
+    for i, x in enumerate(pts):
+        b, one = batch.coords(i), loc.locate(x)
         assert (b.element, b.flag) == (one.element, one.flag)
         assert np.array_equal(b.ref, one.ref, equal_nan=True)
 

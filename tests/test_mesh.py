@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from meshfit import (AdaptivityPlan, MeshInvalidError, MixedOrderMesh,
                      apply_edge_constraints, generate_cartesian)
@@ -7,7 +8,7 @@ from meshfit.adapt import apply_refinement, propagate_orders, try_derefine
 from meshfit.basis import reference_element
 from meshfit.errors import MeshStructureError
 from meshfit.levelset import ANALYTIC_LEVELSETS
-from meshfit.mesh import MeshElement, prolongation_matrix, require_valid
+from meshfit.mesh import MeshElement, interpolation_matrix, require_valid
 
 from conftest import meshes_identical, perturbed_mesh, random_order_mesh
 
@@ -95,8 +96,10 @@ def _assert_tables_fresh(m):
     assert dm.num_nodes == dm0.num_nodes
     for name in ("edge_orders", "edge_offsets", "read_slots"):
         assert np.array_equal(getattr(dm, name), getattr(dm0, name))
-    for a, b in zip(dm.local_node_ids, dm0.local_node_ids, strict=True):
-        assert np.array_equal(a, b)
+    for table in ("slots", "node_ids"):
+        mine, want = getattr(dm, table), getattr(dm0, table)
+        assert list(mine) == list(want)
+        assert all(np.array_equal(mine[key], want[key]) for key in want)
     assert dm.expand.shape == dm0.expand.shape
     assert (dm.expand != dm0.expand).nnz == 0
     assert np.array_equal(dm.extract(m), dm0.extract(fresh))
@@ -140,10 +143,104 @@ def test_extract_reads_edges_through_edge_trace(split):
     expected[:len(m.vertices)] = m.vertices
     for k in range(len(m.edges)):
         expected[dm.edge_node_ids(k, m)[1:-1]] = m.edge_trace(k)[1:-1]
-    for e, el in enumerate(m.elements):
-        interior = reference_element(el.geometry, el.order).interior
-        expected[dm.local_node_ids[e][interior]] = el.coords[:, interior].T
+    for key, ids in m.groups().items():
+        interior = reference_element(*key).interior
+        for e, node in zip(ids, dm.node_ids[key]):
+            expected[node[interior]] = m.elements[e].coords[:, interior].T
     assert np.array_equal(dm.extract(m), expected)
+
+
+def _reference_dofmap(m):
+    """The DofMap tables built by one loop over elements and local edges:
+    ``expand``, ``read_slots``, ``edge_orders``, ``edge_offsets``,
+    ``num_nodes`` and the node ids of each element (-1 where an edge node is
+    interpolated).  The library builds them per element group; this is the
+    reference it must match exactly."""
+    edges = m.edges
+    nv = len(m.vertices)
+    edge_orders = np.array([min(m.elements[s.element].order for s in rec.sides)
+                            for rec in edges], dtype=int)
+    edge_counts = edge_orders - 1
+    edge_offsets = nv + np.cumsum(edge_counts) - edge_counts
+    refs = [reference_element(el.geometry, el.order) for el in m.elements]
+    pos = nv + int(edge_counts.sum())
+    num_nodes = pos + sum(len(ref.interior) for ref in refs)
+    local_node_ids = []
+    read = np.full(num_nodes, -1)
+    rows, cols, vals = [], [], []
+    base = 0
+    for el, ref, own_edges in zip(m.elements, refs, m.element_edges):
+        ids = np.full(ref.num_nodes, -1, dtype=int)
+        ids[ref.corners] = el.verts
+        for le, (k, enodes) in enumerate(zip(own_edges, ref.edge_nodes)):
+            vmin, vmax = edges[k].verts
+            p_edge = int(edge_orders[k])
+            o = int(edge_offsets[k])
+            canonical = enodes if el.verts[le] == vmin else enodes[::-1]
+            if el.order == p_edge:
+                ids[canonical[1:-1]] = o + np.arange(p_edge - 1)
+                continue
+            P = interpolation_matrix(p_edge, el.order)
+            low_cols = [vmin, *range(o, o + p_edge - 1), vmax]
+            for idx in range(1, el.order):
+                rows.extend([base + canonical[idx]] * (p_edge + 1))
+                cols.extend(low_cols)
+                vals.extend(P[idx])
+        ids[ref.interior] = pos + np.arange(len(ref.interior))
+        pos += len(ref.interior)
+        mapped = np.flatnonzero(ids >= 0)
+        nodes = ids[mapped]
+        rows.extend((base + mapped).tolist())
+        cols.extend(nodes.tolist())
+        vals.extend([1.0] * len(mapped))
+        unread = read[nodes] < 0
+        read[nodes[unread]] = base + mapped[unread]
+        local_node_ids.append(ids)
+        base += ref.num_nodes
+    expand = sp.csr_matrix((vals, (rows, cols)), shape=(base, num_nodes))
+    return {"expand": expand, "read_slots": read[nv:],
+            "edge_orders": edge_orders, "edge_offsets": edge_offsets,
+            "num_nodes": num_nodes, "local_node_ids": local_node_ids}
+
+
+def _dofmap_meshes():
+    for seed in range(20):
+        for split in (False, True):
+            yield random_order_mesh(4, 3, seed=seed, split_triangles=split)
+    # every interior edge joins a p1 and a p3 element
+    m = generate_cartesian(4, 4, 1)
+    for e in range(len(m.elements)):
+        m.set_order(e, 3 if (e + e // 4) % 2 else 1)
+    yield m
+    yield random_order_mesh(3, 3, orders=(1, 3), seed=3, split_triangles=True)
+    yield generate_cartesian(2, 2, 5)
+
+
+def test_dofmap_matches_the_element_loop():
+    for m in _dofmap_meshes():
+        dm, ref = m.dof_map(), _reference_dofmap(m)
+        assert dm.num_nodes == ref["num_nodes"]
+        for name in ("read_slots", "edge_orders", "edge_offsets"):
+            mine, want = getattr(dm, name), ref[name]
+            assert mine.dtype == want.dtype and np.array_equal(mine, want)
+        for name in ("indptr", "indices", "data"):
+            mine, want = getattr(dm.expand, name), getattr(ref["expand"], name)
+            assert mine.dtype == want.dtype and np.array_equal(mine, want)
+        assert dm.expand.shape == ref["expand"].shape
+        node_ids = [None] * len(m.elements)
+        for key, ids in m.groups().items():
+            for e, node in zip(ids, dm.node_ids[key]):
+                node_ids[e] = node
+        for mine, want in zip(node_ids, ref["local_node_ids"], strict=True):
+            assert np.array_equal(mine, want)
+
+
+def test_dofmap_tables_are_read_only():
+    dm = random_order_mesh(3, 3, seed=1).dof_map()
+    for table in (dm.slots, dm.node_ids):
+        for a in table.values():
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
 
 
 def test_dof_roundtrip_bitwise():
@@ -160,9 +257,9 @@ def test_dof_expand_reproduces_element_nodes():
     dm = m.dof_map()
     t = dm.extract(m)
     full = dm.expand @ t
-    for e, el in enumerate(m.elements):
-        sl = dm.element_slices[e]
-        assert np.allclose(full[sl], el.coords.T, atol=1e-12)
+    for key, ids in m.groups().items():
+        for e, slots in zip(ids, dm.slots[key]):
+            assert np.allclose(full[slots], m.elements[e].coords.T, atol=1e-12)
 
 
 def test_mixed_order_edges_conform():
@@ -196,7 +293,7 @@ def test_set_order_preserves_affine_geometry():
 
 def test_prolongation_exact_for_low_degree():
     from meshfit.basis import gauss_lobatto_nodes
-    P = prolongation_matrix(2, 4)
+    P = interpolation_matrix(2, 4)
     lo = gauss_lobatto_nodes(2)
     hi = gauss_lobatto_nodes(4)
     for poly in (lambda x: 1 + 0 * x, lambda x: 2 * x - 1, lambda x: x**2):
