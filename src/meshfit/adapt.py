@@ -13,6 +13,16 @@ The loop exits for one of four reasons: ``"no faces refined"``,
 element orders of a state already solved; it is undone, so the mesh is the
 one before it, and that state is not solved again) and
 ``"outer iteration cap"``.
+
+Each re-solve after a refinement starts its fit weight where the last
+solve's equilibrium puts the residual the refinement left.  At a converged
+penalty equilibrium sigma_max is about c / w, with c = w_end sigma_end (that
+solve's final weight and residual).  So with sigma0 the worst marked-node
+residual after the refinement, the re-solve starts at w_end sigma_end /
+sigma0, clamped between the caller's weight and w_end.  After a solve that
+did not converge, without a measured residual, or when sigma0 <= 0, it
+starts at the caller's weight.  Inside a solve the weight schedule is
+unchanged.
 """
 
 from __future__ import annotations
@@ -364,6 +374,16 @@ def derefinement_pass(mesh: MixedOrderMesh, field, plan: AdaptivityPlan):
 # ---------------------------------------------------------------------------
 # Driver
 
+def _restart_weight(report, sigma0: float, weight: float) -> float:
+    """Start weight of the re-solve after the solve of ``report``, at worst
+    marked-node residual ``sigma0``; ``weight`` is the caller's.  The rule
+    and its fallback are in the module docstring."""
+    w_end, sigma_end = report.final_fit_weight, report.final_sigma_max
+    if report.status != "converged" or sigma_end is None or sigma0 <= 0.0:
+        return weight
+    return min(max(w_end * sigma_end / sigma0, weight), w_end)
+
+
 @dataclass
 class AdaptRecord:
     outer: int
@@ -409,6 +429,13 @@ def run_rp_adaptivity(mesh: MixedOrderMesh, field, fit: FitConfig,
     order and node block, so the mesh is exactly the one the iteration
     began with (after derefinement, if any), and no record is added for
     the undone refinement.
+
+    The initial solve starts at ``fit.fit_weight``.  A re-solve after a
+    solve that ended ``converged`` with a measured residual starts at
+    ``w_end * sigma_end / sigma0`` (that solve's final fit weight and
+    residual, over the worst marked-node residual of the ``"refine"``
+    record), clamped to ``[fit.fit_weight, w_end]``; otherwise, and when
+    ``sigma0 <= 0``, at ``fit.fit_weight``.  ``fit`` is never mutated.
     """
     plan.validate()
     for e, el in enumerate(mesh.elements):
@@ -462,8 +489,11 @@ def run_rp_adaptivity(mesh: MixedOrderMesh, field, fit: FitConfig,
             break
         solved.add(state)
         apply_edge_constraints(mesh)
-        record(outer, "refine")
-        _, solve_rep = solve_r_adaptivity(fit.problem(mesh, field))
+        refined = record(outer, "refine")
+        problem = fit.problem(mesh, field)
+        problem.fit_weight = _restart_weight(
+            solve_rep, refined.node_sigma_max, fit.fit_weight)
+        _, solve_rep = solve_r_adaptivity(problem)
         report = record(outer, "fit", solve_rep.status,
                         solve_rep.num_iterations)
         if derefine:

@@ -624,6 +624,13 @@ class SolveReport:
         return len(self.iterations)
 
 
+def _min_element_diameter(mesh: MixedOrderMesh) -> float:
+    """Smallest bounding-box diagonal of an element's nodes, with one
+    reduction per (geometry, order) group."""
+    return min(float(np.hypot(*(c.max(axis=1) - c.min(axis=1)).T).min())
+               for c in map(mesh.group_coords, mesh.groups().values()))
+
+
 def solve_r_adaptivity(problem: TmopProblem):
     """Minimize the combined quality + fitting objective by node movement.
 
@@ -712,8 +719,7 @@ def solve_r_adaptivity(problem: TmopProblem):
     smax_prev = smax
     # cap the initial trial displacement at a fraction of the smallest
     # element diameter so a stiff penalty cannot tangle the mesh in one jump
-    h_min = min(mesh.element_diameter(e) for e in range(len(mesh.elements)))
-    step_cap = 0.5 * h_min
+    step_cap = 0.5 * _min_element_diameter(mesh)
     for it in range(1, controls.max_iterations + 1):
         data = newton.assemble(_hessian_values(asm, state, w, dsigma))
         diag = data[newton.diag]

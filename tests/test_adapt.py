@@ -13,6 +13,7 @@ from meshfit.basis import (_gauss_legendre_01, gauss_lobatto_nodes,
                            lagrange_1d, lagrange_1d_deriv)
 from meshfit.levelset import ANALYTIC_LEVELSETS, AnalyticLevelSet
 from meshfit.mesh import interpolation_matrix
+from meshfit.tmop import SolveReport
 
 from conftest import meshes_identical
 
@@ -346,6 +347,61 @@ def test_driver_refines_to_p_max_on_circle():
     phases = [r.phase for r in res.records]
     assert phases[0] == "initial" and phases[-1] == "final"
     assert "refine" in phases and "fit" in phases
+
+
+def _ended(status="converged", w_end=1e6, sigma_end=1e-8):
+    return SolveReport(status=status, final_fit_weight=w_end,
+                       final_sigma_max=sigma_end)
+
+
+def test_restart_weight_scales_the_last_equilibrium():
+    # c = w_end * sigma_end = 1e-2
+    assert adapt._restart_weight(_ended(), 1e-5, 1.0) == pytest.approx(1e3)
+    assert adapt._restart_weight(_ended(), 0.1, 1.0) == 1.0     # below weight
+    assert adapt._restart_weight(_ended(), 1e-10, 1.0) == 1e6   # above w_end
+    assert adapt._restart_weight(_ended(), 1e-5, 1e4) == 1e4
+
+
+@pytest.mark.parametrize("report, sigma0", [
+    (_ended(status="stalled"), 1e-5),
+    (_ended(status="max_iterations"), 1e-5),
+    (_ended(sigma_end=None), 1e-5),
+    (_ended(), 0.0),
+    (_ended(), -1e-5),
+], ids=["stalled", "max_iterations", "no_residual", "sigma0_zero",
+        "sigma0_negative"])
+def test_restart_weight_falls_back_to_the_callers_weight(report, sigma0):
+    assert adapt._restart_weight(report, sigma0, 2.0) == 2.0
+
+
+def test_re_solve_starts_at_the_equilibrium_weight():
+    squircle = ANALYTIC_LEVELSETS["squircle2d"]()
+    plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2,
+                          refine_kind="absolute", refine_threshold=1e-14,
+                          fit_tol=1e-7)
+    fit = FitConfig(metric=QualityMetric("mu2"))
+    solves = []
+
+    def spy(problem):
+        solves.append((problem.fit_weight, *solve_r_adaptivity(problem)))
+        return solves[-1][1:]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adapt, "solve_r_adaptivity", spy)
+        res = run_rp_adaptivity(generate_cartesian(8, 8, 1), squircle, fit,
+                                plan)
+    assert len(solves) == 2
+    (w_first, _, first), (w_second, _, second) = solves
+    assert w_first == 1.0 and first.status == "converged"
+    sigma0, = [r.node_sigma_max for r in res.records if r.phase == "refine"]
+    w_end = first.final_fit_weight
+    expected = w_end * first.final_sigma_max / sigma0
+    # the formula, strictly inside its clamp [fit weight, w_end]
+    assert 1.0 < expected < w_end
+    assert w_second == pytest.approx(expected, rel=1e-15)
+    assert second.status == "converged"
+    assert second.num_iterations < first.num_iterations
+    assert fit.fit_weight == 1.0
 
 
 @pytest.fixture(scope="module")

@@ -9,8 +9,9 @@ from meshfit import (FitConfig, MeshInvalidError, QualityMetric,
 from meshfit.mesh import map_jacobians, require_valid
 from meshfit.levelset import ANALYTIC_LEVELSETS
 from meshfit.tmop import (IDEAL_TRIANGLE_TARGET, _Assembly, _element_pass,
-                          _hessian_values, _motion_basis, _NewtonPattern,
-                          adj2, boundary_freedom)
+                          _hessian_values, _min_element_diameter,
+                          _motion_basis, _NewtonPattern, adj2,
+                          boundary_freedom)
 
 from conftest import meshes_identical, perturbed_mesh, random_order_mesh
 
@@ -413,6 +414,18 @@ def test_slide_solve_keeps_boundary_nodes_on_their_lines():
 
 # ---------------------------------------------------------------------------
 # solver
+
+@pytest.mark.parametrize("split", [False, True], ids=["quad", "tri"])
+@pytest.mark.parametrize("seed", range(5))
+def test_min_element_diameter_matches_the_element_loop(split, seed):
+    m = random_order_mesh(4, 3, seed=seed, split_triangles=split)
+    rng = np.random.default_rng(seed)
+    for el in m.elements:  # per-element jitter: every diameter differs
+        el.coords += rng.uniform(-0.05, 0.05, el.coords.shape)
+    assert len(m.groups()) > 1
+    assert _min_element_diameter(m) == min(
+        m.element_diameter(e) for e in range(len(m.elements)))
+
 
 def test_solver_converges_on_circle():
     m = generate_cartesian(4, 4, 1)
