@@ -12,11 +12,15 @@ one Newton iteration per (geometry, order) element group inverts the element
 maps for all of that group's pairs at once, and interpolation evaluates the
 basis once per group.  A point goes to the first converged candidate whose
 reference point lies inside its element; candidates are tried in ascending id
-order, so on a shared vertex or edge the lowest element id wins.  A point just outside the mesh
-snaps to the closest clamped candidate within ``Locator.SNAP_RTOL``.
-Non-finite points (nan, +-inf) have no candidates and are not found:
-``Locator.locate`` returns ``NOT_FOUND``, and a field query raises
-``PointLocationError`` (``strict=True``) or returns NaN there.
+order, so on a shared vertex or edge the lowest element id wins.  A point just
+outside the mesh snaps to the closest clamped candidate within
+``Locator.SNAP_RTOL``.  Non-finite points (nan, +-inf) have no candidates and
+are not found: ``Locator.locate`` returns ``NOT_FOUND``, and a field query
+raises ``PointLocationError`` (``strict=True``) or returns NaN there.
+
+A locator keeps its last batch.  A query at the same points, such as the
+gradient query a solver makes at the trial point whose values it has just
+accepted, reuses that location.
 """
 
 from __future__ import annotations
@@ -117,6 +121,8 @@ class Locator:
         self.cell_elements = elem[order_by_cell]
         self.cell_start = np.concatenate(
             [[0], np.cumsum(np.bincount(cell, minlength=n * n))])
+        #: the last located batch: a copy of its points and its result
+        self._last: tuple[np.ndarray, _Located] | None = None
 
     def _cell_ij(self, points: np.ndarray) -> np.ndarray:
         """Grid cell (i, j) of finite points, clamped to the grid, (npts, 2)."""
@@ -201,7 +207,10 @@ class Locator:
         element within ``REF_TOL`` wins.  Otherwise the candidate whose
         clamped reference point maps closest to the point wins, if that is
         within ``SNAP_RTOL * diameter``.  Otherwise the point is not found.
+        A batch equal to the previous one gets the previous result.
         """
+        if self._last is not None and np.array_equal(points, self._last[0]):
+            return self._last[1]
         npts = len(points)
         pt, el = self._candidate_pairs(points)
         pair_group = self.group_of[el]
@@ -246,6 +255,7 @@ class Locator:
             pairs = outside[best]
             out.set(pt[pairs], el[pairs], clamped[best], snap[best],
                     iterations[pairs], FoundFlag.BORDER)
+        self._last = (points.copy(), out)
         return out
 
     def locate(self, point) -> ComputationalCoords:

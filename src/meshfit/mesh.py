@@ -299,10 +299,6 @@ class MixedOrderMesh:
         hi = self.vertices.max(axis=0)
         return float(np.hypot(*(hi - lo)))
 
-    def element_diameter(self, e: int) -> float:
-        c = self.elements[e].coords
-        return float(np.hypot(*(c.max(axis=1) - c.min(axis=1))))
-
     # -- mutation ----------------------------------------------------------
 
     def invalidate(self):

@@ -517,10 +517,11 @@ def _row_entries(Q: sp.csr_matrix, rows: np.ndarray):
 def _product_terms(Q: sp.csr_matrix, rows_a: np.ndarray, rows_b: np.ndarray):
     """Terms of sum_k Q[ra_k, :]^T v_k Q[rb_k, :]: for each term its value
     index k, its CSC key j * n + i for entry (i, j), and its weight
-    Q[ra_k, i] Q[rb_k, j]."""
+    Q[ra_k, i] Q[rb_k, j].  Keys are 64-bit: n^2 overflows 32 bits from
+    n = 46341 on."""
     ka, i, wa = _row_entries(Q, rows_a)
     kb, j, wb = _row_entries(Q, rows_b[ka])
-    return ka[kb], j * Q.shape[1] + i[kb], wa[kb] * wb
+    return ka[kb], j.astype(np.int64) * Q.shape[1] + i[kb], wa[kb] * wb
 
 
 class _NewtonPattern:
@@ -534,6 +535,8 @@ class _NewtonPattern:
     Z^T H Z is one sparse linear map ``S`` of the ``_hessian_values``
     vector.  ``diag`` holds the slot of each diagonal entry; all of them are
     stored, because every allowed coordinate moves some element's nodes.
+    ``renumber`` moves the slots to a symmetric renumbering of the matrix;
+    S keeps its rows, and ``slot_rows`` says which of them fills each slot.
     """
 
     def __init__(self, asm: _Assembly, Z: sp.csr_matrix):
@@ -561,17 +564,37 @@ class _NewtonPattern:
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        slots = keys[starts]
         self.shape = (n, n)
+        self._set_slots(keys[starts])
+        self.S = sp.csr_matrix((w[order], k[order], np.r_[starts, keys.size]),
+                               shape=(starts.size, num_values))
+        # the row of S that fills each slot
+        self.slot_rows = np.arange(starts.size)
+
+    def _set_slots(self, slots: np.ndarray) -> None:
+        """CSC structure from the ascending slot keys j * n + i."""
+        n = self.shape[0]
         self.indices = slots % n
         self.indptr = np.searchsorted(slots // n, np.arange(n + 1))
         self.diag = np.searchsorted(slots, np.arange(n) * (n + 1))
-        self.S = sp.csr_matrix((w[order], k[order], np.r_[starts, keys.size]),
-                               shape=(slots.size, num_values))
+
+    def renumber(self, perm: np.ndarray) -> np.ndarray:
+        """Hold A[q][:, q] from now on, for the matrix A held so far and
+        q = argsort(perm): entry (i, j) moves to (perm[i], perm[j]).
+        Returns the old slot of each new slot, which maps CSC data of A to
+        that of the renumbered matrix."""
+        n = self.shape[0]
+        perm = np.asarray(perm, dtype=np.int64)
+        cols = np.repeat(np.arange(n), np.diff(self.indptr))
+        keys = perm[cols] * n + perm[self.indices]
+        moved = np.argsort(keys)
+        self._set_slots(keys[moved])
+        self.slot_rows = self.slot_rows[moved]
+        return moved
 
     def assemble(self, values: np.ndarray) -> np.ndarray:
         """CSC data of Z^T H Z from ``_hessian_values`` output."""
-        return self.S @ values
+        return (self.S @ values)[self.slot_rows]
 
     def matrix(self, data: np.ndarray) -> sp.csc_matrix:
         """The matrix with the given CSC data."""
@@ -645,10 +668,16 @@ def solve_r_adaptivity(problem: TmopProblem):
     d = Z dz.  The Newton matrix Z^T H Z has one sparsity pattern per solve
     (``_NewtonPattern``): each iteration fills it with one sparse
     matrix-vector product, damping adds to its diagonal on a copy of its
-    values, and SuperLU factors it in symmetric mode with an MMD ordering on
-    A^T + A.  The fit weight follows a fixed schedule: when the worst
-    marked-node residual falls by less than a factor 1.1 in an iteration,
-    the weight is multiplied by 10, up to 1e10.
+    values, and SuperLU factors it in symmetric mode.  There is one MMD
+    ordering per solve: the first factorization that is not exactly
+    singular computes it on A^T + A, the motion coordinates are then
+    renumbered by it (the columns of Z, the reduced gradient and the
+    pattern's slots), and every later factorization, damping retries
+    included, keeps the natural order of the renumbered matrix.  The step
+    d = Z dz does not depend on that numbering.  The fit weight follows a
+    fixed schedule: when the worst marked-node residual falls by less than
+    a factor 1.1 in an iteration, the weight is multiplied by 10, up to
+    1e10.
     ``problem.controls`` sets only the iteration cap and the fit tolerance.
 
     Returns
@@ -715,6 +744,7 @@ def solve_r_adaptivity(problem: TmopProblem):
         return finish("converged", "gradient already negligible")
 
     newton = _NewtonPattern(asm, Z)
+    ordering = "MMD_AT_PLUS_A"
     lam = controls.initial_damping
     smax_prev = smax
     # cap the initial trial displacement at a fraction of the smallest
@@ -732,11 +762,21 @@ def solve_r_adaptivity(problem: TmopProblem):
             report.factorizations += 1
             try:
                 lu = spla.splu(newton.damped(data, lam_try * dfloor),
-                               permc_spec="MMD_AT_PLUS_A",
+                               permc_spec=ordering,
                                options={"SymmetricMode": True})
                 dz = lu.solve(-gz)
             except RuntimeError:  # exactly singular
                 dz = None
+            if dz is not None and ordering != "NATURAL":
+                # number the motion coordinates by the fill-reducing
+                # ordering of this first factorization, so that the later
+                # ones of the solve keep it without recomputing it
+                q = np.argsort(lu.perm_c)
+                data = data[newton.renumber(lu.perm_c)]
+                dfloor, gz, dz = dfloor[q], gz[q], dz[q]
+                Z = Z[:, q]
+                ZT = Z.T
+                ordering = "NATURAL"
             if dz is not None and np.all(np.isfinite(dz)) and dz @ gz < 0.0:
                 d = (Z @ dz).reshape(-1, 2)
                 break

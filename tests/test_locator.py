@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from meshfit import (DiscreteLevelSet, FitConfig, Locator, generate_cartesian,
-                     make_levelset, mark_interface_faces, solve_r_adaptivity,
-                     write_mesh)
+from meshfit import (DiscreteLevelSet, FitConfig, Locator, SolverControls,
+                     generate_cartesian, make_levelset, mark_interface_faces,
+                     solve_r_adaptivity, write_mesh)
 from meshfit.basis import reference_element
 from meshfit.errors import PointLocationError
 from meshfit.levelset import ANALYTIC_LEVELSETS, FoundFlag
@@ -195,6 +197,76 @@ def test_discrete_levelset_gradients_exact_for_polynomials(rng):
     gy = -1.1 + 0.25 * pts[:, 0] - 0.4 * pts[:, 1]
     assert np.abs(grads[:, 0] - gx).max() < 1e-8
     assert np.abs(grads[:, 1] - gy).max() < 1e-8
+
+
+def _poly2_field(mesh):
+    return DiscreteLevelSet.sample(mesh, lambda p: _poly2(p[:, 0], p[:, 1]))
+
+
+def _count_calls(monkeypatch, cls, name, counts, key):
+    """Count the calls of cls.name in counts[key]."""
+    method = getattr(cls, name)
+
+    def counting(self, *args, **kwargs):
+        counts[key] += 1
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+
+
+def _count_locations(monkeypatch, counts):
+    # every batch located afresh starts with one candidate search
+    _count_calls(monkeypatch, Locator, "_candidate_pairs", counts, "located")
+
+
+def test_discrete_fit_locates_once_per_values_call(monkeypatch):
+    field = DiscreteLevelSet.sample(generate_cartesian(8, 8, 2),
+                                    ANALYTIC_LEVELSETS["squircle2d"]())
+    counts = {"values": 0, "gradients": 0, "located": 0}
+    for name in ("values", "gradients"):
+        _count_calls(monkeypatch, DiscreteLevelSet, name, counts, name)
+    _count_locations(monkeypatch, counts)
+    mesh = generate_cartesian(4, 4, 2)
+    mark_interface_faces(mesh, field)
+    fit = FitConfig(controls=SolverControls(fit_tol=1e-7))
+    _, report = solve_r_adaptivity(fit.problem(mesh, field))
+    assert report.status == "converged"
+    # the gradients at each accepted point reuse the location of its values
+    assert counts["gradients"] == report.num_iterations + 1
+    assert counts["located"] == counts["values"]
+
+
+def test_a_batch_changed_in_place_is_located_again(monkeypatch, rng):
+    bg = perturbed_mesh(4, 4, 2, seed=3)
+    field = _poly2_field(bg)
+    counts = {"located": 0}
+    _count_locations(monkeypatch, counts)
+    pts = rng.uniform(0.05, 0.95, size=(30, 2))
+    field.values(pts)
+    field.gradients(pts)
+    assert counts["located"] == 1
+    pts[:5] = pts[:5][::-1] + 0.01  # the caller reuses its array
+    values = field.values(pts)
+    assert counts["located"] == 2
+    assert np.array_equal(values, _poly2_field(bg).values(pts.copy()))
+
+
+def test_a_reused_location_is_bit_identical(located_mesh, rng):
+    pts = np.vstack([rng.uniform(-0.1, 1.1, size=(60, 2)),
+                     [x for x, _ in _shared_points(located_mesh)]])
+    loc = Locator(located_mesh)
+    first = loc._locate(pts)
+    assert loc._locate(pts.copy()) is first
+    fresh = Locator(located_mesh)._locate(pts)
+    for f in dataclasses.fields(first):
+        a, b = getattr(first, f.name), getattr(fresh, f.name)
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+    # the gradient query after a values query at the same points
+    field, fresh_field = _poly2_field(located_mesh), _poly2_field(located_mesh)
+    field.values(pts, strict=False)
+    assert np.array_equal(field.gradients(pts, strict=False),
+                          fresh_field.gradients(pts, strict=False),
+                          equal_nan=True)
 
 
 def test_interpolate_strict_raises_outside():

@@ -370,7 +370,6 @@ def test_copy_is_independent():
 def test_diameters():
     m = generate_cartesian(4, 2, 1, box=(0.0, 0.0, 2.0, 1.0))
     assert np.isclose(m.diameter(), np.hypot(2.0, 1.0), atol=1e-14)
-    assert np.isclose(m.element_diameter(0), np.hypot(0.5, 0.5), atol=1e-14)
 
 
 def test_edge_order_is_min_of_sides():

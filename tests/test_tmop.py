@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from meshfit import (FitConfig, MeshInvalidError, QualityMetric,
                      SolverControls, TargetSpec, TmopProblem, assign_materials,
@@ -10,7 +12,7 @@ from meshfit.mesh import map_jacobians, require_valid
 from meshfit.levelset import ANALYTIC_LEVELSETS
 from meshfit.tmop import (IDEAL_TRIANGLE_TARGET, _Assembly, _element_pass,
                           _hessian_values, _min_element_diameter,
-                          _motion_basis, _NewtonPattern, adj2,
+                          _motion_basis, _NewtonPattern, _product_terms, adj2,
                           boundary_freedom)
 
 from conftest import meshes_identical, perturbed_mesh, random_order_mesh
@@ -272,6 +274,57 @@ def test_newton_pattern_matches_dense_assembly(rng):
     assert np.array_equal(damped, Hp + np.diag(shift))
     assert np.array_equal(newton.matrix(data).toarray(), Hp)
 
+    # renumbered by perm, the pattern holds P^T A P with P = I[:, q] and
+    # q = argsort(perm); its slots, slot rows and diagonal move together
+    perm = rng.permutation(Z.shape[1])
+    q = np.argsort(perm)
+    P = np.eye(Z.shape[1])[:, q]
+    moved = newton.renumber(perm)
+    renumbered = newton.assemble(values)
+    assert np.array_equal(renumbered, data[moved])
+    assert np.array_equal(newton.matrix(renumbered).toarray(), P.T @ Hp @ P)
+    assert np.array_equal(newton.damped(renumbered, shift[q]).toarray(),
+                          P.T @ damped @ P)
+
+
+def test_slot_keys_of_a_wide_system_do_not_overflow():
+    # the CSC keys j * n + i pass 2^31 from n = 46341 on
+    n = 50000
+    Q = sp.csr_matrix(([2.0, 3.0], ([0, 1], [n - 1, n - 2])), shape=(2, n))
+    assert Q.indices.dtype == np.int32
+    _, keys, w = _product_terms(Q, np.array([0, 1]), np.array([1, 0]))
+    assert keys.tolist() == [(n - 2) * n + n - 1, (n - 1) * n + n - 2]
+    assert w.tolist() == [6.0, 6.0]
+
+
+def test_renumbering_by_the_mmd_ordering_keeps_its_fill():
+    # natural order on the matrix renumbered by an MMD factorization's
+    # perm_c fills in like that factorization; renumbering by perm_c in
+    # place of its inverse does not
+    m = random_order_mesh(6, 6, orders=(2, 3), seed=4)
+    squircle = ANALYTIC_LEVELSETS["squircle2d"]()
+    mark_interface_faces(m, squircle)
+    prob = FitConfig().problem(m, squircle)
+    asm = _Assembly(prob)
+    t = asm.dm.extract(m)
+    values = _hessian_values(asm, _element_pass(asm, prob.metric, t)[1],
+                             prob.fit_weight, asm.sigma_gradients(t))
+
+    def fill(newton, permc_spec):
+        data = newton.assemble(values)
+        lu = spla.splu(newton.damped(data, 1e-4 * data[newton.diag]),
+                       permc_spec=permc_spec,
+                       options={"SymmetricMode": True})
+        return lu, lu.L.nnz + lu.U.nnz
+
+    Z = _motion_basis(*boundary_freedom(m))
+    lu, mmd_fill = fill(_NewtonPattern(asm, Z), "MMD_AT_PLUS_A")
+    right, wrong = _NewtonPattern(asm, Z), _NewtonPattern(asm, Z)
+    right.renumber(lu.perm_c)
+    wrong.renumber(np.argsort(lu.perm_c))
+    assert fill(right, "NATURAL")[1] <= 1.01 * mmd_fill
+    assert fill(wrong, "NATURAL")[1] > 1.5 * mmd_fill
+
 
 def _tk_dk_element_blocks(asm, metric, t):
     """Reference element Hessian blocks from batched products of T K^T and
@@ -423,8 +476,10 @@ def test_min_element_diameter_matches_the_element_loop(split, seed):
     for el in m.elements:  # per-element jitter: every diameter differs
         el.coords += rng.uniform(-0.05, 0.05, el.coords.shape)
     assert len(m.groups()) > 1
+    # bounding-box diagonal of each element's nodes, element by element
     assert _min_element_diameter(m) == min(
-        m.element_diameter(e) for e in range(len(m.elements)))
+        float(np.hypot(*(el.coords.max(axis=1) - el.coords.min(axis=1))))
+        for el in m.elements)
 
 
 def test_solver_converges_on_circle():
@@ -460,6 +515,56 @@ def test_solver_counts_factorizations():
     # damping retries
     assert report.factorizations >= report.num_iterations
     assert 0 <= report.damping_retries <= report.factorizations
+
+
+def _squircle_fit(n, p, metric):
+    squircle = ANALYTIC_LEVELSETS["squircle2d"]()
+    m = generate_cartesian(n, n, p)
+    mark_interface_faces(m, squircle)
+    return FitConfig(metric=metric, controls=SolverControls(fit_tol=1e-7)) \
+        .problem(m, squircle)
+
+
+def test_solve_computes_one_mmd_ordering(monkeypatch):
+    orderings = []
+    splu = spla.splu
+
+    def recording(A, permc_spec=None, **kwargs):
+        orderings.append(permc_spec)
+        if len(orderings) == 2:  # one rejected system: a damping retry
+            raise RuntimeError("Factor is exactly singular")
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    _, report = solve_r_adaptivity(_squircle_fit(4, 2, QualityMetric("mu2")))
+    assert report.status == "converged"
+    assert report.damping_retries >= 1
+    assert len(orderings) == report.factorizations > 2
+    assert orderings[0] == "MMD_AT_PLUS_A"
+    assert set(orderings[1:]) == {"NATURAL"}
+
+
+def test_solve_matches_an_mmd_ordering_per_factorization(monkeypatch):
+    # the renumbered solve takes the same steps up to rounding as one that
+    # orders every factorization afresh
+    fits = []
+    for fresh in (False, True):
+        if fresh:
+            splu = spla.splu
+            monkeypatch.setattr(
+                spla, "splu", lambda A, permc_spec=None, **kwargs: splu(
+                    A, permc_spec="MMD_AT_PLUS_A", **kwargs))
+        prob = _squircle_fit(6, 2, QualityMetric("mu2"))
+        _, report = solve_r_adaptivity(prob)
+        fits.append((prob.mesh, report))
+    (m0, r0), (m1, r1) = fits
+    assert r0.status == r1.status == "converged"
+    assert (r0.num_iterations, r0.factorizations) == \
+        (r1.num_iterations, r1.factorizations)
+    for a, b in zip(r0.iterations, r1.iterations):
+        assert a.backtracks == b.backtracks and a.direction == b.direction
+    x0, x1 = m0.dof_map().extract(m0), m1.dof_map().extract(m1)
+    assert np.abs(x0 - x1).max() <= 1e-9 * m0.diameter()
 
 
 def test_solver_early_exit_already_fitted():
