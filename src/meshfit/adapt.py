@@ -47,8 +47,9 @@ class AdaptivityPlan:
     """Knobs of the order-adaptation loop.
 
     ``refine_kind`` selects the marking rule: ``"absolute"`` marks faces with
-    error above ``refine_threshold``; ``"relative"`` marks faces with error
-    at least ``refine_threshold`` times the current worst face error.
+    error above ``refine_threshold``; ``"relative"`` marks faces with a
+    positive error of at least ``refine_threshold`` times the current worst
+    face error.  Under either rule a face with zero error is never marked.
 
     ``deref_kind`` (active only when ``refine_step > 1``) selects the test a
     lower-order candidate must pass: ``"ref"`` keeps the projected error
@@ -180,7 +181,8 @@ def mark_for_refinement(report: FaceErrorReport,
     if plan.refine_kind == "absolute":
         keep = report.errors > plan.refine_threshold
     else:
-        keep = report.errors >= plan.refine_threshold * report.max_error
+        keep = (report.errors >= plan.refine_threshold * report.max_error) \
+            & (report.errors > 0.0)
     return [f for f, k in zip(report.faces, keep) if k]
 
 

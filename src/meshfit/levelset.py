@@ -33,7 +33,7 @@ import numpy as np
 
 from .basis import reference_element
 from .errors import PointLocationError
-from .mesh import MixedOrderMesh, det2, map_jacobians
+from .mesh import MixedOrderMesh, det2, jacobian_table, map_jacobians
 
 
 class FoundFlag(Enum):
@@ -402,8 +402,9 @@ class DiscreteLevelSet:
             G = ref.eval_basis_grad(ref.nodes)                   # (n, n, 2)
             U = np.stack([self.blocks[e] for e in ids])
             du = np.einsum("ei,mib->emb", U, G)                  # reference gradients
-            A = map_jacobians(X, G)
-            g = np.linalg.solve(np.swapaxes(A, -1, -2), du[..., None])[..., 0]
+            # A^T of each node's map Jacobian A[a, c] = T[e, a, m, c]
+            AT = map_jacobians(X, jacobian_table(G)).transpose(0, 2, 3, 1)
+            g = np.linalg.solve(AT, du[..., None])[..., 0]
             node_ids = dm.node_ids[key]
             mapped = node_ids >= 0
             np.add.at(sums, node_ids[mapped], g[mapped])

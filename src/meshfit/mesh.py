@@ -63,20 +63,31 @@ class EdgeRecord:
     sides: tuple[EdgeSide, ...]
 
 
-def map_jacobians(X: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """T[e, q, a, c] = sum_i X[e, i, a] G[q, i, c] as one batched product.
+def jacobian_table(G: np.ndarray) -> np.ndarray:
+    """The (n, 2Q) GEMM table Gf[i, (q, c)] = G[q, i, c] of per-point basis
+    gradients G (Q, n, 2), for ``map_jacobians``."""
+    return G.transpose(1, 0, 2).reshape(G.shape[1], 2 * G.shape[0])
 
-    X holds per-element node coordinates (E, n, 2) and G per-point basis
-    gradients (Q, n, 2), so T is the (E, Q, 2, 2) stack of map Jacobians.
-    Routing the contraction through matmul keeps the inner loops in BLAS,
-    which matters because this runs once per objective, gradient and Hessian
-    evaluation.
+
+def map_jacobians(X: np.ndarray, Gf: np.ndarray) -> np.ndarray:
+    """T[e, a, q, c] = sum_i X[e, i, a] G[q, i, c] as one batched product.
+
+    X holds per-element node coordinates (E, n, 2) and Gf is the
+    ``jacobian_table`` of per-point basis gradients G (Q, n, 2).  T is the
+    (E, 2, Q, 2) product as the GEMM leaves it: the map Jacobian of element
+    e at point q is T[e, :, q, :].  Routing the contraction through matmul
+    keeps the inner loops in BLAS, which matters because this runs once per
+    objective, gradient and Hessian evaluation.
     """
-    n_el = X.shape[0]
-    nq = G.shape[0]
-    Gf = G.transpose(1, 0, 2).reshape(X.shape[1], 2 * nq)
-    out = X.transpose(0, 2, 1) @ Gf
-    return out.reshape(n_el, 2, nq, 2).transpose(0, 2, 1, 3)
+    n_el, nq = X.shape[0], Gf.shape[1] // 2
+    return (X.transpose(0, 2, 1) @ Gf).reshape(n_el, 2, nq, 2)
+
+
+def jacobian_components(T: np.ndarray):
+    """The contiguous (E, Q) components (T00, T01, T10, T11) of a
+    ``map_jacobians`` product, from one copy."""
+    C = np.ascontiguousarray(T.transpose(1, 3, 0, 2))
+    return C[0, 0], C[0, 1], C[1, 0], C[1, 1]
 
 
 def det2(A: np.ndarray) -> np.ndarray:
@@ -85,14 +96,16 @@ def det2(A: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def validity_gradients(geometry: str, order: int) -> np.ndarray:
-    """Basis gradients at the validity sample set, (Q + num_nodes, n, 2).
+def validity_table(geometry: str, order: int) -> np.ndarray:
+    """``jacobian_table`` of the basis gradients at the validity sample set;
+    read-only.
 
     The set is the quality quadrature points plus the element nodes; an
     element is valid when its map determinant is positive on all of them.
     """
     tables = basis_tables(geometry, order)
-    out = np.concatenate([tables.grad_at_quad, tables.grad_at_nodes])
+    out = jacobian_table(np.concatenate([tables.grad_at_quad,
+                                         tables.grad_at_nodes]))
     out.flags.writeable = False
     return out
 
@@ -512,8 +525,12 @@ def element_min_dets(stacks) -> list[np.ndarray]:
     (E, n, 2) node coordinates of E elements with that key.  Returns one
     length-E array per pair.
     """
-    return [det2(map_jacobians(X, validity_gradients(*key))).min(axis=1)
-            for key, X in stacks]
+    dets = []
+    for key, X in stacks:
+        T00, T01, T10, T11 = jacobian_components(
+            map_jacobians(X, validity_table(*key)))
+        dets.append((T00 * T11 - T01 * T10).min(axis=1))
+    return dets
 
 
 def min_det_of(stacks) -> float:

@@ -284,6 +284,13 @@ def _color_for(el, mode, det_range, d):
     return "#%02x%02x%02x" % tuple(rgb)
 
 
+def _svg_points(x: np.ndarray, y: np.ndarray) -> str:
+    """SVG ``points`` value "x,y x,y ..." of pixel coordinates at two
+    decimals, as one ``%`` format over the point tuple."""
+    return " ".join(["%.2f,%.2f"] * len(x)) \
+        % tuple(np.column_stack([x, y]).ravel().tolist())
+
+
 def export_svg(mesh: MixedOrderMesh, path, color_by: str = "order",
                segments_per_edge: int = 16, size: int = 640):
     """Write an SVG rendering of the mesh.
@@ -329,10 +336,8 @@ def export_svg(mesh: MixedOrderMesh, path, color_by: str = "order",
     for e, el in enumerate(mesh.elements):
         px, py = to_px(outlines[e])
         for ex, ey in zip(px, py):
-            path_pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(ex, ey))
-            edge_paths.append(f'<polyline points="{path_pts}" />')
-        poly = " ".join(f"{x:.2f},{y:.2f}" for x, y in
-                        zip(px[:, :-1].ravel(), py[:, :-1].ravel()))
+            edge_paths.append(f'<polyline points="{_svg_points(ex, ey)}" />')
+        poly = _svg_points(px[:, :-1].ravel(), py[:, :-1].ravel())
         fill = _color_for(el, color_by, det_range, float(dets[e]))
         body.append(f'<polygon points="{poly}" fill="{fill}" stroke="none" />')
     body.extend(['<g fill="none" stroke="#333333" stroke-width="1">']

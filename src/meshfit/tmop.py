@@ -13,7 +13,10 @@ mixed-order edge nodes follow through the trace-interpolation constraints.
 A Newton iterate makes one element pass (``_element_pass``): the accepted
 line-search trial's Jacobians and metric partials give the objective, the
 gradient and the Hessian, whose element blocks are one GEMM per (geometry,
-order) group against a basis-gradient table built once per solve.
+order) group against a basis-gradient table built once per solve.  The
+map Jacobians keep the (E, 2, Q, 2) layout of their own GEMM, and the
+metric, gradient, Hessian and validity formulas read their four contiguous
+(E, Q) components T00, T01, T10 and T11.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ import scipy.sparse.linalg as spla
 
 from .basis import TRI, basis_tables, reference_element
 from .errors import MeshInvalidError
-from .mesh import (MixedOrderMesh, apply_edge_constraints, det2,
-                   map_jacobians, min_det_of, require_valid)
+from .mesh import (MixedOrderMesh, apply_edge_constraints,
+                   jacobian_components, jacobian_table, map_jacobians,
+                   min_det_of, require_valid)
 
 IDEAL_TRIANGLE_TARGET = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
 IDEAL_TRIANGLE_TARGET.flags.writeable = False
@@ -75,41 +79,39 @@ class QualityMetric:
         g1, g2 = self.gamma, 1.0 - self.gamma
         return tuple(g1 * a + g2 * b for a, b in zip(mu2, mu77))
 
-    def _eval(self, T: np.ndarray):
-        """(tau > 0 mask, partials) for a (..., 2, 2) stack."""
-        tau = det2(T)
+    def _eval(self, T):
+        """(tau > 0 mask, partials) from the components (T00, T01, T10, T11)
+        of T, each an array of one shape."""
+        T00, T01, T10, T11 = T
+        tau = T00 * T11 - T01 * T10
         good = tau > 0.0
-        frob2 = np.sum(T * T, axis=(-2, -1))
+        frob2 = (T00 * T00 + T01 * T01) + (T10 * T10 + T11 * T11)
         return good, self._partials(frob2, np.where(good, tau, 1.0))
+
+    def _values(self, T) -> np.ndarray:
+        """Metric values from the components of T; +inf where det T <= 0."""
+        good, (mu, *_) = self._eval(T)
+        return np.where(good, mu, np.inf)
 
     def values(self, T: np.ndarray) -> np.ndarray:
         """Metric values for a (..., 2, 2) stack; +inf where det T <= 0."""
-        good, (mu, *_) = self._eval(np.asarray(T, dtype=float))
-        return np.where(good, mu, np.inf)
-
-    def values_and_derivs(self, T: np.ndarray):
-        """Metric values and d(mu)/dT = 2 mu_f T + mu_tau adj2(T) for a
-        (..., 2, 2) stack.
-
-        Entries with det T <= 0 get value +inf and derivative 0; callers must
-        treat the whole configuration as invalid.
-        """
         T = np.asarray(T, dtype=float)
-        good, partials = self._eval(T)
-        return (np.where(good, partials[0], np.inf),
-                np.where(good[..., None, None], _metric_derivs(T, partials),
-                         0.0))
+        return self._values((T[..., 0, 0], T[..., 0, 1],
+                             T[..., 1, 0], T[..., 1, 1]))
 
 
-def _metric_derivs(T: np.ndarray, partials) -> np.ndarray:
-    """d(mu)/dT = 2 mu_f T + mu_tau adj2(T) from the partials of ``_eval``."""
+def _adjugate(T):
+    """Components of d(det T)/dT, the transposed adjugate, from those of T."""
+    T00, T01, T10, T11 = T
+    return T11, -T10, -T01, T00
+
+
+def _metric_derivs(T, partials):
+    """Components of d(mu)/dT = 2 mu_f T + mu_tau adj from the components of
+    T and the partials of ``QualityMetric._eval``."""
     _, mu_f, mu_tau, _, _ = partials
-    return (2.0 * mu_f)[..., None, None] * T + mu_tau[..., None, None] * adj2(T)
-
-
-def adj2(T: np.ndarray) -> np.ndarray:
-    """d(det T)/dT, the transposed adjugate, of a (..., 2, 2) stack."""
-    return T[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    f2 = 2.0 * mu_f
+    return tuple(f2 * t + mu_tau * a for t, a in zip(T, _adjugate(T)))
 
 
 def metric_value(metric: QualityMetric, T) -> float:
@@ -131,7 +133,8 @@ def element_quality(mesh: "MixedOrderMesh", metric: QualityMetric,
     out = np.empty(len(mesh.elements))
     for (geometry, order), ids in mesh.groups().items():
         _, K, _ = _target_tables(geometry, order, target)
-        mu = metric.values(map_jacobians(mesh.group_coords(ids), K))
+        mu = metric._values(jacobian_components(
+            map_jacobians(mesh.group_coords(ids), jacobian_table(K))))
         out[ids] = mu.max(axis=1) if reduce == "max" else mu.mean(axis=1)
     return out
 
@@ -269,15 +272,6 @@ def mark_interface_faces(mesh: MixedOrderMesh, field=None,
 # ---------------------------------------------------------------------------
 # Assembly
 
-def _contract_grad(D: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """out[e, i, a] = sum_{q,c} D[e, q, a, c] K[q, i, c], batched over e."""
-    n_el, nq = D.shape[:2]
-    nn = K.shape[1]
-    Df = D.transpose(0, 2, 1, 3).reshape(n_el, 2, 2 * nq)
-    Kf = K.transpose(0, 2, 1).reshape(2 * nq, nn)
-    return (Df @ Kf).transpose(0, 2, 1)
-
-
 def _target_tables(geometry: str, order: int, target: TargetSpec):
     """Basis tables of one element group, K = grad(phi) W^{-1} at their
     quadrature points, and det W, for the group's target matrix W."""
@@ -302,11 +296,15 @@ class _Assembly:
         for (geometry, order), gather in self.dm.slots.items():
             tables, K, detW = _target_tables(geometry, order, problem.target)
             nq, nn = K.shape[:2]
-            # KK[(q, c, d), (i, j)] = K[q, i, c] K[q, j, d], for _hessian_values
+            # the GEMM tables of the map Jacobians, Gf[i, (q, c)] = K[q, i, c],
+            # of the gradient, Kf = Gf^T, and of _hessian_values,
+            # KK[(q, c, d), (i, j)] = K[q, i, c] K[q, j, d]
+            Gf = jacobian_table(K)
             KK = np.einsum("qic,qjd->qcdij", K, K).reshape(4 * nq, nn * nn)
             self.groups.append({
                 "key": (geometry, order), "tables": tables, "detW": detW,
-                "gather": gather, "K": K, "KK": KK,
+                "gather": gather, "Gf": Gf, "Kf": np.ascontiguousarray(Gf.T),
+                "KK": KK,
             })
 
     def min_det(self, t: np.ndarray) -> float:
@@ -326,15 +324,16 @@ class _Assembly:
 
 
 def _element_pass(asm: _Assembly, metric: QualityMetric, t: np.ndarray):
-    """Quality objective at t and its state: per group, the Jacobians T and
-    the partials of ``QualityMetric._eval``, from which the gradient and the
-    Hessian are computed without another pass.  The objective is inf and
-    the state None on an inverted configuration."""
+    """Quality objective at t and its state: per group, the components of
+    the Jacobians T (``jacobian_components``) and the partials of
+    ``QualityMetric._eval``, from which the gradient and the Hessian are
+    computed without another pass.  The objective is inf and the state None
+    on an inverted configuration."""
     x_all = asm.expand @ t
     total = 0.0
     state = []
     for g in asm.groups:
-        T = map_jacobians(x_all[g["gather"]], g["K"])
+        T = jacobian_components(map_jacobians(x_all[g["gather"]], g["Gf"]))
         good, partials = metric._eval(T)
         if not good.all() or np.isinf(partials[0]).any():
             return np.inf, None
@@ -346,12 +345,18 @@ def _element_pass(asm: _Assembly, metric: QualityMetric, t: np.ndarray):
 
 def _quality_gradient(asm: _Assembly, state) -> np.ndarray:
     """Gradient of the quality objective on independent nodes from the state
-    of ``_element_pass``."""
+    of ``_element_pass``: per group, the weighted d(mu)/dT fills an
+    (E, 2, Q, 2) buffer D[e, a, q, c], and the gradient's element blocks are
+    the one GEMM of its (E, 2, 2Q) view with Kf."""
     g_all = np.zeros((asm.dm.total_local, 2))
     for g, (T, partials) in zip(asm.groups, state):
         wq = g["tables"].quad_weights
-        g_all[g["gather"]] = g["detW"] * _contract_grad(
-            wq[None, :, None, None] * _metric_derivs(T, partials), g["K"])
+        n_el, nq = T[0].shape
+        D = np.empty((n_el, 2, nq, 2))
+        for ac, dmu in enumerate(_metric_derivs(T, partials)):
+            np.multiply(wq, dmu, out=D[:, ac // 2, :, ac % 2])
+        g_all[g["gather"]] = g["detW"] * (
+            D.reshape(n_el, 2, 2 * nq) @ g["Kf"]).transpose(0, 2, 1)
     return asm.expand_T @ g_all
 
 
@@ -463,25 +468,24 @@ def _hessian_values(asm: _Assembly, state, fit_weight: float,
 
     The quality term is exact, from the ``_element_pass`` state.  In 2D
     d2(mu)/dT_ac dT_bd = c_id delta_ab delta_cd + c_sym (T_ac adj_bd +
-    adj_ac T_bd) + c_dd adj_ac adj_bd + c_eps eps_ab eps_cd, with adj =
-    adj2(T), eps the alternating symbol and (c_id, c_sym, c_dd, c_eps) =
-    (2 mu_f, 2 mu_ftau, mu_tautau, mu_tau).  Weighted by quadrature, it
-    fills N[e, a, b, q, c, d], and a group's blocks are the one GEMM N @ KK.
+    adj_ac T_bd) + c_dd adj_ac adj_bd + c_eps eps_ab eps_cd, with adj the
+    transposed adjugate, eps the alternating symbol and (c_id, c_sym, c_dd,
+    c_eps) = (2 mu_f, 2 mu_ftau, mu_tautau, mu_tau), all read from the
+    (E, Q) components of T.  Weighted by quadrature, it fills
+    N[e, a, b, q, c, d], and a group's blocks are the one GEMM N @ KK.
     The fitting term adds 2 w (grad sigma)(grad sigma)^T per marked node
     from the level-set gradients ``dsigma``, exact for affine fields.
     Indefiniteness of the quality part is
     handled by the solver's damping, not here.
     """
     values = []
-    for g, (T, (_, mu_f, mu_tau, mu_ftau, mu_tautau)) in zip(asm.groups,
-                                                             state):
-        n_el, nq = T.shape[:2]
+    for g, (Tc, (_, mu_f, mu_tau, mu_ftau, mu_tautau)) in zip(asm.groups,
+                                                              state):
+        n_el, nq = Tc[0].shape
         w = g["detW"] * g["tables"].quad_weights
         c_id, c_sym = (2.0 * w) * mu_f, (2.0 * w) * mu_ftau
         c_dd, c_eps = w * mu_tautau, w * mu_tau
-        A = adj2(T)
-        Tc = [T[:, :, a, c] for a in range(2) for c in range(2)]
-        adj = [A[:, :, a, c] for a in range(2) for c in range(2)]
+        adj = _adjugate(Tc)
         N = np.empty((n_el, 2, 2, nq, 2, 2))
         # N[:, a, b, :, c, d] = N[:, b, a, :, d, c]: each pair ac <= bd once
         for ac in range(4):

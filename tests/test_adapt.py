@@ -330,6 +330,26 @@ def test_driver_exits_when_nothing_to_refine():
     assert res.final.dofs == 25
 
 
+def test_relative_marking_skips_faces_without_error():
+    # the plane y = 0.5 runs along mesh lines of an 8x8 mesh: every marked
+    # face has zero error, so neither rule may mark one
+    plane = ANALYTIC_LEVELSETS["plane"]()
+    m = generate_cartesian(8, 8, 1)
+    mark_interface_faces(m, plane)
+    rep = compute_face_errors(m, plane)
+    assert len(rep.faces) == 8 and rep.max_error == 0.0
+    for kind in ("absolute", "relative"):
+        plan = AdaptivityPlan(p_init=1, p_max=3, refine_kind=kind,
+                              refine_threshold=0.5)
+        assert mark_for_refinement(rep, plan) == []
+    plan = AdaptivityPlan(p_init=1, p_max=3, refine_kind="relative",
+                          refine_threshold=0.5, fit_tol=1e-7)
+    res = run_rp_adaptivity(m, plane, FitConfig(), plan)
+    assert res.exit_reason == "no faces refined"
+    assert res.mesh.order_histogram() == {1: 64}
+    assert res.final.dofs == 81
+
+
 def test_driver_refines_to_p_max_on_circle():
     circle = ANALYTIC_LEVELSETS["circle"]()
     m = generate_cartesian(4, 4, 1)

@@ -7,7 +7,7 @@ from meshfit import (MeshFileError, export_svg, export_vtk, generate_cartesian,
                      mark_interface_faces, read_mesh, write_mesh)
 from meshfit.basis import reference_element
 from meshfit.levelset import ANALYTIC_LEVELSETS
-from meshfit import cli
+from meshfit import cli, mesh_io
 
 from conftest import meshes_identical, perturbed_mesh, random_order_mesh
 
@@ -310,6 +310,26 @@ def test_svg_draws_mixed_order_triangles_in_element_order(tmp_path):
             phys = np.column_stack([pix[:, 0] / scale - margin,
                                     (size - pix[:, 1]) / scale - margin])
             assert np.abs(phys - want).max() < 2 * 0.005 / scale + 1e-12
+
+
+def test_svg_points_match_per_point_formatting(tmp_path, monkeypatch):
+    # a curved mixed-order mesh, against the writer formatting each point
+    # with its own f-string
+    m = random_order_mesh(3, 3, orders=(1, 2, 3), seed=4, split_triangles=True)
+    dm = m.dof_map()
+    t = dm.extract(m)
+    t[dm.num_vertices:] += 0.01 * np.sin(7.0 * t[dm.num_vertices:])
+    dm.scatter(m, t)
+    assert m.min_det() > 0.0
+    export_svg(m, tmp_path / "joined.svg", color_by="det")
+
+    def per_point(x, y):
+        return " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(x, y))
+
+    monkeypatch.setattr(mesh_io, "_svg_points", per_point)
+    export_svg(m, tmp_path / "per_point.svg", color_by="det")
+    assert (tmp_path / "joined.svg").read_bytes() \
+        == (tmp_path / "per_point.svg").read_bytes()
 
 
 def test_svg_legend_covers_orders(tmp_path):

@@ -8,12 +8,14 @@ from meshfit import (FitConfig, MeshInvalidError, QualityMetric,
                      element_quality, generate_cartesian, gradient,
                      mark_interface_faces, metric_value, objective,
                      solve_r_adaptivity)
-from meshfit.mesh import map_jacobians, require_valid
+from meshfit.basis import basis_tables
+from meshfit.mesh import (element_min_dets, jacobian_table, map_jacobians,
+                          require_valid)
 from meshfit.levelset import ANALYTIC_LEVELSETS
 from meshfit.tmop import (IDEAL_TRIANGLE_TARGET, _Assembly, _element_pass,
-                          _hessian_values, _min_element_diameter,
-                          _motion_basis, _NewtonPattern, _product_terms, adj2,
-                          boundary_freedom)
+                          _hessian_values, _metric_derivs,
+                          _min_element_diameter, _motion_basis, _NewtonPattern,
+                          _product_terms, _target_tables, boundary_freedom)
 
 from conftest import meshes_identical, perturbed_mesh, random_order_mesh
 
@@ -54,15 +56,20 @@ def test_metric_derivatives_match_fd(rng):
     eps = 1e-7
     for name in ("mu2", "mu77", "mu80"):
         metric = QualityMetric(name, gamma=0.3)
-        _, der = metric.values_and_derivs(Ts)
-        for a in range(2):
-            for b in range(2):
-                Tp = Ts.copy()
-                Tp[:, a, b] += eps
-                Tm = Ts.copy()
-                Tm[:, a, b] -= eps
-                fd = (metric.values(Tp) - metric.values(Tm)) / (2 * eps)
-                assert np.abs(der[:, a, b] - fd).max() < 1e-6
+        good, partials = metric._eval(
+            (Ts[:, 0, 0], Ts[:, 0, 1], Ts[:, 1, 0], Ts[:, 1, 1]))
+        assert good.all()
+        # the components d(mu)/dT_ab in (00, 01, 10, 11) order
+        for ab, der in enumerate(_metric_derivs(
+                (Ts[:, 0, 0], Ts[:, 0, 1], Ts[:, 1, 0], Ts[:, 1, 1]),
+                partials)):
+            a, b = divmod(ab, 2)
+            Tp = Ts.copy()
+            Tp[:, a, b] += eps
+            Tm = Ts.copy()
+            Tm[:, a, b] -= eps
+            fd = (metric.values(Tp) - metric.values(Tm)) / (2 * eps)
+            assert np.abs(der - fd).max() < 1e-6
 
 
 def test_unknown_metric_rejected():
@@ -326,6 +333,143 @@ def test_renumbering_by_the_mmd_ordering_keeps_its_fill():
     assert fill(wrong, "NATURAL")[1] > 1.5 * mmd_fill
 
 
+# ---------------------------------------------------------------------------
+# reference kernels on (E, Q, 2, 2) stacks of map Jacobians, the layout the
+# solver kept before it read the GEMM's (E, 2, Q, 2) product by components;
+# the solver must reproduce them bit for bit
+
+def _stack_jacobians(X, K):
+    """T[e, q, a, c] = sum_i X[e, i, a] K[q, i, c], an (E, Q, 2, 2) stack."""
+    n_el, nq = X.shape[0], K.shape[0]
+    Gf = K.transpose(1, 0, 2).reshape(X.shape[1], 2 * nq)
+    return (X.transpose(0, 2, 1) @ Gf).reshape(n_el, 2, nq, 2) \
+        .transpose(0, 2, 1, 3)
+
+
+def _stack_det(T):
+    return T[..., 0, 0] * T[..., 1, 1] - T[..., 0, 1] * T[..., 1, 0]
+
+
+def _stack_adj(T):
+    return T[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _stack_eval(metric, T):
+    tau = _stack_det(T)
+    good = tau > 0.0
+    frob2 = np.sum(T * T, axis=(-2, -1))
+    return good, metric._partials(frob2, np.where(good, tau, 1.0))
+
+
+def _stack_quality_terms(asm, problem, t):
+    """Quality objective, gradient and element Hessian values at t."""
+    x_all = asm.expand @ t
+    fq, g_all, values = 0.0, np.zeros((asm.dm.total_local, 2)), []
+    for g in asm.groups:
+        _, K, detW = _target_tables(*g["key"], problem.target)
+        n_el, nn = g["gather"].shape
+        nq = K.shape[0]
+        T = _stack_jacobians(x_all[g["gather"]], K)
+        good, (mu, mu_f, mu_tau, mu_ftau, mu_tautau) = \
+            _stack_eval(problem.metric, T)
+        assert good.all()
+        wq = g["tables"].quad_weights
+        fq += detW * float((mu @ wq).sum())
+        D = wq[None, :, None, None] * (
+            (2.0 * mu_f)[..., None, None] * T
+            + mu_tau[..., None, None] * _stack_adj(T))
+        Df = D.transpose(0, 2, 1, 3).reshape(n_el, 2, 2 * nq)
+        Kf = K.transpose(0, 2, 1).reshape(2 * nq, nn)
+        g_all[g["gather"]] = detW * (Df @ Kf).transpose(0, 2, 1)
+        w = detW * wq
+        c_id, c_sym = (2.0 * w) * mu_f, (2.0 * w) * mu_ftau
+        c_dd, c_eps = w * mu_tautau, w * mu_tau
+        A = _stack_adj(T)
+        Tc = [T[:, :, a, c] for a in range(2) for c in range(2)]
+        adj = [A[:, :, a, c] for a in range(2) for c in range(2)]
+        N = np.empty((n_el, 2, 2, nq, 2, 2))
+        for ac in range(4):
+            a, c = divmod(ac, 2)
+            left = c_sym * Tc[ac] + c_dd * adj[ac]
+            right = c_sym * adj[ac]
+            for bd in range(ac, 4):
+                b, d = divmod(bd, 2)
+                v = left * adj[bd] + right * Tc[bd]
+                if bd == ac:
+                    v += c_id
+                elif ac + bd == 3:
+                    v += c_eps if a == c else -c_eps
+                N[:, a, b, :, c, d] = v
+                N[:, b, a, :, d, c] = v
+        KK = np.einsum("qic,qjd->qcdij", K, K).reshape(4 * nq, nn * nn)
+        values.append((N.reshape(4 * n_el, 4 * nq) @ KK).ravel())
+    return fq, asm.expand_T @ g_all, np.concatenate(values)
+
+
+BIT_MESHES = {
+    **{f"{kind}{p}": (lambda p=p, split=split: perturbed_mesh(
+        3, 3, p, seed=7 + p, split_triangles=split))
+       for p in (1, 2, 3) for kind, split in (("quad", False), ("tri", True))},
+    "mixed": lambda: random_order_mesh(3, 3, seed=2),
+}
+BIT_TARGETS = {"ideal": TargetSpec(),
+               "matrix": TargetSpec("matrix", [[1.2, 0.3], [-0.1, 0.9]])}
+
+
+@pytest.mark.parametrize("target", list(BIT_TARGETS))
+@pytest.mark.parametrize("metric", ["mu2", "mu77", "mu80"])
+@pytest.mark.parametrize("mesh", list(BIT_MESHES))
+def test_component_kernels_match_the_stack_form_bit_for_bit(mesh, metric,
+                                                            target):
+    m = BIT_MESHES[mesh]()
+    prob = FitConfig(metric=QualityMetric(metric, gamma=0.3),
+                     target=BIT_TARGETS[target]).problem(m)
+    asm = _Assembly(prob)
+    t = m.dof_map().extract(m)
+    fq, grad, hess = _stack_quality_terms(asm, prob, t)
+    assert objective(prob) == fq
+    assert np.array_equal(gradient(prob), grad)
+    state = _element_pass(asm, prob.metric, t)[1]
+    assert np.array_equal(
+        _hessian_values(asm, state, 0.0, np.zeros((0, 2))), hess)
+    groups = m.groups()
+    for (key, ids), dets in zip(groups.items(), element_min_dets(
+            (key, m.group_coords(ids)) for key, ids in groups.items())):
+        tables = basis_tables(*key)
+        T = _stack_jacobians(m.group_coords(ids), np.concatenate(
+            [tables.grad_at_quad, tables.grad_at_nodes]))
+        assert np.array_equal(dets, _stack_det(T).min(axis=1))
+    for reduce in ("max", "mean"):
+        ref = np.empty(len(m.elements))
+        for key, ids in groups.items():
+            _, K, _ = _target_tables(*key, prob.target)
+            good, (mu, *_) = _stack_eval(
+                prob.metric, _stack_jacobians(m.group_coords(ids), K))
+            mu = np.where(good, mu, np.inf)
+            ref[ids] = mu.max(axis=1) if reduce == "max" else mu.mean(axis=1)
+        assert np.array_equal(
+            element_quality(m, prob.metric, prob.target, reduce), ref)
+
+
+def test_inverted_and_nan_elements_fail_the_component_kernels():
+    m = perturbed_mesh(3, 3, 2, seed=3)
+    dm = m.dof_map()
+    t = dm.extract(m)
+    # push vertex 5, interior at (1/3, 1/3), past its opposite corner
+    t[5] = [0.9, 0.9]
+    dm.scatter(m, t)
+    prob = FitConfig().problem(m)
+    assert objective(prob) == np.inf
+    assert m.min_det() <= 0.0
+    assert np.isinf(element_quality(m, prob.metric)).any()
+    t[5] = np.nan
+    dm.scatter(m, t)
+    assert np.isnan(m.min_det())
+    dets = element_min_dets((key, m.group_coords(ids))
+                            for key, ids in m.groups().items())
+    assert np.isnan(np.concatenate(dets)).sum() == 4
+
+
 def _tk_dk_element_blocks(asm, metric, t):
     """Reference element Hessian blocks from batched products of T K^T and
     adj(T) K^T, one (E, 2 nn, 2 nn) stack per group on local coordinates
@@ -333,11 +477,13 @@ def _tk_dk_element_blocks(asm, metric, t):
     x_all = asm.expand @ t
     blocks = []
     for g in asm.groups:
-        K = g["K"]
+        _, K, _ = _target_tables(*g["key"], TargetSpec())
         nq, nn = K.shape[:2]
-        T = map_jacobians(x_all[g["gather"]], K)
-        adj = adj2(T)
-        good, (_, mu_f, mu_tau, mu_ftau, mu_tautau) = metric._eval(T)
+        # the (E, Q, 2, 2) stack T[e, q] of the map Jacobians
+        T = map_jacobians(x_all[g["gather"]], jacobian_table(K)) \
+            .transpose(0, 2, 1, 3)
+        adj = _stack_adj(T)
+        good, (_, mu_f, mu_tau, mu_ftau, mu_tautau) = _stack_eval(metric, T)
         assert good.all()
         w = g["detW"] * g["tables"].quad_weights[None, :]
         c_id, c_sym, c_dd, c_eps = (w * c for c in (
