@@ -135,9 +135,6 @@ class FaceErrorReport:
     max_error: float
     node_sigma_max: float
 
-    def error_of(self, face: int) -> float:
-        return float(self.errors[self.faces.index(face)])
-
 
 def compute_face_errors(mesh: MixedOrderMesh, field,
                         faces=None) -> FaceErrorReport:
@@ -148,6 +145,15 @@ def compute_face_errors(mesh: MixedOrderMesh, field,
         faces = sorted(mesh.marked_faces)
     else:
         faces = sorted(faces)
+    # the nodes first: right after a solve they are the points of its last
+    # field query, so a discrete field reuses that location
+    dm = mesh.dof_map()
+    face_nodes = dm.marked_node_ids(mesh, faces)
+    if face_nodes.size:
+        pts = dm.extract(mesh)[face_nodes]
+        node_sigma = float(np.abs(field.values(pts)).max())
+    else:
+        node_sigma = 0.0
     errors = np.zeros(len(faces))
     lengths = np.zeros(len(faces))
     traces = [_trace_quadrature(c, len(c) - 1)
@@ -159,13 +165,6 @@ def compute_face_errors(mesh: MixedOrderMesh, field,
         for i, ((_, wq, speed), s) in enumerate(zip(traces,
                                                     np.split(sigma, ends))):
             errors[i], lengths[i] = _error_and_length(s, wq, speed)
-    dm = mesh.dof_map()
-    face_nodes = dm.marked_node_ids(mesh, faces)
-    if face_nodes.size:
-        pts = dm.extract(mesh)[face_nodes]
-        node_sigma = float(np.abs(field.values(pts)).max())
-    else:
-        node_sigma = 0.0
     return FaceErrorReport(faces=faces, errors=errors, lengths=lengths,
                            total_error=float(errors.sum()),
                            max_error=float(errors.max()) if len(faces) else 0.0,
@@ -430,7 +429,8 @@ def run_rp_adaptivity(mesh: MixedOrderMesh, field, fit: FitConfig,
     ``"fixpoint"`` the refinement is undone: every element gets back its
     order and node block, so the mesh is exactly the one the iteration
     began with (after derefinement, if any), and no record is added for
-    the undone refinement.
+    the undone refinement.  On every exit the mesh is the one of the last
+    record, so the ``"final"`` record repeats its face errors.
 
     The initial solve starts at ``fit.fit_weight``.  A re-solve after a
     solve that ended ``converged`` with a measured residual starts at
@@ -509,5 +509,12 @@ def run_rp_adaptivity(mesh: MixedOrderMesh, field, fit: FitConfig,
             break
     else:
         result.exit_reason = "outer iteration cap"
-    record(result.outer_iterations, "final")
+    # on every exit the mesh is the one of the last record: nothing was
+    # refined, the refinement was undone (fixpoint), or the loop broke or
+    # ended right after recording, so its face errors still hold
+    last = result.records[-1]
+    result.records.append(replace(
+        last, outer=result.outer_iterations, phase="final",
+        histogram=dict(last.histogram), solver_status=None,
+        solver_iterations=None))
     return result

@@ -67,10 +67,52 @@ def gauss_lobatto_nodes(p: int) -> np.ndarray:
     return _gauss_lobatto_cached(p).copy()
 
 
+@lru_cache(maxsize=None)
+def _lagrange_masks(n: int):
+    """Masks of the Lagrange products on n nodes; read-only.
+
+    ``eye`` (n, n) marks node i's own factor j == i; ``skip`` (n, n, n)
+    marks, for the term k of node i's derivative, the factors j == i and
+    j == k.
+    """
+    eye = np.eye(n, dtype=bool)
+    skip = eye[:, None, :] | eye[None, :, :]
+    eye.flags.writeable = False
+    skip.flags.writeable = False
+    return eye, skip
+
+
 def _lagrange_denominators(nodes: np.ndarray) -> np.ndarray:
     """prod_{j != i} (nodes[i] - nodes[j]) for every node i."""
-    eye = np.eye(nodes.size, dtype=bool)
+    eye, _ = _lagrange_masks(nodes.size)
     return np.where(eye, 1.0, nodes[:, None] - nodes).prod(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _gauss_lobatto_lagrange(p: int):
+    """The order-p Gauss-Lobatto nodes and their Lagrange denominators;
+    read-only."""
+    nodes = _gauss_lobatto_cached(p)
+    den = _lagrange_denominators(nodes)
+    den.flags.writeable = False
+    return nodes, den
+
+
+def _lagrange_values(nodes, den, x):
+    """``lagrange_1d`` with the denominators ``den`` of ``nodes`` given."""
+    eye, _ = _lagrange_masks(nodes.size)
+    num = np.where(eye, 1.0, (x[:, None] - nodes)[:, None, :]).prod(axis=2)
+    return num / den
+
+
+def _lagrange_derivs(nodes, den, x):
+    """``lagrange_1d_deriv`` with the denominators ``den`` of ``nodes``
+    given."""
+    eye, skip = _lagrange_masks(nodes.size)
+    terms = np.where(skip, 1.0,
+                     (x[:, None] - nodes)[:, None, None, :]).prod(axis=3)
+    terms[:, eye] = 0.0
+    return terms.sum(axis=1) / den
 
 
 def lagrange_1d(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -79,13 +121,14 @@ def lagrange_1d(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     Shape (len(x), len(nodes)).  Evaluation at a node reproduces the
     Kronecker delta exactly.  Each numerator is a product over a
     (points, nodes, nodes) array whose diagonal is set to 1, so node i's own
-    factor drops out without a loop over nodes.
+    factor drops out without a loop over nodes.  The masks of these products
+    are constant tables built once per order (node count); the reference
+    elements also take the Gauss-Lobatto denominators from a table built
+    once per order.
     """
     nodes = np.asarray(nodes, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    eye = np.eye(nodes.size, dtype=bool)
-    num = np.where(eye, 1.0, (x[:, None] - nodes)[:, None, :]).prod(axis=2)
-    return num / _lagrange_denominators(nodes)
+    return _lagrange_values(nodes, _lagrange_denominators(nodes), x)
 
 
 def lagrange_1d_deriv(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -97,12 +140,7 @@ def lagrange_1d_deriv(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     nodes = np.asarray(nodes, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    eye = np.eye(nodes.size, dtype=bool)
-    skip = eye[:, None, :] | eye[None, :, :]
-    terms = np.where(skip, 1.0,
-                     (x[:, None] - nodes)[:, None, None, :]).prod(axis=3)
-    terms[:, eye] = 0.0
-    return terms.sum(axis=1) / _lagrange_denominators(nodes)
+    return _lagrange_derivs(nodes, _lagrange_denominators(nodes), x)
 
 
 @lru_cache(maxsize=None)
@@ -353,14 +391,19 @@ class ReferenceElement:
         self.num_nodes = len(self.nodes)
         self.nodes.flags.writeable = False
 
+    def _lagrange_xy(self, kernel, pts: np.ndarray) -> np.ndarray:
+        """A 1D Lagrange ``kernel`` of the element's Gauss-Lobatto nodes at
+        both coordinates of (npts, 2) points in one call, (npts, 2, p + 1)."""
+        nodes, den = _gauss_lobatto_lagrange(self.order)
+        return kernel(nodes, den, pts.ravel()).reshape(len(pts), 2, -1)
+
     def eval_basis(self, points: np.ndarray) -> np.ndarray:
         """Nodal basis values at reference points, shape (npts, num_nodes)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.geometry == QUAD:
-            gl = _gauss_lobatto_cached(self.order)
-            lx = lagrange_1d(gl, pts[:, 0])
-            ly = lagrange_1d(gl, pts[:, 1])
-            return np.einsum("mi,mj->mji", lx, ly).reshape(pts.shape[0], -1)
+            L = self._lagrange_xy(_lagrange_values, pts)
+            return np.einsum("mi,mj->mji", L[:, 0], L[:, 1]).reshape(
+                pts.shape[0], -1)
         vals, _ = _dubiner(pts, self.order, with_grad=False)
         return vals @ self._vinv
 
@@ -368,14 +411,11 @@ class ReferenceElement:
         """Nodal basis gradients at reference points, shape (npts, num_nodes, 2)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.geometry == QUAD:
-            gl = _gauss_lobatto_cached(self.order)
-            lx = lagrange_1d(gl, pts[:, 0])
-            ly = lagrange_1d(gl, pts[:, 1])
-            dlx = lagrange_1d_deriv(gl, pts[:, 0])
-            dly = lagrange_1d_deriv(gl, pts[:, 1])
+            L = self._lagrange_xy(_lagrange_values, pts)
+            D = self._lagrange_xy(_lagrange_derivs, pts)
             n = pts.shape[0]
-            gx = np.einsum("mi,mj->mji", dlx, ly).reshape(n, -1)
-            gy = np.einsum("mi,mj->mji", lx, dly).reshape(n, -1)
+            gx = np.einsum("mi,mj->mji", D[:, 0], L[:, 1]).reshape(n, -1)
+            gy = np.einsum("mi,mj->mji", L[:, 0], D[:, 1]).reshape(n, -1)
             return np.stack([gx, gy], axis=-1)
         vals, grads = _dubiner(pts, self.order, with_grad=True)
         return np.einsum("mkd,kn->mnd", grads, self._vinv)

@@ -9,18 +9,22 @@ interpolated like any other nodal field.
 Location is batched, in the style of gslib ``findpts``.  A grid over the
 inflated element bounding boxes gives every (point, candidate element) pair;
 one Newton iteration per (geometry, order) element group inverts the element
-maps for all of that group's pairs at once, and interpolation evaluates the
-basis once per group.  A point goes to the first converged candidate whose
-reference point lies inside its element; candidates are tried in ascending id
-order, so on a shared vertex or edge the lowest element id wins.  A point just
-outside the mesh snaps to the closest clamped candidate within
-``Locator.SNAP_RTOL``.  Non-finite points (nan, +-inf) have no candidates and
-are not found: ``Locator.locate`` returns ``NOT_FOUND``, and a field query
-raises ``PointLocationError`` (``strict=True``) or returns NaN there.
+maps for all of that group's pairs at once.  The Newton start tables (basis
+values and gradients at the reference center) are built once per group with
+the locator, and each inversion keeps the basis rows of its last residual.
+Interpolation multiplies the rows of the converged inversion (or of the snap
+test) with the nodal values, so it evaluates no basis.  A point goes to the
+first converged candidate whose reference point lies inside its element;
+candidates are tried in ascending id order, so on a shared vertex or edge the
+lowest element id wins.  A point just outside the mesh snaps to the closest
+clamped candidate within ``Locator.SNAP_RTOL``.  Non-finite points (nan,
++-inf) have no candidates and are not found: ``Locator.locate`` returns
+``NOT_FOUND``, and a field query raises ``PointLocationError``
+(``strict=True``) or returns NaN there.
 
 A locator keeps its last batch.  A query at the same points, such as the
 gradient query a solver makes at the trial point whose values it has just
-accepted, reuses that location.
+accepted, reuses that location and evaluates no basis at all.
 """
 
 from __future__ import annotations
@@ -82,6 +86,17 @@ class Locator:
         self.group_refs = [reference_element(*key) for key in self.groups]
         self.group_coords = [mesh.group_coords(ids)
                              for ids in self.groups.values()]
+        #: per group: basis values (1, n) and gradients (1, n, 2) at the
+        #: reference center, where every Newton inversion starts.  The values
+        #: come from a two-row batch: the triangle basis is a BLAS product,
+        #: whose single-row path can round differently from a batch's rows.
+        self.center_basis = [
+            ref.eval_basis(np.repeat(ref.center[None], 2, axis=0))[:1]
+            for ref in self.group_refs]
+        self.center_grads = [ref.eval_basis_grad(ref.center)
+                             for ref in self.group_refs]
+        #: widest basis row of any group
+        self.max_nodes = max(ref.num_nodes for ref in self.group_refs)
         self.group_of = np.empty(num_el, dtype=int)
         self.row_of = np.empty(num_el, dtype=int)
         boxes = np.empty((num_el, 4))
@@ -126,9 +141,9 @@ class Locator:
 
     def _cell_ij(self, points: np.ndarray) -> np.ndarray:
         """Grid cell (i, j) of finite points, clamped to the grid, (npts, 2)."""
-        inside = np.clip(points, self.grid_lo, self.grid_hi)
+        inside = np.minimum(np.maximum(points, self.grid_lo), self.grid_hi)
         ij = (inside - self.grid_lo) / self.cell_size
-        return np.clip(ij, 0, self.grid_n - 1).astype(int)
+        return np.minimum(np.maximum(ij, 0), self.grid_n - 1).astype(int)
 
     def _candidate_pairs(self, points: np.ndarray):
         """(point index, element id) of every point lying in an inflated
@@ -153,51 +168,60 @@ class Locator:
         point = np.asarray(point, dtype=float).reshape(1, 2)
         return self._candidate_pairs(point)[1].tolist()
 
-    def _map(self, g: int, el: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Physical images of reference points xi[s] under elements el[s] of
-        group g, (npts, 2)."""
-        ref = self.group_refs[g]
-        X = self.group_coords[g][self.row_of[el]]
-        return np.einsum("sn,snd->sd", ref.eval_basis(xi), X)
-
     def _invert(self, g: int, el: np.ndarray, target: np.ndarray):
         """Invert the maps of elements el[s] of group g at points target[s].
 
-        Every pair starts from the reference center and stops updating once
-        its residual is within ``NEWTON_RTOL * diameter`` or its Jacobian is
-        singular.  Returns the reference points, residuals, iteration counts
-        and convergence flags.
+        Every pair starts from the reference center, whose basis tables
+        were built with the locator, and stops updating once its residual
+        is within ``NEWTON_RTOL * diameter`` or its Jacobian is singular.
+        Returns the reference points, the basis values there (the rows the
+        last residual used), residuals, iteration counts and convergence
+        flags.
         """
         ref = self.group_refs[g]
-        X = self.group_coords[g][self.row_of[el]]
         tol = self.NEWTON_RTOL * self.diameter
-        xi = np.tile(ref.center, (len(el), 1))
+        xi = np.repeat(ref.center[None], len(el), axis=0)
+        # contiguous copies: a broadcast view could change einsum's kernel
+        basis = np.repeat(self.center_basis[g], len(el), axis=0)
         residual = np.full(len(el), np.inf)
         iterations = np.zeros(len(el), dtype=int)
         converged = np.zeros(len(el), dtype=bool)
+        # the pairs still iterating: their indices, iterates, node blocks,
+        # targets and basis rows, compressed as pairs drop out
         active = np.arange(len(el))
+        x, X, t, B = xi, self.group_coords[g][self.row_of[el]], target, basis
         for it in range(self.MAX_NEWTON + 1):
-            r = target[active] - self._map(g, el[active], xi[active])
-            residual[active] = np.hypot(r[:, 0], r[:, 1])
-            done = residual[active] <= tol
+            if it:
+                B = ref.eval_basis(x)
+                basis[active] = B
+            r = t - np.einsum("sn,snd->sd", B, X)
+            res = np.hypot(r[:, 0], r[:, 1])
+            residual[active] = res
+            done = res <= tol
             converged[active[done]] = True
-            active, r = active[~done], r[~done]
-            if it == self.MAX_NEWTON or not active.size:
+            if it == self.MAX_NEWTON or done.all():
                 break
-            A = np.einsum("sna,snc->sac", X[active],
-                          ref.eval_basis_grad(xi[active]))
+            if done.any():
+                keep = ~done
+                active, x, X, t, r = (a[keep] for a in (active, x, X, t, r))
+            G = ref.eval_basis_grad(x) if it else np.repeat(
+                self.center_grads[g], active.size, axis=0)
+            A = np.einsum("sna,snc->sac", X, G)
             det = det2(A)
             regular = np.abs(det) >= 1e-300
-            active, r, A, det = active[regular], r[regular], A[regular], det[regular]
-            if not active.size:
-                break
+            if not regular.all():
+                if not regular.any():
+                    break
+                active, x, X, t, r, A, det = (
+                    a[regular] for a in (active, x, X, t, r, A, det))
             step = np.column_stack([
                 (A[:, 1, 1] * r[:, 0] - A[:, 0, 1] * r[:, 1]) / det,
                 (-A[:, 1, 0] * r[:, 0] + A[:, 0, 0] * r[:, 1]) / det])
             # keep the iterate near the element: reference box inflated by 0.5
-            xi[active] = np.clip(xi[active] + step, -0.5, 1.5)
+            x = np.minimum(np.maximum(x + step, -0.5), 1.5)
+            xi[active] = x
             iterations[active] += 1
-        return xi, residual, iterations, converged
+        return xi, basis, residual, iterations, converged
 
     def _locate(self, points: np.ndarray) -> "_Located":
         """Locate a batch of physical points, (npts, 2).
@@ -215,46 +239,53 @@ class Locator:
         pt, el = self._candidate_pairs(points)
         pair_group = self.group_of[el]
         xi = np.empty((len(el), 2))
+        basis = np.zeros((len(el), self.max_nodes))
         residual = np.empty(len(el))
         iterations = np.empty(len(el), dtype=int)
         converged = np.empty(len(el), dtype=bool)
         inside = np.empty(len(el), dtype=bool)
         interior = np.empty(len(el), dtype=bool)
         for g, ref in enumerate(self.group_refs):
-            s = np.flatnonzero(pair_group == g)
+            s = (pair_group == g).nonzero()[0]
             if not s.size:
                 continue
-            xi[s], residual[s], iterations[s], converged[s] = self._invert(
-                g, el[s], points[pt[s]])
+            xi[s], basis[s, :ref.num_nodes], residual[s], iterations[s], \
+                converged[s] = self._invert(g, el[s], points[pt[s]])
             inside[s] = ref.contains(xi[s], tol=self.REF_TOL)
             interior[s] = ref.boundary_distance(xi[s]) > self.REF_TOL
         out = _Located(np.full(npts, -1), np.full((npts, 2), np.nan),
                        np.full(npts, FoundFlag.NOT_FOUND), np.full(npts, np.inf),
-                       np.zeros(npts, dtype=int))
-        win = np.flatnonzero(converged & inside)
+                       np.zeros(npts, dtype=int),
+                       np.full((npts, self.max_nodes), np.nan))
+        win = (converged & inside).nonzero()[0]
         win = win[_first_per_point(pt[win])]
-        out.set(pt[win], el[win], xi[win], residual[win], iterations[win],
+        out.set(pt[win], el[win], xi[win], basis[win], residual[win],
+                iterations[win],
                 np.where(interior[win], FoundFlag.INTERIOR, FoundFlag.BORDER))
         # converged candidates outside their element, for unfound points
-        outside = np.flatnonzero(converged & ~inside & (out.element[pt] < 0))
+        outside = (converged & ~inside & (out.element[pt] < 0)).nonzero()[0]
         if outside.size:
             clamped = np.empty((outside.size, 2))
+            clamped_basis = np.zeros((outside.size, self.max_nodes))
             snap = np.empty(outside.size)
             for g, ref in enumerate(self.group_refs):
-                s = np.flatnonzero(pair_group[outside] == g)
+                s = (pair_group[outside] == g).nonzero()[0]
                 if not s.size:
                     continue
                 pairs = outside[s]
                 clamped[s] = ref.clamp(xi[pairs])
-                r = points[pt[pairs]] - self._map(g, el[pairs], clamped[s])
+                B = ref.eval_basis(clamped[s])
+                clamped_basis[s, :ref.num_nodes] = B
+                X = self.group_coords[g][self.row_of[el[pairs]]]
+                r = points[pt[pairs]] - np.einsum("sn,snd->sd", B, X)
                 snap[s] = np.hypot(r[:, 0], r[:, 1])
             # smallest snap residual per point; ties keep the candidate order
             best = np.lexsort((outside, snap, pt[outside]))
             best = best[_first_per_point(pt[outside][best])]
             best = best[snap[best] <= self.SNAP_RTOL * self.diameter]
             pairs = outside[best]
-            out.set(pt[pairs], el[pairs], clamped[best], snap[best],
-                    iterations[pairs], FoundFlag.BORDER)
+            out.set(pt[pairs], el[pairs], clamped[best], clamped_basis[best],
+                    snap[best], iterations[pairs], FoundFlag.BORDER)
         self._last = (points.copy(), out)
         return out
 
@@ -272,10 +303,14 @@ class _Located:
     flag: np.ndarray        # FoundFlag per point
     residual: np.ndarray
     iterations: np.ndarray
+    #: (npts, max nodes) basis values of each point's element at its ref,
+    #: padded with zeros; NaN for a point not found
+    basis: np.ndarray
 
-    def set(self, i, element, ref, residual, iterations, flag):
+    def set(self, i, element, ref, basis, residual, iterations, flag):
         self.element[i] = element
         self.ref[i] = ref
+        self.basis[i] = basis
         self.residual[i] = residual
         self.iterations[i] = iterations
         self.flag[i] = flag
@@ -295,7 +330,10 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
 def _first_per_point(pt: np.ndarray) -> np.ndarray:
     """Positions of the first entry of each run of equal values in the
     sorted array ``pt``."""
-    return np.flatnonzero(np.diff(pt, prepend=-1) != 0)
+    first = np.empty(len(pt), dtype=bool)
+    first[:1] = True
+    np.not_equal(pt[1:], pt[:-1], out=first[1:])
+    return first.nonzero()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +409,8 @@ class DiscreteLevelSet:
             if b.shape != (n,):
                 raise ValueError(f"block {e} has shape {b.shape}, expected ({n},)")
         self._locator: Locator | None = None
-        self._value_blocks: list[np.ndarray] | None = None
-        self._grad_blocks: list[np.ndarray] | None = None
+        self._values: list[np.ndarray] | None = None
+        self._gradients: list[np.ndarray] | None = None
 
     @classmethod
     def sample(cls, mesh: MixedOrderMesh, analytic) -> "DiscreteLevelSet":
@@ -389,19 +427,26 @@ class DiscreteLevelSet:
             self._locator = Locator(self.mesh)
         return self._locator
 
-    def _gradient_blocks(self):
-        """Continuous nodal gradient: element derivatives averaged at shared nodes."""
-        if self._grad_blocks is not None:
-            return self._grad_blocks
+    def _value_blocks(self) -> list[np.ndarray]:
+        """Nodal values per locator element group, (E_g, n, 1) each."""
+        if self._values is None:
+            self._values = [np.stack([self.blocks[e] for e in ids])[..., None]
+                            for ids in self.locator.groups.values()]
+        return self._values
+
+    def _gradient_blocks(self) -> list[np.ndarray]:
+        """Continuous nodal gradient per locator element group, (E_g, n, 2)
+        each: element derivatives averaged at shared nodes."""
+        if self._gradients is not None:
+            return self._gradients
         loc = self.locator
         dm = self.mesh.dof_map()
         sums = np.zeros((dm.num_nodes, 2))
         counts = np.zeros(dm.num_nodes)
-        for (key, ids), ref, X in zip(loc.groups.items(), loc.group_refs,
-                                      loc.group_coords):
+        for key, ref, X, U in zip(loc.groups, loc.group_refs,
+                                  loc.group_coords, self._value_blocks()):
             G = ref.eval_basis_grad(ref.nodes)                   # (n, n, 2)
-            U = np.stack([self.blocks[e] for e in ids])
-            du = np.einsum("ei,mib->emb", U, G)                  # reference gradients
+            du = np.einsum("ei,mib->emb", U[..., 0], G)          # reference gradients
             # A^T of each node's map Jacobian A[a, c] = T[e, a, m, c]
             AT = map_jacobians(X, jacobian_table(G)).transpose(0, 2, 3, 1)
             g = np.linalg.solve(AT, du[..., None])[..., 0]
@@ -409,24 +454,17 @@ class DiscreteLevelSet:
             mapped = node_ids >= 0
             np.add.at(sums, node_ids[mapped], g[mapped])
             np.add.at(counts, node_ids[mapped], 1.0)
-        nodal = sums / counts[:, None]
-        gx = dm.scatter_scalar(nodal[:, 0])
-        gy = dm.scatter_scalar(nodal[:, 1])
-        self._grad_blocks = self._group_blocks([gx, gy])
-        return self._grad_blocks
-
-    def _group_blocks(self, blocks_list) -> list[np.ndarray]:
-        """Nodal values of one or more fields per locator element group,
-        (num elements, num_nodes, num fields) each."""
-        return [np.stack([np.stack([blocks[e] for blocks in blocks_list], axis=-1)
-                          for e in ids])
-                for ids in self.locator.groups.values()]
+        local = dm.expand @ (sums / counts[:, None])
+        self._gradients = [local[dm.slots[key]] for key in loc.groups]
+        return self._gradients
 
     def _interp(self, points, group_blocks, strict):
+        """Interpolate per-group nodal blocks at located points, with the
+        basis rows the location left; (npts, fields)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         loc = self.locator
         located = loc._locate(pts)
-        missing = np.flatnonzero(located.element < 0)
+        missing = (located.element < 0).nonzero()[0]
         if missing.size and strict:
             raise PointLocationError(
                 f"{missing.size} of {len(pts)} points lie outside the "
@@ -434,16 +472,15 @@ class DiscreteLevelSet:
         out = np.full((len(pts), group_blocks[0].shape[-1]), np.nan)
         group = np.where(located.element >= 0, loc.group_of[located.element], -1)
         for g, ref in enumerate(loc.group_refs):
-            s = np.flatnonzero(group == g)
+            s = (group == g).nonzero()[0]
             if s.size:
                 V = group_blocks[g][loc.row_of[located.element[s]]]
-                out[s] = np.einsum("sn,snk->sk", ref.eval_basis(located.ref[s]), V)
+                B = np.ascontiguousarray(located.basis[s, :ref.num_nodes])
+                out[s] = np.einsum("sn,snk->sk", B, V)
         return out
 
     def values(self, points, strict: bool = True) -> np.ndarray:
-        if self._value_blocks is None:
-            self._value_blocks = self._group_blocks([self.blocks])
-        return self._interp(points, self._value_blocks, strict)[:, 0]
+        return self._interp(points, self._value_blocks(), strict)[:, 0]
 
     def gradients(self, points, strict: bool = True) -> np.ndarray:
         return self._interp(points, self._gradient_blocks(), strict)

@@ -121,6 +121,18 @@ def interpolation_matrix(order_from: int, order_to: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def resampling_matrix(geometry: str, order_from: int,
+                      order_to: int) -> np.ndarray:
+    """The order_from basis of a geometry at the order_to nodes, which
+    takes an element's node block to its resampling at order_to;
+    read-only."""
+    out = reference_element(geometry, order_from).eval_basis(
+        reference_element(geometry, order_to).nodes)
+    out.flags.writeable = False
+    return out
+
+
 class MixedOrderMesh:
     """Mesh of quads or triangles with an independent order per element."""
 
@@ -323,13 +335,15 @@ class MixedOrderMesh:
         """Resample element ``e`` at a new order.
 
         Raising the order preserves the geometry exactly; lowering it
-        interpolates the current map at the lower-order node set.
+        interpolates the current map at the lower-order node set.  The
+        resampling matrix is built once per (geometry, old order, new
+        order).
         """
         el = self.elements[e]
         if new_order == el.order:
             return
-        new_nodes = reference_element(el.geometry, new_order).nodes
-        new_coords = self.eval_map(e, new_nodes).T.copy()
+        B = resampling_matrix(el.geometry, el.order, new_order)
+        new_coords = (B @ el.coords.T).T.copy()
         el.order = new_order
         el.coords = new_coords
         self.invalidate()

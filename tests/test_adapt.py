@@ -131,7 +131,6 @@ def test_compute_face_errors_report():
     assert np.isclose(rep.total_error, rep.errors.sum(), atol=1e-15)
     assert np.isclose(rep.max_error, rep.errors.max(), atol=1e-15)
     for k, err in zip(rep.faces, rep.errors):
-        assert np.isclose(rep.error_of(k), err, atol=1e-15)
         single = compute_face_errors(m, circle, faces=[k]).errors[0]
         assert np.isclose(err, single, atol=1e-15)
     ids = m.dof_map().marked_node_ids(m)
@@ -150,9 +149,10 @@ def test_mark_absolute_and_relative():
     plan_abs = AdaptivityPlan(p_init=1, p_max=3, refine_kind="absolute",
                               refine_threshold=rep.max_error)
     # strict comparison: faces attaining the max are not marked
+    error_of = dict(zip(rep.faces, rep.errors))
     some = mark_for_refinement(rep, plan_abs)
     assert len(some) < len(rep.faces)
-    assert all(rep.error_of(f) < rep.max_error for f in some)
+    assert all(error_of[f] < rep.max_error for f in some)
     plan_all = AdaptivityPlan(p_init=1, p_max=3, refine_kind="absolute",
                               refine_threshold=0.0)
     marked_all = mark_for_refinement(rep, plan_all)
@@ -160,7 +160,7 @@ def test_mark_absolute_and_relative():
     plan_rel = AdaptivityPlan(p_init=1, p_max=3, refine_kind="relative",
                               refine_threshold=1.0)
     only_max = mark_for_refinement(rep, plan_rel)
-    assert all(np.isclose(rep.error_of(f), rep.max_error) for f in only_max)
+    assert all(np.isclose(error_of[f], rep.max_error) for f in only_max)
 
 
 def test_apply_refinement_both_sides():
@@ -369,6 +369,38 @@ def test_driver_refines_to_p_max_on_circle():
     assert "refine" in phases and "fit" in phases
 
 
+def _assert_final_repeats_the_last_record(res, field):
+    *_, last, final = res.records
+    assert (final.phase, final.outer) == ("final", res.outer_iterations)
+    assert (final.solver_status, final.solver_iterations) == (None, None)
+    assert final.histogram == last.histogram == res.mesh.order_histogram()
+    assert final.dofs == last.dofs == res.mesh.num_position_dofs
+    fresh = compute_face_errors(res.mesh, field)
+    assert final.total_error == last.total_error == fresh.total_error
+    assert final.max_error == last.max_error == fresh.max_error
+    assert final.node_sigma_max == last.node_sigma_max \
+        == fresh.node_sigma_max
+
+
+@pytest.mark.parametrize("name, plan, exit_reason", [
+    ("plane", dict(refine_step=2, refine_threshold=1e-14),
+     "no faces refined"),
+    ("circle", dict(refine_step=2, refine_threshold=1e-14),
+     "interface at p_max"),
+    ("circle", dict(refine_kind="relative", refine_threshold=1.0),
+     "outer iteration cap"),
+], ids=["nothing_refined", "p_max", "cap"])
+def test_final_record_repeats_the_last_one(name, plan, exit_reason):
+    # the mesh is unchanged since the last record on every exit, so the
+    # final record reuses its face errors instead of measuring again
+    field = ANALYTIC_LEVELSETS[name]()
+    plan = AdaptivityPlan(p_init=1, p_max=3, fit_tol=1e-7, **plan)
+    res = run_rp_adaptivity(generate_cartesian(4, 4, 1), field,
+                            FitConfig(metric=QualityMetric("mu2")), plan)
+    assert res.exit_reason == exit_reason
+    _assert_final_repeats_the_last_record(res, field)
+
+
 def _ended(status="converged", w_end=1e6, sigma_end=1e-8):
     return SolveReport(status=status, final_fit_weight=w_end,
                        final_sigma_max=sigma_end)
@@ -427,7 +459,8 @@ def test_re_solve_starts_at_the_equilibrium_weight():
 @pytest.fixture(scope="module")
 def derefining_squircle_run():
     """The 8x8 squircle run with derefinement, plus a copy of the mesh at
-    each record (the driver measures face errors once per record)."""
+    each record but the last (the driver measures face errors once per
+    record, and the final record repeats the one before it)."""
     squircle = ANALYTIC_LEVELSETS["squircle2d"]()
     plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2,
                           refine_kind="absolute", refine_threshold=1e-14,
@@ -443,7 +476,7 @@ def derefining_squircle_run():
         mp.setattr(adapt, "compute_face_errors", measure)
         res = run_rp_adaptivity(generate_cartesian(8, 8, 1), squircle,
                                 FitConfig(metric=QualityMetric("mu2")), plan)
-    assert len(at_record) == len(res.records)
+    assert len(at_record) == len(res.records) - 1
     return res, at_record
 
 
@@ -468,6 +501,12 @@ def test_fixpoint_exit_restores_the_derefined_mesh(derefining_squircle_run):
           if r.phase == "derefine" and r.outer == 1]
     # orders, node blocks, vertices and marked faces, compared exactly
     assert meshes_identical(res.mesh, at_record[i])
+
+
+def test_fixpoint_final_record_repeats_the_last_one(derefining_squircle_run):
+    res, _ = derefining_squircle_run
+    _assert_final_repeats_the_last_record(
+        res, ANALYTIC_LEVELSETS["squircle2d"]())
 
 
 @pytest.mark.parametrize("limit", [None, 1], ids=["deref", "limited_deref"])

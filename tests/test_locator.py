@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from meshfit import (DiscreteLevelSet, FitConfig, Locator, SolverControls,
-                     generate_cartesian, make_levelset, mark_interface_faces,
-                     solve_r_adaptivity, write_mesh)
+                     compute_face_errors, generate_cartesian, make_levelset,
+                     mark_interface_faces, solve_r_adaptivity, write_mesh)
 from meshfit.basis import reference_element
 from meshfit.errors import PointLocationError
 from meshfit.levelset import ANALYTIC_LEVELSETS, FoundFlag
@@ -315,3 +315,104 @@ def test_make_levelset_specs(tmp_path):
     loaded = make_levelset(f"file:{path}")
     pts = np.array([[0.4, 0.6], [0.2, 0.2]])
     assert np.allclose(loaded.values(pts), field.values(pts), atol=1e-14)
+
+
+def _reference_query(field, x, blocks):
+    """One point's interpolant of the per-group nodal ``blocks``: locate it
+    alone, evaluate the basis at the returned reference point and contract
+    with the element's block."""
+    loc = Locator(field.mesh)
+    res = loc.locate(x)
+    if not res.found:
+        return np.full(blocks[0].shape[-1], np.nan)
+    e = res.element
+    ref = loc.group_refs[loc.group_of[e]]
+    block = blocks[loc.group_of[e]][loc.row_of[e]]
+    return np.einsum("sn,snk->sk", ref.eval_basis(res.ref), block[None])[0]
+
+
+# quad backgrounds only: the triangle basis is a BLAS product, and a single
+# row of it may round differently from the same row inside a batch
+QUERY_MESHES = {
+    "mixed_orders": lambda: random_order_mesh(4, 4, seed=2),
+    "perturbed_p3": lambda: perturbed_mesh(3, 3, 3, seed=8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUERY_MESHES))
+def test_queries_match_a_per_point_reference(name, rng):
+    mesh = QUERY_MESHES[name]()
+    field = _poly2_field(mesh)
+    diam = mesh.diameter()
+    # outside by more than REF_TOL in reference space, within the snap
+    snapping = [1.0 + 0.1 * Locator.SNAP_RTOL * diam, 0.37]
+    missing = [[1.5, 0.5], [np.nan, 0.5]]
+    pts = np.vstack([rng.uniform(0.0, 1.0, size=(40, 2)),
+                     [x for x, _ in _shared_points(mesh)],
+                     snapping, missing])
+    located = field.locator._locate(pts)
+    assert located.flag[-3] is FoundFlag.BORDER
+    assert Locator.NEWTON_RTOL * diam < located.residual[-3] \
+        <= Locator.SNAP_RTOL * diam
+    assert (located.element[-2:] == -1).all()
+    values = field.values(pts, strict=False)
+    gradients = field.gradients(pts, strict=False)
+    for i, x in enumerate(pts):
+        assert np.array_equal(values[i:i + 1], _reference_query(
+            field, x, field._value_blocks()), equal_nan=True)
+        assert np.array_equal(gradients[i], _reference_query(
+            field, x, field._gradient_blocks()), equal_nan=True)
+
+
+def test_location_evaluates_the_basis_once_per_newton_step(monkeypatch, rng):
+    field = _poly2_field(perturbed_mesh(4, 4, 2, seed=12))
+    pts = rng.uniform(0.02, 0.98, size=(50, 2))
+    field.gradients(rng.uniform(0.1, 0.9, size=(5, 2)))  # build the tables
+    counts = {"eval_basis": 0, "eval_basis_grad": 0, "located": 0}
+    ref_type = type(field.locator.group_refs[0])
+    for name in ("eval_basis", "eval_basis_grad"):
+        _count_calls(monkeypatch, ref_type, name, counts, name)
+    _count_locations(monkeypatch, counts)
+    steps = []
+    invert = Locator._invert
+
+    def spy(self, g, el, target):
+        out = invert(self, g, el, target)
+        steps.append(int(out[3].max()))
+        return out
+
+    monkeypatch.setattr(Locator, "_invert", spy)
+    located = field.locator._locate(pts)
+    assert (located.element >= 0).all() and max(steps) > 1
+    # the start at the reference center reads the locator's tables
+    assert counts["eval_basis"] <= sum(steps)
+    assert counts["eval_basis_grad"] <= sum(steps)
+    # interpolation reuses the basis rows of the location, and a gradient
+    # query at the same points neither locates nor evaluates anything
+    before = dict(counts)
+    values = field.values(pts)
+    gradients = field.gradients(pts)
+    assert counts == before
+    fresh = _poly2_field(field.mesh)
+    assert np.array_equal(values, fresh.values(pts))
+    assert np.array_equal(gradients, fresh.gradients(pts))
+
+
+def test_a_report_after_a_discrete_solve_reuses_its_location(monkeypatch):
+    field = DiscreteLevelSet.sample(generate_cartesian(8, 8, 2),
+                                    ANALYTIC_LEVELSETS["squircle2d"]())
+    mesh = generate_cartesian(4, 4, 2)
+    mark_interface_faces(mesh, field)
+    fit = FitConfig(controls=SolverControls(fit_tol=1e-7))
+    _, report = solve_r_adaptivity(fit.problem(mesh, field))
+    assert report.status == "converged"
+    counts = {"located": 0}
+    _count_locations(monkeypatch, counts)
+    rep = compute_face_errors(mesh, field)
+    # the face nodes are the solve's last query; only the traces are new
+    assert counts["located"] == 1
+    fresh = DiscreteLevelSet.sample(generate_cartesian(8, 8, 2),
+                                    ANALYTIC_LEVELSETS["squircle2d"]())
+    again = compute_face_errors(mesh, fresh)
+    assert np.array_equal(rep.errors, again.errors)
+    assert rep.node_sigma_max == again.node_sigma_max

@@ -8,7 +8,8 @@ from meshfit.adapt import apply_refinement, propagate_orders, try_derefine
 from meshfit.basis import reference_element
 from meshfit.errors import MeshStructureError
 from meshfit.levelset import ANALYTIC_LEVELSETS
-from meshfit.mesh import MeshElement, interpolation_matrix, require_valid
+from meshfit.mesh import (MeshElement, interpolation_matrix, require_valid,
+                          resampling_matrix)
 
 from conftest import meshes_identical, perturbed_mesh, random_order_mesh
 
@@ -289,6 +290,24 @@ def test_set_order_preserves_affine_geometry():
     ref = reference_element("quad", 2)
     corners = m.eval_map(1, ref.nodes[ref.corners])
     assert np.allclose(corners, m.vertices[m.elements[1].verts], atol=1e-14)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["quads", "triangles"])
+def test_set_order_matches_eval_map_bit_for_bit(split):
+    # every order change of a curved mesh: the cached resampling matrix
+    # gives exactly the map evaluated at the new nodes
+    for old in (1, 2, 3):
+        for new in [q for q in (1, 2, 3, 4) if q != old]:
+            m = perturbed_mesh(2, 2, old, seed=old, split_triangles=split)
+            el = m.elements[1]
+            expected = m.eval_map(1, reference_element(el.geometry,
+                                                       new).nodes).T
+            m.set_order(1, new)
+            assert m.elements[1].order == new
+            assert np.array_equal(m.elements[1].coords, expected)
+    B = resampling_matrix(el.geometry, 2, 3)
+    assert B is resampling_matrix(el.geometry, 2, 3)
+    assert not B.flags.writeable
 
 
 def test_prolongation_exact_for_low_degree():
