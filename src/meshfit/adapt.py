@@ -10,9 +10,11 @@ high-order elements cluster along the interface.
 
 The loop exits for one of four reasons: ``"no faces refined"``,
 ``"interface at p_max"``, ``"fixpoint"`` (a refinement reproduces the
-element orders of a state already solved; it is undone, so the mesh is the
-one before it, and that state is not solved again) and
-``"outer iteration cap"``.
+element orders of a state already solved; it is not applied, so the mesh is
+the one before it, and that state is not solved again) and
+``"outer iteration cap"``.  Each outer iteration decides the next order
+field (refinement, optional vertex-touch elevation, propagation) on order
+arrays, and only then resamples the elements whose order changes.
 
 Each re-solve after a refinement starts its fit weight where the last
 solve's equilibrium puts the residual the refinement left.  At a converged
@@ -69,7 +71,7 @@ class AdaptivityPlan:
     fit_tol: float = 1e-8
     edge_touch_elevate: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         if not 1 <= self.p_init <= self.p_max:
             raise ValueError(f"need 1 <= p_init <= p_max, got "
                              f"{self.p_init}..{self.p_max}")
@@ -185,85 +187,67 @@ def mark_for_refinement(report: FaceErrorReport,
     return [f for f, k in zip(report.faces, keep) if k]
 
 
-def apply_refinement(mesh: MixedOrderMesh, faces, plan: AdaptivityPlan):
-    """Raise both neighbors of each face by refine_step, capped at p_max.
-
-    Returns the set of elements whose order changed.
-    """
-    changed = set()
-    targets: dict[int, int] = {}
-    for k in faces:
-        for side in mesh.edges[k].sides:
-            e = side.element
-            p_new = min(plan.p_max,
-                        mesh.elements[e].order + plan.refine_step)
-            targets[e] = max(targets.get(e, 0), p_new)
-    for e, p_new in sorted(targets.items()):
-        if p_new > mesh.elements[e].order:
-            mesh.set_order(e, p_new)
-            changed.add(e)
-    return changed
+def apply_refinement(mesh: MixedOrderMesh, faces, plan: AdaptivityPlan,
+                     orders: np.ndarray) -> np.ndarray:
+    """``orders`` with both neighbors of each face raised by refine_step,
+    capped at p_max; no order is lowered."""
+    sides = mesh.edge_element_ids[np.asarray(faces, dtype=int)]
+    e = sides[sides >= 0]
+    out = orders.copy()
+    out[e] = np.maximum(orders[e],
+                        np.minimum(orders[e] + plan.refine_step, plan.p_max))
+    return out
 
 
-def edge_touching_elevation(mesh: MixedOrderMesh) -> set[int]:
-    """Raise elements that meet the interface only at a vertex.
+def edge_touching_elevation(mesh: MixedOrderMesh,
+                            orders: np.ndarray) -> np.ndarray:
+    """``orders`` with the elements that meet the interface only at a
+    vertex raised.
 
     An element touching two or more marked faces through a single shared
-    vertex (none of its own edges marked) is raised to the highest order
-    among the elements adjacent to those faces, so the locally curved
-    geometry does not wrap around an unrefined corner.  Returns the set of
-    elements raised.
+    vertex (none of its own edges marked; the first such vertex in local
+    order) is raised to the highest order among the elements adjacent to
+    those faces, so the locally curved geometry does not wrap around an
+    unrefined corner.
     """
-    marked = mesh.marked_faces
-    if not marked:
-        return set()
-    face_verts = {k: mesh.edges[k].verts for k in marked}
-    vertex_faces: dict[int, list[int]] = {}
-    for k, (a, b) in face_verts.items():
-        vertex_faces.setdefault(a, []).append(k)
-        vertex_faces.setdefault(b, []).append(k)
-    changed = set()
-    for e, el in enumerate(mesh.elements):
-        if marked.intersection(mesh.element_edges[e]):
-            continue
-        for v in el.verts:
-            incident = vertex_faces.get(int(v), [])
-            if len(incident) < 2:
-                continue
-            q = max(mesh.elements[s.element].order
-                    for k in incident for s in mesh.edges[k].sides)
-            if q > el.order:
-                mesh.set_order(e, q)
-                changed.add(e)
-            break
-    return changed
+    out = orders.copy()
+    faces = np.array(sorted(mesh.marked_faces), dtype=int)
+    if not faces.size:
+        return out
+    ends = np.array([mesh.edges[k].verts for k in faces])
+    sides = mesh.edge_element_ids[faces]
+    # per vertex: the number of marked faces at it, and the highest order
+    # of their sides (the missing side -1 of a boundary face counts 0)
+    count = np.bincount(ends.ravel(), minlength=len(mesh.vertices))
+    top = np.zeros(len(mesh.vertices), dtype=int)
+    np.maximum.at(top, ends, np.where(sides >= 0, orders[sides], 0)
+                  .max(axis=1)[:, None])
+    V = mesh.element_vertex_ids
+    hub = (V >= 0) & (count[V] >= 2)
+    free = ~np.isin(mesh.element_edge_ids, faces).any(axis=1)
+    e = np.flatnonzero(hub.any(axis=1) & free)
+    q = top[V[e, hub[e].argmax(axis=1)]]
+    out[e] = np.maximum(out[e], q)
+    return out
 
 
-def propagate_orders(mesh: MixedOrderMesh, max_diff: int) -> set[int]:
-    """Raise elements until no edge-neighbor exceeds them by more than max_diff.
+def propagate_orders(mesh: MixedOrderMesh, orders: np.ndarray,
+                     max_diff: int) -> np.ndarray:
+    """``orders`` raised until no edge-neighbor exceeds an element by more
+    than max_diff.
 
-    Orders only increase; the fixpoint does not depend on sweep order because
-    each pass applies the pointwise maximum of the current requirements.
-    Returns the set of elements raised.
+    Orders only rise, so the result is the least fixpoint above ``orders``,
+    which is unique.
     """
-    changed = set()
+    inner = mesh.edge_element_ids[mesh.edge_element_ids[:, 1] >= 0]
+    a, b = inner.T
+    out = orders.copy()
     while True:
-        raised = False
-        for rec in mesh.edges:
-            if len(rec.sides) != 2:
-                continue
-            a, b = (s.element for s in rec.sides)
-            pa, pb = mesh.elements[a].order, mesh.elements[b].order
-            if pa - pb > max_diff:
-                mesh.set_order(b, pa - max_diff)
-                changed.add(b)
-                raised = True
-            elif pb - pa > max_diff:
-                mesh.set_order(a, pb - max_diff)
-                changed.add(a)
-                raised = True
-        if not raised:
-            return changed
+        before = out.copy()
+        np.maximum.at(out, a, out[b] - max_diff)
+        np.maximum.at(out, b, out[a] - max_diff)
+        if np.array_equal(out, before):
+            return out
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +269,17 @@ def _deref_criterion_ok(plan: AdaptivityPlan, err_hat: float, len_hat: float,
 
 
 def _neighbors_of(mesh: MixedOrderMesh, elems) -> set[int]:
-    out = set(elems)
-    for e in elems:
-        for k in mesh.element_edges[e]:
-            out.update(s.element for s in mesh.edges[k].sides)
-    return out
+    k = mesh.element_edge_ids[list(elems)]
+    sides = mesh.edge_element_ids[k[k >= 0]]
+    return set(elems) | set(sides[sides >= 0].tolist())
 
 
 def _orders_within(mesh: MixedOrderMesh, elems, max_diff: int) -> bool:
-    for e in elems:
-        for k in mesh.element_edges[e]:
-            rec = mesh.edges[k]
-            if len(rec.sides) != 2:
-                continue
-            pa, pb = (mesh.elements[s.element].order for s in rec.sides)
-            if abs(pa - pb) > max_diff:
-                return False
-    return True
+    k = mesh.element_edge_ids[list(elems)]
+    sides = mesh.edge_element_ids[k[k >= 0]]
+    a, b = sides[sides[:, 1] >= 0].T
+    orders = mesh.orders()
+    return bool((np.abs(orders[a] - orders[b]) <= max_diff).all())
 
 
 def try_derefine(mesh: MixedOrderMesh, field, plan: AdaptivityPlan,
@@ -426,10 +404,9 @@ def run_rp_adaptivity(mesh: MixedOrderMesh, field, fit: FitConfig,
     face is at ``p_max``, ``"fixpoint"`` when a refinement (after
     propagation) yields the element orders of a state already solved, and
     ``"outer iteration cap"`` after ``plan.outer_cap`` iterations.  On
-    ``"fixpoint"`` the refinement is undone: every element gets back its
-    order and node block, so the mesh is exactly the one the iteration
-    began with (after derefinement, if any), and no record is added for
-    the undone refinement.  On every exit the mesh is the one of the last
+    ``"fixpoint"`` the refinement is not applied: the mesh is exactly the
+    one the iteration began with (after derefinement, if any), and no
+    record is added for it.  On every exit the mesh is the one of the last
     record, so the ``"final"`` record repeats its face errors.
 
     The initial solve starts at ``fit.fit_weight``.  A re-solve after a
@@ -439,7 +416,6 @@ def run_rp_adaptivity(mesh: MixedOrderMesh, field, fit: FitConfig,
     record), clamped to ``[fit.fit_weight, w_end]``; otherwise, and when
     ``sigma0 <= 0``, at ``fit.fit_weight``.  ``fit`` is never mutated.
     """
-    plan.validate()
     for e, el in enumerate(mesh.elements):
         if el.order != plan.p_init:
             raise ValueError(f"element {e} at order {el.order}, expected "
@@ -459,37 +435,32 @@ def run_rp_adaptivity(mesh: MixedOrderMesh, field, fit: FitConfig,
             solver_status=status, solver_iterations=iters))
         return report
 
-    def orders():
-        return tuple(el.order for el in mesh.elements)
-
     record(0, "initial")
-    solved = {orders()}        # order vectors of the states solved so far
+    solved = {tuple(mesh.orders())}    # order vectors of the states solved
     _, solve_rep = solve_r_adaptivity(fit.problem(mesh, field))
     report = record(0, "fit", solve_rep.status, solve_rep.num_iterations)
 
     derefine = plan.refine_step > 1 and plan.deref_kind is not None
     for outer in range(1, plan.outer_cap + 1):
         result.outer_iterations = outer
-        marked = mark_for_refinement(report, plan)
-        # refinement only resamples elements (never moves mesh.vertices),
-        # so the orders and node blocks restore the mesh exactly
-        before = [(el.order, el.coords.copy()) for el in mesh.elements]
-        changed = apply_refinement(mesh, marked, plan)
+        # the next order field is decided before the mesh changes
+        current = mesh.orders()
+        orders = apply_refinement(mesh, mark_for_refinement(report, plan),
+                                  plan, current)
         if plan.edge_touch_elevate:
-            changed |= edge_touching_elevation(mesh)
-        if not changed:
+            orders = edge_touching_elevation(mesh, orders)
+        if np.array_equal(orders, current):
             result.exit_reason = "no faces refined"
             break
-        propagate_orders(mesh, plan.neighbor_limit)
-        state = orders()
+        orders = propagate_orders(mesh, orders, plan.neighbor_limit)
+        state = tuple(orders)
         if state in solved:
             # solving a state again would only retrace the same cycle
-            for el, (order, coords) in zip(mesh.elements, before):
-                el.order, el.coords = order, coords
-            mesh.invalidate()
             result.exit_reason = "fixpoint"
             break
         solved.add(state)
+        for e in np.flatnonzero(orders != current):
+            mesh.set_order(int(e), int(orders[e]))
         apply_edge_constraints(mesh)
         refined = record(outer, "refine")
         problem = fit.problem(mesh, field)
@@ -503,15 +474,16 @@ def run_rp_adaptivity(mesh: MixedOrderMesh, field, fit: FitConfig,
             # applied and the neighbor limit held: nothing is left to propagate
             derefinement_pass(mesh, field, plan)
             report = record(outer, "derefine")
-        if all(mesh.elements[s.element].order >= plan.p_max
-               for k in mesh.marked_faces for s in mesh.edges[k].sides):
+        sides = mesh.edge_element_ids[sorted(mesh.marked_faces)]
+        if (mesh.orders()[sides[sides >= 0]] >= plan.p_max).all():
             result.exit_reason = "interface at p_max"
             break
     else:
         result.exit_reason = "outer iteration cap"
     # on every exit the mesh is the one of the last record: nothing was
-    # refined, the refinement was undone (fixpoint), or the loop broke or
-    # ended right after recording, so its face errors still hold
+    # refined, the repeated refinement was not applied (fixpoint), or the
+    # loop broke or ended right after recording, so its face errors still
+    # hold
     last = result.records[-1]
     result.records.append(replace(
         last, outer=result.outer_iterations, phase="final",

@@ -19,7 +19,6 @@ import csv
 import sys
 
 from .adapt import compute_face_errors, run_rp_adaptivity
-from .errors import MeshInvalidError
 from .levelset import make_levelset
 from .mesh_io import export_svg, export_vtk, generate_cartesian, read_mesh, \
     write_mesh
@@ -149,7 +148,8 @@ def main(argv=None) -> int:
         else:
             mark_interface_faces(mesh, field, boundary_mode=args.boundary_fit)
             _, report = solve_r_adaptivity(fit.problem(mesh, field))
-    except MeshInvalidError as exc:  # an inverted input mesh
+    except ValueError as exc:  # bad input found by the run, e.g. an
+        # inverted mesh, a non-uniform start order or an unlocatable point
         raise SystemExit(f"meshfit: {exc}")
 
     if adaptive:

@@ -17,7 +17,10 @@ test) with the nodal values, so it evaluates no basis.  A point goes to the
 first converged candidate whose reference point lies inside its element;
 candidates are tried in ascending id order, so on a shared vertex or edge the
 lowest element id wins.  A point just outside the mesh snaps to the closest
-clamped candidate within ``Locator.SNAP_RTOL``.  Non-finite points (nan,
+clamped candidate within ``Locator.SNAP_RTOL``.  A Newton from the center
+can converge to a root of the element map outside the element, so the
+candidates of a point that neither rule finds are inverted once more, each
+from the element node nearest the point.  Non-finite points (nan,
 +-inf) have no candidates and are not found: ``Locator.locate`` returns
 ``NOT_FOUND``, and a field query raises ``PointLocationError``
 (``strict=True``) or returns NaN there.
@@ -168,28 +171,37 @@ class Locator:
         point = np.asarray(point, dtype=float).reshape(1, 2)
         return self._candidate_pairs(point)[1].tolist()
 
-    def _invert(self, g: int, el: np.ndarray, target: np.ndarray):
+    def _invert(self, g: int, el: np.ndarray, target: np.ndarray,
+                from_nodes: bool = False):
         """Invert the maps of elements el[s] of group g at points target[s].
 
         Every pair starts from the reference center, whose basis tables
-        were built with the locator, and stops updating once its residual
-        is within ``NEWTON_RTOL * diameter`` or its Jacobian is singular.
-        Returns the reference points, the basis values there (the rows the
-        last residual used), residuals, iteration counts and convergence
-        flags.
+        were built with the locator, or with ``from_nodes`` from the
+        reference node whose physical position is nearest its target.  It
+        stops updating once its residual is within ``NEWTON_RTOL *
+        diameter`` or its Jacobian is singular.  Returns the reference
+        points, the basis values there (the rows the last residual used),
+        residuals, iterations and convergence flags.
         """
         ref = self.group_refs[g]
         tol = self.NEWTON_RTOL * self.diameter
-        xi = np.repeat(ref.center[None], len(el), axis=0)
-        # contiguous copies: a broadcast view could change einsum's kernel
-        basis = np.repeat(self.center_basis[g], len(el), axis=0)
+        X = self.group_coords[g][self.row_of[el]]
+        if from_nodes:
+            near = ((X - target[:, None]) ** 2).sum(axis=2).argmin(axis=1)
+            xi = ref.nodes[near]
+            basis, grads = ref.eval_basis(xi), ref.eval_basis_grad(xi)
+        else:
+            xi = np.repeat(ref.center[None], len(el), axis=0)
+            # contiguous copies: a broadcast view could change einsum's kernel
+            basis = np.repeat(self.center_basis[g], len(el), axis=0)
+            grads = np.repeat(self.center_grads[g], len(el), axis=0)
         residual = np.full(len(el), np.inf)
         iterations = np.zeros(len(el), dtype=int)
         converged = np.zeros(len(el), dtype=bool)
         # the pairs still iterating: their indices, iterates, node blocks,
         # targets and basis rows, compressed as pairs drop out
         active = np.arange(len(el))
-        x, X, t, B = xi, self.group_coords[g][self.row_of[el]], target, basis
+        x, t, B = xi, target, basis
         for it in range(self.MAX_NEWTON + 1):
             if it:
                 B = ref.eval_basis(x)
@@ -204,8 +216,7 @@ class Locator:
             if done.any():
                 keep = ~done
                 active, x, X, t, r = (a[keep] for a in (active, x, X, t, r))
-            G = ref.eval_basis_grad(x) if it else np.repeat(
-                self.center_grads[g], active.size, axis=0)
+            G = ref.eval_basis_grad(x) if it else grads[active]
             A = np.einsum("sna,snc->sac", X, G)
             det = det2(A)
             regular = np.abs(det) >= 1e-300
@@ -230,13 +241,32 @@ class Locator:
         the first one whose reference point lies inside the
         element within ``REF_TOL`` wins.  Otherwise the candidate whose
         clamped reference point maps closest to the point wins, if that is
-        within ``SNAP_RTOL * diameter``.  Otherwise the point is not found.
-        A batch equal to the previous one gets the previous result.
+        within ``SNAP_RTOL * diameter``.  A Newton from the reference center
+        can converge to a root of the element map outside the element, so
+        the candidates of a point still not found are inverted once more,
+        each from its node nearest the point, under the same rule.
+        Otherwise the point is not found.  A batch equal to the previous
+        one gets the previous result.
         """
         if self._last is not None and np.array_equal(points, self._last[0]):
             return self._last[1]
         npts = len(points)
+        out = _Located(np.full(npts, -1), np.full((npts, 2), np.nan),
+                       np.full(npts, FoundFlag.NOT_FOUND), np.full(npts, np.inf),
+                       np.zeros(npts, dtype=int),
+                       np.full((npts, self.max_nodes), np.nan))
         pt, el = self._candidate_pairs(points)
+        self._select(points, pt, el, out)
+        again = (out.element[pt] < 0).nonzero()[0]
+        if again.size:
+            self._select(points, pt[again], el[again], out, from_nodes=True)
+        self._last = (points.copy(), out)
+        return out
+
+    def _select(self, points, pt, el, out: "_Located", from_nodes=False):
+        """Invert the (point, element) pairs ``pt``, ``el`` (by point, then
+        ascending element id) and set the points they locate in ``out``, by
+        the rule of ``_locate``."""
         pair_group = self.group_of[el]
         xi = np.empty((len(el), 2))
         basis = np.zeros((len(el), self.max_nodes))
@@ -250,13 +280,10 @@ class Locator:
             if not s.size:
                 continue
             xi[s], basis[s, :ref.num_nodes], residual[s], iterations[s], \
-                converged[s] = self._invert(g, el[s], points[pt[s]])
+                converged[s] = self._invert(g, el[s], points[pt[s]],
+                                            from_nodes)
             inside[s] = ref.contains(xi[s], tol=self.REF_TOL)
             interior[s] = ref.boundary_distance(xi[s]) > self.REF_TOL
-        out = _Located(np.full(npts, -1), np.full((npts, 2), np.nan),
-                       np.full(npts, FoundFlag.NOT_FOUND), np.full(npts, np.inf),
-                       np.zeros(npts, dtype=int),
-                       np.full((npts, self.max_nodes), np.nan))
         win = (converged & inside).nonzero()[0]
         win = win[_first_per_point(pt[win])]
         out.set(pt[win], el[win], xi[win], basis[win], residual[win],
@@ -286,8 +313,6 @@ class Locator:
             pairs = outside[best]
             out.set(pt[pairs], el[pairs], clamped[best], clamped_basis[best],
                     snap[best], iterations[pairs], FoundFlag.BORDER)
-        self._last = (points.copy(), out)
-        return out
 
     def locate(self, point) -> ComputationalCoords:
         """Locate one physical point; ties go to the lowest element id."""

@@ -9,9 +9,8 @@ from the low-order side's trace, which keeps the geometry continuous across
 the edge.
 
 Four tables describe a mesh state, each built once by the object that owns
-it.  The mesh owns the edge table (``edges``, ``edge_id``), the edge ids of
-each element in local-edge order (``element_edges``), the array forms of
-the element-vertex, element-edge and edge-element incidences
+it.  The mesh owns the edge table (``edges``, ``edge_id``), the
+element-vertex, element-edge and edge-element incidence arrays
 (``element_vertex_ids``, ``element_edge_ids``, ``edge_element_ids``) and
 the element groups by (geometry, order) (``groups()``).  The ``DofMap`` owns
 the governing order of each edge (``edge_orders``), the node numbering,
@@ -19,8 +18,9 @@ the governing order of each edge (``edge_orders``), the node numbering,
 It keeps its per-element tables per group, as (E_g, n) arrays ``slots`` and
 ``node_ids``, and builds everything with a few array operations per group
 from the mesh's incidence arrays, so an order change costs no loop over
-elements.  Edges and the incidence arrays depend only on the vertex lists
-and are built once per mesh; the groups and the DofMap are dropped by
+elements.  Edges and the incidence arrays depend only on the vertex lists:
+the constructor builds them, and raises ``MeshStructureError`` on a
+malformed topology.  The groups and the DofMap are dropped by
 ``invalidate()`` after an order change and rebuilt on their next use.
 """
 
@@ -144,12 +144,6 @@ class MixedOrderMesh:
             raise MeshStructureError("vertices must be an (n, 2) array")
         self.elements: list[MeshElement] = list(elements)
         self.marked_faces: set[int] = set(marked_faces)
-        self._edges: tuple[EdgeRecord, ...] | None = None
-        self._edge_index: dict[tuple[int, int], int] | None = None
-        self._element_edges: tuple[tuple[int, ...], ...] | None = None
-        self._element_vertex_ids: np.ndarray | None = None
-        self._element_edge_ids: np.ndarray | None = None
-        self._edge_element_ids: np.ndarray | None = None
         self._groups: dict[tuple[str, int], np.ndarray] | None = None
         self._dofmap: DofMap | None = None
         nv = len(self.vertices)
@@ -167,100 +161,66 @@ class MixedOrderMesh:
                 raise MeshStructureError(
                     f"element {e} has coords {el.coords.shape}, "
                     f"expected (2, {ref.num_nodes})")
+        self._build_edges()
 
     # -- connectivity -----------------------------------------------------
 
-    @property
-    def edges(self) -> tuple[EdgeRecord, ...]:
-        if self._edges is None:
-            self._build_edges()
-        return self._edges
-
-    @property
-    def element_edges(self) -> tuple[tuple[int, ...], ...]:
-        """Edge ids of each element, in local-edge order."""
-        if self._element_edges is None:
-            self._build_edges()
-        return self._element_edges
-
-    @property
-    def element_vertex_ids(self) -> np.ndarray:
-        """(E, max vertices) vertex ids of each element in local order,
-        padded with -1; read-only."""
-        if self._element_vertex_ids is None:
-            self._build_edges()
-        return self._element_vertex_ids
-
-    @property
-    def element_edge_ids(self) -> np.ndarray:
-        """(E, max vertices) array form of ``element_edges``, padded with -1;
-        read-only."""
-        if self._element_edge_ids is None:
-            self._build_edges()
-        return self._element_edge_ids
-
-    @property
-    def edge_element_ids(self) -> np.ndarray:
-        """(num edges, 2) elements of each edge in side order, -1 for the
-        missing side of a boundary edge; read-only."""
-        if self._edge_element_ids is None:
-            self._build_edges()
-        return self._edge_element_ids
-
     def edge_id(self, v0: int, v1: int) -> int:
-        if self._edge_index is None:
-            self._build_edges()
         key = (min(v0, v1), max(v0, v1))
         if key not in self._edge_index:
             raise MeshStructureError(f"no edge between vertices {v0} and {v1}")
         return self._edge_index[key]
 
     def _build_edges(self):
+        """The edge table and the incidence arrays; raises
+        ``MeshStructureError`` on a degenerate, over-shared or inconsistently
+        oriented edge."""
         # edge ids follow first appearance, which is the dict's key order
         found: dict[tuple[int, int], list[EdgeSide]] = {}
         index: dict[tuple[int, int], int] = {}
-        element_edges = []
+        width = max((len(el.verts) for el in self.elements), default=0)
+        verts = np.full((len(self.elements), width), -1)
+        own = np.full((len(self.elements), width), -1)
         for e, el in enumerate(self.elements):
             nverts = len(el.verts)
-            own = []
+            verts[e, :nverts] = el.verts
             for le in range(nverts):
                 a = int(el.verts[le])
                 b = int(el.verts[(le + 1) % nverts])
                 if a == b:
                     raise MeshStructureError(f"element {e} has a degenerate edge")
                 key = (min(a, b), max(a, b))
-                own.append(index.setdefault(key, len(index)))
+                own[e, le] = index.setdefault(key, len(index))
                 found.setdefault(key, []).append(EdgeSide(e, le, forward=(a < b)))
-            element_edges.append(tuple(own))
         records = []
-        for key, sides in found.items():
-            if len(sides) > 2:
-                raise MeshStructureError(f"edge {key} is shared by {len(sides)} elements")
-            if len(sides) == 2 and sides[0].forward == sides[1].forward:
+        sides = np.full((len(found), 2), -1)
+        for k, (key, ks) in enumerate(found.items()):
+            if len(ks) > 2:
+                raise MeshStructureError(f"edge {key} is shared by {len(ks)} elements")
+            if len(ks) == 2 and ks[0].forward == ks[1].forward:
                 raise MeshStructureError(
                     f"edge {key} is traversed in the same direction by both elements; "
                     "element orientations are inconsistent")
-            records.append(EdgeRecord(key, tuple(sides)))
-        self._edges = tuple(records)
-        self._edge_index = index
-        self._element_edges = tuple(element_edges)
-        width = max((len(el.verts) for el in self.elements), default=0)
-        verts = np.full((len(self.elements), width), -1)
-        own = np.full((len(self.elements), width), -1)
-        for e, (el, ks) in enumerate(zip(self.elements, element_edges)):
-            verts[e, :len(ks)] = el.verts
-            own[e, :len(ks)] = ks
-        sides = np.full((len(records), 2), -1)
-        for k, rec in enumerate(records):
-            sides[k, :len(rec.sides)] = [s.element for s in rec.sides]
+            records.append(EdgeRecord(key, tuple(ks)))
+            sides[k, :len(ks)] = [s.element for s in ks]
         for a in (verts, own, sides):
             a.flags.writeable = False
-        self._element_vertex_ids = verts
-        self._element_edge_ids = own
-        self._edge_element_ids = sides
+        self.edges: tuple[EdgeRecord, ...] = tuple(records)
+        self._edge_index = index
+        #: (E, max vertices) vertex ids and edge ids of each element in local
+        #: order, padded with -1
+        self.element_vertex_ids = verts
+        self.element_edge_ids = own
+        #: (num edges, 2) elements of each edge in side order, -1 for the
+        #: missing side of a boundary edge
+        self.edge_element_ids = sides
 
     def boundary_edges(self) -> list[int]:
-        return [k for k, r in enumerate(self.edges) if len(r.sides) == 1]
+        return np.flatnonzero(self.edge_element_ids[:, 1] < 0).tolist()
+
+    def orders(self) -> np.ndarray:
+        """The order of each element, as an int array."""
+        return np.array([el.order for el in self.elements], dtype=int)
 
     def edge_order(self, edge_id: int) -> int:
         """Governing order of an edge: the minimum of the adjacent element orders."""

@@ -218,7 +218,6 @@ def _parse_mesh(lines):
         elements.append(MeshElement(geometry, verts, order, coords, attribute))
 
     mesh = MixedOrderMesh(vertices, elements)
-    mesh.edges  # the edge table checks sharing and orientation
     for e, el in enumerate(mesh.elements):
         ref = reference_element(el.geometry, el.order)
         stored = el.coords[:, ref.corners].T

@@ -255,16 +255,15 @@ def mark_interface_faces(mesh: MixedOrderMesh, field=None,
     """
     if field is not None:
         assign_materials(mesh, field)
-    marked: set[int] = set()
-    for k, rec in enumerate(mesh.edges):
-        if boundary_mode:
-            if len(rec.sides) == 1 and \
-                    mesh.elements[rec.sides[0].element].attribute == 1:
-                marked.add(k)
-        elif len(rec.sides) == 2:
-            a, b = (mesh.elements[s.element].attribute for s in rec.sides)
-            if a != b:
-                marked.add(k)
+    attribute = np.array([el.attribute for el in mesh.elements], dtype=int)
+    a, b = mesh.edge_element_ids.T
+    if boundary_mode:
+        hit = (b < 0) & (attribute[a] == 1)
+    else:
+        # the missing side (-1) of a boundary edge reads the last element's
+        # attribute, which the b >= 0 mask drops
+        hit = (b >= 0) & (attribute[a] != attribute[b])
+    marked = set(np.flatnonzero(hit).tolist())
     mesh.marked_faces = marked
     return marked
 

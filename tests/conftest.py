@@ -38,6 +38,13 @@ def random_order_mesh(nx, ny, orders=(1, 2, 3), seed=0, split_triangles=False):
     return mesh
 
 
+def set_orders(mesh, orders):
+    """Resample every element whose order differs from ``orders``, as the
+    adaptive driver applies a planned order field."""
+    for e in np.flatnonzero(orders != mesh.orders()):
+        mesh.set_order(int(e), int(orders[e]))
+
+
 def meshes_identical(a, b):
     if not np.array_equal(a.vertices, b.vertices):
         return False

@@ -15,7 +15,7 @@ from meshfit.levelset import ANALYTIC_LEVELSETS, AnalyticLevelSet
 from meshfit.mesh import interpolation_matrix
 from meshfit.tmop import SolveReport
 
-from conftest import meshes_identical
+from conftest import meshes_identical, set_orders
 
 
 def _const_field(c):
@@ -168,32 +168,30 @@ def test_apply_refinement_both_sides():
     circle = ANALYTIC_LEVELSETS["circle"]()
     mark_interface_faces(m, circle)
     plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2)
-    changed = apply_refinement(m, sorted(m.marked_faces), plan)
-    for k in m.marked_faces:
-        for side in m.edges[k].sides:
-            assert m.elements[side.element].order == 3
-            assert side.element in changed
+    before = m.orders()
+    orders = apply_refinement(m, sorted(m.marked_faces), plan, before)
+    # a planner only returns orders; the mesh is left as it was
+    assert np.array_equal(m.orders(), before)
+    band = {s.element for k in m.marked_faces for s in m.edges[k].sides}
+    assert set(np.flatnonzero(orders != before)) == band
+    assert (orders[sorted(band)] == 3).all()
     # capped at p_max on a second application
-    changed2 = apply_refinement(m, sorted(m.marked_faces), plan)
-    assert changed2 == set()
+    again = apply_refinement(m, sorted(m.marked_faces), plan, orders)
+    assert np.array_equal(again, orders)
 
 
 def test_propagate_orders_ladders():
     # a 3x1 strip with orders [4, 1, 1] must become [4, 3, 2] under dp = 1
     m = generate_cartesian(3, 1, 1)
-    m.set_order(0, 4)
-    apply_edge_constraints(m)
-    changed = propagate_orders(m, 1)
-    assert [el.order for el in m.elements] == [4, 3, 2]
-    assert changed == {1, 2}
+    start = np.array([4, 1, 1])
+    assert propagate_orders(m, start, 1).tolist() == [4, 3, 2]
+    assert start.tolist() == [4, 1, 1]
     # dp = 2 from the same start: [4, 2, 1], element 2 untouched
-    m2 = generate_cartesian(3, 1, 1)
-    m2.set_order(0, 4)
-    apply_edge_constraints(m2)
-    propagate_orders(m2, 2)
-    assert [el.order for el in m2.elements] == [4, 2, 1]
-    # already-compatible mesh is a no-op
-    assert propagate_orders(m2, 2) == set()
+    orders = propagate_orders(m, start, 2)
+    assert orders.tolist() == [4, 2, 1]
+    # already-compatible orders are a no-op
+    assert np.array_equal(propagate_orders(m, orders, 2), orders)
+    assert (m.orders() == 1).all()
 
 
 def test_refinement_preserves_face_error():
@@ -207,7 +205,8 @@ def test_refinement_preserves_face_error():
     solve_r_adaptivity(fit.problem(m, circle))
     before = compute_face_errors(m, circle)
     plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2)
-    apply_refinement(m, sorted(m.marked_faces), plan)
+    set_orders(m, apply_refinement(m, sorted(m.marked_faces), plan,
+                                   m.orders()))
     apply_edge_constraints(m)
     after = compute_face_errors(m, circle)
     assert np.isclose(after.total_error, before.total_error, rtol=1e-10)
@@ -224,7 +223,8 @@ def _fitted_refined_circle():
     fit = FitConfig(metric=QualityMetric("mu2"),
                     controls=SolverControls(fit_tol=1e-7))
     plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2)
-    apply_refinement(m, sorted(m.marked_faces), plan)
+    set_orders(m, apply_refinement(m, sorted(m.marked_faces), plan,
+                                   m.orders()))
     apply_edge_constraints(m)
     solve_r_adaptivity(fit.problem(m, circle))
     return m, circle
@@ -290,17 +290,16 @@ def test_deref_requires_multi_step_plans():
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        AdaptivityPlan(p_init=3, p_max=1).validate()
+        AdaptivityPlan(p_init=3, p_max=1)
     with pytest.raises(ValueError):
-        AdaptivityPlan(p_init=1, p_max=3, refine_step=0).validate()
+        AdaptivityPlan(p_init=1, p_max=3, refine_step=0)
     with pytest.raises(ValueError):
-        AdaptivityPlan(p_init=1, p_max=3, refine_kind="sometimes").validate()
+        AdaptivityPlan(p_init=1, p_max=3, refine_kind="sometimes")
     with pytest.raises(ValueError):
-        AdaptivityPlan(p_init=1, p_max=3, deref_kind="magic").validate()
+        AdaptivityPlan(p_init=1, p_max=3, deref_kind="magic")
     with pytest.raises(ValueError):
-        AdaptivityPlan(p_init=1, p_max=3, fit_tol=0.0).validate()
+        AdaptivityPlan(p_init=1, p_max=3, fit_tol=0.0)
     plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2)
-    plan.validate()
     assert plan.neighbor_limit == 3  # defaults to p_max: no constraint
     assert plan.outer_cap == 2
     assert AdaptivityPlan(p_init=1, p_max=4, refine_step=1).outer_cap == 4
@@ -523,11 +522,13 @@ def test_derefinement_pass_leaves_orders_and_constraints_settled(limit):
     def checked(mesh, field, plan):
         accepted = derefinement_pass(mesh, field, plan)
         coords = [el.coords.copy() for el in mesh.elements]
-        raised = propagate_orders(mesh, plan.neighbor_limit)
+        settled = np.array_equal(
+            propagate_orders(mesh, mesh.orders(), plan.neighbor_limit),
+            mesh.orders())
         apply_edge_constraints(mesh)
         unchanged = all(np.array_equal(c, el.coords)
                         for c, el in zip(coords, mesh.elements))
-        passes.append((len(accepted), raised, unchanged))
+        passes.append((len(accepted), settled, unchanged))
         return accepted
 
     with pytest.MonkeyPatch.context() as mp:
@@ -535,7 +536,7 @@ def test_derefinement_pass_leaves_orders_and_constraints_settled(limit):
         run_rp_adaptivity(generate_cartesian(8, 8, 1), squircle,
                           FitConfig(metric=QualityMetric("mu2")), plan)
     assert any(n > 0 for n, _, _ in passes)
-    assert all(raised == set() and unchanged for _, raised, unchanged in passes)
+    assert all(settled and unchanged for _, settled, unchanged in passes)
 
 
 def test_driver_respects_neighbor_limit():
@@ -564,12 +565,58 @@ def test_edge_touching_elevation():
     apply_edge_constraints(m)
     m.marked_faces = {k for k, rec in enumerate(m.edges)
                       if any(s.element == center for s in rec.sides)}
-    raised = edge_touching_elevation(m)
-    # the four diagonal neighbors touch two marked faces at a shared vertex
-    assert raised == {0, 2, 6, 8}
-    for e in raised:
-        # raised to the highest order adjacent to the touched faces
-        assert m.elements[e].order == 3
+    before = m.orders()
+    orders = edge_touching_elevation(m, before)
+    assert np.array_equal(m.orders(), before)
+    # the four diagonal neighbors touch two marked faces at a shared vertex,
+    # and are raised to the highest order adjacent to the touched faces
+    assert set(np.flatnonzero(orders != before)) == {0, 2, 6, 8}
+    assert (orders[[0, 2, 6, 8]] == 3).all()
+
+
+def test_driver_elevates_elements_touching_the_interface_at_a_vertex():
+    squircle = ANALYTIC_LEVELSETS["squircle2d"]()
+    plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2,
+                          refine_kind="absolute", refine_threshold=1e-14,
+                          fit_tol=1e-7, edge_touch_elevate=True)
+    res = run_rp_adaptivity(generate_cartesian(8, 8, 1), squircle,
+                            FitConfig(metric=QualityMetric("mu2")), plan)
+    assert res.exit_reason == "interface at p_max"
+    m = res.mesh
+    assert m.num_position_dofs == 305  # 273 without the elevation
+    orders = m.orders()
+    touching = 0
+    for e, el in enumerate(m.elements):
+        if m.marked_faces.intersection(m.element_edge_ids[e].tolist()):
+            continue
+        for v in el.verts:
+            at_v = [k for k in m.marked_faces if v in m.edges[k].verts]
+            if len(at_v) >= 2:
+                touching += 1
+                assert orders[e] == max(orders[s.element] for k in at_v
+                                        for s in m.edges[k].sides)
+    assert touching > 0
+
+
+def test_driver_fits_the_domain_boundary():
+    # the box lies inside the squircle, so every boundary face is marked
+    squircle = ANALYTIC_LEVELSETS["squircle2d"]()
+    plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2,
+                          refine_kind="absolute", refine_threshold=1e-14,
+                          fit_tol=1e-7)
+    res = run_rp_adaptivity(
+        generate_cartesian(8, 8, 1, box=(0.3, 0.3, 0.7, 0.7)), squircle,
+        FitConfig(metric=QualityMetric("mu2"), boundary="free"), plan,
+        boundary_fit=True)
+    m = res.mesh
+    assert len(m.marked_faces) == 32
+    assert m.marked_faces == set(m.boundary_edges())
+    assert [r.solver_status for r in res.records if r.phase == "fit"] \
+        == ["converged", "converged"]
+    assert res.exit_reason == "interface at p_max"
+    assert res.final.dofs == 313
+    assert res.final.total_error < 1e-11
+    assert m.min_det() > 0.0
 
 
 def test_limited_run_is_at_its_order_floor():
@@ -586,8 +633,9 @@ def test_limited_run_is_at_its_order_floor():
     order = np.array([el.order for el in m.elements])
 
     def edge_neighbors(elems):
-        return {s.element for e in elems for k in m.element_edges[e]
-                for s in m.edges[k].sides} - set(elems)
+        k = m.element_edge_ids[list(elems)]
+        sides = m.edge_element_ids[k[k >= 0]]
+        return set(sides[sides >= 0].tolist()) - set(elems)
 
     band = {s.element for k in m.marked_faces for s in m.edges[k].sides}
     jacket = edge_neighbors(band)

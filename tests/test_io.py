@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from meshfit import (MeshFileError, export_svg, export_vtk, generate_cartesian,
-                     mark_interface_faces, read_mesh, write_mesh)
+from meshfit import (DiscreteLevelSet, MeshFileError, export_svg, export_vtk,
+                     generate_cartesian, mark_interface_faces, read_mesh,
+                     write_mesh)
 from meshfit.basis import reference_element
 from meshfit.levelset import ANALYTIC_LEVELSETS
 from meshfit import cli, mesh_io
@@ -517,10 +518,22 @@ def test_cli_argument_errors(tmp_path):
     dm.scatter(m, t)
     assert m.min_det() < 0.0
     write_mesh(m, inverted)
+    # a background field over the lower left quarter of the unit square only
+    partial = tmp_path / "partial.mesh"
+    bg = generate_cartesian(2, 2, 1, box=(0.0, 0.0, 0.5, 0.5))
+    write_mesh(bg, partial, scalar=DiscreteLevelSet.sample(
+        bg, ANALYTIC_LEVELSETS["squircle2d"]()).blocks)
+    adaptive = ["--levelset", "name:squircle2d", "--p-init", "1",
+                "--p-max", "3"]
     for args in (["--mesh", str(malformed)],
                  ["--mesh", str(tmp_path / "missing.mesh")],
                  ["--generate", "2,2,1", "--levelset", "name:foo"],
                  ["--generate", "2,2,1", "--levelset", f"file:{malformed}"],
-                 ["--mesh", str(inverted)]):
+                 ["--mesh", str(inverted)],
+                 ["--generate", "4,4,1", "--levelset", "name:squircle2d",
+                  "--p-init", "3", "--p-max", "1"],
+                 ["--generate", "4,4,1", *adaptive, "--dp", "0"],
+                 ["--generate", "4,4,2", *adaptive],
+                 ["--generate", "4,4,1", "--levelset", f"file:{partial}"]):
         with pytest.raises(SystemExit, match="^meshfit: "):
             _run_cli(args + ["--out-prefix", str(tmp_path / "x")])

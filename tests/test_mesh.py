@@ -11,7 +11,8 @@ from meshfit.levelset import ANALYTIC_LEVELSETS
 from meshfit.mesh import (MeshElement, interpolation_matrix, require_valid,
                           resampling_matrix)
 
-from conftest import meshes_identical, perturbed_mesh, random_order_mesh
+from conftest import (meshes_identical, perturbed_mesh, random_order_mesh,
+                      set_orders)
 
 
 def test_generate_counts_single_element():
@@ -70,9 +71,8 @@ def test_edge_overshare_rejected():
         coords = verts[[a, b, c]].T.copy()
         return MeshElement("tri", np.array([a, b, c]), 1, coords)
 
-    bad = MixedOrderMesh(verts, [tri(1, 2, 0), tri(1, 2, 4), tri(2, 1, 5)])
-    with pytest.raises(MeshStructureError):
-        bad.edges  # edge table is built lazily
+    with pytest.raises(MeshStructureError):  # the constructor builds edges
+        MixedOrderMesh(verts, [tri(1, 2, 0), tri(1, 2, 4), tri(2, 1, 5)])
 
 
 def test_element_vertex_count_checked():
@@ -87,12 +87,13 @@ def test_element_vertex_count_checked():
 
 
 def _assert_tables_fresh(m):
-    """Cached groups, element edges and DofMap equal a fresh copy's."""
+    """Cached groups, incidence arrays and DofMap equal a fresh copy's."""
     fresh = MixedOrderMesh(m.vertices, [el.copy() for el in m.elements])
     groups, want = m.groups(), fresh.groups()
     assert list(groups) == list(want)
     assert all(np.array_equal(groups[key], want[key]) for key in want)
-    assert m.element_edges == fresh.element_edges
+    for name in ("element_vertex_ids", "element_edge_ids", "edge_element_ids"):
+        assert np.array_equal(getattr(m, name), getattr(fresh, name))
     dm, dm0 = m.dof_map(), fresh.dof_map()
     assert dm.num_nodes == dm0.num_nodes
     for name in ("edge_orders", "edge_offsets", "read_slots"):
@@ -111,13 +112,13 @@ def test_order_changes_rebuild_cached_tables():
     m.set_order(0, 2)
     m.set_order(1, 2)
     apply_edge_constraints(m)
-    m.groups(), m.element_edges, m.dof_map()  # fill the caches
+    m.groups(), m.dof_map()  # fill the caches
     m.set_order(8, 1)
     _assert_tables_fresh(m)
 
     # every candidate lowers an element next to an order-3 one by 2 > 1,
     # so the attempt is rolled back
-    face = (set(m.element_edges[0]) & set(m.element_edges[1])).pop()
+    face = (set(m.element_edge_ids[0]) & set(m.element_edge_ids[1])).pop()
     plan = AdaptivityPlan(p_init=1, p_max=3, max_neighbor_diff=1,
                           deref_kind="size", deref_threshold=0.5)
     circle = ANALYTIC_LEVELSETS["circle"]()
@@ -125,8 +126,12 @@ def test_order_changes_rebuild_cached_tables():
     assert [m.elements[e].order for e in (0, 1, 8)] == [2, 2, 1]
     _assert_tables_fresh(m)
 
-    assert apply_refinement(m, [face], AdaptivityPlan(p_max=3)) == {0, 1}
-    assert propagate_orders(m, 1) == {8}
+    before = m.orders()
+    orders = apply_refinement(m, [face], AdaptivityPlan(p_max=3), before)
+    assert set(np.flatnonzero(orders != before)) == {0, 1}
+    raised = propagate_orders(m, orders, 1)
+    assert set(np.flatnonzero(raised != orders)) == {8}
+    set_orders(m, raised)
     _assert_tables_fresh(m)
 
 
@@ -170,7 +175,7 @@ def _reference_dofmap(m):
     read = np.full(num_nodes, -1)
     rows, cols, vals = [], [], []
     base = 0
-    for el, ref, own_edges in zip(m.elements, refs, m.element_edges):
+    for el, ref, own_edges in zip(m.elements, refs, m.element_edge_ids):
         ids = np.full(ref.num_nodes, -1, dtype=int)
         ids[ref.corners] = el.verts
         for le, (k, enodes) in enumerate(zip(own_edges, ref.edge_nodes)):
