@@ -150,16 +150,16 @@ def compute_face_errors(mesh: MixedOrderMesh, field,
     # the nodes first: right after a solve they are the points of its last
     # field query, so a discrete field reuses that location
     dm = mesh.dof_map()
+    t = dm.extract(mesh)
     face_nodes = dm.marked_node_ids(mesh, faces)
     if face_nodes.size:
-        pts = dm.extract(mesh)[face_nodes]
-        node_sigma = float(np.abs(field.values(pts)).max())
+        node_sigma = float(np.abs(field.values(t[face_nodes])).max())
     else:
         node_sigma = 0.0
     errors = np.zeros(len(faces))
     lengths = np.zeros(len(faces))
-    traces = [_trace_quadrature(c, len(c) - 1)
-              for c in map(mesh.edge_trace, faces)]
+    traces = [_trace_quadrature(t[dm.edge_nodes[k, :p + 1]], p)
+              for k, p in zip(faces, dm.edge_orders[faces].tolist())]
     if traces:
         # one field query for every face trace, split back per face
         sigma = field.values(np.concatenate([x for x, _, _ in traces]))
@@ -214,7 +214,7 @@ def edge_touching_elevation(mesh: MixedOrderMesh,
     faces = np.array(sorted(mesh.marked_faces), dtype=int)
     if not faces.size:
         return out
-    ends = np.array([mesh.edges[k].verts for k in faces])
+    ends = mesh.edge_vertex_ids[faces]
     sides = mesh.edge_element_ids[faces]
     # per vertex: the number of marked faces at it, and the highest order
     # of their sides (the missing side -1 of a boundary face counts 0)
@@ -274,11 +274,13 @@ def _neighbors_of(mesh: MixedOrderMesh, elems) -> set[int]:
     return set(elems) | set(sides[sides >= 0].tolist())
 
 
-def _orders_within(mesh: MixedOrderMesh, elems, max_diff: int) -> bool:
+def _orders_within(mesh: MixedOrderMesh, elems, orders: np.ndarray,
+                   max_diff: int) -> bool:
+    """Whether every edge of ``elems`` joins elements whose ``orders``
+    differ by at most max_diff."""
     k = mesh.element_edge_ids[list(elems)]
     sides = mesh.edge_element_ids[k[k >= 0]]
     a, b = sides[sides[:, 1] >= 0].T
-    orders = mesh.orders()
     return bool((np.abs(orders[a] - orders[b]) <= max_diff).all())
 
 
@@ -287,16 +289,19 @@ def try_derefine(mesh: MixedOrderMesh, field, plan: AdaptivityPlan,
     """Lower the order of a face's neighbors if geometry survives it.
 
     Candidate orders run from p_init upward; the first one whose projected
-    trace passes the plan's derefinement test, and whose application leaves
-    every touched element and edge-neighbor with a positive Jacobian and all
-    neighbor order differences within bounds, is applied.  Application
-    prefers lowering both neighbors, falling back to one side at a time.
+    trace passes the plan's derefinement test, whose lowered order field
+    keeps all neighbor order differences within bounds, and whose
+    application leaves every touched element and edge-neighbor with a
+    positive Jacobian, is applied.  Application prefers lowering both
+    neighbors, falling back to one side at a time.  The order test runs
+    before the mesh changes, so only the Jacobian test is rolled back.
     Returns the accepted order, or None if the face keeps its order.
     """
-    p_face = mesh.edge_order(face)
+    dm = mesh.dof_map()
+    p_face = int(dm.edge_orders[face])
     if p_face <= plan.p_init:
         return None
-    coords = mesh.edge_trace(face)
+    coords = dm.extract(mesh)[dm.edge_nodes[face, :p_face + 1]]
     candidates = range(plan.p_init, p_face)
     # one field query for the current trace and every projected candidate
     traces = [_trace_quadrature(c, p_face) for c in
@@ -306,17 +311,20 @@ def try_derefine(mesh: MixedOrderMesh, field, plan: AdaptivityPlan,
     (err_now, len_now), *projected = [
         _error_and_length(s, wq, speed)
         for s, (_, wq, speed) in zip(sigma, traces)]
-    elems = [s.element for s in mesh.edges[face].sides]
+    elems = [int(e) for e in mesh.edge_element_ids[face] if e >= 0]
     variants = [list(elems)]
     if len(elems) == 2:
         variants += [[elems[0]], [elems[1]]]
+    orders = mesh.orders()
     for p_hat, (err_hat, len_hat) in zip(candidates, projected):
         if not _deref_criterion_ok(plan, err_hat, len_hat, err_now, len_now):
             continue
         for variant in variants:
-            lowered = [e for e in variant
-                       if mesh.elements[e].order > p_hat]
-            if not lowered:
+            lowered = [e for e in variant if orders[e] > p_hat]
+            planned = orders.copy()
+            planned[lowered] = p_hat
+            if not lowered or not _orders_within(mesh, lowered, planned,
+                                                 plan.neighbor_limit):
                 continue
             # constraint re-application rewrites edge nodes of the whole
             # neighborhood, so the rollback snapshot must cover it too
@@ -326,9 +334,7 @@ def try_derefine(mesh: MixedOrderMesh, field, plan: AdaptivityPlan,
             for e in lowered:
                 mesh.set_order(e, p_hat)
             apply_edge_constraints(mesh)
-            ok = _orders_within(mesh, lowered, plan.neighbor_limit) and \
-                mesh.min_det(touched) > 0.0
-            if ok:
+            if mesh.min_det(touched) > 0.0:
                 return p_hat
             for e, order, c in snapshot:
                 mesh.elements[e].order = order

@@ -9,19 +9,22 @@ from the low-order side's trace, which keeps the geometry continuous across
 the edge.
 
 Four tables describe a mesh state, each built once by the object that owns
-it.  The mesh owns the edge table (``edges``, ``edge_id``), the
-element-vertex, element-edge and edge-element incidence arrays
-(``element_vertex_ids``, ``element_edge_ids``, ``edge_element_ids``) and
-the element groups by (geometry, order) (``groups()``).  The ``DofMap`` owns
-the governing order of each edge (``edge_orders``), the node numbering,
-``expand`` and the slot each non-vertex node is read from (``read_slots``).
-It keeps its per-element tables per group, as (E_g, n) arrays ``slots`` and
-``node_ids``, and builds everything with a few array operations per group
-from the mesh's incidence arrays, so an order change costs no loop over
-elements.  Edges and the incidence arrays depend only on the vertex lists:
-the constructor builds them, and raises ``MeshStructureError`` on a
-malformed topology.  The groups and the DofMap are dropped by
-``invalidate()`` after an order change and rebuilt on their next use.
+it.  The mesh owns the edge table (``edges``, ``edge_id`` and the end
+vertices of each edge, ``edge_vertex_ids``), the element-vertex,
+element-edge and edge-element incidence arrays (``element_vertex_ids``,
+``element_edge_ids``, ``edge_element_ids``) and the element groups by
+(geometry, order) (``groups()``).  The ``DofMap`` owns the governing order
+of each edge (``edge_orders``), the node numbering with the independent
+nodes along each edge (``edge_nodes``), ``expand`` and the slot each
+non-vertex node is read from (``read_slots``), which is the one place that
+decides the side an edge trace is read from.  It keeps its per-element
+tables per group, as (E_g, n) arrays ``slots`` and ``node_ids``, and builds
+everything with a few array operations per group from the mesh's incidence
+arrays, so an order change costs no loop over elements.  Edges and the
+incidence arrays depend only on the vertex lists: the constructor builds
+them, and raises ``MeshStructureError`` on a malformed topology.  The
+groups and the DofMap are dropped by ``invalidate()`` after an order change
+and rebuilt on their next use.
 """
 
 from __future__ import annotations
@@ -203,10 +206,13 @@ class MixedOrderMesh:
                     "element orientations are inconsistent")
             records.append(EdgeRecord(key, tuple(ks)))
             sides[k, :len(ks)] = [s.element for s in ks]
-        for a in (verts, own, sides):
+        ends = np.array(list(found), dtype=int).reshape(-1, 2)
+        for a in (verts, own, sides, ends):
             a.flags.writeable = False
         self.edges: tuple[EdgeRecord, ...] = tuple(records)
         self._edge_index = index
+        #: (num edges, 2) smaller and larger vertex id of each edge
+        self.edge_vertex_ids = ends
         #: (E, max vertices) vertex ids and edge ids of each element in local
         #: order, padded with -1
         self.element_vertex_ids = verts
@@ -221,26 +227,6 @@ class MixedOrderMesh:
     def orders(self) -> np.ndarray:
         """The order of each element, as an int array."""
         return np.array([el.order for el in self.elements], dtype=int)
-
-    def edge_order(self, edge_id: int) -> int:
-        """Governing order of an edge: the minimum of the adjacent element orders."""
-        rec = self.edges[edge_id]
-        return min(self.elements[s.element].order for s in rec.sides)
-
-    def edge_trace(self, edge_id: int) -> np.ndarray:
-        """Node coordinates along an edge in canonical direction, (p + 1, 2).
-
-        The trace comes from a side at the edge's governing order, lowest
-        element id first, so it is exactly the conforming edge geometry.
-        """
-        p_edge = self.edge_order(edge_id)
-        side = min((s for s in self.edges[edge_id].sides
-                    if self.elements[s.element].order == p_edge),
-                   key=lambda s: s.element)
-        el = self.elements[side.element]
-        ids = reference_element(el.geometry, el.order).edge_nodes[side.local_edge]
-        coords = el.coords[:, ids].T
-        return coords if side.forward else coords[::-1]
 
     # -- geometry evaluation ----------------------------------------------
 
@@ -275,9 +261,6 @@ class MixedOrderMesh:
             groups = {key: ids[wanted[ids]] for key, ids in groups.items()}
         return min_det_of((key, self.group_coords(ids))
                           for key, ids in groups.items() if len(ids))
-
-    def is_valid(self) -> bool:
-        return self.min_det() > 0.0
 
     def diameter(self) -> float:
         lo = self.vertices.min(axis=0)
@@ -338,17 +321,21 @@ class DofMap:
 
     Node numbering: vertices first, then edge-interior nodes per edge at the
     edge's governing order (``edge_orders``), then element-interior nodes in
-    element order.  The element node blocks are concatenated in element
-    order.  For each (geometry, order) group of ``groups`` (the mesh's
-    ``groups()``), ``slots[key]`` and ``node_ids[key]`` are (E_g, n) arrays
-    over the group's elements: the position of each element node in that
-    concatenation, and the independent node it reads directly (-1 for a
-    constrained edge node).  ``expand`` is a sparse matrix taking a per-node
-    vector (or (n, k) stack) to the concatenation, applying trace
-    interpolation on constrained high-order edge nodes.  ``read_slots``
-    gives, for each non-vertex node, the slot of the concatenation it is
-    read from: its first directly mapped slot, which for an edge node is the
-    lowest element id at the edge's governing order.
+    element order.  Row k of ``edge_nodes`` holds the p + 1 independent
+    nodes of edge k at its governing order p, from its smaller to its larger
+    vertex id, padded with -1 to the largest edge order + 1.  The element
+    node blocks are concatenated in element order.  For each (geometry,
+    order) group of ``groups`` (the mesh's ``groups()``), ``slots[key]`` and
+    ``node_ids[key]`` are (E_g, n) arrays over the group's elements: the
+    position of each element node in that concatenation, and the independent
+    node it reads directly (-1 for a constrained edge node).  ``expand`` is
+    a sparse matrix taking a per-node vector (or (n, k) stack) to the
+    concatenation, applying trace interpolation on constrained high-order
+    edge nodes.  ``read_slots`` gives, for each non-vertex node, the slot of
+    the concatenation it is read from: its first directly mapped slot, which
+    for an edge node is the lowest element id at the edge's governing order.
+    So the trace of edge k at order p is
+    ``extract(mesh)[edge_nodes[k, :p + 1]]``.
 
     The build is a few array operations per group and per local edge,
     reading the mesh's element-vertex, element-edge and edge-element arrays;
@@ -372,8 +359,16 @@ class DofMap:
         self.edge_orders = np.append(orders, np.iinfo(int).max)[
             mesh.edge_element_ids].min(axis=1)
         edge_counts = self.edge_orders - 1
-        self.edge_offsets = nv + np.cumsum(edge_counts) - edge_counts
+        offsets = nv + np.cumsum(edge_counts) - edge_counts
         first_interior = nv + int(edge_counts.sum())
+        column = np.arange(self.edge_orders.max(initial=1) + 1)
+        edge_nodes = np.where(column < self.edge_orders[:, None],
+                              offsets[:, None] + column - 1, -1)
+        edge_nodes[:, 0] = mesh.edge_vertex_ids[:, 0]
+        edge_nodes[np.arange(len(edge_nodes)), self.edge_orders] = \
+            mesh.edge_vertex_ids[:, 1]
+        edge_nodes.flags.writeable = False
+        self.edge_nodes = edge_nodes
         self.num_nodes = first_interior + int(inner.sum())
         self.total_local = int(sizes.sum())
         starts = np.cumsum(sizes) - sizes
@@ -394,28 +389,24 @@ class DofMap:
             node[:, ref.corners] = V
             node[:, ref.interior] = interior_starts[ids, None] \
                 + np.arange(len(ref.interior))
-            # per (element, local edge): its ends a and b, edge id, governing
-            # order, first edge node id, the element's row in the group and
-            # its p + 1 local edge nodes from the smaller to the larger
-            # vertex id
-            a, b = V, np.roll(V, -1, axis=1)
+            # per (element, local edge): edge id, governing order, the
+            # element's row in the group and its p + 1 local edge nodes from
+            # the smaller to the larger vertex id
             k = mesh.element_edge_ids[ids, :nverts]
-            p_edge, o = self.edge_orders[k], self.edge_offsets[k]
+            p_edge = self.edge_orders[k]
             enodes = np.array(ref.edge_nodes)
-            canonical = np.where((a < b)[..., None], enodes, enodes[:, ::-1])
+            canonical = np.where((V < np.roll(V, -1, axis=1))[..., None],
+                                 enodes, enodes[:, ::-1])
             member = np.broadcast_to(np.arange(len(ids))[:, None], k.shape)
             same = p_edge == p
             node[member[same][:, None], canonical[same][:, 1:-1]] = \
-                o[same][:, None] + np.arange(p - 1)
+                edge_nodes[k[same], 1:p]
             for p_low in range(1, p):
                 # edge nodes interpolated from the order p_low trace
                 low = p_edge == p_low
                 if not low.any():
                     continue
-                trace = np.column_stack(
-                    [np.minimum(a, b)[low],
-                     o[low][:, None] + np.arange(p_low - 1),
-                     np.maximum(a, b)[low]])
+                trace = edge_nodes[k[low], :p_low + 1]
                 dest = slots[member[low][:, None], canonical[low][:, 1:-1]]
                 P = interpolation_matrix(p_low, p)[1:-1]
                 rows.append(np.repeat(dest.ravel(), p_low + 1))
@@ -456,29 +447,12 @@ class DofMap:
             for e, x in zip(ids, x_all[self.slots[key]]):
                 mesh.elements[e].coords[:] = x.T
 
-    def scatter_scalar(self, t: np.ndarray) -> list[np.ndarray]:
-        """Per-element blocks of a scalar field given independent nodal values."""
-        x_all = self.expand @ t
-        out = [None] * sum(len(ids) for ids in self.groups.values())
-        for key, ids in self.groups.items():
-            for e, x in zip(ids, x_all[self.slots[key]]):
-                out[e] = x
-        return out
-
-    def edge_node_ids(self, edge_id: int, mesh: MixedOrderMesh) -> np.ndarray:
-        """Independent node ids along an edge in canonical order, endpoints included."""
-        vmin, vmax = mesh.edges[edge_id].verts
-        o = self.edge_offsets[edge_id]
-        cnt = self.edge_orders[edge_id] - 1
-        return np.array([vmin] + list(range(o, o + cnt)) + [vmax], dtype=int)
-
     def marked_node_ids(self, mesh: MixedOrderMesh, faces=None) -> np.ndarray:
         """Sorted independent node ids lying on ``faces`` (default: the
         marked face set)."""
-        ids: set[int] = set()
-        for k in mesh.marked_faces if faces is None else faces:
-            ids.update(self.edge_node_ids(k, mesh).tolist())
-        return np.array(sorted(ids), dtype=int)
+        rows = self.edge_nodes[np.fromiter(
+            mesh.marked_faces if faces is None else faces, dtype=int)]
+        return np.unique(rows[rows >= 0])
 
 
 def apply_edge_constraints(mesh: MixedOrderMesh) -> MixedOrderMesh:

@@ -113,7 +113,7 @@ def write_mesh(mesh: MixedOrderMesh, path, scalar=None, scalar_name="sigma"):
     faces = sorted(mesh.marked_faces)
     lines.append(f"marked_faces {len(faces)}")
     for k in faces:
-        a, b = mesh.edges[k].verts
+        a, b = mesh.edge_vertex_ids[k]
         lines.append(f"{a} {b}")
     if scalar is not None:
         lines.append(f"scalar {scalar_name}")

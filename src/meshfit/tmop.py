@@ -415,13 +415,12 @@ def boundary_freedom(mesh: MixedOrderMesh, mode: str = "slide"):
     if mode == "free":
         return kinds, tangents
     for k in mesh.boundary_edges():
-        vmin, vmax = mesh.edges[k].verts
-        tangent = mesh.vertices[vmax] - mesh.vertices[vmin]
+        ids = dm.edge_nodes[k, :dm.edge_orders[k] + 1]
+        tangent = mesh.vertices[ids[-1]] - mesh.vertices[ids[0]]
         norm = float(np.hypot(*tangent))
         if norm == 0.0:
             continue
         tangent = tangent / norm
-        ids = dm.edge_node_ids(k, mesh)
         for node in ids:
             if mode == "fixed":
                 kinds[node] = 2

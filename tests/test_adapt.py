@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from meshfit import (AdaptivityPlan, FitConfig, QualityMetric, SolverControls,
-                     apply_edge_constraints, compute_face_errors,
-                     generate_cartesian, mark_interface_faces,
-                     run_rp_adaptivity, solve_r_adaptivity)
+from meshfit import (AdaptivityPlan, FitConfig, MixedOrderMesh, QualityMetric,
+                     SolverControls, apply_edge_constraints,
+                     compute_face_errors, generate_cartesian,
+                     mark_interface_faces, run_rp_adaptivity,
+                     solve_r_adaptivity)
 from meshfit import adapt
 from meshfit.adapt import (apply_refinement, derefinement_pass,
                            edge_touching_elevation, mark_for_refinement,
@@ -84,7 +85,7 @@ def test_arc_length_of_curved_face():
     m = generate_cartesian(2, 1, 2)
     k = m.edge_id(1, 4)
     dm = m.dof_map()
-    ids = dm.edge_node_ids(k, m)
+    ids = dm.edge_nodes[k]  # every edge is at p2, so the row is unpadded
     t = dm.extract(m)
     mid = np.argmin(np.abs(t[ids] - [0.5, 0.5]).sum(axis=1))
     t[ids[mid]] += [0.08, 0.0]
@@ -249,14 +250,39 @@ def test_try_derefine_acceptance_lowers_orders():
     face = sorted(m.marked_faces)[0]
     p_hat = try_derefine(m, circle, plan, face)
     assert p_hat is not None and p_hat < 3
-    assert m.edge_order(face) == p_hat
-    assert any(m.elements[s.element].order == p_hat
-               for s in m.edges[face].sides)
+    assert m.dof_map().edge_orders[face] == p_hat
+    sides = m.edge_element_ids[face]
+    assert p_hat in m.orders()[sides[sides >= 0]]
     assert m.min_det() > 0.0
     # conformity was restored after the projection
     dm = m.dof_map()
     t = dm.extract(m)
     assert np.all(np.isfinite(t))
+
+
+def test_try_derefine_checks_the_neighbor_limit_before_the_mesh_changes(
+        monkeypatch):
+    # the p2 face between elements 0 and 1 keeps its length at p1, but
+    # lowering either side puts it 2 below an order-3 neighbor
+    m = generate_cartesian(3, 3, 3)
+    set_orders(m, np.array([2, 2, 3, 3, 3, 3, 3, 3, 3]))
+    apply_edge_constraints(m)
+    face = (set(m.element_edge_ids[0]) & set(m.element_edge_ids[1])).pop()
+    plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2,
+                          deref_kind="size", deref_threshold=0.5)
+    assert try_derefine(m.copy(), _const_field(0.0), plan, face) == 1
+    limited = AdaptivityPlan(p_init=1, p_max=3, refine_step=2,
+                             max_neighbor_diff=1, deref_kind="size",
+                             deref_threshold=0.5)
+    snapshot = m.copy()
+    calls = []
+    set_order = MixedOrderMesh.set_order
+    monkeypatch.setattr(MixedOrderMesh, "set_order",
+                        lambda mesh, e, p: (calls.append((e, p)),
+                                            set_order(mesh, e, p)))
+    assert try_derefine(m, _const_field(0.0), limited, face) is None
+    assert calls == []
+    assert meshes_identical(m, snapshot)
 
 
 def test_derefinement_pass_reports_lowered_faces():
@@ -265,10 +291,11 @@ def test_derefinement_pass_reports_lowered_faces():
                           deref_kind="size", deref_threshold=0.9)
     lowered = derefinement_pass(m, circle, plan)
     assert lowered
+    edge_orders = m.dof_map().edge_orders
     for face, p_hat in lowered.items():
         assert p_hat < 3
         # later acceptances may lower a shared element further
-        assert m.edge_order(face) <= p_hat
+        assert edge_orders[face] <= p_hat
     assert m.min_det() > 0.0
 
 

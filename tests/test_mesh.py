@@ -57,6 +57,9 @@ def test_edge_table_4x4():
     assert len(interior) == 24
     k = m.edge_id(0, 1)
     assert set(m.edges[k].verts) == {0, 1}
+    assert m.edge_vertex_ids.tolist() == [list(rec.verts) for rec in m.edges]
+    with pytest.raises(ValueError):
+        m.edge_vertex_ids[0, 0] = 1
     with pytest.raises(MeshStructureError):
         m.edge_id(0, 24)  # opposite corners share no edge
 
@@ -92,11 +95,12 @@ def _assert_tables_fresh(m):
     groups, want = m.groups(), fresh.groups()
     assert list(groups) == list(want)
     assert all(np.array_equal(groups[key], want[key]) for key in want)
-    for name in ("element_vertex_ids", "element_edge_ids", "edge_element_ids"):
+    for name in ("element_vertex_ids", "element_edge_ids", "edge_element_ids",
+                 "edge_vertex_ids"):
         assert np.array_equal(getattr(m, name), getattr(fresh, name))
     dm, dm0 = m.dof_map(), fresh.dof_map()
     assert dm.num_nodes == dm0.num_nodes
-    for name in ("edge_orders", "edge_offsets", "read_slots"):
+    for name in ("edge_orders", "edge_nodes", "read_slots"):
         assert np.array_equal(getattr(dm, name), getattr(dm0, name))
     for table in ("slots", "node_ids"):
         mine, want = getattr(dm, table), getattr(dm0, table)
@@ -147,8 +151,16 @@ def test_extract_reads_edges_through_edge_trace(split):
     dm = m.dof_map()
     expected = np.full((dm.num_nodes, 2), np.nan)
     expected[:len(m.vertices)] = m.vertices
-    for k in range(len(m.edges)):
-        expected[dm.edge_node_ids(k, m)[1:-1]] = m.edge_trace(k)[1:-1]
+    for k, rec in enumerate(m.edges):
+        # the trace owner: the lowest element id at the edge's minimum order
+        p = min(m.elements[s.element].order for s in rec.sides)
+        side = min((s for s in rec.sides if m.elements[s.element].order == p),
+                   key=lambda s: s.element)
+        el = m.elements[side.element]
+        local = reference_element(el.geometry, p).edge_nodes[side.local_edge]
+        trace = el.coords[:, local].T
+        expected[dm.edge_nodes[k, 1:p]] = \
+            (trace if side.forward else trace[::-1])[1:-1]
     for key, ids in m.groups().items():
         interior = reference_element(*key).interior
         for e, node in zip(ids, dm.node_ids[key]):
@@ -158,7 +170,7 @@ def test_extract_reads_edges_through_edge_trace(split):
 
 def _reference_dofmap(m):
     """The DofMap tables built by one loop over elements and local edges:
-    ``expand``, ``read_slots``, ``edge_orders``, ``edge_offsets``,
+    ``expand``, ``read_slots``, ``edge_orders``, ``edge_nodes``,
     ``num_nodes`` and the node ids of each element (-1 where an edge node is
     interpolated).  The library builds them per element group; this is the
     reference it must match exactly."""
@@ -168,6 +180,11 @@ def _reference_dofmap(m):
                             for rec in edges], dtype=int)
     edge_counts = edge_orders - 1
     edge_offsets = nv + np.cumsum(edge_counts) - edge_counts
+    edge_nodes = np.full((len(edges), edge_orders.max() + 1), -1)
+    for k, rec in enumerate(edges):
+        p, o = edge_orders[k], edge_offsets[k]
+        edge_nodes[k, :p + 1] = [rec.verts[0], *range(o, o + p - 1),
+                                 rec.verts[1]]
     refs = [reference_element(el.geometry, el.order) for el in m.elements]
     pos = nv + int(edge_counts.sum())
     num_nodes = pos + sum(len(ref.interior) for ref in refs)
@@ -205,7 +222,7 @@ def _reference_dofmap(m):
         base += ref.num_nodes
     expand = sp.csr_matrix((vals, (rows, cols)), shape=(base, num_nodes))
     return {"expand": expand, "read_slots": read[nv:],
-            "edge_orders": edge_orders, "edge_offsets": edge_offsets,
+            "edge_orders": edge_orders, "edge_nodes": edge_nodes,
             "num_nodes": num_nodes, "local_node_ids": local_node_ids}
 
 
@@ -226,7 +243,7 @@ def test_dofmap_matches_the_element_loop():
     for m in _dofmap_meshes():
         dm, ref = m.dof_map(), _reference_dofmap(m)
         assert dm.num_nodes == ref["num_nodes"]
-        for name in ("read_slots", "edge_orders", "edge_offsets"):
+        for name in ("read_slots", "edge_orders", "edge_nodes"):
             mine, want = getattr(dm, name), ref[name]
             assert mine.dtype == want.dtype and np.array_equal(mine, want)
         for name in ("indptr", "indices", "data"):
@@ -243,10 +260,9 @@ def test_dofmap_matches_the_element_loop():
 
 def test_dofmap_tables_are_read_only():
     dm = random_order_mesh(3, 3, seed=1).dof_map()
-    for table in (dm.slots, dm.node_ids):
-        for a in table.values():
-            with pytest.raises(ValueError):
-                a[0, 0] = 0
+    for a in [*dm.slots.values(), *dm.node_ids.values(), dm.edge_nodes]:
+        with pytest.raises(ValueError):
+            a[0, 0] = 0
 
 
 def test_dof_roundtrip_bitwise():
@@ -327,7 +343,6 @@ def test_prolongation_exact_for_low_degree():
 def test_min_det_and_validity():
     m = generate_cartesian(2, 2, 1)
     assert m.min_det() > 0.0
-    assert m.is_valid()
     require_valid(m)
     # drag one interior vertex far outside its cell to invert neighbors
     dm = m.dof_map()
@@ -336,7 +351,6 @@ def test_min_det_and_validity():
     t[interior] = [2.5, 2.5]
     dm.scatter(m, t)
     assert m.min_det() < 0.0
-    assert not m.is_valid()
     with pytest.raises(MeshInvalidError):
         require_valid(m)
 
@@ -351,7 +365,7 @@ def test_nan_node_makes_mesh_invalid(every_element):
         for el in m.elements[1:]:
             el.coords[:, 0] = np.nan
     assert np.isnan(m.min_det())
-    assert not m.is_valid()
+    assert not m.min_det() > 0.0
     with pytest.raises(MeshInvalidError):
         require_valid(m)
     # the finite elements alone keep their finite minimum
@@ -401,7 +415,11 @@ def test_edge_order_is_min_of_sides():
     m.set_order(0, 3)
     apply_edge_constraints(m)
     shared = next(k for k, rec in enumerate(m.edges) if len(rec.sides) == 2)
-    assert m.edge_order(shared) == 1
+    dm = m.dof_map()
+    assert dm.edge_orders[shared] == 1
+    # a p1 edge holds its two end vertices and no interior node
+    vmin, vmax = m.edge_vertex_ids[shared]
+    assert dm.edge_nodes[shared].tolist() == [vmin, vmax, -1, -1]
 
 
 def test_marked_and_edge_node_ids():
@@ -411,8 +429,9 @@ def test_marked_and_edge_node_ids():
     ids = dm.marked_node_ids(m)
     assert len(ids) == 5  # two p=2 edges sharing one endpoint
     assert np.all(np.diff(ids) > 0)
-    edge_ids = dm.edge_node_ids(m.edge_id(0, 1), m)
-    assert len(edge_ids) == 3
+    edge_ids = dm.edge_nodes[m.edge_id(0, 1)]
+    assert len(edge_ids) == 3 and edge_ids[0] == 0 and edge_ids[-1] == 1
+    assert set(ids) == set(edge_ids) | set(dm.edge_nodes[m.edge_id(1, 2)])
     t = dm.extract(m)
     pts = t[edge_ids]
     assert np.allclose(pts[:, 1], 0.0, atol=1e-14)  # bottom edge of the square
