@@ -16,7 +16,7 @@ from .levelset import (ANALYTIC_LEVELSETS, AnalyticLevelSet, DiscreteLevelSet,
                        Locator, make_levelset)
 from .tmop import (FitConfig, QualityMetric, SolveReport, SolverControls,
                    TargetSpec, TmopProblem, assign_materials, element_quality,
-                   gradient, mark_interface_faces, metric_value, objective,
+                   gradient, mark_interface_faces, objective,
                    solve_r_adaptivity)
 from .adapt import (AdaptivityPlan, AdaptResult, FaceErrorReport,
                     compute_face_errors, run_rp_adaptivity)
@@ -33,7 +33,7 @@ __all__ = [
     "StudyRecord", "TargetSpec", "TmopProblem", "apply_edge_constraints",
     "assign_materials", "compute_face_errors", "element_quality",
     "export_svg", "export_vtk", "generate_cartesian", "gradient",
-    "make_levelset", "mark_interface_faces", "metric_value", "objective",
+    "make_levelset", "mark_interface_faces", "objective",
     "read_mesh", "run_rp_adaptivity", "run_study", "solve_r_adaptivity",
     "write_mesh",
 ]

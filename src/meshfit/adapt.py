@@ -75,17 +75,18 @@ class AdaptivityPlan:
         if not 1 <= self.p_init <= self.p_max:
             raise ValueError(f"need 1 <= p_init <= p_max, got "
                              f"{self.p_init}..{self.p_max}")
-        if self.refine_step < 1:
+        if not self.refine_step >= 1:
             raise ValueError("refine_step must be >= 1")
-        if self.max_neighbor_diff is not None and self.max_neighbor_diff < 1:
+        if self.max_neighbor_diff is not None \
+                and not self.max_neighbor_diff >= 1:
             raise ValueError("max_neighbor_diff must be >= 1 or None")
         if self.refine_kind not in REFINE_KINDS:
             raise ValueError(f"unknown refine criterion {self.refine_kind!r}")
         if self.deref_kind is not None and self.deref_kind not in DEREF_KINDS:
             raise ValueError(f"unknown deref criterion {self.deref_kind!r}")
-        if self.refine_threshold < 0 or self.deref_threshold < 0:
+        if not (self.refine_threshold >= 0 and self.deref_threshold >= 0):
             raise ValueError("thresholds must be >= 0")
-        if self.fit_tol <= 0:
+        if not self.fit_tol > 0:
             raise ValueError("fit_tol must be positive")
 
     @property

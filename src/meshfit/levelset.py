@@ -4,12 +4,13 @@ Analytic fields wrap closed-form value/gradient pairs.  Discrete fields carry
 nodal values on a background mesh and answer queries by locating the points
 and interpolating.  Gradients of discrete fields come from a precomputed nodal
 gradient field: element-wise derivatives averaged at shared nodes, then
-interpolated like any other nodal field.
+interpolated like any other nodal field.  Nodal values must be finite.
 
 Location is batched, in the style of gslib ``findpts``.  A grid over the
 inflated element bounding boxes gives every (point, candidate element) pair;
 one Newton iteration per (geometry, order) element group inverts the element
-maps for all of that group's pairs at once.  The Newton start tables (basis
+maps for all of that group's pairs at once, with the mesh's Jacobian
+kernel (``map_jacobians``, ``cofactors``).  The Newton start tables (basis
 values and gradients at the reference center) are built once per group with
 the locator, and each inversion keeps the basis rows of its last residual.
 Interpolation multiplies the rows of the converged inversion (or of the snap
@@ -40,7 +41,8 @@ import numpy as np
 
 from .basis import reference_element
 from .errors import PointLocationError
-from .mesh import MixedOrderMesh, det2, jacobian_table, map_jacobians
+from .mesh import (MixedOrderMesh, cofactors, jacobian_components,
+                   jacobian_det, jacobian_table, map_jacobians)
 
 
 class FoundFlag(Enum):
@@ -217,17 +219,18 @@ class Locator:
                 keep = ~done
                 active, x, X, t, r = (a[keep] for a in (active, x, X, t, r))
             G = ref.eval_basis_grad(x) if it else grads[active]
-            A = np.einsum("sna,snc->sac", X, G)
-            det = det2(A)
+            # G is a per-pair table of one point
+            A = [c[:, 0] for c in jacobian_components(map_jacobians(X, G))]
+            det = jacobian_det(A)
             regular = np.abs(det) >= 1e-300
             if not regular.all():
                 if not regular.any():
                     break
-                active, x, X, t, r, A, det = (
-                    a[regular] for a in (active, x, X, t, r, A, det))
-            step = np.column_stack([
-                (A[:, 1, 1] * r[:, 0] - A[:, 0, 1] * r[:, 1]) / det,
-                (-A[:, 1, 0] * r[:, 0] + A[:, 0, 0] * r[:, 1]) / det])
+                active, x, X, t, r, det, *A = (
+                    a[regular] for a in (active, x, X, t, r, det, *A))
+            C00, C01, C10, C11 = cofactors(A)
+            step = np.column_stack([(C00 * r[:, 0] + C10 * r[:, 1]) / det,
+                                    (C01 * r[:, 0] + C11 * r[:, 1]) / det])
             # keep the iterate near the element: reference box inflated by 0.5
             x = np.minimum(np.maximum(x + step, -0.5), 1.5)
             xi[active] = x
@@ -433,6 +436,8 @@ class DiscreteLevelSet:
             n = reference_element(el.geometry, el.order).num_nodes
             if b.shape != (n,):
                 raise ValueError(f"block {e} has shape {b.shape}, expected ({n},)")
+        if self.blocks and not np.isfinite(np.concatenate(self.blocks)).all():
+            raise ValueError("a value block has a non-finite value")
         self._locator: Locator | None = None
         self._values: list[np.ndarray] | None = None
         self._gradients: list[np.ndarray] | None = None
@@ -472,9 +477,11 @@ class DiscreteLevelSet:
                                   loc.group_coords, self._value_blocks()):
             G = ref.eval_basis_grad(ref.nodes)                   # (n, n, 2)
             du = np.einsum("ei,mib->emb", U[..., 0], G)          # reference gradients
-            # A^T of each node's map Jacobian A[a, c] = T[e, a, m, c]
-            AT = map_jacobians(X, jacobian_table(G)).transpose(0, 2, 3, 1)
-            g = np.linalg.solve(AT, du[..., None])[..., 0]
+            # A^{-T} du = C du / det A, with C the cofactors of A
+            A = jacobian_components(map_jacobians(X, jacobian_table(G)))
+            (C00, C01, C10, C11), det = cofactors(A), jacobian_det(A)
+            g = np.stack([(C00 * du[..., 0] + C01 * du[..., 1]) / det,
+                          (C10 * du[..., 0] + C11 * du[..., 1]) / det], -1)
             node_ids = dm.node_ids[key]
             mapped = node_ids >= 0
             np.add.at(sums, node_ids[mapped], g[mapped])

@@ -25,6 +25,10 @@ incidence arrays depend only on the vertex lists: the constructor builds
 them, and raises ``MeshStructureError`` on a malformed topology.  The
 groups and the DofMap are dropped by ``invalidate()`` after an order change
 and rebuilt on their next use.
+
+One kernel (``map_jacobians``, ``jacobian_components``, ``jacobian_det``,
+``cofactors``) gives every map Jacobian that the quality metric, the
+validity check, the point locator and a discrete field's gradient read.
 """
 
 from __future__ import annotations
@@ -75,14 +79,15 @@ def jacobian_table(G: np.ndarray) -> np.ndarray:
 def map_jacobians(X: np.ndarray, Gf: np.ndarray) -> np.ndarray:
     """T[e, a, q, c] = sum_i X[e, i, a] G[q, i, c] as one batched product.
 
-    X holds per-element node coordinates (E, n, 2) and Gf is the
-    ``jacobian_table`` of per-point basis gradients G (Q, n, 2).  T is the
-    (E, 2, Q, 2) product as the GEMM leaves it: the map Jacobian of element
-    e at point q is T[e, :, q, :].  Routing the contraction through matmul
-    keeps the inner loops in BLAS, which matters because this runs once per
-    objective, gradient and Hessian evaluation.
+    X holds per-element node coordinates (E, n, 2) and Gf the
+    ``jacobian_table`` (n, 2Q) of basis gradients G (Q, n, 2), or a table
+    (E, n, 2Q) per element, such as the gradients (E, n, 2) at one point
+    each.  T is the (E, 2, Q, 2) product as the GEMM leaves it: the map
+    Jacobian of element e at point q is T[e, :, q, :].  Routing the
+    contraction through matmul keeps the inner loops in BLAS, which matters
+    because this runs once per objective, gradient and Hessian evaluation.
     """
-    n_el, nq = X.shape[0], Gf.shape[1] // 2
+    n_el, nq = X.shape[0], Gf.shape[-1] // 2
     return (X.transpose(0, 2, 1) @ Gf).reshape(n_el, 2, nq, 2)
 
 
@@ -93,9 +98,17 @@ def jacobian_components(T: np.ndarray):
     return C[0, 0], C[0, 1], C[1, 0], C[1, 1]
 
 
-def det2(A: np.ndarray) -> np.ndarray:
-    """Determinants of a (..., 2, 2) stack."""
-    return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+def jacobian_det(T):
+    """det T from the components (T00, T01, T10, T11) of T."""
+    T00, T01, T10, T11 = T
+    return T00 * T11 - T01 * T10
+
+
+def cofactors(T):
+    """Components (C00, C01, C10, C11) of the cofactors C = d(det T)/dT from
+    those of T; T^{-1} = C^T / det T."""
+    T00, T01, T10, T11 = T
+    return T11, -T10, -T01, T00
 
 
 @lru_cache(maxsize=None)
@@ -475,9 +488,8 @@ def element_min_dets(stacks) -> list[np.ndarray]:
     """
     dets = []
     for key, X in stacks:
-        T00, T01, T10, T11 = jacobian_components(
-            map_jacobians(X, validity_table(*key)))
-        dets.append((T00 * T11 - T01 * T10).min(axis=1))
+        dets.append(jacobian_det(jacobian_components(
+            map_jacobians(X, validity_table(*key)))).min(axis=1))
     return dets
 
 

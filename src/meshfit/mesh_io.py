@@ -245,6 +245,8 @@ def _parse_mesh(lines):
                 raise MeshFileError(
                     f"scalar block row has {len(parts)} values, expected {ref.num_nodes}")
             scalar_blocks.append(np.array([float(x) for x in parts]))
+        if scalar_blocks and not np.isfinite(np.concatenate(scalar_blocks)).all():
+            raise MeshFileError("non-finite scalar value")
     return mesh, scalar_blocks
 
 

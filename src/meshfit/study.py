@@ -4,6 +4,9 @@ A study config is a JSON document with a shared level set, optional defaults,
 and a list of runs.  Each run either fits a mesh at its generated order or,
 when a ``plan`` block is present, drives the full order-adaptive loop.  Runs
 that raise are recorded as failed rows and the study continues.
+
+``fit_run`` builds and fits the mesh of a run, ``measure`` measures it;
+the CLI's single run, a run dict of its arguments, calls the same two.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field as dfield
 from .adapt import AdaptivityPlan, compute_face_errors, run_rp_adaptivity
 from .levelset import make_levelset
 from .mesh_io import generate_cartesian, read_mesh
-from .tmop import (FitConfig, QualityMetric, SolverControls, TargetSpec,
+from .tmop import (FitConfig, QualityMetric, SolverControls,
                    mark_interface_faces, solve_r_adaptivity)
 
 CSV_COLUMNS = ["label", "status", "dofs", "e_F", "sigma_max", "orders",
@@ -76,30 +79,27 @@ def plan_from(cfg: dict) -> AdaptivityPlan:
 
 def fit_config(run: dict) -> FitConfig:
     """Solver settings of a run from its keys ``metric``, ``metric_gamma``,
-    ``target``, ``fit_weight``, ``max_outer``, ``fit_tol`` and ``boundary``."""
+    ``fit_weight``, ``max_outer``, ``fit_tol`` and ``boundary``."""
     metric = metric_from(run.get("metric", 2), run.get("metric_gamma", 0.5))
     controls = SolverControls(
         max_iterations=int(run.get("max_outer", 200)),
         fit_tol=float(run.get("fit_tol", 1e-8)))
-    return FitConfig(metric=metric, target=TargetSpec(run.get("target", "ideal")),
+    return FitConfig(metric=metric,
                      fit_weight=float(run.get("fit_weight", 1.0)),
                      controls=controls, boundary=run.get("boundary", "slide"))
 
 
-def _build_mesh(run: dict):
+def fit_run(run: dict, field):
+    """Build a run's mesh (``mesh`` file or ``generate``) and fit it: through
+    ``run_rp_adaptivity`` with its ``plan`` block, if any, else by one solve.
+    Returns the fitted mesh and the ``AdaptResult`` or ``SolveReport``."""
     if "mesh" in run:
-        return read_mesh(run["mesh"])
-    nx, ny, p = run["generate"]
-    return generate_cartesian(nx, ny, p,
-                              box=tuple(run.get("box", (0.0, 0.0, 1.0, 1.0))),
-                              split_triangles=bool(run.get("split", False)))
-
-
-def run_one(run: dict, field) -> StudyRecord:
-    """Execute a single study run and measure its final state."""
-    label = run.get("label", "run")
-    t0 = time.perf_counter()
-    mesh = _build_mesh(run)
+        mesh = read_mesh(run["mesh"])
+    else:
+        nx, ny, p = run["generate"]
+        mesh = generate_cartesian(
+            nx, ny, p, box=tuple(run.get("box", (0.0, 0.0, 1.0, 1.0))),
+            split_triangles=bool(run.get("split", False)))
     fit = fit_config(run)
     boundary_fit = bool(run.get("boundary_fit", False))
     if "plan" in run:
@@ -107,23 +107,35 @@ def run_one(run: dict, field) -> StudyRecord:
         plan_cfg.setdefault("fit_tol", fit.controls.fit_tol)
         result = run_rp_adaptivity(mesh, field, fit, plan_from(plan_cfg),
                                    boundary_fit=boundary_fit)
-        mesh = result.mesh
+        return result.mesh, result
+    mark_interface_faces(mesh, field, boundary_mode=boundary_fit)
+    _, report = solve_r_adaptivity(fit.problem(mesh, field))
+    return mesh, report
+
+
+def measure(mesh, field) -> dict:
+    """DOFs, e_F, sigma_max and order histogram of a fitted mesh, as
+    ``StudyRecord`` fields; the errors are None without marked faces."""
+    out = {"dofs": mesh.num_position_dofs, "total_error": None,
+           "sigma_max": None, "histogram": mesh.order_histogram()}
+    if field is not None and mesh.marked_faces:
+        errors = compute_face_errors(mesh, field)
+        out.update(total_error=errors.total_error,
+                   sigma_max=errors.node_sigma_max)
+    return out
+
+
+def run_one(run: dict, field) -> StudyRecord:
+    """Execute a single study run and measure its final state."""
+    t0 = time.perf_counter()
+    mesh, result = fit_run(run, field)
+    if "plan" in run:
         status = next((r.solver_status for r in reversed(result.records)
                        if r.solver_status), "ok")
     else:
-        mark_interface_faces(mesh, field, boundary_mode=boundary_fit)
-        _, report = solve_r_adaptivity(fit.problem(mesh, field))
-        status = report.status
-    total_error = sigma_max = None
-    if field is not None and mesh.marked_faces:
-        errors = compute_face_errors(mesh, field)
-        total_error = errors.total_error
-        sigma_max = errors.node_sigma_max
-    return StudyRecord(label=label, status=status,
-                       dofs=mesh.num_position_dofs,
-                       total_error=total_error,
-                       sigma_max=sigma_max,
-                       histogram=mesh.order_histogram(),
+        status = result.status
+    return StudyRecord(label=run.get("label", "run"), status=status,
+                       **measure(mesh, field),
                        wall_time=time.perf_counter() - t0)
 
 

@@ -30,9 +30,9 @@ import scipy.sparse.linalg as spla
 
 from .basis import TRI, basis_tables, reference_element
 from .errors import MeshInvalidError
-from .mesh import (MixedOrderMesh, apply_edge_constraints,
-                   jacobian_components, jacobian_table, map_jacobians,
-                   min_det_of, require_valid)
+from .mesh import (MixedOrderMesh, apply_edge_constraints, cofactors,
+                   jacobian_components, jacobian_det, jacobian_table,
+                   map_jacobians, min_det_of, require_valid)
 
 IDEAL_TRIANGLE_TARGET = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
 IDEAL_TRIANGLE_TARGET.flags.writeable = False
@@ -83,40 +83,24 @@ class QualityMetric:
         """(tau > 0 mask, partials) from the components (T00, T01, T10, T11)
         of T, each an array of one shape."""
         T00, T01, T10, T11 = T
-        tau = T00 * T11 - T01 * T10
+        tau = jacobian_det(T)
         good = tau > 0.0
         frob2 = (T00 * T00 + T01 * T01) + (T10 * T10 + T11 * T11)
         return good, self._partials(frob2, np.where(good, tau, 1.0))
 
-    def _values(self, T) -> np.ndarray:
-        """Metric values from the components of T; +inf where det T <= 0."""
+    def values(self, T) -> np.ndarray:
+        """Metric values from the components (T00, T01, T10, T11) of T, each
+        an array of one shape; +inf where det T <= 0."""
         good, (mu, *_) = self._eval(T)
         return np.where(good, mu, np.inf)
 
-    def values(self, T: np.ndarray) -> np.ndarray:
-        """Metric values for a (..., 2, 2) stack; +inf where det T <= 0."""
-        T = np.asarray(T, dtype=float)
-        return self._values((T[..., 0, 0], T[..., 0, 1],
-                             T[..., 1, 0], T[..., 1, 1]))
-
-
-def _adjugate(T):
-    """Components of d(det T)/dT, the transposed adjugate, from those of T."""
-    T00, T01, T10, T11 = T
-    return T11, -T10, -T01, T00
-
 
 def _metric_derivs(T, partials):
-    """Components of d(mu)/dT = 2 mu_f T + mu_tau adj from the components of
-    T and the partials of ``QualityMetric._eval``."""
+    """Components of d(mu)/dT = 2 mu_f T + mu_tau cof(T) from the components
+    of T and the partials of ``QualityMetric._eval``."""
     _, mu_f, mu_tau, _, _ = partials
     f2 = 2.0 * mu_f
-    return tuple(f2 * t + mu_tau * a for t, a in zip(T, _adjugate(T)))
-
-
-def metric_value(metric: QualityMetric, T) -> float:
-    """Metric value for a single 2x2 matrix."""
-    return float(metric.values(np.asarray(T, dtype=float)))
+    return tuple(f2 * t + mu_tau * a for t, a in zip(T, cofactors(T)))
 
 
 def element_quality(mesh: "MixedOrderMesh", metric: QualityMetric,
@@ -133,7 +117,7 @@ def element_quality(mesh: "MixedOrderMesh", metric: QualityMetric,
     out = np.empty(len(mesh.elements))
     for (geometry, order), ids in mesh.groups().items():
         _, K, _ = _target_tables(geometry, order, target)
-        mu = metric._values(jacobian_components(
+        mu = metric.values(jacobian_components(
             map_jacobians(mesh.group_coords(ids), jacobian_table(K))))
         out[ids] = mu.max(axis=1) if reduce == "max" else mu.mean(axis=1)
     return out
@@ -185,6 +169,11 @@ class SolverControls:
     weight_trigger: ClassVar[float] = 1.1
     weight_cap: ClassVar[float] = 1e10
     initial_damping: ClassVar[float] = 1e-4
+
+    def __post_init__(self):
+        if not (self.max_iterations >= 1 and 0.0 < self.fit_tol < np.inf):
+            raise ValueError("need max_iterations >= 1 and 0 < fit_tol < inf, "
+                             f"got {self.max_iterations} and {self.fit_tol}")
 
 
 def _check_fit_weight(fit_weight) -> None:
@@ -465,11 +454,11 @@ def _hessian_values(asm: _Assembly, state, fit_weight: float,
     node.
 
     The quality term is exact, from the ``_element_pass`` state.  In 2D
-    d2(mu)/dT_ac dT_bd = c_id delta_ab delta_cd + c_sym (T_ac adj_bd +
-    adj_ac T_bd) + c_dd adj_ac adj_bd + c_eps eps_ab eps_cd, with adj the
-    transposed adjugate, eps the alternating symbol and (c_id, c_sym, c_dd,
-    c_eps) = (2 mu_f, 2 mu_ftau, mu_tautau, mu_tau), all read from the
-    (E, Q) components of T.  Weighted by quadrature, it fills
+    d2(mu)/dT_ac dT_bd = c_id delta_ab delta_cd + c_sym (T_ac cof_bd +
+    cof_ac T_bd) + c_dd cof_ac cof_bd + c_eps eps_ab eps_cd, with cof the
+    cofactors d(det T)/dT (``mesh.cofactors``), eps the alternating symbol
+    and (c_id, c_sym, c_dd, c_eps) = (2 mu_f, 2 mu_ftau, mu_tautau, mu_tau),
+    all read from the (E, Q) components of T.  Weighted by quadrature, it fills
     N[e, a, b, q, c, d], and a group's blocks are the one GEMM N @ KK.
     The fitting term adds 2 w (grad sigma)(grad sigma)^T per marked node
     from the level-set gradients ``dsigma``, exact for affine fields.
@@ -483,16 +472,16 @@ def _hessian_values(asm: _Assembly, state, fit_weight: float,
         w = g["detW"] * g["tables"].quad_weights
         c_id, c_sym = (2.0 * w) * mu_f, (2.0 * w) * mu_ftau
         c_dd, c_eps = w * mu_tautau, w * mu_tau
-        adj = _adjugate(Tc)
+        cof = cofactors(Tc)
         N = np.empty((n_el, 2, 2, nq, 2, 2))
         # N[:, a, b, :, c, d] = N[:, b, a, :, d, c]: each pair ac <= bd once
         for ac in range(4):
             a, c = divmod(ac, 2)
-            left = c_sym * Tc[ac] + c_dd * adj[ac]
-            right = c_sym * adj[ac]
+            left = c_sym * Tc[ac] + c_dd * cof[ac]
+            right = c_sym * cof[ac]
             for bd in range(ac, 4):
                 b, d = divmod(bd, 2)
-                v = left * adj[bd] + right * Tc[bd]
+                v = left * cof[bd] + right * Tc[bd]
                 if bd == ac:
                     v += c_id
                 elif ac + bd == 3:  # eps_ab eps_cd = +1 for a = c, else -1

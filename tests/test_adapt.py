@@ -326,6 +326,11 @@ def test_plan_validation():
         AdaptivityPlan(p_init=1, p_max=3, deref_kind="magic")
     with pytest.raises(ValueError):
         AdaptivityPlan(p_init=1, p_max=3, fit_tol=0.0)
+    # NaN fails every check written as "not x >= 0" or "not x > 0"
+    for bad in (dict(fit_tol=np.nan), dict(refine_threshold=np.nan),
+                dict(deref_threshold=np.nan)):
+        with pytest.raises(ValueError):
+            AdaptivityPlan(p_init=1, p_max=3, **bad)
     plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2)
     assert plan.neighbor_limit == 3  # defaults to p_max: no constraint
     assert plan.outer_cap == 2

@@ -212,6 +212,11 @@ def test_reader_rejects_bad_scalar(tmp_path):
     lines = base[:i_sc + 2]  # scalar rows missing for three elements
     _expect_reject(tmp_path, lines, match="scalar")
 
+    for bad in ("nan", "inf"):
+        lines = list(base)
+        lines[i_sc + 1] = " ".join([bad] + lines[i_sc + 1].split()[1:])
+        _expect_reject(tmp_path, lines, match="non-finite scalar")
+
 
 ONE_QUAD = ["meshfit mesh 1", "dimension 2", "vertices 4", "0 0", "1 0", "0 1",
             "1 1", "elements 1", "quad 1 1 0 1 3 2", "nodes",
@@ -530,6 +535,13 @@ def test_cli_argument_errors(tmp_path):
     bg = generate_cartesian(2, 2, 1, box=(0.0, 0.0, 0.5, 0.5))
     write_mesh(bg, partial, scalar=DiscreteLevelSet.sample(
         bg, ANALYTIC_LEVELSETS["squircle2d"]()).blocks)
+    # a background field with one nan value
+    with_nan = tmp_path / "nan.mesh"
+    bg = generate_cartesian(4, 4, 1)
+    blocks = DiscreteLevelSet.sample(
+        bg, ANALYTIC_LEVELSETS["squircle2d"]()).blocks
+    blocks[5][2] = np.nan
+    write_mesh(bg, with_nan, scalar=blocks)
     adaptive = ["--levelset", "name:squircle2d", "--p-init", "1",
                 "--p-max", "3"]
     for args in (["--mesh", str(malformed)],
@@ -541,6 +553,12 @@ def test_cli_argument_errors(tmp_path):
                   "--p-init", "3", "--p-max", "1"],
                  ["--generate", "4,4,1", *adaptive, "--dp", "0"],
                  ["--generate", "4,4,2", *adaptive],
-                 ["--generate", "4,4,1", "--levelset", f"file:{partial}"]):
+                 ["--generate", "4,4,1", "--levelset", f"file:{partial}"],
+                 ["--generate", "4,4,1", "--levelset", f"file:{with_nan}"],
+                 ["--generate", "4,4,1", "--levelset", "name:circle",
+                  "--fit-tol", "nan"],
+                 ["--generate", "4,4,1", "--levelset", "name:circle",
+                  "--max-outer", "-3"],
+                 ["--generate", "4,4,1", *adaptive, "--refine", "abs:nan"]):
         with pytest.raises(SystemExit, match="^meshfit: "):
             _run_cli(args + ["--out-prefix", str(tmp_path / "x")])

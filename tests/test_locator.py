@@ -9,6 +9,7 @@ from meshfit import (DiscreteLevelSet, FitConfig, Locator, SolverControls,
 from meshfit.basis import reference_element
 from meshfit.errors import PointLocationError
 from meshfit.levelset import ANALYTIC_LEVELSETS, FoundFlag
+from meshfit.mesh import jacobian_components, map_jacobians
 
 from conftest import perturbed_mesh, random_order_mesh
 
@@ -213,6 +214,68 @@ def test_discrete_levelset_gradients_exact_for_polynomials(rng):
 
 def _poly2_field(mesh):
     return DiscreteLevelSet.sample(mesh, lambda p: _poly2(p[:, 0], p[:, 1]))
+
+
+def test_newton_step_matches_the_einsum_reference(located_mesh, rng,
+                                                  monkeypatch):
+    # one Newton step from the reference center against the einsum Jacobian
+    # and the hand-written 2x2 inverse that the locator used before
+    loc = Locator(located_mesh)
+    monkeypatch.setattr(Locator, "MAX_NEWTON", 1)
+    for g, (ids, ref) in enumerate(zip(loc.groups.values(), loc.group_refs)):
+        X = loc.group_coords[g]
+        inside = ref.clamp(rng.uniform(0.0, 1.0, size=(len(ids), 2)))
+        target = np.einsum("sn,snd->sd", ref.eval_basis(inside), X)
+        xi = loc._invert(g, ids, target)[0]
+        x0 = np.repeat(ref.center[None], len(ids), axis=0)
+        G = ref.eval_basis_grad(x0)
+        A = np.einsum("sna,snc->sac", X, G)
+        T = np.stack(jacobian_components(map_jacobians(X, G)), axis=-1)
+        assert np.abs(T.reshape(-1, 2, 2) - A).max() <= 1e-14 * np.abs(A).max()
+        r = target - np.einsum("sn,snd->sd", ref.eval_basis(x0), X)
+        det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
+        step = np.column_stack([
+            (A[:, 1, 1] * r[:, 0] - A[:, 0, 1] * r[:, 1]) / det,
+            (-A[:, 1, 0] * r[:, 0] + A[:, 0, 0] * r[:, 1]) / det])
+        expected = np.clip(x0 + step, -0.5, 1.5)
+        assert np.abs(xi - expected).max() <= 1e-14 * np.abs(step).max()
+
+
+def _solved_nodal_gradients(field):
+    """The continuous nodal gradient per locator group, each node's
+    A^T g = du solved with ``np.linalg.solve``: the reference form."""
+    loc = field.locator
+    dm = field.mesh.dof_map()
+    sums = np.zeros((dm.num_nodes, 2))
+    counts = np.zeros(dm.num_nodes)
+    for key, ref, X, U in zip(loc.groups, loc.group_refs, loc.group_coords,
+                              field._value_blocks()):
+        G = ref.eval_basis_grad(ref.nodes)
+        du = np.einsum("ei,mib->emb", U[..., 0], G)
+        AT = np.einsum("ena,mnc->emca", X, G)
+        g = np.linalg.solve(AT, du[..., None])[..., 0]
+        node_ids = dm.node_ids[key]
+        mapped = node_ids >= 0
+        np.add.at(sums, node_ids[mapped], g[mapped])
+        np.add.at(counts, node_ids[mapped], 1.0)
+    local = dm.expand @ (sums / counts[:, None])
+    return [local[dm.slots[key]] for key in loc.groups]
+
+
+def test_nodal_gradients_match_the_solved_reference(located_mesh):
+    field = _poly2_field(located_mesh)
+    for got, ref in zip(field._gradient_blocks(),
+                        _solved_nodal_gradients(field)):
+        assert np.abs(got - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_discrete_levelset_rejects_non_finite_values(bad):
+    bg = generate_cartesian(2, 2, 1)
+    blocks = [np.zeros(4) for _ in bg.elements]
+    blocks[3][1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        DiscreteLevelSet(bg, blocks)
 
 
 def _count_calls(monkeypatch, cls, name, counts, key):

@@ -8,8 +8,8 @@ from meshfit.adapt import apply_refinement, propagate_orders, try_derefine
 from meshfit.basis import reference_element
 from meshfit.errors import MeshStructureError
 from meshfit.levelset import ANALYTIC_LEVELSETS
-from meshfit.mesh import (MeshElement, interpolation_matrix, require_valid,
-                          resampling_matrix)
+from meshfit.mesh import (MeshElement, cofactors, interpolation_matrix,
+                          jacobian_det, require_valid, resampling_matrix)
 
 from conftest import (meshes_identical, perturbed_mesh, random_order_mesh,
                       set_orders)
@@ -371,6 +371,19 @@ def test_nan_node_makes_mesh_invalid(every_element):
     # the finite elements alone keep their finite minimum
     if not every_element:
         assert m.min_det([1, 2, 3]) == generate_cartesian(2, 2, 1).min_det()
+
+
+def test_cofactors_invert_the_jacobian(rng):
+    A = rng.normal(size=(50, 2, 2))
+    T = (A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1])
+    det = jacobian_det(T)
+    assert np.allclose(det, np.linalg.det(A), rtol=1e-13, atol=1e-15)
+    C = np.stack(cofactors(T), axis=-1).reshape(-1, 2, 2)
+    # C^T is the adjugate: C^T A = A C^T = det(A) I
+    scaled_eye = det[:, None, None] * np.eye(2)
+    tol = 1e-15 * np.abs(A).max() ** 2
+    assert np.abs(C.transpose(0, 2, 1) @ A - scaled_eye).max() <= tol
+    assert np.abs(A @ C.transpose(0, 2, 1) - scaled_eye).max() <= tol
 
 
 def test_min_det_subset_matches_global():

@@ -6,8 +6,7 @@ import scipy.sparse.linalg as spla
 from meshfit import (FitConfig, MeshInvalidError, QualityMetric,
                      SolverControls, TargetSpec, TmopProblem, assign_materials,
                      element_quality, generate_cartesian, gradient,
-                     mark_interface_faces, metric_value, objective,
-                     solve_r_adaptivity)
+                     mark_interface_faces, objective, solve_r_adaptivity)
 from meshfit.basis import basis_tables
 from meshfit.mesh import (element_min_dets, jacobian_table, map_jacobians,
                           require_valid)
@@ -23,31 +22,41 @@ from conftest import meshes_identical, perturbed_mesh, random_order_mesh
 # ---------------------------------------------------------------------------
 # metric values
 
+def _components(T):
+    """The components (T00, T01, T10, T11) of a (..., 2, 2) stack."""
+    T = np.asarray(T, dtype=float)
+    return T[..., 0, 0], T[..., 0, 1], T[..., 1, 0], T[..., 1, 1]
+
+
+def _metric(name, T, **kw):
+    return QualityMetric(name, **kw).values(_components(T))
+
+
 def test_metric_hand_values():
     T = np.diag([2.0, 1.0])
     # mu2 = |T|^2 / (2 det T) - 1 = 5/4 - 1
-    assert np.isclose(metric_value(QualityMetric("mu2"), T), 0.25, atol=1e-14)
+    assert np.isclose(_metric("mu2", T), 0.25, atol=1e-14)
     # mu77 = 0.5 (det - 1/det)^2 = 0.5 (3/2)^2
-    assert np.isclose(metric_value(QualityMetric("mu77"), T), 1.125, atol=1e-14)
-    blended = metric_value(QualityMetric("mu80", gamma=0.5), T)
+    assert np.isclose(_metric("mu77", T), 1.125, atol=1e-14)
+    blended = _metric("mu80", T, gamma=0.5)
     assert np.isclose(blended, 0.5 * 0.25 + 0.5 * 1.125, atol=1e-14)
 
 
 def test_metric_invariances():
     th = 0.37
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    assert abs(metric_value(QualityMetric("mu2"), R)) < 1e-14
-    assert abs(metric_value(QualityMetric("mu77"), R)) < 1e-14
+    assert abs(_metric("mu2", R)) < 1e-14
+    assert abs(_metric("mu77", R)) < 1e-14
     # mu2 ignores pure scaling, mu77 does not
-    assert abs(metric_value(QualityMetric("mu2"), 3.0 * R)) < 1e-14
-    assert metric_value(QualityMetric("mu77"), 3.0 * R) > 1.0
+    assert abs(_metric("mu2", 3.0 * R)) < 1e-14
+    assert _metric("mu77", 3.0 * R) > 1.0
 
 
 def test_metric_barrier_on_inversion():
     T = np.diag([1.0, -0.5])
     for name in ("mu2", "mu77", "mu80"):
-        assert metric_value(QualityMetric(name), T) == np.inf
-    assert metric_value(QualityMetric("mu2"), np.zeros((2, 2))) == np.inf
+        assert _metric(name, T) == np.inf
+    assert _metric("mu2", np.zeros((2, 2))) == np.inf
 
 
 def test_metric_derivatives_match_fd(rng):
@@ -56,19 +65,17 @@ def test_metric_derivatives_match_fd(rng):
     eps = 1e-7
     for name in ("mu2", "mu77", "mu80"):
         metric = QualityMetric(name, gamma=0.3)
-        good, partials = metric._eval(
-            (Ts[:, 0, 0], Ts[:, 0, 1], Ts[:, 1, 0], Ts[:, 1, 1]))
+        good, partials = metric._eval(_components(Ts))
         assert good.all()
         # the components d(mu)/dT_ab in (00, 01, 10, 11) order
-        for ab, der in enumerate(_metric_derivs(
-                (Ts[:, 0, 0], Ts[:, 0, 1], Ts[:, 1, 0], Ts[:, 1, 1]),
-                partials)):
+        for ab, der in enumerate(_metric_derivs(_components(Ts), partials)):
             a, b = divmod(ab, 2)
             Tp = Ts.copy()
             Tp[:, a, b] += eps
             Tm = Ts.copy()
             Tm[:, a, b] -= eps
-            fd = (metric.values(Tp) - metric.values(Tm)) / (2 * eps)
+            fd = (metric.values(_components(Tp))
+                  - metric.values(_components(Tm))) / (2 * eps)
             assert np.abs(der - fd).max() < 1e-6
 
 
@@ -88,6 +95,15 @@ def test_target_spec():
         TargetSpec("matrix", np.diag([1.0, -1.0]))
     with pytest.raises(ValueError):
         TargetSpec("banana")
+
+
+@pytest.mark.parametrize("bad", [dict(max_iterations=0),
+                                 dict(max_iterations=-3),
+                                 dict(fit_tol=0.0), dict(fit_tol=-1e-8),
+                                 dict(fit_tol=np.nan), dict(fit_tol=np.inf)])
+def test_solver_controls_reject_meaningless_numbers(bad):
+    with pytest.raises(ValueError):
+        SolverControls(**bad)
 
 
 def test_element_quality_values():
