@@ -295,8 +295,11 @@ def try_derefine(mesh: MixedOrderMesh, field, plan: AdaptivityPlan,
     application leaves every touched element and edge-neighbor with a
     positive Jacobian, is applied.  Application prefers lowering both
     neighbors, falling back to one side at a time.  The order test runs
-    before the mesh changes, so only the Jacobian test is rolled back.
-    Returns the accepted order, or None if the face keeps its order.
+    before the mesh changes, so only the Jacobian test is rolled back; a
+    rollback puts back the mesh's groups and DofMap with the orders and
+    coordinates (``MixedOrderMesh.restore``), so the next trial does not
+    rebuild them.  Returns the accepted order, or None if the face keeps
+    its order.
     """
     dm = mesh.dof_map()
     p_face = int(dm.edge_orders[face])
@@ -330,17 +333,13 @@ def try_derefine(mesh: MixedOrderMesh, field, plan: AdaptivityPlan,
             # constraint re-application rewrites edge nodes of the whole
             # neighborhood, so the rollback snapshot must cover it too
             touched = sorted(_neighbors_of(mesh, lowered))
-            snapshot = [(e, mesh.elements[e].order,
-                         mesh.elements[e].coords.copy()) for e in touched]
+            snapshot = mesh.snapshot(touched)
             for e in lowered:
                 mesh.set_order(e, p_hat)
             apply_edge_constraints(mesh)
             if mesh.min_det(touched) > 0.0:
                 return p_hat
-            for e, order, c in snapshot:
-                mesh.elements[e].order = order
-                mesh.elements[e].coords = c
-            mesh.invalidate()
+            mesh.restore(snapshot)
     return None
 
 

@@ -405,7 +405,9 @@ class ReferenceElement:
             return np.einsum("mi,mj->mji", L[:, 0], L[:, 1]).reshape(
                 pts.shape[0], -1)
         vals, _ = _dubiner(pts, self.order, with_grad=False)
-        return vals @ self._vinv
+        # einsum's loop rounds a row alike alone and in a batch; a BLAS
+        # product can take another path for a single row
+        return np.einsum("mk,kn->mn", vals, self._vinv)
 
     def eval_basis_grad(self, points: np.ndarray) -> np.ndarray:
         """Nodal basis gradients at reference points, shape (npts, num_nodes, 2)."""

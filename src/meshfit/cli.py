@@ -23,7 +23,7 @@ import sys
 
 from .levelset import make_levelset
 from .mesh_io import export_svg, export_vtk, write_mesh
-from .study import fit_run, measure, run_study
+from .study import fit_run, histogram_text, measure, run_study
 
 #: argparse dests that are keys of a run's ``plan`` block
 PLAN_KEYS = ("p_init", "p_max", "refine_step", "max_neighbor_diff", "refine",
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
                     "solver_iterations"]] + [
             [r.outer, r.phase, r.dofs, "%.17g" % r.total_error,
              "%.17g" % r.max_error, "%.17g" % r.node_sigma_max,
-             ";".join(f"{p}:{c}" for p, c in sorted(r.histogram.items())),
+             histogram_text(r.histogram),
              r.solver_status or "", r.solver_iterations]
             for r in result.records]
         print(f"adaptive run: exit '{result.exit_reason}' after "

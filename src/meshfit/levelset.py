@@ -92,12 +92,9 @@ class Locator:
         self.group_coords = [mesh.group_coords(ids)
                              for ids in self.groups.values()]
         #: per group: basis values (1, n) and gradients (1, n, 2) at the
-        #: reference center, where every Newton inversion starts.  The values
-        #: come from a two-row batch: the triangle basis is a BLAS product,
-        #: whose single-row path can round differently from a batch's rows.
-        self.center_basis = [
-            ref.eval_basis(np.repeat(ref.center[None], 2, axis=0))[:1]
-            for ref in self.group_refs]
+        #: reference center, where every Newton inversion starts
+        self.center_basis = [ref.eval_basis(ref.center)
+                              for ref in self.group_refs]
         self.center_grads = [ref.eval_basis_grad(ref.center)
                              for ref in self.group_refs]
         #: widest basis row of any group

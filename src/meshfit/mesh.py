@@ -24,7 +24,8 @@ arrays, so an order change costs no loop over elements.  Edges and the
 incidence arrays depend only on the vertex lists: the constructor builds
 them, and raises ``MeshStructureError`` on a malformed topology.  The
 groups and the DofMap are dropped by ``invalidate()`` after an order change
-and rebuilt on their next use.
+and rebuilt on their next use; ``restore`` puts back those of a
+``snapshot`` together with the orders and coordinates it saved.
 
 One kernel (``map_jacobians``, ``jacobian_components``, ``jacobian_det``,
 ``cofactors``) gives every map Jacobian that the quality metric, the
@@ -286,6 +287,22 @@ class MixedOrderMesh:
         """Drop the tables that depend on element orders."""
         self._groups = None
         self._dofmap = None
+
+    def snapshot(self, element_ids):
+        """The orders and coordinates of the given elements, with the
+        order-dependent tables now held, for ``restore``."""
+        saved = [(e, self.elements[e].order, self.elements[e].coords.copy())
+                 for e in element_ids]
+        return saved, self._groups, self._dofmap
+
+    def restore(self, snapshot) -> None:
+        """Put back the element orders and coordinates of a ``snapshot`` and
+        the tables held when it was taken; valid when no element outside it
+        has changed order since."""
+        saved, self._groups, self._dofmap = snapshot
+        for e, order, coords in saved:
+            self.elements[e].order = order
+            self.elements[e].coords = coords
 
     def set_order(self, e: int, new_order: int):
         """Resample element ``e`` at a new order.

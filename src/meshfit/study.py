@@ -27,6 +27,12 @@ CSV_COLUMNS = ["label", "status", "dofs", "e_F", "sigma_max", "orders",
                "wall_time"]
 
 
+def histogram_text(histogram: dict[int, int]) -> str:
+    """An order histogram as ``p:count`` pairs by ascending order, joined
+    by ``;``, as the study CSV and the adaptive history write it."""
+    return ";".join(f"{p}:{c}" for p, c in sorted(histogram.items()))
+
+
 @dataclass
 class StudyRecord:
     label: str
@@ -40,10 +46,10 @@ class StudyRecord:
     def row(self, include_timing: bool = True) -> list[str]:
         def num(v, fmt="%.17g"):
             return "" if v is None else fmt % v
-        orders = ";".join(f"{p}:{c}" for p, c in sorted(self.histogram.items()))
         wall = num(self.wall_time, "%.3f") if include_timing else ""
         return [self.label, self.status, num(self.dofs, "%d"),
-                num(self.total_error), num(self.sigma_max), orders, wall]
+                num(self.total_error), num(self.sigma_max),
+                histogram_text(self.histogram), wall]
 
 
 def metric_from(spec, gamma) -> QualityMetric:

@@ -12,11 +12,17 @@ mixed-order edge nodes follow through the trace-interpolation constraints.
 
 A Newton iterate makes one element pass (``_element_pass``): the accepted
 line-search trial's Jacobians and metric partials give the objective, the
-gradient and the Hessian, whose element blocks are one GEMM per (geometry,
-order) group against a basis-gradient table built once per solve.  The
-map Jacobians keep the (E, 2, Q, 2) layout of their own GEMM, and the
-metric, gradient, Hessian and validity formulas read their four contiguous
-(E, Q) components T00, T01, T10 and T11.
+gradient and the Hessian.  The map Jacobians keep the (E, 2, Q, 2) layout
+of their own GEMM, and the metric, gradient, Hessian and validity formulas
+read their four contiguous (E, Q) components T00, T01, T10 and T11.
+
+The Newton system is symmetric and is kept as its upper triangle from
+values to factorization: ``_hessian_values`` computes only the upper
+triangle of each element block, with two GEMMs per (geometry, order)
+group against basis-gradient tables built once per solve, and
+``_NewtonPattern`` maps those values to the upper triangle of the Newton
+matrix and mirrors it into the one CSC matrix per numbering that SuperLU
+factors.
 """
 
 from __future__ import annotations
@@ -286,13 +292,16 @@ class _Assembly:
             nq, nn = K.shape[:2]
             # the GEMM tables of the map Jacobians, Gf[i, (q, c)] = K[q, i, c],
             # of the gradient, Kf = Gf^T, and of _hessian_values,
-            # KK[(q, c, d), (i, j)] = K[q, i, c] K[q, j, d]
+            # KK[(q, c, d), (i, j)] = K[q, i, c] K[q, j, d] and its columns
+            # with i <= j, KKu
             Gf = jacobian_table(K)
             KK = np.einsum("qic,qjd->qcdij", K, K).reshape(4 * nq, nn * nn)
+            upper = np.triu_indices(nn)
             self.groups.append({
                 "key": (geometry, order), "tables": tables, "detW": detW,
                 "gather": gather, "Gf": Gf, "Kf": np.ascontiguousarray(Gf.T),
-                "KK": KK,
+                "KK": KK, "KKu": KK[:, upper[0] * nn + upper[1]],
+                "upper": upper,
             })
 
     def min_det(self, t: np.ndarray) -> float:
@@ -446,24 +455,30 @@ def _motion_basis(kinds: np.ndarray, tangents: np.ndarray) -> sp.csr_matrix:
 
 def _hessian_values(asm: _Assembly, state, fit_weight: float,
                     dsigma: np.ndarray) -> np.ndarray:
-    """Values of the model of d2F/dx2, laid out for ``_NewtonPattern``.
+    """Values of the upper triangle of the model of d2F/dx2, laid out for
+    ``_NewtonPattern``.
 
-    The vector holds, in order: each group's element blocks, element by
-    element, each in (a, b, i, j) order (row: node i, component a; column:
-    node j, component b); then the 2x2 Gauss-Newton block of each marked
-    node.
+    An element block has row (node i, component a) and column (node j,
+    component b); it is symmetric, so its upper triangle is the (i <= j)
+    entries of its (0, 0) and (1, 1) component blocks and all entries of
+    its (0, 1) block.  The vector holds, in order: for each group, the
+    (0, 0) and (1, 1) upper triangles, in (e, a, (i, j)) order with the
+    (i <= j) pairs of ``np.triu_indices``, then the (0, 1) blocks in
+    (e, i, j) order; then the (0, 0), (1, 1) and (0, 1) entries of each
+    marked node's 2x2 Gauss-Newton block.
 
     The quality term is exact, from the ``_element_pass`` state.  In 2D
     d2(mu)/dT_ac dT_bd = c_id delta_ab delta_cd + c_sym (T_ac cof_bd +
     cof_ac T_bd) + c_dd cof_ac cof_bd + c_eps eps_ab eps_cd, with cof the
     cofactors d(det T)/dT (``mesh.cofactors``), eps the alternating symbol
     and (c_id, c_sym, c_dd, c_eps) = (2 mu_f, 2 mu_ftau, mu_tautau, mu_tau),
-    all read from the (E, Q) components of T.  Weighted by quadrature, it fills
-    N[e, a, b, q, c, d], and a group's blocks are the one GEMM N @ KK.
-    The fitting term adds 2 w (grad sigma)(grad sigma)^T per marked node
-    from the level-set gradients ``dsigma``, exact for affine fields.
-    Indefiniteness of the quality part is
-    handled by the solver's damping, not here.
+    all read from the (E, Q) components of T.  Weighted by quadrature, it
+    fills N[e, a, b, q, c, d] for (a, b) = (0, 0), (1, 1) and (0, 1), and a
+    group's values are two GEMMs: the (a, a) blocks with the (i <= j)
+    columns KKu of KK, the (0, 1) blocks with KK.  The fitting term adds
+    2 w (grad sigma)(grad sigma)^T per marked node from the level-set
+    gradients ``dsigma``, exact for affine fields.  Indefiniteness of the
+    quality part is handled by the solver's damping, not here.
     """
     values = []
     for g, (Tc, (_, mu_f, mu_tau, mu_ftau, mu_tautau)) in zip(asm.groups,
@@ -473,8 +488,10 @@ def _hessian_values(asm: _Assembly, state, fit_weight: float,
         c_id, c_sym = (2.0 * w) * mu_f, (2.0 * w) * mu_ftau
         c_dd, c_eps = w * mu_tautau, w * mu_tau
         cof = cofactors(Tc)
-        N = np.empty((n_el, 2, 2, nq, 2, 2))
-        # N[:, a, b, :, c, d] = N[:, b, a, :, d, c]: each pair ac <= bd once
+        # Nd[:, a] = N[:, a, a] and No = N[:, 0, 1]; as N[:, a, b, :, c, d]
+        # = N[:, b, a, :, d, c], each pair ac <= bd is computed once
+        Nd = np.empty((n_el, 2, nq, 2, 2))
+        No = np.empty((n_el, nq, 2, 2))
         for ac in range(4):
             a, c = divmod(ac, 2)
             left = c_sym * Tc[ac] + c_dd * cof[ac]
@@ -486,11 +503,15 @@ def _hessian_values(asm: _Assembly, state, fit_weight: float,
                     v += c_id
                 elif ac + bd == 3:  # eps_ab eps_cd = +1 for a = c, else -1
                     v += c_eps if a == c else -c_eps
-                N[:, a, b, :, c, d] = v
-                N[:, b, a, :, d, c] = v
-        values.append((N.reshape(4 * n_el, 4 * nq) @ g["KK"]).ravel())
+                if a < b:
+                    No[:, :, c, d] = v
+                else:
+                    Nd[:, a, :, c, d] = v
+                    Nd[:, a, :, d, c] = v
+        values.append((Nd.reshape(2 * n_el, 4 * nq) @ g["KKu"]).ravel())
+        values.append((No.reshape(n_el, 4 * nq) @ g["KK"]).ravel())
     values.append(((2.0 * fit_weight)
-                   * (dsigma[:, :, None] * dsigma[:, None, :])).ravel())
+                   * (dsigma[:, [0, 1, 0]] * dsigma[:, [0, 1, 1]])).ravel())
     return np.concatenate(values)
 
 
@@ -506,13 +527,23 @@ def _row_entries(Q: sp.csr_matrix, rows: np.ndarray):
 
 
 def _product_terms(Q: sp.csr_matrix, rows_a: np.ndarray, rows_b: np.ndarray):
-    """Terms of sum_k Q[ra_k, :]^T v_k Q[rb_k, :]: for each term its value
-    index k, its CSC key j * n + i for entry (i, j), and its weight
-    Q[ra_k, i] Q[rb_k, j].  Keys are 64-bit: n^2 overflows 32 bits from
-    n = 46341 on."""
+    """Terms of the upper triangle of the symmetric matrix sum_k v_k M_k,
+    where M_k = Q[ra_k, :]^T Q[rb_k, :] plus, when ra_k != rb_k, its
+    transpose: for each term its value index k, the CSC key j * n + i of its
+    slot (i, j), i <= j, and its weight.  A term (i, j) of Q[ra_k, i]
+    Q[rb_k, j] lands on (min(i, j), max(i, j)) when ra_k != rb_k, with twice
+    its weight on the diagonal; when ra_k = rb_k the product is symmetric
+    and its terms below the diagonal are dropped.  A (slot, value) pair can
+    occur twice.  Keys are 64-bit: n^2 overflows 32 bits from n = 46341
+    on."""
     ka, i, wa = _row_entries(Q, rows_a)
     kb, j, wb = _row_entries(Q, rows_b[ka])
-    return ka[kb], j.astype(np.int64) * Q.shape[1] + i[kb], wa[kb] * wb
+    k, i, w = ka[kb], i[kb], wa[kb] * wb
+    mirrored = rows_a[k] != rows_b[k]
+    keep = mirrored | (i <= j)
+    w[mirrored & (i == j)] *= 2.0
+    lo, hi = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
+    return k[keep], hi.astype(np.int64) * Q.shape[1] + lo, w[keep]
 
 
 class _NewtonPattern:
@@ -522,12 +553,17 @@ class _NewtonPattern:
     coordinates, E2 expands independent coordinates to them (trace
     interpolation included) and GN holds the marked-node Gauss-Newton
     blocks; Z is the ``_motion_basis`` of the allowed node motions.  None
-    of E2, Z or the marked nodes changes during a solve, so the CSC data of
-    Z^T H Z is one sparse linear map ``S`` of the ``_hessian_values``
-    vector.  ``diag`` holds the slot of each diagonal entry; all of them are
-    stored, because every allowed coordinate moves some element's nodes.
-    ``renumber`` moves the slots to a symmetric renumbering of the matrix;
-    S keeps its rows, and ``slot_rows`` says which of them fills each slot.
+    of E2, Z or the marked nodes changes during a solve, so the upper
+    triangle of Z^T H Z is one sparse linear map ``S`` of the upper-triangle
+    ``_hessian_values`` vector, one row per upper slot.  The pattern holds
+    the full matrix: ``slot_rows`` says which row of S fills each of its
+    CSC slots, the same row for an entry and its mirror image, so the
+    matrix is exactly symmetric.  ``diag`` holds the slot of each diagonal
+    entry; all of them are stored, because every allowed coordinate moves
+    some element's nodes.  ``renumber`` moves the slots to a symmetric
+    renumbering of the matrix; S keeps its rows.  ``A`` is the one
+    ``csc_matrix`` of the current numbering, with int32 indices as SuperLU
+    takes them; ``matrix`` and ``damped`` write their values into it.
     """
 
     def __init__(self, asm: _Assembly, Z: sp.csr_matrix):
@@ -538,36 +574,50 @@ class _NewtonPattern:
         Q.eliminate_zeros()
         rows_a, rows_b = [], []
         for g in asm.groups:
-            # element block entries in the (a, b, i, j) order of the values
+            # local coordinates 2 i + a of the values' rows and columns, in
+            # their order: the (a, a) upper triangles, then the (0, 1) blocks
             nn = g["gather"].shape[1]
-            a, b, i, j = np.indices((2, 2, nn, nn)).reshape(4, -1)
+            i, j = g["upper"]
+            I, J = np.indices((nn, nn)).reshape(2, -1)
             first = 2 * g["gather"][:, :1]
-            rows_a.append((first + 2 * i + a).ravel())
-            rows_b.append((first + 2 * j + b).ravel())
-        idx = 2 * asm.dm.total_local + 2 * asm.marked[:, None] + np.arange(2)
-        rows_a.append(np.repeat(idx, 2, axis=1).ravel())
-        rows_b.append(np.tile(idx, 2).ravel())
+            for la, lb in ((np.r_[2 * i, 2 * i + 1], np.r_[2 * j, 2 * j + 1]),
+                           (2 * I, 2 * J + 1)):
+                rows_a.append((first + la).ravel())
+                rows_b.append((first + lb).ravel())
+        idx = 2 * asm.dm.total_local + 2 * asm.marked[:, None]
+        rows_a.append((idx + [0, 1, 0]).ravel())
+        rows_b.append((idx + [0, 1, 1]).ravel())
         num_values = sum(r.size for r in rows_a)
         k, keys, w = _product_terms(Q, np.concatenate(rows_a),
                                     np.concatenate(rows_b))
-        # sorting the terms by key makes them the rows of S in CSR order;
-        # a (slot, value) pair occurs at most once
+        # sorting the terms by key makes them the rows of S in CSR order
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        self.shape = (n, n)
-        self._set_slots(keys[starts])
         self.S = sp.csr_matrix((w[order], k[order], np.r_[starts, keys.size]),
                                shape=(starts.size, num_values))
-        # the row of S that fills each slot
-        self.slot_rows = np.arange(starts.size)
+        # each upper slot (i, j) and, off the diagonal, its mirror (j, i)
+        upper = keys[starts]
+        cols, rows = np.divmod(upper, n)
+        off = np.flatnonzero(rows < cols)
+        full = np.concatenate([upper, rows[off] * n + cols[off]])
+        moved = np.argsort(full)
+        self.shape = (n, n)
+        self._set_slots(full[moved])
+        self.slot_rows = np.concatenate([np.arange(upper.size), off])[moved]
 
     def _set_slots(self, slots: np.ndarray) -> None:
-        """CSC structure from the ascending slot keys j * n + i."""
+        """CSC structure and held matrix from the ascending slot keys
+        j * n + i."""
         n = self.shape[0]
-        self.indices = slots % n
-        self.indptr = np.searchsorted(slots // n, np.arange(n + 1))
+        cols, rows = np.divmod(slots, n)
         self.diag = np.searchsorted(slots, np.arange(n) * (n + 1))
+        self.A = sp.csc_matrix(
+            (np.zeros(slots.size), rows.astype(np.int32),
+             np.searchsorted(cols, np.arange(n + 1)).astype(np.int32)),
+            shape=self.shape)
+        # ascending distinct keys: SuperLU need not check for duplicates
+        self.A.has_canonical_format = True
 
     def renumber(self, perm: np.ndarray) -> np.ndarray:
         """Hold A[q][:, q] from now on, for the matrix A held so far and
@@ -576,8 +626,8 @@ class _NewtonPattern:
         that of the renumbered matrix."""
         n = self.shape[0]
         perm = np.asarray(perm, dtype=np.int64)
-        cols = np.repeat(np.arange(n), np.diff(self.indptr))
-        keys = perm[cols] * n + perm[self.indices]
+        cols = np.repeat(np.arange(n), np.diff(self.A.indptr))
+        keys = perm[cols] * n + perm[self.A.indices]
         moved = np.argsort(keys)
         self._set_slots(keys[moved])
         self.slot_rows = self.slot_rows[moved]
@@ -588,15 +638,16 @@ class _NewtonPattern:
         return (self.S @ values)[self.slot_rows]
 
     def matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        """The matrix with the given CSC data."""
-        return sp.csc_matrix((data, self.indices, self.indptr),
-                             shape=self.shape)
+        """The held matrix, holding the given CSC data."""
+        self.A.data[:] = data
+        return self.A
 
     def damped(self, data: np.ndarray, shift: np.ndarray) -> sp.csc_matrix:
-        """The matrix with ``shift`` added to its diagonal, on a copy."""
-        damped = data.copy()
-        damped[self.diag] += shift
-        return self.matrix(damped)
+        """The held matrix, holding the given CSC data with ``shift`` added
+        to its diagonal; ``data`` is not changed."""
+        A = self.matrix(data)
+        A.data[self.diag] += shift
+        return A
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +709,10 @@ def solve_r_adaptivity(problem: TmopProblem):
     dz = -g_z with D the floored diagonal of Z^T H Z, and the step is
     d = Z dz.  The Newton matrix Z^T H Z has one sparsity pattern per solve
     (``_NewtonPattern``): each iteration fills it with one sparse
-    matrix-vector product, damping adds to its diagonal on a copy of its
-    values, and SuperLU factors it in symmetric mode.  There is one MMD
+    matrix-vector product from the upper triangle of the element and
+    Gauss-Newton blocks, damping writes those values plus its diagonal
+    shift into the pattern's one CSC matrix, and SuperLU factors that
+    matrix in symmetric mode.  There is one MMD
     ordering per solve: the first factorization that is not exactly
     singular computes it on A^T + A, the motion coordinates are then
     renumbered by it (the columns of Z, the reduced gradient and the

@@ -120,6 +120,17 @@ def test_reference_basis_is_nodal():
             assert np.allclose(V, np.eye(ref.num_nodes), atol=1e-10)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_triangle_basis_rows_round_alike_alone_and_in_a_batch(order, rng):
+    # the center and random points, each evaluated alone equals its row
+    # of the batch bit for bit
+    ref = reference_element(TRI, order)
+    pts = np.vstack([ref.center, ref.center, rng.uniform(0.0, 0.5, (6, 2))])
+    batch = ref.eval_basis(pts)
+    for x, row in zip(pts, batch):
+        assert np.array_equal(ref.eval_basis(x)[0], row)
+
+
 def test_reference_basis_gradient_matches_fd(rng):
     for geometry in (QUAD, TRI):
         ref = reference_element(geometry, 3)

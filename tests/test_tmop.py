@@ -243,9 +243,36 @@ def test_quality_hessian_matches_fd(rng, metric, field, fit_weight, mesh):
             assert np.abs(col - H[:, 2 * i + a]).max() < tol
 
 
-def test_newton_pattern_matches_dense_assembly(rng):
-    # p1 next to p3 leaves constrained edge nodes; the shear makes the
-    # sliding tangents of the left and right sides oblique
+def _mirrored_blocks(asm, values):
+    """The full element blocks, one (E, 2 nn, 2 nn) stack per group on local
+    coordinates 2 node + component, and the (marked, 2, 2) Gauss-Newton
+    blocks, mirrored from the upper-triangle ``_hessian_values`` layout."""
+    blocks, pos = [], 0
+    for g in asm.groups:
+        n_el, nn = g["gather"].shape
+        i, j = np.triu_indices(nn)
+        I, J = np.indices((nn, nn)).reshape(2, -1)
+        diag = values[pos:pos + 2 * n_el * i.size].reshape(n_el, 2, i.size)
+        pos += diag.size
+        off = values[pos:pos + n_el * nn * nn].reshape(n_el, nn * nn)
+        pos += off.size
+        He = np.zeros((n_el, 2 * nn, 2 * nn))
+        for a in range(2):
+            He[:, 2 * i + a, 2 * j + a] = diag[:, a]
+            He[:, 2 * j + a, 2 * i + a] = diag[:, a]
+        He[:, 2 * I, 2 * J + 1] = off
+        He[:, 2 * J + 1, 2 * I] = off
+        blocks.append(He)
+    gn = values[pos:].reshape(-1, 3)
+    assert len(gn) == asm.marked.size
+    return blocks, gn[:, [0, 2, 2, 1]].reshape(-1, 2, 2)
+
+
+def _oblique_mixed_system():
+    """Problem, assembly, node positions and motion basis of a mixed-order
+    mesh whose sliding boundary nodes move along oblique lines: p1 next to
+    p3 leaves constrained edge nodes, and the shear makes the sliding
+    tangents of the left and right sides oblique."""
     m = random_order_mesh(4, 4, orders=(1, 3), seed=5)
     dm = m.dof_map()
     t = dm.extract(m)
@@ -261,40 +288,40 @@ def test_newton_pattern_matches_dense_assembly(rng):
     kinds, tangents = boundary_freedom(m, "slide")
     oblique = (kinds == 1) & (np.abs(tangents).min(axis=1) > 0.1)
     assert oblique.any() and (kinds == 2).any()
-    Z = _motion_basis(kinds, tangents)
+    return prob, asm, t, _motion_basis(kinds, tangents)
+
+
+def test_newton_pattern_matches_dense_assembly(rng):
+    prob, asm, t, Z = _oblique_mixed_system()
     newton = _NewtonPattern(asm, Z)
     values = _hessian_values(asm, _element_pass(asm, prob.metric, t)[1],
                              prob.fit_weight, asm.sigma_gradients(t))
     data = newton.assemble(values)
     Hp = newton.matrix(data).toarray()
 
-    # dense reference Z^T (E2^T B E2 + GN) Z from the same values
-    n_local = 2 * dm.total_local
+    # dense reference Z^T (E2^T B E2 + GN) Z from the same values, with B
+    # and GN mirrored from their upper triangles
+    n_local = 2 * asm.dm.total_local
     B = np.zeros((n_local, n_local))
-    pos = 0
-    for g in asm.groups:
-        nn = g["tables"].ref.num_nodes
-        size = 2 * nn
-        for first in 2 * g["gather"][:, 0]:
-            # values in (a, b, i, j) order, B rows 2 i + a and columns 2 j + b
-            B[first:first + size, first:first + size] = \
-                values[pos:pos + size * size].reshape(2, 2, nn, nn) \
-                .transpose(2, 0, 3, 1).reshape(size, size)
-            pos += size * size
-    GN = np.zeros((2 * len(kinds), 2 * len(kinds)))
-    for node in asm.marked:
-        GN[2 * node:2 * node + 2, 2 * node:2 * node + 2] = \
-            values[pos:pos + 4].reshape(2, 2)
-        pos += 4
-    assert pos == values.size
+    blocks, gn = _mirrored_blocks(asm, values)
+    for g, He in zip(asm.groups, blocks):
+        size = He.shape[1]
+        for first, block in zip(2 * g["gather"][:, 0], He):
+            B[first:first + size, first:first + size] = block
+    num_nodes = asm.dm.num_nodes
+    GN = np.zeros((2 * num_nodes, 2 * num_nodes))
+    for node, block in zip(asm.marked, gn):
+        GN[2 * node:2 * node + 2, 2 * node:2 * node + 2] = block
     E2, Zd = np.kron(asm.expand.toarray(), np.eye(2)), Z.toarray()
     ref = Zd.T @ (E2.T @ B @ E2 + GN) @ Zd
     assert np.abs(Hp - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    # damping shifts the diagonal only, on a copy of the values
+    # damping shifts the diagonal only, and leaves the values it was given
     shift = 1e-3 * rng.uniform(0.5, 1.0, Z.shape[1])
+    kept = data.copy()
     damped = newton.damped(data, shift).toarray()
     assert np.array_equal(damped, Hp + np.diag(shift))
+    assert np.array_equal(data, kept)
     assert np.array_equal(newton.matrix(data).toarray(), Hp)
 
     # renumbered by perm, the pattern holds P^T A P with P = I[:, q] and
@@ -310,14 +337,42 @@ def test_newton_pattern_matches_dense_assembly(rng):
                           P.T @ damped @ P)
 
 
+def test_newton_matrix_is_exactly_symmetric_and_held_in_int32(rng):
+    # an entry and its mirror image are filled by one row of S, before and
+    # after a renumbering; the one held CSC matrix has SuperLU's index type
+    prob, asm, t, Z = _oblique_mixed_system()
+    newton = _NewtonPattern(asm, Z)
+    values = _hessian_values(asm, _element_pass(asm, prob.metric, t)[1],
+                             prob.fit_weight, asm.sigma_gradients(t))
+    held = newton.matrix(newton.assemble(values))
+    assert held.indices.dtype == held.indptr.dtype == np.int32
+    H = held.toarray()
+    assert np.array_equal(H, H.T)
+    newton.renumber(rng.permutation(Z.shape[1]))
+    renumbered = newton.damped(newton.assemble(values),
+                               rng.uniform(0.5, 1.0, Z.shape[1]))
+    assert renumbered is newton.matrix(newton.assemble(values))
+    H = renumbered.toarray()
+    assert np.array_equal(H, H.T)
+
+
 def test_slot_keys_of_a_wide_system_do_not_overflow():
     # the CSC keys j * n + i pass 2^31 from n = 46341 on
     n = 50000
-    Q = sp.csr_matrix(([2.0, 3.0], ([0, 1], [n - 1, n - 2])), shape=(2, n))
+    Q = sp.csr_matrix(([2.0, 3.0, 1.0, 5.0], ([0, 1, 2, 2],
+                                               [n - 1, n - 2, n - 2, n - 1])),
+                      shape=(3, n))
     assert Q.indices.dtype == np.int32
-    _, keys, w = _product_terms(Q, np.array([0, 1]), np.array([1, 0]))
-    assert keys.tolist() == [(n - 2) * n + n - 1, (n - 1) * n + n - 2]
-    assert w.tolist() == [6.0, 6.0]
+    k, keys, w = _product_terms(Q, np.array([0, 1, 2, 2]),
+                                np.array([1, 1, 0, 2]))
+    # value 0 (rows 0, 1) is mirrored onto the upper slot; value 1 (rows
+    # 1, 1) is on the diagonal; value 2 (rows 2, 0) doubles its diagonal
+    # term; value 3 (rows 2, 2) drops its term below the diagonal
+    upper, diag = (n - 1) * n + n - 2, [(n - 2) * (n + 1), (n - 1) * (n + 1)]
+    assert k.tolist() == [0, 1, 2, 2, 3, 3, 3]
+    assert keys.tolist() == [upper, diag[0], upper, diag[1],
+                             diag[0], upper, diag[1]]
+    assert w.tolist() == [6.0, 9.0, 2.0, 20.0, 1.0, 5.0, 25.0]
 
 
 def test_renumbering_by_the_mmd_ordering_keeps_its_fill():
@@ -417,8 +472,14 @@ def _stack_quality_terms(asm, problem, t):
                     v += c_eps if a == c else -c_eps
                 N[:, a, b, :, c, d] = v
                 N[:, b, a, :, d, c] = v
+        # the upper triangle: the (a, a) blocks' (i <= j) entries, then the
+        # (0, 1) blocks
         KK = np.einsum("qic,qjd->qcdij", K, K).reshape(4 * nq, nn * nn)
-        values.append((N.reshape(4 * n_el, 4 * nq) @ KK).ravel())
+        i, j = np.triu_indices(nn)
+        values.append((N[:, [0, 1], [0, 1]].reshape(2 * n_el, 4 * nq)
+                       @ KK[:, i * nn + j]).ravel())
+        values.append((np.ascontiguousarray(N[:, 0, 1]).reshape(n_el, 4 * nq)
+                       @ KK).ravel())
     return fq, asm.expand_T @ g_all, np.concatenate(values)
 
 
@@ -533,16 +594,12 @@ def test_element_hessian_gemm_matches_tk_dk_reference(metric, order, split):
     t = m.dof_map().extract(m)
     values = _hessian_values(asm, _element_pass(asm, prob.metric, t)[1], 0.0,
                              asm.sigma_gradients(t))
-    pos = 0
-    for g, ref in zip(asm.groups, _tk_dk_element_blocks(asm, prob.metric, t)):
-        n_el, size = ref.shape[:2]
-        nn = size // 2
-        # values in (e, a, b, i, j) order, reference rows 2 i + a
-        got = values[pos:pos + ref.size].reshape(n_el, 2, 2, nn, nn) \
-            .transpose(0, 3, 1, 4, 2).reshape(ref.shape)
-        pos += ref.size
+    blocks, gn = _mirrored_blocks(asm, values)
+    assert gn.size == 0
+    refs = _tk_dk_element_blocks(asm, prob.metric, t)
+    assert len(blocks) == len(refs)
+    for got, ref in zip(blocks, refs):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert pos == values.size
 
 
 # ---------------------------------------------------------------------------
