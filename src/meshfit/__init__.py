@@ -15,9 +15,8 @@ from .mesh_io import (export_svg, export_vtk, generate_cartesian, read_mesh,
 from .levelset import (ANALYTIC_LEVELSETS, AnalyticLevelSet, DiscreteLevelSet,
                        Locator, make_levelset)
 from .tmop import (FitConfig, QualityMetric, SolveReport, SolverControls,
-                   TargetSpec, TmopProblem, assign_materials, element_quality,
-                   gradient, mark_interface_faces, objective,
-                   solve_r_adaptivity)
+                   TmopProblem, assign_materials, element_quality, gradient,
+                   mark_interface_faces, objective, solve_r_adaptivity)
 from .adapt import (AdaptivityPlan, AdaptResult, FaceErrorReport,
                     compute_face_errors, run_rp_adaptivity)
 from .study import StudyRecord, run_study
@@ -29,8 +28,7 @@ __all__ = [
     "DiscreteLevelSet", "DofMap", "FaceErrorReport", "FitConfig", "Locator",
     "MeshElement", "MeshFileError", "MeshInvalidError", "MeshStructureError",
     "MixedOrderMesh", "PointLocationError", "QualityMetric", "SolveReport",
-    "SolverControls",
-    "StudyRecord", "TargetSpec", "TmopProblem", "apply_edge_constraints",
+    "SolverControls", "StudyRecord", "TmopProblem", "apply_edge_constraints",
     "assign_materials", "compute_face_errors", "element_quality",
     "export_svg", "export_vtk", "generate_cartesian", "gradient",
     "make_levelset", "mark_interface_faces", "objective",

@@ -30,6 +30,7 @@ unchanged.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dfield, replace
 from functools import lru_cache
 
@@ -72,6 +73,11 @@ class AdaptivityPlan:
     edge_touch_elevate: bool = False
 
     def __post_init__(self):
+        for name in ("p_init", "p_max", "refine_step", "max_neighbor_diff"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral)
+                    or name == "max_neighbor_diff" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.p_init <= self.p_max:
             raise ValueError(f"need 1 <= p_init <= p_max, got "
                              f"{self.p_init}..{self.p_max}")
@@ -139,20 +145,16 @@ class FaceErrorReport:
     node_sigma_max: float
 
 
-def compute_face_errors(mesh: MixedOrderMesh, field,
-                        faces=None) -> FaceErrorReport:
-    """Fresh per-face error integrals over ``faces`` (default: the marked
-    face set); ``node_sigma_max`` is the worst level-set value at their
-    independent nodes."""
-    if faces is None:
-        faces = sorted(mesh.marked_faces)
-    else:
-        faces = sorted(faces)
+def compute_face_errors(mesh: MixedOrderMesh, field) -> FaceErrorReport:
+    """Fresh per-face error integrals over the marked face set;
+    ``node_sigma_max`` is the worst level-set value at its independent
+    nodes."""
+    faces = sorted(mesh.marked_faces)
     # the nodes first: right after a solve they are the points of its last
     # field query, so a discrete field reuses that location
     dm = mesh.dof_map()
     t = dm.extract(mesh)
-    face_nodes = dm.marked_node_ids(mesh, faces)
+    face_nodes = dm.marked_node_ids(mesh)
     if face_nodes.size:
         node_sigma = float(np.abs(field.values(t[face_nodes])).max())
     else:
@@ -388,10 +390,6 @@ class AdaptResult:
     records: list[AdaptRecord] = dfield(default_factory=list)
     outer_iterations: int = 0
     exit_reason: str = ""
-
-    @property
-    def final(self) -> AdaptRecord:
-        return self.records[-1]
 
 
 def run_rp_adaptivity(mesh: MixedOrderMesh, field, fit: FitConfig,

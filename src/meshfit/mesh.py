@@ -23,8 +23,8 @@ everything with a few array operations per group from the mesh's incidence
 arrays, so an order change costs no loop over elements.  Edges and the
 incidence arrays depend only on the vertex lists: the constructor builds
 them, and raises ``MeshStructureError`` on a malformed topology.  The
-groups and the DofMap are dropped by ``invalidate()`` after an order change
-and rebuilt on their next use; ``restore`` puts back those of a
+groups and the DofMap are dropped by ``set_order`` when an element's order
+changes and rebuilt on their next use; ``restore`` puts back those of a
 ``snapshot`` together with the orders and coordinates it saved.
 
 One kernel (``map_jacobians``, ``jacobian_components``, ``jacobian_det``,
@@ -252,7 +252,7 @@ class MixedOrderMesh:
 
     def groups(self) -> dict[tuple[str, int], np.ndarray]:
         """Ascending element ids per (geometry, order), keys sorted, for
-        batched evaluation.  Cached until the next ``invalidate()``."""
+        batched evaluation.  Cached until the next ``set_order``."""
         if self._groups is None:
             found: dict[tuple[str, int], list[int]] = {}
             for e, el in enumerate(self.elements):
@@ -282,11 +282,6 @@ class MixedOrderMesh:
         return float(np.hypot(*(hi - lo)))
 
     # -- mutation ----------------------------------------------------------
-
-    def invalidate(self):
-        """Drop the tables that depend on element orders."""
-        self._groups = None
-        self._dofmap = None
 
     def snapshot(self, element_ids):
         """The orders and coordinates of the given elements, with the
@@ -319,7 +314,9 @@ class MixedOrderMesh:
         new_coords = (B @ el.coords.T).T.copy()
         el.order = new_order
         el.coords = new_coords
-        self.invalidate()
+        # drop the tables that depend on element orders
+        self._groups = None
+        self._dofmap = None
 
     def copy(self) -> "MixedOrderMesh":
         out = MixedOrderMesh(self.vertices.copy(),
@@ -477,11 +474,9 @@ class DofMap:
             for e, x in zip(ids, x_all[self.slots[key]]):
                 mesh.elements[e].coords[:] = x.T
 
-    def marked_node_ids(self, mesh: MixedOrderMesh, faces=None) -> np.ndarray:
-        """Sorted independent node ids lying on ``faces`` (default: the
-        marked face set)."""
-        rows = self.edge_nodes[np.fromiter(
-            mesh.marked_faces if faces is None else faces, dtype=int)]
+    def marked_node_ids(self, mesh: MixedOrderMesh) -> np.ndarray:
+        """Sorted independent node ids lying on the marked faces."""
+        rows = self.edge_nodes[np.fromiter(mesh.marked_faces, dtype=int)]
         return np.unique(rows[rows >= 0])
 
 

@@ -96,8 +96,9 @@ def generate_cartesian(nx: int, ny: int, order: int,
 # Text format
 
 
-def write_mesh(mesh: MixedOrderMesh, path, scalar=None, scalar_name="sigma"):
-    """Write a mesh (and optionally a nodal scalar field) to ``path``."""
+def write_mesh(mesh: MixedOrderMesh, path, scalar=None):
+    """Write a mesh (and optionally a nodal scalar field, as the ``scalar
+    sigma`` block) to ``path``."""
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}", "dimension 2"]
     lines.append(f"vertices {len(mesh.vertices)}")
     for v in mesh.vertices:
@@ -116,7 +117,7 @@ def write_mesh(mesh: MixedOrderMesh, path, scalar=None, scalar_name="sigma"):
         a, b = mesh.edge_vertex_ids[k]
         lines.append(f"{a} {b}")
     if scalar is not None:
-        lines.append(f"scalar {scalar_name}")
+        lines.append("scalar sigma")
         for block in scalar:
             lines.append(" ".join(_fmt(x) for x in np.asarray(block)))
     with open(path, "w") as f:
@@ -292,13 +293,12 @@ def _svg_points(x: np.ndarray, y: np.ndarray) -> str:
         % tuple(np.column_stack([x, y]).ravel().tolist())
 
 
-def export_svg(mesh: MixedOrderMesh, path, color_by: str = "order",
-               segments_per_edge: int = 16, size: int = 640):
-    """Write an SVG rendering of the mesh.
+def export_svg(mesh: MixedOrderMesh, path, color_by: str = "order"):
+    """Write a 640x640-pixel SVG rendering of the mesh.
 
-    Curved edges are drawn as ``segments_per_edge``-segment polylines;
-    elements are filled according to ``color_by`` in {"order", "material",
-    "det"}, with a legend for the order palette.
+    Curved edges are drawn as 16-segment polylines; elements are filled
+    according to ``color_by`` in {"order", "material", "det"}, with a legend
+    for the order palette.
     """
     if color_by not in ("order", "material", "det"):
         raise ValueError(f"unknown color mode {color_by!r}")
@@ -306,6 +306,7 @@ def export_svg(mesh: MixedOrderMesh, path, color_by: str = "order",
     hi = mesh.vertices.max(axis=0)
     span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-30))
     margin = 0.05 * span
+    size = 640
     scale = size / (span + 2 * margin)
 
     def to_px(pts):
@@ -322,7 +323,7 @@ def export_svg(mesh: MixedOrderMesh, path, color_by: str = "order",
             dets[ids] = d
         det_range = (float(dets.min()), float(dets.max()))
 
-    t = np.linspace(0.0, 1.0, segments_per_edge + 1)
+    t = np.linspace(0.0, 1.0, 17)  # 16 segments per edge
     # each element's edge points, (local edge, t, 2), from one basis
     # evaluation per (geometry, order) group
     outlines = [None] * len(mesh.elements)

@@ -6,9 +6,11 @@ nodes onto the zero isocontour of a scalar field:
     F(x) = sum_elements integral mu(T) over the target element
          + fit_weight * sum_{marked nodes s} sigma(x_s)^2
 
-where T = A W^{-1} couples the map Jacobian A to a per-element target matrix
-W.  Minimization moves only the independent position nodes; dependent
-mixed-order edge nodes follow through the trace-interpolation constraints.
+where T = A W^{-1} couples the map Jacobian A to the ideal target W of the
+element's geometry: the unit square (W = I) for quads and the unit
+equilateral triangle for triangles.  Minimization moves only the independent
+position nodes; dependent mixed-order edge nodes follow through the
+trace-interpolation constraints.
 
 A Newton iterate makes one element pass (``_element_pass``): the accepted
 line-search trial's Jacobians and metric partials give the objective, the
@@ -27,6 +29,7 @@ factors.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field as dfield
 from typing import ClassVar
 
@@ -109,52 +112,20 @@ def _metric_derivs(T, partials):
     return tuple(f2 * t + mu_tau * a for t, a in zip(T, cofactors(T)))
 
 
-def element_quality(mesh: "MixedOrderMesh", metric: QualityMetric,
-                    target: "TargetSpec | None" = None,
-                    reduce: str = "max") -> np.ndarray:
+def element_quality(mesh: "MixedOrderMesh",
+                    metric: QualityMetric) -> np.ndarray:
     """Per-element metric values sampled at the quality quadrature points.
 
-    Returns an array over elements holding the max (default) or mean of the
-    metric across each element's sample points; inverted samples give inf.
+    Returns an array over elements holding the max of the metric across
+    each element's sample points; inverted samples give inf.
     """
-    if reduce not in ("max", "mean"):
-        raise ValueError(f"unknown reduction {reduce!r}")
-    target = target or TargetSpec()
     out = np.empty(len(mesh.elements))
     for (geometry, order), ids in mesh.groups().items():
-        _, K, _ = _target_tables(geometry, order, target)
+        _, K, _ = _target_tables(geometry, order)
         mu = metric.values(jacobian_components(
             map_jacobians(mesh.group_coords(ids), jacobian_table(K))))
-        out[ids] = mu.max(axis=1) if reduce == "max" else mu.mean(axis=1)
+        out[ids] = mu.max(axis=1)
     return out
-
-
-@dataclass(frozen=True)
-class TargetSpec:
-    """Per-element target Jacobian.
-
-    ``ideal`` targets the unit square for quads and the unit equilateral
-    triangle for triangles; ``matrix`` uses a fixed user matrix with positive
-    determinant.
-    """
-    kind: str = "ideal"
-    matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("ideal", "matrix"):
-            raise ValueError(f"unknown target kind {self.kind!r}")
-        if self.kind == "matrix":
-            m = np.asarray(self.matrix, dtype=float)
-            if m.shape != (2, 2):
-                raise ValueError("target matrix must be 2x2")
-            if np.linalg.det(m) <= 0.0:
-                raise ValueError("target matrix must have positive determinant")
-            object.__setattr__(self, "matrix", m)
-
-    def for_geometry(self, geometry: str) -> np.ndarray:
-        if self.kind == "matrix":
-            return self.matrix
-        return IDEAL_TRIANGLE_TARGET if geometry == TRI else np.eye(2)
 
 
 @dataclass
@@ -177,9 +148,11 @@ class SolverControls:
     initial_damping: ClassVar[float] = 1e-4
 
     def __post_init__(self):
-        if not (self.max_iterations >= 1 and 0.0 < self.fit_tol < np.inf):
-            raise ValueError("need max_iterations >= 1 and 0 < fit_tol < inf, "
-                             f"got {self.max_iterations} and {self.fit_tol}")
+        if not (isinstance(self.max_iterations, numbers.Integral)
+                and self.max_iterations >= 1 and 0.0 < self.fit_tol < np.inf):
+            raise ValueError("need an integer max_iterations >= 1 and "
+                             "0 < fit_tol < inf, got "
+                             f"{self.max_iterations!r} and {self.fit_tol}")
 
 
 def _check_fit_weight(fit_weight) -> None:
@@ -192,7 +165,6 @@ def _check_fit_weight(fit_weight) -> None:
 class FitConfig:
     """Mesh-independent part of a fitting problem, reusable across solves."""
     metric: QualityMetric = dfield(default_factory=lambda: QualityMetric("mu2"))
-    target: TargetSpec = dfield(default_factory=TargetSpec)
     fit_weight: float = 1.0
     controls: SolverControls = dfield(default_factory=SolverControls)
     boundary: str = "slide"
@@ -201,16 +173,15 @@ class FitConfig:
         _check_fit_weight(self.fit_weight)
 
     def problem(self, mesh: "MixedOrderMesh", field=None) -> "TmopProblem":
-        return TmopProblem(mesh, self.metric, self.target, field,
+        return TmopProblem(mesh, self.metric, field,
                            self.fit_weight, self.controls, self.boundary)
 
 
 @dataclass
 class TmopProblem:
-    """One r-adaptivity problem: mesh, metric, target, field, and penalty weight."""
+    """One r-adaptivity problem: mesh, metric, field, and penalty weight."""
     mesh: MixedOrderMesh
     metric: QualityMetric
-    target: TargetSpec = dfield(default_factory=TargetSpec)
     field: object | None = None
     fit_weight: float = 1.0
     controls: SolverControls = dfield(default_factory=SolverControls)
@@ -266,11 +237,13 @@ def mark_interface_faces(mesh: MixedOrderMesh, field=None,
 # ---------------------------------------------------------------------------
 # Assembly
 
-def _target_tables(geometry: str, order: int, target: TargetSpec):
+def _target_tables(geometry: str, order: int):
     """Basis tables of one element group, K = grad(phi) W^{-1} at their
-    quadrature points, and det W, for the group's target matrix W."""
+    quadrature points, and det W, for the ideal target W of the geometry:
+    the unit square for quads, the unit equilateral triangle for
+    triangles."""
     tables = basis_tables(geometry, order)
-    W = target.for_geometry(geometry)
+    W = IDEAL_TRIANGLE_TARGET if geometry == TRI else np.eye(2)
     K = np.einsum("qib,bc->qic", tables.grad_at_quad, np.linalg.inv(W))
     return tables, K, float(np.linalg.det(W))
 
@@ -288,7 +261,7 @@ class _Assembly:
             else self.dm.marked_node_ids(mesh)
         self.groups = []
         for (geometry, order), gather in self.dm.slots.items():
-            tables, K, detW = _target_tables(geometry, order, problem.target)
+            tables, K, detW = _target_tables(geometry, order)
             nq, nn = K.shape[:2]
             # the GEMM tables of the map Jacobians, Gf[i, (q, c)] = K[q, i, c],
             # of the gradient, Kf = Gf^T, and of _hessian_values,

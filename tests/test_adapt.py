@@ -38,45 +38,45 @@ def _linear_field(a, b, c):
 def test_face_error_constant_field():
     m = generate_cartesian(1, 1, 1)
     m.marked_faces = {m.edge_id(0, 1)}  # the bottom edge, length 1
-    face = next(iter(m.marked_faces))
     # e_f = integral of sigma^2 over the face
-    rep = compute_face_errors(m, _const_field(2.0), faces=[face])
+    rep = compute_face_errors(m, _const_field(2.0))
     assert np.isclose(rep.errors[0], 4.0, atol=1e-12)
     assert np.isclose(rep.lengths[0], 1.0, atol=1e-13)
 
 
 def test_node_sigma_max_covers_the_given_faces():
     m = generate_cartesian(2, 2, 2)
-    assert not m.marked_faces
-    rep = compute_face_errors(m, _const_field(2.0), faces=[0])
+    m.marked_faces = {0}
+    rep = compute_face_errors(m, _const_field(2.0))
     assert np.isclose(rep.errors[0], 2.0, atol=1e-12)  # 4 on length 0.5
     assert rep.node_sigma_max == 2.0
-    # the nodes of the given face, not of the marked ones: sigma = y is 1
-    # on the marked top edge and 0 on the bottom edge
+    # the nodes of the marked faces only: sigma = y is 1 on the top edge
+    # and 0 on the bottom edge
+    field = _linear_field(0.0, 1.0, 0.0)
     m.marked_faces = {m.edge_id(6, 7)}
-    bottom = compute_face_errors(m, _linear_field(0.0, 1.0, 0.0),
-                                 faces=[m.edge_id(0, 1)])
-    assert bottom.node_sigma_max == 0.0
+    assert compute_face_errors(m, field).node_sigma_max == 1.0
+    m.marked_faces = {m.edge_id(0, 1)}
+    assert compute_face_errors(m, field).node_sigma_max == 0.0
 
 
 def test_face_error_linear_field():
     m = generate_cartesian(2, 2, 1)
     field = _linear_field(0.0, 1.0, -0.1)  # sigma = y - 0.1
-    bottom = m.edge_id(0, 1)
+    m.marked_faces = {m.edge_id(0, 1)}
     # on y = 0 the residual is 0.1 along a length-0.5 face
-    rep = compute_face_errors(m, field, faces=[bottom])
+    rep = compute_face_errors(m, field)
     assert np.isclose(rep.errors[0], 0.01 * 0.5, atol=1e-14)
-    mid = m.edge_id(3, 4)  # a face on y = 0.5
-    rep = compute_face_errors(m, field, faces=[mid])
+    m.marked_faces = {m.edge_id(3, 4)}  # a face on y = 0.5
+    rep = compute_face_errors(m, field)
     assert np.isclose(rep.errors[0], 0.16 * 0.5, atol=1e-14)
 
 
 def test_face_error_zero_on_contour():
     m = generate_cartesian(4, 4, 2)
     plane = ANALYTIC_LEVELSETS["plane"]()
-    mark_interface_faces(m, plane)
-    for face in m.marked_faces:
-        assert compute_face_errors(m, plane, faces=[face]).errors[0] < 1e-28
+    for face in mark_interface_faces(m, plane):
+        m.marked_faces = {face}
+        assert compute_face_errors(m, plane).errors[0] < 1e-28
 
 
 def test_arc_length_of_curved_face():
@@ -91,7 +91,8 @@ def test_arc_length_of_curved_face():
     t[ids[mid]] += [0.08, 0.0]
     dm.scatter(m, t)
     apply_edge_constraints(m)
-    measured = compute_face_errors(m, _const_field(0.0), faces=[k]).lengths[0]
+    m.marked_faces = {k}
+    measured = compute_face_errors(m, _const_field(0.0)).lengths[0]
     # the face runs x(s) = 0.5 + 0.08 * 4 s (1 - s), y(s) = s
     s = np.linspace(0.0, 1.0, 20001)
     xs = 0.5 + 0.32 * s * (1 - s)
@@ -131,9 +132,12 @@ def test_compute_face_errors_report():
     assert set(rep.faces) == m.marked_faces
     assert np.isclose(rep.total_error, rep.errors.sum(), atol=1e-15)
     assert np.isclose(rep.max_error, rep.errors.max(), atol=1e-15)
+    marked = m.marked_faces
     for k, err in zip(rep.faces, rep.errors):
-        single = compute_face_errors(m, circle, faces=[k]).errors[0]
+        m.marked_faces = {k}
+        single = compute_face_errors(m, circle).errors[0]
         assert np.isclose(err, single, atol=1e-15)
+    m.marked_faces = marked
     ids = m.dof_map().marked_node_ids(m)
     direct = np.abs(circle.values(m.dof_map().extract(m)[ids])).max()
     assert np.isclose(rep.node_sigma_max, direct, atol=1e-15)
@@ -326,6 +330,15 @@ def test_plan_validation():
         AdaptivityPlan(p_init=1, p_max=3, deref_kind="magic")
     with pytest.raises(ValueError):
         AdaptivityPlan(p_init=1, p_max=3, fit_tol=0.0)
+    # order and step fields must be integers: 1.5 would run as step 1 and
+    # 2.5 as p_max 2; Python and numpy integers pass
+    for bad in (dict(refine_step=1.5), dict(p_max=2.5), dict(p_init=1.0),
+                dict(max_neighbor_diff=1.5), dict(p_max="3")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            AdaptivityPlan(**{"p_init": 1, "p_max": 3, **bad})
+    plan = AdaptivityPlan(p_init=np.int64(1), p_max=np.int32(3),
+                          refine_step=np.int64(2), max_neighbor_diff=1)
+    assert plan.outer_cap == 2
     # NaN fails every check written as "not x >= 0" or "not x > 0"
     for bad in (dict(fit_tol=np.nan), dict(refine_threshold=np.nan),
                 dict(deref_threshold=np.nan)):
@@ -358,7 +371,7 @@ def test_driver_exits_when_nothing_to_refine():
                             plan)
     assert res.exit_reason == "no faces refined"
     assert res.mesh.order_histogram() == {1: 16}
-    assert res.final.dofs == 25
+    assert res.records[-1].dofs == 25
 
 
 def test_relative_marking_skips_faces_without_error():
@@ -378,7 +391,7 @@ def test_relative_marking_skips_faces_without_error():
     res = run_rp_adaptivity(m, plane, FitConfig(), plan)
     assert res.exit_reason == "no faces refined"
     assert res.mesh.order_histogram() == {1: 64}
-    assert res.final.dofs == 81
+    assert res.records[-1].dofs == 81
 
 
 def test_driver_refines_to_p_max_on_circle():
@@ -499,9 +512,9 @@ def derefining_squircle_run():
                           fit_tol=1e-7)
     at_record = []
 
-    def measure(mesh, field, faces=None):
+    def measure(mesh, field):
         at_record.append(mesh.copy())
-        return compute_face_errors(mesh, field, faces)
+        return compute_face_errors(mesh, field)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(adapt, "compute_face_errors", measure)
@@ -521,9 +534,9 @@ def test_driver_stops_at_fixpoint(derefining_squircle_run):
     assert len(set(hists)) == len(hists)
     deref1, = [r for r in res.records
                if r.phase == "derefine" and r.outer == 1]
-    assert res.final.phase == "final"
-    assert res.final.dofs == deref1.dofs
-    assert res.final.histogram == deref1.histogram
+    assert res.records[-1].phase == "final"
+    assert res.records[-1].dofs == deref1.dofs
+    assert res.records[-1].histogram == deref1.histogram
 
 
 def test_fixpoint_exit_restores_the_derefined_mesh(derefining_squircle_run):
@@ -646,8 +659,8 @@ def test_driver_fits_the_domain_boundary():
     assert [r.solver_status for r in res.records if r.phase == "fit"] \
         == ["converged", "converged"]
     assert res.exit_reason == "interface at p_max"
-    assert res.final.dofs == 313
-    assert res.final.total_error < 1e-11
+    assert res.records[-1].dofs == 313
+    assert res.records[-1].total_error < 1e-11
     assert m.min_det() > 0.0
 
 

@@ -56,7 +56,8 @@ def test_roundtrip_with_scalar(tmp_path):
     t = np.linspace(-1.0, 1.0, dm.num_nodes)
     blocks = _scalar_blocks(m, t)
     path = tmp_path / "s.mesh"
-    write_mesh(m, path, scalar=blocks, scalar_name="sigma")
+    write_mesh(m, path, scalar=blocks)
+    assert "\nscalar sigma\n" in path.read_text()
     m2, blocks2 = read_mesh(path, with_scalar=True)
     assert meshes_identical(m, m2)
     for a, b in zip(blocks, blocks2):
@@ -189,6 +190,7 @@ def test_reader_rejects_bad_faces_and_trailing(tmp_path):
 @pytest.mark.parametrize("tris, match", [
     ([(0, 1, 2), (1, 0, 3), (0, 1, 4)], "shared by 3"),
     ([(0, 1, 2), (0, 1, 3)], "same direction"),
+    ([(0, 1, 1)], "element 0 has a degenerate edge"),
 ])
 def test_reader_rejects_bad_edges_without_marked_faces(tmp_path, tris, match):
     verts = ["0 0", "1 0", "0.5 1", "0.5 -1", "0.5 2"]
@@ -306,13 +308,13 @@ def test_svg_draws_mixed_order_triangles_in_element_order(tmp_path):
     m = random_order_mesh(3, 3, orders=(1, 2, 3), seed=4, split_triangles=True)
     assert len(m.groups()) == 3
     path = tmp_path / "t.svg"
-    export_svg(m, path, segments_per_edge=5)
+    export_svg(m, path)
     text = path.read_text()
     polys = re.findall(r'<polyline points="([^"]+)"', text)
     fills = re.findall(r'<polygon points="([^"]+)"', text)
     assert len(polys) == 3 * len(m.elements) and len(fills) == len(m.elements)
     size, margin, scale = 640, 0.05, 640 / 1.1
-    t = np.linspace(0.0, 1.0, 6)
+    t = np.linspace(0.0, 1.0, 17)  # 16 segments per edge
     for e, el in enumerate(m.elements):
         ref = reference_element(el.geometry, el.order)
         truth = [m.eval_map(e, ref.edge_point(le, t)) for le in range(3)]

@@ -78,6 +78,15 @@ def test_edge_overshare_rejected():
         MixedOrderMesh(verts, [tri(1, 2, 0), tri(1, 2, 4), tri(2, 1, 5)])
 
 
+def test_degenerate_edge_rejected():
+    # a triangle listing one vertex twice has an edge from it to itself
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
+    tri = MeshElement("tri", np.array([0, 1, 1]), 1, verts[[0, 1, 1]].T.copy())
+    with pytest.raises(MeshStructureError,
+                       match="element 0 has a degenerate edge"):
+        MixedOrderMesh(verts, [tri])
+
+
 def test_element_vertex_count_checked():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     quad_nodes = verts.T.copy()  # a p=1 quad has its 4 corners as nodes

@@ -178,6 +178,17 @@ def test_run_study_records_malformed_plan_as_value_error():
     assert [r.status for r in records] == ["failed:ValueError"] * 2
 
 
+def test_run_study_rejects_fractional_order_and_iteration_fields():
+    # each would otherwise run as its integer part
+    runs = [{"label": "step", "generate": [2, 2, 1],
+             "plan": {"p_init": 1, "p_max": 3, "refine_step": 1.5}},
+            {"label": "p_max", "generate": [2, 2, 1],
+             "plan": {"p_init": 1, "p_max": 2.5}},
+            {"label": "max_outer", "generate": [2, 2, 1], "max_outer": 2.5}]
+    records, _ = run_study({"levelset": "name:circle", "runs": runs})
+    assert [r.status for r in records] == ["failed:ValueError"] * 3
+
+
 def test_robustness_study_config_parses():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
                         "robustness_study.json")

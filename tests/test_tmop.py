@@ -4,9 +4,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from meshfit import (FitConfig, MeshInvalidError, QualityMetric,
-                     SolverControls, TargetSpec, TmopProblem, assign_materials,
+                     SolverControls, TmopProblem, assign_materials,
                      element_quality, generate_cartesian, gradient,
-                     mark_interface_faces, objective, solve_r_adaptivity)
+                     mark_interface_faces, objective, solve_r_adaptivity, tmop)
 from meshfit.basis import basis_tables
 from meshfit.mesh import (element_min_dets, jacobian_table, map_jacobians,
                           require_valid)
@@ -85,22 +85,21 @@ def test_unknown_metric_rejected():
 
 
 def test_target_spec():
-    t = TargetSpec()
-    assert np.allclose(t.for_geometry("quad"), np.eye(2))
-    assert np.allclose(t.for_geometry("tri"), IDEAL_TRIANGLE_TARGET)
-    assert np.isclose(np.linalg.det(IDEAL_TRIANGLE_TARGET), np.sqrt(3) / 2)
-    custom = TargetSpec("matrix", np.diag([2.0, 1.0]))
-    assert np.allclose(custom.for_geometry("quad"), np.diag([2.0, 1.0]))
-    with pytest.raises(ValueError):
-        TargetSpec("matrix", np.diag([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        TargetSpec("banana")
+    # each geometry's ideal target W, through K = grad(phi) W^{-1} and det W
+    tables, K, detW = _target_tables("quad", 2)
+    assert np.array_equal(K, tables.grad_at_quad) and detW == 1.0
+    tables, K, detW = _target_tables("tri", 2)
+    assert np.allclose(np.einsum("qic,cb->qib", K, IDEAL_TRIANGLE_TARGET),
+                       tables.grad_at_quad, atol=1e-14)
+    assert np.isclose(detW, np.sqrt(3) / 2)
 
 
 @pytest.mark.parametrize("bad", [dict(max_iterations=0),
                                  dict(max_iterations=-3),
                                  dict(fit_tol=0.0), dict(fit_tol=-1e-8),
-                                 dict(fit_tol=np.nan), dict(fit_tol=np.inf)])
+                                 dict(fit_tol=np.nan), dict(fit_tol=np.inf),
+                                 dict(max_iterations=2.5),
+                                 dict(max_iterations=200.0)])
 def test_solver_controls_reject_meaningless_numbers(bad):
     with pytest.raises(ValueError):
         SolverControls(**bad)
@@ -115,8 +114,6 @@ def test_element_quality_values():
     m2 = generate_cartesian(2, 2, 1)
     assert np.allclose(element_quality(m2, QualityMetric("mu2")), 0.0,
                        atol=1e-14)
-    mean = element_quality(m, QualityMetric("mu2"), reduce="mean")
-    assert np.allclose(mean, 0.25, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +429,13 @@ def _stack_eval(metric, T):
     return good, metric._partials(frob2, np.where(good, tau, 1.0))
 
 
-def _stack_quality_terms(asm, problem, t):
-    """Quality objective, gradient and element Hessian values at t."""
+def _stack_quality_terms(asm, problem, t, target_tables):
+    """Quality objective, gradient and element Hessian values at t, with
+    the target tables of ``target_tables``."""
     x_all = asm.expand @ t
     fq, g_all, values = 0.0, np.zeros((asm.dm.total_local, 2)), []
     for g in asm.groups:
-        _, K, detW = _target_tables(*g["key"], problem.target)
+        _, K, detW = target_tables(*g["key"])
         n_el, nn = g["gather"].shape
         nq = K.shape[0]
         T = _stack_jacobians(x_all[g["gather"]], K)
@@ -489,21 +487,37 @@ BIT_MESHES = {
        for p in (1, 2, 3) for kind, split in (("quad", False), ("tri", True))},
     "mixed": lambda: random_order_mesh(3, 3, seed=2),
 }
-BIT_TARGETS = {"ideal": TargetSpec(),
-               "matrix": TargetSpec("matrix", [[1.2, 0.3], [-0.1, 0.9]])}
+#: None: the ideal target of each geometry; a matrix: that W for every
+#: geometry, fed to the kernels through their one target-table builder,
+#: since they read whatever K and det W it gives
+BIT_TARGETS = {"ideal": None,
+               "matrix": np.array([[1.2, 0.3], [-0.1, 0.9]])}
+
+
+def _matrix_target_tables(W):
+    """``_target_tables`` with the target matrix W for every geometry."""
+    def target_tables(geometry, order):
+        tables = basis_tables(geometry, order)
+        K = np.einsum("qib,bc->qic", tables.grad_at_quad, np.linalg.inv(W))
+        return tables, K, float(np.linalg.det(W))
+    return target_tables
 
 
 @pytest.mark.parametrize("target", list(BIT_TARGETS))
 @pytest.mark.parametrize("metric", ["mu2", "mu77", "mu80"])
 @pytest.mark.parametrize("mesh", list(BIT_MESHES))
 def test_component_kernels_match_the_stack_form_bit_for_bit(mesh, metric,
-                                                            target):
+                                                            target,
+                                                            monkeypatch):
+    target_tables = _target_tables
+    if BIT_TARGETS[target] is not None:
+        target_tables = _matrix_target_tables(BIT_TARGETS[target])
+        monkeypatch.setattr(tmop, "_target_tables", target_tables)
     m = BIT_MESHES[mesh]()
-    prob = FitConfig(metric=QualityMetric(metric, gamma=0.3),
-                     target=BIT_TARGETS[target]).problem(m)
+    prob = FitConfig(metric=QualityMetric(metric, gamma=0.3)).problem(m)
     asm = _Assembly(prob)
     t = m.dof_map().extract(m)
-    fq, grad, hess = _stack_quality_terms(asm, prob, t)
+    fq, grad, hess = _stack_quality_terms(asm, prob, t, target_tables)
     assert objective(prob) == fq
     assert np.array_equal(gradient(prob), grad)
     state = _element_pass(asm, prob.metric, t)[1]
@@ -516,16 +530,13 @@ def test_component_kernels_match_the_stack_form_bit_for_bit(mesh, metric,
         T = _stack_jacobians(m.group_coords(ids), np.concatenate(
             [tables.grad_at_quad, tables.grad_at_nodes]))
         assert np.array_equal(dets, _stack_det(T).min(axis=1))
-    for reduce in ("max", "mean"):
-        ref = np.empty(len(m.elements))
-        for key, ids in groups.items():
-            _, K, _ = _target_tables(*key, prob.target)
-            good, (mu, *_) = _stack_eval(
-                prob.metric, _stack_jacobians(m.group_coords(ids), K))
-            mu = np.where(good, mu, np.inf)
-            ref[ids] = mu.max(axis=1) if reduce == "max" else mu.mean(axis=1)
-        assert np.array_equal(
-            element_quality(m, prob.metric, prob.target, reduce), ref)
+    ref = np.empty(len(m.elements))
+    for key, ids in groups.items():
+        _, K, _ = target_tables(*key)
+        good, (mu, *_) = _stack_eval(
+            prob.metric, _stack_jacobians(m.group_coords(ids), K))
+        ref[ids] = np.where(good, mu, np.inf).max(axis=1)
+    assert np.array_equal(element_quality(m, prob.metric), ref)
 
 
 def test_inverted_and_nan_elements_fail_the_component_kernels():
@@ -554,7 +565,7 @@ def _tk_dk_element_blocks(asm, metric, t):
     x_all = asm.expand @ t
     blocks = []
     for g in asm.groups:
-        _, K, _ = _target_tables(*g["key"], TargetSpec())
+        _, K, _ = _target_tables(*g["key"])
         nq, nn = K.shape[:2]
         # the (E, Q, 2, 2) stack T[e, q] of the map Jacobians
         T = map_jacobians(x_all[g["gather"]], jacobian_table(K)) \
