@@ -76,6 +76,7 @@ class AdaptivityPlan:
         for name in ("p_init", "p_max", "refine_step", "max_neighbor_diff"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral)
+                    and not isinstance(value, bool)
                     or name == "max_neighbor_diff" and value is None):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.p_init <= self.p_max:

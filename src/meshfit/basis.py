@@ -15,7 +15,6 @@ import numpy as np
 
 QUAD = "quad"
 TRI = "tri"
-EDGE = "edge"
 
 GEOMETRIES = (QUAD, TRI)
 
@@ -167,41 +166,6 @@ def _gauss_lobatto_01(n: int):
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
-
-
-def quadrature_rule(geometry: str, npoints: int):
-    """Quadrature points and weights on a reference edge, quad, or triangle.
-
-    Parameters
-    ----------
-    geometry : str
-        One of ``"edge"``, ``"quad"``, ``"tri"``.
-    npoints : int
-        Number of Gauss-Legendre points per direction (>= 1).
-
-    Returns
-    -------
-    points, weights
-        ``points`` has shape (n,) for edges and (n, 2) otherwise; weights sum
-        to the reference measure (1 for edge and quad, 1/2 for the triangle).
-        The triangle rule is a collapsed tensor product.
-    """
-    if npoints < 1:
-        raise ValueError(f"npoints must be >= 1, got {npoints}")
-    x, w = _gauss_legendre_01(npoints)
-    if geometry == EDGE:
-        return x.copy(), w.copy()
-    if geometry == QUAD:
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        pts = np.column_stack([X.ravel(), Y.ravel()])
-        wts = np.outer(w, w).ravel()
-        return pts, wts
-    if geometry == TRI:
-        A, B = np.meshgrid(x, x, indexing="ij")
-        pts = np.column_stack([(A * (1.0 - B)).ravel(), B.ravel()])
-        wts = (np.outer(w, w) * (1.0 - B)).ravel()
-        return pts, wts
-    raise ValueError(f"unsupported geometry {geometry!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +386,6 @@ class ReferenceElement:
         vals, grads = _dubiner(pts, self.order, with_grad=True)
         return np.einsum("mkd,kn->mnd", grads, self._vinv)
 
-    def contains(self, points, tol: float = 1e-10):
-        """Whether reference points (a (2,) point or an (..., 2) stack) lie in
-        the element, within ``tol``."""
-        pts = np.asarray(points, dtype=float)
-        x, y = pts[..., 0], pts[..., 1]
-        if self.geometry == QUAD:
-            return (-tol <= x) & (x <= 1.0 + tol) & (-tol <= y) & (y <= 1.0 + tol)
-        return (x >= -tol) & (y >= -tol) & (x + y <= 1.0 + tol)
-
     def boundary_distance(self, points):
         """Signed distance-like margin to the reference boundary (positive
         inside), per point of a (2,) point or an (..., 2) stack."""
@@ -488,14 +443,16 @@ class BasisTables:
 
     def __init__(self, geometry: str, order: int):
         ref = reference_element(geometry, order)
-        n = 2 * order + 3
-        if geometry == QUAD:
-            x, w = _gauss_lobatto_01(n)
-            X, Y = np.meshgrid(x, x, indexing="ij")
-            pts = np.column_stack([X.ravel(), Y.ravel()])
-            wts = np.outer(w, w).ravel()
-        else:
-            pts, wts = quadrature_rule(geometry, n)
+        rule = _gauss_lobatto_01 if geometry == QUAD else _gauss_legendre_01
+        x, w = rule(2 * order + 3)
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        wts = np.outer(w, w)
+        if geometry == TRI:
+            # collapse the square onto the triangle: (x, y) -> (x (1 - y), y)
+            X = X * (1.0 - Y)
+            wts = wts * (1.0 - Y)
+        pts = np.column_stack([X.ravel(), Y.ravel()])
+        wts = wts.ravel()
         self.ref = ref
         self.quad_points = pts
         self.quad_weights = wts

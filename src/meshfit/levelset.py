@@ -273,8 +273,7 @@ class Locator:
         residual = np.empty(len(el))
         iterations = np.empty(len(el), dtype=int)
         converged = np.empty(len(el), dtype=bool)
-        inside = np.empty(len(el), dtype=bool)
-        interior = np.empty(len(el), dtype=bool)
+        margin = np.empty(len(el))
         for g, ref in enumerate(self.group_refs):
             s = (pair_group == g).nonzero()[0]
             if not s.size:
@@ -282,8 +281,9 @@ class Locator:
             xi[s], basis[s, :ref.num_nodes], residual[s], iterations[s], \
                 converged[s] = self._invert(g, el[s], points[pt[s]],
                                             from_nodes)
-            inside[s] = ref.contains(xi[s], tol=self.REF_TOL)
-            interior[s] = ref.boundary_distance(xi[s]) > self.REF_TOL
+            margin[s] = ref.boundary_distance(xi[s])
+        inside = margin >= -self.REF_TOL
+        interior = margin > self.REF_TOL
         win = (converged & inside).nonzero()[0]
         win = win[_first_per_point(pt[win])]
         out.set(pt[win], el[win], xi[win], basis[win], residual[win],

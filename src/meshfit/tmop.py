@@ -149,6 +149,7 @@ class SolverControls:
 
     def __post_init__(self):
         if not (isinstance(self.max_iterations, numbers.Integral)
+                and not isinstance(self.max_iterations, bool)
                 and self.max_iterations >= 1 and 0.0 < self.fit_tol < np.inf):
             raise ValueError("need an integer max_iterations >= 1 and "
                              "0 < fit_tol < inf, got "
@@ -697,12 +698,26 @@ def solve_r_adaptivity(problem: TmopProblem):
     1e10.
     ``problem.controls`` sets only the iteration cap and the fit tolerance.
 
+    Each iteration factors the damped matrix at most 8 times: a factor that
+    is exactly singular, non-finite or gives no descent direction raises
+    the damping 16x and factors again.  When the Newton line search finds
+    no step, one steepest-descent step is tried, with its start length from
+    the Rayleigh quotient of the undamped matrix, and the damping is raised
+    16x.
+
     Returns
     -------
     (mesh, report)
-        The mesh is updated in place.  ``report.status`` is ``converged``
-        (fit tolerance or gradient tolerance reached), ``stalled`` (no
-        decreasing valid step found), or ``max_iterations``.
+        The mesh is updated in place.  ``report.status`` and
+        ``report.reason`` come from a closed set:
+
+        - ``converged``: ``"marked nodes already on the isocontour"``,
+          ``"gradient already negligible"``, ``"fit tolerance reached"`` or
+          ``"gradient tolerance reached"``;
+        - ``stalled``: ``"no descent direction"`` (8 factorizations gave
+          none) or ``"no valid decreasing step found"`` (neither line search
+          found one);
+        - ``max_iterations``: ``"no convergence in <N> iterations"``.
     """
     mesh = problem.mesh
     controls = problem.controls
@@ -767,18 +782,32 @@ def solve_r_adaptivity(problem: TmopProblem):
     # cap the initial trial displacement at a fraction of the smallest
     # element diameter so a stiff penalty cannot tangle the mesh in one jump
     step_cap = 0.5 * _min_element_diameter(mesh)
+
+    def line_search(dvec, start_step):
+        """First halving of start_step along dvec that lowers F and keeps the
+        mesh valid: the point, its evaluation, the step, the number of
+        backtracks and the point's min det; None if there is none."""
+        alpha = start_step
+        for bt in range(controls.max_backtracks + 1):
+            t_new = t + alpha * dvec
+            trial = evaluate(t_new)
+            if trial[0] < F:
+                md_new = asm.min_det(t_new)
+                if md_new > 0.0:
+                    return t_new, trial, alpha, bt, md_new
+            alpha *= 0.5
+        return None
+
     for it in range(1, controls.max_iterations + 1):
         data = newton.assemble(_hessian_values(asm, state, w, dsigma))
         diag = data[newton.diag]
         dfloor = np.maximum(diag, 1e-12 * diag.max() + 1e-300)
 
-        direction = "newton"
         d = None
-        lam_try = lam
         for _ in range(8):
             report.factorizations += 1
             try:
-                lu = spla.splu(newton.damped(data, lam_try * dfloor),
+                lu = spla.splu(newton.damped(data, lam * dfloor),
                                permc_spec=ordering,
                                options={"SymmetricMode": True})
                 dz = lu.solve(-gz)
@@ -798,31 +827,15 @@ def solve_r_adaptivity(problem: TmopProblem):
                 d = (Z @ dz).reshape(-1, 2)
                 break
             report.damping_retries += 1
-            lam_try *= 16.0
+            lam *= 16.0
         if d is None:
-            direction = "steepest"
-            d = -(Z @ gz).reshape(-1, 2)
-        lam = lam_try
+            return finish("stalled", "no descent direction")
 
-        def line_search(dvec, start_step):
-            """First halving of start_step along dvec that lowers F and keeps
-            the mesh valid: the point, its evaluation, the step, the number
-            of backtracks and the point's min det; None if there is none."""
-            alpha = start_step
-            for bt in range(controls.max_backtracks + 1):
-                t_new = t + alpha * dvec
-                trial = evaluate(t_new)
-                if trial[0] < F:
-                    md_new = asm.min_det(t_new)
-                    if md_new > 0.0:
-                        return t_new, trial, alpha, bt, md_new
-                alpha *= 0.5
-            return None
-
-        dmax = float(np.abs(d).max())
-        start = min(1.0, step_cap / dmax) if dmax > 0.0 else 1.0
-        found = line_search(d, start)
-        if found is None and direction == "newton":
+        direction = "newton"
+        # d != 0, since dz @ gz < 0
+        found = line_search(d, min(1.0, step_cap / float(np.abs(d).max())))
+        if found is None:
+            # steepest descent with a Rayleigh-quotient step length
             direction = "steepest"
             d = -(Z @ gz).reshape(-1, 2)
             Hg = gz @ (newton.matrix(data) @ gz)

@@ -331,9 +331,11 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         AdaptivityPlan(p_init=1, p_max=3, fit_tol=0.0)
     # order and step fields must be integers: 1.5 would run as step 1 and
-    # 2.5 as p_max 2; Python and numpy integers pass
+    # 2.5 as p_max 2, and True as 1; Python and numpy integers pass
     for bad in (dict(refine_step=1.5), dict(p_max=2.5), dict(p_init=1.0),
-                dict(max_neighbor_diff=1.5), dict(p_max="3")):
+                dict(max_neighbor_diff=1.5), dict(p_max="3"),
+                dict(p_init=True), dict(p_max=True), dict(refine_step=True),
+                dict(max_neighbor_diff=True)):
         with pytest.raises(ValueError, match="must be an integer"):
             AdaptivityPlan(**{"p_init": 1, "p_max": 3, **bad})
     plan = AdaptivityPlan(p_init=np.int64(1), p_max=np.int32(3),

@@ -9,7 +9,7 @@ import meshfit
 from meshfit.basis import (QUAD, TRI, BasisTables, basis_tables,
                            _gauss_legendre_01, _gauss_lobatto_01,
                            gauss_lobatto_nodes, lagrange_1d, lagrange_1d_deriv,
-                           quadrature_rule, reference_element)
+                           reference_element)
 
 
 def test_gauss_lobatto_nodes_low_orders():
@@ -89,21 +89,36 @@ def test_lobatto_rule_exactness_and_endpoints():
 
 
 def test_quad_tensor_rule_integrates_polynomials():
-    pts, w = quadrature_rule(QUAD, 5)
-    # int over unit square of x^a y^b = 1 / ((a+1)(b+1))
-    for a, b in ((0, 0), (3, 2), (5, 5), (9, 0)):
-        val = w @ (pts[:, 0]**a * pts[:, 1]**b)
-        assert np.isclose(val, 1.0 / ((a + 1) * (b + 1)), atol=1e-13)
+    # the (2p+3)-point Lobatto tensor rule of the quad tables is exact to
+    # degree 4p+3 per direction, and not to 4p+4
+    for p in (1, 2, 3):
+        tables = basis_tables(QUAD, p)
+        pts, w = tables.quad_points, tables.quad_weights
+        top = 4 * p + 3
+        # int over unit square of x^a y^b = 1 / ((a+1)(b+1))
+        for a in range(top + 2):
+            for b in range(top + 2 - a):
+                err = w @ (pts[:, 0]**a * pts[:, 1]**b) - 1.0 / ((a + 1) * (b + 1))
+                if max(a, b) <= top:
+                    assert abs(err) <= 1e-13, (p, a, b)
+                else:
+                    assert abs(err) > 1e-11, (p, a, b)
 
 
 def test_tri_rule_integrates_polynomials():
-    pts, w = quadrature_rule(TRI, 6)
-    assert np.isclose(w.sum(), 0.5, atol=1e-14)  # reference triangle area
-    # int over reference triangle of x^a y^b = a! b! / (a+b+2)!
+    # the collapsed (2p+3)-point Gauss rule of the triangle tables is exact
+    # to total degree 4p+4
     from math import factorial
-    for a, b in ((1, 0), (2, 1), (3, 3), (0, 4)):
-        exact = factorial(a) * factorial(b) / factorial(a + b + 2)
-        assert np.isclose(w @ (pts[:, 0]**a * pts[:, 1]**b), exact, atol=1e-13)
+    for p in (1, 2, 3):
+        tables = basis_tables(TRI, p)
+        pts, w = tables.quad_points, tables.quad_weights
+        assert abs(w.sum() - 0.5) <= 1e-14  # reference triangle area
+        # int over reference triangle of x^a y^b = a! b! / (a+b+2)!
+        for a in range(4 * p + 5):
+            for b in range(4 * p + 5 - a):
+                exact = factorial(a) * factorial(b) / factorial(a + b + 2)
+                val = w @ (pts[:, 0]**a * pts[:, 1]**b)
+                assert abs(val - exact) <= 1e-13, (p, a, b)
 
 
 @pytest.mark.parametrize("geometry,order,num", [
@@ -171,23 +186,38 @@ def test_tri_edge_nodes_at_lobatto_positions():
 
 
 def test_contains_and_clamp():
-    ref = reference_element(TRI, 1)
-    assert ref.contains(np.array([0.2, 0.2]))
-    assert not ref.contains(np.array([0.8, 0.8]))
-    clamped = ref.clamp(np.array([0.8, 0.8]))
-    assert ref.contains(clamped, tol=1e-9)
+    # boundary_distance is positive inside, zero on the boundary and
+    # negative outside; clamp moves an outside point onto the boundary
+    tri = reference_element(TRI, 1)
+    assert tri.boundary_distance(np.array([0.2, 0.2])) > 0.0
+    assert tri.boundary_distance(np.array([0.5, 0.0])) == 0.0
+    assert tri.boundary_distance(np.array([0.8, 0.8])) < 0.0
+    clamped = tri.clamp(np.array([0.8, 0.8]))
+    assert np.allclose(clamped, [0.5, 0.5], atol=1e-15)
+    assert abs(tri.boundary_distance(clamped)) <= 1e-9
+    quad = reference_element(QUAD, 1)
+    pts = np.array([[0.5, 0.25], [1.0, 0.5], [1.2, 0.5], [-0.1, 1.3]])
+    assert np.array_equal(np.sign(quad.boundary_distance(pts)),
+                          [1.0, 0.0, -1.0, -1.0])
+    clamped = quad.clamp(pts)
+    assert np.array_equal(clamped[2:], [[1.0, 0.5], [0.0, 1.0]])
+    assert np.array_equal(quad.boundary_distance(clamped), [0.25, 0, 0, 0])
+    # a clamped inside point stays where it is
+    assert np.array_equal(clamped[:2], pts[:2])
 
 
 def test_basis_tables_rules():
-    leg, _ = quadrature_rule(QUAD, 7)
     lob = basis_tables(QUAD, 2)
     assert isinstance(lob, BasisTables)
-    # same point count as the Gauss rule, but the quad tables use the Lobatto
-    # set, which touches the element boundary
-    assert leg.shape == lob.quad_points.shape
-    assert leg.min() > 0.0
+    # (2p+3)^2 points from the Lobatto set, which touches the element
+    # boundary
+    assert lob.quad_points.shape == (49, 2)
     assert lob.quad_points.min() == 0.0 and lob.quad_points.max() == 1.0
     assert np.isclose(lob.quad_weights.sum(), 1.0, atol=1e-13)
+    # the triangle tables use the collapsed Gauss rule, inside the element
+    tri = basis_tables(TRI, 2)
+    assert tri.quad_points.shape == (49, 2)
+    assert tri.ref.boundary_distance(tri.quad_points).min() > 0.0
 
 
 def test_quad_fit_does_not_load_scipy_special():

@@ -189,6 +189,16 @@ def test_run_study_rejects_fractional_order_and_iteration_fields():
     assert [r.status for r in records] == ["failed:ValueError"] * 3
 
 
+def test_run_study_rejects_a_boolean_order_or_iteration_field():
+    # JSON true is a Python bool, which is an integer: p_max true would run
+    # as p_max 1 and max_outer true as one iteration
+    runs = [{"label": "p_max", "generate": [2, 2, 1],
+             "plan": {"p_init": 1, "p_max": True}},
+            {"label": "max_outer", "generate": [2, 2, 1], "max_outer": True}]
+    records, _ = run_study({"levelset": "name:circle", "runs": runs})
+    assert [r.status for r in records] == ["failed:ValueError"] * 2
+
+
 def test_robustness_study_config_parses():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
                         "robustness_study.json")

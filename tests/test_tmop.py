@@ -99,7 +99,8 @@ def test_target_spec():
                                  dict(fit_tol=0.0), dict(fit_tol=-1e-8),
                                  dict(fit_tol=np.nan), dict(fit_tol=np.inf),
                                  dict(max_iterations=2.5),
-                                 dict(max_iterations=200.0)])
+                                 dict(max_iterations=200.0),
+                                 dict(max_iterations=True)])
 def test_solver_controls_reject_meaningless_numbers(bad):
     with pytest.raises(ValueError):
         SolverControls(**bad)
@@ -753,6 +754,39 @@ def _squircle_fit(n, p, metric):
     mark_interface_faces(m, squircle)
     return FitConfig(metric=metric, controls=SolverControls(fit_tol=1e-7)) \
         .problem(m, squircle)
+
+
+def test_damping_escalation_keeps_a_free_triangle_fit_going():
+    # the split-triangle fit with free boundary nodes rejects 3 of its first
+    # 8 factorizations; with one factorization per iteration it would stop
+    # before its first step
+    squircle = ANALYTIC_LEVELSETS["squircle2d"]()
+    m = generate_cartesian(6, 6, 2, split_triangles=True)
+    mark_interface_faces(m, squircle)
+    fit = FitConfig(boundary="free",
+                    controls=SolverControls(max_iterations=5))
+    _, report = solve_r_adaptivity(fit.problem(m, squircle))
+    assert report.status == "max_iterations"
+    assert report.num_iterations == 5
+    assert report.damping_retries >= 1
+    assert report.final_sigma_max < report.initial_sigma_max
+
+
+def test_solve_stops_when_no_factorization_gives_a_descent_direction(
+        monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    problem = _squircle_fit(4, 2, QualityMetric("mu2"))
+    before = problem.mesh.dof_map().extract(problem.mesh).copy()
+    _, report = solve_r_adaptivity(problem)
+    assert (report.status, report.reason) == ("stalled",
+                                              "no descent direction")
+    assert report.num_iterations == 0
+    assert (report.factorizations, report.damping_retries) == (8, 8)
+    assert np.array_equal(problem.mesh.dof_map().extract(problem.mesh),
+                          before)
 
 
 def test_solve_computes_one_mmd_ordering(monkeypatch):
