@@ -39,7 +39,8 @@ import numpy as np
 from .basis import _gauss_legendre_01, gauss_lobatto_nodes, lagrange_1d, \
     lagrange_1d_deriv
 from .mesh import MixedOrderMesh, apply_edge_constraints, interpolation_matrix
-from .tmop import FitConfig, mark_interface_faces, solve_r_adaptivity
+from .tmop import (FitConfig, _is_number, mark_interface_faces,
+                   solve_r_adaptivity)
 
 REFINE_KINDS = ("absolute", "relative")
 DEREF_KINDS = ("ref", "change", "size")
@@ -75,10 +76,13 @@ class AdaptivityPlan:
     def __post_init__(self):
         for name in ("p_init", "p_max", "refine_step", "max_neighbor_diff"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral)
-                    and not isinstance(value, bool)
+            if not (_is_number(value, numbers.Integral)
                     or name == "max_neighbor_diff" and value is None):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("refine_threshold", "deref_threshold", "fit_tol"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got "
+                                 f"{getattr(self, name)!r}")
         if not 1 <= self.p_init <= self.p_max:
             raise ValueError(f"need 1 <= p_init <= p_max, got "
                              f"{self.p_init}..{self.p_max}")

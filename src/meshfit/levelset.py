@@ -23,8 +23,8 @@ can converge to a root of the element map outside the element, so the
 candidates of a point that neither rule finds are inverted once more, each
 from the element node nearest the point.  Non-finite points (nan,
 +-inf) have no candidates and are not found: ``Locator.locate`` returns
-``NOT_FOUND``, and a field query raises ``PointLocationError``
-(``strict=True``) or returns NaN there.
+``NOT_FOUND``.  A field query at a point that is not found, off the
+background mesh or non-finite, always raises ``PointLocationError``.
 
 A locator keeps its last batch.  A query at the same points, such as the
 gradient query a solver makes at the trial point whose values it has just
@@ -487,19 +487,19 @@ class DiscreteLevelSet:
         self._gradients = [local[dm.slots[key]] for key in loc.groups]
         return self._gradients
 
-    def _interp(self, points, group_blocks, strict):
+    def _interp(self, points, group_blocks):
         """Interpolate per-group nodal blocks at located points, with the
         basis rows the location left; (npts, fields)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         loc = self.locator
         located = loc._locate(pts)
         missing = (located.element < 0).nonzero()[0]
-        if missing.size and strict:
+        if missing.size:
             raise PointLocationError(
                 f"{missing.size} of {len(pts)} points lie outside the "
                 f"background mesh (first: {pts[missing[0]]})")
-        out = np.full((len(pts), group_blocks[0].shape[-1]), np.nan)
-        group = np.where(located.element >= 0, loc.group_of[located.element], -1)
+        out = np.empty((len(pts), group_blocks[0].shape[-1]))
+        group = loc.group_of[located.element]
         for g, ref in enumerate(loc.group_refs):
             s = (group == g).nonzero()[0]
             if s.size:
@@ -508,11 +508,11 @@ class DiscreteLevelSet:
                 out[s] = np.einsum("sn,snk->sk", B, V)
         return out
 
-    def values(self, points, strict: bool = True) -> np.ndarray:
-        return self._interp(points, self._value_blocks(), strict)[:, 0]
+    def values(self, points) -> np.ndarray:
+        return self._interp(points, self._value_blocks())[:, 0]
 
-    def gradients(self, points, strict: bool = True) -> np.ndarray:
-        return self._interp(points, self._gradient_blocks(), strict)
+    def gradients(self, points) -> np.ndarray:
+        return self._interp(points, self._gradient_blocks())
 
 
 def make_levelset(spec: str):

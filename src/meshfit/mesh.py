@@ -9,23 +9,24 @@ from the low-order side's trace, which keeps the geometry continuous across
 the edge.
 
 Four tables describe a mesh state, each built once by the object that owns
-it.  The mesh owns the edge table (``edges``, ``edge_id`` and the end
-vertices of each edge, ``edge_vertex_ids``), the element-vertex,
-element-edge and edge-element incidence arrays (``element_vertex_ids``,
-``element_edge_ids``, ``edge_element_ids``) and the element groups by
-(geometry, order) (``groups()``).  The ``DofMap`` owns the governing order
-of each edge (``edge_orders``), the node numbering with the independent
-nodes along each edge (``edge_nodes``), ``expand`` and the slot each
-non-vertex node is read from (``read_slots``), which is the one place that
-decides the side an edge trace is read from.  It keeps its per-element
-tables per group, as (E_g, n) arrays ``slots`` and ``node_ids``, and builds
-everything with a few array operations per group from the mesh's incidence
-arrays, so an order change costs no loop over elements.  Edges and the
-incidence arrays depend only on the vertex lists: the constructor builds
-them, and raises ``MeshStructureError`` on a malformed topology.  The
-groups and the DofMap are dropped by ``set_order`` when an element's order
-changes and rebuilt on their next use; ``restore`` puts back those of a
-``snapshot`` together with the orders and coordinates it saved.
+it.  The mesh owns the edge table, which is arrays only: the end vertices of
+each edge (``edge_vertex_ids``) and the element-vertex, element-edge and
+edge-element incidence arrays (``element_vertex_ids``, ``element_edge_ids``,
+``edge_element_ids``), which ``edge_id`` reads too.  It also owns the
+element groups by (geometry, order) (``groups()``).  The ``DofMap`` owns
+the governing order of each edge (``edge_orders``), the node numbering with
+the independent nodes along each edge (``edge_nodes``), ``expand`` and the
+slot each non-vertex node is read from (``read_slots``), which is the one
+place that decides the side an edge trace is read from.  It keeps its
+per-element tables per group, as (E_g, n) arrays ``slots`` and
+``node_ids``, and builds everything with a few array operations per group
+from the mesh's incidence arrays, so an order change costs no loop over
+elements.  The edge table depends only on the vertex lists: the
+constructor builds it with one ``np.unique`` over the vertex pairs of all
+local edges, and raises ``MeshStructureError`` on a malformed topology.
+The groups and the DofMap are dropped by ``set_order`` when an element's
+order changes and rebuilt on their next use; ``restore`` puts back those of
+a ``snapshot`` together with the orders and coordinates it saved.
 
 One kernel (``map_jacobians``, ``jacobian_components``, ``jacobian_det``,
 ``cofactors``) gives every map Jacobian that the quality metric, the
@@ -56,19 +57,6 @@ class MeshElement:
     def copy(self) -> "MeshElement":
         return MeshElement(self.geometry, self.verts.copy(), self.order,
                            self.coords.copy(), self.attribute)
-
-
-@dataclass(frozen=True)
-class EdgeSide:
-    element: int
-    local_edge: int
-    forward: bool  # local traversal runs from the smaller to the larger vertex id
-
-
-@dataclass(frozen=True)
-class EdgeRecord:
-    verts: tuple[int, int]   # (min vertex id, max vertex id)
-    sides: tuple[EdgeSide, ...]
 
 
 def jacobian_table(G: np.ndarray) -> np.ndarray:
@@ -153,8 +141,6 @@ def resampling_matrix(geometry: str, order_from: int,
 class MixedOrderMesh:
     """Mesh of quads or triangles with an independent order per element."""
 
-    dimension = 2
-
     def __init__(self, vertices, elements, marked_faces=()):
         self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -183,48 +169,62 @@ class MixedOrderMesh:
     # -- connectivity -----------------------------------------------------
 
     def edge_id(self, v0: int, v1: int) -> int:
-        key = (min(v0, v1), max(v0, v1))
-        if key not in self._edge_index:
+        """Id of the edge between vertices v0 and v1, given in either order."""
+        lo, hi = self.edge_vertex_ids.T
+        hit = np.flatnonzero((lo == min(v0, v1)) & (hi == max(v0, v1)))
+        if not hit.size:
             raise MeshStructureError(f"no edge between vertices {v0} and {v1}")
-        return self._edge_index[key]
+        return int(hit[0])
 
     def _build_edges(self):
-        """The edge table and the incidence arrays; raises
+        """The edge table and the incidence arrays, from one ``np.unique``
+        over the (smaller, larger) vertex-pair keys of all local edges; raises
         ``MeshStructureError`` on a degenerate, over-shared or inconsistently
-        oriented edge."""
-        # edge ids follow first appearance, which is the dict's key order
-        found: dict[tuple[int, int], list[EdgeSide]] = {}
-        index: dict[tuple[int, int], int] = {}
-        width = max((len(el.verts) for el in self.elements), default=0)
-        verts = np.full((len(self.elements), width), -1)
-        own = np.full((len(self.elements), width), -1)
-        for e, el in enumerate(self.elements):
-            nverts = len(el.verts)
-            verts[e, :nverts] = el.verts
-            for le in range(nverts):
-                a = int(el.verts[le])
-                b = int(el.verts[(le + 1) % nverts])
-                if a == b:
-                    raise MeshStructureError(f"element {e} has a degenerate edge")
-                key = (min(a, b), max(a, b))
-                own[e, le] = index.setdefault(key, len(index))
-                found.setdefault(key, []).append(EdgeSide(e, le, forward=(a < b)))
-        records = []
-        sides = np.full((len(found), 2), -1)
-        for k, (key, ks) in enumerate(found.items()):
-            if len(ks) > 2:
-                raise MeshStructureError(f"edge {key} is shared by {len(ks)} elements")
-            if len(ks) == 2 and ks[0].forward == ks[1].forward:
-                raise MeshStructureError(
-                    f"edge {key} is traversed in the same direction by both elements; "
+        oriented edge.  Edge ids follow first appearance in element order,
+        and the sides of an edge are in element order."""
+        nverts = np.array([len(el.verts) for el in self.elements], dtype=int)
+        # local edge i runs from vertex a[i] to b[i] in element element[i]
+        a = np.concatenate([np.zeros(0, dtype=int),
+                            *(el.verts for el in self.elements)])
+        starts = np.cumsum(nverts) - nverts
+        element = np.repeat(np.arange(len(nverts)), nverts)
+        i = np.arange(len(a))
+        local = i - starts[element]
+        b = a[np.where(local + 1 < nverts[element], i + 1, starts[element])]
+        degenerate = np.flatnonzero(a == b)
+        if degenerate.size:
+            raise MeshStructureError(
+                f"element {element[degenerate[0]]} has a degenerate edge")
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        _, first, inverse, counts = np.unique(
+            lo * len(self.vertices) + hi, return_index=True,
+            return_inverse=True, return_counts=True)
+        by_id = np.argsort(first)  # edge ids follow first appearance
+        first, counts = first[by_id], counts[by_id]
+        edge = np.argsort(by_id)[inverse]
+        # a local edge that is not its edge's first is the second side, or
+        # the third or later of an edge that fails the check below
+        later = first[edge] != i
+        same_way = np.zeros(len(first), dtype=bool)
+        forward = a < b
+        same_way[edge[later]] = forward[later] == forward[first[edge[later]]]
+        ends = np.stack([lo[first], hi[first]], axis=1)
+        bad = np.flatnonzero((counts > 2) | same_way)
+        if bad.size:
+            k = bad[0]
+            what = (f"is shared by {counts[k]} elements" if counts[k] > 2 else
+                    "is traversed in the same direction by both elements; "
                     "element orientations are inconsistent")
-            records.append(EdgeRecord(key, tuple(ks)))
-            sides[k, :len(ks)] = [s.element for s in ks]
-        ends = np.array(list(found), dtype=int).reshape(-1, 2)
-        for a in (verts, own, sides, ends):
-            a.flags.writeable = False
-        self.edges: tuple[EdgeRecord, ...] = tuple(records)
-        self._edge_index = index
+            raise MeshStructureError(f"edge {tuple(ends[k].tolist())} {what}")
+        verts = np.full((len(nverts), nverts.max(initial=0)), -1)
+        own = np.full(verts.shape, -1)
+        sides = np.full((len(first), 2), -1)
+        verts[element, local] = a
+        own[element, local] = edge
+        sides[:, 0] = element[first]
+        sides[edge[later], 1] = element[later]
+        for t in (verts, own, sides, ends):
+            t.flags.writeable = False
         #: (num edges, 2) smaller and larger vertex id of each edge
         self.edge_vertex_ids = ends
         #: (E, max vertices) vertex ids and edge ids of each element in local
@@ -319,10 +319,9 @@ class MixedOrderMesh:
         self._dofmap = None
 
     def copy(self) -> "MixedOrderMesh":
-        out = MixedOrderMesh(self.vertices.copy(),
-                             [el.copy() for el in self.elements],
-                             set(self.marked_faces))
-        return out
+        return MixedOrderMesh(self.vertices.copy(),
+                              [el.copy() for el in self.elements],
+                              set(self.marked_faces))
 
     # -- degrees of freedom -----------------------------------------------
 
@@ -337,10 +336,9 @@ class MixedOrderMesh:
         return self.dof_map().num_nodes
 
     def order_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for el in self.elements:
-            hist[el.order] = hist.get(el.order, 0) + 1
-        return dict(sorted(hist.items()))
+        """The number of elements of each order, by ascending order."""
+        orders, counts = np.unique(self.orders(), return_counts=True)
+        return dict(zip(orders.tolist(), counts.tolist()))
 
 
 class DofMap:

@@ -40,8 +40,10 @@ def generate_cartesian(nx: int, ny: int, order: int,
                        split_triangles: bool = False) -> MixedOrderMesh:
     """Cartesian mesh of the rectangle ``box`` with ``nx`` by ``ny`` cells.
 
-    Element nodes are placed at Gauss-Lobatto positions; cells are split into
-    two triangles each when ``split_triangles`` is set.
+    Element nodes are placed at Gauss-Lobatto positions by one broadcast of
+    the bilinear (quad) or linear (triangle) corner map over all elements;
+    cells are split into two triangles each when ``split_triangles`` is
+    set.
 
     Parameters
     ----------
@@ -61,35 +63,23 @@ def generate_cartesian(nx: int, ny: int, order: int,
         raise ValueError(f"degenerate box {box}")
     xs = np.linspace(xmin, xmax, nx + 1)
     ys = np.linspace(ymin, ymax, ny + 1)
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    vertices = np.array([[xs[i], ys[j]]
-                         for j in range(ny + 1) for i in range(nx + 1)])
-    elements = []
+    vertices = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
+    # cell corner ids counterclockwise from the lower left, cells by rows
+    lower_left = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    corners = lower_left[:, None] + np.array([0, 1, nx + 2, nx + 1])
     geometry = TRI if split_triangles else QUAD
-    ref = reference_element(geometry, order)
-    for j in range(ny):
-        for i in range(nx):
-            corner_ids = [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-            quads = ([corner_ids[:3], [corner_ids[0], corner_ids[2], corner_ids[3]]]
-                     if split_triangles else [corner_ids])
-            for verts in quads:
-                pts = vertices[verts]
-                if geometry == QUAD:
-                    # bilinear in the reference square
-                    u, v = ref.nodes[:, 0], ref.nodes[:, 1]
-                    coords = (np.outer(pts[0], (1 - u) * (1 - v))
-                              + np.outer(pts[1], u * (1 - v))
-                              + np.outer(pts[2], u * v)
-                              + np.outer(pts[3], (1 - u) * v))
-                else:
-                    u, v = ref.nodes[:, 0], ref.nodes[:, 1]
-                    coords = (np.outer(pts[0], 1 - u - v)
-                              + np.outer(pts[1], u) + np.outer(pts[2], v))
-                elements.append(MeshElement(geometry, np.array(verts), order, coords))
-    return MixedOrderMesh(vertices, elements)
+    verts = (corners[:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3)
+             if split_triangles else corners)
+    X = vertices[verts].transpose(1, 0, 2)[..., None]  # (corner, E, 2, 1)
+    u, v = reference_element(geometry, order).nodes.T
+    if split_triangles:
+        coords = X[0] * (1 - u - v) + X[1] * u + X[2] * v
+    else:
+        # bilinear in the reference square
+        coords = (X[0] * ((1 - u) * (1 - v)) + X[1] * (u * (1 - v))
+                  + X[2] * (u * v) + X[3] * ((1 - u) * v))
+    return MixedOrderMesh(vertices, [
+        MeshElement(geometry, ids, order, c) for ids, c in zip(verts, coords)])
 
 
 # ---------------------------------------------------------------------------

@@ -89,9 +89,8 @@ def fit_config(run: dict) -> FitConfig:
     metric = metric_from(run.get("metric", 2), run.get("metric_gamma", 0.5))
     controls = SolverControls(
         max_iterations=run.get("max_outer", 200),
-        fit_tol=float(run.get("fit_tol", 1e-8)))
-    return FitConfig(metric=metric,
-                     fit_weight=float(run.get("fit_weight", 1.0)),
+        fit_tol=run.get("fit_tol", 1e-8))
+    return FitConfig(metric=metric, fit_weight=run.get("fit_weight", 1.0),
                      controls=controls, boundary=run.get("boundary", "slide"))
 
 

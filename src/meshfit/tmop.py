@@ -68,6 +68,8 @@ class QualityMetric:
         if self.metric_id not in METRIC_IDS:
             raise ValueError(f"unknown metric {self.metric_id!r}, "
                              f"expected one of {METRIC_IDS}")
+        if not _is_number(self.gamma):
+            raise ValueError(f"gamma must be real, got {self.gamma!r}")
         if self.metric_id == "mu80" and not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
 
@@ -148,18 +150,23 @@ class SolverControls:
     initial_damping: ClassVar[float] = 1e-4
 
     def __post_init__(self):
-        if not (isinstance(self.max_iterations, numbers.Integral)
-                and not isinstance(self.max_iterations, bool)
-                and self.max_iterations >= 1 and 0.0 < self.fit_tol < np.inf):
-            raise ValueError("need an integer max_iterations >= 1 and "
+        if not (_is_number(self.max_iterations, numbers.Integral)
+                and self.max_iterations >= 1 and _is_number(self.fit_tol)
+                and 0.0 < self.fit_tol < np.inf):
+            raise ValueError("need an integer max_iterations >= 1 and a real "
                              "0 < fit_tol < inf, got "
-                             f"{self.max_iterations!r} and {self.fit_tol}")
+                             f"{self.max_iterations!r} and {self.fit_tol!r}")
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """Whether ``value`` is an instance of ``kind`` other than a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _check_fit_weight(fit_weight) -> None:
-    if not (np.isfinite(fit_weight) and fit_weight >= 0.0):
-        raise ValueError(f"fit_weight must be finite and non-negative, "
-                         f"got {fit_weight}")
+    if not (_is_number(fit_weight) and 0.0 <= fit_weight < np.inf):
+        raise ValueError(f"fit_weight must be a finite non-negative real "
+                         f"number, got {fit_weight!r}")
 
 
 @dataclass

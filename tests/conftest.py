@@ -1,7 +1,55 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from meshfit import apply_edge_constraints, generate_cartesian
+from meshfit.errors import MeshStructureError
+
+
+class EdgeSide(NamedTuple):
+    element: int
+    local_edge: int
+    # local traversal runs from the smaller to the larger vertex id
+    forward: bool
+
+
+class EdgeRecord(NamedTuple):
+    verts: tuple[int, int]   # (min vertex id, max vertex id)
+    sides: tuple[EdgeSide, ...]
+
+
+def reference_edges(vertex_lists) -> tuple[EdgeRecord, ...]:
+    """The edge table of elements with the given counterclockwise vertex
+    lists, built by one loop over local edges: one record per edge in edge-id
+    order (first appearance), with its sides in element order.  Raises
+    ``MeshStructureError`` on a degenerate, over-shared or inconsistently
+    oriented edge, with the message of ``MixedOrderMesh``.  This is the
+    reference the mesh's array build must match exactly."""
+    # edge ids follow first appearance, which is the dict's key order
+    found: dict[tuple[int, int], list[EdgeSide]] = {}
+    for e, verts in enumerate(vertex_lists):
+        nverts = len(verts)
+        for le in range(nverts):
+            a, b = int(verts[le]), int(verts[(le + 1) % nverts])
+            if a == b:
+                raise MeshStructureError(f"element {e} has a degenerate edge")
+            found.setdefault((min(a, b), max(a, b)), []).append(
+                EdgeSide(e, le, forward=(a < b)))
+    for key, ks in found.items():
+        if len(ks) > 2:
+            raise MeshStructureError(
+                f"edge {key} is shared by {len(ks)} elements")
+        if len(ks) == 2 and ks[0].forward == ks[1].forward:
+            raise MeshStructureError(
+                f"edge {key} is traversed in the same direction by both "
+                "elements; element orientations are inconsistent")
+    return tuple(EdgeRecord(key, tuple(ks)) for key, ks in found.items())
+
+
+def edge_records(mesh) -> tuple[EdgeRecord, ...]:
+    """``reference_edges`` of a mesh's elements."""
+    return reference_edges([el.verts for el in mesh.elements])
 
 
 def perturbed_mesh(nx, ny, order, amp=None, seed=0, split_triangles=False,

@@ -19,7 +19,7 @@ from meshfit import (AdaptivityPlan, DiscreteLevelSet, FitConfig, Locator,
 from meshfit.basis import reference_element
 from meshfit.levelset import ANALYTIC_LEVELSETS
 
-from conftest import perturbed_mesh, random_order_mesh
+from conftest import edge_records, perturbed_mesh, random_order_mesh
 
 SQUIRCLE = ANALYTIC_LEVELSETS["squircle2d"]()
 FIT_TOL = 1e-7
@@ -151,7 +151,7 @@ def test_criterion_04_neighbor_limit_overhead(adaptive_runs):
     cd = adaptive_runs["limited_deref"]
     mesh = c["result"].mesh
     worst_jump = 0
-    for rec in mesh.edges:
+    for rec in edge_records(mesh):
         if len(rec.sides) == 2:
             pa, pb = (mesh.elements[s.element].order for s in rec.sides)
             worst_jump = max(worst_jump, abs(pa - pb))
@@ -296,7 +296,7 @@ def test_criterion_09_mixed_order_conformity():
     ts = np.linspace(0.0, 1.0, 10)
     worst = 0.0
     n_edges = 0
-    for rec in mesh.edges:
+    for rec in edge_records(mesh):
         if len(rec.sides) != 2:
             continue
         n_edges += 1

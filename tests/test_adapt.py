@@ -16,7 +16,7 @@ from meshfit.levelset import ANALYTIC_LEVELSETS, AnalyticLevelSet
 from meshfit.mesh import interpolation_matrix
 from meshfit.tmop import SolveReport
 
-from conftest import meshes_identical, set_orders
+from conftest import edge_records, meshes_identical, set_orders
 
 
 def _const_field(c):
@@ -177,7 +177,8 @@ def test_apply_refinement_both_sides():
     orders = apply_refinement(m, sorted(m.marked_faces), plan, before)
     # a planner only returns orders; the mesh is left as it was
     assert np.array_equal(m.orders(), before)
-    band = {s.element for k in m.marked_faces for s in m.edges[k].sides}
+    edges = edge_records(m)
+    band = {s.element for k in m.marked_faces for s in edges[k].sides}
     assert set(np.flatnonzero(orders != before)) == band
     assert (orders[sorted(band)] == 3).all()
     # capped at p_max on a second application
@@ -350,6 +351,17 @@ def test_plan_validation():
     assert plan.neighbor_limit == 3  # defaults to p_max: no constraint
     assert plan.outer_cap == 2
     assert AdaptivityPlan(p_init=1, p_max=4, refine_step=1).outer_cap == 4
+
+
+@pytest.mark.parametrize("name", ["refine_threshold", "deref_threshold",
+                                  "fit_tol"])
+@pytest.mark.parametrize("value", [True, False, "1e-8"])
+def test_plan_rejects_a_threshold_that_is_no_real_number(name, value):
+    # True would otherwise run as 1.0 and False as 0.0
+    with pytest.raises(ValueError, match=f"{name} must be a real number"):
+        AdaptivityPlan(p_init=1, p_max=3, **{name: value})
+    assert getattr(AdaptivityPlan(p_init=1, p_max=3,
+                                  **{name: np.float64(0.5)}), name) == 0.5
 
 
 def test_driver_requires_uniform_initial_order():
@@ -595,7 +607,7 @@ def test_driver_respects_neighbor_limit():
     res = run_rp_adaptivity(m, circle, FitConfig(metric=QualityMetric("mu2")),
                             plan)
     worst = 0
-    for rec in res.mesh.edges:
+    for rec in edge_records(res.mesh):
         if len(rec.sides) == 2:
             a, b = (res.mesh.elements[s.element].order for s in rec.sides)
             worst = max(worst, abs(a - b))
@@ -610,7 +622,7 @@ def test_edge_touching_elevation():
     center = 4
     m.set_order(center, 3)
     apply_edge_constraints(m)
-    m.marked_faces = {k for k, rec in enumerate(m.edges)
+    m.marked_faces = {k for k, rec in enumerate(edge_records(m))
                       if any(s.element == center for s in rec.sides)}
     before = m.orders()
     orders = edge_touching_elevation(m, before)
@@ -632,16 +644,17 @@ def test_driver_elevates_elements_touching_the_interface_at_a_vertex():
     m = res.mesh
     assert m.num_position_dofs == 305  # 273 without the elevation
     orders = m.orders()
+    edges = edge_records(m)
     touching = 0
     for e, el in enumerate(m.elements):
         if m.marked_faces.intersection(m.element_edge_ids[e].tolist()):
             continue
         for v in el.verts:
-            at_v = [k for k in m.marked_faces if v in m.edges[k].verts]
+            at_v = [k for k in m.marked_faces if v in edges[k].verts]
             if len(at_v) >= 2:
                 touching += 1
                 assert orders[e] == max(orders[s.element] for k in at_v
-                                        for s in m.edges[k].sides)
+                                        for s in edges[k].sides)
     assert touching > 0
 
 
@@ -684,7 +697,8 @@ def test_limited_run_is_at_its_order_floor():
         sides = m.edge_element_ids[k[k >= 0]]
         return set(sides[sides >= 0].tolist()) - set(elems)
 
-    band = {s.element for k in m.marked_faces for s in m.edges[k].sides}
+    edges = edge_records(m)
+    band = {s.element for k in m.marked_faces for s in edges[k].sides}
     jacket = edge_neighbors(band)
     assert set(np.flatnonzero(order == 3)) == band
     assert set(np.flatnonzero(order == 2)) == jacket

@@ -10,7 +10,8 @@ from meshfit.basis import reference_element
 from meshfit.levelset import ANALYTIC_LEVELSETS
 from meshfit import cli, mesh_io
 
-from conftest import meshes_identical, perturbed_mesh, random_order_mesh
+from conftest import (edge_records, meshes_identical, perturbed_mesh,
+                      random_order_mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +81,8 @@ def test_roundtrip_fuzz(tmp_path):
                               seed=int(rng.integers(1 << 30)),
                               split_triangles=split)
         n_marked = int(rng.integers(0, 3))
-        interior = [k for k, rec in enumerate(m.edges) if len(rec.sides) == 2]
+        interior = [k for k, rec in enumerate(edge_records(m))
+                    if len(rec.sides) == 2]
         if interior and n_marked:
             m.marked_faces = {interior[int(i)] for i in
                               rng.integers(0, len(interior), n_marked)}

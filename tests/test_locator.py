@@ -11,7 +11,7 @@ from meshfit.errors import PointLocationError
 from meshfit.levelset import ANALYTIC_LEVELSETS, FoundFlag
 from meshfit.mesh import jacobian_components, map_jacobians
 
-from conftest import perturbed_mesh, random_order_mesh
+from conftest import edge_records, perturbed_mesh, random_order_mesh
 
 LOCATOR_MESHES = {
     "perturbed_p1": lambda: perturbed_mesh(4, 4, 1, seed=5),
@@ -88,7 +88,7 @@ def _shared_points(mesh):
     for v, x in enumerate(mesh.vertices):
         touching = [e for e, el in enumerate(mesh.elements) if v in el.verts]
         out.append((x, touching))
-    for rec in mesh.edges:
+    for rec in edge_records(mesh):
         if len(rec.sides) != 2:
             continue
         side = rec.sides[0]
@@ -143,10 +143,8 @@ def test_non_finite_points_are_not_found(bad):
         field.values(pts)
     with pytest.raises(PointLocationError):
         field.gradients(pts)
-    vals = field.values(pts, strict=False)
-    assert np.isnan(vals[0]) and np.isclose(vals[1], 0.25, atol=1e-12)
-    grads = field.gradients(pts, strict=False)
-    assert np.isnan(grads[0]).all() and np.allclose(grads[1], [1.0, 0.0])
+    assert np.isclose(field.values(pts[1:])[0], 0.25, atol=1e-12)
+    assert np.allclose(field.gradients(pts[1:])[0], [1.0, 0.0])
 
 
 def test_analytic_and_discrete_squircle_fits_agree():
@@ -337,11 +335,11 @@ def test_a_reused_location_is_bit_identical(located_mesh, rng):
         a, b = getattr(first, f.name), getattr(fresh, f.name)
         assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
     # the gradient query after a values query at the same points
+    inside = pts[first.element >= 0]
     field, fresh_field = _poly2_field(located_mesh), _poly2_field(located_mesh)
-    field.values(pts, strict=False)
-    assert np.array_equal(field.gradients(pts, strict=False),
-                          fresh_field.gradients(pts, strict=False),
-                          equal_nan=True)
+    field.values(inside)
+    assert np.array_equal(field.gradients(inside),
+                          fresh_field.gradients(inside))
 
 
 def test_interpolate_strict_raises_outside():
@@ -349,9 +347,11 @@ def test_interpolate_strict_raises_outside():
     field = DiscreteLevelSet.sample(bg, lambda pts: pts[:, 0])
     with pytest.raises(PointLocationError):
         field.values(np.array([[3.0, 3.0]]))
-    relaxed = field.values(np.array([[3.0, 3.0], [0.5, 0.5]]), strict=False)
-    assert np.isnan(relaxed[0])  # unlocatable points are NaN, not an error
-    assert np.isclose(relaxed[1], 0.5, atol=1e-12)
+    # one point off the mesh fails the whole query
+    with pytest.raises(PointLocationError):
+        field.values(np.array([[3.0, 3.0], [0.5, 0.5]]))
+    assert np.isclose(field.values(np.array([[0.5, 0.5]]))[0], 0.5,
+                      atol=1e-12)
 
 
 def test_analytic_levelsets_basics():
@@ -398,8 +398,7 @@ def _reference_query(field, x, blocks):
     with the element's block."""
     loc = Locator(field.mesh)
     res = loc.locate(x)
-    if not res.found:
-        return np.full(blocks[0].shape[-1], np.nan)
+    assert res.found
     e = res.element
     ref = loc.group_refs[loc.group_of[e]]
     block = blocks[loc.group_of[e]][loc.row_of[e]]
@@ -430,13 +429,17 @@ def test_queries_match_a_per_point_reference(name, rng):
     assert Locator.NEWTON_RTOL * diam < located.residual[-3] \
         <= Locator.SNAP_RTOL * diam
     assert (located.element[-2:] == -1).all()
-    values = field.values(pts, strict=False)
-    gradients = field.gradients(pts, strict=False)
-    for i, x in enumerate(pts):
+    for query in (field.values, field.gradients):
+        with pytest.raises(PointLocationError):
+            query(pts)
+    found = pts[:-2]
+    values = field.values(found)
+    gradients = field.gradients(found)
+    for i, x in enumerate(found):
         assert np.array_equal(values[i:i + 1], _reference_query(
-            field, x, field._value_blocks()), equal_nan=True)
+            field, x, field._value_blocks()))
         assert np.array_equal(gradients[i], _reference_query(
-            field, x, field._gradient_blocks()), equal_nan=True)
+            field, x, field._gradient_blocks()))
 
 
 def test_location_evaluates_the_basis_once_per_newton_step(monkeypatch, rng):

@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from meshfit import (AdaptivityPlan, MeshInvalidError, MixedOrderMesh,
-                     apply_edge_constraints, generate_cartesian)
+                     apply_edge_constraints, generate_cartesian, read_mesh,
+                     write_mesh)
 from meshfit.adapt import apply_refinement, propagate_orders, try_derefine
 from meshfit.basis import reference_element
 from meshfit.errors import MeshStructureError
@@ -11,8 +12,8 @@ from meshfit.levelset import ANALYTIC_LEVELSETS
 from meshfit.mesh import (MeshElement, cofactors, interpolation_matrix,
                           jacobian_det, require_valid, resampling_matrix)
 
-from conftest import (meshes_identical, perturbed_mesh, random_order_mesh,
-                      set_orders)
+from conftest import (edge_records, meshes_identical, perturbed_mesh,
+                      random_order_mesh, reference_edges, set_orders)
 
 
 def test_generate_counts_single_element():
@@ -36,8 +37,57 @@ def test_generate_split_triangles():
     assert len(m.elements) == 32
     assert all(el.geometry == "tri" for el in m.elements)
     # vertices + one node per interior edge for p=2
-    n_edges = len(m.edges)
+    n_edges = len(m.edge_vertex_ids)
     assert m.num_position_dofs == len(m.vertices) + n_edges
+
+
+def _reference_cartesian(nx, ny, order, box, split_triangles):
+    """The vertex table and the (geometry, vertex ids, node block) of each
+    element of ``generate_cartesian``, placed one cell at a time."""
+    xmin, ymin, xmax, ymax = box
+    xs = np.linspace(xmin, xmax, nx + 1)
+    ys = np.linspace(ymin, ymax, ny + 1)
+    vertices = np.array([[xs[i], ys[j]]
+                         for j in range(ny + 1) for i in range(nx + 1)])
+    geometry = "tri" if split_triangles else "quad"
+    u, v = reference_element(geometry, order).nodes.T
+    elements = []
+    for j in range(ny):
+        for i in range(nx):
+            c = [j * (nx + 1) + i, j * (nx + 1) + i + 1,
+                 (j + 1) * (nx + 1) + i + 1, (j + 1) * (nx + 1) + i]
+            for verts in ([c[:3], [c[0], c[2], c[3]]] if split_triangles
+                          else [c]):
+                pts = vertices[verts]
+                if split_triangles:
+                    coords = (np.outer(pts[0], 1 - u - v)
+                              + np.outer(pts[1], u) + np.outer(pts[2], v))
+                else:
+                    coords = (np.outer(pts[0], (1 - u) * (1 - v))
+                              + np.outer(pts[1], u * (1 - v))
+                              + np.outer(pts[2], u * v)
+                              + np.outer(pts[3], (1 - u) * v))
+                elements.append((geometry, np.array(verts), coords))
+    return vertices, elements
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_generate_matches_a_per_cell_reference(order, split):
+    box = (-1.3, 0.7, 2.9, 1.1)
+    m = generate_cartesian(3, 2, order, box=box, split_triangles=split)
+    vertices, elements = _reference_cartesian(3, 2, order, box, split)
+    assert m.vertices.dtype == vertices.dtype
+    assert np.array_equal(m.vertices, vertices)
+    assert len(m.elements) == len(elements)
+    for el, (geometry, verts, coords) in zip(m.elements, elements):
+        assert (el.geometry, el.order) == (geometry, order)
+        assert el.verts.dtype == verts.dtype
+        assert np.array_equal(el.verts, verts)
+        assert el.coords.dtype == coords.dtype
+        # bit for bit, signed zeros included
+        assert np.array_equal(el.coords, coords)
+        assert np.array_equal(np.signbit(el.coords), np.signbit(coords))
 
 
 def test_generate_rejects_bad_input():
@@ -51,13 +101,14 @@ def test_generate_rejects_bad_input():
 
 def test_edge_table_4x4():
     m = generate_cartesian(4, 4, 1)
-    assert len(m.edges) == 40  # 2 * 4 * 5
+    edges = edge_records(m)
+    assert len(edges) == 40  # 2 * 4 * 5
     assert len(m.boundary_edges()) == 16
-    interior = [k for k, rec in enumerate(m.edges) if len(rec.sides) == 2]
+    interior = [k for k, rec in enumerate(edges) if len(rec.sides) == 2]
     assert len(interior) == 24
     k = m.edge_id(0, 1)
-    assert set(m.edges[k].verts) == {0, 1}
-    assert m.edge_vertex_ids.tolist() == [list(rec.verts) for rec in m.edges]
+    assert set(edges[k].verts) == {0, 1}
+    assert m.edge_vertex_ids.tolist() == [list(rec.verts) for rec in edges]
     with pytest.raises(ValueError):
         m.edge_vertex_ids[0, 0] = 1
     with pytest.raises(MeshStructureError):
@@ -74,8 +125,109 @@ def test_edge_overshare_rejected():
         coords = verts[[a, b, c]].T.copy()
         return MeshElement("tri", np.array([a, b, c]), 1, coords)
 
-    with pytest.raises(MeshStructureError):  # the constructor builds edges
+    with pytest.raises(MeshStructureError, match="shared by 3"):
         MixedOrderMesh(verts, [tri(1, 2, 0), tri(1, 2, 4), tri(2, 1, 5)])
+
+
+def _p1_triangles(vertex_lists):
+    """Order-1 triangles on the unit-spaced vertices 0..8 of a 3x3 grid."""
+    verts = np.array([[i % 3, i // 3] for i in range(9)], dtype=float)
+    return verts, [MeshElement("tri", np.array(ids), 1,
+                               verts[list(ids)].T.copy())
+                   for ids in vertex_lists]
+
+
+def test_same_way_edge_rejected():
+    verts, tris = _p1_triangles([(0, 1, 4), (0, 1, 3)])
+    with pytest.raises(MeshStructureError, match="same direction"):
+        MixedOrderMesh(verts, tris)
+
+
+@pytest.mark.parametrize("lists, match", [
+    # edge (0, 1), traversed one way by both sides, comes first
+    ([(0, 1, 3), (0, 1, 4), (5, 6, 2), (6, 5, 7), (5, 6, 8)],
+     "edge \\(0, 1\\) is traversed in the same direction"),
+    # edge (5, 6), shared by three elements, comes first
+    ([(5, 6, 2), (6, 5, 7), (5, 6, 8), (0, 1, 3), (0, 1, 4)],
+     "edge \\(5, 6\\) is shared by 3 elements"),
+])
+def test_the_first_bad_edge_in_edge_id_order_is_reported(lists, match):
+    verts, tris = _p1_triangles(lists)
+    with pytest.raises(MeshStructureError, match=match) as got:
+        MixedOrderMesh(verts, tris)
+    with pytest.raises(MeshStructureError) as want:
+        reference_edges(lists)
+    assert str(got.value) == str(want.value)
+
+
+def _mixed_geometry_mesh():
+    """A quad beside two triangles on a 2x1 grid, orders 1 to 3, so the
+    element arrays carry -1 padding."""
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
+                      [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+    quad_coords = np.empty((2, 4))
+    corners = reference_element("quad", 1).corners
+    quad_coords[:, corners] = verts[[0, 1, 4, 3]].T
+    elements = [MeshElement("quad", np.array([0, 1, 4, 3]), 1, quad_coords)]
+    for ids in ([1, 2, 5], [1, 5, 4]):
+        elements.append(MeshElement("tri", np.array(ids), 1,
+                                    verts[ids].T.copy()))
+    m = MixedOrderMesh(verts, elements)
+    m.set_order(0, 3)
+    m.set_order(2, 2)
+    apply_edge_constraints(m)
+    return m
+
+
+def _shuffled_mesh():
+    """A 3x3 split-triangle mesh with its elements in random order."""
+    m = random_order_mesh(3, 3, seed=11, split_triangles=True)
+    order = np.random.default_rng(5).permutation(len(m.elements))
+    return MixedOrderMesh(m.vertices, [m.elements[e].copy() for e in order])
+
+
+def _read_back_mesh(tmp_path):
+    m = random_order_mesh(4, 3, seed=6)
+    m.marked_faces = {m.edge_id(0, 1), m.edge_id(5, 6)}
+    write_mesh(m, tmp_path / "m.mesh")
+    return read_mesh(tmp_path / "m.mesh")
+
+
+EDGE_TABLE_MESHES = {
+    "quads_4x4": lambda tmp_path: generate_cartesian(4, 4, 1),
+    "triangles_4x4": lambda tmp_path: generate_cartesian(
+        4, 4, 2, split_triangles=True),
+    "random_orders": lambda tmp_path: random_order_mesh(4, 3, seed=3),
+    "shuffled": lambda tmp_path: _shuffled_mesh(),
+    "quads_and_triangles": lambda tmp_path: _mixed_geometry_mesh(),
+    "read_back": _read_back_mesh,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_TABLE_MESHES))
+def test_edge_arrays_match_the_loop_reference(name, tmp_path):
+    m = EDGE_TABLE_MESHES[name](tmp_path)
+    records = edge_records(m)
+    width = max(len(el.verts) for el in m.elements)
+    verts = np.full((len(m.elements), width), -1)
+    own = np.full((len(m.elements), width), -1)
+    sides = np.full((len(records), 2), -1)
+    for k, rec in enumerate(records):
+        for i, side in enumerate(rec.sides):
+            own[side.element, side.local_edge] = k
+            sides[k, i] = side.element
+    for e, el in enumerate(m.elements):
+        verts[e, :len(el.verts)] = el.verts
+    ends = np.array([rec.verts for rec in records], dtype=int)
+    for attr, want in (("edge_vertex_ids", ends),
+                       ("element_vertex_ids", verts),
+                       ("element_edge_ids", own), ("edge_element_ids", sides)):
+        mine = getattr(m, attr)
+        assert mine.dtype == want.dtype and mine.shape == want.shape, attr
+        assert np.array_equal(mine, want), attr
+    for k, (a, b) in enumerate(rec.verts for rec in records):
+        assert m.edge_id(a, b) == m.edge_id(b, a) == k
+        assert type(m.edge_id(a, b)) is int
 
 
 def test_degenerate_edge_rejected():
@@ -160,7 +312,7 @@ def test_extract_reads_edges_through_edge_trace(split):
     dm = m.dof_map()
     expected = np.full((dm.num_nodes, 2), np.nan)
     expected[:len(m.vertices)] = m.vertices
-    for k, rec in enumerate(m.edges):
+    for k, rec in enumerate(edge_records(m)):
         # the trace owner: the lowest element id at the edge's minimum order
         p = min(m.elements[s.element].order for s in rec.sides)
         side = min((s for s in rec.sides if m.elements[s.element].order == p),
@@ -183,7 +335,7 @@ def _reference_dofmap(m):
     ``num_nodes`` and the node ids of each element (-1 where an edge node is
     interpolated).  The library builds them per element group; this is the
     reference it must match exactly."""
-    edges = m.edges
+    edges = edge_records(m)
     nv = len(m.vertices)
     edge_orders = np.array([min(m.elements[s.element].order for s in rec.sides)
                             for rec in edges], dtype=int)
@@ -296,7 +448,7 @@ def test_dof_expand_reproduces_element_nodes():
 def test_mixed_order_edges_conform():
     m = random_order_mesh(3, 3, seed=7)
     ts = np.linspace(0.0, 1.0, 9)
-    for rec in m.edges:
+    for rec in edge_records(m):
         if len(rec.sides) != 2:
             continue
         vals = []
@@ -436,7 +588,8 @@ def test_edge_order_is_min_of_sides():
     m = generate_cartesian(2, 1, 1)
     m.set_order(0, 3)
     apply_edge_constraints(m)
-    shared = next(k for k, rec in enumerate(m.edges) if len(rec.sides) == 2)
+    shared = next(k for k, rec in enumerate(edge_records(m))
+                  if len(rec.sides) == 2)
     dm = m.dof_map()
     assert dm.edge_orders[shared] == 1
     # a p1 edge holds its two end vertices and no interior node

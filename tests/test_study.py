@@ -199,6 +199,19 @@ def test_run_study_rejects_a_boolean_order_or_iteration_field():
     assert [r.status for r in records] == ["failed:ValueError"] * 2
 
 
+def test_run_study_rejects_a_boolean_tolerance_or_weight():
+    # JSON true is a Python bool: fit_tol true would run at fit_tol 1.0 and
+    # report converged
+    runs = [{"label": "fit_tol", "generate": [2, 2, 1], "fit_tol": True},
+            {"label": "fit_weight", "generate": [2, 2, 1], "fit_weight": True},
+            {"label": "gamma", "generate": [2, 2, 1], "metric": 80,
+             "metric_gamma": True},
+            {"label": "threshold", "generate": [2, 2, 1],
+             "plan": {"p_init": 1, "p_max": 2, "refine_threshold": True}}]
+    records, _ = run_study({"levelset": "name:circle", "runs": runs})
+    assert [r.status for r in records] == ["failed:ValueError"] * 4
+
+
 def test_robustness_study_config_parses():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
                         "robustness_study.json")

@@ -16,7 +16,8 @@ from meshfit.tmop import (IDEAL_TRIANGLE_TARGET, _Assembly, _element_pass,
                           _min_element_diameter, _motion_basis, _NewtonPattern,
                           _product_terms, _target_tables, boundary_freedom)
 
-from conftest import meshes_identical, perturbed_mesh, random_order_mesh
+from conftest import (edge_records, meshes_identical, perturbed_mesh,
+                      random_order_mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,15 @@ def test_unknown_metric_rejected():
         QualityMetric("mu99")
 
 
+@pytest.mark.parametrize("metric_id", ["mu2", "mu80"])
+@pytest.mark.parametrize("gamma", [True, False, "0.5"])
+def test_metric_rejects_a_gamma_that_is_no_real_number(metric_id, gamma):
+    # True would otherwise run mu80 as pure mu2
+    with pytest.raises(ValueError, match="gamma"):
+        QualityMetric(metric_id, gamma=gamma)
+    assert QualityMetric(metric_id, gamma=np.float64(0.25)).gamma == 0.25
+
+
 def test_target_spec():
     # each geometry's ideal target W, through K = grad(phi) W^{-1} and det W
     tables, K, detW = _target_tables("quad", 2)
@@ -100,7 +110,9 @@ def test_target_spec():
                                  dict(fit_tol=np.nan), dict(fit_tol=np.inf),
                                  dict(max_iterations=2.5),
                                  dict(max_iterations=200.0),
-                                 dict(max_iterations=True)])
+                                 dict(max_iterations=True),
+                                 # True would otherwise run at fit_tol 1.0
+                                 dict(fit_tol=True), dict(fit_tol="1e-8")])
 def test_solver_controls_reject_meaningless_numbers(bad):
     with pytest.raises(ValueError):
         SolverControls(**bad)
@@ -130,8 +142,9 @@ def test_assign_materials_and_marking_circle():
     marked = mark_interface_faces(m, circle)
     assert marked == m.marked_faces
     assert len(marked) == 8  # perimeter of the 2x2 material-1 block
+    edges = edge_records(m)
     for k in marked:
-        a, b = (m.elements[s.element].attribute for s in m.edges[k].sides)
+        a, b = (m.elements[s.element].attribute for s in edges[k].sides)
         assert {a, b} == {1, 2}
 
 
@@ -940,7 +953,8 @@ def test_zero_fit_weight_reports_true_residual():
     assert "already on the isocontour" not in report.reason
 
 
-@pytest.mark.parametrize("fit_weight", [-1.0, np.inf, np.nan])
+@pytest.mark.parametrize("fit_weight", [-1.0, np.inf, np.nan, True, False,
+                                        "1.0"])
 def test_invalid_fit_weight_rejected(fit_weight):
     m = generate_cartesian(2, 2, 1)
     with pytest.raises(ValueError, match="fit_weight"):
