@@ -5,6 +5,10 @@ triangle is the unit triangle {x >= 0, y >= 0, x + y <= 1}.  Nodal sets use
 Gauss-Lobatto points along edges (tensor products for quads, warp-and-blend
 interior placement for triangles), so edge traces of two elements that share
 an edge are interpolants on the same 1D point set.
+
+Every mesh-independent table of an element kind, a (geometry, order) pair,
+is built once, read-only, by ``reference_element`` (nodes and their
+topology) or ``basis_tables`` (the basis at fixed points).
 """
 
 from __future__ import annotations
@@ -296,8 +300,15 @@ def _dubiner(points: np.ndarray, p: int, with_grad: bool):
     return vals, grads
 
 
+def jacobian_table(G: np.ndarray) -> np.ndarray:
+    """The (n, 2Q) GEMM table Gf[i, (q, c)] = G[q, i, c] of per-point basis
+    gradients G (Q, n, 2), for ``mesh.map_jacobians``."""
+    return G.transpose(1, 0, 2).reshape(G.shape[1], 2 * G.shape[0])
+
+
 class ReferenceElement:
-    """Nodal reference element of a fixed geometry and polynomial order.
+    """Nodal reference element of a fixed geometry and polynomial order;
+    its arrays are read-only.
 
     Attributes
     ----------
@@ -307,6 +318,10 @@ class ReferenceElement:
     corners : node indices of the element vertices, counterclockwise
     edge_nodes : per local edge, node indices from edge start to edge end
     interior : node indices not lying on any edge
+    sub_cells : (p * p, 4) quads or (p * p, 3) triangles, counterclockwise
+        node indices that split the node lattice into linear cells, by rows
+        from the bottom; a triangle cell (i, j), (i + 1, j), (i, j + 1) is
+        followed by the one across its diagonal, if any
     """
 
     def __init__(self, geometry: str, order: int):
@@ -334,6 +349,9 @@ class ReferenceElement:
             )
             self.interior = np.array(
                 [nid(i, j) for j in range(1, p) for i in range(1, p)], dtype=int)
+            self.sub_cells = np.array(
+                [(nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1))
+                 for j in range(p) for i in range(p)])
             self.center = np.array([0.5, 0.5])
             self._vinv = None
         else:
@@ -349,11 +367,22 @@ class ReferenceElement:
             self.interior = np.array(
                 [index[i, j] for i, j in map(tuple, lattice)
                  if i > 0 and j > 0 and i + j < p], dtype=int)
+            cells = []
+            for j in range(p):
+                for i in range(p - j):
+                    up, right = index[i, j + 1], index[i + 1, j]
+                    cells.append((index[i, j], right, up))
+                    if i + j < p - 1:
+                        cells.append((right, index[i + 1, j + 1], up))
+            self.sub_cells = np.array(cells)
             self.center = np.array([1.0, 1.0]) / 3.0
             vand, _ = _dubiner(self.nodes, p, with_grad=False)
             self._vinv = np.linalg.inv(vand)
+            self._vinv.flags.writeable = False
         self.num_nodes = len(self.nodes)
-        self.nodes.flags.writeable = False
+        for arr in (self.nodes, self.corners, *self.edge_nodes, self.interior,
+                    self.sub_cells, self.center):
+            arr.flags.writeable = False
 
     def _lagrange_xy(self, kernel, pts: np.ndarray) -> np.ndarray:
         """A 1D Lagrange ``kernel`` of the element's Gauss-Lobatto nodes at
@@ -432,13 +461,16 @@ def reference_element(geometry: str, order: int) -> ReferenceElement:
 
 
 class BasisTables:
-    """Precomputed quadrature and basis evaluations for one (geometry, order).
+    """The basis of one (geometry, order) at fixed points; read-only.
 
-    Quality integration and validity checks share these points: tensor
-    Gauss-Lobatto for quads, which samples element corners and edges where
-    barrier-type integrands must detect degeneration and interior Gauss points
-    never look, and the collapsed Gauss-Legendre rule for triangles.  Validity
-    checks add the element nodes (``grad_at_nodes``).
+    Quality integration and validity checks share the quadrature points:
+    tensor Gauss-Lobatto for quads, which samples element corners and edges
+    where barrier-type integrands must detect degeneration and interior Gauss
+    points never look, and the collapsed Gauss-Legendre rule for triangles.
+    Validity checks add the nodes: ``validity`` is the ``jacobian_table`` of
+    the gradients at both, ``nodal`` that of ``grad_at_nodes`` alone.
+    ``center_basis`` (1, n) and ``center_grad`` (1, n, 2) are taken at the
+    reference center.
     """
 
     def __init__(self, geometry: str, order: int):
@@ -458,11 +490,18 @@ class BasisTables:
         self.quad_weights = wts
         self.grad_at_quad = ref.eval_basis_grad(pts)
         self.grad_at_nodes = ref.eval_basis_grad(ref.nodes)
+        self.nodal = jacobian_table(self.grad_at_nodes)
+        self.validity = jacobian_table(np.concatenate([self.grad_at_quad,
+                                                       self.grad_at_nodes]))
+        self.center_basis = ref.eval_basis(ref.center)
+        self.center_grad = ref.eval_basis_grad(ref.center)
         for arr in (self.quad_points, self.quad_weights, self.grad_at_quad,
-                    self.grad_at_nodes):
+                    self.grad_at_nodes, self.nodal, self.validity,
+                    self.center_basis, self.center_grad):
             arr.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
 def basis_tables(geometry: str, order: int) -> BasisTables:
+    """Shared, cached basis tables of one element kind."""
     return BasisTables(geometry, order)

@@ -10,9 +10,9 @@ Location is batched, in the style of gslib ``findpts``.  A grid over the
 inflated element bounding boxes gives every (point, candidate element) pair;
 one Newton iteration per (geometry, order) element group inverts the element
 maps for all of that group's pairs at once, with the mesh's Jacobian
-kernel (``map_jacobians``, ``cofactors``).  The Newton start tables (basis
-values and gradients at the reference center) are built once per group with
-the locator, and each inversion keeps the basis rows of its last residual.
+kernel (``map_jacobians``, ``cofactors``).  The Newton start tables and
+the nodal gradient tables are the element kind's ``basis_tables``, and each
+inversion keeps the basis rows of its last residual.
 Interpolation multiplies the rows of the converged inversion (or of the snap
 test) with the nodal values, so it evaluates no basis.  A point goes to the
 first converged candidate whose reference point lies inside its element;
@@ -39,10 +39,10 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import reference_element
+from .basis import basis_tables, reference_element
 from .errors import PointLocationError
-from .mesh import (MixedOrderMesh, cofactors, jacobian_components,
-                   jacobian_det, jacobian_table, map_jacobians)
+from .mesh import (MixedOrderMesh, check_node_blocks, cofactors,
+                   jacobian_components, jacobian_det, map_jacobians)
 
 
 class FoundFlag(Enum):
@@ -91,12 +91,6 @@ class Locator:
         self.group_refs = [reference_element(*key) for key in self.groups]
         self.group_coords = [mesh.group_coords(ids)
                              for ids in self.groups.values()]
-        #: per group: basis values (1, n) and gradients (1, n, 2) at the
-        #: reference center, where every Newton inversion starts
-        self.center_basis = [ref.eval_basis(ref.center)
-                              for ref in self.group_refs]
-        self.center_grads = [ref.eval_basis_grad(ref.center)
-                             for ref in self.group_refs]
         #: widest basis row of any group
         self.max_nodes = max(ref.num_nodes for ref in self.group_refs)
         self.group_of = np.empty(num_el, dtype=int)
@@ -175,7 +169,7 @@ class Locator:
         """Invert the maps of elements el[s] of group g at points target[s].
 
         Every pair starts from the reference center, whose basis tables
-        were built with the locator, or with ``from_nodes`` from the
+        are the element kind's, or with ``from_nodes`` from the
         reference node whose physical position is nearest its target.  It
         stops updating once its residual is within ``NEWTON_RTOL *
         diameter`` or its Jacobian is singular.  Returns the reference
@@ -190,10 +184,11 @@ class Locator:
             xi = ref.nodes[near]
             basis, grads = ref.eval_basis(xi), ref.eval_basis_grad(xi)
         else:
+            tables = basis_tables(ref.geometry, ref.order)
             xi = np.repeat(ref.center[None], len(el), axis=0)
             # contiguous copies: a broadcast view could change einsum's kernel
-            basis = np.repeat(self.center_basis[g], len(el), axis=0)
-            grads = np.repeat(self.center_grads[g], len(el), axis=0)
+            basis = np.repeat(tables.center_basis, len(el), axis=0)
+            grads = np.repeat(tables.center_grad, len(el), axis=0)
         residual = np.full(len(el), np.inf)
         iterations = np.zeros(len(el), dtype=int)
         converged = np.zeros(len(el), dtype=bool)
@@ -426,15 +421,7 @@ class DiscreteLevelSet:
 
     def __init__(self, mesh: MixedOrderMesh, blocks):
         self.mesh = mesh
-        self.blocks = [np.asarray(b, dtype=float) for b in blocks]
-        if len(self.blocks) != len(mesh.elements):
-            raise ValueError("one value block per element required")
-        for e, (el, b) in enumerate(zip(mesh.elements, self.blocks)):
-            n = reference_element(el.geometry, el.order).num_nodes
-            if b.shape != (n,):
-                raise ValueError(f"block {e} has shape {b.shape}, expected ({n},)")
-        if self.blocks and not np.isfinite(np.concatenate(self.blocks)).all():
-            raise ValueError("a value block has a non-finite value")
+        self.blocks = check_node_blocks(mesh, blocks)
         self._locator: Locator | None = None
         self._values: list[np.ndarray] | None = None
         self._gradients: list[np.ndarray] | None = None
@@ -470,12 +457,12 @@ class DiscreteLevelSet:
         dm = self.mesh.dof_map()
         sums = np.zeros((dm.num_nodes, 2))
         counts = np.zeros(dm.num_nodes)
-        for key, ref, X, U in zip(loc.groups, loc.group_refs,
-                                  loc.group_coords, self._value_blocks()):
-            G = ref.eval_basis_grad(ref.nodes)                   # (n, n, 2)
-            du = np.einsum("ei,mib->emb", U[..., 0], G)          # reference gradients
-            # A^{-T} du = C du / det A, with C the cofactors of A
-            A = jacobian_components(map_jacobians(X, jacobian_table(G)))
+        for key, X, U in zip(loc.groups, loc.group_coords,
+                             self._value_blocks()):
+            tables = basis_tables(*key)
+            du = np.einsum("ei,mib->emb", U[..., 0], tables.grad_at_nodes)
+            # du: reference gradients; A^{-T} du = C du / det A, C = cof(A)
+            A = jacobian_components(map_jacobians(X, tables.nodal))
             (C00, C01, C10, C11), det = cofactors(A), jacobian_det(A)
             g = np.stack([(C00 * du[..., 0] + C01 * du[..., 1]) / det,
                           (C10 * du[..., 0] + C11 * du[..., 1]) / det], -1)

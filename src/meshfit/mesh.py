@@ -8,29 +8,21 @@ side carries no independent edge unknowns: its edge nodes are interpolated
 from the low-order side's trace, which keeps the geometry continuous across
 the edge.
 
-Four tables describe a mesh state, each built once by the object that owns
-it.  The mesh owns the edge table, which is arrays only: the end vertices of
-each edge (``edge_vertex_ids``) and the element-vertex, element-edge and
-edge-element incidence arrays (``element_vertex_ids``, ``element_edge_ids``,
-``edge_element_ids``), which ``edge_id`` reads too.  It also owns the
-element groups by (geometry, order) (``groups()``).  The ``DofMap`` owns
-the governing order of each edge (``edge_orders``), the node numbering with
-the independent nodes along each edge (``edge_nodes``), ``expand`` and the
-slot each non-vertex node is read from (``read_slots``), which is the one
-place that decides the side an edge trace is read from.  It keeps its
-per-element tables per group, as (E_g, n) arrays ``slots`` and
-``node_ids``, and builds everything with a few array operations per group
-from the mesh's incidence arrays, so an order change costs no loop over
-elements.  The edge table depends only on the vertex lists: the
-constructor builds it with one ``np.unique`` over the vertex pairs of all
-local edges, and raises ``MeshStructureError`` on a malformed topology.
+A mesh state is described by tables, each built once by the object that
+owns it.  The mesh owns the edge table (``_build_edges``), arrays only,
+which depends on the vertex lists alone, and the element groups by
+(geometry, order) (``groups()``).  The ``DofMap`` owns the node numbering
+and is the one place that decides the side an edge trace is read from.
 The groups and the DofMap are dropped by ``set_order`` when an element's
 order changes and rebuilt on their next use; ``restore`` puts back those of
-a ``snapshot`` together with the orders and coordinates it saved.
+a ``snapshot`` together with the orders and coordinates it saved.  The
+tables of an element kind depend on no mesh: ``basis.reference_element``
+and ``basis.basis_tables`` build them once per (geometry, order).
 
 One kernel (``map_jacobians``, ``jacobian_components``, ``jacobian_det``,
 ``cofactors``) gives every map Jacobian that the quality metric, the
 validity check, the point locator and a discrete field's gradient read.
+``check_node_blocks`` is the one rule for a nodal scalar field on a mesh.
 """
 
 from __future__ import annotations
@@ -59,19 +51,13 @@ class MeshElement:
                            self.coords.copy(), self.attribute)
 
 
-def jacobian_table(G: np.ndarray) -> np.ndarray:
-    """The (n, 2Q) GEMM table Gf[i, (q, c)] = G[q, i, c] of per-point basis
-    gradients G (Q, n, 2), for ``map_jacobians``."""
-    return G.transpose(1, 0, 2).reshape(G.shape[1], 2 * G.shape[0])
-
-
 def map_jacobians(X: np.ndarray, Gf: np.ndarray) -> np.ndarray:
     """T[e, a, q, c] = sum_i X[e, i, a] G[q, i, c] as one batched product.
 
     X holds per-element node coordinates (E, n, 2) and Gf the
-    ``jacobian_table`` (n, 2Q) of basis gradients G (Q, n, 2), or a table
-    (E, n, 2Q) per element, such as the gradients (E, n, 2) at one point
-    each.  T is the (E, 2, Q, 2) product as the GEMM leaves it: the map
+    ``basis.jacobian_table`` (n, 2Q) of basis gradients G (Q, n, 2), or a
+    table (E, n, 2Q) per element, such as the gradients (E, n, 2) at one
+    point each.  T is the (E, 2, Q, 2) product as the GEMM leaves it: the map
     Jacobian of element e at point q is T[e, :, q, :].  Routing the
     contraction through matmul keeps the inner loops in BLAS, which matters
     because this runs once per objective, gradient and Hessian evaluation.
@@ -98,21 +84,6 @@ def cofactors(T):
     those of T; T^{-1} = C^T / det T."""
     T00, T01, T10, T11 = T
     return T11, -T10, -T01, T00
-
-
-@lru_cache(maxsize=None)
-def validity_table(geometry: str, order: int) -> np.ndarray:
-    """``jacobian_table`` of the basis gradients at the validity sample set;
-    read-only.
-
-    The set is the quality quadrature points plus the element nodes; an
-    element is valid when its map determinant is positive on all of them.
-    """
-    tables = basis_tables(geometry, order)
-    out = jacobian_table(np.concatenate([tables.grad_at_quad,
-                                         tables.grad_at_nodes]))
-    out.flags.writeable = False
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -478,6 +449,22 @@ class DofMap:
         return np.unique(rows[rows >= 0])
 
 
+def check_node_blocks(mesh: MixedOrderMesh, blocks) -> list[np.ndarray]:
+    """A nodal scalar field as float arrays, one per element; raises
+    ``ValueError`` unless there is one finite block per element holding a
+    value per node of that element."""
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    if len(blocks) != len(mesh.elements):
+        raise ValueError("one scalar block per element required")
+    for e, (el, b) in enumerate(zip(mesh.elements, blocks)):
+        n = reference_element(el.geometry, el.order).num_nodes
+        if b.shape != (n,):
+            raise ValueError(f"block {e} has shape {b.shape}, expected ({n},)")
+    if blocks and not np.isfinite(np.concatenate(blocks)).all():
+        raise ValueError("non-finite scalar value")
+    return blocks
+
+
 def apply_edge_constraints(mesh: MixedOrderMesh) -> MixedOrderMesh:
     """Overwrite dependent edge nodes from the governing low-order traces.
 
@@ -490,7 +477,8 @@ def apply_edge_constraints(mesh: MixedOrderMesh) -> MixedOrderMesh:
 
 
 def element_min_dets(stacks) -> list[np.ndarray]:
-    """Per-element minimum map determinant over the validity sample set.
+    """Per-element minimum map determinant over the validity sample set
+    (``BasisTables.validity``).
 
     ``stacks`` yields (key, X) pairs: a (geometry, order) key and the
     (E, n, 2) node coordinates of E elements with that key.  Returns one
@@ -499,7 +487,7 @@ def element_min_dets(stacks) -> list[np.ndarray]:
     dets = []
     for key, X in stacks:
         dets.append(jacobian_det(jacobian_components(
-            map_jacobians(X, validity_table(*key)))).min(axis=1))
+            map_jacobians(X, basis_tables(*key).validity))).min(axis=1))
     return dets
 
 

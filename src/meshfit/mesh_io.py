@@ -16,7 +16,10 @@ The text format (version 1) is line oriented:
     [<num_nodes floats>]         # one line per element, optional block
 
 All floats are written with 17 significant digits, so write -> read -> write
-is byte stable.  See docs/meshfile.md for the grammar.
+is byte stable.  See docs/meshfile.md for the grammar.  ``write_mesh``
+and ``read_mesh`` check a scalar block by one rule, ``check_node_blocks``;
+the writer checks before it writes anything.  The VTK export splits each
+element into its kind's ``ReferenceElement.sub_cells``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import numpy as np
 
 from .basis import QUAD, TRI, reference_element
 from .errors import MeshFileError
-from .mesh import MeshElement, MixedOrderMesh, element_min_dets
+from .mesh import (MeshElement, MixedOrderMesh, check_node_blocks,
+                   element_min_dets)
 
 FORMAT_NAME = "meshfit mesh"
 FORMAT_VERSION = 1
@@ -88,7 +92,13 @@ def generate_cartesian(nx: int, ny: int, order: int,
 
 def write_mesh(mesh: MixedOrderMesh, path, scalar=None):
     """Write a mesh (and optionally a nodal scalar field, as the ``scalar
-    sigma`` block) to ``path``."""
+    sigma`` block) to ``path``.
+
+    Raises ``ValueError``, and writes nothing, unless ``scalar`` is None or
+    one finite block per element with a value per node of that element.
+    """
+    if scalar is not None:
+        scalar = check_node_blocks(mesh, scalar)
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}", "dimension 2"]
     lines.append(f"vertices {len(mesh.vertices)}")
     for v in mesh.vertices:
@@ -109,7 +119,7 @@ def write_mesh(mesh: MixedOrderMesh, path, scalar=None):
     if scalar is not None:
         lines.append("scalar sigma")
         for block in scalar:
-            lines.append(" ".join(_fmt(x) for x in np.asarray(block)))
+            lines.append(" ".join(_fmt(x) for x in block))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -226,18 +236,9 @@ def _parse_mesh(lines):
         tok = remaining[0].split()
         if tok[0] != "scalar" or len(tok) != 2:
             raise MeshFileError(f"unexpected trailing content: {remaining[0]!r}")
-        if len(remaining) != 1 + len(mesh.elements):
-            raise MeshFileError("scalar block has the wrong number of lines")
-        scalar_blocks = []
-        for el, line in zip(mesh.elements, remaining[1:]):
-            ref = reference_element(el.geometry, el.order)
-            parts = line.split()
-            if len(parts) != ref.num_nodes:
-                raise MeshFileError(
-                    f"scalar block row has {len(parts)} values, expected {ref.num_nodes}")
-            scalar_blocks.append(np.array([float(x) for x in parts]))
-        if scalar_blocks and not np.isfinite(np.concatenate(scalar_blocks)).all():
-            raise MeshFileError("non-finite scalar value")
+        # a ValueError here is a malformed file to read_mesh
+        scalar_blocks = check_node_blocks(
+            mesh, [[float(x) for x in ln.split()] for ln in remaining[1:]])
     return mesh, scalar_blocks
 
 
@@ -357,65 +358,33 @@ def export_svg(mesh: MixedOrderMesh, path, color_by: str = "order"):
 # ---------------------------------------------------------------------------
 # Legacy VTK export
 
+#: VTK cell type of the linear sub-cells of each geometry
+_VTK_CELL_TYPES = {QUAD: 9, TRI: 5}
+
+
 def export_vtk(mesh: MixedOrderMesh, path):
     """Write a legacy ASCII VTK file, tessellating each element into linear cells.
 
-    An order-p element becomes p*p linear cells (quads, or p*p triangles for
-    triangular elements); cell data carries the element order and material.
+    An order-p element becomes the p*p linear cells (quads, or triangles
+    for triangular elements) of its reference element's ``sub_cells``;
+    cell data carries the element order and material.
     """
-    points = []
-    cells = []
-    cell_types = []
-    cell_order = []
-    cell_material = []
-    for e, el in enumerate(mesh.elements):
-        p = el.order
-        base = len(points)
-        points.extend(el.coords.T.tolist())
-        if el.geometry == QUAD:
-            def nid(i, j):
-                return base + j * (p + 1) + i
-            for j in range(p):
-                for i in range(p):
-                    cells.append([nid(i, j), nid(i + 1, j),
-                                  nid(i + 1, j + 1), nid(i, j + 1)])
-                    cell_types.append(9)
-                    cell_order.append(p)
-                    cell_material.append(el.attribute)
-        else:
-            offsets = [0]
-            for j in range(p + 1):
-                offsets.append(offsets[-1] + p + 1 - j)
-
-            def tid(i, j):
-                return base + offsets[j] + i
-            for j in range(p):
-                for i in range(p - j):
-                    cells.append([tid(i, j), tid(i + 1, j), tid(i, j + 1)])
-                    cell_types.append(5)
-                    cell_order.append(p)
-                    cell_material.append(el.attribute)
-                    if i + j < p - 1:
-                        cells.append([tid(i + 1, j), tid(i + 1, j + 1), tid(i, j + 1)])
-                        cell_types.append(5)
-                        cell_order.append(p)
-                        cell_material.append(el.attribute)
+    points, cells, data = [], [], []
+    for el in mesh.elements:
+        ref = reference_element(el.geometry, el.order)
+        cells += (ref.sub_cells + len(points)).tolist()
+        points += el.coords.T.tolist()
+        data += [(el.geometry, el.order, el.attribute)] * len(ref.sub_cells)
     lines = ["# vtk DataFile Version 3.0", "meshfit export", "ASCII",
              "DATASET UNSTRUCTURED_GRID", f"POINTS {len(points)} double"]
-    for x, y in points:
-        lines.append(f"{_fmt(x)} {_fmt(y)} 0")
-    total = sum(len(c) + 1 for c in cells)
-    lines.append(f"CELLS {len(cells)} {total}")
-    for c in cells:
-        lines.append(f"{len(c)} " + " ".join(map(str, c)))
-    lines.append(f"CELL_TYPES {len(cells)}")
-    lines.extend(str(t) for t in cell_types)
-    lines.append(f"CELL_DATA {len(cells)}")
-    lines.append("SCALARS element_order int 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(str(p) for p in cell_order)
-    lines.append("SCALARS material int 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(str(m) for m in cell_material)
+    lines += [f"{_fmt(x)} {_fmt(y)} 0" for x, y in points]
+    lines.append(f"CELLS {len(cells)} {sum(len(c) + 1 for c in cells)}")
+    lines += [f"{len(c)} " + " ".join(map(str, c)) for c in cells]
+    lines += [f"CELL_TYPES {len(cells)}",
+              *(str(_VTK_CELL_TYPES[g]) for g, _, _ in data),
+              f"CELL_DATA {len(cells)}", "SCALARS element_order int 1",
+              "LOOKUP_TABLE default", *(str(p) for _, p, _ in data),
+              "SCALARS material int 1", "LOOKUP_TABLE default",
+              *(str(m) for _, _, m in data)]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")

@@ -18,30 +18,34 @@ gradient and the Hessian.  The map Jacobians keep the (E, 2, Q, 2) layout
 of their own GEMM, and the metric, gradient, Hessian and validity formulas
 read their four contiguous (E, Q) components T00, T01, T10 and T11.
 
+The tables of an element kind that these formulas read are built once per
+(geometry, order) by the cached ``target_tables``; a solve's ``_Assembly``
+holds only what depends on its mesh.
+
 The Newton system is symmetric and is kept as its upper triangle from
 values to factorization: ``_hessian_values`` computes only the upper
 triangle of each element block, with two GEMMs per (geometry, order)
-group against basis-gradient tables built once per solve, and
-``_NewtonPattern`` maps those values to the upper triangle of the Newton
-matrix and mirrors it into the one CSC matrix per numbering that SuperLU
-factors.
+group against the kind's tables, and ``_NewtonPattern`` maps those values
+to the upper triangle of the Newton matrix and mirrors it into the one CSC
+matrix per numbering that SuperLU factors.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field as dfield
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import TRI, basis_tables, reference_element
+from .basis import TRI, BasisTables, basis_tables, jacobian_table
 from .errors import MeshInvalidError
 from .mesh import (MixedOrderMesh, apply_edge_constraints, cofactors,
-                   jacobian_components, jacobian_det, jacobian_table,
-                   map_jacobians, min_det_of, require_valid)
+                   jacobian_components, jacobian_det, map_jacobians,
+                   min_det_of, require_valid)
 
 IDEAL_TRIANGLE_TARGET = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
 IDEAL_TRIANGLE_TARGET.flags.writeable = False
@@ -122,10 +126,9 @@ def element_quality(mesh: "MixedOrderMesh",
     each element's sample points; inverted samples give inf.
     """
     out = np.empty(len(mesh.elements))
-    for (geometry, order), ids in mesh.groups().items():
-        _, K, _ = _target_tables(geometry, order)
+    for key, ids in mesh.groups().items():
         mu = metric.values(jacobian_components(
-            map_jacobians(mesh.group_coords(ids), jacobian_table(K))))
+            map_jacobians(mesh.group_coords(ids), target_tables(*key).Gf)))
         out[ids] = mu.max(axis=1)
     return out
 
@@ -208,11 +211,8 @@ def assign_materials(mesh: MixedOrderMesh, field) -> None:
     if not mesh.elements:
         return
     groups = mesh.groups()
-    centers = []
-    for (geometry, order), ids in groups.items():
-        ref = reference_element(geometry, order)
-        B = ref.eval_basis(ref.center[None, :])
-        centers.append((B @ mesh.group_coords(ids))[:, 0])
+    centers = [(basis_tables(*key).center_basis @ mesh.group_coords(ids))[:, 0]
+               for key, ids in groups.items()]
     values = field.values(np.concatenate(centers))
     for e, value in zip(np.concatenate(list(groups.values())), values):
         mesh.elements[e].attribute = 1 if value < 0.0 else 2
@@ -245,50 +245,56 @@ def mark_interface_faces(mesh: MixedOrderMesh, field=None,
 # ---------------------------------------------------------------------------
 # Assembly
 
-def _target_tables(geometry: str, order: int):
-    """Basis tables of one element group, K = grad(phi) W^{-1} at their
-    quadrature points, and det W, for the ideal target W of the geometry:
-    the unit square for quads, the unit equilateral triangle for
-    triangles."""
-    tables = basis_tables(geometry, order)
+class TargetTables:
+    """The read-only tables of one element kind that the quality term
+    reads for a target W: the quadrature weights, det W, K = grad(phi)
+    W^{-1} (Q, n, 2), the GEMM table Gf[i, (q, c)] = K[q, i, c] of the map
+    Jacobians T = A W^{-1} and Kf = Gf^T of the gradient, and
+    KK[(q, c, d), (i, j)] = K[q, i, c] K[q, j, d] of ``_hessian_values``
+    with KKu, its columns at the pairs i <= j of ``upper``."""
+
+    def __init__(self, tables: BasisTables, W: np.ndarray):
+        self.K = K = np.einsum("qib,bc->qic", tables.grad_at_quad,
+                               np.linalg.inv(W))
+        nq, nn = K.shape[:2]
+        self.quad_weights = tables.quad_weights
+        self.detW = float(np.linalg.det(W))
+        self.Gf = jacobian_table(K)
+        self.Kf = np.ascontiguousarray(self.Gf.T)
+        self.KK = np.einsum("qic,qjd->qcdij", K, K).reshape(4 * nq, nn * nn)
+        self.upper = np.triu_indices(nn)
+        self.KKu = self.KK[:, self.upper[0] * nn + self.upper[1]]
+        for arr in (self.K, self.Gf, self.Kf, self.KK, self.KKu, *self.upper):
+            arr.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def target_tables(geometry: str, order: int) -> TargetTables:
+    """Shared, cached ``TargetTables`` of one element kind for the ideal
+    target W of its geometry: the unit square (W = I) for quads, the unit
+    equilateral triangle for triangles."""
     W = IDEAL_TRIANGLE_TARGET if geometry == TRI else np.eye(2)
-    K = np.einsum("qib,bc->qic", tables.grad_at_quad, np.linalg.inv(W))
-    return tables, K, float(np.linalg.det(W))
+    return TargetTables(basis_tables(geometry, order), W)
 
 
 class _Assembly:
-    """Cached quantities for objective/gradient/Hessian evaluation."""
+    """The per-solve data of objective, gradient and Hessian evaluation;
+    ``groups`` holds (key, ``target_tables``, ``DofMap.slots``) per group."""
 
     def __init__(self, problem: TmopProblem):
         mesh = problem.mesh
         self.dm = mesh.dof_map()
-        self.expand = self.dm.expand
-        self.expand_T = self.expand.T
         self.field = problem.field
         self.marked = np.zeros(0, dtype=int) if problem.field is None \
             else self.dm.marked_node_ids(mesh)
-        self.groups = []
-        for (geometry, order), gather in self.dm.slots.items():
-            tables, K, detW = _target_tables(geometry, order)
-            nq, nn = K.shape[:2]
-            # the GEMM tables of the map Jacobians, Gf[i, (q, c)] = K[q, i, c],
-            # of the gradient, Kf = Gf^T, and of _hessian_values,
-            # KK[(q, c, d), (i, j)] = K[q, i, c] K[q, j, d] and its columns
-            # with i <= j, KKu
-            Gf = jacobian_table(K)
-            KK = np.einsum("qic,qjd->qcdij", K, K).reshape(4 * nq, nn * nn)
-            upper = np.triu_indices(nn)
-            self.groups.append({
-                "key": (geometry, order), "tables": tables, "detW": detW,
-                "gather": gather, "Gf": Gf, "Kf": np.ascontiguousarray(Gf.T),
-                "KK": KK, "KKu": KK[:, upper[0] * nn + upper[1]],
-                "upper": upper,
-            })
+        self.groups = [(key, target_tables(*key), gather)
+                       for key, gather in self.dm.slots.items()]
 
     def min_det(self, t: np.ndarray) -> float:
         """Minimum map determinant over the validity sample set."""
-        x_all = self.expand @ t
-        return min_det_of((g["key"], x_all[g["gather"]]) for g in self.groups)
+        x_all = self.dm.expand @ t
+        return min_det_of((key, x_all[gather])
+                          for key, _, gather in self.groups)
 
     def sigma(self, t: np.ndarray) -> np.ndarray:
         """Level-set values at the marked nodes, shape (marked,)."""
@@ -307,16 +313,15 @@ def _element_pass(asm: _Assembly, metric: QualityMetric, t: np.ndarray):
     ``QualityMetric._eval``, from which the gradient and the Hessian are
     computed without another pass.  The objective is inf and the state None
     on an inverted configuration."""
-    x_all = asm.expand @ t
+    x_all = asm.dm.expand @ t
     total = 0.0
     state = []
-    for g in asm.groups:
-        T = jacobian_components(map_jacobians(x_all[g["gather"]], g["Gf"]))
+    for _, kind, gather in asm.groups:
+        T = jacobian_components(map_jacobians(x_all[gather], kind.Gf))
         good, partials = metric._eval(T)
         if not good.all() or np.isinf(partials[0]).any():
             return np.inf, None
-        total += g["detW"] * float((partials[0] @ g["tables"].quad_weights)
-                                   .sum())
+        total += kind.detW * float((partials[0] @ kind.quad_weights).sum())
         state.append((T, partials))
     return total, state
 
@@ -327,15 +332,14 @@ def _quality_gradient(asm: _Assembly, state) -> np.ndarray:
     (E, 2, Q, 2) buffer D[e, a, q, c], and the gradient's element blocks are
     the one GEMM of its (E, 2, 2Q) view with Kf."""
     g_all = np.zeros((asm.dm.total_local, 2))
-    for g, (T, partials) in zip(asm.groups, state):
-        wq = g["tables"].quad_weights
+    for (_, kind, gather), (T, partials) in zip(asm.groups, state):
         n_el, nq = T[0].shape
         D = np.empty((n_el, 2, nq, 2))
         for ac, dmu in enumerate(_metric_derivs(T, partials)):
-            np.multiply(wq, dmu, out=D[:, ac // 2, :, ac % 2])
-        g_all[g["gather"]] = g["detW"] * (
-            D.reshape(n_el, 2, 2 * nq) @ g["Kf"]).transpose(0, 2, 1)
-    return asm.expand_T @ g_all
+            np.multiply(kind.quad_weights, dmu, out=D[:, ac // 2, :, ac % 2])
+        g_all[gather] = kind.detW * (
+            D.reshape(n_el, 2, 2 * nq) @ kind.Kf).transpose(0, 2, 1)
+    return asm.dm.expand.T @ g_all
 
 
 def _total(fq: float, sigma: np.ndarray, fit_weight: float) -> float:
@@ -462,10 +466,10 @@ def _hessian_values(asm: _Assembly, state, fit_weight: float,
     quality part is handled by the solver's damping, not here.
     """
     values = []
-    for g, (Tc, (_, mu_f, mu_tau, mu_ftau, mu_tautau)) in zip(asm.groups,
-                                                              state):
+    for (_, kind, _), (Tc, (_, mu_f, mu_tau, mu_ftau, mu_tautau)) in zip(
+            asm.groups, state):
         n_el, nq = Tc[0].shape
-        w = g["detW"] * g["tables"].quad_weights
+        w = kind.detW * kind.quad_weights
         c_id, c_sym = (2.0 * w) * mu_f, (2.0 * w) * mu_ftau
         c_dd, c_eps = w * mu_tautau, w * mu_tau
         cof = cofactors(Tc)
@@ -489,8 +493,8 @@ def _hessian_values(asm: _Assembly, state, fit_weight: float,
                 else:
                     Nd[:, a, :, c, d] = v
                     Nd[:, a, :, d, c] = v
-        values.append((Nd.reshape(2 * n_el, 4 * nq) @ g["KKu"]).ravel())
-        values.append((No.reshape(n_el, 4 * nq) @ g["KK"]).ravel())
+        values.append((Nd.reshape(2 * n_el, 4 * nq) @ kind.KKu).ravel())
+        values.append((No.reshape(n_el, 4 * nq) @ kind.KK).ravel())
     values.append(((2.0 * fit_weight)
                    * (dsigma[:, [0, 1, 0]] * dsigma[:, [0, 1, 1]])).ravel())
     return np.concatenate(values)
@@ -527,6 +531,16 @@ def _product_terms(Q: sp.csr_matrix, rows_a: np.ndarray, rows_b: np.ndarray):
     return k[keep], hi.astype(np.int64) * Q.shape[1] + lo, w[keep]
 
 
+def _expand_xy(expand: sp.csr_matrix) -> sp.csr_matrix:
+    """E2 = expand (x) I_2 on interleaved coordinates: entry (r, col) of
+    ``expand`` becomes (2 r + c, 2 col + c) for c = 0, 1."""
+    coo = expand.tocoo()
+    rows = (2 * coo.row[:, None] + [0, 1]).ravel()
+    cols = (2 * coo.col[:, None] + [0, 1]).ravel()
+    return sp.csr_matrix((np.repeat(coo.data, 2), (rows, cols)),
+                         shape=(2 * expand.shape[0], 2 * expand.shape[1]))
+
+
 class _NewtonPattern:
     """Fixed sparsity pattern of the Newton matrix Z^T H Z of one solve.
 
@@ -550,17 +564,16 @@ class _NewtonPattern:
     def __init__(self, asm: _Assembly, Z: sp.csr_matrix):
         n = Z.shape[1]
         # rows of E2 Z (element blocks) stacked over rows of Z (marked nodes)
-        E2 = sp.kron(asm.expand, sp.eye(2), format="csr")
-        Q = sp.vstack([E2 @ Z, Z], format="csr")
+        Q = sp.vstack([_expand_xy(asm.dm.expand) @ Z, Z], format="csr")
         Q.eliminate_zeros()
         rows_a, rows_b = [], []
-        for g in asm.groups:
+        for _, kind, gather in asm.groups:
             # local coordinates 2 i + a of the values' rows and columns, in
             # their order: the (a, a) upper triangles, then the (0, 1) blocks
-            nn = g["gather"].shape[1]
-            i, j = g["upper"]
+            nn = gather.shape[1]
+            i, j = kind.upper
             I, J = np.indices((nn, nn)).reshape(2, -1)
-            first = 2 * g["gather"][:, :1]
+            first = 2 * gather[:, :1]
             for la, lb in ((np.r_[2 * i, 2 * i + 1], np.r_[2 * j, 2 * j + 1]),
                            (2 * I, 2 * J + 1)):
                 rows_a.append((first + la).ravel())
@@ -571,8 +584,11 @@ class _NewtonPattern:
         num_values = sum(r.size for r in rows_a)
         k, keys, w = _product_terms(Q, np.concatenate(rows_a),
                                     np.concatenate(rows_b))
-        # sorting the terms by key makes them the rows of S in CSR order
-        order = np.argsort(keys, kind="stable")
+        # sorting the terms by key makes them the rows of S in CSR order;
+        # ties keep the value order, as a stable sort would.  At 64x64 p3
+        # the key stays below n^2 < (2 * 193^2)^2 times 9 terms (3 x 3
+        # trace nodes) per each of 2.2e6 values: 1.1e17 < 2^63.
+        order = np.argsort(keys * keys.size + np.arange(keys.size))
         keys = keys[order]
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         self.S = sp.csr_matrix((w[order], k[order], np.r_[starts, keys.size]),

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import meshfit
-from meshfit.basis import (QUAD, TRI, BasisTables, basis_tables,
-                           _gauss_legendre_01, _gauss_lobatto_01,
-                           gauss_lobatto_nodes, lagrange_1d, lagrange_1d_deriv,
+from meshfit.basis import (QUAD, TRI, BasisTables, ReferenceElement,
+                           basis_tables, _gauss_legendre_01,
+                           _gauss_lobatto_01, gauss_lobatto_nodes,
+                           jacobian_table, lagrange_1d, lagrange_1d_deriv,
                            reference_element)
 
 
@@ -240,3 +241,65 @@ def test_quad_fit_does_not_load_scipy_special():
                          env=dict(os.environ, PYTHONPATH=path))
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def _vtk_loop_cells(geometry, p):
+    """Linear sub-cells of one order-p element by the nested index loops
+    that the VTK export ran per element before the reference element held
+    them."""
+    cells = []
+    if geometry == QUAD:
+        def nid(i, j):
+            return j * (p + 1) + i
+        for j in range(p):
+            for i in range(p):
+                cells.append([nid(i, j), nid(i + 1, j),
+                              nid(i + 1, j + 1), nid(i, j + 1)])
+    else:
+        offsets = [0]
+        for j in range(p + 1):
+            offsets.append(offsets[-1] + p + 1 - j)
+
+        def tid(i, j):
+            return offsets[j] + i
+        for j in range(p):
+            for i in range(p - j):
+                cells.append([tid(i, j), tid(i + 1, j), tid(i, j + 1)])
+                if i + j < p - 1:
+                    cells.append([tid(i + 1, j), tid(i + 1, j + 1),
+                                  tid(i, j + 1)])
+    return cells
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("geometry", [QUAD, TRI])
+def test_sub_cells_match_the_vtk_index_loops(geometry, p):
+    ref = reference_element(geometry, p)
+    assert ref.sub_cells.tolist() == _vtk_loop_cells(geometry, p)
+    assert len(ref.sub_cells) == p * p
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("geometry", [QUAD, TRI])
+def test_kind_tables_are_read_only_and_match_fresh_evaluations(geometry, p):
+    ref, tables = reference_element(geometry, p), basis_tables(geometry, p)
+    assert tables.ref is ref and basis_tables(geometry, p) is tables
+    arrays = [ref.nodes, ref.corners, *ref.edge_nodes, ref.interior,
+              ref.sub_cells, ref.center, tables.quad_points,
+              tables.quad_weights, tables.grad_at_quad, tables.grad_at_nodes,
+              tables.nodal, tables.validity, tables.center_basis,
+              tables.center_grad]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    # the cached tables hold the same bits as the evaluations they replace
+    fresh = ReferenceElement(geometry, p)
+    G = fresh.eval_basis_grad(fresh.nodes)
+    assert np.array_equal(tables.grad_at_nodes, G)
+    assert np.array_equal(tables.nodal, jacobian_table(G))
+    assert np.array_equal(tables.validity, jacobian_table(np.concatenate(
+        [fresh.eval_basis_grad(tables.quad_points), G])))
+    assert np.array_equal(tables.center_basis, fresh.eval_basis(fresh.center))
+    assert np.array_equal(tables.center_grad,
+                          fresh.eval_basis_grad(fresh.center))

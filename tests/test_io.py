@@ -70,6 +70,30 @@ def test_roundtrip_with_scalar(tmp_path):
     assert none_blocks is None
 
 
+@pytest.mark.parametrize("scalar, match", [
+    ([np.zeros(4)] * 3, "one scalar block per element"),
+    ([np.zeros(4)] * 3 + [np.zeros(3)], r"block 3 has shape \(3,\)"),
+    ([np.zeros(4)] * 3 + [np.array([0.0, np.nan, 0.0, 0.0])], "non-finite"),
+    ([np.zeros(4)] * 3 + [np.array([0.0, 0.0, np.inf, 0.0])], "non-finite"),
+])
+def test_write_mesh_rejects_a_scalar_the_reader_would_reject(tmp_path, scalar,
+                                                             match):
+    # the writer checks the blocks by the discrete level set's rule before
+    # it opens the file, so it leaves no file that read_mesh rejects
+    m = generate_cartesian(2, 2, 1)
+    path = tmp_path / "bad.mesh"
+    with pytest.raises(ValueError, match=match):
+        write_mesh(m, path, scalar=scalar)
+    assert not path.exists()
+    with pytest.raises(ValueError, match=match):
+        DiscreteLevelSet(m, scalar)
+    # the same blocks, corrected, round trip
+    good = [np.zeros(4)] * 4
+    write_mesh(m, path, scalar=good)
+    _, back = read_mesh(path, with_scalar=True)
+    assert all(np.array_equal(a, b) for a, b in zip(back, good))
+
+
 def test_roundtrip_fuzz(tmp_path):
     rng = np.random.default_rng(42)
     path = tmp_path / "f.mesh"
@@ -544,8 +568,11 @@ def test_cli_argument_errors(tmp_path):
     bg = generate_cartesian(4, 4, 1)
     blocks = DiscreteLevelSet.sample(
         bg, ANALYTIC_LEVELSETS["squircle2d"]()).blocks
-    blocks[5][2] = np.nan
-    write_mesh(bg, with_nan, scalar=blocks)
+    blocks[5][2] = 12345.0  # written finite, then edited to nan, since
+    write_mesh(bg, with_nan, scalar=blocks)  # write_mesh rejects nan
+    text = with_nan.read_text()
+    assert text.count(" 12345 ") == 1
+    with_nan.write_text(text.replace(" 12345 ", " nan "))
     adaptive = ["--levelset", "name:squircle2d", "--p-init", "1",
                 "--p-max", "3"]
     for args in (["--mesh", str(malformed)],

@@ -7,14 +7,14 @@ from meshfit import (FitConfig, MeshInvalidError, QualityMetric,
                      SolverControls, TmopProblem, assign_materials,
                      element_quality, generate_cartesian, gradient,
                      mark_interface_faces, objective, solve_r_adaptivity, tmop)
-from meshfit.basis import basis_tables
-from meshfit.mesh import (element_min_dets, jacobian_table, map_jacobians,
-                          require_valid)
+from meshfit.basis import basis_tables, jacobian_table, reference_element
+from meshfit.mesh import element_min_dets, map_jacobians, require_valid
 from meshfit.levelset import ANALYTIC_LEVELSETS
 from meshfit.tmop import (IDEAL_TRIANGLE_TARGET, _Assembly, _element_pass,
-                          _hessian_values, _metric_derivs,
+                          _expand_xy, _hessian_values, _metric_derivs,
                           _min_element_diameter, _motion_basis, _NewtonPattern,
-                          _product_terms, _target_tables, boundary_freedom)
+                          _product_terms, TargetTables, boundary_freedom,
+                          target_tables)
 
 from conftest import (edge_records, meshes_identical, perturbed_mesh,
                       random_order_mesh)
@@ -96,12 +96,13 @@ def test_metric_rejects_a_gamma_that_is_no_real_number(metric_id, gamma):
 
 def test_target_spec():
     # each geometry's ideal target W, through K = grad(phi) W^{-1} and det W
-    tables, K, detW = _target_tables("quad", 2)
-    assert np.array_equal(K, tables.grad_at_quad) and detW == 1.0
-    tables, K, detW = _target_tables("tri", 2)
-    assert np.allclose(np.einsum("qic,cb->qib", K, IDEAL_TRIANGLE_TARGET),
-                       tables.grad_at_quad, atol=1e-14)
-    assert np.isclose(detW, np.sqrt(3) / 2)
+    quad = target_tables("quad", 2)
+    assert np.array_equal(quad.K, basis_tables("quad", 2).grad_at_quad)
+    assert quad.detW == 1.0
+    tri = target_tables("tri", 2)
+    assert np.allclose(np.einsum("qic,cb->qib", tri.K, IDEAL_TRIANGLE_TARGET),
+                       basis_tables("tri", 2).grad_at_quad, atol=1e-14)
+    assert np.isclose(tri.detW, np.sqrt(3) / 2)
 
 
 @pytest.mark.parametrize("bad", [dict(max_iterations=0),
@@ -259,8 +260,8 @@ def _mirrored_blocks(asm, values):
     coordinates 2 node + component, and the (marked, 2, 2) Gauss-Newton
     blocks, mirrored from the upper-triangle ``_hessian_values`` layout."""
     blocks, pos = [], 0
-    for g in asm.groups:
-        n_el, nn = g["gather"].shape
+    for _, _, gather in asm.groups:
+        n_el, nn = gather.shape
         i, j = np.triu_indices(nn)
         I, J = np.indices((nn, nn)).reshape(2, -1)
         diag = values[pos:pos + 2 * n_el * i.size].reshape(n_el, 2, i.size)
@@ -295,7 +296,7 @@ def _oblique_mixed_system():
                      fit_weight=7.0).problem(m, circle)
     asm = _Assembly(prob)
     assert asm.marked.size
-    assert np.any((asm.expand.data != 0.0) & (asm.expand.data != 1.0))
+    assert np.any((asm.dm.expand.data != 0.0) & (asm.dm.expand.data != 1.0))
     kinds, tangents = boundary_freedom(m, "slide")
     oblique = (kinds == 1) & (np.abs(tangents).min(axis=1) > 0.1)
     assert oblique.any() and (kinds == 2).any()
@@ -315,15 +316,15 @@ def test_newton_pattern_matches_dense_assembly(rng):
     n_local = 2 * asm.dm.total_local
     B = np.zeros((n_local, n_local))
     blocks, gn = _mirrored_blocks(asm, values)
-    for g, He in zip(asm.groups, blocks):
+    for (_, _, gather), He in zip(asm.groups, blocks):
         size = He.shape[1]
-        for first, block in zip(2 * g["gather"][:, 0], He):
+        for first, block in zip(2 * gather[:, 0], He):
             B[first:first + size, first:first + size] = block
     num_nodes = asm.dm.num_nodes
     GN = np.zeros((2 * num_nodes, 2 * num_nodes))
     for node, block in zip(asm.marked, gn):
         GN[2 * node:2 * node + 2, 2 * node:2 * node + 2] = block
-    E2, Zd = np.kron(asm.expand.toarray(), np.eye(2)), Z.toarray()
+    E2, Zd = np.kron(asm.dm.expand.toarray(), np.eye(2)), Z.toarray()
     ref = Zd.T @ (E2.T @ B @ E2 + GN) @ Zd
     assert np.abs(Hp - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -365,6 +366,106 @@ def test_newton_matrix_is_exactly_symmetric_and_held_in_int32(rng):
     assert renumbered is newton.matrix(newton.assemble(values))
     H = renumbered.toarray()
     assert np.array_equal(H, H.T)
+
+
+def test_expanded_coordinates_match_the_kronecker_form():
+    _, asm, _, _ = _oblique_mixed_system()
+    E2 = _expand_xy(asm.dm.expand)
+    ref = sp.kron(asm.dm.expand, sp.eye(2), format="csr")
+    assert E2.shape == ref.shape
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(E2, attr), getattr(ref, attr))
+
+
+@pytest.mark.parametrize("system", ["oblique", "mixed_6x6"])
+def test_newton_pattern_orders_its_terms_like_a_stable_sort(system,
+                                                            monkeypatch):
+    # the rows of S from the tie-broken default sort equal those of a
+    # stable sort of the same product terms
+    if system == "oblique":
+        _, asm, _, Z = _oblique_mixed_system()
+    else:
+        m = random_order_mesh(6, 6, orders=(1, 2, 3), seed=4)
+        squircle = ANALYTIC_LEVELSETS["squircle2d"]()
+        mark_interface_faces(m, squircle)
+        asm = _Assembly(FitConfig().problem(m, squircle))
+        Z = _motion_basis(*boundary_freedom(m))
+    terms = []
+
+    def spy(Q, rows_a, rows_b):
+        terms.append((Q, rows_a.size, _product_terms(Q, rows_a, rows_b)))
+        return terms[-1][2]
+
+    monkeypatch.setattr(tmop, "_product_terms", spy)
+    S = _NewtonPattern(asm, Z).S
+    Q, num_values, (k, keys, w) = terms[0]
+    assert keys.size > np.unique(keys).size  # there are ties to break
+    # at orders up to 3 a row of E2 Z reads at most 3 trace nodes, so a
+    # value has at most 3 x 3 terms (the bound of the next test)
+    assert np.diff(Q.indptr).max() <= 3 and keys.size <= 9 * num_values
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    for got, want in ((S.indptr, np.r_[starts, keys.size]),
+                      (S.indices, k[order]), (S.data, w[order])):
+        assert np.array_equal(got, want)
+
+
+def test_tie_broken_sort_key_fits_in_int64_at_64x64_p3():
+    # key * term count + term index < n^2 * 9 * values, with n <= 2 *
+    # nodes motion coordinates, and values the upper triangles of the
+    # element blocks plus 3 per marked node, at most one per node; the
+    # bound stays 50 times below the int64 limit
+    dm = generate_cartesian(64, 64, 3).dof_map()
+    nn = reference_element("quad", 3).num_nodes
+    n = 2 * dm.num_nodes
+    values = 64 * 64 * (nn * (nn + 1) + nn * nn) + 3 * dm.num_nodes
+    assert n * n * 9 * values < 2 ** 63 // 50
+
+
+def test_element_quality_is_the_max_of_the_element_pass_values(rng):
+    m = random_order_mesh(8, 8, seed=3)
+    assert len(m.groups()) == 3
+    dm = m.dof_map()
+    dm.scatter(m, dm.extract(m) + rng.uniform(-3e-3, 3e-3, (dm.num_nodes, 2)))
+    metric = QualityMetric("mu80", gamma=0.3)
+    asm = _Assembly(FitConfig(metric=metric).problem(m))
+    _, state = _element_pass(asm, metric, dm.extract(m))
+    want = np.empty(len(m.elements))
+    for ids, (_, (mu, *_)) in zip(m.groups().values(), state):
+        want[ids] = mu.max(axis=1)
+    got = element_quality(m, metric)
+    assert np.array_equal(got, want) and got.min() > 0.0
+
+
+def test_assemblies_and_solves_read_one_table_set_per_kind(monkeypatch):
+    # two meshes of the same kinds, two solves: every element pass reads
+    # the kind's one cached, read-only TargetTables
+    circle = ANALYTIC_LEVELSETS["circle"]()
+    seen = []
+    element_pass = tmop._element_pass
+
+    def spy(asm, metric, t):
+        seen.append({key: kind for key, kind, _ in asm.groups})
+        return element_pass(asm, metric, t)
+
+    monkeypatch.setattr(tmop, "_element_pass", spy)
+    fit = FitConfig(controls=SolverControls(max_iterations=2))
+    first_of_second = None
+    for _ in range(2):
+        m = random_order_mesh(4, 4, seed=2)
+        mark_interface_faces(m, circle)
+        first_of_second = len(seen)
+        solve_r_adaptivity(fit.problem(m, circle))
+    assert 0 < first_of_second < len(seen)
+    kinds = seen[0]
+    assert len(kinds) == 3 and all(s.keys() == kinds.keys() for s in seen)
+    for key, kind in kinds.items():
+        assert kind is target_tables(*key)
+        assert all(s[key] is kind for s in seen)
+        assert kind.quad_weights is basis_tables(*key).quad_weights
+        for arr in (kind.K, kind.Gf, kind.Kf, kind.KK, kind.KKu, *kind.upper):
+            assert not arr.flags.writeable
 
 
 def test_slot_keys_of_a_wide_system_do_not_overflow():
@@ -446,24 +547,25 @@ def _stack_eval(metric, T):
 def _stack_quality_terms(asm, problem, t, target_tables):
     """Quality objective, gradient and element Hessian values at t, with
     the target tables of ``target_tables``."""
-    x_all = asm.expand @ t
+    x_all = asm.dm.expand @ t
     fq, g_all, values = 0.0, np.zeros((asm.dm.total_local, 2)), []
-    for g in asm.groups:
-        _, K, detW = target_tables(*g["key"])
-        n_el, nn = g["gather"].shape
+    for key, _, gather in asm.groups:
+        kind = target_tables(*key)
+        K, detW = kind.K, kind.detW
+        n_el, nn = gather.shape
         nq = K.shape[0]
-        T = _stack_jacobians(x_all[g["gather"]], K)
+        T = _stack_jacobians(x_all[gather], K)
         good, (mu, mu_f, mu_tau, mu_ftau, mu_tautau) = \
             _stack_eval(problem.metric, T)
         assert good.all()
-        wq = g["tables"].quad_weights
+        wq = kind.quad_weights
         fq += detW * float((mu @ wq).sum())
         D = wq[None, :, None, None] * (
             (2.0 * mu_f)[..., None, None] * T
             + mu_tau[..., None, None] * _stack_adj(T))
         Df = D.transpose(0, 2, 1, 3).reshape(n_el, 2, 2 * nq)
         Kf = K.transpose(0, 2, 1).reshape(2 * nq, nn)
-        g_all[g["gather"]] = detW * (Df @ Kf).transpose(0, 2, 1)
+        g_all[gather] = detW * (Df @ Kf).transpose(0, 2, 1)
         w = detW * wq
         c_id, c_sym = (2.0 * w) * mu_f, (2.0 * w) * mu_ftau
         c_dd, c_eps = w * mu_tautau, w * mu_tau
@@ -492,7 +594,7 @@ def _stack_quality_terms(asm, problem, t, target_tables):
                        @ KK[:, i * nn + j]).ravel())
         values.append((np.ascontiguousarray(N[:, 0, 1]).reshape(n_el, 4 * nq)
                        @ KK).ravel())
-    return fq, asm.expand_T @ g_all, np.concatenate(values)
+    return fq, asm.dm.expand.T @ g_all, np.concatenate(values)
 
 
 BIT_MESHES = {
@@ -509,12 +611,11 @@ BIT_TARGETS = {"ideal": None,
 
 
 def _matrix_target_tables(W):
-    """``_target_tables`` with the target matrix W for every geometry."""
-    def target_tables(geometry, order):
-        tables = basis_tables(geometry, order)
-        K = np.einsum("qib,bc->qic", tables.grad_at_quad, np.linalg.inv(W))
-        return tables, K, float(np.linalg.det(W))
-    return target_tables
+    """A stand-in for the cache ``target_tables`` with the target matrix W
+    for every geometry."""
+    def stand_in(geometry, order):
+        return TargetTables(basis_tables(geometry, order), W)
+    return stand_in
 
 
 @pytest.mark.parametrize("target", list(BIT_TARGETS))
@@ -523,15 +624,15 @@ def _matrix_target_tables(W):
 def test_component_kernels_match_the_stack_form_bit_for_bit(mesh, metric,
                                                             target,
                                                             monkeypatch):
-    target_tables = _target_tables
+    kind_tables = target_tables
     if BIT_TARGETS[target] is not None:
-        target_tables = _matrix_target_tables(BIT_TARGETS[target])
-        monkeypatch.setattr(tmop, "_target_tables", target_tables)
+        kind_tables = _matrix_target_tables(BIT_TARGETS[target])
+        monkeypatch.setattr(tmop, "target_tables", kind_tables)
     m = BIT_MESHES[mesh]()
     prob = FitConfig(metric=QualityMetric(metric, gamma=0.3)).problem(m)
     asm = _Assembly(prob)
     t = m.dof_map().extract(m)
-    fq, grad, hess = _stack_quality_terms(asm, prob, t, target_tables)
+    fq, grad, hess = _stack_quality_terms(asm, prob, t, kind_tables)
     assert objective(prob) == fq
     assert np.array_equal(gradient(prob), grad)
     state = _element_pass(asm, prob.metric, t)[1]
@@ -546,9 +647,9 @@ def test_component_kernels_match_the_stack_form_bit_for_bit(mesh, metric,
         assert np.array_equal(dets, _stack_det(T).min(axis=1))
     ref = np.empty(len(m.elements))
     for key, ids in groups.items():
-        _, K, _ = target_tables(*key)
         good, (mu, *_) = _stack_eval(
-            prob.metric, _stack_jacobians(m.group_coords(ids), K))
+            prob.metric, _stack_jacobians(m.group_coords(ids),
+                                          kind_tables(*key).K))
         ref[ids] = np.where(good, mu, np.inf).max(axis=1)
     assert np.array_equal(element_quality(m, prob.metric), ref)
 
@@ -576,18 +677,18 @@ def _tk_dk_element_blocks(asm, metric, t):
     """Reference element Hessian blocks from batched products of T K^T and
     adj(T) K^T, one (E, 2 nn, 2 nn) stack per group on local coordinates
     2 node + component."""
-    x_all = asm.expand @ t
+    x_all = asm.dm.expand @ t
     blocks = []
-    for g in asm.groups:
-        _, K, _ = _target_tables(*g["key"])
+    for _, kind, gather in asm.groups:
+        K = kind.K
         nq, nn = K.shape[:2]
         # the (E, Q, 2, 2) stack T[e, q] of the map Jacobians
-        T = map_jacobians(x_all[g["gather"]], jacobian_table(K)) \
+        T = map_jacobians(x_all[gather], jacobian_table(K)) \
             .transpose(0, 2, 1, 3)
         adj = _stack_adj(T)
         good, (_, mu_f, mu_tau, mu_ftau, mu_tautau) = _stack_eval(metric, T)
         assert good.all()
-        w = g["detW"] * g["tables"].quad_weights[None, :]
+        w = kind.detW * kind.quad_weights[None, :]
         c_id, c_sym, c_dd, c_eps = (w * c for c in (
             2.0 * mu_f, 2.0 * mu_ftau, mu_tautau, mu_tau))
         tK = np.matmul(K[None], T.transpose(0, 1, 3, 2)).reshape(-1, nq, 2 * nn)
