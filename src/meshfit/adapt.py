@@ -16,6 +16,15 @@ the one before it, and that state is not solved again) and
 field (refinement, optional vertex-touch elevation, propagation) on order
 arrays, and only then resamples the elements whose order changes.
 
+Derefinement decides each candidate lowering on the node blocks it would
+touch: the lowered elements, resampled, and the edge nodes their
+neighbors would rebuild from the new traces (``mesh.lowering_min_det``).
+The mesh changes once per accepted lowering, by ``set_order`` on each
+lowered element and one ``apply_edge_constraints``; a rejected candidate
+leaves it as it was.  Face traces are evaluated per edge order: one
+product per trace table for all faces of that order, one field query in
+sorted-face order, and row-wise sums.
+
 Each re-solve after a refinement starts its fit weight where the last
 solve's equilibrium puts the residual the refinement left.  At a converged
 penalty equilibrium sigma_max is about c / w, with c = w_end sigma_end (that
@@ -38,7 +47,8 @@ import numpy as np
 
 from .basis import _gauss_legendre_01, gauss_lobatto_nodes, lagrange_1d, \
     lagrange_1d_deriv
-from .mesh import MixedOrderMesh, apply_edge_constraints, interpolation_matrix
+from .mesh import (MixedOrderMesh, apply_edge_constraints,
+                   interpolation_matrix, lowering_min_det)
 from .tmop import (FitConfig, _is_number, mark_interface_faces,
                    solve_r_adaptivity)
 
@@ -126,18 +136,25 @@ def _trace_tables(trace_order: int, face_order: int):
     return values, derivs, wq
 
 
-def _trace_quadrature(coords: np.ndarray, order: int):
-    """Physical quadrature points of one trace, their weights and the speed
-    of the trace there, with the 2 order + 3 point Gauss rule of a face of
-    the given order."""
-    values, derivs, wq = _trace_tables(len(coords) - 1, order)
-    dx = derivs @ coords
-    return values @ coords, wq, np.hypot(dx[:, 0], dx[:, 1])
+def _face_traces(coords: np.ndarray, order: int):
+    """Physical quadrature points (F, nq, 2) of a stack of F traces of one
+    order (F, trace order + 1, 2), the weights of the 2 order + 3 point
+    Gauss rule of a face of the given order, and the speeds (F, nq) of the
+    traces there; one product with each trace table for the whole stack."""
+    n_faces, n, _ = coords.shape
+    values, derivs, wq = _trace_tables(n - 1, order)
+    C = coords.transpose(1, 0, 2).reshape(n, 2 * n_faces)
+    x = (values @ C).reshape(-1, n_faces, 2).transpose(1, 0, 2)
+    dx = (derivs @ C).reshape(-1, n_faces, 2)
+    # row-contiguous, so that each row sums as a face's own array would
+    speed = np.ascontiguousarray(np.hypot(dx[..., 0], dx[..., 1]).T)
+    return x, wq, speed
 
 
-def _error_and_length(sigma, wq, speed):
-    """Arc-length weighted sigma^2 integral and length of one trace."""
-    return float(np.sum(wq * sigma * sigma * speed)), float(np.sum(wq * speed))
+def _errors_and_lengths(sigma, wq, speed):
+    """Row-wise arc-length weighted sigma^2 integrals and lengths of traces
+    with values ``sigma`` and ``speed`` (F, nq) at Gauss weights ``wq``."""
+    return (wq * sigma * sigma * speed).sum(axis=1), (wq * speed).sum(axis=1)
 
 
 @dataclass
@@ -166,15 +183,25 @@ def compute_face_errors(mesh: MixedOrderMesh, field) -> FaceErrorReport:
         node_sigma = 0.0
     errors = np.zeros(len(faces))
     lengths = np.zeros(len(faces))
-    traces = [_trace_quadrature(t[dm.edge_nodes[k, :p + 1]], p)
-              for k, p in zip(faces, dm.edge_orders[faces].tolist())]
-    if traces:
-        # one field query for every face trace, split back per face
-        sigma = field.values(np.concatenate([x for x, _, _ in traces]))
-        ends = np.cumsum([len(x) for x, _, _ in traces])[:-1]
-        for i, ((_, wq, speed), s) in enumerate(zip(traces,
-                                                    np.split(sigma, ends))):
-            errors[i], lengths[i] = _error_and_length(s, wq, speed)
+    # the traces of each edge order as one stack, their points laid out in
+    # sorted-face order for one field query over every face
+    k = np.array(faces, dtype=int)
+    p_face = dm.edge_orders[k]
+    counts = 2 * p_face + 3
+    starts = np.cumsum(counts) - counts
+    points = np.empty((int(counts.sum()), 2))
+    stacks = []
+    for p in np.unique(p_face).tolist():
+        at = np.flatnonzero(p_face == p)
+        x, wq, speed = _face_traces(t[dm.edge_nodes[k[at], :p + 1]], p)
+        rows = starts[at, None] + np.arange(2 * p + 3)
+        points[rows] = x
+        stacks.append((at, rows, wq, speed))
+    if faces:
+        sigma = field.values(points)
+        for at, rows, wq, speed in stacks:
+            errors[at], lengths[at] = _errors_and_lengths(sigma[rows], wq,
+                                                          speed)
     return FaceErrorReport(faces=faces, errors=errors, lengths=lengths,
                            total_error=float(errors.sum()),
                            max_error=float(errors.max()) if len(faces) else 0.0,
@@ -276,12 +303,6 @@ def _deref_criterion_ok(plan: AdaptivityPlan, err_hat: float, len_hat: float,
     return len_hat > (1.0 - plan.deref_threshold) * len_now
 
 
-def _neighbors_of(mesh: MixedOrderMesh, elems) -> set[int]:
-    k = mesh.element_edge_ids[list(elems)]
-    sides = mesh.edge_element_ids[k[k >= 0]]
-    return set(elems) | set(sides[sides >= 0].tolist())
-
-
 def _orders_within(mesh: MixedOrderMesh, elems, orders: np.ndarray,
                    max_diff: int) -> bool:
     """Whether every edge of ``elems`` joins elements whose ``orders``
@@ -301,12 +322,12 @@ def try_derefine(mesh: MixedOrderMesh, field, plan: AdaptivityPlan,
     keeps all neighbor order differences within bounds, and whose
     application leaves every touched element and edge-neighbor with a
     positive Jacobian, is applied.  Application prefers lowering both
-    neighbors, falling back to one side at a time.  The order test runs
-    before the mesh changes, so only the Jacobian test is rolled back; a
-    rollback puts back the mesh's groups and DofMap with the orders and
-    coordinates (``MixedOrderMesh.restore``), so the next trial does not
-    rebuild them.  Returns the accepted order, or None if the face keeps
-    its order.
+    neighbors, falling back to one side at a time.  Every test runs before
+    the mesh changes: the Jacobian test on the node blocks the lowering
+    would touch (``mesh.lowering_min_det``).  Only an accepted lowering
+    changes the mesh, by ``set_order`` on each lowered element and one
+    ``apply_edge_constraints``.  Returns the accepted order, or None if the
+    face keeps its order.
     """
     dm = mesh.dof_map()
     p_face = int(dm.edge_orders[face])
@@ -314,20 +335,21 @@ def try_derefine(mesh: MixedOrderMesh, field, plan: AdaptivityPlan,
         return None
     coords = dm.extract(mesh)[dm.edge_nodes[face, :p_face + 1]]
     candidates = range(plan.p_init, p_face)
-    # one field query for the current trace and every projected candidate
-    traces = [_trace_quadrature(c, p_face) for c in
-              [coords] + [_projected_trace(coords, p) for p in candidates]]
-    sigma = np.split(field.values(np.concatenate([x for x, _, _ in traces])),
-                     len(traces))
-    (err_now, len_now), *projected = [
-        _error_and_length(s, wq, speed)
-        for s, (_, wq, speed) in zip(sigma, traces)]
+    # one field query for the current trace and every projected candidate,
+    # all at the quadrature points of the face's order
+    x, wq, speed = zip(*(
+        _face_traces(c[None], p_face) for c in
+        [coords] + [_projected_trace(coords, p) for p in candidates]))
+    sigma = field.values(np.concatenate(x).reshape(-1, 2))
+    errors, lengths = _errors_and_lengths(sigma.reshape(len(x), -1), wq[0],
+                                          np.concatenate(speed))
+    err_now, len_now = errors[0], lengths[0]
     elems = [int(e) for e in mesh.edge_element_ids[face] if e >= 0]
     variants = [list(elems)]
     if len(elems) == 2:
         variants += [[elems[0]], [elems[1]]]
     orders = mesh.orders()
-    for p_hat, (err_hat, len_hat) in zip(candidates, projected):
+    for p_hat, err_hat, len_hat in zip(candidates, errors[1:], lengths[1:]):
         if not _deref_criterion_ok(plan, err_hat, len_hat, err_now, len_now):
             continue
         for variant in variants:
@@ -337,16 +359,11 @@ def try_derefine(mesh: MixedOrderMesh, field, plan: AdaptivityPlan,
             if not lowered or not _orders_within(mesh, lowered, planned,
                                                  plan.neighbor_limit):
                 continue
-            # constraint re-application rewrites edge nodes of the whole
-            # neighborhood, so the rollback snapshot must cover it too
-            touched = sorted(_neighbors_of(mesh, lowered))
-            snapshot = mesh.snapshot(touched)
-            for e in lowered:
-                mesh.set_order(e, p_hat)
-            apply_edge_constraints(mesh)
-            if mesh.min_det(touched) > 0.0:
+            if lowering_min_det(mesh, lowered, p_hat) > 0.0:
+                for e in lowered:
+                    mesh.set_order(e, p_hat)
+                apply_edge_constraints(mesh)
                 return p_hat
-            mesh.restore(snapshot)
     return None
 
 

@@ -8,7 +8,8 @@ an edge are interpolants on the same 1D point set.
 
 Every mesh-independent table of an element kind, a (geometry, order) pair,
 is built once, read-only, by ``reference_element`` (nodes and their
-topology) or ``basis_tables`` (the basis at fixed points).
+topology), ``basis_tables`` (the basis at fixed points) or ``edge_samples``
+(the basis at evenly spaced points along the edges).
 """
 
 from __future__ import annotations
@@ -505,3 +506,17 @@ class BasisTables:
 def basis_tables(geometry: str, order: int) -> BasisTables:
     """Shared, cached basis tables of one element kind."""
     return BasisTables(geometry, order)
+
+
+@lru_cache(maxsize=None)
+def edge_samples(geometry: str, order: int, segments: int) -> np.ndarray:
+    """The basis of one element kind at segments + 1 evenly spaced points
+    along each local edge, from its start to its end, edge after edge:
+    (edges * (segments + 1), num_nodes); read-only.  Cached per kind and
+    segment count."""
+    ref = reference_element(geometry, order)
+    t = np.linspace(0.0, 1.0, segments + 1)
+    out = ref.eval_basis(np.vstack([ref.edge_point(le, t)
+                                    for le in range(len(ref.corners))]))
+    out.flags.writeable = False
+    return out

@@ -39,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import basis_tables, reference_element
+from .basis import basis_tables, edge_samples, reference_element
 from .errors import PointLocationError
 from .mesh import (MixedOrderMesh, check_node_blocks, cofactors,
                    jacobian_components, jacobian_det, map_jacobians)
@@ -104,11 +104,8 @@ class Locator:
             if order > 1:
                 # curved edges can bulge past the node hull, so bound the
                 # geometry with a dense edge sampling before inflating
-                ref = self.group_refs[g]
-                t = np.linspace(0.0, 1.0, 4 * order + 1)
-                edges = np.vstack([ref.edge_point(le, t)
-                                   for le in range(len(ref.corners))])
-                pts = np.concatenate([X, ref.eval_basis(edges) @ X], axis=1)
+                pts = np.concatenate(
+                    [X, edge_samples(geometry, order, 4 * order) @ X], axis=1)
             lo = pts.min(axis=1)
             hi = pts.max(axis=1)
             pad = self.BOX_INFLATION * np.hypot(*(hi - lo).T)

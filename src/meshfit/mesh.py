@@ -14,8 +14,10 @@ which depends on the vertex lists alone, and the element groups by
 (geometry, order) (``groups()``).  The ``DofMap`` owns the node numbering
 and is the one place that decides the side an edge trace is read from.
 The groups and the DofMap are dropped by ``set_order`` when an element's
-order changes and rebuilt on their next use; ``restore`` puts back those of
-a ``snapshot`` together with the orders and coordinates it saved.  The
+order changes and rebuilt on their next use.  ``lowering_min_det`` tells
+whether lowering some elements would keep the mesh valid without changing
+it: it rebuilds only the node blocks that the lowering and the constraint
+pass after it would touch, by the DofMap's owner rule.  The
 tables of an element kind depend on no mesh: ``basis.reference_element``
 and ``basis.basis_tables`` build them once per (geometry, order).
 
@@ -254,22 +256,6 @@ class MixedOrderMesh:
 
     # -- mutation ----------------------------------------------------------
 
-    def snapshot(self, element_ids):
-        """The orders and coordinates of the given elements, with the
-        order-dependent tables now held, for ``restore``."""
-        saved = [(e, self.elements[e].order, self.elements[e].coords.copy())
-                 for e in element_ids]
-        return saved, self._groups, self._dofmap
-
-    def restore(self, snapshot) -> None:
-        """Put back the element orders and coordinates of a ``snapshot`` and
-        the tables held when it was taken; valid when no element outside it
-        has changed order since."""
-        saved, self._groups, self._dofmap = snapshot
-        for e, order, coords in saved:
-            self.elements[e].order = order
-            self.elements[e].coords = coords
-
     def set_order(self, e: int, new_order: int):
         """Resample element ``e`` at a new order.
 
@@ -495,6 +481,66 @@ def min_det_of(stacks) -> float:
     """Smallest determinant of ``element_min_dets(stacks)``; inf for none,
     NaN when any determinant is NaN, so that a ``> 0.0`` check fails."""
     return float(np.min([np.inf] + [d.min() for d in element_min_dets(stacks)]))
+
+
+def _edge_local_nodes(mesh: MixedOrderMesh, e: int, k: int,
+                      order: int) -> np.ndarray:
+    """Local node indices of edge ``k`` in element ``e`` at ``order``, from
+    the edge's smaller to its larger vertex id."""
+    el = mesh.elements[e]
+    le = int(np.flatnonzero(mesh.element_edge_ids[e] == k)[0])
+    nodes = reference_element(el.geometry, order).edge_nodes[le]
+    a, b = el.verts[le], el.verts[(le + 1) % len(el.verts)]
+    return nodes if a < b else nodes[::-1]
+
+
+def lowering_min_det(mesh: MixedOrderMesh, lowered, order: int) -> float:
+    """``min_det`` of the elements in ``lowered`` and their edge neighbors
+    after ``set_order(e, order)`` for each e in ``lowered`` and one
+    ``apply_edge_constraints``, computed without changing the mesh.
+
+    Only the node blocks that sequence writes are rebuilt: each lowered
+    element is resampled and takes the vertices at its corners, and on each
+    interior edge of a lowered element the side that does not own the trace
+    rewrites its edge nodes from it.  The owner rule is the DofMap's: the governing
+    order is the lower side's, and the trace is the lowest-id side at that
+    order; an equal-order side copies it and a higher-order side
+    interpolates it.  The other blocks hold as they are when the mesh
+    satisfies its edge constraints.  The blocks agree with the applied
+    sequence up to rounding, not bit for bit.
+    """
+    orders = mesh.orders()
+    orders[lowered] = order
+    blocks = {}   # element id -> (n, 2) node block
+    for e in lowered:
+        el = mesh.elements[e]
+        X = resampling_matrix(el.geometry, el.order, order) @ el.coords.T
+        X[reference_element(el.geometry, order).corners] = \
+            mesh.vertices[el.verts]
+        blocks[e] = X
+    touched = set(lowered)
+    edges = np.unique(mesh.element_edge_ids[lowered])
+    for k in edges[edges >= 0].tolist():
+        sides = mesh.edge_element_ids[k]
+        if sides[1] < 0:
+            continue   # a boundary edge's one side owns its trace
+        touched.update(sides.tolist())
+        governing = int(orders[sides].min())
+        owner, other = sides.tolist() if orders[sides[0]] == governing \
+            else sides[::-1].tolist()
+        X = blocks[owner] if owner in blocks else mesh.elements[owner].coords.T
+        trace = X[_edge_local_nodes(mesh, owner, k, governing)]
+        p = int(orders[other])
+        if other not in blocks:
+            blocks[other] = mesh.elements[other].coords.T.copy()
+        inner = _edge_local_nodes(mesh, other, k, p)[1:-1]
+        blocks[other][inner] = trace[1:-1] if p == governing else \
+            interpolation_matrix(governing, p)[1:-1] @ trace
+    stacks: dict[tuple[str, int], list[np.ndarray]] = {}
+    for e in sorted(touched):
+        stacks.setdefault((mesh.elements[e].geometry, int(orders[e])), []) \
+            .append(blocks[e] if e in blocks else mesh.elements[e].coords.T)
+    return min_det_of((key, np.stack(X)) for key, X in stacks.items())
 
 
 def require_valid(mesh: MixedOrderMesh, context: str = "operation"):

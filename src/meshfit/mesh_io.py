@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import QUAD, TRI, reference_element
+from .basis import QUAD, TRI, edge_samples, reference_element
 from .errors import MeshFileError
 from .mesh import (MeshElement, MixedOrderMesh, check_node_blocks,
                    element_min_dets)
@@ -314,15 +314,12 @@ def export_svg(mesh: MixedOrderMesh, path, color_by: str = "order"):
             dets[ids] = d
         det_range = (float(dets.min()), float(dets.max()))
 
-    t = np.linspace(0.0, 1.0, 17)  # 16 segments per edge
-    # each element's edge points, (local edge, t, 2), from one basis
-    # evaluation per (geometry, order) group
+    # each element's edge points, (local edge, t, 2), 16 segments per edge,
+    # from one product per (geometry, order) group
     outlines = [None] * len(mesh.elements)
-    for (geometry, order), ids in mesh.groups().items():
-        ref = reference_element(geometry, order)
-        edges = [ref.edge_point(le, t) for le in range(len(ref.corners))]
-        pts = ref.eval_basis(np.vstack(edges)) @ mesh.group_coords(ids)
-        for e, p in zip(ids, pts.reshape(len(ids), len(edges), t.size, 2)):
+    for key, ids in mesh.groups().items():
+        pts = edge_samples(*key, 16) @ mesh.group_coords(ids)
+        for e, p in zip(ids, pts.reshape(len(ids), -1, 17, 2)):
             outlines[e] = p
     body = []
     edge_paths = []

@@ -397,24 +397,26 @@ def boundary_freedom(mesh: MixedOrderMesh, mode: str = "slide"):
     tangents = np.zeros((dm.num_nodes, 2))
     if mode == "free":
         return kinds, tangents
-    for k in mesh.boundary_edges():
-        ids = dm.edge_nodes[k, :dm.edge_orders[k] + 1]
-        tangent = mesh.vertices[ids[-1]] - mesh.vertices[ids[0]]
-        norm = float(np.hypot(*tangent))
-        if norm == 0.0:
-            continue
-        tangent = tangent / norm
-        for node in ids:
-            if mode == "fixed":
-                kinds[node] = 2
-            elif kinds[node] == 0:
-                kinds[node] = 1
-                tangents[node] = tangent
-            elif kinds[node] == 1:
-                cross = abs(tangents[node, 0] * tangent[1]
-                            - tangents[node, 1] * tangent[0])
-                if cross > 1e-12:
-                    kinds[node] = 2  # corner: two distinct boundary lines
+    k = np.array(mesh.boundary_edges(), dtype=int)
+    lo, hi = mesh.vertices[mesh.edge_vertex_ids[k]].transpose(1, 0, 2)
+    tangent = hi - lo
+    norm = np.hypot(tangent[:, 0], tangent[:, 1])
+    keep = norm != 0.0   # a degenerate edge has no line
+    k, tangent = k[keep], tangent[keep] / norm[keep, None]
+    # (node, edge) pairs by ascending edge id; a node's first pair gives
+    # its tangent, and a later edge off that line makes it a corner
+    rows = dm.edge_nodes[k]
+    node = rows[rows >= 0]
+    edge = np.nonzero(rows >= 0)[0]
+    if mode == "fixed":
+        kinds[node] = 2
+        return kinds, tangents
+    ids, first = np.unique(node, return_index=True)
+    tangents[ids] = tangent[edge[first]]
+    cross = np.abs(tangents[node, 0] * tangent[edge, 1]
+                   - tangents[node, 1] * tangent[edge, 0])
+    kinds[ids] = 1
+    kinds[node[cross > 1e-12]] = 2  # corner: two distinct boundary lines
     return kinds, tangents
 
 

@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
-from meshfit import (AdaptivityPlan, FitConfig, MixedOrderMesh, QualityMetric,
-                     SolverControls, apply_edge_constraints,
+from meshfit import (AdaptivityPlan, DiscreteLevelSet, DofMap, FitConfig,
+                     MixedOrderMesh, QualityMetric, SolverControls,
+                     apply_edge_constraints,
                      compute_face_errors, generate_cartesian,
                      mark_interface_faces, run_rp_adaptivity,
                      solve_r_adaptivity)
@@ -13,10 +16,11 @@ from meshfit.adapt import (apply_refinement, derefinement_pass,
 from meshfit.basis import (_gauss_legendre_01, gauss_lobatto_nodes,
                            lagrange_1d, lagrange_1d_deriv)
 from meshfit.levelset import ANALYTIC_LEVELSETS, AnalyticLevelSet
-from meshfit.mesh import interpolation_matrix
+from meshfit.mesh import interpolation_matrix, lowering_min_det
 from meshfit.tmop import SolveReport
 
-from conftest import edge_records, meshes_identical, set_orders
+from conftest import (edge_records, meshes_identical, perturbed_mesh,
+                      random_order_mesh, set_orders)
 
 
 def _const_field(c):
@@ -112,10 +116,10 @@ def test_cached_trace_tables_match_direct_evaluation():
             assert np.array_equal(derivs, lagrange_1d_deriv(nodes, tq))
             assert np.array_equal(weights, wq)
             assert not (values.flags.writeable or derivs.flags.writeable)
-            x, w, speed = adapt._trace_quadrature(coords, q)
+            x, w, speed = adapt._face_traces(coords[None], q)
             dx = lagrange_1d_deriv(nodes, tq) @ coords
-            assert np.array_equal(x, lagrange_1d(nodes, tq) @ coords)
-            assert np.array_equal(speed, np.hypot(dx[:, 0], dx[:, 1]))
+            assert np.array_equal(x[0], lagrange_1d(nodes, tq) @ coords)
+            assert np.array_equal(speed[0], np.hypot(dx[:, 0], dx[:, 1]))
             P = interpolation_matrix(p, q)
             assert np.array_equal(P,
                                   lagrange_1d(nodes, gauss_lobatto_nodes(q)))
@@ -141,6 +145,55 @@ def test_compute_face_errors_report():
     ids = m.dof_map().marked_node_ids(m)
     direct = np.abs(circle.values(m.dof_map().extract(m)[ids])).max()
     assert np.isclose(rep.node_sigma_max, direct, atol=1e-15)
+
+
+def _face_errors_loop(mesh, field):
+    """Errors and lengths of the marked faces by a loop over faces, one
+    trace and two sums each, with one field query: the reference that the
+    per-order stacks of ``compute_face_errors`` must match bit for bit."""
+    faces = sorted(mesh.marked_faces)
+    dm = mesh.dof_map()
+    t = dm.extract(mesh)
+    traces = []
+    for k, p in zip(faces, dm.edge_orders[faces].tolist()):
+        coords = t[dm.edge_nodes[k, :p + 1]]
+        values, derivs, wq = adapt._trace_tables(p, p)
+        dx = derivs @ coords
+        traces.append((values @ coords, wq, np.hypot(dx[:, 0], dx[:, 1])))
+    sigma = field.values(np.concatenate([x for x, _, _ in traces]))
+    ends = np.cumsum([len(x) for x, _, _ in traces])[:-1]
+    errors = [float(np.sum(wq * s * s * speed))
+              for (_, wq, speed), s in zip(traces, np.split(sigma, ends))]
+    lengths = [float(np.sum(wq * speed)) for _, wq, speed in traces]
+    return errors, lengths
+
+
+def _discrete_circle():
+    return DiscreteLevelSet.sample(generate_cartesian(8, 8, 3),
+                                   ANALYTIC_LEVELSETS["circle"]())
+
+
+@pytest.mark.parametrize("mesh, field", [
+    (lambda: generate_cartesian(6, 6, 1), None),
+    (lambda: perturbed_mesh(6, 6, 2, seed=3), None),
+    (lambda: perturbed_mesh(5, 5, 3, seed=4), None),
+    (lambda: random_order_mesh(6, 6, seed=1), None),
+    (lambda: random_order_mesh(5, 5, seed=2, split_triangles=True), None),
+    (lambda: random_order_mesh(6, 6, seed=3), _discrete_circle),
+], ids=["p1", "p2", "p3", "mixed", "triangles", "discrete"])
+def test_face_errors_per_edge_order_match_the_face_loop(mesh, field):
+    m = mesh()
+    field = ANALYTIC_LEVELSETS["circle"]() if field is None else field()
+    mark_interface_faces(m, field)
+    errors, lengths = _face_errors_loop(m, field)
+    rep = compute_face_errors(m, field)
+    assert rep.faces == sorted(m.marked_faces)
+    assert rep.errors.tolist() == errors
+    assert rep.lengths.tolist() == lengths
+    assert rep.total_error == float(np.sum(errors))
+    orders = set(m.dof_map().edge_orders[rep.faces].tolist())
+    if m.order_histogram().keys() == {1, 2, 3}:
+        assert len(orders) > 1   # faces of several edge orders in one call
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +289,120 @@ def _fitted_refined_circle():
     return m, circle
 
 
-def test_try_derefine_rejection_leaves_mesh_untouched():
+#: the derefining plans of the bench's adaptive variants
+DEREF_VARIANTS = {
+    "deref": dict(deref_kind="size", deref_threshold=1e-5),
+    "limited_deref": dict(deref_kind="size", deref_threshold=1e-5,
+                          max_neighbor_diff=1),
+}
+
+
+def _squircle_plan(name):
+    return AdaptivityPlan(p_init=1, p_max=3, refine_step=2,
+                          refine_kind="absolute", refine_threshold=1e-14,
+                          fit_tol=1e-7, **DEREF_VARIANTS[name])
+
+
+def _applied_min_det(mesh, lowered, order):
+    """The apply-and-rollback trial that ``lowering_min_det`` replaces: the
+    lowering applied to a copy of the mesh, one constraint pass, then
+    ``min_det`` of the lowered elements and their edge neighbors."""
+    m = mesh.copy()
+    for e in lowered:
+        m.set_order(e, order)
+    apply_edge_constraints(m)
+    k = m.element_edge_ids[lowered]
+    sides = m.edge_element_ids[k[k >= 0]]
+    return m.min_det(set(lowered) | set(sides[sides >= 0].tolist()))
+
+
+@functools.lru_cache(maxsize=None)
+def _derefining_run(name, n):
+    """Every derefinement trial of the n x n squircle run of a bench variant,
+    as (lowered, order, block min det, applied min det), and a copy of the
+    mesh before each derefinement pass."""
+    trials, before_pass = [], []
+
+    def trial(mesh, lowered, order):
+        md = lowering_min_det(mesh, lowered, order)
+        trials.append((list(lowered), order, md,
+                       _applied_min_det(mesh, lowered, order)))
+        return md
+
+    def deref_pass(mesh, field, plan):
+        before_pass.append(mesh.copy())
+        return derefinement_pass(mesh, field, plan)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adapt, "lowering_min_det", trial)
+        mp.setattr(adapt, "derefinement_pass", deref_pass)
+        run_rp_adaptivity(generate_cartesian(n, n, 1),
+                          ANALYTIC_LEVELSETS["squircle2d"](),
+                          FitConfig(metric=QualityMetric("mu2")),
+                          _squircle_plan(name))
+    return trials, before_pass
+
+
+@pytest.mark.parametrize("name", DEREF_VARIANTS)
+@pytest.mark.parametrize("n", [8, 16])
+def test_block_trials_decide_like_the_applied_lowering(name, n):
+    trials, _ = _derefining_run(name, n)
+    assert trials
+    for lowered, order, md, applied in trials:
+        assert (md > 0.0) == (applied > 0.0), (lowered, order)
+        assert abs(md - applied) <= 1e-12 * abs(applied), (lowered, order)
+    if name == "limited_deref":
+        assert any(md <= 0.0 for *_, md, _ in trials)
+
+
+def test_try_derefine_rejection_leaves_mesh_untouched(monkeypatch):
+    calls, dets = [], []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    def trial(mesh, lowered, order):
+        dets.append(lowering_min_det(mesh, lowered, order))
+        return dets[-1]
+
+    monkeypatch.setattr(MixedOrderMesh, "set_order",
+                        spy("set_order", MixedOrderMesh.set_order))
+    monkeypatch.setattr(adapt, "apply_edge_constraints",
+                        spy("constraints", apply_edge_constraints))
+    monkeypatch.setattr(DofMap, "__init__", spy("dofmap", DofMap.__init__))
+    monkeypatch.setattr(adapt, "lowering_min_det", trial)
+
+    def attempt(m, field, plan, face):
+        m.dof_map()   # the DofMap a derefinement pass has cached
+        snapshot = m.copy()
+        calls.clear()
+        dets.clear()
+        p_hat = try_derefine(m, field, plan, face)
+        if p_hat is None:
+            assert calls == []
+            assert meshes_identical(m, snapshot)
+        return p_hat
+
     m, circle = _fitted_refined_circle()
-    snapshot = m.copy()
     # an impossible criterion rejects every candidate order
     plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2,
                           deref_kind="ref", deref_threshold=0.0)
-    face = sorted(m.marked_faces)[0]
-    assert try_derefine(m, circle, plan, face) is None
-    assert meshes_identical(m, snapshot)
+    assert attempt(m, circle, plan, sorted(m.marked_faces)[0]) is None
+    assert dets == []
+    # the neighbor-limited 8x8 squircle pass rejects lowerings on their
+    # Jacobians; a face whose every trial is rejected changes nothing
+    _, before_pass = _derefining_run("limited_deref", 8)
+    m = before_pass[0].copy()
+    squircle = ANALYTIC_LEVELSETS["squircle2d"]()
+    rejected = 0
+    for face in sorted(m.marked_faces):
+        if attempt(m, squircle, _squircle_plan("limited_deref"),
+                   face) is None:
+            rejected += any(d <= 0.0 for d in dets)
+    assert rejected > 0
 
 
 def test_try_derefine_acceptance_lowers_orders():

@@ -7,7 +7,7 @@ import pytest
 
 import meshfit
 from meshfit.basis import (QUAD, TRI, BasisTables, ReferenceElement,
-                           basis_tables, _gauss_legendre_01,
+                           basis_tables, edge_samples, _gauss_legendre_01,
                            _gauss_lobatto_01, gauss_lobatto_nodes,
                            jacobian_table, lagrange_1d, lagrange_1d_deriv,
                            reference_element)
@@ -303,3 +303,12 @@ def test_kind_tables_are_read_only_and_match_fresh_evaluations(geometry, p):
     assert np.array_equal(tables.center_basis, fresh.eval_basis(fresh.center))
     assert np.array_equal(tables.center_grad,
                           fresh.eval_basis_grad(fresh.center))
+    # the edge samples of the SVG outlines (16 segments) and the locator
+    # boxes (4 p segments)
+    for segments in (16, 4 * p):
+        samples = edge_samples(geometry, p, segments)
+        assert edge_samples(geometry, p, segments) is samples
+        assert not samples.flags.writeable
+        t = np.linspace(0.0, 1.0, segments + 1)
+        assert np.array_equal(samples, fresh.eval_basis(np.vstack(
+            [fresh.edge_point(le, t) for le in range(len(fresh.corners))])))

@@ -757,6 +757,54 @@ def test_boundary_freedom_fixed_and_free_modes():
     assert np.all(kinds_free == 0)
 
 
+def _boundary_freedom_loop(mesh, mode):
+    """The per-edge, per-node loop that ``boundary_freedom`` must match bit
+    for bit."""
+    dm = mesh.dof_map()
+    kinds = np.zeros(dm.num_nodes, dtype=int)
+    tangents = np.zeros((dm.num_nodes, 2))
+    if mode == "free":
+        return kinds, tangents
+    for k in mesh.boundary_edges():
+        ids = dm.edge_nodes[k, :dm.edge_orders[k] + 1]
+        tangent = mesh.vertices[ids[-1]] - mesh.vertices[ids[0]]
+        norm = float(np.hypot(*tangent))
+        if norm == 0.0:
+            continue
+        tangent = tangent / norm
+        for node in ids:
+            if mode == "fixed":
+                kinds[node] = 2
+            elif kinds[node] == 0:
+                kinds[node] = 1
+                tangents[node] = tangent
+            elif kinds[node] == 1:
+                cross = abs(tangents[node, 0] * tangent[1]
+                            - tangents[node, 1] * tangent[0])
+                if cross > 1e-12:
+                    kinds[node] = 2
+    return kinds, tangents
+
+
+@pytest.mark.parametrize("mode", ["slide", "fixed", "free"])
+@pytest.mark.parametrize("mesh", [
+    lambda: generate_cartesian(3, 3, 2),
+    # boundary nodes moved too, so most boundary vertices become corners
+    lambda: perturbed_mesh(4, 3, 2, seed=5, keep_boundary=False),
+    lambda: random_order_mesh(4, 4, seed=2),
+    lambda: perturbed_mesh(3, 3, 3, seed=1, split_triangles=True,
+                           keep_boundary=False),
+], ids=["square", "perturbed", "mixed", "triangles"])
+def test_boundary_freedom_matches_the_node_loop(mesh, mode):
+    m = mesh()
+    kinds, tangents = boundary_freedom(m, mode)
+    ref_kinds, ref_tangents = _boundary_freedom_loop(m, mode)
+    assert np.array_equal(kinds, ref_kinds)
+    assert np.array_equal(tangents, ref_tangents)
+    if mode == "slide":
+        assert {0, 1, 2} <= set(kinds.tolist())
+
+
 def _sheared_cartesian(n, order, shear=0.3):
     m = generate_cartesian(n, n, order)
     dm = m.dof_map()
