@@ -11,8 +11,12 @@ the edge.
 A mesh state is described by tables, each built once by the object that
 owns it.  The mesh owns the edge table (``_build_edges``), arrays only,
 which depends on the vertex lists alone, and the element groups by
-(geometry, order) (``groups()``).  The ``DofMap`` owns the node numbering
-and is the one place that decides the side an edge trace is read from.
+(geometry, order) (``groups()``).  The edge table holds each edge's vertex
+pair, its elements and their local edge indices, each element's vertex
+and edge ids and the direction of each local edge, and answers vertex-pair
+lookups (``edge_ids``); no other code derives a local edge or a direction.
+The ``DofMap`` owns the node numbering and is the one place that decides
+the side an edge trace is read from.
 The groups and the DofMap are dropped by ``set_order`` when an element's
 order changes and rebuilt on their next use.  ``lowering_min_det`` tells
 whether lowering some elements would keep the mesh valid without changing
@@ -141,13 +145,19 @@ class MixedOrderMesh:
 
     # -- connectivity -----------------------------------------------------
 
-    def edge_id(self, v0: int, v1: int) -> int:
-        """Id of the edge between vertices v0 and v1, given in either order."""
-        lo, hi = self.edge_vertex_ids.T
-        hit = np.flatnonzero((lo == min(v0, v1)) & (hi == max(v0, v1)))
-        if not hit.size:
+    def edge_ids(self, pairs) -> list[int]:
+        """Ids of the edges between the (k, 2) vertex pairs, each in either
+        order; raises ``MeshStructureError`` for the first pair that shares
+        no edge."""
+        pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+        lo, hi, nv = pairs.min(axis=1), pairs.max(axis=1), len(self.vertices)
+        keys = np.where((lo >= 0) & (hi < nv), lo * nv + hi, -1)
+        at = np.searchsorted(self._edge_keys, keys)
+        missing = np.flatnonzero(self._edge_keys[at] != keys)
+        if missing.size:
+            v0, v1 = pairs[missing[0]].tolist()
             raise MeshStructureError(f"no edge between vertices {v0} and {v1}")
-        return int(hit[0])
+        return self._edge_key_ids[at].tolist()
 
     def _build_edges(self):
         """The edge table and the incidence arrays, from one ``np.unique``
@@ -169,12 +179,13 @@ class MixedOrderMesh:
             raise MeshStructureError(
                 f"element {element[degenerate[0]]} has a degenerate edge")
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        _, first, inverse, counts = np.unique(
+        keys, first, inverse, counts = np.unique(
             lo * len(self.vertices) + hi, return_index=True,
             return_inverse=True, return_counts=True)
         by_id = np.argsort(first)  # edge ids follow first appearance
         first, counts = first[by_id], counts[by_id]
-        edge = np.argsort(by_id)[inverse]
+        key_ids = np.argsort(by_id)  # edge id of each sorted key
+        edge = key_ids[inverse]
         # a local edge that is not its edge's first is the second side, or
         # the third or later of an edge that fails the check below
         later = first[edge] != i
@@ -191,22 +202,30 @@ class MixedOrderMesh:
             raise MeshStructureError(f"edge {tuple(ends[k].tolist())} {what}")
         verts = np.full((len(nverts), nverts.max(initial=0)), -1)
         own = np.full(verts.shape, -1)
+        runs_up = np.zeros(verts.shape, dtype=bool)
+        verts[element, local], own[element, local] = a, edge
+        runs_up[element, local] = forward
         sides = np.full((len(first), 2), -1)
-        verts[element, local] = a
-        own[element, local] = edge
-        sides[:, 0] = element[first]
+        side_local = np.full(sides.shape, -1)
+        sides[:, 0], side_local[:, 0] = element[first], local[first]
         sides[edge[later], 1] = element[later]
-        for t in (verts, own, sides, ends):
+        side_local[edge[later], 1] = local[later]
+        for t in (verts, own, runs_up, sides, side_local, ends):
             t.flags.writeable = False
         #: (num edges, 2) smaller and larger vertex id of each edge
         self.edge_vertex_ids = ends
-        #: (E, max vertices) vertex ids and edge ids of each element in local
-        #: order, padded with -1
-        self.element_vertex_ids = verts
-        self.element_edge_ids = own
-        #: (num edges, 2) elements of each edge in side order, -1 for the
-        #: missing side of a boundary edge
-        self.edge_element_ids = sides
+        #: (E, max vertices) per local edge of each element: its first vertex
+        #: id, its edge id and whether it runs from the smaller to the larger
+        #: vertex id; padded with -1 (False)
+        self.element_vertex_ids, self.element_edge_ids = verts, own
+        self.element_edge_forward = runs_up
+        #: (num edges, 2) per side of each edge, in element order: its element
+        #: and its local edge; -1 for the missing side of a boundary edge
+        self.edge_element_ids, self.edge_local_ids = sides, side_local
+        # the sorted vertex-pair keys lo * num vertices + hi, closed by a
+        # sentinel no pair reaches, and the edge id of each key
+        self._edge_keys = np.append(keys, np.iinfo(int).max)
+        self._edge_key_ids = key_ids
 
     def boundary_edges(self) -> list[int]:
         return np.flatnonzero(self.edge_element_ids[:, 1] < 0).tolist()
@@ -313,15 +332,15 @@ class DofMap:
     node it reads directly (-1 for a constrained edge node).  ``expand`` is
     a sparse matrix taking a per-node vector (or (n, k) stack) to the
     concatenation, applying trace interpolation on constrained high-order
-    edge nodes.  ``read_slots`` gives, for each non-vertex node, the slot of
-    the concatenation it is read from: its first directly mapped slot, which
-    for an edge node is the lowest element id at the edge's governing order.
-    So the trace of edge k at order p is
-    ``extract(mesh)[edge_nodes[k, :p + 1]]``.
+    edge nodes, and ``expand_T`` is its CSR transpose.  ``read_slots`` gives,
+    for each non-vertex node, the slot of the concatenation it is read from:
+    its first directly mapped slot, which for an edge node is the lowest
+    element id at the edge's governing order.  So the trace of edge k at
+    order p is ``extract(mesh)[edge_nodes[k, :p + 1]]``.
 
     The build is a few array operations per group and per local edge,
-    reading the mesh's element-vertex, element-edge and edge-element arrays;
-    no loop runs over elements.
+    reading the mesh's element-vertex, element-edge, edge-direction and
+    edge-element arrays; no loop runs over elements.
     """
 
     def __init__(self, mesh: MixedOrderMesh):
@@ -377,8 +396,8 @@ class DofMap:
             k = mesh.element_edge_ids[ids, :nverts]
             p_edge = self.edge_orders[k]
             enodes = np.array(ref.edge_nodes)
-            canonical = np.where((V < np.roll(V, -1, axis=1))[..., None],
-                                 enodes, enodes[:, ::-1])
+            forward = mesh.element_edge_forward[ids, :nverts, None]
+            canonical = np.where(forward, enodes, enodes[:, ::-1])
             member = np.broadcast_to(np.arange(len(ids))[:, None], k.shape)
             same = p_edge == p
             node[member[same][:, None], canonical[same][:, 1:-1]] = \
@@ -408,6 +427,7 @@ class DofMap:
              (np.concatenate([direct_slots, *rows]),
               np.concatenate([direct_nodes, *cols]))),
             shape=(self.total_local, self.num_nodes))
+        self.expand_T = self.expand.T.tocsr()
         read = np.full(self.num_nodes, self.total_local)
         np.minimum.at(read, direct_nodes, direct_slots)
         self.read_slots = read[nv:]
@@ -483,17 +503,6 @@ def min_det_of(stacks) -> float:
     return float(np.min([np.inf] + [d.min() for d in element_min_dets(stacks)]))
 
 
-def _edge_local_nodes(mesh: MixedOrderMesh, e: int, k: int,
-                      order: int) -> np.ndarray:
-    """Local node indices of edge ``k`` in element ``e`` at ``order``, from
-    the edge's smaller to its larger vertex id."""
-    el = mesh.elements[e]
-    le = int(np.flatnonzero(mesh.element_edge_ids[e] == k)[0])
-    nodes = reference_element(el.geometry, order).edge_nodes[le]
-    a, b = el.verts[le], el.verts[(le + 1) % len(el.verts)]
-    return nodes if a < b else nodes[::-1]
-
-
 def lowering_min_det(mesh: MixedOrderMesh, lowered, order: int) -> float:
     """``min_det`` of the elements in ``lowered`` and their edge neighbors
     after ``set_order(e, order)`` for each e in ``lowered`` and one
@@ -509,6 +518,12 @@ def lowering_min_det(mesh: MixedOrderMesh, lowered, order: int) -> float:
     satisfies its edge constraints.  The blocks agree with the applied
     sequence up to rounding, not bit for bit.
     """
+    def along(k, side, p):
+        """Local nodes of edge k on a side at order p, smaller vertex first."""
+        e, le = mesh.edge_element_ids[k, side], mesh.edge_local_ids[k, side]
+        nodes = reference_element(mesh.elements[e].geometry, p).edge_nodes[le]
+        return nodes if mesh.element_edge_forward[e, le] else nodes[::-1]
+
     orders = mesh.orders()
     orders[lowered] = order
     blocks = {}   # element id -> (n, 2) node block
@@ -526,14 +541,14 @@ def lowering_min_det(mesh: MixedOrderMesh, lowered, order: int) -> float:
             continue   # a boundary edge's one side owns its trace
         touched.update(sides.tolist())
         governing = int(orders[sides].min())
-        owner, other = sides.tolist() if orders[sides[0]] == governing \
-            else sides[::-1].tolist()
+        j = 0 if orders[sides[0]] == governing else 1   # the owner's side
+        owner, other = int(sides[j]), int(sides[1 - j])
         X = blocks[owner] if owner in blocks else mesh.elements[owner].coords.T
-        trace = X[_edge_local_nodes(mesh, owner, k, governing)]
+        trace = X[along(k, j, governing)]
         p = int(orders[other])
         if other not in blocks:
             blocks[other] = mesh.elements[other].coords.T.copy()
-        inner = _edge_local_nodes(mesh, other, k, p)[1:-1]
+        inner = along(k, 1 - j, p)[1:-1]
         blocks[other][inner] = trace[1:-1] if p == governing else \
             interpolation_matrix(governing, p)[1:-1] @ trace
     stacks: dict[tuple[str, int], list[np.ndarray]] = {}

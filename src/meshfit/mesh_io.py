@@ -113,9 +113,7 @@ def write_mesh(mesh: MixedOrderMesh, path, scalar=None):
         lines.append(" ".join(_fmt(x) for x in flat))
     faces = sorted(mesh.marked_faces)
     lines.append(f"marked_faces {len(faces)}")
-    for k in faces:
-        a, b = mesh.edge_vertex_ids[k]
-        lines.append(f"{a} {b}")
+    lines += [f"{a} {b}" for a, b in mesh.edge_vertex_ids[faces].tolist()]
     if scalar is not None:
         lines.append("scalar sigma")
         for block in scalar:
@@ -153,7 +151,7 @@ def read_mesh(path, with_scalar: bool = False):
             [ln for ln in raw if ln and not ln.startswith("#")])
     except MeshFileError:
         raise
-    except ValueError as exc:  # a non-numeric token or a structure error
+    except (ValueError, OverflowError) as exc:  # a bad token or structure
         raise MeshFileError(f"malformed mesh file: {exc}") from exc
     return (mesh, scalar_blocks) if with_scalar else mesh
 
@@ -226,9 +224,10 @@ def _parse_mesh(lines):
             raise MeshFileError(
                 f"element {e} corner nodes disagree with the shared vertex table")
 
-    for _ in range(_count(next_line("marked_faces").split(), "marked_faces")):
-        a, b = (int(x) for x in _expect(next_line("face").split(), "face", 2))
-        mesh.marked_faces.add(mesh.edge_id(a, b))
+    faces = [[int(x) for x in _expect(next_line("face").split(), "face", 2)]
+             for _ in range(_count(next_line("marked_faces").split(),
+                                   "marked_faces"))]
+    mesh.marked_faces.update(mesh.edge_ids(faces))
 
     scalar_blocks = None
     remaining = list(it)

@@ -339,7 +339,7 @@ def _quality_gradient(asm: _Assembly, state) -> np.ndarray:
             np.multiply(kind.quad_weights, dmu, out=D[:, ac // 2, :, ac % 2])
         g_all[gather] = kind.detW * (
             D.reshape(n_el, 2, 2 * nq) @ kind.Kf).transpose(0, 2, 1)
-    return asm.dm.expand.T @ g_all
+    return asm.dm.expand_T @ g_all
 
 
 def _total(fq: float, sigma: np.ndarray, fit_weight: float) -> float:

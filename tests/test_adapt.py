@@ -14,9 +14,10 @@ from meshfit.adapt import (apply_refinement, derefinement_pass,
                            edge_touching_elevation, mark_for_refinement,
                            propagate_orders, try_derefine)
 from meshfit.basis import (_gauss_legendre_01, gauss_lobatto_nodes,
-                           lagrange_1d, lagrange_1d_deriv)
+                           lagrange_1d, lagrange_1d_deriv, reference_element)
 from meshfit.levelset import ANALYTIC_LEVELSETS, AnalyticLevelSet
-from meshfit.mesh import interpolation_matrix, lowering_min_det
+from meshfit.mesh import (interpolation_matrix, lowering_min_det, min_det_of,
+                          resampling_matrix)
 from meshfit.tmop import SolveReport
 
 from conftest import (edge_records, meshes_identical, perturbed_mesh,
@@ -41,7 +42,7 @@ def _linear_field(a, b, c):
 
 def test_face_error_constant_field():
     m = generate_cartesian(1, 1, 1)
-    m.marked_faces = {m.edge_id(0, 1)}  # the bottom edge, length 1
+    m.marked_faces = set(m.edge_ids([(0, 1)]))  # the bottom edge, length 1
     # e_f = integral of sigma^2 over the face
     rep = compute_face_errors(m, _const_field(2.0))
     assert np.isclose(rep.errors[0], 4.0, atol=1e-12)
@@ -57,20 +58,20 @@ def test_node_sigma_max_covers_the_given_faces():
     # the nodes of the marked faces only: sigma = y is 1 on the top edge
     # and 0 on the bottom edge
     field = _linear_field(0.0, 1.0, 0.0)
-    m.marked_faces = {m.edge_id(6, 7)}
+    m.marked_faces = set(m.edge_ids([(6, 7)]))
     assert compute_face_errors(m, field).node_sigma_max == 1.0
-    m.marked_faces = {m.edge_id(0, 1)}
+    m.marked_faces = set(m.edge_ids([(0, 1)]))
     assert compute_face_errors(m, field).node_sigma_max == 0.0
 
 
 def test_face_error_linear_field():
     m = generate_cartesian(2, 2, 1)
     field = _linear_field(0.0, 1.0, -0.1)  # sigma = y - 0.1
-    m.marked_faces = {m.edge_id(0, 1)}
+    m.marked_faces = set(m.edge_ids([(0, 1)]))
     # on y = 0 the residual is 0.1 along a length-0.5 face
     rep = compute_face_errors(m, field)
     assert np.isclose(rep.errors[0], 0.01 * 0.5, atol=1e-14)
-    m.marked_faces = {m.edge_id(3, 4)}  # a face on y = 0.5
+    m.marked_faces = set(m.edge_ids([(3, 4)]))  # a face on y = 0.5
     rep = compute_face_errors(m, field)
     assert np.isclose(rep.errors[0], 0.16 * 0.5, atol=1e-14)
 
@@ -87,7 +88,7 @@ def test_arc_length_of_curved_face():
     # bend the shared face of a 2x1 mesh into a parabolic arc and compare
     # against dense numerical integration of the true arc length
     m = generate_cartesian(2, 1, 2)
-    k = m.edge_id(1, 4)
+    k, = m.edge_ids([(1, 4)])
     dm = m.dof_map()
     ids = dm.edge_nodes[k]  # every edge is at p2, so the row is unpadded
     t = dm.extract(m)
@@ -316,17 +317,66 @@ def _applied_min_det(mesh, lowered, order):
     return m.min_det(set(lowered) | set(sides[sides >= 0].tolist()))
 
 
+def _edge_local_nodes(mesh, e, k, order):
+    """Local node indices of edge ``k`` in element ``e`` at ``order``, from
+    the edge's smaller to its larger vertex id, found by a scan of the
+    element's edge ids and a comparison of its vertices."""
+    el = mesh.elements[e]
+    le = int(np.flatnonzero(mesh.element_edge_ids[e] == k)[0])
+    nodes = reference_element(el.geometry, order).edge_nodes[le]
+    a, b = el.verts[le], el.verts[(le + 1) % len(el.verts)]
+    return nodes if a < b else nodes[::-1]
+
+
+def _scanned_lowering_min_det(mesh, lowered, order):
+    """``lowering_min_det`` as it read local edges before the edge table
+    held them: through ``_edge_local_nodes``."""
+    orders = mesh.orders()
+    orders[lowered] = order
+    blocks = {}
+    for e in lowered:
+        el = mesh.elements[e]
+        X = resampling_matrix(el.geometry, el.order, order) @ el.coords.T
+        X[reference_element(el.geometry, order).corners] = \
+            mesh.vertices[el.verts]
+        blocks[e] = X
+    touched = set(lowered)
+    edges = np.unique(mesh.element_edge_ids[lowered])
+    for k in edges[edges >= 0].tolist():
+        sides = mesh.edge_element_ids[k]
+        if sides[1] < 0:
+            continue
+        touched.update(sides.tolist())
+        governing = int(orders[sides].min())
+        owner, other = sides.tolist() if orders[sides[0]] == governing \
+            else sides[::-1].tolist()
+        X = blocks[owner] if owner in blocks else mesh.elements[owner].coords.T
+        trace = X[_edge_local_nodes(mesh, owner, k, governing)]
+        p = int(orders[other])
+        if other not in blocks:
+            blocks[other] = mesh.elements[other].coords.T.copy()
+        inner = _edge_local_nodes(mesh, other, k, p)[1:-1]
+        blocks[other][inner] = trace[1:-1] if p == governing else \
+            interpolation_matrix(governing, p)[1:-1] @ trace
+    stacks = {}
+    for e in sorted(touched):
+        stacks.setdefault((mesh.elements[e].geometry, int(orders[e])), []) \
+            .append(blocks[e] if e in blocks else mesh.elements[e].coords.T)
+    return min_det_of((key, np.stack(X)) for key, X in stacks.items())
+
+
 @functools.lru_cache(maxsize=None)
 def _derefining_run(name, n):
     """Every derefinement trial of the n x n squircle run of a bench variant,
-    as (lowered, order, block min det, applied min det), and a copy of the
-    mesh before each derefinement pass."""
+    as (lowered, order, block min det, applied min det, scanned block min
+    det), and a copy of the mesh before each derefinement pass."""
     trials, before_pass = [], []
 
     def trial(mesh, lowered, order):
         md = lowering_min_det(mesh, lowered, order)
         trials.append((list(lowered), order, md,
-                       _applied_min_det(mesh, lowered, order)))
+                       _applied_min_det(mesh, lowered, order),
+                       _scanned_lowering_min_det(mesh, lowered, order)))
         return md
 
     def deref_pass(mesh, field, plan):
@@ -348,11 +398,12 @@ def _derefining_run(name, n):
 def test_block_trials_decide_like_the_applied_lowering(name, n):
     trials, _ = _derefining_run(name, n)
     assert trials
-    for lowered, order, md, applied in trials:
+    for lowered, order, md, applied, scanned in trials:
         assert (md > 0.0) == (applied > 0.0), (lowered, order)
         assert abs(md - applied) <= 1e-12 * abs(applied), (lowered, order)
+        assert md == scanned, (lowered, order)
     if name == "limited_deref":
-        assert any(md <= 0.0 for *_, md, _ in trials)
+        assert any(md <= 0.0 for _, _, md, _, _ in trials)
 
 
 def test_try_derefine_rejection_leaves_mesh_untouched(monkeypatch):

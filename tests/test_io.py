@@ -26,7 +26,7 @@ def _scalar_blocks(m, t):
 
 def test_roundtrip_byte_identity(tmp_path):
     m = random_order_mesh(3, 3, orders=(1, 2, 3), seed=7)
-    m.marked_faces = {m.edge_id(0, 1), m.edge_id(5, 6)}
+    m.marked_faces = set(m.edge_ids([(0, 1), (5, 6)]))
     p1, p2 = tmp_path / "a.mesh", tmp_path / "b.mesh"
     write_mesh(m, p1)
     m2 = read_mesh(p1)
@@ -114,12 +114,23 @@ def test_roundtrip_fuzz(tmp_path):
         assert meshes_identical(m, read_mesh(path)), f"trial {trial}"
 
 
+def test_roundtrip_64x64_marked_interface(tmp_path):
+    m = generate_cartesian(64, 64, 2)
+    marked = mark_interface_faces(m, ANALYTIC_LEVELSETS["squircle2d"]())
+    assert len(marked) == 120
+    path = tmp_path / "big.mesh"
+    write_mesh(m, path)
+    back = read_mesh(path)
+    assert meshes_identical(m, back)
+    assert back.marked_faces == marked
+
+
 # ---------------------------------------------------------------------------
 # reader rejections
 
 def _good_lines(tmp_path, scalar=False):
     m = random_order_mesh(2, 2, orders=(1, 2), seed=3)
-    m.marked_faces = {m.edge_id(0, 1)}
+    m.marked_faces = set(m.edge_ids([(0, 1)]))
     path = tmp_path / "good.mesh"
     if scalar:
         dm = m.dof_map()
@@ -206,7 +217,10 @@ def test_reader_rejects_bad_faces_and_trailing(tmp_path):
 
     lines = list(base)
     lines[i_mf + 1] = "0 8"  # diagonally opposite vertices share no edge
-    _expect_reject(tmp_path, lines)
+    _expect_reject(tmp_path, lines, match="no edge between vertices 0 and 8")
+    for face in ("-1 0", "0 9", f"0 {1 << 70}"):  # unknown vertices
+        lines[i_mf + 1] = face
+        _expect_reject(tmp_path, lines)
 
     lines = list(base)
     lines.append("banana")

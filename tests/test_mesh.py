@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -106,13 +108,40 @@ def test_edge_table_4x4():
     assert len(m.boundary_edges()) == 16
     interior = [k for k, rec in enumerate(edges) if len(rec.sides) == 2]
     assert len(interior) == 24
-    k = m.edge_id(0, 1)
+    k, = m.edge_ids([(0, 1)])
     assert set(edges[k].verts) == {0, 1}
     assert m.edge_vertex_ids.tolist() == [list(rec.verts) for rec in edges]
     with pytest.raises(ValueError):
         m.edge_vertex_ids[0, 0] = 1
-    with pytest.raises(MeshStructureError):
-        m.edge_id(0, 24)  # opposite corners share no edge
+
+
+def _edge_id_scan(m, v0, v1):
+    """The edge id of vertices v0 and v1 by a scan of the edge table, as
+    the scalar lookup that ``edge_ids`` replaced; None for no edge."""
+    for k, (lo, hi) in enumerate(m.edge_vertex_ids.tolist()):
+        if (lo, hi) == (min(v0, v1), max(v0, v1)):
+            return k
+    return None
+
+
+def test_edge_ids_batches_the_scan():
+    m = generate_cartesian(4, 4, 2, split_triangles=True)
+    pairs = np.random.default_rng(3).integers(0, 25, size=(400, 2))
+    pairs = pairs[[_edge_id_scan(m, *ab) is not None for ab in pairs.tolist()]]
+    assert len(pairs) > 20
+    pairs = np.concatenate([pairs, pairs[::-1], pairs[:5]])  # repeats
+    want = [_edge_id_scan(m, a, b) for a, b in pairs.tolist()]
+    assert m.edge_ids(pairs) == m.edge_ids(pairs[:, ::-1]) == want
+    assert m.edge_ids(pairs.tolist()) == want
+    assert m.edge_ids([]) == m.edge_ids(np.zeros((0, 2), dtype=int)) == []
+    # the first pair that shares no edge is named, as given
+    for bad in [(0, 24), (24, 0), (0, 0), (-1, 0), (3, 25), (0, 10 ** 15)]:
+        assert _edge_id_scan(m, *bad) is None
+        with pytest.raises(MeshStructureError, match=re.escape(
+                f"no edge between vertices {bad[0]} and {bad[1]}")):
+            m.edge_ids([(0, 1), bad, (6, 12)])
+    with pytest.raises(MeshStructureError, match="vertices 7 and 19"):
+        MixedOrderMesh(m.vertices, []).edge_ids([(7, 19), (0, 1)])
 
 
 def test_edge_overshare_rejected():
@@ -188,7 +217,7 @@ def _shuffled_mesh():
 
 def _read_back_mesh(tmp_path):
     m = random_order_mesh(4, 3, seed=6)
-    m.marked_faces = {m.edge_id(0, 1), m.edge_id(5, 6)}
+    m.marked_faces = set(m.edge_ids([(0, 1), (5, 6)]))
     write_mesh(m, tmp_path / "m.mesh")
     return read_mesh(tmp_path / "m.mesh")
 
@@ -201,6 +230,9 @@ EDGE_TABLE_MESHES = {
     "shuffled": lambda tmp_path: _shuffled_mesh(),
     "quads_and_triangles": lambda tmp_path: _mixed_geometry_mesh(),
     "read_back": _read_back_mesh,
+    "perturbed_triangles": lambda tmp_path: perturbed_mesh(
+        4, 3, 2, seed=2, split_triangles=True),
+    "quads_64x64": lambda tmp_path: generate_cartesian(64, 64, 1),
 }
 
 
@@ -211,23 +243,31 @@ def test_edge_arrays_match_the_loop_reference(name, tmp_path):
     width = max(len(el.verts) for el in m.elements)
     verts = np.full((len(m.elements), width), -1)
     own = np.full((len(m.elements), width), -1)
+    forward = np.zeros((len(m.elements), width), dtype=bool)
     sides = np.full((len(records), 2), -1)
+    local = np.full((len(records), 2), -1)
     for k, rec in enumerate(records):
         for i, side in enumerate(rec.sides):
             own[side.element, side.local_edge] = k
+            forward[side.element, side.local_edge] = side.forward
             sides[k, i] = side.element
+            local[k, i] = side.local_edge
     for e, el in enumerate(m.elements):
         verts[e, :len(el.verts)] = el.verts
     ends = np.array([rec.verts for rec in records], dtype=int)
     for attr, want in (("edge_vertex_ids", ends),
                        ("element_vertex_ids", verts),
-                       ("element_edge_ids", own), ("edge_element_ids", sides)):
+                       ("element_edge_ids", own),
+                       ("element_edge_forward", forward),
+                       ("edge_element_ids", sides), ("edge_local_ids", local)):
         mine = getattr(m, attr)
         assert mine.dtype == want.dtype and mine.shape == want.shape, attr
         assert np.array_equal(mine, want), attr
-    for k, (a, b) in enumerate(rec.verts for rec in records):
-        assert m.edge_id(a, b) == m.edge_id(b, a) == k
-        assert type(m.edge_id(a, b)) is int
+        with pytest.raises(ValueError):
+            mine[0, 0] = mine[0, 0]
+    ids = np.arange(len(records)).tolist()
+    assert m.edge_ids(ends) == m.edge_ids(ends[:, ::-1]) == ids
+    assert all(type(k) is int for k in m.edge_ids(ends))
 
 
 def test_degenerate_edge_rejected():
@@ -419,6 +459,34 @@ def test_dofmap_matches_the_element_loop():
             assert np.array_equal(mine, want)
 
 
+def test_edge_directions_match_the_rolled_vertex_test():
+    # the DofMap orients each local edge by element_edge_forward; the rolled
+    # vertex comparison it used before must give the same directions
+    meshes = [*_dofmap_meshes(), _mixed_geometry_mesh(),
+              generate_cartesian(64, 64, 1),
+              generate_cartesian(64, 64, 1, split_triangles=True)]
+    for m in meshes:
+        for key, ids in m.groups().items():
+            n = len(reference_element(*key).corners)
+            V = m.element_vertex_ids[ids, :n]
+            assert np.array_equal(m.element_edge_forward[ids, :n],
+                                  V < np.roll(V, -1, axis=1))
+            assert not m.element_edge_forward[ids, n:].any()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_order_mesh(8, 8, seed=2),
+    lambda: generate_cartesian(8, 8, 1),
+    lambda: generate_cartesian(8, 8, 3),
+    lambda: random_order_mesh(8, 8, seed=5, split_triangles=True),
+], ids=["mixed_quads", "p1", "p3", "split_triangles"])
+def test_expand_T_products_equal_the_transposed_expand(make):
+    dm = make().dof_map()
+    g = np.random.default_rng(7).standard_normal((dm.total_local, 2))
+    assert (dm.expand_T != dm.expand.T).nnz == 0
+    assert np.array_equal(dm.expand_T @ g, dm.expand.T @ g)
+
+
 def test_dofmap_tables_are_read_only():
     dm = random_order_mesh(3, 3, seed=1).dof_map()
     for a in [*dm.slots.values(), *dm.node_ids.values(), dm.edge_nodes]:
@@ -599,14 +667,15 @@ def test_edge_order_is_min_of_sides():
 
 def test_marked_and_edge_node_ids():
     m = generate_cartesian(3, 3, 2)
-    m.marked_faces = {m.edge_id(0, 1), m.edge_id(1, 2)}
+    faces = m.edge_ids([(0, 1), (1, 2)])
+    m.marked_faces = set(faces)
     dm = m.dof_map()
     ids = dm.marked_node_ids(m)
     assert len(ids) == 5  # two p=2 edges sharing one endpoint
     assert np.all(np.diff(ids) > 0)
-    edge_ids = dm.edge_nodes[m.edge_id(0, 1)]
+    edge_ids = dm.edge_nodes[faces[0]]
     assert len(edge_ids) == 3 and edge_ids[0] == 0 and edge_ids[-1] == 1
-    assert set(ids) == set(edge_ids) | set(dm.edge_nodes[m.edge_id(1, 2)])
+    assert set(ids) == set(edge_ids) | set(dm.edge_nodes[faces[1]])
     t = dm.extract(m)
     pts = t[edge_ids]
     assert np.allclose(pts[:, 1], 0.0, atol=1e-14)  # bottom edge of the square
