@@ -9,19 +9,18 @@ from the low-order side's trace, which keeps the geometry continuous across
 the edge.
 
 A mesh state is described by tables, each built once by the object that
-owns it.  The mesh owns the edge table (``_build_edges``), arrays only,
-which depends on the vertex lists alone, and the element groups by
-(geometry, order) (``groups()``).  The edge table holds each edge's vertex
-pair, its elements and their local edge indices, each element's vertex
-and edge ids and the direction of each local edge, and answers vertex-pair
+owns it.  The mesh owns the element groups by (geometry, order)
+(``groups()``), whose every build is the one element check, and the edge
+table (``_build_edges``), arrays over the vertex lists alone: each edge's
+vertex pair, its elements and their local edge indices, each element's
+vertex and edge ids and the direction of each local edge, and vertex-pair
 lookups (``edge_ids``); no other code derives a local edge or a direction.
 The ``DofMap`` owns the node numbering and is the one place that decides
-the side an edge trace is read from.
-The groups and the DofMap are dropped by ``set_order`` when an element's
-order changes and rebuilt on their next use.  ``lowering_min_det`` tells
-whether lowering some elements would keep the mesh valid without changing
-it: it rebuilds only the node blocks that the lowering and the constraint
-pass after it would touch, by the DofMap's owner rule.  The
+the side an edge trace is read from.  ``set_order`` drops the groups and
+the DofMap, which are rebuilt on their next use.  ``lowering_min_det``
+tells whether lowering some elements would keep the mesh valid without
+changing it, rebuilding only the node blocks that the lowering and the
+constraint pass after it would touch, by the DofMap's owner rule.  The
 tables of an element kind depend on no mesh: ``basis.reference_element``
 and ``basis.basis_tables`` build them once per (geometry, order).
 
@@ -35,12 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import (basis_tables, lagrange_1d, reference_element,
-                    _gauss_lobatto_cached)
+from .basis import (GEOMETRIES, basis_tables, lagrange_1d,
+                    reference_element, _gauss_lobatto_cached)
 from .errors import MeshInvalidError, MeshStructureError
 
 
@@ -124,26 +124,51 @@ class MixedOrderMesh:
             raise MeshStructureError("vertices must be an (n, 2) array")
         self.elements: list[MeshElement] = list(elements)
         self.marked_faces: set[int] = set(marked_faces)
-        self._groups: dict[tuple[str, int], np.ndarray] | None = None
         self._dofmap: DofMap | None = None
-        nv = len(self.vertices)
-        for e, el in enumerate(self.elements):
-            el.verts = np.asarray(el.verts, dtype=int)
-            if el.verts.min(initial=0) < 0 or el.verts.max(initial=-1) >= nv:
-                raise MeshStructureError(f"element {e} references unknown vertices")
-            ref = reference_element(el.geometry, el.order)
-            if len(el.verts) != len(ref.corners):
-                raise MeshStructureError(
-                    f"element {e} has {len(el.verts)} vertices, a "
-                    f"{el.geometry} has {len(ref.corners)}")
-            el.coords = np.asarray(el.coords, dtype=float)
-            if el.coords.shape != (2, ref.num_nodes):
-                raise MeshStructureError(
-                    f"element {e} has coords {el.coords.shape}, "
-                    f"expected (2, {ref.num_nodes})")
+        self._groups: dict | None = self._checked_groups()
         self._build_edges()
 
     # -- connectivity -----------------------------------------------------
+
+    def _checked_groups(self) -> dict[tuple[str, int], np.ndarray]:
+        """The ``groups()`` table, checking at once each set of elements alike
+        in geometry, order (and its type), vertex count and node-block shape.
+        Raises ``MeshStructureError`` for the first bad element, naming its
+        first fault of: unknown vertices, geometry or order, vertex count and
+        node-block shape.  Coerces vertex ids and node coordinates."""
+        found: dict[tuple, list[int]] = {}
+        for e, el in enumerate(self.elements):
+            el.verts = np.asarray(el.verts, dtype=int)
+            el.coords = np.asarray(el.coords, dtype=float)
+            found.setdefault((el.geometry, el.order, type(el.order),
+                              len(el.verts), el.coords.shape), []).append(e)
+        nv, faults, groups = len(self.vertices), [], {}
+        for (geometry, order, kind, count, shape), ids in found.items():
+            V = np.array([self.elements[e].verts for e in ids])
+            unknown = np.flatnonzero(((V < 0) | (V >= nv)).any(axis=1))
+            # (element, rank of the fault in the element, message)
+            faults += [(ids[k], 0, "references an unknown vertex")
+                       for k in unknown[:1]]
+            fault = None
+            if geometry not in GEOMETRIES:
+                fault = f"has unsupported geometry {geometry!r}"
+            elif kind is bool or not issubclass(kind, Integral) or order < 1:
+                fault = f"has order {order!r}, expected an integer >= 1"
+            else:
+                ref = reference_element(geometry, order)
+                if count != len(ref.corners):
+                    fault = (f"has {count} vertices, a {geometry} has "
+                             f"{len(ref.corners)}")
+                elif shape != (2, ref.num_nodes):
+                    fault = f"has coords {shape}, expected (2, {ref.num_nodes})"
+            if fault:
+                faults.append((ids[0], 1, fault))
+            else:
+                groups.setdefault((geometry, int(order)), []).extend(ids)
+        if faults:
+            e, _, what = min(faults)
+            raise MeshStructureError(f"element {e} {what}")
+        return {key: np.sort(ids) for key, ids in sorted(groups.items())}
 
     def edge_ids(self, pairs) -> list[int]:
         """Ids of the edges between the (k, 2) vertex pairs, each in either
@@ -244,13 +269,10 @@ class MixedOrderMesh:
 
     def groups(self) -> dict[tuple[str, int], np.ndarray]:
         """Ascending element ids per (geometry, order), keys sorted, for
-        batched evaluation.  Cached until the next ``set_order``."""
+        batched evaluation; every build checks the elements.  Cached until
+        the next ``set_order``."""
         if self._groups is None:
-            found: dict[tuple[str, int], list[int]] = {}
-            for e, el in enumerate(self.elements):
-                found.setdefault((el.geometry, el.order), []).append(e)
-            self._groups = {key: np.array(ids, dtype=int)
-                            for key, ids in sorted(found.items())}
+            self._groups = self._checked_groups()
         return self._groups
 
     def group_coords(self, ids) -> np.ndarray:
@@ -276,20 +298,14 @@ class MixedOrderMesh:
     # -- mutation ----------------------------------------------------------
 
     def set_order(self, e: int, new_order: int):
-        """Resample element ``e`` at a new order.
-
-        Raising the order preserves the geometry exactly; lowering it
-        interpolates the current map at the lower-order node set.  The
-        resampling matrix is built once per (geometry, old order, new
-        order).
-        """
+        """Resample element ``e`` at a new order (``resampled_block``):
+        raising the order keeps the map, lowering it interpolates the map at
+        the lower-order nodes."""
         el = self.elements[e]
         if new_order == el.order:
             return
-        B = resampling_matrix(el.geometry, el.order, new_order)
-        new_coords = (B @ el.coords.T).T.copy()
+        el.coords = resampled_block(self, e, new_order).T.copy()
         el.order = new_order
-        el.coords = new_coords
         # drop the tables that depend on element orders
         self._groups = None
         self._dofmap = None
@@ -348,13 +364,9 @@ class DofMap:
         refs = {key: reference_element(*key) for key in self.groups}
         nv = len(mesh.vertices)
         self.num_vertices = nv
-        num_el = len(mesh.elements)
-        orders = np.empty(num_el, dtype=int)
-        sizes = np.empty(num_el, dtype=int)
-        inner = np.empty(num_el, dtype=int)
+        orders, sizes, inner = np.empty((3, len(mesh.elements)), dtype=int)
         for key, ids in self.groups.items():
-            orders[ids] = key[1]
-            sizes[ids] = refs[key].num_nodes
+            orders[ids], sizes[ids] = key[1], refs[key].num_nodes
             inner[ids] = len(refs[key].interior)
         # the missing side (-1) of a boundary edge reads the appended maximum
         self.edge_orders = np.append(orders, np.iinfo(int).max)[
@@ -463,9 +475,9 @@ def check_node_blocks(mesh: MixedOrderMesh, blocks) -> list[np.ndarray]:
     if len(blocks) != len(mesh.elements):
         raise ValueError("one scalar block per element required")
     for e, (el, b) in enumerate(zip(mesh.elements, blocks)):
-        n = reference_element(el.geometry, el.order).num_nodes
-        if b.shape != (n,):
-            raise ValueError(f"block {e} has shape {b.shape}, expected ({n},)")
+        if b.shape != el.coords.shape[1:]:   # (num_nodes,), as the mesh checks
+            raise ValueError(f"block {e} has shape {b.shape}, expected "
+                             f"{el.coords.shape[1:]}")
     if blocks and not np.isfinite(np.concatenate(blocks)).all():
         raise ValueError("non-finite scalar value")
     return blocks
@@ -503,15 +515,24 @@ def min_det_of(stacks) -> float:
     return float(np.min([np.inf] + [d.min() for d in element_min_dets(stacks)]))
 
 
+def resampled_block(mesh: MixedOrderMesh, e: int, order: int) -> np.ndarray:
+    """Element ``e``'s (n, 2) node block resampled at ``order``, with the
+    vertices at its corners, which a resampled triangle misses by rounding."""
+    el = mesh.elements[e]
+    X = resampling_matrix(el.geometry, el.order, order) @ el.coords.T
+    X[reference_element(el.geometry, order).corners] = mesh.vertices[el.verts]
+    return X
+
+
 def lowering_min_det(mesh: MixedOrderMesh, lowered, order: int) -> float:
     """``min_det`` of the elements in ``lowered`` and their edge neighbors
     after ``set_order(e, order)`` for each e in ``lowered`` and one
     ``apply_edge_constraints``, computed without changing the mesh.
 
     Only the node blocks that sequence writes are rebuilt: each lowered
-    element is resampled and takes the vertices at its corners, and on each
-    interior edge of a lowered element the side that does not own the trace
-    rewrites its edge nodes from it.  The owner rule is the DofMap's: the governing
+    element is resampled as ``set_order`` does, and on each interior edge of
+    a lowered element the side that does not own the trace rewrites its
+    edge nodes from it.  The owner rule is the DofMap's: the governing
     order is the lower side's, and the trace is the lowest-id side at that
     order; an equal-order side copies it and a higher-order side
     interpolates it.  The other blocks hold as they are when the mesh
@@ -526,13 +547,7 @@ def lowering_min_det(mesh: MixedOrderMesh, lowered, order: int) -> float:
 
     orders = mesh.orders()
     orders[lowered] = order
-    blocks = {}   # element id -> (n, 2) node block
-    for e in lowered:
-        el = mesh.elements[e]
-        X = resampling_matrix(el.geometry, el.order, order) @ el.coords.T
-        X[reference_element(el.geometry, order).corners] = \
-            mesh.vertices[el.verts]
-        blocks[e] = X
+    blocks = {e: resampled_block(mesh, e, order) for e in lowered}
     touched = set(lowered)
     edges = np.unique(mesh.element_edge_ids[lowered])
     for k in edges[edges >= 0].tolist():

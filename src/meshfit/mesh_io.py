@@ -16,10 +16,13 @@ The text format (version 1) is line oriented:
     [<num_nodes floats>]         # one line per element, optional block
 
 All floats are written with 17 significant digits, so write -> read -> write
-is byte stable.  See docs/meshfile.md for the grammar.  ``write_mesh``
-and ``read_mesh`` check a scalar block by one rule, ``check_node_blocks``;
-the writer checks before it writes anything.  The VTK export splits each
-element into its kind's ``ReferenceElement.sub_cells``.
+is byte stable.  See docs/meshfile.md for the grammar.  ``read_mesh``
+checks what only a file can get wrong (tokens, numbers, coinciding
+vertices, corner nodes) and leaves every element rule to the
+``MixedOrderMesh`` constructor.  ``write_mesh`` and ``read_mesh`` check a
+scalar block by one rule, ``check_node_blocks``; the writer checks before
+it writes anything.  The VTK export splits each element into its kind's
+``ReferenceElement.sub_cells``.
 """
 
 from __future__ import annotations
@@ -60,8 +63,6 @@ def generate_cartesian(nx: int, ny: int, order: int,
     """
     if nx < 1 or ny < 1:
         raise ValueError(f"cell counts must be >= 1, got {nx} x {ny}")
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
     xmin, ymin, xmax, ymax = map(float, box)
     if not (xmax > xmin and ymax > ymin):
         raise ValueError(f"degenerate box {box}")
@@ -99,39 +100,32 @@ def write_mesh(mesh: MixedOrderMesh, path, scalar=None):
     """
     if scalar is not None:
         scalar = check_node_blocks(mesh, scalar)
-    lines = [f"{FORMAT_NAME} {FORMAT_VERSION}", "dimension 2"]
-    lines.append(f"vertices {len(mesh.vertices)}")
-    for v in mesh.vertices:
-        lines.append(f"{_fmt(v[0])} {_fmt(v[1])}")
-    lines.append(f"elements {len(mesh.elements)}")
-    for el in mesh.elements:
-        ids = " ".join(str(int(v)) for v in el.verts)
-        lines.append(f"{el.geometry} {el.attribute} {el.order} {ids}")
-    lines.append("nodes")
-    for el in mesh.elements:
-        flat = el.coords.T.ravel()
-        lines.append(" ".join(_fmt(x) for x in flat))
     faces = sorted(mesh.marked_faces)
-    lines.append(f"marked_faces {len(faces)}")
-    lines += [f"{a} {b}" for a, b in mesh.edge_vertex_ids[faces].tolist()]
+    lines = [f"{FORMAT_NAME} {FORMAT_VERSION}", "dimension 2",
+             f"vertices {len(mesh.vertices)}",
+             *(f"{_fmt(x)} {_fmt(y)}" for x, y in mesh.vertices),
+             f"elements {len(mesh.elements)}",
+             *(f"{el.geometry} {el.attribute} {el.order} "
+               + " ".join(map(str, el.verts.tolist())) for el in mesh.elements),
+             "nodes",
+             *(" ".join(map(_fmt, el.coords.T.ravel())) for el in mesh.elements),
+             f"marked_faces {len(faces)}",
+             *(f"{a} {b}" for a, b in mesh.edge_vertex_ids[faces].tolist())]
     if scalar is not None:
-        lines.append("scalar sigma")
-        for block in scalar:
-            lines.append(" ".join(_fmt(x) for x in block))
+        lines += ["scalar sigma", *(" ".join(map(_fmt, b)) for b in scalar)]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
 
-def _expect(tokens, what, n=None):
-    if n is not None and len(tokens) != n:
+def _expect(tokens, what, n):
+    if len(tokens) != n:
         raise MeshFileError(f"malformed {what} line: {' '.join(tokens)!r}")
     return tokens
 
 
 def _count(tokens, what):
     """The count n of a "<what> <n>" block header line."""
-    _expect(tokens, what, 2)
-    if tokens[0] != what:
+    if _expect(tokens, what, 2)[0] != what:
         raise MeshFileError(f"expected {what} block")
     n = int(tokens[1])
     if n < 0:
@@ -145,10 +139,9 @@ def read_mesh(path, with_scalar: bool = False):
     Every malformed file raises ``MeshFileError``.
     """
     with open(path) as f:
-        raw = [ln.strip() for ln in f]
+        lines = [ln for ln in map(str.strip, f) if ln and ln[0] != "#"]
     try:
-        mesh, scalar_blocks = _parse_mesh(
-            [ln for ln in raw if ln and not ln.startswith("#")])
+        mesh, scalar_blocks = _parse_mesh(lines)
     except MeshFileError:
         raise
     except (ValueError, OverflowError) as exc:  # a bad token or structure
@@ -177,52 +170,47 @@ def _parse_mesh(lines):
         raise MeshFileError("only dimension 2 is supported")
 
     nv = _count(next_line("vertices").split(), "vertices")
-    vertices = np.empty((nv, 2))
-    for i in range(nv):
-        parts = _expect(next_line("vertex").split(), "vertex", 2)
-        vertices[i] = [float(parts[0]), float(parts[1])]
+    vertices = np.array([_expect(next_line("vertex").split(), "vertex", 2)
+                         for _ in range(nv)], dtype=float).reshape(nv, 2)
     if not np.isfinite(vertices).all():
         raise MeshFileError("non-finite vertex coordinate")
     _reject_duplicate_vertices(vertices)
 
-    ne = _count(next_line("elements").split(), "elements")
-    headers = []
-    for _ in range(ne):
+    heads = []
+    for _ in range(_count(next_line("elements").split(), "elements")):
         parts = next_line("element").split()
-        geometry = parts[0]
-        if geometry not in (QUAD, TRI):
-            raise MeshFileError(f"unknown element geometry {geometry!r}")
-        want = 4 if geometry == QUAD else 3
-        _expect(parts, "element", 3 + want)
-        attribute, order = int(parts[1]), int(parts[2])
-        if order < 1:
-            raise MeshFileError(f"element order must be >= 1, got {order}")
-        verts = np.array([int(x) for x in parts[3:]])
-        if verts.min() < 0 or verts.max() >= nv:
-            raise MeshFileError("element references unknown vertex")
-        headers.append((geometry, attribute, order, verts))
-
+        if len(parts) < 3:
+            raise MeshFileError(f"malformed element line: {' '.join(parts)!r}")
+        geometry, attribute, order, *verts = parts
+        heads.append((geometry, int(attribute), int(order),
+                      [int(v) for v in verts]))
     if next_line("nodes").split() != ["nodes"]:
         raise MeshFileError("expected nodes block")
-    elements = []
-    for geometry, attribute, order, verts in headers:
-        ref = reference_element(geometry, order)
-        parts = next_line("node block").split()
-        if len(parts) != 2 * ref.num_nodes:
-            raise MeshFileError(
-                f"node block has {len(parts)} values, expected {2 * ref.num_nodes}")
-        coords = np.array([float(x) for x in parts]).reshape(-1, 2).T.copy()
-        if not np.isfinite(coords).all():
-            raise MeshFileError("non-finite node coordinate")
-        elements.append(MeshElement(geometry, verts, order, coords, attribute))
-
-    mesh = MixedOrderMesh(vertices, elements)
-    for e, el in enumerate(mesh.elements):
-        ref = reference_element(el.geometry, el.order)
-        stored = el.coords[:, ref.corners].T
-        if not np.array_equal(stored, vertices[el.verts]):
-            raise MeshFileError(
-                f"element {e} corner nodes disagree with the shared vertex table")
+    blocks = [next_line("node block").split() for _ in heads]
+    sizes = np.array([len(b) for b in blocks], dtype=int)
+    odd = np.flatnonzero(sizes % 2)
+    if odd.size:
+        raise MeshFileError(f"node block of element {odd[0]} has "
+                            f"{sizes[odd[0]]} values, not x y pairs")
+    # every element's nodes, one (x, y) row each, in element order
+    nodes = np.array([x for b in blocks for x in b],
+                     dtype=float).reshape(-1, 2)
+    if not np.isfinite(nodes).all():
+        raise MeshFileError("non-finite node coordinate")
+    starts = np.cumsum(sizes // 2) - sizes // 2
+    mesh = MixedOrderMesh(vertices, [
+        MeshElement(geometry, verts, order, X.T.copy(), attribute)
+        for (geometry, attribute, order, verts), X
+        in zip(heads, np.split(nodes, starts[1:]))])
+    bad = []
+    for key, ids in mesh.groups().items():
+        corners = reference_element(*key).corners
+        off = (nodes[starts[ids, None] + corners] != vertices[
+            mesh.element_vertex_ids[ids, :len(corners)]]).any(axis=(1, 2))
+        bad += ids[off][:1].tolist()
+    if bad:
+        raise MeshFileError(f"element {min(bad)} corner nodes disagree with "
+                            "the shared vertex table")
 
     faces = [[int(x) for x in _expect(next_line("face").split(), "face", 2)]
              for _ in range(_count(next_line("marked_faces").split(),
@@ -242,13 +230,10 @@ def _parse_mesh(lines):
 
 
 def _reject_duplicate_vertices(vertices: np.ndarray, tol: float = 1e-14):
-    if len(vertices) < 2:
-        return
     order = np.lexsort((vertices[:, 1], vertices[:, 0]))
-    sv = vertices[order]
-    close = np.hypot(*np.diff(sv, axis=0).T) < tol
+    close = np.hypot(*np.diff(vertices[order], axis=0).T) < tol
     if np.any(close):
-        k = int(np.nonzero(close)[0][0])
+        k = int(np.argmax(close))
         raise MeshFileError(
             f"vertices {order[k]} and {order[k + 1]} coincide within {tol}")
 

@@ -125,6 +125,22 @@ def test_roundtrip_64x64_marked_interface(tmp_path):
     assert back.marked_faces == marked
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["quads", "triangles"])
+def test_set_order_keeps_corners_on_vertices_through_a_round_trip(tmp_path,
+                                                                 split):
+    # resampling a triangle does not reproduce its corners exactly, so
+    # set_order writes the vertices there; the reader requires them
+    m = generate_cartesian(4, 4, 3, split_triangles=split)
+    for e in range(len(m.elements)):
+        m.set_order(e, 2 if e % 3 else 1)
+    for el in m.elements:
+        corners = reference_element(el.geometry, el.order).corners
+        assert np.array_equal(el.coords[:, corners], m.vertices[el.verts].T)
+    path = tmp_path / "lowered.mesh"
+    write_mesh(m, path)
+    assert meshes_identical(m, read_mesh(path))
+
+
 # ---------------------------------------------------------------------------
 # reader rejections
 
@@ -207,6 +223,37 @@ def test_reader_rejects_bad_nodes(tmp_path):
 
     lines = base[:i_nodes + 1]
     _expect_reject(tmp_path, lines, match="end of file")
+
+
+def test_reader_names_the_first_element_with_a_detached_corner(tmp_path):
+    # element 5 is in the (quad, 1) group, which is checked first, and
+    # element 2 in the (quad, 2) group
+    m = generate_cartesian(3, 3, 1)
+    m.set_order(2, 2)
+    path = tmp_path / "mixed.mesh"
+    write_mesh(m, path)
+    base = path.read_text().splitlines()
+    i_nodes = base.index("nodes")
+    for detached, first in [((5,), 5), ((5, 2), 2), ((2, 5), 2)]:
+        lines = list(base)
+        for e in detached:
+            parts = lines[i_nodes + 1 + e].split()
+            parts[0] = "0.001"
+            lines[i_nodes + 1 + e] = " ".join(parts)
+        _expect_reject(tmp_path, lines, match=f"^element {first} corner")
+
+
+def test_reader_hands_element_checks_to_the_constructor(tmp_path):
+    # the constructor's message for the first bad element, in the reader's
+    # wrapping; an even but wrong node count is the constructor's
+    lines = list(ONE_QUAD)
+    lines[8] = "quad 1 1.0 0 1 3 2"
+    _expect_reject(tmp_path, lines, match="^malformed mesh file")
+    lines[8] = "quad 1 2 0 1 3 2"
+    _expect_reject(tmp_path, lines, match=re.escape(
+        "malformed mesh file: element 0 has coords (2, 4), expected (2, 9)"))
+    lines[8], lines[10] = "quad 1 1 0 1 3 2", "0 0 1 0 0 1 1"
+    _expect_reject(tmp_path, lines, match="node block of element 0 has 7")
 
 
 def test_reader_rejects_bad_faces_and_trailing(tmp_path):

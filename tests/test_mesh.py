@@ -290,6 +290,118 @@ def test_element_vertex_count_checked():
                                            quad_nodes[:, :3])])
 
 
+@pytest.mark.parametrize("geometry, order, match", [
+    ("hex", 1, "element 0 has unsupported geometry 'hex'"),
+    ("quad", True, "element 0 has order True"),
+    ("quad", 1.0, "element 0 has order 1.0"),
+    ("quad", 0, "element 0 has order 0"),
+    ("quad", "1", "element 0 has order '1'"),
+])
+def test_a_bad_element_kind_is_a_structure_error(geometry, order, match):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    bad = MeshElement(geometry, np.arange(4), order, verts.T.copy())
+    with pytest.raises(MeshStructureError, match=re.escape(match)):
+        MixedOrderMesh(verts, [bad])
+
+
+def test_numpy_integer_orders_are_accepted():
+    m = generate_cartesian(2, 1, 2)
+    m.elements[1].order = np.int64(2)
+    rebuilt = MixedOrderMesh(m.vertices, m.elements)
+    assert list(rebuilt.groups()) == [("quad", 2)]
+    assert rebuilt.groups()[("quad", 2)].tolist() == [0, 1]
+
+
+def _first_bad_element(vertices, elements):
+    """The constructor's element check as one loop over the elements: the
+    message of the first bad element's first fault, or None."""
+    for e, el in enumerate(elements):
+        verts = np.asarray(el.verts, dtype=int)
+        coords = np.asarray(el.coords, dtype=float)
+        if verts.min(initial=0) < 0 or verts.max(initial=-1) >= len(vertices):
+            return f"element {e} references an unknown vertex"
+        if el.geometry not in ("quad", "tri"):
+            return f"element {e} has unsupported geometry {el.geometry!r}"
+        if type(el.order) not in (int, np.int64) or el.order < 1:
+            return (f"element {e} has order {el.order!r}, expected an "
+                    "integer >= 1")
+        ref = reference_element(el.geometry, el.order)
+        if len(verts) != len(ref.corners):
+            return (f"element {e} has {len(verts)} vertices, a {el.geometry} "
+                    f"has {len(ref.corners)}")
+        if coords.shape != (2, ref.num_nodes):
+            return (f"element {e} has coords {coords.shape}, expected "
+                    f"(2, {ref.num_nodes})")
+    return None
+
+
+def _break(el, fault):
+    """A copy of ``el`` with one fault."""
+    el = el.copy()
+    if fault == "vertex":
+        el.verts[-1] = 99
+    elif fault == "negative":
+        el.verts[0] = -1
+    elif fault == "geometry":
+        el.geometry = "hex"
+    elif fault == "order":
+        el.order = 0
+    elif fault == "count":
+        el.verts = el.verts[:-1]
+    else:
+        el.coords = el.coords[:, :-1]
+    return el
+
+
+FAULTS = ("vertex", "negative", "geometry", "order", "count", "coords")
+
+
+def test_the_first_bad_element_in_element_order_is_reported():
+    # element 5 of (quad, 1) and element 2 of (quad, 2): element 2 is named
+    base = generate_cartesian(3, 3, 1)
+    base.set_order(2, 2)
+    for late, early in [("vertex", "coords"), ("coords", "vertex"),
+                        ("order", "count"), ("geometry", "vertex")]:
+        elements = [el.copy() for el in base.elements]
+        elements[5], elements[2] = (_break(elements[5], late),
+                                    _break(elements[2], early))
+        want = _first_bad_element(base.vertices, elements)
+        assert want.startswith("element 2 ")
+        with pytest.raises(MeshStructureError, match=f"^{re.escape(want)}$"):
+            MixedOrderMesh(base.vertices, elements)
+
+
+def test_element_checks_agree_with_the_element_loop():
+    # one to three faults, each alone or on top of another in one element,
+    # on mixed-order quads and triangles
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        m = random_order_mesh(3, 2, seed=trial, split_triangles=trial % 2 == 1)
+        elements = [el.copy() for el in m.elements]
+        for _ in range(int(rng.integers(1, 4))):
+            e = int(rng.integers(len(elements)))
+            fault = FAULTS[rng.integers(len(FAULTS))]
+            elements[e] = _break(elements[e], fault)
+        want = _first_bad_element(m.vertices, elements)
+        with pytest.raises(MeshStructureError) as got:
+            MixedOrderMesh(m.vertices, elements)
+        assert str(got.value) == want, f"trial {trial}"
+
+
+def test_seeded_groups_equal_a_rebuild():
+    m = random_order_mesh(4, 3, seed=5, split_triangles=True)
+    for step in range(3):
+        loop: dict = {}
+        for e, el in enumerate(m.elements):
+            loop.setdefault((el.geometry, el.order), []).append(e)
+        seeded = MixedOrderMesh(m.vertices, [el.copy() for el in m.elements])
+        for groups in (m.groups(), seeded.groups()):
+            assert list(groups) == sorted(loop)
+            assert all(groups[key].tolist() == loop[key] for key in loop)
+            assert all(ids.dtype == int for ids in groups.values())
+        m.set_order(step, 3 if m.elements[step].order < 3 else 1)
+
+
 def _assert_tables_fresh(m):
     """Cached groups, incidence arrays and DofMap equal a fresh copy's."""
     fresh = MixedOrderMesh(m.vertices, [el.copy() for el in m.elements])
@@ -545,13 +657,16 @@ def test_set_order_preserves_affine_geometry():
 @pytest.mark.parametrize("split", [False, True], ids=["quads", "triangles"])
 def test_set_order_matches_eval_map_bit_for_bit(split):
     # every order change of a curved mesh: the cached resampling matrix
-    # gives exactly the map evaluated at the new nodes
+    # gives exactly the map evaluated at the new nodes, and the corner nodes
+    # are the vertices, which the map reproduces only up to rounding on a
+    # triangle
     for old in (1, 2, 3):
         for new in [q for q in (1, 2, 3, 4) if q != old]:
             m = perturbed_mesh(2, 2, old, seed=old, split_triangles=split)
             el = m.elements[1]
-            expected = m.eval_map(1, reference_element(el.geometry,
-                                                       new).nodes).T
+            ref = reference_element(el.geometry, new)
+            expected = m.eval_map(1, ref.nodes).T
+            expected[:, ref.corners] = m.vertices[el.verts].T
             m.set_order(1, new)
             assert m.elements[1].order == new
             assert np.array_equal(m.elements[1].coords, expected)
