@@ -39,18 +39,16 @@ unchanged.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field as dfield, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .basis import _gauss_legendre_01, gauss_lobatto_nodes, lagrange_1d, \
-    lagrange_1d_deriv
+from .basis import (_gauss_legendre_01, _gauss_lobatto_cached, is_count,
+                    is_real, lagrange_1d, lagrange_1d_deriv)
 from .mesh import (MixedOrderMesh, apply_edge_constraints,
                    interpolation_matrix, lowering_min_det)
-from .tmop import (FitConfig, _is_number, mark_interface_faces,
-                   solve_r_adaptivity)
+from .tmop import FitConfig, mark_interface_faces, solve_r_adaptivity
 
 REFINE_KINDS = ("absolute", "relative")
 DEREF_KINDS = ("ref", "change", "size")
@@ -86,21 +84,17 @@ class AdaptivityPlan:
     def __post_init__(self):
         for name in ("p_init", "p_max", "refine_step", "max_neighbor_diff"):
             value = getattr(self, name)
-            if not (_is_number(value, numbers.Integral)
+            if not (is_count(value)
                     or name == "max_neighbor_diff" and value is None):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ValueError(f"{name} must be an integer >= 1, got "
+                                 f"{value!r}")
         for name in ("refine_threshold", "deref_threshold", "fit_tol"):
-            if not _is_number(getattr(self, name)):
+            if not is_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a real number, got "
                                  f"{getattr(self, name)!r}")
-        if not 1 <= self.p_init <= self.p_max:
-            raise ValueError(f"need 1 <= p_init <= p_max, got "
+        if not self.p_init <= self.p_max:
+            raise ValueError(f"need p_init <= p_max, got "
                              f"{self.p_init}..{self.p_max}")
-        if not self.refine_step >= 1:
-            raise ValueError("refine_step must be >= 1")
-        if self.max_neighbor_diff is not None \
-                and not self.max_neighbor_diff >= 1:
-            raise ValueError("max_neighbor_diff must be >= 1 or None")
         if self.refine_kind not in REFINE_KINDS:
             raise ValueError(f"unknown refine criterion {self.refine_kind!r}")
         if self.deref_kind is not None and self.deref_kind not in DEREF_KINDS:
@@ -129,7 +123,7 @@ def _trace_tables(trace_order: int, face_order: int):
     the 2 face_order + 3 Gauss points of a face of order ``face_order``, and
     the weights of that rule; read-only."""
     tq, wq = _gauss_legendre_01(2 * face_order + 3)
-    nodes = gauss_lobatto_nodes(trace_order)
+    nodes = _gauss_lobatto_cached(trace_order)
     values, derivs = lagrange_1d(nodes, tq), lagrange_1d_deriv(nodes, tq)
     values.flags.writeable = False
     derivs.flags.writeable = False

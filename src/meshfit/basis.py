@@ -10,18 +10,61 @@ Every mesh-independent table of an element kind, a (geometry, order) pair,
 is built once, read-only, by ``reference_element`` (nodes and their
 topology), ``basis_tables`` (the basis at fixed points) or ``edge_samples``
 (the basis at evenly spaced points along the edges).
+
+This bottom layer also holds the package's number and kind rules, each
+defined once: ``is_real`` (a real number other than a bool), ``is_count``
+(an integer >= 1 other than a bool) and ``kind_fault`` (a geometry of
+``GEOMETRIES`` and an order that ``is_count``), which ``check_kind``
+raises as a ``MeshStructureError``.  ``reference_element`` runs the kind
+rule before its cache, so a kind table is built, or found, only for a
+valid kind.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from numbers import Integral, Real
 
 import numpy as np
+
+from .errors import MeshStructureError
 
 QUAD = "quad"
 TRI = "tri"
 
 GEOMETRIES = (QUAD, TRI)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number other than a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def is_count(value) -> bool:
+    """Whether ``value`` is an integer >= 1 other than a bool."""
+    return (isinstance(value, Integral) and not isinstance(value, bool)
+            and value >= 1)
+
+
+def kind_fault(geometry, order) -> str | None:
+    """Why (geometry, order) is no element kind, as the words after "has";
+    None for a kind: a geometry of ``GEOMETRIES`` and an order that
+    ``is_count``."""
+    if geometry not in GEOMETRIES:
+        return f"unsupported geometry {geometry!r}"
+    if not is_count(order):
+        return f"order {order!r}, expected an integer >= 1"
+    return None
+
+
+def check_kind(geometry, order, subject=None) -> None:
+    """Raise ``MeshStructureError``, naming ``subject`` (by default the
+    pair), unless (geometry, order) is an element kind (``kind_fault``)."""
+    fault = kind_fault(geometry, order)
+    if fault:
+        subject = subject or f"element kind {(geometry, order)!r}"
+        raise MeshStructureError(f"{subject} has {fault}")
+
 
 #: Blend exponents for the triangular warp-and-blend nodal sets, indexed by order.
 _WARP_ALPHA = (0.0, 0.0, 1.4152, 0.1001, 0.2751, 0.9800, 1.0999, 1.2832,
@@ -53,22 +96,6 @@ def _gauss_lobatto_cached(p: int) -> np.ndarray:
     out = 0.5 * (x + 1.0)
     out.flags.writeable = False
     return out
-
-
-def gauss_lobatto_nodes(p: int) -> np.ndarray:
-    """Gauss-Lobatto nodes of order ``p`` on [0, 1].
-
-    Returns the ``p + 1`` sorted nodes, always including both endpoints,
-    symmetric about 0.5.
-
-    Parameters
-    ----------
-    p : int
-        Polynomial order, at least 1.
-    """
-    if p < 1:
-        raise ValueError(f"polynomial order must be >= 1, got {p}")
-    return _gauss_lobatto_cached(p).copy()
 
 
 @lru_cache(maxsize=None)
@@ -326,10 +353,7 @@ class ReferenceElement:
     """
 
     def __init__(self, geometry: str, order: int):
-        if geometry not in GEOMETRIES:
-            raise ValueError(f"unsupported geometry {geometry!r}")
-        if order < 1:
-            raise ValueError(f"polynomial order must be >= 1, got {order}")
+        check_kind(geometry, order)
         self.geometry = geometry
         self.order = order
         p = order
@@ -455,10 +479,15 @@ class ReferenceElement:
         return f"ReferenceElement({self.geometry!r}, p={self.order})"
 
 
-@lru_cache(maxsize=None)
+_reference_elements = lru_cache(maxsize=None)(ReferenceElement)
+
+
 def reference_element(geometry: str, order: int) -> ReferenceElement:
-    """Shared, cached reference element instances."""
-    return ReferenceElement(geometry, order)
+    """The shared, cached reference element of a kind.  The kind is checked
+    (``check_kind``) before the cache, where an order 2.0 would find the
+    order-2 element."""
+    check_kind(geometry, order)
+    return _reference_elements(geometry, order)
 
 
 class BasisTables:

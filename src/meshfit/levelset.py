@@ -386,19 +386,19 @@ def _squircle():
     return AnalyticLevelSet("squircle2d", fn, grad)
 
 
-def _circle(cx=0.5, cy=0.5, radius=0.3):
+def _circle():
     def fn(x, y):
-        return (x - cx) ** 2 + (y - cy) ** 2 - radius ** 2
+        return (x - 0.5) ** 2 + (y - 0.5) ** 2 - 0.3 ** 2
 
     def grad(x, y):
-        return 2.0 * (x - cx), 2.0 * (y - cy)
+        return 2.0 * (x - 0.5), 2.0 * (y - 0.5)
 
     return AnalyticLevelSet("circle", fn, grad)
 
 
-def _plane(offset=0.5):
+def _plane():
     def fn(x, y):
-        return y - offset
+        return y - 0.5
 
     def grad(x, y):
         return np.zeros_like(x), np.ones_like(y)

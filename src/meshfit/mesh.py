@@ -22,7 +22,10 @@ tells whether lowering some elements would keep the mesh valid without
 changing it, rebuilding only the node blocks that the lowering and the
 constraint pass after it would touch, by the DofMap's owner rule.  The
 tables of an element kind depend on no mesh: ``basis.reference_element``
-and ``basis.basis_tables`` build them once per (geometry, order).
+and ``basis.basis_tables`` build them once per (geometry, order).  What an
+element kind is lives in ``basis`` too (``kind_fault``, ``check_kind``):
+the element check and ``set_order`` run that one rule and raise
+``MeshStructureError`` naming the element.
 
 One kernel (``map_jacobians``, ``jacobian_components``, ``jacobian_det``,
 ``cofactors``) gives every map Jacobian that the quality metric, the
@@ -34,12 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import (GEOMETRIES, basis_tables, lagrange_1d,
+from .basis import (basis_tables, check_kind, kind_fault, lagrange_1d,
                     reference_element, _gauss_lobatto_cached)
 from .errors import MeshInvalidError, MeshStructureError
 
@@ -134,8 +136,9 @@ class MixedOrderMesh:
         """The ``groups()`` table, checking at once each set of elements alike
         in geometry, order (and its type), vertex count and node-block shape.
         Raises ``MeshStructureError`` for the first bad element, naming its
-        first fault of: unknown vertices, geometry or order, vertex count and
-        node-block shape.  Coerces vertex ids and node coordinates."""
+        first fault of: unknown vertices, kind (``basis.kind_fault``), vertex
+        count and node-block shape.  Coerces vertex ids and node
+        coordinates."""
         found: dict[tuple, list[int]] = {}
         for e, el in enumerate(self.elements):
             el.verts = np.asarray(el.verts, dtype=int)
@@ -143,26 +146,22 @@ class MixedOrderMesh:
             found.setdefault((el.geometry, el.order, type(el.order),
                               len(el.verts), el.coords.shape), []).append(e)
         nv, faults, groups = len(self.vertices), [], {}
-        for (geometry, order, kind, count, shape), ids in found.items():
+        for (geometry, order, _, count, shape), ids in found.items():
             V = np.array([self.elements[e].verts for e in ids])
             unknown = np.flatnonzero(((V < 0) | (V >= nv)).any(axis=1))
             # (element, rank of the fault in the element, message)
             faults += [(ids[k], 0, "references an unknown vertex")
                        for k in unknown[:1]]
-            fault = None
-            if geometry not in GEOMETRIES:
-                fault = f"has unsupported geometry {geometry!r}"
-            elif kind is bool or not issubclass(kind, Integral) or order < 1:
-                fault = f"has order {order!r}, expected an integer >= 1"
-            else:
+            fault = kind_fault(geometry, order)
+            if not fault:
                 ref = reference_element(geometry, order)
                 if count != len(ref.corners):
-                    fault = (f"has {count} vertices, a {geometry} has "
+                    fault = (f"{count} vertices, a {geometry} has "
                              f"{len(ref.corners)}")
                 elif shape != (2, ref.num_nodes):
-                    fault = f"has coords {shape}, expected (2, {ref.num_nodes})"
+                    fault = f"coords {shape}, expected (2, {ref.num_nodes})"
             if fault:
-                faults.append((ids[0], 1, fault))
+                faults.append((ids[0], 1, f"has {fault}"))
             else:
                 groups.setdefault((geometry, int(order)), []).extend(ids)
         if faults:
@@ -280,15 +279,10 @@ class MixedOrderMesh:
         (len(ids), num_nodes, 2) stack."""
         return np.stack([self.elements[e].coords.T for e in ids])
 
-    def min_det(self, element_ids=None) -> float:
-        """Minimum Jacobian determinant of (some) elements at validity samples."""
-        groups = self.groups()
-        if element_ids is not None:
-            wanted = np.zeros(len(self.elements), dtype=bool)
-            wanted[list(element_ids)] = True
-            groups = {key: ids[wanted[ids]] for key, ids in groups.items()}
+    def min_det(self) -> float:
+        """Minimum Jacobian determinant of the elements at validity samples."""
         return min_det_of((key, self.group_coords(ids))
-                          for key, ids in groups.items() if len(ids))
+                          for key, ids in self.groups().items())
 
     def diameter(self) -> float:
         lo = self.vertices.min(axis=0)
@@ -300,8 +294,11 @@ class MixedOrderMesh:
     def set_order(self, e: int, new_order: int):
         """Resample element ``e`` at a new order (``resampled_block``):
         raising the order keeps the map, lowering it interpolates the map at
-        the lower-order nodes."""
+        the lower-order nodes.  Raises ``MeshStructureError`` naming the
+        element, and changes nothing, unless the new order makes a kind
+        (``basis.check_kind``)."""
         el = self.elements[e]
+        check_kind(el.geometry, new_order, f"element {e}")
         if new_order == el.order:
             return
         el.coords = resampled_block(self, e, new_order).T.copy()

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import QUAD, TRI, edge_samples, reference_element
+from .basis import QUAD, TRI, edge_samples, is_count, reference_element
 from .errors import MeshFileError
 from .mesh import (MeshElement, MixedOrderMesh, check_node_blocks,
                    element_min_dets)
@@ -55,14 +55,19 @@ def generate_cartesian(nx: int, ny: int, order: int,
     Parameters
     ----------
     nx, ny : int
-        Cell counts per direction, at least 1.
+        Cell counts per direction, each an integer >= 1 other than a bool
+        (``basis.is_count``); ``ValueError`` otherwise.
     order : int
-        Polynomial order of every element.
+        Polynomial order of every element; ``MeshStructureError`` unless
+        it makes an element kind (``basis.check_kind``).
     box : tuple
         (xmin, ymin, xmax, ymax); must have positive extents.
     """
-    if nx < 1 or ny < 1:
-        raise ValueError(f"cell counts must be >= 1, got {nx} x {ny}")
+    if not (is_count(nx) and is_count(ny)):
+        raise ValueError(f"cell counts must be integers >= 1, got {nx!r} x "
+                         f"{ny!r}")
+    geometry = TRI if split_triangles else QUAD
+    u, v = reference_element(geometry, order).nodes.T
     xmin, ymin, xmax, ymax = map(float, box)
     if not (xmax > xmin and ymax > ymin):
         raise ValueError(f"degenerate box {box}")
@@ -72,11 +77,9 @@ def generate_cartesian(nx: int, ny: int, order: int,
     # cell corner ids counterclockwise from the lower left, cells by rows
     lower_left = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
     corners = lower_left[:, None] + np.array([0, 1, nx + 2, nx + 1])
-    geometry = TRI if split_triangles else QUAD
     verts = (corners[:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3)
              if split_triangles else corners)
     X = vertices[verts].transpose(1, 0, 2)[..., None]  # (corner, E, 2, 1)
-    u, v = reference_element(geometry, order).nodes.T
     if split_triangles:
         coords = X[0] * (1 - u - v) + X[1] * u + X[2] * v
     else:
@@ -229,13 +232,13 @@ def _parse_mesh(lines):
     return mesh, scalar_blocks
 
 
-def _reject_duplicate_vertices(vertices: np.ndarray, tol: float = 1e-14):
+def _reject_duplicate_vertices(vertices: np.ndarray):
     order = np.lexsort((vertices[:, 1], vertices[:, 0]))
-    close = np.hypot(*np.diff(vertices[order], axis=0).T) < tol
+    close = np.hypot(*np.diff(vertices[order], axis=0).T) < 1e-14
     if np.any(close):
         k = int(np.argmax(close))
         raise MeshFileError(
-            f"vertices {order[k]} and {order[k + 1]} coincide within {tol}")
+            f"vertices {order[k]} and {order[k + 1]} coincide within 1e-14")
 
 
 # ---------------------------------------------------------------------------

@@ -94,19 +94,30 @@ def fit_config(run: dict) -> FitConfig:
                      controls=controls, boundary=run.get("boundary", "slide"))
 
 
+def _flag(run: dict, key: str) -> bool:
+    """A run's boolean key, False when absent; ValueError unless it is a
+    bool (JSON true or false)."""
+    value = run.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def fit_run(run: dict, field):
     """Build a run's mesh (``mesh`` file or ``generate``) and fit it: through
     ``run_rp_adaptivity`` with its ``plan`` block, if any, else by one solve.
-    Returns the fitted mesh and the ``AdaptResult`` or ``SolveReport``."""
+    Returns the fitted mesh and the ``AdaptResult`` or ``SolveReport``.
+    ``split`` and ``boundary_fit`` must be booleans, and ``generate`` the
+    cell counts and order that ``generate_cartesian`` checks."""
     if "mesh" in run:
         mesh = read_mesh(run["mesh"])
     else:
         nx, ny, p = run["generate"]
         mesh = generate_cartesian(
             nx, ny, p, box=tuple(run.get("box", (0.0, 0.0, 1.0, 1.0))),
-            split_triangles=bool(run.get("split", False)))
+            split_triangles=_flag(run, "split"))
     fit = fit_config(run)
-    boundary_fit = bool(run.get("boundary_fit", False))
+    boundary_fit = _flag(run, "boundary_fit")
     if "plan" in run:
         plan_cfg = dict(run["plan"])
         plan_cfg.setdefault("fit_tol", fit.controls.fit_tol)

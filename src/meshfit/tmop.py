@@ -32,7 +32,6 @@ matrix per numbering that SuperLU factors.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
 from typing import ClassVar
@@ -41,7 +40,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import TRI, BasisTables, basis_tables, jacobian_table
+from .basis import (TRI, BasisTables, basis_tables, is_count, is_real,
+                    jacobian_table)
 from .errors import MeshInvalidError
 from .mesh import (MixedOrderMesh, apply_edge_constraints, cofactors,
                    jacobian_components, jacobian_det, map_jacobians,
@@ -72,7 +72,7 @@ class QualityMetric:
         if self.metric_id not in METRIC_IDS:
             raise ValueError(f"unknown metric {self.metric_id!r}, "
                              f"expected one of {METRIC_IDS}")
-        if not _is_number(self.gamma):
+        if not is_real(self.gamma):
             raise ValueError(f"gamma must be real, got {self.gamma!r}")
         if self.metric_id == "mu80" and not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
@@ -153,21 +153,15 @@ class SolverControls:
     initial_damping: ClassVar[float] = 1e-4
 
     def __post_init__(self):
-        if not (_is_number(self.max_iterations, numbers.Integral)
-                and self.max_iterations >= 1 and _is_number(self.fit_tol)
+        if not (is_count(self.max_iterations) and is_real(self.fit_tol)
                 and 0.0 < self.fit_tol < np.inf):
             raise ValueError("need an integer max_iterations >= 1 and a real "
                              "0 < fit_tol < inf, got "
                              f"{self.max_iterations!r} and {self.fit_tol!r}")
 
 
-def _is_number(value, kind=numbers.Real) -> bool:
-    """Whether ``value`` is an instance of ``kind`` other than a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 def _check_fit_weight(fit_weight) -> None:
-    if not (_is_number(fit_weight) and 0.0 <= fit_weight < np.inf):
+    if not (is_real(fit_weight) and 0.0 <= fit_weight < np.inf):
         raise ValueError(f"fit_weight must be a finite non-negative real "
                          f"number, got {fit_weight!r}")
 
@@ -671,8 +665,6 @@ class SolveReport:
     status: str = "converged"            # converged | stalled | max_iterations
     reason: str = ""
     iterations: list[IterationRecord] = dfield(default_factory=list)
-    initial_objective: float = np.nan
-    final_objective: float = np.nan
     initial_sigma_max: float | None = None
     final_sigma_max: float | None = None
     final_fit_weight: float = np.nan
@@ -778,13 +770,11 @@ def solve_r_adaptivity(problem: TmopProblem):
     F, fq, sigma, state = evaluate(t)
     md = None  # min det of the last accepted trial
     smax = worst(sigma)
-    report.initial_objective = F
     report.initial_sigma_max = smax
 
     def finish(status, reason):
         report.status = status
         report.reason = reason
-        report.final_objective = F
         report.final_sigma_max = smax
         report.final_fit_weight = w
         report.final_min_det = asm.min_det(t) if md is None else md

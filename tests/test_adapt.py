@@ -13,7 +13,7 @@ from meshfit import adapt
 from meshfit.adapt import (apply_refinement, derefinement_pass,
                            edge_touching_elevation, mark_for_refinement,
                            propagate_orders, try_derefine)
-from meshfit.basis import (_gauss_legendre_01, gauss_lobatto_nodes,
+from meshfit.basis import (_gauss_legendre_01, _gauss_lobatto_cached,
                            lagrange_1d, lagrange_1d_deriv, reference_element)
 from meshfit.levelset import ANALYTIC_LEVELSETS, AnalyticLevelSet
 from meshfit.mesh import (interpolation_matrix, lowering_min_det, min_det_of,
@@ -108,7 +108,7 @@ def test_arc_length_of_curved_face():
 def test_cached_trace_tables_match_direct_evaluation():
     rng = np.random.default_rng(3)
     for p in range(1, 5):
-        nodes = gauss_lobatto_nodes(p)
+        nodes = _gauss_lobatto_cached(p)
         coords = rng.standard_normal((p + 1, 2))
         for q in range(1, 5):
             tq, wq = _gauss_legendre_01(2 * q + 3)
@@ -123,7 +123,7 @@ def test_cached_trace_tables_match_direct_evaluation():
             assert np.array_equal(speed[0], np.hypot(dx[:, 0], dx[:, 1]))
             P = interpolation_matrix(p, q)
             assert np.array_equal(P,
-                                  lagrange_1d(nodes, gauss_lobatto_nodes(q)))
+                                  lagrange_1d(nodes, _gauss_lobatto_cached(q)))
             assert np.array_equal(adapt._projected_trace(coords, q),
                                   P @ coords)
             assert not P.flags.writeable
@@ -306,15 +306,19 @@ def _squircle_plan(name):
 
 def _applied_min_det(mesh, lowered, order):
     """The apply-and-rollback trial that ``lowering_min_det`` replaces: the
-    lowering applied to a copy of the mesh, one constraint pass, then
-    ``min_det`` of the lowered elements and their edge neighbors."""
+    lowering applied to a copy of the mesh, one constraint pass, then the
+    smallest determinant of the lowered elements and their edge neighbors,
+    a group at a time."""
     m = mesh.copy()
     for e in lowered:
         m.set_order(e, order)
     apply_edge_constraints(m)
     k = m.element_edge_ids[lowered]
     sides = m.edge_element_ids[k[k >= 0]]
-    return m.min_det(set(lowered) | set(sides[sides >= 0].tolist()))
+    wanted = np.zeros(len(m.elements), dtype=bool)
+    wanted[lowered] = wanted[sides[sides >= 0]] = True
+    return min_det_of((key, m.group_coords(ids[wanted[ids]]))
+                      for key, ids in m.groups().items() if wanted[ids].any())
 
 
 def _edge_local_nodes(mesh, e, k, order):

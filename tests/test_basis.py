@@ -8,29 +8,29 @@ import pytest
 import meshfit
 from meshfit.basis import (QUAD, TRI, BasisTables, ReferenceElement,
                            basis_tables, edge_samples, _gauss_legendre_01,
-                           _gauss_lobatto_01, gauss_lobatto_nodes,
+                           _gauss_lobatto_01, _gauss_lobatto_cached,
                            jacobian_table, lagrange_1d, lagrange_1d_deriv,
                            reference_element)
 
 
 def test_gauss_lobatto_nodes_low_orders():
-    assert np.allclose(gauss_lobatto_nodes(1), [0.0, 1.0])
-    assert np.allclose(gauss_lobatto_nodes(2), [0.0, 0.5, 1.0])
+    assert np.allclose(_gauss_lobatto_cached(1), [0.0, 1.0])
+    assert np.allclose(_gauss_lobatto_cached(2), [0.0, 0.5, 1.0])
     # interior p=3 nodes sit at (1 +- 1/sqrt(5)) / 2
-    n3 = gauss_lobatto_nodes(3)
+    n3 = _gauss_lobatto_cached(3)
     assert np.allclose(n3, [0.0, 0.27639320225002106, 0.7236067977499789, 1.0])
 
 
 def test_gauss_lobatto_nodes_symmetric():
     for p in range(1, 8):
-        n = gauss_lobatto_nodes(p)
+        n = _gauss_lobatto_cached(p)
         assert n[0] == 0.0 and n[-1] == 1.0
         assert np.allclose(n + n[::-1], 1.0)
         assert np.all(np.diff(n) > 0)
 
 
 def test_lagrange_basis_delta_and_partition():
-    nodes = gauss_lobatto_nodes(4)
+    nodes = _gauss_lobatto_cached(4)
     L = lagrange_1d(nodes, nodes)
     assert np.allclose(L, np.eye(5), atol=1e-13)
     x = np.linspace(0.0, 1.0, 33)
@@ -38,7 +38,7 @@ def test_lagrange_basis_delta_and_partition():
 
 
 def test_lagrange_deriv_matches_fd():
-    nodes = gauss_lobatto_nodes(3)
+    nodes = _gauss_lobatto_cached(3)
     x = np.array([0.12, 0.45, 0.81])
     eps = 1e-6
     fd = (lagrange_1d(nodes, x + eps) - lagrange_1d(nodes, x - eps)) / (2 * eps)
@@ -63,7 +63,7 @@ def _lagrange_products(nodes, x):
 
 @pytest.mark.parametrize("p", range(1, 7))
 def test_lagrange_basis_matches_product_formula(p, rng):
-    nodes = gauss_lobatto_nodes(p)
+    nodes = _gauss_lobatto_cached(p)
     x = np.concatenate([rng.uniform(-0.5, 1.5, 200), nodes])
     vals, ders = _lagrange_products(nodes, x)
     assert np.array_equal(lagrange_1d(nodes, x), vals)
@@ -178,7 +178,7 @@ def test_tri_edge_nodes_at_lobatto_positions():
     # high-order triangle boundary nodes must follow the 1D Lobatto layout so
     # that neighbor edges (including quad-tri interfaces) can be conforming
     ref = reference_element(TRI, 4)
-    gl = gauss_lobatto_nodes(4)
+    gl = _gauss_lobatto_cached(4)
     for le, ids in enumerate(ref.edge_nodes):
         pts = ref.nodes[ids]
         a, b = pts[0], pts[-1]

@@ -1,18 +1,24 @@
+import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import meshfit
 from meshfit import (AdaptivityPlan, MeshInvalidError, MixedOrderMesh,
                      apply_edge_constraints, generate_cartesian, read_mesh,
                      write_mesh)
 from meshfit.adapt import apply_refinement, propagate_orders, try_derefine
-from meshfit.basis import reference_element
+from meshfit.basis import _gauss_lobatto_cached, reference_element
 from meshfit.errors import MeshStructureError
 from meshfit.levelset import ANALYTIC_LEVELSETS
-from meshfit.mesh import (MeshElement, cofactors, interpolation_matrix,
-                          jacobian_det, require_valid, resampling_matrix)
+from meshfit.mesh import (MeshElement, cofactors, element_min_dets,
+                          interpolation_matrix, jacobian_det, min_det_of,
+                          require_valid, resampling_matrix)
 
 from conftest import (edge_records, meshes_identical, perturbed_mesh,
                       random_order_mesh, reference_edges, set_orders)
@@ -302,6 +308,101 @@ def test_a_bad_element_kind_is_a_structure_error(geometry, order, match):
     bad = MeshElement(geometry, np.arange(4), order, verts.T.copy())
     with pytest.raises(MeshStructureError, match=re.escape(match)):
         MixedOrderMesh(verts, [bad])
+
+
+#: kinds that no entry point may take: orders that only equal a valid
+#: order (2.0, True), an order below 1, a string, and an unknown geometry
+BAD_KINDS = [("quad", 2.0), ("quad", True), ("quad", 0), ("quad", "1"),
+             ("hex", 1)]
+
+
+def _kind_outcomes():
+    """(entry point, kind, exception type, message) of each entry point of
+    the kind rule on each bad kind: every ``reference_element`` call first,
+    then every ``generate_cartesian``, constructor and ``set_order`` call,
+    so that in a fresh process only the order-1 quad is ever built."""
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    entries = {
+        "reference_element": lambda g, p: reference_element(g, p),
+        "generate_cartesian": lambda g, p: generate_cartesian(1, 1, p),
+        "MixedOrderMesh": lambda g, p: MixedOrderMesh(
+            verts, [MeshElement(g, np.arange(4), p, verts.T.copy())]),
+        "set_order": lambda g, p: generate_cartesian(1, 1, 1).set_order(0, p),
+    }
+    out = []
+    for name, call in entries.items():
+        for geometry, order in BAD_KINDS:
+            if geometry != "quad" and name in ("generate_cartesian",
+                                               "set_order"):
+                continue   # these two take no geometry
+            try:
+                call(geometry, order)
+                got = ("no error", "")
+            except Exception as exc:   # the outcome is what is compared
+                got = (type(exc).__name__, str(exc))
+            out.append([name, geometry, repr(order), *got])
+    return out
+
+
+def test_a_bad_kind_raises_one_typed_error_cached_or_not():
+    # cold: a fresh process, where no table of the kinds that 2.0 and True
+    # equal was built before the call
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(meshfit.__file__))
+    path = os.pathsep.join([src, tests] + [p for p in
+                                           [os.environ.get("PYTHONPATH")] if p])
+    code = "\n".join([
+        "import json, test_mesh",
+        "from meshfit import basis",
+        "assert basis._reference_elements.cache_info().currsize == 0",
+        "print(json.dumps(test_mesh._kind_outcomes()))",
+    ])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr
+    cold = json.loads(run.stdout)
+    # warm: every valid kind that a bad order equals is cached
+    for p in (1, 2, 3):
+        generate_cartesian(1, 1, p)
+    warm = _kind_outcomes()
+    assert warm == cold
+    for name, geometry, order, kind, message in warm:
+        assert kind == "MeshStructureError", (name, geometry, order, message)
+        fault = (f"unsupported geometry {geometry!r}" if geometry == "hex"
+                 else f"order {order}, expected an integer >= 1")
+        subject = ("element 0" if name in ("MixedOrderMesh", "set_order")
+                   else f"element kind ({geometry!r}, {order})")
+        assert message == f"{subject} has {fault}"
+
+
+@pytest.mark.parametrize("order", [3.0, True, 0, "1"],
+                         ids=["float", "bool", "zero", "string"])
+def test_a_rejected_set_order_changes_nothing(order):
+    m = generate_cartesian(2, 2, 1)
+    m.set_order(3, 3)   # the order-3 tables are built
+    groups = {key: ids.copy() for key, ids in m.groups().items()}
+    coords = [el.coords.copy() for el in m.elements]
+    for e in (0, 3):
+        before = m.elements[e].order
+        with pytest.raises(MeshStructureError, match=f"^element {e} has "):
+            m.set_order(e, order)
+        assert type(m.elements[e].order) is int
+        assert m.elements[e].order == before
+    assert all(np.array_equal(el.coords, c)
+               for el, c in zip(m.elements, coords))
+    assert list(m.groups()) == list(groups)
+    assert all(np.array_equal(m.groups()[key], groups[key]) for key in groups)
+
+
+@pytest.mark.parametrize("nx, ny", [(True, 2), (2.0, 2), (2, True), (2, 2.0),
+                                    ("2", 2), (0, 2)],
+                         ids=["bool_x", "float_x", "bool_y", "float_y",
+                              "string_x", "zero_x"])
+def test_generate_rejects_a_cell_count_that_is_no_integer(nx, ny):
+    # True would build a 1 x 2 mesh
+    with pytest.raises(ValueError, match="cell counts must be integers"):
+        generate_cartesian(nx, ny, 1)
 
 
 def test_numpy_integer_orders_are_accepted():
@@ -676,10 +777,9 @@ def test_set_order_matches_eval_map_bit_for_bit(split):
 
 
 def test_prolongation_exact_for_low_degree():
-    from meshfit.basis import gauss_lobatto_nodes
     P = interpolation_matrix(2, 4)
-    lo = gauss_lobatto_nodes(2)
-    hi = gauss_lobatto_nodes(4)
+    lo = _gauss_lobatto_cached(2)
+    hi = _gauss_lobatto_cached(4)
     for poly in (lambda x: 1 + 0 * x, lambda x: 2 * x - 1, lambda x: x**2):
         assert np.allclose(P @ poly(lo), poly(hi), atol=1e-13)
 
@@ -714,7 +814,10 @@ def test_nan_node_makes_mesh_invalid(every_element):
         require_valid(m)
     # the finite elements alone keep their finite minimum
     if not every_element:
-        assert m.min_det([1, 2, 3]) == generate_cartesian(2, 2, 1).min_det()
+        ids = m.groups()[("quad", 1)]
+        assert ids.tolist() == [1, 2, 3]
+        assert min_det_of([(("quad", 1), m.group_coords(ids))]) == \
+            generate_cartesian(2, 2, 1).min_det()
 
 
 def test_cofactors_invert_the_jacobian(rng):
@@ -732,10 +835,11 @@ def test_cofactors_invert_the_jacobian(rng):
 
 def test_min_det_subset_matches_global():
     m = perturbed_mesh(3, 3, 2, seed=9)
-    all_ids = list(range(len(m.elements)))
-    assert np.isclose(m.min_det(all_ids), m.min_det(), atol=1e-15)
-    per_el = min(m.min_det([e]) for e in all_ids)
-    assert np.isclose(per_el, m.min_det(), atol=1e-15)
+    (key, ids), = m.groups().items()
+    per_el = element_min_dets([(key, m.group_coords(ids))])[0]
+    alone = [min_det_of([(key, m.group_coords([e]))]) for e in ids]
+    assert np.allclose(per_el, alone, rtol=0.0, atol=1e-15)
+    assert np.isclose(min(alone), m.min_det(), atol=1e-15)
 
 
 def test_order_histogram_and_groups():

@@ -212,6 +212,18 @@ def test_run_study_rejects_a_boolean_tolerance_or_weight():
     assert [r.status for r in records] == ["failed:ValueError"] * 4
 
 
+def test_run_study_rejects_a_flag_or_cell_count_of_the_wrong_type():
+    # "no" is truthy: the split row would run on triangles, the boundary_fit
+    # row would fit the box boundary, and JSON true would run one cell wide
+    runs = [{"label": "split", "generate": [4, 4, 1], "split": "no"},
+            {"label": "boundary_fit", "generate": [4, 4, 1],
+             "boundary_fit": "no"},
+            {"label": "cells", "generate": [True, 4, 1]},
+            {"label": "cells_y", "generate": [4, 4.0, 1]}]
+    records, _ = run_study({"levelset": "name:circle", "runs": runs})
+    assert [r.status for r in records] == ["failed:ValueError"] * 4
+
+
 def test_robustness_study_config_parses():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
                         "robustness_study.json")

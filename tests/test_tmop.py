@@ -9,7 +9,7 @@ from meshfit import (FitConfig, MeshInvalidError, QualityMetric,
                      mark_interface_faces, objective, solve_r_adaptivity, tmop)
 from meshfit.basis import basis_tables, jacobian_table, reference_element
 from meshfit.mesh import element_min_dets, map_jacobians, require_valid
-from meshfit.levelset import ANALYTIC_LEVELSETS
+from meshfit.levelset import ANALYTIC_LEVELSETS, AnalyticLevelSet
 from meshfit.tmop import (IDEAL_TRIANGLE_TARGET, _Assembly, _element_pass,
                           _expand_xy, _hessian_values, _metric_derivs,
                           _min_element_diameter, _motion_basis, _NewtonPattern,
@@ -217,7 +217,9 @@ FD_MESHES = {
 FD_CASES = {"mu2": ("mu2", None, 0.0), "mu77": ("mu77", None, 0.0),
             "mu80": ("mu80", None, 0.0),
             # Gauss-Newton is exact for the affine plane field y = 0.3
-            "mu2-plane": ("mu2", ANALYTIC_LEVELSETS["plane"](0.3), 5.0)}
+            "mu2-plane": ("mu2", AnalyticLevelSet(
+                "plane", lambda x, y: y - 0.3,
+                lambda x, y: (np.zeros_like(x), np.ones_like(y))), 5.0)}
 
 
 @pytest.mark.parametrize("metric, field, fit_weight, mesh", [
