@@ -14,16 +14,14 @@ element orders of a state already solved; it is not applied, so the mesh is
 the one before it, and that state is not solved again) and
 ``"outer iteration cap"``.  Each outer iteration decides the next order
 field (refinement, optional vertex-touch elevation, propagation) on order
-arrays, and only then resamples the elements whose order changes.
+arrays, and only then resamples the elements whose order changes, by one
+``set_order`` call.
 
 Derefinement decides each candidate lowering on the node blocks it would
-touch: the lowered elements, resampled, and the edge nodes their
-neighbors would rebuild from the new traces (``mesh.lowering_min_det``).
-The mesh changes once per accepted lowering, by ``set_order`` on each
-lowered element and one ``apply_edge_constraints``; a rejected candidate
-leaves it as it was.  Face traces are evaluated per edge order: one
-product per trace table for all faces of that order, one field query in
-sorted-face order, and row-wise sums.
+touch (``mesh.lowering_min_det``); only an accepted lowering changes the
+mesh, by one ``set_order`` call.  Face traces are read from the mesh's
+nodes and evaluated per edge order: one product per trace table, one
+field query in sorted-face order, and row-wise sums.
 
 Each re-solve after a refinement starts its fit weight where the last
 solve's equilibrium puts the residual the refinement left.  At a converged
@@ -46,8 +44,7 @@ import numpy as np
 
 from .basis import (_gauss_legendre_01, _gauss_lobatto_cached, is_count,
                     is_real, lagrange_1d, lagrange_1d_deriv)
-from .mesh import (MixedOrderMesh, apply_edge_constraints,
-                   interpolation_matrix, lowering_min_det)
+from .mesh import MixedOrderMesh, interpolation_matrix, lowering_min_det
 from .tmop import FitConfig, mark_interface_faces, solve_r_adaptivity
 
 REFINE_KINDS = ("absolute", "relative")
@@ -169,7 +166,7 @@ def compute_face_errors(mesh: MixedOrderMesh, field) -> FaceErrorReport:
     # the nodes first: right after a solve they are the points of its last
     # field query, so a discrete field reuses that location
     dm = mesh.dof_map()
-    t = dm.extract(mesh)
+    t = mesh.nodes
     face_nodes = dm.marked_node_ids(mesh)
     if face_nodes.size:
         node_sigma = float(np.abs(field.values(t[face_nodes])).max())
@@ -318,16 +315,15 @@ def try_derefine(mesh: MixedOrderMesh, field, plan: AdaptivityPlan,
     positive Jacobian, is applied.  Application prefers lowering both
     neighbors, falling back to one side at a time.  Every test runs before
     the mesh changes: the Jacobian test on the node blocks the lowering
-    would touch (``mesh.lowering_min_det``).  Only an accepted lowering
-    changes the mesh, by ``set_order`` on each lowered element and one
-    ``apply_edge_constraints``.  Returns the accepted order, or None if the
-    face keeps its order.
+    would touch (``mesh.lowering_min_det``).  An accepted lowering is one
+    ``set_order`` call.  Returns the accepted order, or None if the face
+    keeps its order.
     """
     dm = mesh.dof_map()
     p_face = int(dm.edge_orders[face])
     if p_face <= plan.p_init:
         return None
-    coords = dm.extract(mesh)[dm.edge_nodes[face, :p_face + 1]]
+    coords = mesh.nodes[dm.edge_nodes[face, :p_face + 1]]
     candidates = range(plan.p_init, p_face)
     # one field query for the current trace and every projected candidate,
     # all at the quadrature points of the face's order
@@ -354,9 +350,7 @@ def try_derefine(mesh: MixedOrderMesh, field, plan: AdaptivityPlan,
                                                  plan.neighbor_limit):
                 continue
             if lowering_min_det(mesh, lowered, p_hat) > 0.0:
-                for e in lowered:
-                    mesh.set_order(e, p_hat)
-                apply_edge_constraints(mesh)
+                mesh.set_order(lowered, p_hat)
                 return p_hat
     return None
 
@@ -479,9 +473,8 @@ def run_rp_adaptivity(mesh: MixedOrderMesh, field, fit: FitConfig,
             result.exit_reason = "fixpoint"
             break
         solved.add(state)
-        for e in np.flatnonzero(orders != current):
-            mesh.set_order(int(e), int(orders[e]))
-        apply_edge_constraints(mesh)
+        changed = np.flatnonzero(orders != current)
+        mesh.set_order(changed, orders[changed])
         refined = record(outer, "refine")
         problem = fit.problem(mesh, field)
         problem.fit_weight = _restart_weight(
@@ -490,8 +483,8 @@ def run_rp_adaptivity(mesh: MixedOrderMesh, field, fit: FitConfig,
         report = record(outer, "fit", solve_rep.status,
                         solve_rep.num_iterations)
         if derefine:
-            # try_derefine accepts a lowering only with the edge constraints
-            # applied and the neighbor limit held: nothing is left to propagate
+            # try_derefine accepts a lowering only with the neighbor limit
+            # held: nothing is left to propagate
             derefinement_pass(mesh, field, plan)
             report = record(outer, "derefine")
         sides = mesh.edge_element_ids[sorted(mesh.marked_faces)]

@@ -89,8 +89,7 @@ class Locator:
         #: node coordinates; element e is row row_of[e] of group group_of[e]
         self.groups = mesh.groups()
         self.group_refs = [reference_element(*key) for key in self.groups]
-        self.group_coords = [mesh.group_coords(ids)
-                             for ids in self.groups.values()]
+        self.group_coords = [mesh.group_coords(key) for key in self.groups]
         #: widest basis row of any group
         self.max_nodes = max(ref.num_nodes for ref in self.group_refs)
         self.group_of = np.empty(num_el, dtype=int)

@@ -1,31 +1,24 @@
 """2D meshes with per-element polynomial orders and hanging-order edge constraints.
 
-Element node coordinates are stored per element as a (2, num_nodes) block.
-Independent ("true") position unknowns live at mesh vertices, on edge
-interiors at the edge's governing order (the minimum of the two adjacent
-element orders), and inside elements.  On a mixed-order edge the high-order
-side carries no independent edge unknowns: its edge nodes are interpolated
-from the low-order side's trace, which keeps the geometry continuous across
-the edge.
+A mesh has one position state, ``nodes``: the independent ("true")
+positions in ``DofMap`` numbering, whose first rows are ``vertices``.  They
+live at vertices, on edge interiors at the edge's governing order (the
+lower of its two element orders) and inside elements.  On a mixed-order
+edge the high-order side interpolates its edge nodes from the low-order
+side's trace, which keeps the geometry continuous; ``edge_owners`` is the
+one rule for the side a trace is read from.  The element blocks derive
+from the state: one cached ``DofMap.expand @ nodes`` array, of which each
+element's ``coords`` is a read-only view and ``group_coords`` takes whole
+groups.  ``set_nodes`` is the one writer.  The constructor and
+``set_order`` read the state from element blocks by the owner rule
+(``apply_edge_constraints``), so a dependent edge node takes its owner's
+trace.
 
-A mesh state is described by tables, each built once by the object that
-owns it.  The mesh owns the element groups by (geometry, order)
-(``groups()``), whose every build is the one element check, and the edge
-table (``_build_edges``), arrays over the vertex lists alone: each edge's
-vertex pair, its elements and their local edge indices, each element's
-vertex and edge ids and the direction of each local edge, and vertex-pair
-lookups (``edge_ids``); no other code derives a local edge or a direction.
-The ``DofMap`` owns the node numbering and is the one place that decides
-the side an edge trace is read from.  ``set_order`` drops the groups and
-the DofMap, which are rebuilt on their next use.  ``lowering_min_det``
-tells whether lowering some elements would keep the mesh valid without
-changing it, rebuilding only the node blocks that the lowering and the
-constraint pass after it would touch, by the DofMap's owner rule.  The
-tables of an element kind depend on no mesh: ``basis.reference_element``
-and ``basis.basis_tables`` build them once per (geometry, order).  What an
-element kind is lives in ``basis`` too (``kind_fault``, ``check_kind``):
-the element check and ``set_order`` run that one rule and raise
-``MeshStructureError`` naming the element.
+Each table is built once by its owner: the mesh builds the element groups
+(``groups()``, whose every build is the one element check) and the edge
+table (``_build_edges``), the ``DofMap`` the node numbering, and ``basis``
+the tables and the rule of an element kind.  ``set_order`` changes a batch
+of orders and rebuilds the groups, the DofMap and the state.
 
 One kernel (``map_jacobians``, ``jacobian_components``, ``jacobian_det``,
 ``cofactors``) gives every map Jacobian that the quality metric, the
@@ -35,7 +28,7 @@ validity check, the point locator and a discrete field's gradient read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -51,12 +44,8 @@ class MeshElement:
     geometry: str
     verts: np.ndarray        # vertex ids, counterclockwise
     order: int
-    coords: np.ndarray       # (2, num_nodes) node coordinates
+    coords: np.ndarray       # (2, num_nodes); in a mesh, a read-only view
     attribute: int = 1
-
-    def copy(self) -> "MeshElement":
-        return MeshElement(self.geometry, self.verts.copy(), self.order,
-                           self.coords.copy(), self.attribute)
 
 
 def map_jacobians(X: np.ndarray, Gf: np.ndarray) -> np.ndarray:
@@ -118,17 +107,21 @@ def resampling_matrix(geometry: str, order_from: int,
 
 
 class MixedOrderMesh:
-    """Mesh of quads or triangles with an independent order per element."""
+    """Mesh of quads or triangles with an independent order per element.
+    The constructor keeps none of the caller's arrays."""
 
     def __init__(self, vertices, elements, marked_faces=()):
         self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshStructureError("vertices must be an (n, 2) array")
-        self.elements: list[MeshElement] = list(elements)
+        self.elements: list[MeshElement] = [
+            MeshElement(el.geometry, np.array(el.verts, dtype=int), el.order,
+                        np.asarray(el.coords, dtype=float), el.attribute)
+            for el in elements]
         self.marked_faces: set[int] = set(marked_faces)
-        self._dofmap: DofMap | None = None
-        self._groups: dict | None = self._checked_groups()
+        self._groups = self._checked_groups()
         self._build_edges()
+        self._read_nodes()
 
     # -- connectivity -----------------------------------------------------
 
@@ -137,12 +130,9 @@ class MixedOrderMesh:
         in geometry, order (and its type), vertex count and node-block shape.
         Raises ``MeshStructureError`` for the first bad element, naming its
         first fault of: unknown vertices, kind (``basis.kind_fault``), vertex
-        count and node-block shape.  Coerces vertex ids and node
-        coordinates."""
+        count and node-block shape."""
         found: dict[tuple, list[int]] = {}
         for e, el in enumerate(self.elements):
-            el.verts = np.asarray(el.verts, dtype=int)
-            el.coords = np.asarray(el.coords, dtype=float)
             found.setdefault((el.geometry, el.order, type(el.order),
                               len(el.verts), el.coords.shape), []).append(e)
         nv, faults, groups = len(self.vertices), [], {}
@@ -268,61 +258,85 @@ class MixedOrderMesh:
 
     def groups(self) -> dict[tuple[str, int], np.ndarray]:
         """Ascending element ids per (geometry, order), keys sorted, for
-        batched evaluation; every build checks the elements.  Cached until
-        the next ``set_order``."""
-        if self._groups is None:
-            self._groups = self._checked_groups()
+        batched evaluation; every build checks the elements."""
         return self._groups
 
-    def group_coords(self, ids) -> np.ndarray:
-        """Node coordinates of elements sharing one (geometry, order), as an
-        (len(ids), num_nodes, 2) stack."""
-        return np.stack([self.elements[e].coords.T for e in ids])
+    def group_coords(self, key) -> np.ndarray:
+        """Node coordinates of the elements of one ``groups()`` key, an
+        (E_g, num_nodes, 2) stack laid out as the elements' ``coords.T``."""
+        X = self._blocks[:, self._dofmap.slots[key]]
+        return np.ascontiguousarray(X.transpose(1, 0, 2)).transpose(0, 2, 1)
 
     def min_det(self) -> float:
         """Minimum Jacobian determinant of the elements at validity samples."""
-        return min_det_of((key, self.group_coords(ids))
-                          for key, ids in self.groups().items())
+        return min_det_of((key, self.group_coords(key)) for key in self._groups)
 
     def diameter(self) -> float:
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
-        return float(np.hypot(*(hi - lo)))
+        return float(np.hypot(*np.ptp(self.vertices, axis=0)))
 
-    # -- mutation ----------------------------------------------------------
+    # -- the node state ----------------------------------------------------
 
-    def set_order(self, e: int, new_order: int):
-        """Resample element ``e`` at a new order (``resampled_block``):
-        raising the order keeps the map, lowering it interpolates the map at
-        the lower-order nodes.  Raises ``MeshStructureError`` naming the
-        element, and changes nothing, unless the new order makes a kind
-        (``basis.check_kind``)."""
-        el = self.elements[e]
-        check_kind(el.geometry, new_order, f"element {e}")
-        if new_order == el.order:
+    def _read_nodes(self):
+        """Build the DofMap and read the state from the elements' blocks."""
+        self._dofmap = dm = DofMap(self)
+        self._nodes = apply_edge_constraints(self)
+        self.nodes = self._nodes.view()
+        # (2, total_local), so that each element's block is row-major
+        self._blocks = np.ascontiguousarray((dm.expand @ self._nodes).T)
+        blocks = self._blocks.view()
+        self.nodes.flags.writeable = blocks.flags.writeable = False
+        self.vertices = self.nodes[:dm.num_vertices]
+        ends = np.cumsum([el.coords.shape[1] for el in self.elements]).tolist()
+        self.elements = [
+            MeshElement(el.geometry, el.verts, el.order,
+                        blocks[:, end - el.coords.shape[1]:end], el.attribute)
+            for el, end in zip(self.elements, ends)]
+
+    def set_nodes(self, t):
+        """Make ``t`` the node positions; every element block follows.
+        Raises ``ValueError`` unless it has the shape of ``nodes``."""
+        t = np.asarray(t, dtype=float)
+        if t.shape != self._nodes.shape:
+            raise ValueError(f"nodes of shape {t.shape}, expected "
+                             f"{self._nodes.shape}")
+        self._nodes[:] = t
+        self._blocks[:] = (self._dofmap.expand @ self._nodes).T
+
+    def set_order(self, ids, orders):
+        """Resample the elements ``ids`` at ``orders`` (one for all, or one
+        per id; ``resampled_block``), then rebuild the groups, the DofMap and
+        the state, read by the owner rule.  Raises ``MeshStructureError``
+        naming the first element whose new order makes no kind
+        (``basis.check_kind``), and changes nothing."""
+        ids = np.atleast_1d(ids).tolist()
+        orders = np.broadcast_to(np.array(orders, dtype=object),
+                                 len(ids)).tolist()
+        for e, p in zip(ids, orders):
+            check_kind(self.elements[e].geometry, p, f"element {e}")
+        changed = {e: int(p) for e, p in zip(ids, orders)
+                   if p != self.elements[e].order}
+        if not changed:
             return
-        el.coords = resampled_block(self, e, new_order).T.copy()
-        el.order = new_order
-        # drop the tables that depend on element orders
-        self._groups = None
-        self._dofmap = None
+        self.elements = [
+            replace(el, order=changed[e],
+                    coords=resampled_block(self, e, changed[e]).T)
+            if e in changed else el for e, el in enumerate(self.elements)]
+        self._groups = self._checked_groups()
+        self._read_nodes()
 
     def copy(self) -> "MixedOrderMesh":
-        return MixedOrderMesh(self.vertices.copy(),
-                              [el.copy() for el in self.elements],
-                              set(self.marked_faces))
+        """An independent mesh of the same state."""
+        return MixedOrderMesh(self.vertices, self.elements, self.marked_faces)
 
     # -- degrees of freedom -----------------------------------------------
 
     def dof_map(self) -> "DofMap":
-        if self._dofmap is None:
-            self._dofmap = DofMap(self)
         return self._dofmap
 
     @property
     def num_position_dofs(self) -> int:
         """Number of independent position nodes (vertices + edge + interior)."""
-        return self.dof_map().num_nodes
+        return self._dofmap.num_nodes
 
     def order_histogram(self) -> dict[int, int]:
         """The number of elements of each order, by ascending order."""
@@ -330,44 +344,46 @@ class MixedOrderMesh:
         return dict(zip(orders.tolist(), counts.tolist()))
 
 
+def edge_owners(mesh: MixedOrderMesh, orders) -> tuple[np.ndarray, np.ndarray]:
+    """The one rule for the element that owns an edge's trace, at
+    per-element ``orders``: per edge, its governing order (the lower side's)
+    and its owner, the lowest element id at that order."""
+    sides = mesh.edge_element_ids
+    # the missing side (-1) of a boundary edge reads the appended maximum
+    at = np.append(np.asarray(orders, dtype=int), np.iinfo(int).max)[sides]
+    governing = at.min(axis=1)
+    # the sides of an edge are in element order
+    return governing, np.where(at[:, 0] == governing, sides[:, 0], sides[:, 1])
+
+
 class DofMap:
-    """Mapping between independent position nodes and element node blocks.
+    """Mapping between the independent position nodes and the element
+    node blocks, concatenated in element order.
 
-    Node numbering: vertices first, then edge-interior nodes per edge at the
-    edge's governing order (``edge_orders``), then element-interior nodes in
-    element order.  Row k of ``edge_nodes`` holds the p + 1 independent
-    nodes of edge k at its governing order p, from its smaller to its larger
-    vertex id, padded with -1 to the largest edge order + 1.  The element
-    node blocks are concatenated in element order.  For each (geometry,
-    order) group of ``groups`` (the mesh's ``groups()``), ``slots[key]`` and
-    ``node_ids[key]`` are (E_g, n) arrays over the group's elements: the
-    position of each element node in that concatenation, and the independent
-    node it reads directly (-1 for a constrained edge node).  ``expand`` is
-    a sparse matrix taking a per-node vector (or (n, k) stack) to the
-    concatenation, applying trace interpolation on constrained high-order
-    edge nodes, and ``expand_T`` is its CSR transpose.  ``read_slots`` gives,
-    for each non-vertex node, the slot of the concatenation it is read from:
-    its first directly mapped slot, which for an edge node is the lowest
-    element id at the edge's governing order.  So the trace of edge k at
-    order p is ``extract(mesh)[edge_nodes[k, :p + 1]]``.
-
-    The build is a few array operations per group and per local edge,
-    reading the mesh's element-vertex, element-edge, edge-direction and
-    edge-element arrays; no loop runs over elements.
+    Node numbering: vertices, then edge-interior nodes per edge at its
+    governing order (``edge_orders``), then element-interior nodes in
+    element order.  Row k of ``edge_nodes`` holds the p + 1 nodes of edge k
+    at its governing order p, smaller vertex id first, padded with -1.  Per
+    (geometry, order) group of ``groups``, ``slots[key]`` and
+    ``node_ids[key]`` (E_g, n) give each element node's position in the
+    concatenation and the node it reads directly (-1 for a constrained edge
+    node).  ``expand`` takes a per-node array to the concatenation,
+    interpolating constrained edge nodes from their traces, and
+    ``expand_T`` is its CSR transpose.  ``read_slots`` gives each
+    non-vertex node's slot in its element, or in its edge's owner
+    (``edge_owners``).  The build runs array operations per group and local
+    edge; no loop runs over elements.
     """
 
     def __init__(self, mesh: MixedOrderMesh):
         self.groups = mesh.groups()
         refs = {key: reference_element(*key) for key in self.groups}
-        nv = len(mesh.vertices)
-        self.num_vertices = nv
+        self.num_vertices = nv = len(mesh.vertices)
         orders, sizes, inner = np.empty((3, len(mesh.elements)), dtype=int)
         for key, ids in self.groups.items():
             orders[ids], sizes[ids] = key[1], refs[key].num_nodes
             inner[ids] = len(refs[key].interior)
-        # the missing side (-1) of a boundary edge reads the appended maximum
-        self.edge_orders = np.append(orders, np.iinfo(int).max)[
-            mesh.edge_element_ids].min(axis=1)
+        self.edge_orders, owner = edge_owners(mesh, orders)
         edge_counts = self.edge_orders - 1
         offsets = nv + np.cumsum(edge_counts) - edge_counts
         first_interior = nv + int(edge_counts.sum())
@@ -386,6 +402,7 @@ class DofMap:
 
         self.slots: dict[tuple[str, int], np.ndarray] = {}
         self.node_ids: dict[tuple[str, int], np.ndarray] = {}
+        read = np.empty(self.num_nodes - nv, dtype=int)
         # expand entries: direct (slot, node) pairs, then interpolated ones
         empty = np.zeros(0, dtype=int)
         direct_slots, direct_nodes = [empty], [empty]
@@ -395,8 +412,7 @@ class DofMap:
             nverts = len(ref.corners)
             slots = starts[ids, None] + np.arange(ref.num_nodes)
             node = np.full(slots.shape, -1)
-            V = mesh.element_vertex_ids[ids, :nverts]
-            node[:, ref.corners] = V
+            node[:, ref.corners] = mesh.element_vertex_ids[ids, :nverts]
             node[:, ref.interior] = interior_starts[ids, None] \
                 + np.arange(len(ref.interior))
             # per (element, local edge): edge id, governing order, the
@@ -411,6 +427,11 @@ class DofMap:
             same = p_edge == p
             node[member[same][:, None], canonical[same][:, 1:-1]] = \
                 edge_nodes[k[same], 1:p]
+            # an edge node is read from its owner's block
+            own = owner[k] == ids[:, None]
+            row, col = member[own][:, None], canonical[own][:, 1:-1]
+            read[node[row, col] - nv] = slots[row, col]
+            read[node[:, ref.interior] - nv] = slots[:, ref.interior]
             for p_low in range(1, p):
                 # edge nodes interpolated from the order p_low trace
                 low = p_edge == p_low
@@ -437,26 +458,7 @@ class DofMap:
               np.concatenate([direct_nodes, *cols]))),
             shape=(self.total_local, self.num_nodes))
         self.expand_T = self.expand.T.tocsr()
-        read = np.full(self.num_nodes, self.total_local)
-        np.minimum.at(read, direct_nodes, direct_slots)
-        self.read_slots = read[nv:]
-
-    def extract(self, mesh: MixedOrderMesh) -> np.ndarray:
-        """Independent node positions, shape (num_nodes, 2)."""
-        t = np.empty((self.num_nodes, 2))
-        t[:self.num_vertices] = mesh.vertices
-        if self.total_local:
-            x_all = np.concatenate([el.coords for el in mesh.elements], axis=1)
-            t[self.num_vertices:] = x_all[:, self.read_slots].T
-        return t
-
-    def scatter(self, mesh: MixedOrderMesh, t: np.ndarray):
-        """Write independent node positions back into vertex and element storage."""
-        x_all = self.expand @ t
-        mesh.vertices[:] = t[:self.num_vertices]
-        for key, ids in self.groups.items():
-            for e, x in zip(ids, x_all[self.slots[key]]):
-                mesh.elements[e].coords[:] = x.T
+        self.read_slots = read
 
     def marked_node_ids(self, mesh: MixedOrderMesh) -> np.ndarray:
         """Sorted independent node ids lying on the marked faces."""
@@ -480,15 +482,15 @@ def check_node_blocks(mesh: MixedOrderMesh, blocks) -> list[np.ndarray]:
     return blocks
 
 
-def apply_edge_constraints(mesh: MixedOrderMesh) -> MixedOrderMesh:
-    """Overwrite dependent edge nodes from the governing low-order traces.
-
-    Idempotent; a conforming equal-order mesh with consistent shared values is
-    returned unchanged.
-    """
-    dm = mesh.dof_map()
-    dm.scatter(mesh, dm.extract(mesh))
-    return mesh
+def apply_edge_constraints(mesh: MixedOrderMesh) -> np.ndarray:
+    """The nodes that the mesh's vertices and element blocks give by the
+    owner rule (``DofMap.read_slots``): a dependent edge node is not read,
+    so a block that disagrees with its edge's owner is overruled.  On a
+    mesh's own blocks it returns its ``nodes``."""
+    x_all = np.concatenate([np.zeros((2, 0)),
+                            *(el.coords for el in mesh.elements)], axis=1)
+    return np.concatenate([mesh.vertices,
+                           x_all[:, mesh.dof_map().read_slots].T])
 
 
 def element_min_dets(stacks) -> list[np.ndarray]:
@@ -523,19 +525,11 @@ def resampled_block(mesh: MixedOrderMesh, e: int, order: int) -> np.ndarray:
 
 def lowering_min_det(mesh: MixedOrderMesh, lowered, order: int) -> float:
     """``min_det`` of the elements in ``lowered`` and their edge neighbors
-    after ``set_order(e, order)`` for each e in ``lowered`` and one
-    ``apply_edge_constraints``, computed without changing the mesh.
-
-    Only the node blocks that sequence writes are rebuilt: each lowered
-    element is resampled as ``set_order`` does, and on each interior edge of
-    a lowered element the side that does not own the trace rewrites its
-    edge nodes from it.  The owner rule is the DofMap's: the governing
-    order is the lower side's, and the trace is the lowest-id side at that
-    order; an equal-order side copies it and a higher-order side
-    interpolates it.  The other blocks hold as they are when the mesh
-    satisfies its edge constraints.  The blocks agree with the applied
-    sequence up to rounding, not bit for bit.
-    """
+    after ``set_order(lowered, order)``, computed without changing the mesh
+    on the blocks that the lowering changes: the lowered elements,
+    resampled, and on each of their interior edges the side that does not
+    own the trace (``edge_owners``), which copies or interpolates it.  They
+    agree with ``set_order`` up to rounding, not bit for bit."""
     def along(k, side, p):
         """Local nodes of edge k on a side at order p, smaller vertex first."""
         e, le = mesh.edge_element_ids[k, side], mesh.edge_local_ids[k, side]
@@ -544,6 +538,7 @@ def lowering_min_det(mesh: MixedOrderMesh, lowered, order: int) -> float:
 
     orders = mesh.orders()
     orders[lowered] = order
+    governing, owners = edge_owners(mesh, orders)
     blocks = {e: resampled_block(mesh, e, order) for e in lowered}
     touched = set(lowered)
     edges = np.unique(mesh.element_edge_ids[lowered])
@@ -552,17 +547,16 @@ def lowering_min_det(mesh: MixedOrderMesh, lowered, order: int) -> float:
         if sides[1] < 0:
             continue   # a boundary edge's one side owns its trace
         touched.update(sides.tolist())
-        governing = int(orders[sides].min())
-        j = 0 if orders[sides[0]] == governing else 1   # the owner's side
+        j, p_edge = int(sides[1] == owners[k]), int(governing[k])
         owner, other = int(sides[j]), int(sides[1 - j])
         X = blocks[owner] if owner in blocks else mesh.elements[owner].coords.T
-        trace = X[along(k, j, governing)]
+        trace = X[along(k, j, p_edge)]
         p = int(orders[other])
         if other not in blocks:
             blocks[other] = mesh.elements[other].coords.T.copy()
         inner = along(k, 1 - j, p)[1:-1]
-        blocks[other][inner] = trace[1:-1] if p == governing else \
-            interpolation_matrix(governing, p)[1:-1] @ trace
+        blocks[other][inner] = trace[1:-1] if p == p_edge else \
+            interpolation_matrix(p_edge, p)[1:-1] @ trace
     stacks: dict[tuple[str, int], list[np.ndarray]] = {}
     for e in sorted(touched):
         stacks.setdefault((mesh.elements[e].geometry, int(orders[e])), []) \

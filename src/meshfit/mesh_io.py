@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import QUAD, TRI, edge_samples, is_count, reference_element
+from .basis import (QUAD, TRI, edge_samples, is_count, is_real,
+                    reference_element)
 from .errors import MeshFileError
 from .mesh import (MeshElement, MixedOrderMesh, check_node_blocks,
                    element_min_dets)
@@ -61,11 +62,15 @@ def generate_cartesian(nx: int, ny: int, order: int,
         Polynomial order of every element; ``MeshStructureError`` unless
         it makes an element kind (``basis.check_kind``).
     box : tuple
-        (xmin, ymin, xmax, ymax); must have positive extents.
+        (xmin, ymin, xmax, ymax), four real numbers other than bools
+        (``basis.is_real``) with positive extents; ``ValueError``
+        otherwise.
     """
     if not (is_count(nx) and is_count(ny)):
         raise ValueError(f"cell counts must be integers >= 1, got {nx!r} x "
                          f"{ny!r}")
+    if not (len(box) == 4 and all(map(is_real, box))):
+        raise ValueError(f"box must be four real numbers, got {box!r}")
     geometry = TRI if split_triangles else QUAD
     u, v = reference_element(geometry, order).nodes.T
     xmin, ymin, xmax, ymax = map(float, box)
@@ -202,7 +207,7 @@ def _parse_mesh(lines):
         raise MeshFileError("non-finite node coordinate")
     starts = np.cumsum(sizes // 2) - sizes // 2
     mesh = MixedOrderMesh(vertices, [
-        MeshElement(geometry, verts, order, X.T.copy(), attribute)
+        MeshElement(geometry, verts, order, X.T, attribute)
         for (geometry, attribute, order, verts), X
         in zip(heads, np.split(nodes, starts[1:]))])
     bad = []
@@ -233,12 +238,22 @@ def _parse_mesh(lines):
 
 
 def _reject_duplicate_vertices(vertices: np.ndarray):
+    """Raise ``MeshFileError`` for a pair of vertices closer than 1e-14.
+    In (x, y) order such a pair is adjacent if its x are equal, and else
+    lies in the window (x, x + 1e-14] of its first vertex's x."""
     order = np.lexsort((vertices[:, 1], vertices[:, 0]))
-    close = np.hypot(*np.diff(vertices[order], axis=0).T) < 1e-14
-    if np.any(close):
-        k = int(np.argmax(close))
-        raise MeshFileError(
-            f"vertices {order[k]} and {order[k + 1]} coincide within 1e-14")
+    x = vertices[order, 0]
+    start = np.searchsorted(x, x, side="right")
+    count = np.searchsorted(x, x + 1e-14, side="right") - start
+    a = np.concatenate([np.arange(len(x) - 1),
+                        np.repeat(np.arange(len(x)), count)])
+    b = np.concatenate([np.arange(1, len(x)), np.arange(count.sum())
+                        + np.repeat(start - np.cumsum(count) + count, count)])
+    a, b = order[a], order[b]
+    close = np.flatnonzero(np.hypot(*(vertices[a] - vertices[b]).T) < 1e-14)
+    if close.size:
+        i, j = sorted((a[close[0]], b[close[0]]))
+        raise MeshFileError(f"vertices {i} and {j} coincide within 1e-14")
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +312,7 @@ def export_svg(mesh: MixedOrderMesh, path, color_by: str = "order"):
     if color_by == "det":
         groups = mesh.groups()
         for ids, d in zip(groups.values(), element_min_dets(
-                (key, mesh.group_coords(ids)) for key, ids in groups.items())):
+                (key, mesh.group_coords(key)) for key in groups)):
             dets[ids] = d
         det_range = (float(dets.min()), float(dets.max()))
 
@@ -305,7 +320,7 @@ def export_svg(mesh: MixedOrderMesh, path, color_by: str = "order"):
     # from one product per (geometry, order) group
     outlines = [None] * len(mesh.elements)
     for key, ids in mesh.groups().items():
-        pts = edge_samples(*key, 16) @ mesh.group_coords(ids)
+        pts = edge_samples(*key, 16) @ mesh.group_coords(key)
         for e, p in zip(ids, pts.reshape(len(ids), -1, 17, 2)):
             outlines[e] = p
     body = []

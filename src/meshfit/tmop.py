@@ -43,9 +43,8 @@ import scipy.sparse.linalg as spla
 from .basis import (TRI, BasisTables, basis_tables, is_count, is_real,
                     jacobian_table)
 from .errors import MeshInvalidError
-from .mesh import (MixedOrderMesh, apply_edge_constraints, cofactors,
-                   jacobian_components, jacobian_det, map_jacobians,
-                   min_det_of, require_valid)
+from .mesh import (MixedOrderMesh, cofactors, jacobian_components,
+                   jacobian_det, map_jacobians, min_det_of, require_valid)
 
 IDEAL_TRIANGLE_TARGET = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
 IDEAL_TRIANGLE_TARGET.flags.writeable = False
@@ -128,7 +127,7 @@ def element_quality(mesh: "MixedOrderMesh",
     out = np.empty(len(mesh.elements))
     for key, ids in mesh.groups().items():
         mu = metric.values(jacobian_components(
-            map_jacobians(mesh.group_coords(ids), target_tables(*key).Gf)))
+            map_jacobians(mesh.group_coords(key), target_tables(*key).Gf)))
         out[ids] = mu.max(axis=1)
     return out
 
@@ -205,8 +204,8 @@ def assign_materials(mesh: MixedOrderMesh, field) -> None:
     if not mesh.elements:
         return
     groups = mesh.groups()
-    centers = [(basis_tables(*key).center_basis @ mesh.group_coords(ids))[:, 0]
-               for key, ids in groups.items()]
+    centers = [(basis_tables(*key).center_basis @ mesh.group_coords(key))[:, 0]
+               for key in groups]
     values = field.values(np.concatenate(centers))
     for e, value in zip(np.concatenate(list(groups.values())), values):
         mesh.elements[e].attribute = 1 if value < 0.0 else 2
@@ -353,7 +352,7 @@ def _total_gradient(asm: _Assembly, gq: np.ndarray, sigma: np.ndarray,
 def objective(problem: TmopProblem, coords: np.ndarray | None = None) -> float:
     """Total objective at the mesh's (or the given) independent node positions."""
     asm = _Assembly(problem)
-    t = asm.dm.extract(problem.mesh) if coords is None else coords
+    t = problem.mesh.nodes if coords is None else coords
     fq, state = _element_pass(asm, problem.metric, t)
     if state is None:
         return np.inf
@@ -367,7 +366,7 @@ def gradient(problem: TmopProblem, coords: np.ndarray | None = None) -> np.ndarr
     their trace interpolation.
     """
     asm = _Assembly(problem)
-    t = asm.dm.extract(problem.mesh) if coords is None else coords
+    t = problem.mesh.nodes if coords is None else coords
     _, state = _element_pass(asm, problem.metric, t)
     if state is None:
         raise MeshInvalidError("gradient requested on an inverted configuration")
@@ -684,7 +683,7 @@ def _min_element_diameter(mesh: MixedOrderMesh) -> float:
     """Smallest bounding-box diagonal of an element's nodes, with one
     reduction per (geometry, order) group."""
     return min(float(np.hypot(*(c.max(axis=1) - c.min(axis=1)).T).min())
-               for c in map(mesh.group_coords, mesh.groups().values()))
+               for c in map(mesh.group_coords, mesh.groups()))
 
 
 def solve_r_adaptivity(problem: TmopProblem):
@@ -738,12 +737,11 @@ def solve_r_adaptivity(problem: TmopProblem):
     """
     mesh = problem.mesh
     controls = problem.controls
-    apply_edge_constraints(mesh)
     require_valid(mesh, "solve_r_adaptivity")
     asm = _Assembly(problem)
     Z = _motion_basis(*boundary_freedom(mesh, problem.boundary))
     ZT = Z.T
-    t = asm.dm.extract(mesh)
+    t = mesh.nodes
     w = float(problem.fit_weight)
     fitting = asm.marked.size > 0
     report = SolveReport()
@@ -778,7 +776,7 @@ def solve_r_adaptivity(problem: TmopProblem):
         report.final_sigma_max = smax
         report.final_fit_weight = w
         report.final_min_det = asm.min_det(t) if md is None else md
-        asm.dm.scatter(mesh, t)
+        mesh.set_nodes(t)
         return mesh, report
 
     if fitting and smax <= controls.fit_tol:

@@ -3,7 +3,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from meshfit import apply_edge_constraints, generate_cartesian
+from meshfit import generate_cartesian
 from meshfit.errors import MeshStructureError
 
 
@@ -64,14 +64,13 @@ def perturbed_mesh(nx, ny, order, amp=None, seed=0, split_triangles=False,
     if amp is None:
         amp = 0.15 / (max(nx, ny) * order)
     rng = np.random.default_rng(seed)
-    dm = mesh.dof_map()
-    t = dm.extract(mesh)
+    t = mesh.nodes
     move = amp * rng.uniform(-1.0, 1.0, t.shape)
     if keep_boundary:
         on_boundary = ((np.abs(t[:, 0]) < 1e-12) | (np.abs(t[:, 0] - 1) < 1e-12)
                        | (np.abs(t[:, 1]) < 1e-12) | (np.abs(t[:, 1] - 1) < 1e-12))
         move[on_boundary] = 0.0
-    dm.scatter(mesh, t + move)
+    mesh.set_nodes(t + move)
     assert mesh.min_det() > 0.0, "perturbation amplitude too large"
     return mesh
 
@@ -80,17 +79,16 @@ def random_order_mesh(nx, ny, orders=(1, 2, 3), seed=0, split_triangles=False):
     """Conforming mesh with uniformly random per-element orders."""
     mesh = generate_cartesian(nx, ny, 1, split_triangles=split_triangles)
     rng = np.random.default_rng(seed)
-    for e in range(len(mesh.elements)):
-        mesh.set_order(e, int(rng.choice(orders)))
-    apply_edge_constraints(mesh)
+    mesh.set_order(range(len(mesh.elements)),
+                   [int(rng.choice(orders)) for _ in mesh.elements])
     return mesh
 
 
 def set_orders(mesh, orders):
     """Resample every element whose order differs from ``orders``, as the
     adaptive driver applies a planned order field."""
-    for e in np.flatnonzero(orders != mesh.orders()):
-        mesh.set_order(int(e), int(orders[e]))
+    changed = np.flatnonzero(orders != mesh.orders())
+    mesh.set_order(changed, orders[changed])
 
 
 def meshes_identical(a, b):

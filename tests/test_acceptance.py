@@ -195,8 +195,7 @@ def test_criterion_05_gradient_matches_finite_differences():
     worst = 0.0
     for name, mesh in meshes:
         mark_interface_faces(mesh, SQUIRCLE)
-        dm = mesh.dof_map()
-        t = dm.extract(mesh)
+        t = mesh.nodes
         for metric in metrics:
             prob = FitConfig(metric=metric,
                              fit_weight=5.0).problem(mesh, SQUIRCLE)

@@ -9,7 +9,7 @@ from meshfit import (AdaptivityPlan, DiscreteLevelSet, DofMap, FitConfig,
                      compute_face_errors, generate_cartesian,
                      mark_interface_faces, run_rp_adaptivity,
                      solve_r_adaptivity)
-from meshfit import adapt
+from meshfit import adapt, mesh as mesh_module
 from meshfit.adapt import (apply_refinement, derefinement_pass,
                            edge_touching_elevation, mark_for_refinement,
                            propagate_orders, try_derefine)
@@ -91,11 +91,10 @@ def test_arc_length_of_curved_face():
     k, = m.edge_ids([(1, 4)])
     dm = m.dof_map()
     ids = dm.edge_nodes[k]  # every edge is at p2, so the row is unpadded
-    t = dm.extract(m)
+    t = m.nodes.copy()
     mid = np.argmin(np.abs(t[ids] - [0.5, 0.5]).sum(axis=1))
     t[ids[mid]] += [0.08, 0.0]
-    dm.scatter(m, t)
-    apply_edge_constraints(m)
+    m.set_nodes(t)
     m.marked_faces = {k}
     measured = compute_face_errors(m, _const_field(0.0)).lengths[0]
     # the face runs x(s) = 0.5 + 0.08 * 4 s (1 - s), y(s) = s
@@ -144,7 +143,7 @@ def test_compute_face_errors_report():
         assert np.isclose(err, single, atol=1e-15)
     m.marked_faces = marked
     ids = m.dof_map().marked_node_ids(m)
-    direct = np.abs(circle.values(m.dof_map().extract(m)[ids])).max()
+    direct = np.abs(circle.values(m.nodes[ids])).max()
     assert np.isclose(rep.node_sigma_max, direct, atol=1e-15)
 
 
@@ -154,7 +153,7 @@ def _face_errors_loop(mesh, field):
     per-order stacks of ``compute_face_errors`` must match bit for bit."""
     faces = sorted(mesh.marked_faces)
     dm = mesh.dof_map()
-    t = dm.extract(mesh)
+    t = mesh.nodes.copy()
     traces = []
     for k, p in zip(faces, dm.edge_orders[faces].tolist()):
         coords = t[dm.edge_nodes[k, :p + 1]]
@@ -267,7 +266,6 @@ def test_refinement_preserves_face_error():
     plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2)
     set_orders(m, apply_refinement(m, sorted(m.marked_faces), plan,
                                    m.orders()))
-    apply_edge_constraints(m)
     after = compute_face_errors(m, circle)
     assert np.isclose(after.total_error, before.total_error, rtol=1e-10)
     assert after.node_sigma_max > 10 * before.node_sigma_max
@@ -285,7 +283,6 @@ def _fitted_refined_circle():
     plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2)
     set_orders(m, apply_refinement(m, sorted(m.marked_faces), plan,
                                    m.orders()))
-    apply_edge_constraints(m)
     solve_r_adaptivity(fit.problem(m, circle))
     return m, circle
 
@@ -306,18 +303,15 @@ def _squircle_plan(name):
 
 def _applied_min_det(mesh, lowered, order):
     """The apply-and-rollback trial that ``lowering_min_det`` replaces: the
-    lowering applied to a copy of the mesh, one constraint pass, then the
-    smallest determinant of the lowered elements and their edge neighbors,
-    a group at a time."""
+    lowering applied to a copy of the mesh, then the smallest determinant
+    of the lowered elements and their edge neighbors, a group at a time."""
     m = mesh.copy()
-    for e in lowered:
-        m.set_order(e, order)
-    apply_edge_constraints(m)
+    m.set_order(lowered, order)
     k = m.element_edge_ids[lowered]
     sides = m.edge_element_ids[k[k >= 0]]
     wanted = np.zeros(len(m.elements), dtype=bool)
     wanted[lowered] = wanted[sides[sides >= 0]] = True
-    return min_det_of((key, m.group_coords(ids[wanted[ids]]))
+    return min_det_of((key, m.group_coords(key)[wanted[ids]])
                       for key, ids in m.groups().items() if wanted[ids].any())
 
 
@@ -425,7 +419,7 @@ def test_try_derefine_rejection_leaves_mesh_untouched(monkeypatch):
 
     monkeypatch.setattr(MixedOrderMesh, "set_order",
                         spy("set_order", MixedOrderMesh.set_order))
-    monkeypatch.setattr(adapt, "apply_edge_constraints",
+    monkeypatch.setattr(mesh_module, "apply_edge_constraints",
                         spy("constraints", apply_edge_constraints))
     monkeypatch.setattr(DofMap, "__init__", spy("dofmap", DofMap.__init__))
     monkeypatch.setattr(adapt, "lowering_min_det", trial)
@@ -473,9 +467,7 @@ def test_try_derefine_acceptance_lowers_orders():
     assert p_hat in m.orders()[sides[sides >= 0]]
     assert m.min_det() > 0.0
     # conformity was restored after the projection
-    dm = m.dof_map()
-    t = dm.extract(m)
-    assert np.all(np.isfinite(t))
+    assert np.all(np.isfinite(m.nodes))
 
 
 def test_try_derefine_checks_the_neighbor_limit_before_the_mesh_changes(
@@ -484,7 +476,6 @@ def test_try_derefine_checks_the_neighbor_limit_before_the_mesh_changes(
     # lowering either side puts it 2 below an order-3 neighbor
     m = generate_cartesian(3, 3, 3)
     set_orders(m, np.array([2, 2, 3, 3, 3, 3, 3, 3, 3]))
-    apply_edge_constraints(m)
     face = (set(m.element_edge_ids[0]) & set(m.element_edge_ids[1])).pop()
     plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2,
                           deref_kind="size", deref_threshold=0.5)
@@ -581,7 +572,6 @@ def test_driver_requires_uniform_initial_order():
     circle = ANALYTIC_LEVELSETS["circle"]()
     m = generate_cartesian(3, 3, 1)
     m.set_order(0, 2)
-    apply_edge_constraints(m)
     with pytest.raises(ValueError):
         run_rp_adaptivity(m, circle, FitConfig(), AdaptivityPlan(p_init=1,
                                                                  p_max=3))
@@ -793,13 +783,11 @@ def test_derefinement_pass_leaves_orders_and_constraints_settled(limit):
 
     def checked(mesh, field, plan):
         accepted = derefinement_pass(mesh, field, plan)
-        coords = [el.coords.copy() for el in mesh.elements]
         settled = np.array_equal(
             propagate_orders(mesh, mesh.orders(), plan.neighbor_limit),
             mesh.orders())
-        apply_edge_constraints(mesh)
-        unchanged = all(np.array_equal(c, el.coords)
-                        for c, el in zip(coords, mesh.elements))
+        # the owner rule reads the mesh's own blocks back as its nodes
+        unchanged = np.array_equal(apply_edge_constraints(mesh), mesh.nodes)
         passes.append((len(accepted), settled, unchanged))
         return accepted
 
@@ -834,7 +822,6 @@ def test_edge_touching_elevation():
     m = generate_cartesian(3, 3, 1)
     center = 4
     m.set_order(center, 3)
-    apply_edge_constraints(m)
     m.marked_faces = {k for k, rec in enumerate(edge_records(m))
                       if any(s.element == center for s in rec.sides)}
     before = m.orders()

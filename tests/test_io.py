@@ -180,6 +180,66 @@ def test_reader_rejects_duplicate_vertices(tmp_path):
     _expect_reject(tmp_path, lines, match="coincide")
 
 
+def test_reader_rejects_close_vertices_that_are_not_neighbors_in_xy_order(
+        tmp_path):
+    # in (x, y) order (0, 2) lies between the close pair (0, 1), (1e-15, 1)
+    lines = ["meshfit mesh 1", "dimension 2", "vertices 3", "0 1", "0 2",
+             "1e-15 1", "elements 0", "nodes", "marked_faces 0"]
+    _expect_reject(tmp_path, lines,
+                   match="^vertices 0 and 2 coincide within 1e-14$")
+
+
+def _brute_force_close_pair(vertices):
+    d = np.hypot(*(vertices[:, None] - vertices[None]).transpose(2, 0, 1))
+    return bool((d[np.triu_indices(len(vertices), 1)] < 1e-14).any())
+
+
+def test_duplicate_vertex_check_matches_every_pair():
+    # grid columns share their x, and near copies sit in every direction
+    # at distances on both sides of 1e-14
+    rng = np.random.default_rng(3)
+    grid = generate_cartesian(4, 3, 1).vertices
+    for trial in range(300):
+        copies = grid[rng.integers(len(grid), size=rng.integers(0, 3))]
+        angle = rng.uniform(0.0, 2.0 * np.pi, len(copies))
+        step = rng.choice([0.0, 3e-15, 9e-15, 1.1e-14, 5e-14], len(copies))
+        near = copies + step[:, None] * np.column_stack([np.cos(angle),
+                                                         np.sin(angle)])
+        vertices = rng.permutation(np.concatenate([grid, near]))
+        if _brute_force_close_pair(vertices):
+            with pytest.raises(MeshFileError, match="coincide"):
+                mesh_io._reject_duplicate_vertices(vertices)
+        else:
+            mesh_io._reject_duplicate_vertices(vertices)
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (2, 3)],
+                         ids=["equal_orders", "raised_neighbor"])
+def test_a_shared_edge_node_off_its_owner_reads_as_the_owner_trace(
+        tmp_path, orders):
+    # element 0 owns the shared edge x = 0.5: it is the lower element id,
+    # and its order is the governing one.  Element 1's copies of the edge's
+    # interior nodes are moved off it in the file
+    m = generate_cartesian(2, 1, orders[0])
+    m.set_order(1, orders[1])
+    path = tmp_path / "conforming.mesh"
+    write_mesh(m, path)
+    lines = path.read_text().splitlines()
+    at = lines.index("nodes") + 2   # element 1's node block
+    xy = np.array(lines[at].split(), dtype=float).reshape(-1, 2)
+    on_edge = (xy[:, 0] == 0.5) & (xy[:, 1] > 0.0) & (xy[:, 1] < 1.0)
+    assert on_edge.sum() == orders[1] - 1
+    xy[on_edge, 0] += 0.01
+    lines[at] = " ".join(format(v, ".17g") for v in xy.ravel())
+    moved = tmp_path / "moved.mesh"
+    moved.write_text("\n".join(lines) + "\n")
+    back = read_mesh(moved)
+    assert meshes_identical(back, m)
+    again = tmp_path / "again.mesh"
+    write_mesh(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_reader_rejects_bad_elements(tmp_path):
     base = _good_lines(tmp_path)
     first_el = 12 + 1  # header, dimension, "vertices 9", 9 rows, "elements 4"
@@ -419,9 +479,9 @@ def test_svg_points_match_per_point_formatting(tmp_path, monkeypatch):
     # with its own f-string
     m = random_order_mesh(3, 3, orders=(1, 2, 3), seed=4, split_triangles=True)
     dm = m.dof_map()
-    t = dm.extract(m)
+    t = m.nodes.copy()
     t[dm.num_vertices:] += 0.01 * np.sin(7.0 * t[dm.num_vertices:])
-    dm.scatter(m, t)
+    m.set_nodes(t)
     assert m.min_det() > 0.0
     export_svg(m, tmp_path / "joined.svg", color_by="det")
 
@@ -613,10 +673,9 @@ def test_cli_argument_errors(tmp_path):
     malformed.write_text("meshfit mesh 1\ndimension 2\nvertices four\n")
     inverted = tmp_path / "inverted.mesh"
     m = generate_cartesian(2, 2, 1)
-    dm = m.dof_map()
-    t = dm.extract(m)
+    t = m.nodes.copy()
     t[np.all(t == 0.5, axis=1)] = [1.5, 0.5]  # folds the left elements
-    dm.scatter(m, t)
+    m.set_nodes(t)
     assert m.min_det() < 0.0
     write_mesh(m, inverted)
     # a background field over the lower left quarter of the unit square only

@@ -163,8 +163,8 @@ def test_analytic_and_discrete_squircle_fits_agree():
     assert mesh_a.marked_faces == mesh_d.marked_faces
     dm = mesh_d.dof_map()
     nodes = dm.marked_node_ids(mesh_d)
-    x_d = dm.extract(mesh_d)[nodes]
-    x_a = mesh_a.dof_map().extract(mesh_a)[nodes]
+    x_d = mesh_d.nodes[nodes]
+    x_a = mesh_a.nodes[nodes]
     eps = (np.abs(discrete.values(x_d) - analytic.values(x_d)).max()
            / np.hypot(*analytic.gradients(x_d).T).min())
     assert eps < 1e-4

@@ -3,14 +3,16 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import meshfit
-from meshfit import (AdaptivityPlan, MeshInvalidError, MixedOrderMesh,
-                     apply_edge_constraints, generate_cartesian, read_mesh,
+from meshfit import (AdaptivityPlan, FitConfig, MeshInvalidError,
+                     MixedOrderMesh, QualityMetric, apply_edge_constraints,
+                     generate_cartesian, read_mesh, run_rp_adaptivity,
                      write_mesh)
 from meshfit.adapt import apply_refinement, propagate_orders, try_derefine
 from meshfit.basis import _gauss_lobatto_cached, reference_element
@@ -18,7 +20,7 @@ from meshfit.errors import MeshStructureError
 from meshfit.levelset import ANALYTIC_LEVELSETS
 from meshfit.mesh import (MeshElement, cofactors, element_min_dets,
                           interpolation_matrix, jacobian_det, min_det_of,
-                          require_valid, resampling_matrix)
+                          require_valid, resampled_block, resampling_matrix)
 
 from conftest import (edge_records, meshes_identical, perturbed_mesh,
                       random_order_mesh, reference_edges, set_orders)
@@ -105,6 +107,18 @@ def test_generate_rejects_bad_input():
         generate_cartesian(4, 4, 0)
     with pytest.raises(ValueError):
         generate_cartesian(2, 2, 1, box=(0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("box", [(0, 0, True, "1"), (0, 0, 1, True),
+                                 (0, 0, "1", 1), (0, 0, 1), (0, 0, 1, 1, 1)],
+                         ids=["bool_and_string", "bool", "string", "three",
+                              "five"])
+def test_generate_rejects_a_box_of_no_four_real_numbers(box):
+    # True and "1" would otherwise build the unit square
+    with pytest.raises(ValueError, match="box must be four real numbers"):
+        generate_cartesian(2, 2, 1, box=box)
+    m = generate_cartesian(2, 2, 1, box=(np.float64(0), 0, 2, np.int64(1)))
+    assert m.diameter() == np.hypot(2.0, 1.0)
 
 
 def test_edge_table_4x4():
@@ -208,9 +222,7 @@ def _mixed_geometry_mesh():
         elements.append(MeshElement("tri", np.array(ids), 1,
                                     verts[ids].T.copy()))
     m = MixedOrderMesh(verts, elements)
-    m.set_order(0, 3)
-    m.set_order(2, 2)
-    apply_edge_constraints(m)
+    m.set_order([0, 2], [3, 2])
     return m
 
 
@@ -218,7 +230,7 @@ def _shuffled_mesh():
     """A 3x3 split-triangle mesh with its elements in random order."""
     m = random_order_mesh(3, 3, seed=11, split_triangles=True)
     order = np.random.default_rng(5).permutation(len(m.elements))
-    return MixedOrderMesh(m.vertices, [m.elements[e].copy() for e in order])
+    return MixedOrderMesh(m.vertices, [m.elements[e] for e in order])
 
 
 def _read_back_mesh(tmp_path):
@@ -438,7 +450,7 @@ def _first_bad_element(vertices, elements):
 
 def _break(el, fault):
     """A copy of ``el`` with one fault."""
-    el = el.copy()
+    el = replace(el, verts=el.verts.copy())
     if fault == "vertex":
         el.verts[-1] = 99
     elif fault == "negative":
@@ -463,7 +475,7 @@ def test_the_first_bad_element_in_element_order_is_reported():
     base.set_order(2, 2)
     for late, early in [("vertex", "coords"), ("coords", "vertex"),
                         ("order", "count"), ("geometry", "vertex")]:
-        elements = [el.copy() for el in base.elements]
+        elements = list(base.elements)
         elements[5], elements[2] = (_break(elements[5], late),
                                     _break(elements[2], early))
         want = _first_bad_element(base.vertices, elements)
@@ -478,7 +490,7 @@ def test_element_checks_agree_with_the_element_loop():
     rng = np.random.default_rng(11)
     for trial in range(200):
         m = random_order_mesh(3, 2, seed=trial, split_triangles=trial % 2 == 1)
-        elements = [el.copy() for el in m.elements]
+        elements = list(m.elements)
         for _ in range(int(rng.integers(1, 4))):
             e = int(rng.integers(len(elements)))
             fault = FAULTS[rng.integers(len(FAULTS))]
@@ -495,7 +507,7 @@ def test_seeded_groups_equal_a_rebuild():
         loop: dict = {}
         for e, el in enumerate(m.elements):
             loop.setdefault((el.geometry, el.order), []).append(e)
-        seeded = MixedOrderMesh(m.vertices, [el.copy() for el in m.elements])
+        seeded = MixedOrderMesh(m.vertices, m.elements)
         for groups in (m.groups(), seeded.groups()):
             assert list(groups) == sorted(loop)
             assert all(groups[key].tolist() == loop[key] for key in loop)
@@ -505,7 +517,7 @@ def test_seeded_groups_equal_a_rebuild():
 
 def _assert_tables_fresh(m):
     """Cached groups, incidence arrays and DofMap equal a fresh copy's."""
-    fresh = MixedOrderMesh(m.vertices, [el.copy() for el in m.elements])
+    fresh = MixedOrderMesh(m.vertices, m.elements)
     groups, want = m.groups(), fresh.groups()
     assert list(groups) == list(want)
     assert all(np.array_equal(groups[key], want[key]) for key in want)
@@ -522,15 +534,12 @@ def _assert_tables_fresh(m):
         assert all(np.array_equal(mine[key], want[key]) for key in want)
     assert dm.expand.shape == dm0.expand.shape
     assert (dm.expand != dm0.expand).nnz == 0
-    assert np.array_equal(dm.extract(m), dm0.extract(fresh))
+    assert np.array_equal(m.nodes, fresh.nodes)
 
 
 def test_order_changes_rebuild_cached_tables():
     m = generate_cartesian(3, 3, 3)
-    m.set_order(0, 2)
-    m.set_order(1, 2)
-    apply_edge_constraints(m)
-    m.groups(), m.dof_map()  # fill the caches
+    m.set_order([0, 1], 2)
     m.set_order(8, 1)
     _assert_tables_fresh(m)
 
@@ -558,10 +567,12 @@ def test_extract_reads_edges_through_edge_trace(split):
     m = random_order_mesh(3, 3, seed=4, split_triangles=split)
     assert len({el.order for el in m.elements}) == 3
     # give every element its own copy of shared nodes, so the side an edge
-    # node is read from shows in the result
+    # node is read from shows in the nodes the constructor reads
     rng = np.random.default_rng(0)
-    for el in m.elements:
-        el.coords += 1e-3 * rng.standard_normal(el.coords.shape)
+    blocks = [el.coords + 1e-3 * rng.standard_normal(el.coords.shape)
+              for el in m.elements]
+    m = MixedOrderMesh(m.vertices, [replace(el, coords=X) for el, X
+                                    in zip(m.elements, blocks)])
     dm = m.dof_map()
     expected = np.full((dm.num_nodes, 2), np.nan)
     expected[:len(m.vertices)] = m.vertices
@@ -572,14 +583,14 @@ def test_extract_reads_edges_through_edge_trace(split):
                    key=lambda s: s.element)
         el = m.elements[side.element]
         local = reference_element(el.geometry, p).edge_nodes[side.local_edge]
-        trace = el.coords[:, local].T
+        trace = blocks[side.element][:, local].T
         expected[dm.edge_nodes[k, 1:p]] = \
             (trace if side.forward else trace[::-1])[1:-1]
     for key, ids in m.groups().items():
         interior = reference_element(*key).interior
         for e, node in zip(ids, dm.node_ids[key]):
-            expected[node[interior]] = m.elements[e].coords[:, interior].T
-    assert np.array_equal(dm.extract(m), expected)
+            expected[node[interior]] = blocks[e][:, interior].T
+    assert np.array_equal(m.nodes, expected)
 
 
 def _reference_dofmap(m):
@@ -672,6 +683,88 @@ def test_dofmap_matches_the_element_loop():
             assert np.array_equal(mine, want)
 
 
+def _resampled_blocks(mesh, orders):
+    """The (n, 2) node block of each element at ``orders``, as a one-element
+    ``set_order`` left it before batches: resampled by the cached matrix,
+    with the vertices at its corners, and the others as they are."""
+    blocks = []
+    for el, p in zip(mesh.elements, orders):
+        X = el.coords.T
+        if p != el.order:
+            X = resampling_matrix(el.geometry, el.order, p) @ el.coords.T
+            X[reference_element(el.geometry, p).corners] = \
+                mesh.vertices[el.verts]
+        blocks.append(X)
+    return blocks
+
+
+def _assert_state_of_the_extract_scatter_pass(m, blocks):
+    """The state of ``m`` is bit for bit the one pass that followed the
+    per-element resampling before batches: the nodes read from the
+    concatenated ``blocks`` at the loop reference's ``read_slots``
+    (extract), and every element block rebuilt as ``expand @ nodes``
+    (scatter)."""
+    ref = _reference_dofmap(m)
+    vertices = np.array(m.vertices)
+    t = np.concatenate([vertices, np.concatenate(blocks)[ref["read_slots"]]])
+    expanded = ref["expand"] @ t
+    assert np.array_equal(m.nodes, t)
+    assert np.array_equal(m.vertices, vertices)
+    ends = np.cumsum([el.coords.shape[1] for el in m.elements])
+    for el, end in zip(m.elements, ends):
+        n = el.coords.shape[1]
+        assert np.array_equal(el.coords, expanded[end - n:end].T)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["quads", "triangles"])
+def test_a_batched_set_order_equals_the_per_element_sequence(split):
+    rng = np.random.default_rng(8)
+    for seed in range(6):
+        m = random_order_mesh(4, 3, seed=seed, split_triangles=split)
+        m.set_nodes(m.nodes + rng.uniform(-0.02, 0.02, m.nodes.shape))
+        orders = rng.integers(1, 4, len(m.elements))
+        blocks = _resampled_blocks(m, orders)
+        changed = np.flatnonzero(orders != m.orders())
+        m.set_order(changed, orders[changed])
+        assert np.array_equal(m.orders(), orders)
+        _assert_state_of_the_extract_scatter_pass(m, blocks)
+
+
+#: the adaptive plans of the bench, by variant
+BENCH_PLANS = {
+    "adaptive": {},
+    "deref": dict(deref_kind="size", deref_threshold=1e-5),
+    "limited": dict(max_neighbor_diff=1),
+    "limited_deref": dict(deref_kind="size", deref_threshold=1e-5,
+                          max_neighbor_diff=1),
+}
+
+
+@pytest.mark.parametrize("variant", BENCH_PLANS)
+def test_set_order_in_the_bench_runs_equals_the_per_element_sequence(
+        variant, monkeypatch):
+    # every order field that the refinements and accepted lowerings of the
+    # 8x8 bench run apply
+    set_order, calls = MixedOrderMesh.set_order, []
+
+    def checked(mesh, ids, orders):
+        new = mesh.orders()
+        new[ids] = orders
+        blocks = _resampled_blocks(mesh, new)
+        set_order(mesh, ids, orders)
+        _assert_state_of_the_extract_scatter_pass(mesh, blocks)
+        calls.append(len(np.atleast_1d(ids)))
+
+    monkeypatch.setattr(MixedOrderMesh, "set_order", checked)
+    plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2,
+                          refine_kind="absolute", refine_threshold=1e-14,
+                          fit_tol=1e-7, **BENCH_PLANS[variant])
+    run_rp_adaptivity(generate_cartesian(8, 8, 1),
+                      ANALYTIC_LEVELSETS["squircle2d"](),
+                      FitConfig(metric=QualityMetric("mu2")), plan)
+    assert calls and max(calls) > 1
+
+
 def test_edge_directions_match_the_rolled_vertex_test():
     # the DofMap orients each local edge by element_edge_forward; the rolled
     # vertex comparison it used before must give the same directions
@@ -709,17 +802,16 @@ def test_dofmap_tables_are_read_only():
 
 def test_dof_roundtrip_bitwise():
     m = perturbed_mesh(3, 3, 2, seed=5)
-    dm = m.dof_map()
-    t = dm.extract(m)
+    t = m.nodes.copy()
     m2 = m.copy()
-    m.dof_map().scatter(m, t)
+    m.set_nodes(t)
     assert meshes_identical(m, m2)
 
 
 def test_dof_expand_reproduces_element_nodes():
     m = random_order_mesh(3, 3, seed=2)
     dm = m.dof_map()
-    t = dm.extract(m)
+    t = m.nodes.copy()
     full = dm.expand @ t
     for key, ids in m.groups().items():
         for e, slots in zip(ids, dm.slots[key]):
@@ -760,7 +852,8 @@ def test_set_order_matches_eval_map_bit_for_bit(split):
     # every order change of a curved mesh: the cached resampling matrix
     # gives exactly the map evaluated at the new nodes, and the corner nodes
     # are the vertices, which the map reproduces only up to rounding on a
-    # triangle
+    # triangle.  set_order keeps that block at every node the element reads
+    # itself; a raised element's edge nodes follow its neighbors' traces
     for old in (1, 2, 3):
         for new in [q for q in (1, 2, 3, 4) if q != old]:
             m = perturbed_mesh(2, 2, old, seed=old, split_triangles=split)
@@ -768,9 +861,15 @@ def test_set_order_matches_eval_map_bit_for_bit(split):
             ref = reference_element(el.geometry, new)
             expected = m.eval_map(1, ref.nodes).T
             expected[:, ref.corners] = m.vertices[el.verts].T
+            assert np.array_equal(resampled_block(m, 1, new).T, expected)
             m.set_order(1, new)
             assert m.elements[1].order == new
-            assert np.array_equal(m.elements[1].coords, expected)
+            key = (el.geometry, new)
+            row = m.groups()[key].tolist().index(1)
+            direct = m.dof_map().node_ids[key][row] >= 0
+            assert np.array_equal(m.elements[1].coords[:, direct],
+                                  expected[:, direct])
+            assert np.allclose(m.elements[1].coords, expected, atol=1e-14)
     B = resampling_matrix(el.geometry, 2, 3)
     assert B is resampling_matrix(el.geometry, 2, 3)
     assert not B.flags.writeable
@@ -789,11 +888,10 @@ def test_min_det_and_validity():
     assert m.min_det() > 0.0
     require_valid(m)
     # drag one interior vertex far outside its cell to invert neighbors
-    dm = m.dof_map()
-    t = dm.extract(m)
+    t = m.nodes.copy()
     interior = np.argmin(np.abs(t - 0.5).sum(axis=1))
     t[interior] = [2.5, 2.5]
-    dm.scatter(m, t)
+    m.set_nodes(t)
     assert m.min_det() < 0.0
     with pytest.raises(MeshInvalidError):
         require_valid(m)
@@ -804,10 +902,14 @@ def test_nan_node_makes_mesh_invalid(every_element):
     # a NaN determinant must fail the > 0 check, not drop out of the minimum
     m = generate_cartesian(2, 2, 1)
     m.set_order(0, 2)
-    m.elements[0].coords[:, 4] = np.nan
+    t = m.nodes.copy()
+    # the interior node of element 0, and the first corner of each other
+    t[m.dof_map().node_ids[("quad", 2)][0,
+                                        reference_element("quad", 2).interior]] \
+        = np.nan
     if every_element:
-        for el in m.elements[1:]:
-            el.coords[:, 0] = np.nan
+        t[[el.verts[0] for el in m.elements[1:]]] = np.nan
+    m.set_nodes(t)
     assert np.isnan(m.min_det())
     assert not m.min_det() > 0.0
     with pytest.raises(MeshInvalidError):
@@ -816,7 +918,7 @@ def test_nan_node_makes_mesh_invalid(every_element):
     if not every_element:
         ids = m.groups()[("quad", 1)]
         assert ids.tolist() == [1, 2, 3]
-        assert min_det_of([(("quad", 1), m.group_coords(ids))]) == \
+        assert min_det_of([(("quad", 1), m.group_coords(("quad", 1)))]) == \
             generate_cartesian(2, 2, 1).min_det()
 
 
@@ -836,8 +938,9 @@ def test_cofactors_invert_the_jacobian(rng):
 def test_min_det_subset_matches_global():
     m = perturbed_mesh(3, 3, 2, seed=9)
     (key, ids), = m.groups().items()
-    per_el = element_min_dets([(key, m.group_coords(ids))])[0]
-    alone = [min_det_of([(key, m.group_coords([e]))]) for e in ids]
+    X = m.group_coords(key)
+    per_el = element_min_dets([(key, X)])[0]
+    alone = [min_det_of([(key, X[[i]])]) for i in range(len(ids))]
     assert np.allclose(per_el, alone, rtol=0.0, atol=1e-15)
     assert np.isclose(min(alone), m.min_det(), atol=1e-15)
 
@@ -847,7 +950,6 @@ def test_order_histogram_and_groups():
     m.set_order(0, 3)
     m.set_order(1, 3)
     m.set_order(2, 2)
-    apply_edge_constraints(m)
     assert m.order_histogram() == {1: 6, 2: 1, 3: 2}
     groups = m.groups()
     assert list(groups) == [("quad", 1), ("quad", 2), ("quad", 3)]
@@ -855,12 +957,55 @@ def test_order_histogram_and_groups():
     assert sum(len(ids) for ids in groups.values()) == 9
 
 
+def _held_arrays(mesh):
+    """Every array that a mesh holds: its attributes, its elements' and its
+    DofMap's, the arrays of its dicts and of the DofMap's sparse matrices."""
+    held = []
+    for obj in [mesh, *mesh.elements, mesh.dof_map()]:
+        for value in vars(obj).values():
+            for v in value.values() if isinstance(value, dict) else [value]:
+                if sp.issparse(v):
+                    held += [v.data, v.indices, v.indptr]
+                elif isinstance(v, np.ndarray):
+                    held.append(v)
+    return held
+
+
+def test_copy_shares_no_writable_array_with_its_source():
+    m = random_order_mesh(3, 3, seed=2, split_triangles=True)
+    c = m.copy()
+    assert meshes_identical(m, c)
+    source = _held_arrays(m)
+    for b in _held_arrays(c):
+        for a in source:
+            if np.shares_memory(a, b):
+                assert not (a.flags.writeable or b.flags.writeable)
+
+
+def test_coords_vertices_and_nodes_are_read_only_views_of_the_state():
+    m = random_order_mesh(3, 3, seed=2)
+    el = m.elements[4]
+    for array in (el.coords, m.vertices, m.nodes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        el.coords += 1.0
+    # set_nodes refreshes every view in place
+    before = el.coords.copy()
+    m.set_nodes(m.nodes + 1.0)
+    assert m.elements[4] is el
+    assert np.array_equal(el.coords, before + 1.0)
+    assert np.array_equal(m.vertices, m.nodes[:len(m.vertices)])
+    with pytest.raises(ValueError, match="shape"):
+        m.set_nodes(m.nodes[1:])
+
+
 def test_copy_is_independent():
     m = perturbed_mesh(2, 2, 2, seed=3)
     m.marked_faces = {0, 1}
     c = m.copy()
     assert meshes_identical(m, c)
-    c.elements[0].coords[:] += 1.0
+    c.set_nodes(c.nodes + 1.0)
     c.marked_faces.add(2)
     assert not np.array_equal(m.elements[0].coords, c.elements[0].coords)
     assert m.marked_faces == {0, 1}
@@ -874,7 +1019,6 @@ def test_diameters():
 def test_edge_order_is_min_of_sides():
     m = generate_cartesian(2, 1, 1)
     m.set_order(0, 3)
-    apply_edge_constraints(m)
     shared = next(k for k, rec in enumerate(edge_records(m))
                   if len(rec.sides) == 2)
     dm = m.dof_map()
@@ -895,6 +1039,5 @@ def test_marked_and_edge_node_ids():
     edge_ids = dm.edge_nodes[faces[0]]
     assert len(edge_ids) == 3 and edge_ids[0] == 0 and edge_ids[-1] == 1
     assert set(ids) == set(edge_ids) | set(dm.edge_nodes[faces[1]])
-    t = dm.extract(m)
-    pts = t[edge_ids]
+    pts = m.nodes[edge_ids]
     assert np.allclose(pts[:, 1], 0.0, atol=1e-14)  # bottom edge of the square

@@ -224,6 +224,13 @@ def test_run_study_rejects_a_flag_or_cell_count_of_the_wrong_type():
     assert [r.status for r in records] == ["failed:ValueError"] * 4
 
 
+def test_run_study_rejects_a_box_of_no_four_real_numbers():
+    # JSON true would otherwise run as 1.0: the unit square
+    runs = [{"label": "box", "generate": [2, 2, 1], "box": [0, 0, True, 1]}]
+    records, _ = run_study({"levelset": "name:circle", "runs": runs})
+    assert [r.status for r in records] == ["failed:ValueError"]
+
+
 def test_robustness_study_config_parses():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
                         "robustness_study.json")

@@ -171,8 +171,7 @@ def test_objective_zero_on_ideal_mesh():
 
 def test_objective_infinite_on_tangled_mesh():
     m = generate_cartesian(2, 2, 1)
-    dm = m.dof_map()
-    t = dm.extract(m)
+    t = m.nodes.copy()
     t[np.argmin(np.abs(t - 0.5).sum(axis=1))] = [2.5, 2.5]
     prob = FitConfig(metric=QualityMetric("mu2")).problem(m)
     assert objective(prob, t) == np.inf
@@ -185,8 +184,7 @@ def test_gradient_matches_fd_with_fit_term(rng):
     prob = FitConfig(metric=QualityMetric("mu80", gamma=0.4),
                      fit_weight=5.0).problem(m, sq)
     g = gradient(prob)
-    dm = m.dof_map()
-    t = dm.extract(m)
+    t = m.nodes.copy()
     eps = 1e-6
     idx = rng.choice(t.shape[0], size=8, replace=False)
     for i in idx:
@@ -202,10 +200,9 @@ def test_gradient_matches_fd_with_fit_term(rng):
 def _sheared_mixed_mesh():
     """3x3 mesh of orders 1 and 3, with constrained edge nodes, sheared."""
     m = random_order_mesh(3, 3, orders=(1, 3), seed=5)
-    dm = m.dof_map()
-    t = dm.extract(m)
+    t = m.nodes.copy()
     t[:, 0] += 0.2 * t[:, 1]
-    dm.scatter(m, t)
+    m.set_nodes(t)
     return m
 
 
@@ -234,7 +231,7 @@ def test_quality_hessian_matches_fd(rng, metric, field, fit_weight, mesh):
     prob = FitConfig(metric=QualityMetric(metric, gamma=0.3),
                      fit_weight=fit_weight).problem(m, field)
     asm = _Assembly(prob)
-    t = m.dof_map().extract(m)
+    t = m.nodes.copy()
     # the matrix the solver factors; with a free boundary Z = I
     newton = _NewtonPattern(asm, _motion_basis(*boundary_freedom(m, "free")))
     H = newton.matrix(newton.assemble(_hessian_values(
@@ -288,10 +285,9 @@ def _oblique_mixed_system():
     p3 leaves constrained edge nodes, and the shear makes the sliding
     tangents of the left and right sides oblique."""
     m = random_order_mesh(4, 4, orders=(1, 3), seed=5)
-    dm = m.dof_map()
-    t = dm.extract(m)
+    t = m.nodes.copy()
     t[:, 0] += 0.2 * t[:, 1]
-    dm.scatter(m, t)
+    m.set_nodes(t)
     circle = ANALYTIC_LEVELSETS["circle"]()
     mark_interface_faces(m, circle)
     prob = FitConfig(metric=QualityMetric("mu80", gamma=0.3),
@@ -429,10 +425,10 @@ def test_element_quality_is_the_max_of_the_element_pass_values(rng):
     m = random_order_mesh(8, 8, seed=3)
     assert len(m.groups()) == 3
     dm = m.dof_map()
-    dm.scatter(m, dm.extract(m) + rng.uniform(-3e-3, 3e-3, (dm.num_nodes, 2)))
+    m.set_nodes(m.nodes + rng.uniform(-3e-3, 3e-3, (dm.num_nodes, 2)))
     metric = QualityMetric("mu80", gamma=0.3)
     asm = _Assembly(FitConfig(metric=metric).problem(m))
-    _, state = _element_pass(asm, metric, dm.extract(m))
+    _, state = _element_pass(asm, metric, m.nodes)
     want = np.empty(len(m.elements))
     for ids, (_, (mu, *_)) in zip(m.groups().values(), state):
         want[ids] = mu.max(axis=1)
@@ -498,7 +494,7 @@ def test_renumbering_by_the_mmd_ordering_keeps_its_fill():
     mark_interface_faces(m, squircle)
     prob = FitConfig().problem(m, squircle)
     asm = _Assembly(prob)
-    t = asm.dm.extract(m)
+    t = m.nodes.copy()
     values = _hessian_values(asm, _element_pass(asm, prob.metric, t)[1],
                              prob.fit_weight, asm.sigma_gradients(t))
 
@@ -633,7 +629,7 @@ def test_component_kernels_match_the_stack_form_bit_for_bit(mesh, metric,
     m = BIT_MESHES[mesh]()
     prob = FitConfig(metric=QualityMetric(metric, gamma=0.3)).problem(m)
     asm = _Assembly(prob)
-    t = m.dof_map().extract(m)
+    t = m.nodes.copy()
     fq, grad, hess = _stack_quality_terms(asm, prob, t, kind_tables)
     assert objective(prob) == fq
     assert np.array_equal(gradient(prob), grad)
@@ -641,16 +637,16 @@ def test_component_kernels_match_the_stack_form_bit_for_bit(mesh, metric,
     assert np.array_equal(
         _hessian_values(asm, state, 0.0, np.zeros((0, 2))), hess)
     groups = m.groups()
-    for (key, ids), dets in zip(groups.items(), element_min_dets(
-            (key, m.group_coords(ids)) for key, ids in groups.items())):
+    for key, dets in zip(groups, element_min_dets(
+            (key, m.group_coords(key)) for key in groups)):
         tables = basis_tables(*key)
-        T = _stack_jacobians(m.group_coords(ids), np.concatenate(
+        T = _stack_jacobians(m.group_coords(key), np.concatenate(
             [tables.grad_at_quad, tables.grad_at_nodes]))
         assert np.array_equal(dets, _stack_det(T).min(axis=1))
     ref = np.empty(len(m.elements))
     for key, ids in groups.items():
         good, (mu, *_) = _stack_eval(
-            prob.metric, _stack_jacobians(m.group_coords(ids),
+            prob.metric, _stack_jacobians(m.group_coords(key),
                                           kind_tables(*key).K))
         ref[ids] = np.where(good, mu, np.inf).max(axis=1)
     assert np.array_equal(element_quality(m, prob.metric), ref)
@@ -658,20 +654,18 @@ def test_component_kernels_match_the_stack_form_bit_for_bit(mesh, metric,
 
 def test_inverted_and_nan_elements_fail_the_component_kernels():
     m = perturbed_mesh(3, 3, 2, seed=3)
-    dm = m.dof_map()
-    t = dm.extract(m)
+    t = m.nodes.copy()
     # push vertex 5, interior at (1/3, 1/3), past its opposite corner
     t[5] = [0.9, 0.9]
-    dm.scatter(m, t)
+    m.set_nodes(t)
     prob = FitConfig().problem(m)
     assert objective(prob) == np.inf
     assert m.min_det() <= 0.0
     assert np.isinf(element_quality(m, prob.metric)).any()
     t[5] = np.nan
-    dm.scatter(m, t)
+    m.set_nodes(t)
     assert np.isnan(m.min_det())
-    dets = element_min_dets((key, m.group_coords(ids))
-                            for key, ids in m.groups().items())
+    dets = element_min_dets((key, m.group_coords(key)) for key in m.groups())
     assert np.isnan(np.concatenate(dets)).sum() == 4
 
 
@@ -719,7 +713,7 @@ def test_element_hessian_gemm_matches_tk_dk_reference(metric, order, split):
     m = perturbed_mesh(3, 3, order, seed=order, split_triangles=split)
     prob = FitConfig(metric=QualityMetric(metric, gamma=0.3)).problem(m)
     asm = _Assembly(prob)
-    t = m.dof_map().extract(m)
+    t = m.nodes.copy()
     values = _hessian_values(asm, _element_pass(asm, prob.metric, t)[1], 0.0,
                              asm.sigma_gradients(t))
     blocks, gn = _mirrored_blocks(asm, values)
@@ -736,7 +730,7 @@ def test_element_hessian_gemm_matches_tk_dk_reference(metric, order, split):
 def test_boundary_freedom_classification():
     m = generate_cartesian(3, 3, 1)
     kinds, tangents = boundary_freedom(m, "slide")
-    t = m.dof_map().extract(m)
+    t = m.nodes.copy()
     corners = ((np.abs(t[:, 0]) < 1e-12) | (np.abs(t[:, 0] - 1) < 1e-12)) \
         & ((np.abs(t[:, 1]) < 1e-12) | (np.abs(t[:, 1] - 1) < 1e-12))
     edge = (((np.abs(t[:, 0]) < 1e-12) | (np.abs(t[:, 0] - 1) < 1e-12))
@@ -809,10 +803,9 @@ def test_boundary_freedom_matches_the_node_loop(mesh, mode):
 
 def _sheared_cartesian(n, order, shear=0.3):
     m = generate_cartesian(n, n, order)
-    dm = m.dof_map()
-    t = dm.extract(m)
+    t = m.nodes.copy()
     t[:, 0] += shear * t[:, 1]
-    dm.scatter(m, t)
+    m.set_nodes(t)
     return m
 
 
@@ -841,15 +834,14 @@ def test_slide_solve_keeps_boundary_nodes_on_their_lines():
     m = _sheared_cartesian(4, 2, shear=0.4)
     circle = ANALYTIC_LEVELSETS["circle"]()
     mark_interface_faces(m, circle)
-    dm = m.dof_map()
-    t0 = dm.extract(m)
+    t0 = m.nodes.copy()
     kinds, tangents = boundary_freedom(m, "slide")
     assert ((kinds == 1) & (np.abs(tangents).min(axis=1) > 0.1)).any()
     fit = FitConfig(metric=QualityMetric("mu2"),
                     controls=SolverControls(fit_tol=1e-7))
     _, report = solve_r_adaptivity(fit.problem(m, circle))
     assert report.num_iterations > 0
-    t1 = dm.extract(m)
+    t1 = m.nodes.copy()
     moved = t1 - t0
     line = kinds == 1
     assert np.abs(moved[line]).max() > 1e-6
@@ -868,8 +860,8 @@ def test_slide_solve_keeps_boundary_nodes_on_their_lines():
 def test_min_element_diameter_matches_the_element_loop(split, seed):
     m = random_order_mesh(4, 3, seed=seed, split_triangles=split)
     rng = np.random.default_rng(seed)
-    for el in m.elements:  # per-element jitter: every diameter differs
-        el.coords += rng.uniform(-0.05, 0.05, el.coords.shape)
+    # jitter every node: every diameter differs
+    m.set_nodes(m.nodes + rng.uniform(-0.05, 0.05, m.nodes.shape))
     assert len(m.groups()) > 1
     # bounding-box diagonal of each element's nodes, element by element
     assert _min_element_diameter(m) == min(
@@ -894,7 +886,7 @@ def test_solver_converges_on_circle():
                for rec in report.iterations)
     # marked nodes truly sit on the isocontour now
     ids = m.dof_map().marked_node_ids(m)
-    vals = circle.values(m.dof_map().extract(m)[ids])
+    vals = circle.values(m.nodes[ids])
     assert np.abs(vals).max() <= 1e-7
 
 
@@ -943,13 +935,13 @@ def test_solve_stops_when_no_factorization_gives_a_descent_direction(
 
     monkeypatch.setattr(spla, "splu", singular)
     problem = _squircle_fit(4, 2, QualityMetric("mu2"))
-    before = problem.mesh.dof_map().extract(problem.mesh).copy()
+    before = problem.mesh.nodes.copy()
     _, report = solve_r_adaptivity(problem)
     assert (report.status, report.reason) == ("stalled",
                                               "no descent direction")
     assert report.num_iterations == 0
     assert (report.factorizations, report.damping_retries) == (8, 8)
-    assert np.array_equal(problem.mesh.dof_map().extract(problem.mesh),
+    assert np.array_equal(problem.mesh.nodes,
                           before)
 
 
@@ -991,7 +983,7 @@ def test_solve_matches_an_mmd_ordering_per_factorization(monkeypatch):
         (r1.num_iterations, r1.factorizations)
     for a, b in zip(r0.iterations, r1.iterations):
         assert a.backtracks == b.backtracks and a.direction == b.direction
-    x0, x1 = m0.dof_map().extract(m0), m1.dof_map().extract(m1)
+    x0, x1 = m0.nodes, m1.nodes
     assert np.abs(x0 - x1).max() <= 1e-9 * m0.diameter()
 
 
@@ -1058,7 +1050,7 @@ def test_solver_respects_sliding_boundary():
     fit = FitConfig(metric=QualityMetric("mu2"),
                     controls=SolverControls(fit_tol=1e-8))
     _, report = solve_r_adaptivity(fit.problem(m, plane))
-    t = m.dof_map().extract(m)
+    t = m.nodes.copy()
     on_boundary = ((np.abs(t[:, 0]) < 1e-9) | (np.abs(t[:, 0] - 1) < 1e-9)
                    | (np.abs(t[:, 1]) < 1e-9) | (np.abs(t[:, 1] - 1) < 1e-9))
     # perturbation kept boundary nodes on the box, and sliding must too
@@ -1073,8 +1065,7 @@ def test_mixed_order_gradient_with_constraints(rng):
     mark_interface_faces(m, sq)
     prob = FitConfig(metric=QualityMetric("mu2"), fit_weight=2.0).problem(m, sq)
     g = gradient(prob)
-    dm = m.dof_map()
-    t = dm.extract(m)
+    t = m.nodes.copy()
     eps = 1e-6
     idx = rng.choice(t.shape[0], size=6, replace=False)
     for i in idx:
@@ -1094,7 +1085,7 @@ def test_zero_fit_weight_reports_true_residual():
 
     def residual():
         dm = m.dof_map()
-        return float(np.abs(sq.values(dm.extract(m)[dm.marked_node_ids(m)])).max())
+        return float(np.abs(sq.values(m.nodes[dm.marked_node_ids(m)])).max())
 
     initial = residual()
     assert initial == pytest.approx(4.49e-3, abs=1e-5)
@@ -1121,10 +1112,9 @@ def test_mesh_and_solver_agree_on_validity(seed):
     rng = np.random.default_rng(seed)
     p = int(rng.integers(2, 4))
     m = generate_cartesian(2, 2, p)
-    dm = m.dof_map()
-    t = dm.extract(m)
+    t = m.nodes.copy()
     t = t + rng.uniform(-1, 1, t.shape) * float(rng.uniform(0.05, 0.4)) / (2 * p)
-    dm.scatter(m, t)
+    m.set_nodes(t)
     problem = TmopProblem(m, QualityMetric("mu2"))
     assert m.min_det() == pytest.approx(_Assembly(problem).min_det(t),
                                         rel=1e-12)
