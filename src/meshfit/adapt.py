@@ -430,9 +430,9 @@ def run_rp_adaptivity(mesh: MixedOrderMesh, field, fit: FitConfig,
     record), clamped to ``[fit.fit_weight, w_end]``; otherwise, and when
     ``sigma0 <= 0``, at ``fit.fit_weight``.  ``fit`` is never mutated.
     """
-    for e, el in enumerate(mesh.elements):
-        if el.order != plan.p_init:
-            raise ValueError(f"element {e} at order {el.order}, expected "
+    for e, p in enumerate(mesh.orders().tolist()):
+        if p != plan.p_init:
+            raise ValueError(f"element {e} at order {p}, expected "
                              f"uniform p_init={plan.p_init}")
     controls = replace(fit.controls, fit_tol=plan.fit_tol)
     fit = replace(fit, controls=controls)

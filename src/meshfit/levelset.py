@@ -80,11 +80,11 @@ class Locator:
     MAX_NEWTON = 20
 
     def __init__(self, mesh: MixedOrderMesh):
-        if not mesh.elements:
+        num_el = len(mesh.orders())
+        if not num_el:
             raise ValueError("cannot build a locator for an empty mesh")
         self.mesh = mesh
         self.diameter = mesh.diameter()
-        num_el = len(mesh.elements)
         #: per (geometry, order) group: element ids, reference element and
         #: node coordinates; element e is row row_of[e] of group group_of[e]
         self.groups = mesh.groups()

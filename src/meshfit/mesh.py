@@ -1,24 +1,30 @@
 """2D meshes with per-element polynomial orders and hanging-order edge constraints.
 
-A mesh has one position state, ``nodes``: the independent ("true")
-positions in ``DofMap`` numbering, whose first rows are ``vertices``.  They
-live at vertices, on edge interiors at the edge's governing order (the
-lower of its two element orders) and inside elements.  On a mixed-order
-edge the high-order side interpolates its edge nodes from the low-order
-side's trace, which keeps the geometry continuous; ``edge_owners`` is the
-one rule for the side a trace is read from.  The element blocks derive
-from the state: one cached ``DofMap.expand @ nodes`` array, of which each
-element's ``coords`` is a read-only view and ``group_coords`` takes whole
-groups.  ``set_nodes`` is the one writer.  The constructor and
-``set_order`` read the state from element blocks by the owner rule
-(``apply_edge_constraints``), so a dependent edge node takes its owner's
-trace.
+A mesh has one element state and one position state.  The element state is
+a set of arrays with one entry per element: its geometry, order and
+attribute, and its vertex ids (``element_vertex_ids``).  ``set_order`` and
+``set_attributes`` are their only writers, and ``elements`` gives read-only
+``MeshElement`` records of them, built at the first read after a change.
+The position state, ``nodes``, holds the independent ("true") positions in
+``DofMap`` numbering, whose first rows are ``vertices``.  They live at
+vertices, on edge interiors at the edge's governing order (the lower of its
+two element orders) and inside elements.  On a mixed-order edge the
+high-order side interpolates its edge nodes from the low-order side's
+trace, which keeps the geometry continuous; ``edge_owners`` is the one rule
+for the side a trace is read from.  The element blocks derive from the
+nodes: one cached ``DofMap.expand @ nodes`` array, of which each record's
+``coords`` is a read-only view and ``group_coords`` takes whole groups.
+``set_nodes`` is the one writer.  The constructor and ``set_order`` read
+the nodes from a block array by the owner rule (``apply_edge_constraints``),
+so a dependent edge node takes its owner's trace.
 
-Each table is built once by its owner: the mesh builds the element groups
-(``groups()``, whose every build is the one element check) and the edge
-table (``_build_edges``), the ``DofMap`` the node numbering, and ``basis``
-the tables and the rule of an element kind.  ``set_order`` changes a batch
-of orders and rebuilds the groups, the DofMap and the state.
+Each table is built once by its owner.  The constructor reads its input
+elements once, checks them once per set of alike elements and builds the
+edge table (``_build_edges``).  The mesh groups the elements by
+(geometry, order) from its arrays (``groups()``), the ``DofMap`` numbers the
+nodes, and ``basis`` holds the tables and the rule of an element kind.
+``set_order`` changes a batch of orders, then regroups and rebuilds the
+DofMap and the nodes.
 
 One kernel (``map_jacobians``, ``jacobian_components``, ``jacobian_det``,
 ``cofactors``) gives every map Jacobian that the quality metric, the
@@ -28,8 +34,9 @@ validity check, the point locator and a discrete field's gradient read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,8 +46,10 @@ from .basis import (basis_tables, check_kind, kind_fault, lagrange_1d,
 from .errors import MeshInvalidError, MeshStructureError
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeshElement:
+    """One element: an input of ``MixedOrderMesh``, or a read-only record of
+    its ``elements``."""
     geometry: str
     verts: np.ndarray        # vertex ids, counterclockwise
     order: int
@@ -108,56 +117,62 @@ def resampling_matrix(geometry: str, order_from: int,
 
 class MixedOrderMesh:
     """Mesh of quads or triangles with an independent order per element.
-    The constructor keeps none of the caller's arrays."""
+    The constructor reads its input elements once and keeps none of them,
+    nor any of the caller's arrays."""
 
     def __init__(self, vertices, elements, marked_faces=()):
         self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshStructureError("vertices must be an (n, 2) array")
-        self.elements: list[MeshElement] = [
-            MeshElement(el.geometry, np.array(el.verts, dtype=int), el.order,
-                        np.asarray(el.coords, dtype=float), el.attribute)
-            for el in elements]
+        self._read_elements(elements)
         self.marked_faces: set[int] = set(marked_faces)
-        self._groups = self._checked_groups()
-        self._build_edges()
         self._read_nodes()
 
     # -- connectivity -----------------------------------------------------
 
-    def _checked_groups(self) -> dict[tuple[str, int], np.ndarray]:
-        """The ``groups()`` table, checking at once each set of elements alike
-        in geometry, order (and its type), vertex count and node-block shape.
-        Raises ``MeshStructureError`` for the first bad element, naming its
-        first fault of: unknown vertices, kind (``basis.kind_fault``), vertex
-        count and node-block shape."""
-        found: dict[tuple, list[int]] = {}
-        for e, el in enumerate(self.elements):
-            found.setdefault((el.geometry, el.order, type(el.order),
-                              len(el.verts), el.coords.shape), []).append(e)
-        nv, faults, groups = len(self.vertices), [], {}
-        for (geometry, order, _, count, shape), ids in found.items():
-            V = np.array([self.elements[e].verts for e in ids])
-            unknown = np.flatnonzero(((V < 0) | (V >= nv)).any(axis=1))
-            # (element, rank of the fault in the element, message)
-            faults += [(ids[k], 0, "references an unknown vertex")
-                       for k in unknown[:1]]
-            fault = kind_fault(geometry, order)
+    def _read_elements(self, elements):
+        """Read the input elements in one pass into the element arrays, the
+        block array and the edge table (``_build_edges``).  Raises
+        ``MeshStructureError`` for the first bad element, naming its first
+        fault of: unknown vertices, kind (``basis.kind_fault``), vertex count
+        and node-block shape, checked at once for the elements alike in all
+        of these and in the type of their order; then for the first bad
+        attribute (``set_attributes``)."""
+        rows = [(el.geometry, el.order, np.asarray(el.verts, dtype=int),
+                 np.asarray(el.coords, dtype=float), el.attribute)
+                for el in elements]
+        geometry, orders, verts, coords, attributes = \
+            zip(*rows) if rows else [()] * 5
+        counts = np.array([len(v) for v in verts], dtype=int)
+        ids = np.concatenate([np.zeros(0, dtype=int), *verts])
+        unknown = np.bincount(np.repeat(np.arange(len(counts)), counts),
+                              (ids < 0) | (ids >= len(self.vertices)),
+                              len(counts)) > 0
+        keys = list(zip(geometry, orders, map(type, orders), counts.tolist(),
+                        (c.shape for c in coords), unknown.tolist()))
+        faults = []
+        for key in dict.fromkeys(keys):   # each set of alike elements once
+            g, p, _, count, shape, off = key
+            fault = kind_fault(g, p)
             if not fault:
-                ref = reference_element(geometry, order)
+                ref = reference_element(g, p)
                 if count != len(ref.corners):
-                    fault = (f"{count} vertices, a {geometry} has "
-                             f"{len(ref.corners)}")
+                    fault = f"{count} vertices, a {g} has {len(ref.corners)}"
                 elif shape != (2, ref.num_nodes):
                     fault = f"coords {shape}, expected (2, {ref.num_nodes})"
-            if fault:
-                faults.append((ids[0], 1, f"has {fault}"))
-            else:
-                groups.setdefault((geometry, int(order)), []).extend(ids)
+            if off or fault:
+                faults.append((keys.index(key), "references an unknown vertex"
+                               if off else f"has {fault}"))
         if faults:
-            e, _, what = min(faults)
+            e, what = min(faults)
             raise MeshStructureError(f"element {e} {what}")
-        return {key: np.sort(ids) for key, ids in sorted(groups.items())}
+        self._geometry = np.array(geometry, dtype=str)
+        self._orders = np.array(orders, dtype=int)
+        self.set_attributes(attributes)
+        # element e's block is columns _bounds[e]:_bounds[e + 1] of _blocks
+        self._blocks = np.concatenate([np.zeros((2, 0)), *coords], axis=1)
+        self._bounds = np.cumsum([0, *(c.shape[1] for c in coords)])
+        self._build_edges(ids, counts)
 
     def edge_ids(self, pairs) -> list[int]:
         """Ids of the edges between the (k, 2) vertex pairs, each in either
@@ -173,16 +188,15 @@ class MixedOrderMesh:
             raise MeshStructureError(f"no edge between vertices {v0} and {v1}")
         return self._edge_key_ids[at].tolist()
 
-    def _build_edges(self):
-        """The edge table and the incidence arrays, from one ``np.unique``
-        over the (smaller, larger) vertex-pair keys of all local edges; raises
-        ``MeshStructureError`` on a degenerate, over-shared or inconsistently
-        oriented edge.  Edge ids follow first appearance in element order,
-        and the sides of an edge are in element order."""
-        nverts = np.array([len(el.verts) for el in self.elements], dtype=int)
+    def _build_edges(self, a: np.ndarray, nverts: np.ndarray):
+        """The edge table and the incidence arrays, from the elements'
+        concatenated vertex ids ``a``, ``nverts`` per element, by one
+        ``np.unique`` over the (smaller, larger) vertex-pair keys of all
+        local edges; raises ``MeshStructureError`` on a degenerate,
+        over-shared or inconsistently oriented edge.  Edge ids follow first
+        appearance in element order, and the sides of an edge are in element
+        order."""
         # local edge i runs from vertex a[i] to b[i] in element element[i]
-        a = np.concatenate([np.zeros(0, dtype=int),
-                            *(el.verts for el in self.elements)])
         starts = np.cumsum(nverts) - nverts
         element = np.repeat(np.arange(len(nverts)), nverts)
         i = np.arange(len(a))
@@ -245,20 +259,62 @@ class MixedOrderMesh:
         return np.flatnonzero(self.edge_element_ids[:, 1] < 0).tolist()
 
     def orders(self) -> np.ndarray:
-        """The order of each element, as an int array."""
-        return np.array([el.order for el in self.elements], dtype=int)
+        """The order of each element, as a new int array."""
+        return self._orders.copy()
+
+    @property
+    def elements(self) -> tuple[MeshElement, ...]:
+        """One read-only record per element, built at the first read after
+        the orders or attributes change: its ``verts`` and ``coords`` are
+        read-only views of ``element_vertex_ids`` and of the element blocks,
+        which ``set_nodes`` updates in place."""
+        if self._elements is None:
+            blocks = self._blocks.view()
+            blocks.flags.writeable = False
+            ends = self._bounds.tolist()
+            counts = (self.element_vertex_ids >= 0).sum(axis=1).tolist()
+            self._elements = tuple(map(
+                MeshElement, self._geometry.tolist(),
+                [v[:n] for v, n in zip(self.element_vertex_ids, counts)],
+                self._orders.tolist(),
+                [blocks[:, s:t] for s, t in zip(ends, ends[1:])],
+                self.attributes.tolist()))
+        return self._elements
+
+    def set_attributes(self, values):
+        """Make ``values``, one integer other than a bool per element (numpy
+        integers included), the attributes.  Raises ``ValueError`` unless
+        there is one value per element, and ``MeshStructureError`` naming the
+        first element whose value is no such integer; changes nothing then."""
+        values = list(values)
+        if len(values) != len(self._orders):
+            raise ValueError(f"{len(values)} attributes for "
+                             f"{len(self._orders)} elements")
+        bad = {t for t in set(map(type, values))
+               if not issubclass(t, Integral) or issubclass(t, bool)}
+        for e, value in enumerate(values if bad else ()):
+            if type(value) in bad:
+                raise MeshStructureError(f"element {e} has attribute "
+                                         f"{value!r}, expected an integer")
+        self.attributes = np.array(values, dtype=int)
+        self.attributes.flags.writeable = False
+        self._elements = None
 
     # -- geometry evaluation ----------------------------------------------
 
+    def _block(self, e: int) -> np.ndarray:
+        """Element ``e``'s (2, num_nodes) slice of the block array."""
+        return self._blocks[:, self._bounds.item(e):self._bounds.item(e + 1)]
+
     def eval_map(self, e: int, ref_points) -> np.ndarray:
         """Physical image of reference points under element ``e``'s map, (npts, 2)."""
-        el = self.elements[e]
-        B = reference_element(el.geometry, el.order).eval_basis(ref_points)
-        return B @ el.coords.T
+        B = reference_element(self._geometry.item(e),
+                              self._orders.item(e)).eval_basis(ref_points)
+        return B @ self._block(e).T
 
     def groups(self) -> dict[tuple[str, int], np.ndarray]:
         """Ascending element ids per (geometry, order), keys sorted, for
-        batched evaluation; every build checks the elements."""
+        batched evaluation."""
         return self._groups
 
     def group_coords(self, key) -> np.ndarray:
@@ -277,20 +333,21 @@ class MixedOrderMesh:
     # -- the node state ----------------------------------------------------
 
     def _read_nodes(self):
-        """Build the DofMap and read the state from the elements' blocks."""
+        """Group the elements by the geometry and order arrays, build the
+        DofMap, read the nodes from the block array by the owner rule and
+        make the block array ``expand @ nodes``."""
+        keys = sorted(set(zip(self._geometry.tolist(), self._orders.tolist())))
+        self._groups = {(g, p): np.flatnonzero((self._geometry == g)
+                                               & (self._orders == p))
+                        for g, p in keys}
         self._dofmap = dm = DofMap(self)
         self._nodes = apply_edge_constraints(self)
         self.nodes = self._nodes.view()
+        self.nodes.flags.writeable = False
+        self.vertices = self.nodes[:dm.num_vertices]
         # (2, total_local), so that each element's block is row-major
         self._blocks = np.ascontiguousarray((dm.expand @ self._nodes).T)
-        blocks = self._blocks.view()
-        self.nodes.flags.writeable = blocks.flags.writeable = False
-        self.vertices = self.nodes[:dm.num_vertices]
-        ends = np.cumsum([el.coords.shape[1] for el in self.elements]).tolist()
-        self.elements = [
-            MeshElement(el.geometry, el.verts, el.order,
-                        blocks[:, end - el.coords.shape[1]:end], el.attribute)
-            for el, end in zip(self.elements, ends)]
+        self._elements = None
 
     def set_nodes(self, t):
         """Make ``t`` the node positions; every element block follows.
@@ -303,25 +360,31 @@ class MixedOrderMesh:
         self._blocks[:] = (self._dofmap.expand @ self._nodes).T
 
     def set_order(self, ids, orders):
-        """Resample the elements ``ids`` at ``orders`` (one for all, or one
-        per id; ``resampled_block``), then rebuild the groups, the DofMap and
-        the state, read by the owner rule.  Raises ``MeshStructureError``
-        naming the first element whose new order makes no kind
-        (``basis.check_kind``), and changes nothing."""
-        ids = np.atleast_1d(ids).tolist()
+        """Resample the elements ``ids`` (one id or several) at ``orders``
+        (one for all, or one per id; ``resampled_block``), then regroup and
+        rebuild the DofMap and the state, read by the owner rule.  Raises
+        ``MeshStructureError``, and changes nothing, naming the first id that
+        is no integer in 0..E-1 (a bool is none; numpy integers are) or whose
+        new order makes no kind with its geometry (``basis.check_kind``)."""
+        ids = np.atleast_1d(np.array(ids, dtype=object)).tolist()
         orders = np.broadcast_to(np.array(orders, dtype=object),
                                  len(ids)).tolist()
+        geometry, current = self._geometry.tolist(), self._orders.tolist()
         for e, p in zip(ids, orders):
-            check_kind(self.elements[e].geometry, p, f"element {e}")
-        changed = {e: int(p) for e, p in zip(ids, orders)
-                   if p != self.elements[e].order}
+            if not (isinstance(e, Integral) and not isinstance(e, bool)
+                    and 0 <= e < len(current)):
+                raise MeshStructureError(f"element id {e!r} is not an "
+                                         f"integer in 0..{len(current) - 1}")
+            check_kind(geometry[e], p, f"element {e}")
+        changed = {e: int(p) for e, p in zip(ids, orders) if p != current[e]}
         if not changed:
             return
-        self.elements = [
-            replace(el, order=changed[e],
-                    coords=resampled_block(self, e, changed[e]).T)
-            if e in changed else el for e, el in enumerate(self.elements)]
-        self._groups = self._checked_groups()
+        blocks = np.split(self._blocks, self._bounds[1:-1], axis=1)
+        for e, p in changed.items():
+            blocks[e] = resampled_block(self, e, p).T
+        self._blocks = np.concatenate(blocks, axis=1)
+        self._bounds = np.cumsum([0, *(b.shape[1] for b in blocks)])
+        self._orders[list(changed)] = list(changed.values())
         self._read_nodes()
 
     def copy(self) -> "MixedOrderMesh":
@@ -364,7 +427,7 @@ class DofMap:
     governing order (``edge_orders``), then element-interior nodes in
     element order.  Row k of ``edge_nodes`` holds the p + 1 nodes of edge k
     at its governing order p, smaller vertex id first, padded with -1.  Per
-    (geometry, order) group of ``groups``, ``slots[key]`` and
+    (geometry, order) group of ``mesh.groups()``, ``slots[key]`` and
     ``node_ids[key]`` (E_g, n) give each element node's position in the
     concatenation and the node it reads directly (-1 for a constrained edge
     node).  ``expand`` takes a per-node array to the concatenation,
@@ -376,12 +439,12 @@ class DofMap:
     """
 
     def __init__(self, mesh: MixedOrderMesh):
-        self.groups = mesh.groups()
-        refs = {key: reference_element(*key) for key in self.groups}
+        groups = mesh.groups()
+        refs = {key: reference_element(*key) for key in groups}
         self.num_vertices = nv = len(mesh.vertices)
-        orders, sizes, inner = np.empty((3, len(mesh.elements)), dtype=int)
-        for key, ids in self.groups.items():
-            orders[ids], sizes[ids] = key[1], refs[key].num_nodes
+        orders = mesh.orders()
+        inner = np.empty(len(orders), dtype=int)
+        for key, ids in groups.items():
             inner[ids] = len(refs[key].interior)
         self.edge_orders, owner = edge_owners(mesh, orders)
         edge_counts = self.edge_orders - 1
@@ -396,8 +459,7 @@ class DofMap:
         edge_nodes.flags.writeable = False
         self.edge_nodes = edge_nodes
         self.num_nodes = first_interior + int(inner.sum())
-        self.total_local = int(sizes.sum())
-        starts = np.cumsum(sizes) - sizes
+        starts, self.total_local = mesh._bounds[:-1], int(mesh._bounds[-1])
         interior_starts = first_interior + np.cumsum(inner) - inner
 
         self.slots: dict[tuple[str, int], np.ndarray] = {}
@@ -407,7 +469,7 @@ class DofMap:
         empty = np.zeros(0, dtype=int)
         direct_slots, direct_nodes = [empty], [empty]
         rows, cols, vals = [empty], [empty], [np.zeros(0)]
-        for key, ids in self.groups.items():
+        for key, ids in groups.items():
             ref, p = refs[key], key[1]
             nverts = len(ref.corners)
             slots = starts[ids, None] + np.arange(ref.num_nodes)
@@ -471,26 +533,24 @@ def check_node_blocks(mesh: MixedOrderMesh, blocks) -> list[np.ndarray]:
     ``ValueError`` unless there is one finite block per element holding a
     value per node of that element."""
     blocks = [np.asarray(b, dtype=float) for b in blocks]
-    if len(blocks) != len(mesh.elements):
+    sizes = np.diff(mesh._bounds).tolist()
+    if len(blocks) != len(sizes):
         raise ValueError("one scalar block per element required")
-    for e, (el, b) in enumerate(zip(mesh.elements, blocks)):
-        if b.shape != el.coords.shape[1:]:   # (num_nodes,), as the mesh checks
-            raise ValueError(f"block {e} has shape {b.shape}, expected "
-                             f"{el.coords.shape[1:]}")
+    for e, (n, b) in enumerate(zip(sizes, blocks)):
+        if b.shape != (n,):
+            raise ValueError(f"block {e} has shape {b.shape}, expected {(n,)}")
     if blocks and not np.isfinite(np.concatenate(blocks)).all():
         raise ValueError("non-finite scalar value")
     return blocks
 
 
 def apply_edge_constraints(mesh: MixedOrderMesh) -> np.ndarray:
-    """The nodes that the mesh's vertices and element blocks give by the
-    owner rule (``DofMap.read_slots``): a dependent edge node is not read,
-    so a block that disagrees with its edge's owner is overruled.  On a
-    mesh's own blocks it returns its ``nodes``."""
-    x_all = np.concatenate([np.zeros((2, 0)),
-                            *(el.coords for el in mesh.elements)], axis=1)
+    """The nodes that the mesh's vertices and block array give by the owner
+    rule (``DofMap.read_slots``): a dependent edge node is not read, so a
+    block that disagrees with its edge's owner is overruled.  On a mesh's
+    own blocks it returns its ``nodes``."""
     return np.concatenate([mesh.vertices,
-                           x_all[:, mesh.dof_map().read_slots].T])
+                           mesh._blocks[:, mesh.dof_map().read_slots].T])
 
 
 def element_min_dets(stacks) -> list[np.ndarray]:
@@ -517,9 +577,11 @@ def min_det_of(stacks) -> float:
 def resampled_block(mesh: MixedOrderMesh, e: int, order: int) -> np.ndarray:
     """Element ``e``'s (n, 2) node block resampled at ``order``, with the
     vertices at its corners, which a resampled triangle misses by rounding."""
-    el = mesh.elements[e]
-    X = resampling_matrix(el.geometry, el.order, order) @ el.coords.T
-    X[reference_element(el.geometry, order).corners] = mesh.vertices[el.verts]
+    geometry = mesh._geometry.item(e)
+    X = resampling_matrix(geometry, mesh._orders.item(e), order) \
+        @ mesh._block(e).T
+    corners = reference_element(geometry, order).corners
+    X[corners] = mesh.vertices[mesh.element_vertex_ids[e, :len(corners)]]
     return X
 
 
@@ -533,7 +595,7 @@ def lowering_min_det(mesh: MixedOrderMesh, lowered, order: int) -> float:
     def along(k, side, p):
         """Local nodes of edge k on a side at order p, smaller vertex first."""
         e, le = mesh.edge_element_ids[k, side], mesh.edge_local_ids[k, side]
-        nodes = reference_element(mesh.elements[e].geometry, p).edge_nodes[le]
+        nodes = reference_element(mesh._geometry.item(e), p).edge_nodes[le]
         return nodes if mesh.element_edge_forward[e, le] else nodes[::-1]
 
     orders = mesh.orders()
@@ -549,18 +611,18 @@ def lowering_min_det(mesh: MixedOrderMesh, lowered, order: int) -> float:
         touched.update(sides.tolist())
         j, p_edge = int(sides[1] == owners[k]), int(governing[k])
         owner, other = int(sides[j]), int(sides[1 - j])
-        X = blocks[owner] if owner in blocks else mesh.elements[owner].coords.T
+        X = blocks[owner] if owner in blocks else mesh._block(owner).T
         trace = X[along(k, j, p_edge)]
         p = int(orders[other])
         if other not in blocks:
-            blocks[other] = mesh.elements[other].coords.T.copy()
+            blocks[other] = mesh._block(other).T.copy()
         inner = along(k, 1 - j, p)[1:-1]
         blocks[other][inner] = trace[1:-1] if p == p_edge else \
             interpolation_matrix(p_edge, p)[1:-1] @ trace
     stacks: dict[tuple[str, int], list[np.ndarray]] = {}
     for e in sorted(touched):
-        stacks.setdefault((mesh.elements[e].geometry, int(orders[e])), []) \
-            .append(blocks[e] if e in blocks else mesh.elements[e].coords.T)
+        stacks.setdefault((mesh._geometry.item(e), int(orders[e])), []) \
+            .append(blocks[e] if e in blocks else mesh._block(e).T)
     return min_det_of((key, np.stack(X)) for key, X in stacks.items())
 
 

@@ -124,7 +124,7 @@ def element_quality(mesh: "MixedOrderMesh",
     Returns an array over elements holding the max of the metric across
     each element's sample points; inverted samples give inf.
     """
-    out = np.empty(len(mesh.elements))
+    out = np.empty(len(mesh.orders()))
     for key, ids in mesh.groups().items():
         mu = metric.values(jacobian_components(
             map_jacobians(mesh.group_coords(key), target_tables(*key).Gf)))
@@ -201,14 +201,14 @@ class TmopProblem:
 def assign_materials(mesh: MixedOrderMesh, field) -> None:
     """Set element attributes from the field sign at element centers (1 in,
     2 out), with one field query for the whole mesh."""
-    if not mesh.elements:
-        return
     groups = mesh.groups()
+    if not groups:
+        return
     centers = [(basis_tables(*key).center_basis @ mesh.group_coords(key))[:, 0]
                for key in groups]
     values = field.values(np.concatenate(centers))
-    for e, value in zip(np.concatenate(list(groups.values())), values):
-        mesh.elements[e].attribute = 1 if value < 0.0 else 2
+    ids = np.concatenate(list(groups.values()))
+    mesh.set_attributes(np.where(values[np.argsort(ids)] < 0.0, 1, 2))
 
 
 def mark_interface_faces(mesh: MixedOrderMesh, field=None,
@@ -222,14 +222,13 @@ def mark_interface_faces(mesh: MixedOrderMesh, field=None,
     """
     if field is not None:
         assign_materials(mesh, field)
-    attribute = np.array([el.attribute for el in mesh.elements], dtype=int)
     a, b = mesh.edge_element_ids.T
     if boundary_mode:
-        hit = (b < 0) & (attribute[a] == 1)
+        hit = (b < 0) & (mesh.attributes[a] == 1)
     else:
         # the missing side (-1) of a boundary edge reads the last element's
         # attribute, which the b >= 0 mask drops
-        hit = (b >= 0) & (attribute[a] != attribute[b])
+        hit = (b >= 0) & (mesh.attributes[a] != mesh.attributes[b])
     marked = set(np.flatnonzero(hit).tolist())
     mesh.marked_faces = marked
     return marked

@@ -3,7 +3,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -12,8 +12,8 @@ import scipy.sparse as sp
 import meshfit
 from meshfit import (AdaptivityPlan, FitConfig, MeshInvalidError,
                      MixedOrderMesh, QualityMetric, apply_edge_constraints,
-                     generate_cartesian, read_mesh, run_rp_adaptivity,
-                     write_mesh)
+                     assign_materials, generate_cartesian, read_mesh,
+                     run_rp_adaptivity, write_mesh)
 from meshfit.adapt import apply_refinement, propagate_orders, try_derefine
 from meshfit.basis import _gauss_lobatto_cached, reference_element
 from meshfit.errors import MeshStructureError
@@ -419,10 +419,14 @@ def test_generate_rejects_a_cell_count_that_is_no_integer(nx, ny):
 
 def test_numpy_integer_orders_are_accepted():
     m = generate_cartesian(2, 1, 2)
-    m.elements[1].order = np.int64(2)
-    rebuilt = MixedOrderMesh(m.vertices, m.elements)
+    elements = [m.elements[0], replace(m.elements[1], order=np.int64(2))]
+    rebuilt = MixedOrderMesh(m.vertices, elements)
     assert list(rebuilt.groups()) == [("quad", 2)]
     assert rebuilt.groups()[("quad", 2)].tolist() == [0, 1]
+    # and numpy integer element ids
+    rebuilt.set_order(np.int64(1), 3)
+    rebuilt.set_order(np.array([0], dtype=np.int32), np.int64(1))
+    assert rebuilt.orders().tolist() == [1, 3]
 
 
 def _first_bad_element(vertices, elements):
@@ -445,28 +449,33 @@ def _first_bad_element(vertices, elements):
         if coords.shape != (2, ref.num_nodes):
             return (f"element {e} has coords {coords.shape}, expected "
                     f"(2, {ref.num_nodes})")
+    # the attributes of a list with no other fault
+    for e, el in enumerate(elements):
+        if type(el.attribute) not in (int, np.int64):
+            return (f"element {e} has attribute {el.attribute!r}, expected "
+                    "an integer")
     return None
 
 
 def _break(el, fault):
     """A copy of ``el`` with one fault."""
-    el = replace(el, verts=el.verts.copy())
     if fault == "vertex":
-        el.verts[-1] = 99
-    elif fault == "negative":
-        el.verts[0] = -1
-    elif fault == "geometry":
-        el.geometry = "hex"
-    elif fault == "order":
-        el.order = 0
-    elif fault == "count":
-        el.verts = el.verts[:-1]
-    else:
-        el.coords = el.coords[:, :-1]
-    return el
+        return replace(el, verts=np.append(el.verts[:-1], 99))
+    if fault == "negative":
+        return replace(el, verts=np.append(-1, el.verts[1:]))
+    if fault == "geometry":
+        return replace(el, geometry="hex")
+    if fault == "order":
+        return replace(el, order=0)
+    if fault == "count":
+        return replace(el, verts=el.verts[:-1])
+    if fault == "attribute":
+        return replace(el, attribute=1.0)
+    return replace(el, coords=el.coords[:, :-1])
 
 
-FAULTS = ("vertex", "negative", "geometry", "order", "count", "coords")
+FAULTS = ("vertex", "negative", "geometry", "order", "count", "coords",
+          "attribute")
 
 
 def test_the_first_bad_element_in_element_order_is_reported():
@@ -474,7 +483,8 @@ def test_the_first_bad_element_in_element_order_is_reported():
     base = generate_cartesian(3, 3, 1)
     base.set_order(2, 2)
     for late, early in [("vertex", "coords"), ("coords", "vertex"),
-                        ("order", "count"), ("geometry", "vertex")]:
+                        ("order", "count"), ("geometry", "vertex"),
+                        ("attribute", "attribute")]:
         elements = list(base.elements)
         elements[5], elements[2] = (_break(elements[5], late),
                                     _break(elements[2], early))
@@ -1041,3 +1051,148 @@ def test_marked_and_edge_node_ids():
     assert set(ids) == set(edge_ids) | set(dm.edge_nodes[faces[1]])
     pts = m.nodes[edge_ids]
     assert np.allclose(pts[:, 1], 0.0, atol=1e-14)  # bottom edge of the square
+
+
+# ---------------------------------------------------------------------------
+# the one element state: arrays, read-only records and their two writers
+
+def test_element_records_are_read_only():
+    m = random_order_mesh(3, 3, seed=4, split_triangles=True)
+    el = m.elements[5]
+    for name in ("geometry", "verts", "order", "coords", "attribute"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(el, name, getattr(el, name))
+    for array in (el.verts, el.coords, m.attributes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[..., 0] = 0
+    with pytest.raises(TypeError):
+        m.elements[0] = el
+    with pytest.raises(AttributeError):
+        m.elements = [el]
+    assert type(el.order) is int and type(el.attribute) is int
+    assert isinstance(m.elements, tuple)
+
+
+def _assert_one_element_state(m):
+    """The records, ``orders()``, ``attributes``, ``groups()`` and the DofMap
+    say the same, and the records rebuild the mesh."""
+    records = m.elements
+    assert [el.order for el in records] == m.orders().tolist()
+    assert [el.attribute for el in records] == m.attributes.tolist()
+    loop: dict = {}
+    for e, el in enumerate(records):
+        loop.setdefault((el.geometry, el.order), []).append(e)
+        n = len(el.verts)
+        assert np.array_equal(el.verts, m.element_vertex_ids[e, :n])
+        assert (m.element_vertex_ids[e, n:] == -1).all()
+    assert list(m.groups()) == sorted(loop)
+    assert all(m.groups()[key].tolist() == loop[key] for key in loop)
+    dm = m.dof_map()
+    blocks = np.concatenate([el.coords for el in records], axis=1)
+    assert blocks.shape == (2, dm.total_local)
+    assert np.array_equal(blocks, (dm.expand @ m.nodes).T)
+    for key, ids in m.groups().items():
+        assert np.array_equal(m.group_coords(key),
+                              np.stack([records[e].coords.T for e in ids]))
+        assert dm.slots[key].shape == (len(ids),
+                                       reference_element(*key).num_nodes)
+    _assert_tables_fresh(m)
+    assert meshes_identical(MixedOrderMesh(m.vertices, m.elements), m)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["quads", "triangles"])
+def test_records_arrays_groups_and_dofmap_agree_after_every_writer(split):
+    m = random_order_mesh(5, 4, seed=8, split_triangles=split)
+    assign_materials(m, ANALYTIC_LEVELSETS["squircle2d"]())
+    assert set(m.attributes.tolist()) == {1, 2}
+    _assert_one_element_state(m)
+    rng = np.random.default_rng(3)
+    ids = rng.choice(len(m.elements), 7, replace=False)
+    m.set_order(ids, rng.integers(1, 4, len(ids)))
+    _assert_one_element_state(m)
+    m.set_attributes(3 - m.attributes)
+    _assert_one_element_state(m)
+    records = m.elements
+    m.set_nodes(m.nodes * 1.01)
+    assert m.elements is records   # the views follow the nodes
+    _assert_one_element_state(m)
+    c = m.copy()
+    _assert_one_element_state(c)
+    assert meshes_identical(c, m)
+
+
+@pytest.mark.parametrize("e", [-1, 4, True, 1.0, np.float64(2.0), "1", None],
+                         ids=["negative", "past_end", "bool", "float",
+                              "numpy_float", "string", "none"])
+def test_set_order_rejects_an_id_that_is_no_element(e):
+    m = generate_cartesian(2, 2, 1)
+    groups, dm, nodes = m.groups(), m.dof_map(), m.nodes
+    message = f"^element id {re.escape(repr(e))} is not an integer in 0..3$"
+    for ids in (e, [0, e]):
+        with pytest.raises(MeshStructureError, match=message):
+            m.set_order(ids, 2)
+    # nothing changed and nothing was rebuilt
+    assert m.orders().tolist() == [1, 1, 1, 1]
+    assert m.groups() is groups and m.dof_map() is dm and m.nodes is nodes
+
+
+BAD_ATTRIBUTES = [1.5, True, None, "2", np.float64(1.0), np.bool_(True)]
+BAD_IDS = ["float", "bool", "none", "string", "numpy_float", "numpy_bool"]
+
+
+@pytest.mark.parametrize("bad", BAD_ATTRIBUTES, ids=BAD_IDS)
+def test_the_constructor_rejects_an_attribute_that_is_no_integer(bad):
+    m = generate_cartesian(2, 2, 1)
+    elements = [replace(el, attribute=bad) if e in (1, 3) else el
+                for e, el in enumerate(m.elements)]
+    message = (f"^element 1 has attribute {re.escape(repr(bad))}, expected "
+               "an integer$")
+    with pytest.raises(MeshStructureError, match=message):
+        MixedOrderMesh(m.vertices, elements)
+
+
+@pytest.mark.parametrize("bad", BAD_ATTRIBUTES, ids=BAD_IDS)
+def test_set_attributes_rejects_a_value_that_is_no_integer(bad):
+    m = generate_cartesian(2, 2, 1)
+    m.set_attributes([2, 2, 2, 2])
+    records = m.elements
+    message = (f"^element 2 has attribute {re.escape(repr(bad))}, expected "
+               "an integer$")
+    with pytest.raises(MeshStructureError, match=message):
+        m.set_attributes([1, 1, bad, bad])
+    assert m.attributes.tolist() == [2, 2, 2, 2] and m.elements is records
+
+
+def test_attributes_take_numpy_integers_and_one_value_per_element():
+    m = generate_cartesian(2, 2, 1)
+    rebuilt = MixedOrderMesh(m.vertices, [
+        replace(el, attribute=np.int32(e)) for e, el in enumerate(m.elements)])
+    assert rebuilt.attributes.tolist() == [0, 1, 2, 3]
+    assert [type(el.attribute) for el in rebuilt.elements] == [int] * 4
+    m.set_attributes(np.array([4, 5, 6, 7], dtype=np.int64))
+    assert m.attributes.tolist() == [4, 5, 6, 7]
+    for values in ([1, 2, 3], [1] * 5):
+        with pytest.raises(ValueError, match="attributes for 4 elements"):
+            m.set_attributes(values)
+    assert m.attributes.tolist() == [4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("variant", BENCH_PLANS)
+def test_the_adaptive_loop_builds_no_element_record(variant, monkeypatch):
+    made = []
+    init = MeshElement.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    m = generate_cartesian(8, 8, 1)
+    monkeypatch.setattr(MeshElement, "__init__", counted)
+    plan = AdaptivityPlan(p_init=1, p_max=3, refine_step=2,
+                          refine_kind="absolute", refine_threshold=1e-14,
+                          fit_tol=1e-7, **BENCH_PLANS[variant])
+    result = run_rp_adaptivity(m, ANALYTIC_LEVELSETS["squircle2d"](),
+                               FitConfig(metric=QualityMetric("mu2")), plan)
+    assert made == []
+    # the spy sees the records of the first read
+    assert len(result.mesh.elements) == len(made) == 64

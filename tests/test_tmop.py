@@ -151,8 +151,7 @@ def test_assign_materials_and_marking_circle():
 
 def test_boundary_mode_marks_outer_edges():
     m = generate_cartesian(2, 2, 1)
-    for el in m.elements:
-        el.attribute = 1
+    m.set_attributes([1] * 4)
     marked = mark_interface_faces(m, boundary_mode=True)
     assert marked == set(m.boundary_edges())
 
