@@ -416,8 +416,13 @@ class DiscreteLevelSet:
     """Nodal scalar field on a background mesh, queried by point location."""
 
     def __init__(self, mesh: MixedOrderMesh, blocks):
+        self._hold(mesh, check_node_blocks(mesh, blocks))
+
+    def _hold(self, mesh: MixedOrderMesh, blocks: list[np.ndarray]):
+        """Hold ``mesh`` and the ``blocks`` that ``check_node_blocks``
+        returned for it."""
         self.mesh = mesh
-        self.blocks = check_node_blocks(mesh, blocks)
+        self.blocks = blocks
         self._locator: Locator | None = None
         self._values: list[np.ndarray] | None = None
         self._gradients: list[np.ndarray] | None = None
@@ -511,5 +516,8 @@ def make_levelset(spec: str):
         mesh, blocks = read_mesh(arg, with_scalar=True)
         if blocks is None:
             raise ValueError(f"{arg} has no scalar block")
-        return DiscreteLevelSet(mesh, blocks)
+        # read_mesh has checked the blocks (check_node_blocks)
+        field = DiscreteLevelSet.__new__(DiscreteLevelSet)
+        field._hold(mesh, blocks)
+        return field
     raise ValueError(f"level set spec must start with 'name:' or 'file:', got {spec!r}")

@@ -370,20 +370,37 @@ class MixedOrderMesh:
         orders = np.broadcast_to(np.array(orders, dtype=object),
                                  len(ids)).tolist()
         geometry, current = self._geometry.tolist(), self._orders.tolist()
+        kinds = set()   # the (geometry, int order) kinds checked so far
         for e, p in zip(ids, orders):
             if not (isinstance(e, Integral) and not isinstance(e, bool)
                     and 0 <= e < len(current)):
                 raise MeshStructureError(f"element id {e!r} is not an "
                                          f"integer in 0..{len(current) - 1}")
-            check_kind(geometry[e], p, f"element {e}")
+            if type(p) is not int or (geometry[e], p) not in kinds:
+                check_kind(geometry[e], p, f"element {e}")
+                kinds.add((geometry[e], p))
         changed = {e: int(p) for e, p in zip(ids, orders) if p != current[e]}
         if not changed:
             return
-        blocks = np.split(self._blocks, self._bounds[1:-1], axis=1)
+        # the blocks of the changed elements, resampled per (geometry, old
+        # order, new order); the others keep theirs, moved to the new bounds
+        by_kind: dict[tuple[str, int, int], list[int]] = {}
         for e, p in changed.items():
-            blocks[e] = resampled_block(self, e, p).T
-        self._blocks = np.concatenate(blocks, axis=1)
-        self._bounds = np.cumsum([0, *(b.shape[1] for b in blocks)])
+            by_kind.setdefault((geometry[e], current[e], p), []).append(e)
+        stacks = [(ids, resampled_blocks(self, ids, p))
+                  for (_, _, p), ids in by_kind.items()]
+        sizes = np.diff(self._bounds)
+        for ids, X in stacks:
+            sizes[ids] = X.shape[1]
+        bounds = np.zeros(len(sizes) + 1, dtype=int)
+        np.cumsum(sizes, out=bounds[1:])
+        shift = np.repeat(self._bounds[:-1] - bounds[:-1], sizes)
+        blocks = np.take(self._blocks, np.arange(bounds[-1]) + shift, axis=1,
+                         mode="clip")
+        for ids, X in stacks:
+            blocks[:, bounds[ids, None] + np.arange(X.shape[1])] = \
+                X.transpose(2, 0, 1)
+        self._blocks, self._bounds = blocks, bounds
         self._orders[list(changed)] = list(changed.values())
         self._read_nodes()
 
@@ -465,10 +482,10 @@ class DofMap:
         self.slots: dict[tuple[str, int], np.ndarray] = {}
         self.node_ids: dict[tuple[str, int], np.ndarray] = {}
         read = np.empty(self.num_nodes - nv, dtype=int)
-        # expand entries: direct (slot, node) pairs, then interpolated ones
-        empty = np.zeros(0, dtype=int)
-        direct_slots, direct_nodes = [empty], [empty]
-        rows, cols, vals = [empty], [empty], [np.zeros(0)]
+        # a row of expand holds one direct entry, or the p_low + 1 entries
+        # of an interpolated edge node: (dest slots, trace, P) per block
+        lengths = np.ones(self.total_local, dtype=int)
+        direct_slots, direct_nodes, interpolated = [], [], []
         for key, ids in groups.items():
             ref, p = refs[key], key[1]
             nverts = len(ref.corners)
@@ -477,34 +494,33 @@ class DofMap:
             node[:, ref.corners] = mesh.element_vertex_ids[ids, :nverts]
             node[:, ref.interior] = interior_starts[ids, None] \
                 + np.arange(len(ref.interior))
-            # per (element, local edge): edge id, governing order, the
-            # element's row in the group and its p + 1 local edge nodes from
-            # the smaller to the larger vertex id
-            k = mesh.element_edge_ids[ids, :nverts]
-            p_edge = self.edge_orders[k]
-            enodes = np.array(ref.edge_nodes)
-            forward = mesh.element_edge_forward[ids, :nverts, None]
-            canonical = np.where(forward, enodes, enodes[:, ::-1])
-            member = np.broadcast_to(np.arange(len(ids))[:, None], k.shape)
-            same = p_edge == p
-            node[member[same][:, None], canonical[same][:, 1:-1]] = \
-                edge_nodes[k[same], 1:p]
-            # an edge node is read from its owner's block
-            own = owner[k] == ids[:, None]
-            row, col = member[own][:, None], canonical[own][:, 1:-1]
-            read[node[row, col] - nv] = slots[row, col]
             read[node[:, ref.interior] - nv] = slots[:, ref.interior]
-            for p_low in range(1, p):
-                # edge nodes interpolated from the order p_low trace
-                low = p_edge == p_low
-                if not low.any():
-                    continue
-                trace = edge_nodes[k[low], :p_low + 1]
-                dest = slots[member[low][:, None], canonical[low][:, 1:-1]]
-                P = interpolation_matrix(p_low, p)[1:-1]
-                rows.append(np.repeat(dest.ravel(), p_low + 1))
-                cols.append(np.tile(trace, p - 1).ravel())
-                vals.append(np.tile(P.ravel(), len(trace)))
+            if p > 1:   # an order-1 element has no edge-interior nodes
+                # per (element, local edge): edge id, governing order, the
+                # element's row in the group and its p + 1 local edge nodes from
+                # the smaller to the larger vertex id
+                k = mesh.element_edge_ids[ids, :nverts]
+                p_edge = self.edge_orders[k]
+                enodes = np.array(ref.edge_nodes)
+                forward = mesh.element_edge_forward[ids, :nverts, None]
+                canonical = np.where(forward, enodes, enodes[:, ::-1])
+                member = np.broadcast_to(np.arange(len(ids))[:, None], k.shape)
+                same = p_edge == p
+                node[member[same][:, None], canonical[same][:, 1:-1]] = \
+                    edge_nodes[k[same], 1:p]
+                # an edge node is read from its owner's block
+                own = owner[k] == ids[:, None]
+                row, col = member[own][:, None], canonical[own][:, 1:-1]
+                read[node[row, col] - nv] = slots[row, col]
+                for p_low in range(1, p):
+                    # edge nodes interpolated from the order p_low trace
+                    low = p_edge == p_low
+                    if not low.any():
+                        continue
+                    dest = slots[member[low][:, None], canonical[low][:, 1:-1]]
+                    lengths[dest] = p_low + 1
+                    interpolated.append((dest, edge_nodes[k[low], :p_low + 1],
+                                         interpolation_matrix(p_low, p)[1:-1]))
             mapped = node >= 0
             direct_slots.append(slots[mapped])
             direct_nodes.append(node[mapped])
@@ -512,15 +528,35 @@ class DofMap:
             node.flags.writeable = False
             self.slots[key] = slots
             self.node_ids[key] = node
-        direct_slots = np.concatenate(direct_slots)
-        direct_nodes = np.concatenate(direct_nodes)
-        self.expand = sp.csr_matrix(
-            (np.concatenate([np.ones(direct_slots.size), *vals]),
-             (np.concatenate([direct_slots, *rows]),
-              np.concatenate([direct_nodes, *cols]))),
-            shape=(self.total_local, self.num_nodes))
-        self.expand_T = self.expand.T.tocsr()
         self.read_slots = read
+        self._build_expand(lengths, direct_slots, direct_nodes, interpolated)
+
+    def _build_expand(self, lengths, direct_slots, direct_nodes, interpolated):
+        """``expand`` laid out in CSR row order, each row's columns
+        ascending, and ``expand_T`` from one stable sort of its columns."""
+        indptr = np.zeros(self.total_local + 1, dtype=int)
+        np.cumsum(lengths, out=indptr[1:])
+        nnz = int(indptr[-1])
+        indices, data = np.empty(nnz, dtype=int), np.ones(nnz)
+        for slots, nodes in zip(direct_slots, direct_nodes):
+            indices[indptr[slots]] = nodes
+        for dest, trace, P in interpolated:
+            # a trace [lo, edge nodes..., hi] ascends as [lo, hi, edge
+            # nodes...]: vertex ids come before every edge node
+            p_low = trace.shape[1] - 1
+            by_id = [0, p_low, *range(1, p_low)]
+            at = indptr[dest][..., None] + np.arange(p_low + 1)
+            indices[at] = trace[:, None, by_id]
+            data[at] = P[:, by_id]
+        shape = (self.total_local, self.num_nodes)
+        self.expand = sp.csr_matrix((data, indices, indptr), shape=shape)
+        rows = np.repeat(np.arange(self.total_local), lengths)
+        by_node = np.argsort(indices, kind="stable")
+        indptr_T = np.zeros(self.num_nodes + 1, dtype=int)
+        np.cumsum(np.bincount(indices, minlength=self.num_nodes),
+                  out=indptr_T[1:])
+        self.expand_T = sp.csr_matrix(
+            (data[by_node], rows[by_node], indptr_T), shape=shape[::-1])
 
     def marked_node_ids(self, mesh: MixedOrderMesh) -> np.ndarray:
         """Sorted independent node ids lying on the marked faces."""
@@ -574,14 +610,20 @@ def min_det_of(stacks) -> float:
     return float(np.min([np.inf] + [d.min() for d in element_min_dets(stacks)]))
 
 
-def resampled_block(mesh: MixedOrderMesh, e: int, order: int) -> np.ndarray:
-    """Element ``e``'s (n, 2) node block resampled at ``order``, with the
-    vertices at its corners, which a resampled triangle misses by rounding."""
-    geometry = mesh._geometry.item(e)
-    X = resampling_matrix(geometry, mesh._orders.item(e), order) \
-        @ mesh._block(e).T
+def resampled_blocks(mesh: MixedOrderMesh, ids, order: int) -> np.ndarray:
+    """The (len(ids), n, 2) node blocks of the elements ``ids``, all of one
+    geometry and one order, resampled at ``order``, with the vertices at
+    their corners, which a resampled triangle misses by rounding."""
+    ids = np.asarray(ids, dtype=int)
+    geometry, p = mesh._geometry.item(ids[0]), mesh._orders.item(ids[0])
+    n = mesh._bounds.item(ids[0] + 1) - mesh._bounds.item(ids[0])
+    # a C-ordered (2, E, n) gather gives each product the layout of one
+    # element's block.T, which BLAS rounds alike; an (E, n, 2) one does not
+    X = np.take(mesh._blocks, mesh._bounds[ids, None] + np.arange(n), axis=1)
+    X = resampling_matrix(geometry, p, order) @ X.transpose(1, 2, 0)
     corners = reference_element(geometry, order).corners
-    X[corners] = mesh.vertices[mesh.element_vertex_ids[e, :len(corners)]]
+    X[:, corners] = mesh.vertices[mesh.element_vertex_ids[ids,
+                                                          :len(corners)]]
     return X
 
 
@@ -601,7 +643,7 @@ def lowering_min_det(mesh: MixedOrderMesh, lowered, order: int) -> float:
     orders = mesh.orders()
     orders[lowered] = order
     governing, owners = edge_owners(mesh, orders)
-    blocks = {e: resampled_block(mesh, e, order) for e in lowered}
+    blocks = {e: resampled_blocks(mesh, [e], order)[0] for e in lowered}
     touched = set(lowered)
     edges = np.unique(mesh.element_edge_ids[lowered])
     for k in edges[edges >= 0].tolist():

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -416,17 +416,19 @@ def _motion_basis(kinds: np.ndarray, tangents: np.ndarray) -> sp.csr_matrix:
     """Orthonormal basis Z of the allowed node motions on interleaved
     coordinates, from the output of ``boundary_freedom``: two unit columns
     per free node, its tangent per sliding node and none per fixed node,
-    in node order.  Z^T Z = I, and Z Z^T projects onto the allowed motions."""
+    in node order.  Z^T Z = I, and Z Z^T projects onto the allowed motions.
+    A row holds at most one entry, and none where a tangent component is
+    zero; the CSR arrays are laid out directly, row by row."""
     first = np.cumsum(2 - kinds) - (2 - kinds)
-    free, line = np.flatnonzero(kinds == 0), np.flatnonzero(kinds == 1)
-    rows = np.concatenate([2 * free, 2 * free + 1, 2 * line, 2 * line + 1])
-    cols = np.concatenate([first[free], first[free] + 1, first[line],
-                           first[line]])
-    vals = np.concatenate([np.ones(2 * free.size), tangents[line].T.ravel()])
-    Z = sp.csr_matrix((vals, (rows, cols)),
-                      shape=(2 * len(kinds), 2 * free.size + line.size))
-    Z.eliminate_zeros()
-    return Z
+    free = (kinds == 0)[:, None]
+    cols = (first[:, None] + free * np.arange(2)).ravel()
+    vals = np.where(free, 1.0, np.where((kinds == 1)[:, None], tangents,
+                                        0.0)).ravel()
+    stored = vals != 0.0
+    indptr = np.zeros(vals.size + 1, dtype=int)
+    np.cumsum(stored, out=indptr[1:])
+    return sp.csr_matrix((vals[stored], cols[stored], indptr),
+                         shape=(vals.size, int((2 - kinds).sum())))
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +527,62 @@ def _product_terms(Q: sp.csr_matrix, rows_a: np.ndarray, rows_b: np.ndarray):
     return k[keep], hi.astype(np.int64) * Q.shape[1] + lo, w[keep]
 
 
-def _expand_xy(expand: sp.csr_matrix) -> sp.csr_matrix:
-    """E2 = expand (x) I_2 on interleaved coordinates: entry (r, col) of
-    ``expand`` becomes (2 r + c, 2 col + c) for c = 0, 1."""
-    coo = expand.tocoo()
-    rows = (2 * coo.row[:, None] + [0, 1]).ravel()
-    cols = (2 * coo.col[:, None] + [0, 1]).ravel()
-    return sp.csr_matrix((np.repeat(coo.data, 2), (rows, cols)),
-                         shape=(2 * expand.shape[0], 2 * expand.shape[1]))
+class _Rows(NamedTuple):
+    """The CSR arrays and shape of a matrix that is only read row by row."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+def _motion_rows(expand: sp.csr_matrix, Z: sp.csr_matrix) -> _Rows:
+    """Q = [E2 Z; Z] with E2 = expand (x) I_2 on interleaved coordinates,
+    from the rows of ``expand`` and the one entry or none of each row of
+    the ``_motion_basis`` Z.  Row 2 r + c of E2 Z holds, for the entries
+    (col, v) of row r of ``expand`` from the last to the first, the column
+    of Z's row 2 col + c and v times its value, where that is not zero:
+    the entry order of scipy's sparse product, which fixes the summation
+    order in each row of ``_NewtonPattern.S``."""
+    n_local, n_nodes = expand.shape
+    z_col = np.zeros(2 * n_nodes, dtype=Z.indices.dtype)
+    z_val = np.zeros(2 * n_nodes)
+    stored = np.diff(Z.indptr) > 0
+    z_col[stored], z_val[stored] = Z.indices, Z.data
+    ptr = expand.indptr
+    row = np.repeat(np.arange(n_local), np.diff(ptr))
+    at = np.arange(ptr[-1])
+    # the entries of row r, reversed, fill places 2 ptr[r] onwards at
+    # coordinate 0, then as many places at coordinate 1
+    reverse = ptr[row] + ptr[row + 1] - 1 - at
+    entry = np.empty(2 * at.size, dtype=int)
+    entry[ptr[row] + at] = entry[ptr[row + 1] + at] = reverse
+    coord = np.zeros(2 * at.size, dtype=int)
+    coord[ptr[row + 1] + at] = 1
+    z_row = 2 * expand.indices[entry] + coord
+    vals = expand.data[entry] * z_val[z_row]
+    kept = vals != 0.0
+    lengths = np.bincount((2 * row[entry] + coord)[kept],
+                          minlength=2 * n_local)
+    indptr = np.zeros(2 * (n_local + n_nodes) + 1, dtype=int)
+    np.cumsum(np.concatenate([lengths, stored]), out=indptr[1:])
+    return _Rows(indptr, np.concatenate([z_col[z_row][kept], Z.indices]),
+                 np.concatenate([vals[kept], Z.data]),
+                 (2 * (n_local + n_nodes), Z.shape[1]))
+
+
+@lru_cache(maxsize=None)
+def _block_rows(nn: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Local coordinates 2 i + a of the rows and the columns of an element
+    block's upper-triangle values for nn nodes, in ``_hessian_values``
+    order: of the (a, a) upper triangles, then of the (0, 1) block;
+    read-only."""
+    i, j = np.triu_indices(nn)
+    I, J = np.indices((nn, nn)).reshape(2, -1)
+    out = ((np.r_[2 * i, 2 * i + 1], np.r_[2 * j, 2 * j + 1]),
+           (2 * I, 2 * J + 1))
+    for rows, cols in out:
+        rows.flags.writeable = cols.flags.writeable = False
+    return out
 
 
 class _NewtonPattern:
@@ -558,18 +608,11 @@ class _NewtonPattern:
     def __init__(self, asm: _Assembly, Z: sp.csr_matrix):
         n = Z.shape[1]
         # rows of E2 Z (element blocks) stacked over rows of Z (marked nodes)
-        Q = sp.vstack([_expand_xy(asm.dm.expand) @ Z, Z], format="csr")
-        Q.eliminate_zeros()
+        Q = _motion_rows(asm.dm.expand, Z)
         rows_a, rows_b = [], []
-        for _, kind, gather in asm.groups:
-            # local coordinates 2 i + a of the values' rows and columns, in
-            # their order: the (a, a) upper triangles, then the (0, 1) blocks
-            nn = gather.shape[1]
-            i, j = kind.upper
-            I, J = np.indices((nn, nn)).reshape(2, -1)
+        for _, _, gather in asm.groups:
             first = 2 * gather[:, :1]
-            for la, lb in ((np.r_[2 * i, 2 * i + 1], np.r_[2 * j, 2 * j + 1]),
-                           (2 * I, 2 * J + 1)):
+            for la, lb in _block_rows(gather.shape[1]):
                 rows_a.append((first + la).ravel())
                 rows_b.append((first + lb).ravel())
         idx = 2 * asm.dm.total_local + 2 * asm.marked[:, None]
@@ -832,7 +875,10 @@ def solve_r_adaptivity(problem: TmopProblem):
                 q = np.argsort(lu.perm_c)
                 data = data[newton.renumber(lu.perm_c)]
                 dfloor, gz, dz = dfloor[q], gz[q], dz[q]
-                Z = Z[:, q]
+                # Z[:, q]: column c moves to perm_c[c]; a row keeps its
+                # one entry or none
+                Z = sp.csr_matrix((Z.data, lu.perm_c[Z.indices], Z.indptr),
+                                  shape=Z.shape)
                 ZT = Z.T
                 ordering = "NATURAL"
             if dz is not None and np.all(np.isfinite(dz)) and dz @ gz < 0.0:

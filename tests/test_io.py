@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from meshfit import (DiscreteLevelSet, MeshFileError, export_svg, export_vtk,
-                     generate_cartesian, mark_interface_faces, read_mesh,
-                     write_mesh)
+                     generate_cartesian, make_levelset, mark_interface_faces,
+                     read_mesh, write_mesh)
 from meshfit.basis import reference_element
 from meshfit.levelset import ANALYTIC_LEVELSETS
-from meshfit import cli, mesh_io
+from meshfit import cli, levelset, mesh_io
 
 from conftest import (edge_records, meshes_identical, perturbed_mesh,
                       random_order_mesh)
@@ -713,3 +713,49 @@ def test_cli_argument_errors(tmp_path):
                  ["--generate", "4,4,1", *adaptive, "--refine", "abs:nan"]):
         with pytest.raises(SystemExit, match="^meshfit: "):
             _run_cli(args + ["--out-prefix", str(tmp_path / "x")])
+
+
+def test_make_levelset_checks_a_file_scalar_block_once(tmp_path, monkeypatch):
+    # read_mesh checks the blocks (check_node_blocks); the field reuses them
+    bg = generate_cartesian(3, 3, 2)
+    path = tmp_path / "bg.mesh"
+    write_mesh(bg, path, scalar=DiscreteLevelSet.sample(
+        bg, ANALYTIC_LEVELSETS["circle"]()).blocks)
+    calls = []
+
+    def spy(mesh, blocks):
+        calls.append(len(blocks))
+        return check(mesh, blocks)
+
+    check = mesh_io.check_node_blocks
+    monkeypatch.setattr(mesh_io, "check_node_blocks", spy)
+    monkeypatch.setattr(levelset, "check_node_blocks", spy)
+    field = make_levelset(f"file:{path}")
+    assert calls == [len(bg.elements)]
+    assert all(b.dtype == float for b in field.blocks)
+    # a field built directly still checks its blocks
+    DiscreteLevelSet(bg, field.blocks)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: rows[:-1], "one scalar block per element required"),
+    (lambda rows: [rows[0] + " 1.0"] + rows[1:],
+     "block 0 has shape (10,), expected (9,)"),
+    (lambda rows: ["nan " + rows[0].split(None, 1)[1]] + rows[1:],
+     "non-finite scalar value"),
+], ids=["missing", "shape", "nan"])
+def test_a_malformed_scalar_block_raises_one_error_from_both_readers(
+        tmp_path, edit, message):
+    bg = generate_cartesian(2, 2, 2)
+    path = tmp_path / "bg.mesh"
+    write_mesh(bg, path, scalar=DiscreteLevelSet.sample(
+        bg, ANALYTIC_LEVELSETS["circle"]()).blocks)
+    lines = path.read_text().splitlines()
+    at = lines.index("scalar sigma") + 1
+    path.write_text("\n".join(lines[:at] + edit(lines[at:])) + "\n")
+    want = f"^malformed mesh file: {re.escape(message)}$"
+    with pytest.raises(MeshFileError, match=want):
+        read_mesh(path, with_scalar=True)
+    with pytest.raises(MeshFileError, match=want):
+        make_levelset(f"file:{path}")

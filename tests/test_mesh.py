@@ -20,7 +20,7 @@ from meshfit.errors import MeshStructureError
 from meshfit.levelset import ANALYTIC_LEVELSETS
 from meshfit.mesh import (MeshElement, cofactors, element_min_dets,
                           interpolation_matrix, jacobian_det, min_det_of,
-                          require_valid, resampled_block, resampling_matrix)
+                          require_valid, resampled_blocks, resampling_matrix)
 
 from conftest import (edge_records, meshes_identical, perturbed_mesh,
                       random_order_mesh, reference_edges, set_orders)
@@ -871,7 +871,7 @@ def test_set_order_matches_eval_map_bit_for_bit(split):
             ref = reference_element(el.geometry, new)
             expected = m.eval_map(1, ref.nodes).T
             expected[:, ref.corners] = m.vertices[el.verts].T
-            assert np.array_equal(resampled_block(m, 1, new).T, expected)
+            assert np.array_equal(resampled_blocks(m, [1], new)[0].T, expected)
             m.set_order(1, new)
             assert m.elements[1].order == new
             key = (el.geometry, new)
@@ -1196,3 +1196,53 @@ def test_the_adaptive_loop_builds_no_element_record(variant, monkeypatch):
     assert made == []
     # the spy sees the records of the first read
     assert len(result.mesh.elements) == len(made) == 64
+
+
+@pytest.mark.parametrize("ids, orders, message", [
+    ([0, 1, 2], [2, 2.0, 3], "element 1 has order 2.0, expected an integer"),
+    ([0, 1, 2], [2, 2, 0], "element 2 has order 0, expected an integer"),
+    ([0, 1, 2], [3, True, 3], "element 1 has order True, expected an"),
+    ([0, 4, 1], [2, 2, 0], "element id 4 is not an integer in 0..3"),
+    ([0, 1, 4], [2, 0, 2], "element 1 has order 0, expected an integer"),
+    ([2, True, 1], [2, 2, "x"], "element id True is not an integer"),
+], ids=["float", "zero_after_a_kind", "bool", "id_first", "kind_first",
+        "bool_id"])
+def test_a_batched_set_order_names_the_first_bad_id(ids, orders, message):
+    m = generate_cartesian(2, 2, 1)
+    m.set_order(3, 2)
+    nodes, dm, orders_before = m.nodes.copy(), m.dof_map(), m.orders()
+    with pytest.raises(MeshStructureError, match="^" + re.escape(message)):
+        m.set_order(ids, orders)
+    assert m.dof_map() is dm and np.array_equal(m.orders(), orders_before)
+    assert np.array_equal(m.nodes, nodes)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["quads", "triangles"])
+def test_set_order_runs_the_kind_rule_once_per_distinct_kind(split,
+                                                             monkeypatch):
+    m = perturbed_mesh(8, 8, 1, seed=2, split_triangles=split)
+    rng = np.random.default_rng(5)
+    ids = np.arange(len(m.elements))
+    orders = rng.integers(1, 4, len(ids))
+    for p in (1, 2, 3):   # the tables of every kind are built
+        reference_element(m.elements[0].geometry, p)
+    own, through_tables = [], []
+    check = meshfit.basis.check_kind
+
+    def spy(calls):
+        def wrapper(geometry, order, subject=None):
+            calls.append((geometry, order))
+            return check(geometry, order, subject)
+        return wrapper
+
+    monkeypatch.setattr(meshfit.mesh, "check_kind", spy(own))
+    monkeypatch.setattr(meshfit.basis, "check_kind", spy(through_tables))
+    m.set_order(ids, orders)
+    kinds = {(m.elements[0].geometry, int(p)) for p in orders}
+    assert sorted(own) == sorted(kinds)
+    # reference_element's rule runs per group, not per element
+    assert len(through_tables) <= 3 * len(kinds)
+    # the resampled blocks have the vertices at their corners
+    for el in m.elements:
+        corners = reference_element(el.geometry, el.order).corners
+        assert np.array_equal(el.coords[:, corners], m.vertices[el.verts].T)

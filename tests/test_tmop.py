@@ -11,8 +11,9 @@ from meshfit.basis import basis_tables, jacobian_table, reference_element
 from meshfit.mesh import element_min_dets, map_jacobians, require_valid
 from meshfit.levelset import ANALYTIC_LEVELSETS, AnalyticLevelSet
 from meshfit.tmop import (IDEAL_TRIANGLE_TARGET, _Assembly, _element_pass,
-                          _expand_xy, _hessian_values, _metric_derivs,
-                          _min_element_diameter, _motion_basis, _NewtonPattern,
+                          _hessian_values, _metric_derivs,
+                          _min_element_diameter, _motion_basis, _motion_rows,
+                          _NewtonPattern,
                           _product_terms, TargetTables, boundary_freedom,
                           target_tables)
 
@@ -366,12 +367,21 @@ def test_newton_matrix_is_exactly_symmetric_and_held_in_int32(rng):
 
 
 def test_expanded_coordinates_match_the_kronecker_form():
-    _, asm, _, _ = _oblique_mixed_system()
-    E2 = _expand_xy(asm.dm.expand)
-    ref = sp.kron(asm.dm.expand, sp.eye(2), format="csr")
-    assert E2.shape == ref.shape
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(E2, attr), getattr(ref, attr))
+    # with every node free, Z = I and the rows of Q are those of
+    # [expand (x) I_2; I], each row's entries in reverse column order
+    m = _oblique_mixed_system()[0].mesh
+    expand = m.dof_map().expand
+    Z = _motion_basis(*boundary_freedom(m, "free"))
+    assert (Z != sp.eye(Z.shape[0], format="csr")).nnz == 0
+    Q = _motion_rows(expand, Z)
+    ref = sp.vstack([sp.kron(expand, sp.eye(2), format="csr"), Z],
+                    format="csr")
+    assert Q.shape == ref.shape
+    assert np.array_equal(Q.indptr, ref.indptr)
+    for r in range(Q.shape[0]):
+        got, want = slice(*Q.indptr[r:r + 2]), slice(*ref.indptr[r:r + 2])
+        assert np.array_equal(Q.indices[got], ref.indices[want][::-1])
+        assert np.array_equal(Q.data[got], ref.data[want][::-1])
 
 
 @pytest.mark.parametrize("system", ["oblique", "mixed_6x6"])
