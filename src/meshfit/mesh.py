@@ -497,14 +497,15 @@ class DofMap:
             read[node[:, ref.interior] - nv] = slots[:, ref.interior]
             if p > 1:   # an order-1 element has no edge-interior nodes
                 # per (element, local edge): edge id, governing order, the
-                # element's row in the group and its p + 1 local edge nodes from
-                # the smaller to the larger vertex id
+                # element's row in the group and its p + 1 local edge nodes
+                # from the smaller to the larger vertex id
                 k = mesh.element_edge_ids[ids, :nverts]
                 p_edge = self.edge_orders[k]
                 enodes = np.array(ref.edge_nodes)
                 forward = mesh.element_edge_forward[ids, :nverts, None]
                 canonical = np.where(forward, enodes, enodes[:, ::-1])
-                member = np.broadcast_to(np.arange(len(ids))[:, None], k.shape)
+                member = np.broadcast_to(np.arange(len(ids))[:, None],
+                                         k.shape)
                 same = p_edge == p
                 node[member[same][:, None], canonical[same][:, 1:-1]] = \
                     edge_nodes[k[same], 1:p]
@@ -631,39 +632,54 @@ def lowering_min_det(mesh: MixedOrderMesh, lowered, order: int) -> float:
     """``min_det`` of the elements in ``lowered`` and their edge neighbors
     after ``set_order(lowered, order)``, computed without changing the mesh
     on the blocks that the lowering changes: the lowered elements,
-    resampled, and on each of their interior edges the side that does not
-    own the trace (``edge_owners``), which copies or interpolates it.  They
-    agree with ``set_order`` up to rounding, not bit for bit."""
-    def along(k, side, p):
-        """Local nodes of edge k on a side at order p, smaller vertex first."""
-        e, le = mesh.edge_element_ids[k, side], mesh.edge_local_ids[k, side]
-        nodes = reference_element(mesh._geometry.item(e), p).edge_nodes[le]
-        return nodes if mesh.element_edge_forward[e, le] else nodes[::-1]
+    resampled per (geometry, order), and on each of their interior edges
+    the side that does not own the trace (``edge_owners``), which copies or
+    interpolates it.  They agree with ``set_order`` up to rounding, not bit
+    for bit.  The loop over the few touched edges reads Python lists: at
+    these sizes one array pass per edge array costs more than it saves."""
+    geometry, forward = mesh._geometry, mesh.element_edge_forward
+    tables: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}
+
+    def along(e, le, p):
+        """Local nodes of local edge le of e at order p, smaller vertex id
+        first."""
+        key = (geometry.item(e), p)
+        if key not in tables:
+            tables[key] = reference_element(*key).edge_nodes
+        nodes = tables[key][le]
+        return nodes if forward.item(e, le) else nodes[::-1]
 
     orders = mesh.orders()
     orders[lowered] = order
     governing, owners = edge_owners(mesh, orders)
-    blocks = {e: resampled_blocks(mesh, [e], order)[0] for e in lowered}
+    kinds: dict[tuple[str, int], list[int]] = {}
+    for e in lowered:
+        kinds.setdefault((geometry.item(e), mesh._orders.item(e)),
+                         []).append(e)
+    blocks = {e: X for ids in kinds.values()
+              for e, X in zip(ids, resampled_blocks(mesh, ids, order))}
     touched = set(lowered)
-    edges = np.unique(mesh.element_edge_ids[lowered])
-    for k in edges[edges >= 0].tolist():
-        sides = mesh.edge_element_ids[k]
-        if sides[1] < 0:
+    k = np.unique(mesh.element_edge_ids[lowered])
+    k = k[k >= 0]
+    for (s0, s1), (l0, l1), p_edge, owner in zip(
+            mesh.edge_element_ids[k].tolist(), mesh.edge_local_ids[k].tolist(),
+            governing[k].tolist(), owners[k].tolist()):
+        if s1 < 0:
             continue   # a boundary edge's one side owns its trace
-        touched.update(sides.tolist())
-        j, p_edge = int(sides[1] == owners[k]), int(governing[k])
-        owner, other = int(sides[j]), int(sides[1 - j])
+        touched.update((s0, s1))
+        other, l_owner, l_other = (s0, l1, l0) if owner == s1 else \
+            (s1, l0, l1)
         X = blocks[owner] if owner in blocks else mesh._block(owner).T
-        trace = X[along(k, j, p_edge)]
-        p = int(orders[other])
+        trace = X[along(owner, l_owner, p_edge)]
+        p = orders.item(other)
         if other not in blocks:
             blocks[other] = mesh._block(other).T.copy()
-        inner = along(k, 1 - j, p)[1:-1]
+        inner = along(other, l_other, p)[1:-1]
         blocks[other][inner] = trace[1:-1] if p == p_edge else \
             interpolation_matrix(p_edge, p)[1:-1] @ trace
     stacks: dict[tuple[str, int], list[np.ndarray]] = {}
     for e in sorted(touched):
-        stacks.setdefault((mesh._geometry.item(e), int(orders[e])), []) \
+        stacks.setdefault((geometry.item(e), orders.item(e)), []) \
             .append(blocks[e] if e in blocks else mesh._block(e).T)
     return min_det_of((key, np.stack(X)) for key, X in stacks.items())
 

@@ -500,7 +500,7 @@ def _row_entries(Q: sp.csr_matrix, rows: np.ndarray):
     """(position in ``rows``, column, value) of every stored entry of the
     given rows of the CSR matrix Q, row by row."""
     start = Q.indptr[rows]
-    count = Q.indptr[rows + 1] - start
+    count = np.diff(Q.indptr)[rows]
     owner = np.repeat(np.arange(len(rows)), count)
     first = np.cumsum(count) - count
     pos = np.repeat(start - first, count) + np.arange(owner.size)
@@ -520,7 +520,7 @@ def _product_terms(Q: sp.csr_matrix, rows_a: np.ndarray, rows_b: np.ndarray):
     ka, i, wa = _row_entries(Q, rows_a)
     kb, j, wb = _row_entries(Q, rows_b[ka])
     k, i, w = ka[kb], i[kb], wa[kb] * wb
-    mirrored = rows_a[k] != rows_b[k]
+    mirrored = (rows_a != rows_b)[k]
     keep = mirrored | (i <= j)
     w[mirrored & (i == j)] *= 2.0
     lo, hi = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
@@ -627,28 +627,33 @@ class _NewtonPattern:
         # trace nodes) per each of 2.2e6 values: 1.1e17 < 2^63.
         order = np.argsort(keys * keys.size + np.arange(keys.size))
         keys = keys[order]
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        self.S = sp.csr_matrix((w[order], k[order], np.r_[starts, keys.size]),
+        bounds = np.flatnonzero(np.diff(keys, prepend=-1, append=-1))
+        starts = bounds[:-1]
+        self.S = sp.csr_matrix((w[order], k[order], bounds),
                                shape=(starts.size, num_values))
-        # each upper slot (i, j) and, off the diagonal, its mirror (j, i)
+        # each upper slot (i, j) and, off the diagonal, its mirror (j, i);
+        # the keys are distinct, and the stable sort merges the ascending
+        # upper keys with the mirrors' runs of ascending j
         upper = keys[starts]
         cols, rows = np.divmod(upper, n)
         off = np.flatnonzero(rows < cols)
-        full = np.concatenate([upper, rows[off] * n + cols[off]])
-        moved = np.argsort(full)
+        moved = np.argsort(np.concatenate([upper, rows[off] * n + cols[off]]),
+                           kind="stable")
         self.shape = (n, n)
-        self._set_slots(full[moved])
+        self._set_slots(np.concatenate([cols, rows[off]])[moved],
+                        np.concatenate([rows, cols[off]])[moved])
         self.slot_rows = np.concatenate([np.arange(upper.size), off])[moved]
 
-    def _set_slots(self, slots: np.ndarray) -> None:
-        """CSC structure and held matrix from the ascending slot keys
-        j * n + i."""
+    def _set_slots(self, cols: np.ndarray, rows: np.ndarray) -> None:
+        """CSC structure and held matrix from the column and row of each
+        slot, in ascending (column, row) order."""
         n = self.shape[0]
-        cols, rows = np.divmod(slots, n)
-        self.diag = np.searchsorted(slots, np.arange(n) * (n + 1))
+        self._cols = cols
+        self.diag = np.flatnonzero(cols == rows)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
         self.A = sp.csc_matrix(
-            (np.zeros(slots.size), rows.astype(np.int32),
-             np.searchsorted(cols, np.arange(n + 1)).astype(np.int32)),
+            (np.zeros(cols.size), rows.astype(np.int32), indptr),
             shape=self.shape)
         # ascending distinct keys: SuperLU need not check for duplicates
         self.A.has_canonical_format = True
@@ -658,12 +663,10 @@ class _NewtonPattern:
         q = argsort(perm): entry (i, j) moves to (perm[i], perm[j]).
         Returns the old slot of each new slot, which maps CSC data of A to
         that of the renumbered matrix."""
-        n = self.shape[0]
         perm = np.asarray(perm, dtype=np.int64)
-        cols = np.repeat(np.arange(n), np.diff(self.A.indptr))
-        keys = perm[cols] * n + perm[self.A.indices]
-        moved = np.argsort(keys)
-        self._set_slots(keys[moved])
+        cols, rows = perm[self._cols], perm[self.A.indices]
+        moved = np.argsort(cols * self.shape[0] + rows)
+        self._set_slots(cols[moved], rows[moved])
         self.slot_rows = self.slot_rows[moved]
         return moved
 
