@@ -570,6 +570,16 @@ def _motion_rows(expand: sp.csr_matrix, Z: sp.csr_matrix) -> _Rows:
                  (2 * (n_local + n_nodes), Z.shape[1]))
 
 
+def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sorting order of non-negative int64 ``keys`` and the
+    sorted keys, from one sort of the values key * 2^b + position with
+    2^b > len(keys): numpy sorts int64 values about twice as fast as it
+    argsorts them.  The caller keeps key * 2^b below 2^63."""
+    shift = int(keys.size).bit_length()
+    packed = np.sort((keys << shift) | np.arange(keys.size))
+    return packed & ((1 << shift) - 1), packed >> shift
+
+
 @lru_cache(maxsize=None)
 def _block_rows(nn: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Local coordinates 2 i + a of the rows and the columns of an element
@@ -622,23 +632,20 @@ class _NewtonPattern:
         k, keys, w = _product_terms(Q, np.concatenate(rows_a),
                                     np.concatenate(rows_b))
         # sorting the terms by key makes them the rows of S in CSR order;
-        # ties keep the value order, as a stable sort would.  At 64x64 p3
-        # the key stays below n^2 < (2 * 193^2)^2 times 9 terms (3 x 3
-        # trace nodes) per each of 2.2e6 values: 1.1e17 < 2^63.
-        order = np.argsort(keys * keys.size + np.arange(keys.size))
-        keys = keys[order]
+        # ties keep the value order.  At 64x64 p3 the key stays below n^2 <
+        # (2 * 193^2)^2 < 2^33, and 9 terms (3 x 3 trace nodes) per each of
+        # 2.2e6 values take 25 bits of position: 2^33 * 2^25 < 2^63.
+        order, keys = _stable_order(keys)
         bounds = np.flatnonzero(np.diff(keys, prepend=-1, append=-1))
         starts = bounds[:-1]
         self.S = sp.csr_matrix((w[order], k[order], bounds),
                                shape=(starts.size, num_values))
-        # each upper slot (i, j) and, off the diagonal, its mirror (j, i);
-        # the keys are distinct, and the stable sort merges the ascending
-        # upper keys with the mirrors' runs of ascending j
+        # each upper slot (i, j) and, off the diagonal, its mirror (j, i)
         upper = keys[starts]
         cols, rows = np.divmod(upper, n)
         off = np.flatnonzero(rows < cols)
-        moved = np.argsort(np.concatenate([upper, rows[off] * n + cols[off]]),
-                           kind="stable")
+        moved, _ = _stable_order(np.concatenate([upper,
+                                                 rows[off] * n + cols[off]]))
         self.shape = (n, n)
         self._set_slots(np.concatenate([cols, rows[off]])[moved],
                         np.concatenate([rows, cols[off]])[moved])
@@ -665,7 +672,7 @@ class _NewtonPattern:
         that of the renumbered matrix."""
         perm = np.asarray(perm, dtype=np.int64)
         cols, rows = perm[self._cols], perm[self.A.indices]
-        moved = np.argsort(cols * self.shape[0] + rows)
+        moved, _ = _stable_order(cols * self.shape[0] + rows)
         self._set_slots(cols[moved], rows[moved])
         self.slot_rows = self.slot_rows[moved]
         return moved

@@ -419,10 +419,11 @@ def test_newton_pattern_orders_its_terms_like_a_stable_sort(system,
 
 
 def test_tie_broken_sort_key_fits_in_int64_at_64x64_p3():
-    # key * term count + term index < n^2 * 9 * values, with n <= 2 *
-    # nodes motion coordinates, and values the upper triangles of the
-    # element blocks plus 3 per marked node, at most one per node; the
-    # bound stays 50 times below the int64 limit
+    # key * 2^b + term index < n^2 * 2 * 9 * values, with 2^b the power of
+    # two above the term count, n <= 2 * nodes motion coordinates, and
+    # values the upper triangles of the element blocks plus 3 per marked
+    # node, at most one per node; n^2 * 9 * values stays 50 times below
+    # the int64 limit
     dm = generate_cartesian(64, 64, 3).dof_map()
     nn = reference_element("quad", 3).num_nodes
     n = 2 * dm.num_nodes
