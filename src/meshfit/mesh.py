@@ -482,65 +482,62 @@ class DofMap:
         self.slots: dict[tuple[str, int], np.ndarray] = {}
         self.node_ids: dict[tuple[str, int], np.ndarray] = {}
         read = np.empty(self.num_nodes - nv, dtype=int)
-        # a row of expand holds one direct entry, or the p_low + 1 entries
-        # of an interpolated edge node: (dest slots, trace, P) per block
+        # node[s] is the node that slot s reads directly, -1 for an
+        # interpolated edge node, whose row of expand holds the p_low + 1
+        # entries of its trace: (dest slots, trace, P) per block
+        node = np.full(self.total_local, -1)
         lengths = np.ones(self.total_local, dtype=int)
-        direct_slots, direct_nodes, interpolated = [], [], []
+        interpolated = []
         for key, ids in groups.items():
             ref, p = refs[key], key[1]
             nverts = len(ref.corners)
             slots = starts[ids, None] + np.arange(ref.num_nodes)
-            node = np.full(slots.shape, -1)
-            node[:, ref.corners] = mesh.element_vertex_ids[ids, :nverts]
-            node[:, ref.interior] = interior_starts[ids, None] \
-                + np.arange(len(ref.interior))
-            read[node[:, ref.interior] - nv] = slots[:, ref.interior]
+            node[slots[:, ref.corners]] = mesh.element_vertex_ids[ids, :nverts]
+            inside = slots[:, ref.interior]
+            interior = interior_starts[ids, None] + np.arange(len(ref.interior))
+            node[inside] = interior
+            read[interior - nv] = inside
             if p > 1:   # an order-1 element has no edge-interior nodes
-                # per (element, local edge): edge id, governing order, the
-                # element's row in the group and its p + 1 local edge nodes
-                # from the smaller to the larger vertex id
+                # per (element, local edge): edge id, governing order and the
+                # slots of its p + 1 local edge nodes from the smaller to the
+                # larger vertex id
                 k = mesh.element_edge_ids[ids, :nverts]
                 p_edge = self.edge_orders[k]
                 enodes = np.array(ref.edge_nodes)
                 forward = mesh.element_edge_forward[ids, :nverts, None]
-                canonical = np.where(forward, enodes, enodes[:, ::-1])
-                member = np.broadcast_to(np.arange(len(ids))[:, None],
-                                         k.shape)
+                along = starts[ids, None, None] \
+                    + np.where(forward, enodes, enodes[:, ::-1])
                 same = p_edge == p
-                node[member[same][:, None], canonical[same][:, 1:-1]] = \
-                    edge_nodes[k[same], 1:p]
+                node[along[same][:, 1:-1]] = edge_nodes[k[same], 1:p]
                 # an edge node is read from its owner's block
                 own = owner[k] == ids[:, None]
-                row, col = member[own][:, None], canonical[own][:, 1:-1]
-                read[node[row, col] - nv] = slots[row, col]
+                read[edge_nodes[k[own], 1:p] - nv] = along[own][:, 1:-1]
                 for p_low in range(1, p):
                     # edge nodes interpolated from the order p_low trace
                     low = p_edge == p_low
                     if not low.any():
                         continue
-                    dest = slots[member[low][:, None], canonical[low][:, 1:-1]]
+                    dest = along[low][:, 1:-1]
                     lengths[dest] = p_low + 1
                     interpolated.append((dest, edge_nodes[k[low], :p_low + 1],
                                          interpolation_matrix(p_low, p)[1:-1]))
-            mapped = node >= 0
-            direct_slots.append(slots[mapped])
-            direct_nodes.append(node[mapped])
             slots.flags.writeable = False
-            node.flags.writeable = False
             self.slots[key] = slots
-            self.node_ids[key] = node
+        for key, slots in self.slots.items():
+            self.node_ids[key] = node[slots]
+            self.node_ids[key].flags.writeable = False
         self.read_slots = read
-        self._build_expand(lengths, direct_slots, direct_nodes, interpolated)
+        self._build_expand(lengths, node, interpolated)
 
-    def _build_expand(self, lengths, direct_slots, direct_nodes, interpolated):
+    def _build_expand(self, lengths, node, interpolated):
         """``expand`` laid out in CSR row order, each row's columns
         ascending, and ``expand_T`` from one stable sort of its columns."""
         indptr = np.zeros(self.total_local + 1, dtype=int)
         np.cumsum(lengths, out=indptr[1:])
         nnz = int(indptr[-1])
         indices, data = np.empty(nnz, dtype=int), np.ones(nnz)
-        for slots, nodes in zip(direct_slots, direct_nodes):
-            indices[indptr[slots]] = nodes
+        direct = np.flatnonzero(node >= 0)
+        indices[indptr[direct]] = node[direct]
         for dest, trace, P in interpolated:
             # a trace [lo, edge nodes..., hi] ascends as [lo, hi, edge
             # nodes...]: vertex ids come before every edge node
