@@ -507,11 +507,14 @@ class DofMap:
                 forward = mesh.element_edge_forward[ids, :nverts, None]
                 along = starts[ids, None, None] \
                     + np.where(forward, enodes, enodes[:, ::-1])
+                # edge_nodes is narrower than p + 1 when no edge is at p
                 same = p_edge == p
-                node[along[same][:, 1:-1]] = edge_nodes[k[same], 1:p]
+                node[along[same][:, 1:-1].ravel()] = \
+                    edge_nodes[k[same], 1:p].ravel()
                 # an edge node is read from its owner's block
                 own = owner[k] == ids[:, None]
-                read[edge_nodes[k[own], 1:p] - nv] = along[own][:, 1:-1]
+                read[edge_nodes[k[own], 1:p].ravel() - nv] = \
+                    along[own][:, 1:-1].ravel()
                 for p_low in range(1, p):
                     # edge nodes interpolated from the order p_low trace
                     low = p_edge == p_low

@@ -3,8 +3,8 @@ references: the DofMap's ``expand`` from COO triplets with its transpose
 from scipy, the motion basis from COO triplets, and the Newton pattern's
 row matrix Q = [E2 Z; Z] from scipy's Kronecker expansion, sparse product
 and stack.  Every array must be equal, dtypes included, on every order
-state of the four 8x8 bench variants, a 6x6 split-triangle p2 mesh and a
-perturbed 4x4 p3 mesh."""
+state of the four 8x8 bench variants, a 6x6 split-triangle p2 mesh, a
+perturbed 4x4 p3 mesh and a 3x3 p1 mesh with a p3 element in the middle."""
 
 import functools
 from types import SimpleNamespace
@@ -210,8 +210,11 @@ def _states() -> tuple[MixedOrderMesh, ...]:
             run_rp_adaptivity(generate_cartesian(8, 8, 1), squircle,
                               FitConfig(metric=QualityMetric("mu2")), plan)
     assert len(out) == 12
+    # one p3 element among p1 ones: no edge is at its order
+    lone = generate_cartesian(3, 3, 1)
+    lone.set_order(4, 3)
     for m in (generate_cartesian(6, 6, 2, split_triangles=True),
-              perturbed_mesh(4, 4, 3)):
+              perturbed_mesh(4, 4, 3), lone):
         mark_interface_faces(m, squircle)
         out.append(m)
     return tuple(out)
@@ -229,7 +232,7 @@ def _assert_same_csr(got, want, what):
                      f"{what}.{name}")
 
 
-@pytest.mark.parametrize("state", range(14))
+@pytest.mark.parametrize("state", range(15))
 def test_dofmap_equals_the_coo_build(state):
     m = _states()[state]
     dm, ref = DofMap(m), _reference_dofmap(m)
@@ -242,7 +245,7 @@ def test_dofmap_equals_the_coo_build(state):
         _assert_same(dm.node_ids[key], ref.node_ids[key], f"node_ids {key}")
 
 
-@pytest.mark.parametrize("state", range(14))
+@pytest.mark.parametrize("state", range(15))
 def test_motion_basis_and_newton_pattern_equal_the_scipy_build(state):
     m = _states()[state]
     squircle = ANALYTIC_LEVELSETS["squircle2d"]()
