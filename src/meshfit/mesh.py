@@ -635,18 +635,14 @@ def lowering_min_det(mesh: MixedOrderMesh, lowered, order: int) -> float:
     resampled per (geometry, order), and on each of their interior edges
     the side that does not own the trace (``edge_owners``), which copies or
     interpolates it.  They agree with ``set_order`` up to rounding, not bit
-    for bit.  The loop over the few touched edges reads Python lists: at
-    these sizes one array pass per edge array costs more than it saves."""
+    for bit.  The loop over the few touched edges reads Python lists: a
+    trial touches about five edges, too few for array passes to pay."""
     geometry, forward = mesh._geometry, mesh.element_edge_forward
-    tables: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}
 
     def along(e, le, p):
         """Local nodes of local edge le of e at order p, smaller vertex id
         first."""
-        key = (geometry.item(e), p)
-        if key not in tables:
-            tables[key] = reference_element(*key).edge_nodes
-        nodes = tables[key][le]
+        nodes = reference_element(geometry.item(e), p).edge_nodes[le]
         return nodes if forward.item(e, le) else nodes[::-1]
 
     orders = mesh.orders()

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -243,7 +243,10 @@ class TargetTables:
     W^{-1} (Q, n, 2), the GEMM table Gf[i, (q, c)] = K[q, i, c] of the map
     Jacobians T = A W^{-1} and Kf = Gf^T of the gradient, and
     KK[(q, c, d), (i, j)] = K[q, i, c] K[q, j, d] of ``_hessian_values``
-    with KKu, its columns at the pairs i <= j of ``upper``."""
+    with KKu, its columns at the pairs i <= j of ``upper``.  ``rows`` holds
+    the local coordinates 2 i + a of the rows and the columns of an
+    element block's ``_hessian_values``, in their order: of the (a, a)
+    upper triangles, then of the (0, 1) block."""
 
     def __init__(self, tables: BasisTables, W: np.ndarray):
         self.K = K = np.einsum("qib,bc->qic", tables.grad_at_quad,
@@ -254,9 +257,13 @@ class TargetTables:
         self.Gf = jacobian_table(K)
         self.Kf = np.ascontiguousarray(self.Gf.T)
         self.KK = np.einsum("qic,qjd->qcdij", K, K).reshape(4 * nq, nn * nn)
-        self.upper = np.triu_indices(nn)
-        self.KKu = self.KK[:, self.upper[0] * nn + self.upper[1]]
-        for arr in (self.K, self.Gf, self.Kf, self.KK, self.KKu, *self.upper):
+        self.upper = i, j = np.triu_indices(nn)
+        self.KKu = self.KK[:, i * nn + j]
+        I, J = np.indices((nn, nn)).reshape(2, -1)
+        self.rows = ((np.r_[2 * i, 2 * i + 1], np.r_[2 * j, 2 * j + 1]),
+                     (2 * I, 2 * J + 1))
+        for arr in (self.K, self.Gf, self.Kf, self.KK, self.KKu, *self.upper,
+                    *self.rows[0], *self.rows[1]):
             arr.flags.writeable = False
 
 
@@ -527,15 +534,7 @@ def _product_terms(Q: sp.csr_matrix, rows_a: np.ndarray, rows_b: np.ndarray):
     return k[keep], hi.astype(np.int64) * Q.shape[1] + lo, w[keep]
 
 
-class _Rows(NamedTuple):
-    """The CSR arrays and shape of a matrix that is only read row by row."""
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    shape: tuple[int, int]
-
-
-def _motion_rows(expand: sp.csr_matrix, Z: sp.csr_matrix) -> _Rows:
+def _motion_rows(expand: sp.csr_matrix, Z: sp.csr_matrix) -> sp.csr_matrix:
     """Q = [E2 Z; Z] with E2 = expand (x) I_2 on interleaved coordinates,
     from the rows of ``expand`` and the one entry or none of each row of
     the ``_motion_basis`` Z.  Row 2 r + c of E2 Z holds, for the entries
@@ -565,9 +564,9 @@ def _motion_rows(expand: sp.csr_matrix, Z: sp.csr_matrix) -> _Rows:
                           minlength=2 * n_local)
     indptr = np.zeros(2 * (n_local + n_nodes) + 1, dtype=int)
     np.cumsum(np.concatenate([lengths, stored]), out=indptr[1:])
-    return _Rows(indptr, np.concatenate([z_col[z_row][kept], Z.indices]),
-                 np.concatenate([vals[kept], Z.data]),
-                 (2 * (n_local + n_nodes), Z.shape[1]))
+    return sp.csr_matrix((np.concatenate([vals[kept], Z.data]),
+                          np.concatenate([z_col[z_row][kept], Z.indices]),
+                          indptr), shape=(2 * (n_local + n_nodes), Z.shape[1]))
 
 
 def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -578,21 +577,6 @@ def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shift = int(keys.size).bit_length()
     packed = np.sort((keys << shift) | np.arange(keys.size))
     return packed & ((1 << shift) - 1), packed >> shift
-
-
-@lru_cache(maxsize=None)
-def _block_rows(nn: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Local coordinates 2 i + a of the rows and the columns of an element
-    block's upper-triangle values for nn nodes, in ``_hessian_values``
-    order: of the (a, a) upper triangles, then of the (0, 1) block;
-    read-only."""
-    i, j = np.triu_indices(nn)
-    I, J = np.indices((nn, nn)).reshape(2, -1)
-    out = ((np.r_[2 * i, 2 * i + 1], np.r_[2 * j, 2 * j + 1]),
-           (2 * I, 2 * J + 1))
-    for rows, cols in out:
-        rows.flags.writeable = cols.flags.writeable = False
-    return out
 
 
 class _NewtonPattern:
@@ -620,9 +604,9 @@ class _NewtonPattern:
         # rows of E2 Z (element blocks) stacked over rows of Z (marked nodes)
         Q = _motion_rows(asm.dm.expand, Z)
         rows_a, rows_b = [], []
-        for _, _, gather in asm.groups:
+        for _, kind, gather in asm.groups:
             first = 2 * gather[:, :1]
-            for la, lb in _block_rows(gather.shape[1]):
+            for la, lb in kind.rows:
                 rows_a.append((first + la).ravel())
                 rows_b.append((first + lb).ravel())
         idx = 2 * asm.dm.total_local + 2 * asm.marked[:, None]
