@@ -632,11 +632,11 @@ def lowering_min_det(mesh: MixedOrderMesh, lowered, order: int) -> float:
     """``min_det`` of the elements in ``lowered`` and their edge neighbors
     after ``set_order(lowered, order)``, computed without changing the mesh
     on the blocks that the lowering changes: the lowered elements,
-    resampled per (geometry, order), and on each of their interior edges
-    the side that does not own the trace (``edge_owners``), which copies or
-    interpolates it.  They agree with ``set_order`` up to rounding, not bit
-    for bit.  The loop over the few touched edges reads Python lists: a
-    trial touches about five edges, too few for array passes to pay."""
+    resampled, and on each of their interior edges the side that does not
+    own the trace (``edge_owners``), which copies or interpolates it.  They
+    agree with ``set_order`` up to rounding, not bit for bit.  The loop
+    over the touched edges reads Python lists: a trial touches about five
+    edges, too few for array passes to pay."""
     geometry, forward = mesh._geometry, mesh.element_edge_forward
 
     def along(e, le, p):
@@ -648,12 +648,7 @@ def lowering_min_det(mesh: MixedOrderMesh, lowered, order: int) -> float:
     orders = mesh.orders()
     orders[lowered] = order
     governing, owners = edge_owners(mesh, orders)
-    kinds: dict[tuple[str, int], list[int]] = {}
-    for e in lowered:
-        kinds.setdefault((geometry.item(e), mesh._orders.item(e)),
-                         []).append(e)
-    blocks = {e: X for ids in kinds.values()
-              for e, X in zip(ids, resampled_blocks(mesh, ids, order))}
+    blocks = {e: resampled_blocks(mesh, [e], order)[0] for e in lowered}
     touched = set(lowered)
     k = np.unique(mesh.element_edge_ids[lowered])
     k = k[k >= 0]
