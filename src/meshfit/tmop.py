@@ -28,6 +28,12 @@ triangle of each element block, with two GEMMs per (geometry, order)
 group against the kind's tables, and ``_NewtonPattern`` maps those values
 to the upper triangle of the Newton matrix and mirrors it into the one CSC
 matrix per numbering that SuperLU factors.
+
+``solve_r_adaptivity`` keeps the algorithm: the fit weight schedule, the
+damping escalation, both line searches and the stop reasons.  One
+``_NewtonPattern`` per solve owns the Newton system: the motion basis Z,
+the matrix values at the iterate, the numbering of the motion coordinates
+and the factorization.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ IDEAL_TRIANGLE_TARGET = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
 IDEAL_TRIANGLE_TARGET.flags.writeable = False
 
 METRIC_IDS = ("mu2", "mu77", "mu80")
+_BOUNDARY_MODES = ("slide", "fixed", "free")
 
 
 @dataclass(frozen=True)
@@ -159,10 +166,20 @@ class SolverControls:
                              f"{self.max_iterations!r} and {self.fit_tol!r}")
 
 
-def _check_fit_weight(fit_weight) -> None:
-    if not (is_real(fit_weight) and 0.0 <= fit_weight < np.inf):
+def _check_fit_settings(fit) -> None:
+    """Reject the bad settings of a ``FitConfig`` or a ``TmopProblem`` with
+    a ValueError that names the field."""
+    if not (is_real(fit.fit_weight) and 0.0 <= fit.fit_weight < np.inf):
         raise ValueError(f"fit_weight must be a finite non-negative real "
-                         f"number, got {fit_weight!r}")
+                         f"number, got {fit.fit_weight!r}")
+    for name, kind in (("metric", QualityMetric),
+                       ("controls", SolverControls)):
+        if not isinstance(getattr(fit, name), kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, "
+                             f"got {getattr(fit, name)!r}")
+    if fit.boundary not in _BOUNDARY_MODES:
+        raise ValueError(f"boundary must be one of {_BOUNDARY_MODES}, "
+                         f"got {fit.boundary!r}")
 
 
 @dataclass
@@ -174,7 +191,7 @@ class FitConfig:
     boundary: str = "slide"
 
     def __post_init__(self):
-        _check_fit_weight(self.fit_weight)
+        _check_fit_settings(self)
 
     def problem(self, mesh: "MixedOrderMesh", field=None) -> "TmopProblem":
         return TmopProblem(mesh, self.metric, field,
@@ -192,7 +209,7 @@ class TmopProblem:
     boundary: str = "slide"  # "slide" | "fixed" | "free"
 
     def __post_init__(self):
-        _check_fit_weight(self.fit_weight)
+        _check_fit_settings(self)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +406,7 @@ def boundary_freedom(mesh: MixedOrderMesh, mode: str = "slide"):
     Boundary nodes slide along their boundary edge's line; vertices where two
     boundary lines meet at an angle are fixed.  Returns (kinds, tangents).
     """
-    if mode not in ("slide", "fixed", "free"):
+    if mode not in _BOUNDARY_MODES:
         raise ValueError(f"unknown boundary mode {mode!r}")
     dm = mesh.dof_map()
     kinds = np.zeros(dm.num_nodes, dtype=int)
@@ -580,27 +597,42 @@ def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _NewtonPattern:
-    """Fixed sparsity pattern of the Newton matrix Z^T H Z of one solve.
+    """The Newton system of one solve: the matrix Z^T H Z in the motion
+    coordinates of Z, its values at the iterate and its factorization.
 
     H = E2^T B E2 + GN, where B holds the element blocks on local
     coordinates, E2 expands independent coordinates to them (trace
     interpolation included) and GN holds the marked-node Gauss-Newton
-    blocks; Z is the ``_motion_basis`` of the allowed node motions.  None
-    of E2, Z or the marked nodes changes during a solve, so the upper
-    triangle of Z^T H Z is one sparse linear map ``S`` of the upper-triangle
-    ``_hessian_values`` vector, one row per upper slot.  The pattern holds
-    the full matrix: ``slot_rows`` says which row of S fills each of its
-    CSC slots, the same row for an entry and its mirror image, so the
-    matrix is exactly symmetric.  ``diag`` holds the slot of each diagonal
-    entry; all of them are stored, because every allowed coordinate moves
-    some element's nodes.  ``renumber`` moves the slots to a symmetric
-    renumbering of the matrix; S keeps its rows.  ``A`` is the one
-    ``csc_matrix`` of the current numbering, with int32 indices as SuperLU
-    takes them; ``matrix`` and ``damped`` write their values into it.
+    blocks; Z is the ``_motion_basis`` of the allowed node motions, held
+    with its transpose ``ZT``.  None of E2, Z (up to a renumbering of its
+    columns) or the marked nodes changes during a solve, so the upper
+    triangle of Z^T H Z is one sparse linear map ``S`` of the
+    upper-triangle ``_hessian_values`` vector, one row per upper slot.  The
+    pattern holds the full matrix: ``slot_rows`` says which row of S fills
+    each of its CSC slots, the same row for an entry and its mirror image,
+    so the matrix is exactly symmetric.  ``diag`` holds the slot of each
+    diagonal entry; all of them are stored, because every allowed
+    coordinate moves some element's nodes.
+
+    ``set_values`` keeps the iterate's CSC ``data`` and its floored
+    diagonal D, and ``matrix(lam)`` writes Z^T H Z + lam D into ``A``, the
+    one ``csc_matrix`` of the current numbering, with int32 indices as
+    SuperLU takes them.  ``solve`` factors it in symmetric mode and keeps
+    the factorization as ``lu`` until the next one replaces it, so that
+    the allocator reuses its memory: freeing it before the next
+    factorization made the 8x8 p2 discrete fit about 1 % slower.  There is
+    one MMD ordering per solve: the first factorization that is not
+    exactly singular computes it on A^T + A, ``renumber`` then moves the
+    motion coordinates to it (the slots, the values, D and the columns of
+    Z), and every later factorization, damping retries included, keeps the
+    natural order of the renumbered matrix.  The step Z dz does not depend
+    on that numbering.
     """
 
     def __init__(self, asm: _Assembly, Z: sp.csr_matrix):
         n = Z.shape[1]
+        self.Z, self.ZT = Z, Z.T
+        self.ordering = "MMD_AT_PLUS_A"
         # rows of E2 Z (element blocks) stacked over rows of Z (marked nodes)
         Q = _motion_rows(asm.dm.expand, Z)
         rows_a, rows_b = [], []
@@ -650,32 +682,51 @@ class _NewtonPattern:
         self.A.has_canonical_format = True
 
     def renumber(self, perm: np.ndarray) -> np.ndarray:
-        """Hold A[q][:, q] from now on, for the matrix A held so far and
-        q = argsort(perm): entry (i, j) moves to (perm[i], perm[j]).
-        Returns the old slot of each new slot, which maps CSC data of A to
-        that of the renumbered matrix."""
-        perm = np.asarray(perm, dtype=np.int64)
-        cols, rows = perm[self._cols], perm[self.A.indices]
+        """Hold A[q][:, q], its values, its floored diagonal and Z[:, q]
+        from now on, for q = argsort(perm): entry (i, j) moves to (perm[i],
+        perm[j]) and column c of Z to perm[c].  Returns q, which maps a
+        vector of the old motion coordinates to the new ones."""
+        cols, rows = perm[self._cols].astype(np.int64), perm[self.A.indices]
         moved, _ = _stable_order(cols * self.shape[0] + rows)
         self._set_slots(cols[moved], rows[moved])
         self.slot_rows = self.slot_rows[moved]
-        return moved
+        self.data = self.data[moved]
+        q = np.argsort(perm)
+        self.dfloor = self.dfloor[q]
+        # Z[:, q]: a row keeps its one entry or none
+        self.Z = sp.csr_matrix((self.Z.data, perm[self.Z.indices],
+                                self.Z.indptr), shape=self.Z.shape)
+        self.ZT = self.Z.T
+        self.ordering = "NATURAL"
+        return q
 
-    def assemble(self, values: np.ndarray) -> np.ndarray:
-        """CSC data of Z^T H Z from ``_hessian_values`` output."""
-        return (self.S @ values)[self.slot_rows]
+    def set_values(self, values: np.ndarray) -> None:
+        """Hold Z^T H Z from ``_hessian_values`` output, and its diagonal
+        floored at 1e-12 times its largest entry."""
+        self.data = (self.S @ values)[self.slot_rows]
+        diag = self.data[self.diag]
+        self.dfloor = np.maximum(diag, 1e-12 * diag.max() + 1e-300)
 
-    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        """The held matrix, holding the given CSC data."""
-        self.A.data[:] = data
+    def matrix(self, lam: float = 0.0) -> sp.csc_matrix:
+        """The held matrix, holding Z^T H Z + lam D."""
+        self.A.data[:] = self.data
+        self.A.data[self.diag] += lam * self.dfloor
         return self.A
 
-    def damped(self, data: np.ndarray, shift: np.ndarray) -> sp.csc_matrix:
-        """The held matrix, holding the given CSC data with ``shift`` added
-        to its diagonal; ``data`` is not changed."""
-        A = self.matrix(data)
-        A.data[self.diag] += shift
-        return A
+    def solve(self, lam: float, gz: np.ndarray):
+        """(dz, gz): the solution of (Z^T H Z + lam D) dz = -gz, None when
+        the matrix is exactly singular, and both in the numbering that the
+        pattern holds after this factorization."""
+        try:
+            self.lu = spla.splu(self.matrix(lam), permc_spec=self.ordering,
+                                options={"SymmetricMode": True})
+            dz = self.lu.solve(-gz)
+        except RuntimeError:  # exactly singular
+            return None, gz
+        if self.ordering == "NATURAL":
+            return dz, gz
+        q = self.renumber(self.lu.perm_c)
+        return dz[q], gz[q]
 
 
 # ---------------------------------------------------------------------------
@@ -733,18 +784,11 @@ def solve_r_adaptivity(problem: TmopProblem):
     put.  With Z the orthonormal ``_motion_basis`` of these motions, the
     reduced gradient is g_z = Z^T g, the damped system is (Z^T H Z + lam D)
     dz = -g_z with D the floored diagonal of Z^T H Z, and the step is
-    d = Z dz.  The Newton matrix Z^T H Z has one sparsity pattern per solve
-    (``_NewtonPattern``): each iteration fills it with one sparse
-    matrix-vector product from the upper triangle of the element and
-    Gauss-Newton blocks, damping writes those values plus its diagonal
-    shift into the pattern's one CSC matrix, and SuperLU factors that
-    matrix in symmetric mode.  There is one MMD
-    ordering per solve: the first factorization that is not exactly
-    singular computes it on A^T + A, the motion coordinates are then
-    renumbered by it (the columns of Z, the reduced gradient and the
-    pattern's slots), and every later factorization, damping retries
-    included, keeps the natural order of the renumbered matrix.  The step
-    d = Z dz does not depend on that numbering.  The fit weight follows a
+    d = Z dz.  The solve's ``_NewtonPattern`` holds Z, the matrix, its
+    factorization and the numbering of the motion coordinates: each
+    iteration gives it the upper triangle of the element and Gauss-Newton
+    blocks, and each factorization the damping lam and g_z, which it
+    returns renumbered with dz when it renumbers.  The fit weight follows a
     fixed schedule: when the worst marked-node residual falls by less than
     a factor 1.1 in an iteration, the weight is multiplied by 10, up to
     1e10.
@@ -775,8 +819,6 @@ def solve_r_adaptivity(problem: TmopProblem):
     controls = problem.controls
     require_valid(mesh, "solve_r_adaptivity")
     asm = _Assembly(problem)
-    Z = _motion_basis(*boundary_freedom(mesh, problem.boundary))
-    ZT = Z.T
     t = mesh.nodes
     w = float(problem.fit_weight)
     fitting = asm.marked.size > 0
@@ -799,7 +841,7 @@ def solve_r_adaptivity(problem: TmopProblem):
     def reduced_gradient():
         """Total gradient in motion coordinates, from the terms stored for
         the iterate."""
-        return ZT @ _total_gradient(asm, gq, sigma, dsigma, w).ravel()
+        return newton.ZT @ _total_gradient(asm, gq, sigma, dsigma, w).ravel()
 
     F, fq, sigma, state = evaluate(t)
     md = None  # min det of the last accepted trial
@@ -817,6 +859,8 @@ def solve_r_adaptivity(problem: TmopProblem):
 
     if fitting and smax <= controls.fit_tol:
         return finish("converged", "marked nodes already on the isocontour")
+    newton = _NewtonPattern(
+        asm, _motion_basis(*boundary_freedom(mesh, problem.boundary)))
     gq = _quality_gradient(asm, state)
     dsigma = asm.sigma_gradients(t)
     gz = reduced_gradient()
@@ -824,8 +868,6 @@ def solve_r_adaptivity(problem: TmopProblem):
     if gnorm0 <= controls.grad_atol:
         return finish("converged", "gradient already negligible")
 
-    newton = _NewtonPattern(asm, Z)
-    ordering = "MMD_AT_PLUS_A"
     lam = controls.initial_damping
     smax_prev = smax
     # cap the initial trial displacement at a fraction of the smallest
@@ -848,35 +890,13 @@ def solve_r_adaptivity(problem: TmopProblem):
         return None
 
     for it in range(1, controls.max_iterations + 1):
-        data = newton.assemble(_hessian_values(asm, state, w, dsigma))
-        diag = data[newton.diag]
-        dfloor = np.maximum(diag, 1e-12 * diag.max() + 1e-300)
-
+        newton.set_values(_hessian_values(asm, state, w, dsigma))
         d = None
         for _ in range(8):
             report.factorizations += 1
-            try:
-                lu = spla.splu(newton.damped(data, lam * dfloor),
-                               permc_spec=ordering,
-                               options={"SymmetricMode": True})
-                dz = lu.solve(-gz)
-            except RuntimeError:  # exactly singular
-                dz = None
-            if dz is not None and ordering != "NATURAL":
-                # number the motion coordinates by the fill-reducing
-                # ordering of this first factorization, so that the later
-                # ones of the solve keep it without recomputing it
-                q = np.argsort(lu.perm_c)
-                data = data[newton.renumber(lu.perm_c)]
-                dfloor, gz, dz = dfloor[q], gz[q], dz[q]
-                # Z[:, q]: column c moves to perm_c[c]; a row keeps its
-                # one entry or none
-                Z = sp.csr_matrix((Z.data, lu.perm_c[Z.indices], Z.indptr),
-                                  shape=Z.shape)
-                ZT = Z.T
-                ordering = "NATURAL"
+            dz, gz = newton.solve(lam, gz)
             if dz is not None and np.all(np.isfinite(dz)) and dz @ gz < 0.0:
-                d = (Z @ dz).reshape(-1, 2)
+                d = (newton.Z @ dz).reshape(-1, 2)
                 break
             report.damping_retries += 1
             lam *= 16.0
@@ -889,8 +909,8 @@ def solve_r_adaptivity(problem: TmopProblem):
         if found is None:
             # steepest descent with a Rayleigh-quotient step length
             direction = "steepest"
-            d = -(Z @ gz).reshape(-1, 2)
-            Hg = gz @ (newton.matrix(data) @ gz)
+            d = -(newton.Z @ gz).reshape(-1, 2)
+            Hg = gz @ (newton.matrix() @ gz)
             dmax = max(float(np.abs(d).max()), 1e-300)
             scale = (gz @ gz) / Hg if Hg > 0.0 else \
                 0.1 * mesh.diameter() / dmax

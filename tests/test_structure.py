@@ -258,6 +258,8 @@ def test_motion_basis_and_newton_pattern_equal_the_scipy_build(state):
             _reference_motion_basis(kinds, tangents)
         _assert_same_csr(Z, Z_ref, f"Z {mode}")
         got, want = _NewtonPattern(asm, Z), _reference_pattern(asm, Z_ref)
+        got.set_values(np.random.default_rng(state).uniform(
+            0.5, 1.0, got.S.shape[1]))
         for renumbered in (False, True):
             what = f"{mode}, renumbered {renumbered}"
             _assert_same_csr(got.S, want.S, f"S {what}")
@@ -268,5 +270,13 @@ def test_motion_basis_and_newton_pattern_equal_the_scipy_build(state):
                              f"A.{name} {what}")
             if not renumbered:
                 order = perm(Z.shape[1]).astype(np.int32)
-                _assert_same(got.renumber(order),
-                             _reference_renumber(want, order), f"moved {mode}")
+                data = got.data
+                _assert_same(got.renumber(order), np.argsort(order),
+                             f"q {mode}")
+                _assert_same(got.data, data[_reference_renumber(want, order)],
+                             f"moved {mode}")
+                # Z[:, q]: column c moves to order[c], a row keeps its one
+                # entry or none
+                _assert_same_csr(got.Z, sp.csr_matrix(
+                    (Z_ref.data, order[Z_ref.indices], Z_ref.indptr),
+                    shape=Z_ref.shape), f"Z renumbered {mode}")

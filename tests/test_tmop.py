@@ -234,9 +234,10 @@ def test_quality_hessian_matches_fd(rng, metric, field, fit_weight, mesh):
     t = m.nodes.copy()
     # the matrix the solver factors; with a free boundary Z = I
     newton = _NewtonPattern(asm, _motion_basis(*boundary_freedom(m, "free")))
-    H = newton.matrix(newton.assemble(_hessian_values(
+    newton.set_values(_hessian_values(
         asm, _element_pass(asm, prob.metric, t)[1], fit_weight,
-        asm.sigma_gradients(t)))).toarray()
+        asm.sigma_gradients(t)))
+    H = newton.matrix().toarray()
     assert np.abs(H - H.T).max() < 1e-10
     # mu77 entries reach about 1e4 on this mesh, so the bound scales with H
     tol = 2e-9 * np.abs(H).max()
@@ -306,8 +307,9 @@ def test_newton_pattern_matches_dense_assembly(rng):
     newton = _NewtonPattern(asm, Z)
     values = _hessian_values(asm, _element_pass(asm, prob.metric, t)[1],
                              prob.fit_weight, asm.sigma_gradients(t))
-    data = newton.assemble(values)
-    Hp = newton.matrix(data).toarray()
+    newton.set_values(values)
+    data = newton.data.copy()
+    Hp = newton.matrix().toarray()
 
     # dense reference Z^T (E2^T B E2 + GN) Z from the same values, with B
     # and GN mirrored from their upper triangles
@@ -326,25 +328,32 @@ def test_newton_pattern_matches_dense_assembly(rng):
     ref = Zd.T @ (E2.T @ B @ E2 + GN) @ Zd
     assert np.abs(Hp - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    # damping shifts the diagonal only, and leaves the values it was given
-    shift = 1e-3 * rng.uniform(0.5, 1.0, Z.shape[1])
-    kept = data.copy()
-    damped = newton.damped(data, shift).toarray()
-    assert np.array_equal(damped, Hp + np.diag(shift))
-    assert np.array_equal(data, kept)
-    assert np.array_equal(newton.matrix(data).toarray(), Hp)
+    # damping adds lam times the floored diagonal to the diagonal only, and
+    # leaves the held values as they were
+    diag = np.diag(Hp)
+    assert np.array_equal(newton.dfloor,
+                          np.maximum(diag, 1e-12 * diag.max() + 1e-300))
+    lam = 1e-3
+    damped = newton.matrix(lam).toarray()
+    assert np.array_equal(damped, Hp + np.diag(lam * newton.dfloor))
+    assert np.array_equal(newton.data, data)
+    assert np.array_equal(newton.matrix().toarray(), Hp)
 
     # renumbered by perm, the pattern holds P^T A P with P = I[:, q] and
-    # q = argsort(perm); its slots, slot rows and diagonal move together
+    # q = argsort(perm), and Z P; its slots, slot rows, values, floored
+    # diagonal and diagonal move together
     perm = rng.permutation(Z.shape[1])
-    q = np.argsort(perm)
+    q = newton.renumber(perm)
+    assert np.array_equal(q, np.argsort(perm))
     P = np.eye(Z.shape[1])[:, q]
-    moved = newton.renumber(perm)
-    renumbered = newton.assemble(values)
-    assert np.array_equal(renumbered, data[moved])
-    assert np.array_equal(newton.matrix(renumbered).toarray(), P.T @ Hp @ P)
-    assert np.array_equal(newton.damped(renumbered, shift[q]).toarray(),
-                          P.T @ damped @ P)
+    assert np.array_equal(newton.matrix().toarray(), P.T @ Hp @ P)
+    assert np.array_equal(newton.matrix(lam).toarray(), P.T @ damped @ P)
+    assert np.array_equal(newton.Z.toarray(), Zd @ P)
+    assert np.array_equal(newton.ZT.toarray(), (Zd @ P).T)
+    moved, dfloor = newton.data.copy(), newton.dfloor.copy()
+    newton.set_values(values)
+    assert np.array_equal(newton.data, moved)
+    assert np.array_equal(newton.dfloor, dfloor)
 
 
 def test_newton_matrix_is_exactly_symmetric_and_held_in_int32(rng):
@@ -354,16 +363,39 @@ def test_newton_matrix_is_exactly_symmetric_and_held_in_int32(rng):
     newton = _NewtonPattern(asm, Z)
     values = _hessian_values(asm, _element_pass(asm, prob.metric, t)[1],
                              prob.fit_weight, asm.sigma_gradients(t))
-    held = newton.matrix(newton.assemble(values))
+    newton.set_values(values)
+    held = newton.matrix()
     assert held.indices.dtype == held.indptr.dtype == np.int32
     H = held.toarray()
     assert np.array_equal(H, H.T)
     newton.renumber(rng.permutation(Z.shape[1]))
-    renumbered = newton.damped(newton.assemble(values),
-                               rng.uniform(0.5, 1.0, Z.shape[1]))
-    assert renumbered is newton.matrix(newton.assemble(values))
+    renumbered = newton.matrix(rng.uniform(0.5, 1.0))
+    assert renumbered is newton.matrix()
     H = renumbered.toarray()
     assert np.array_equal(H, H.T)
+
+
+def test_newton_solve_renumbers_once_and_returns_the_reduced_gradient():
+    # the first factorization renumbers the system by its MMD ordering and
+    # returns the reduced gradient in the new numbering: bit for bit the
+    # renumbered system's Z^T g of the same node-space gradient
+    prob, asm, t, Z = _oblique_mixed_system()
+    newton = _NewtonPattern(asm, Z)
+    _, state = _element_pass(asm, prob.metric, t)
+    newton.set_values(_hessian_values(asm, state, prob.fit_weight,
+                                      asm.sigma_gradients(t)))
+    g = gradient(prob, t).ravel()
+    lam = 1e-4
+    gz = newton.ZT @ g
+    # the step Z dz does not depend on the numbering
+    step = Z @ np.linalg.solve(newton.matrix(lam).toarray(), -gz)
+    for ordering in ("MMD_AT_PLUS_A", "NATURAL"):
+        assert newton.ordering == ordering
+        dz, gz = newton.solve(lam, gz)
+        assert np.array_equal(gz, newton.ZT @ g)
+        assert np.abs(newton.Z @ dz - step).max() <= \
+            1e-9 * np.abs(step).max()
+    assert newton.ordering == "NATURAL"
 
 
 def test_expanded_coordinates_match_the_kronecker_form():
@@ -509,15 +541,15 @@ def test_renumbering_by_the_mmd_ordering_keeps_its_fill():
                              prob.fit_weight, asm.sigma_gradients(t))
 
     def fill(newton, permc_spec):
-        data = newton.assemble(values)
-        lu = spla.splu(newton.damped(data, 1e-4 * data[newton.diag]),
-                       permc_spec=permc_spec,
+        lu = spla.splu(newton.matrix(1e-4), permc_spec=permc_spec,
                        options={"SymmetricMode": True})
         return lu, lu.L.nnz + lu.U.nnz
 
     Z = _motion_basis(*boundary_freedom(m))
-    lu, mmd_fill = fill(_NewtonPattern(asm, Z), "MMD_AT_PLUS_A")
     right, wrong = _NewtonPattern(asm, Z), _NewtonPattern(asm, Z)
+    for newton in (right, wrong):
+        newton.set_values(values)
+    lu, mmd_fill = fill(right, "MMD_AT_PLUS_A")
     right.renumber(lu.perm_c)
     wrong.renumber(np.argsort(lu.perm_c))
     assert fill(right, "NATURAL")[1] <= 1.01 * mmd_fill
@@ -1113,6 +1145,21 @@ def test_invalid_fit_weight_rejected(fit_weight):
         TmopProblem(m, QualityMetric("mu2"), fit_weight=fit_weight)
     with pytest.raises(ValueError, match="fit_weight"):
         FitConfig(fit_weight=fit_weight)
+
+
+@pytest.mark.parametrize("name, value", [("metric", "mu2"),
+                                         ("controls", None),
+                                         ("boundary", "slid")])
+def test_invalid_fit_settings_rejected_on_construction(name, value):
+    # caught where the settings are given, not inside a later solve
+    m = generate_cartesian(2, 2, 1)
+    settings = dict(metric=QualityMetric("mu2"), fit_weight=1.0,
+                    controls=SolverControls(), boundary="slide")
+    settings[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        TmopProblem(m, **settings)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        FitConfig(**settings)
 
 
 @pytest.mark.parametrize("seed", [64, 307, 346])
