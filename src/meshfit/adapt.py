@@ -20,8 +20,10 @@ arrays, and only then resamples the elements whose order changes, by one
 Derefinement decides each candidate lowering on the node blocks it would
 touch (``mesh.lowering_min_det``); only an accepted lowering changes the
 mesh, by one ``set_order`` call.  Face traces are read from the mesh's
-nodes and evaluated per edge order: one product per trace table, one
-field query in sorted-face order, and row-wise sums.
+nodes and integrated by one function in stacks of one trace order: one
+product per trace table, one field query for every stack, and row-wise
+sums.  The face errors pass one stack per edge order, a derefinement
+trial the current trace and each projected candidate.
 
 Each re-solve after a refinement starts its fit weight where the last
 solve's equilibrium puts the residual the refinement left.  At a converged
@@ -60,12 +62,13 @@ class AdaptivityPlan:
     positive error of at least ``refine_threshold`` times the current worst
     face error.  Under either rule a face with zero error is never marked.
 
-    ``deref_kind`` (active only when ``refine_step > 1``) selects the test a
-    lower-order candidate must pass: ``"ref"`` keeps the projected error
-    under ``deref_threshold * refine_threshold``; ``"change"`` allows the
-    error to grow by at most a factor ``1 + deref_threshold``; ``"size"``
-    requires the projected face to keep at least ``1 - deref_threshold`` of
-    its arc length.  ``None`` disables derefinement.
+    ``deref_kind`` selects the test a lower-order candidate must pass:
+    ``"ref"`` keeps the projected error under ``deref_threshold *
+    refine_threshold``; ``"change"`` allows the error to grow by at most a
+    factor ``1 + deref_threshold``; ``"size"`` requires the projected face
+    to keep at least ``1 - deref_threshold`` of its arc length.  ``None``
+    disables derefinement, and so does a ``refine_step`` of 1: the loop
+    derefines only when ``refine_step >= 2``.
     """
     p_init: int = 1
     p_max: int = 3
@@ -127,25 +130,36 @@ def _trace_tables(trace_order: int, face_order: int):
     return values, derivs, wq
 
 
-def _face_traces(coords: np.ndarray, order: int):
-    """Physical quadrature points (F, nq, 2) of a stack of F traces of one
-    order (F, trace order + 1, 2), the weights of the 2 order + 3 point
-    Gauss rule of a face of the given order, and the speeds (F, nq) of the
-    traces there; one product with each trace table for the whole stack."""
-    n_faces, n, _ = coords.shape
-    values, derivs, wq = _trace_tables(n - 1, order)
-    C = coords.transpose(1, 0, 2).reshape(n, 2 * n_faces)
-    x = (values @ C).reshape(-1, n_faces, 2).transpose(1, 0, 2)
-    dx = (derivs @ C).reshape(-1, n_faces, 2)
-    # row-contiguous, so that each row sums as a face's own array would
-    speed = np.ascontiguousarray(np.hypot(dx[..., 0], dx[..., 1]).T)
-    return x, wq, speed
+def _trace_integrals(field, stacks) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Arc-length weighted sigma^2 integrals and lengths of stacks of face
+    traces, with one field query for every stack.
 
-
-def _errors_and_lengths(sigma, wq, speed):
-    """Row-wise arc-length weighted sigma^2 integrals and lengths of traces
-    with values ``sigma`` and ``speed`` (F, nq) at Gauss weights ``wq``."""
-    return (wq * sigma * sigma * speed).sum(axis=1), (wq * speed).sum(axis=1)
+    Each stack is a (coords, order) pair: F traces of one order as an
+    (F, trace order + 1, 2) array, integrated with the 2 order + 3 point
+    Gauss rule of a face of the given order by one product with each trace
+    table.  Returns an (errors, lengths) pair of length-F arrays per
+    stack."""
+    if not stacks:
+        return []
+    points, rules = [], []
+    for coords, order in stacks:
+        n_faces, n, _ = coords.shape
+        values, derivs, wq = _trace_tables(n - 1, order)
+        C = coords.transpose(1, 0, 2).reshape(n, 2 * n_faces)
+        points.append((values @ C).reshape(-1, n_faces, 2)
+                      .transpose(1, 0, 2).reshape(-1, 2))
+        dx = (derivs @ C).reshape(-1, n_faces, 2)
+        # row-contiguous, so that each row sums as a face's own array would
+        speed = np.ascontiguousarray(np.hypot(dx[..., 0], dx[..., 1]).T)
+        rules.append((wq, speed))
+    sigma = np.split(field.values(np.concatenate(points)),
+                     np.cumsum([len(x) for x in points[:-1]]))
+    out = []
+    for (wq, speed), s in zip(rules, sigma):
+        s = s.reshape(speed.shape)
+        out.append(((wq * s * s * speed).sum(axis=1),
+                    (wq * speed).sum(axis=1)))
+    return out
 
 
 @dataclass
@@ -172,27 +186,16 @@ def compute_face_errors(mesh: MixedOrderMesh, field) -> FaceErrorReport:
         node_sigma = float(np.abs(field.values(t[face_nodes])).max())
     else:
         node_sigma = 0.0
-    errors = np.zeros(len(faces))
-    lengths = np.zeros(len(faces))
-    # the traces of each edge order as one stack, their points laid out in
-    # sorted-face order for one field query over every face
+    errors, lengths = np.zeros((2, len(faces)))
+    # the traces of each edge order as one stack
     k = np.array(faces, dtype=int)
     p_face = dm.edge_orders[k]
-    counts = 2 * p_face + 3
-    starts = np.cumsum(counts) - counts
-    points = np.empty((int(counts.sum()), 2))
-    stacks = []
-    for p in np.unique(p_face).tolist():
-        at = np.flatnonzero(p_face == p)
-        x, wq, speed = _face_traces(t[dm.edge_nodes[k[at], :p + 1]], p)
-        rows = starts[at, None] + np.arange(2 * p + 3)
-        points[rows] = x
-        stacks.append((at, rows, wq, speed))
-    if faces:
-        sigma = field.values(points)
-        for at, rows, wq, speed in stacks:
-            errors[at], lengths[at] = _errors_and_lengths(sigma[rows], wq,
-                                                          speed)
+    orders = np.unique(p_face).tolist()
+    at = [np.flatnonzero(p_face == p) for p in orders]
+    integrals = _trace_integrals(field, [
+        (t[dm.edge_nodes[k[i], :p + 1]], p) for i, p in zip(at, orders)])
+    for i, (e, length) in zip(at, integrals):
+        errors[i], lengths[i] = e, length
     return FaceErrorReport(faces=faces, errors=errors, lengths=lengths,
                            total_error=float(errors.sum()),
                            max_error=float(errors.max()) if len(faces) else 0.0,
@@ -279,10 +282,6 @@ def propagate_orders(mesh: MixedOrderMesh, orders: np.ndarray,
 # ---------------------------------------------------------------------------
 # Derefinement
 
-def _projected_trace(coords: np.ndarray, p_low: int) -> np.ndarray:
-    return interpolation_matrix(len(coords) - 1, p_low) @ coords
-
-
 def _deref_criterion_ok(plan: AdaptivityPlan, err_hat: float, len_hat: float,
                         err_now: float, len_now: float) -> bool:
     """The plan's derefinement test on a projected trace's error and length
@@ -327,19 +326,17 @@ def try_derefine(mesh: MixedOrderMesh, field, plan: AdaptivityPlan,
     candidates = range(plan.p_init, p_face)
     # one field query for the current trace and every projected candidate,
     # all at the quadrature points of the face's order
-    x, wq, speed = zip(*(
-        _face_traces(c[None], p_face) for c in
-        [coords] + [_projected_trace(coords, p) for p in candidates]))
-    sigma = field.values(np.concatenate(x).reshape(-1, 2))
-    errors, lengths = _errors_and_lengths(sigma.reshape(len(x), -1), wq[0],
-                                          np.concatenate(speed))
-    err_now, len_now = errors[0], lengths[0]
+    integrals = _trace_integrals(field, [
+        (c[None], p_face) for c in [coords] + [
+            interpolation_matrix(p_face, p) @ coords for p in candidates]])
+    (err_now, len_now), *projected = [(err[0], length[0])
+                                      for err, length in integrals]
     elems = [int(e) for e in mesh.edge_element_ids[face] if e >= 0]
     variants = [list(elems)]
     if len(elems) == 2:
         variants += [[elems[0]], [elems[1]]]
     orders = mesh.orders()
-    for p_hat, err_hat, len_hat in zip(candidates, errors[1:], lengths[1:]):
+    for p_hat, (err_hat, len_hat) in zip(candidates, projected):
         if not _deref_criterion_ok(plan, err_hat, len_hat, err_now, len_now):
             continue
         for variant in variants:

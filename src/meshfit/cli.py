@@ -20,14 +20,24 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import astuple
 
 from .levelset import make_levelset
-from .mesh_io import export_svg, export_vtk, write_mesh
-from .study import fit_run, histogram_text, measure, run_study
+from .mesh_io import COLOR_MODES, export_svg, export_vtk, write_mesh
+from .study import csv_cell, fit_run, measure, run_study
+from .tmop import BOUNDARY_MODES, METRIC_IDS
 
 #: argparse dests that are keys of a run's ``plan`` block
 PLAN_KEYS = ("p_init", "p_max", "refine_step", "max_neighbor_diff", "refine",
              "deref", "edge_touch_elevate")
+#: history CSV headers, one column per field of ``AdaptRecord`` and of
+#: ``IterationRecord``, in field order
+ADAPT_HISTORY_COLUMNS = ("outer", "phase", "dofs", "e_F", "max_face_error",
+                         "sigma_max", "orders", "solver_status",
+                         "solver_iterations")
+SOLVE_HISTORY_COLUMNS = ("iteration", "objective_before", "objective_after",
+                         "fit_weight", "sigma_max", "step_size", "grad_norm",
+                         "min_det", "backtracks", "direction")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--levelset", metavar="SPEC",
                      help="level-set source, name:<analytic> or file:<path>")
     # unset fitting and adaptation options take the study's defaults
-    fit.add_argument("--metric", choices=("2", "77", "80"),
+    fit.add_argument("--metric", choices=[m[2:] for m in METRIC_IDS],
                      help="quality metric id (default 2, shape)")
     fit.add_argument("--metric-gamma", type=float,
                      help="shape/size blend weight for metric 80")
@@ -57,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="max node-residual convergence threshold")
     fit.add_argument("--max-outer", type=int,
                      help="Newton iteration budget per solve")
-    fit.add_argument("--boundary", choices=("slide", "fixed", "free"),
+    fit.add_argument("--boundary", choices=BOUNDARY_MODES,
                      help="domain-boundary node policy")
     fit.add_argument("--boundary-fit", action="store_true",
                      help="fit domain-boundary faces instead of interior "
@@ -76,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="abs:1e-14",
                        help="marking rule: absolute or relative threshold")
     adapt.add_argument("--deref", metavar="b1:X|b2:X|size:X|none",
-                       help="derefinement criterion")
+                       help="derefinement criterion; derefines only "
+                            "with --dp-ref 2 or more")
     adapt.add_argument("--edge-touch-elevate", action="store_true",
                        help="raise orders of elements touching the interface "
                             "only at a vertex")
@@ -84,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = ap.add_argument_group("output")
     out.add_argument("--out-prefix", default="meshfit_out",
                      help="prefix for output files")
-    out.add_argument("--color-by", choices=("order", "material", "det"),
+    out.add_argument("--color-by", choices=COLOR_MODES,
                      default="order", help="SVG fill coloring")
     out.add_argument("--study", metavar="CONFIG",
                      help="run a JSON study config instead of a single case")
@@ -131,31 +142,17 @@ def main(argv=None) -> int:
         raise SystemExit(f"meshfit: {exc}")
 
     if adaptive:
-        history = [["outer", "phase", "dofs", "e_F", "max_face_error",
-                    "sigma_max", "orders", "solver_status",
-                    "solver_iterations"]] + [
-            [r.outer, r.phase, r.dofs, "%.17g" % r.total_error,
-             "%.17g" % r.max_error, "%.17g" % r.node_sigma_max,
-             histogram_text(r.histogram),
-             r.solver_status or "", r.solver_iterations]
-            for r in result.records]
+        header, records = ADAPT_HISTORY_COLUMNS, result.records
         print(f"adaptive run: exit '{result.exit_reason}' after "
               f"{result.outer_iterations} outer iterations")
     else:
-        history = [["iteration", "objective_before", "objective_after",
-                    "fit_weight", "sigma_max", "step_size", "grad_norm",
-                    "min_det", "backtracks", "direction"]] + [
-            [r.index, "%.17g" % r.objective_before,
-             "%.17g" % r.objective_after, "%.17g" % r.fit_weight,
-             "" if r.sigma_max is None else "%.17g" % r.sigma_max,
-             "%.17g" % r.step_size, "%.17g" % r.grad_norm,
-             "%.17g" % r.min_det, r.backtracks, r.direction]
-            for r in result.iterations]
+        header, records = SOLVE_HISTORY_COLUMNS, result.iterations
         print(f"solve: {result.status} ({result.reason}) after "
               f"{result.num_iterations} iterations")
     with open(f"{args.out_prefix}_history.csv", "w", newline="",
               encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(history)
+        csv.writer(fh, lineterminator="\n").writerows(
+            [header] + [[csv_cell(v) for v in astuple(r)] for r in records])
 
     m = measure(mesh, field)
     errors = "" if m["total_error"] is None else \

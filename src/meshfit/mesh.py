@@ -449,7 +449,8 @@ class DofMap:
     concatenation and the node it reads directly (-1 for a constrained edge
     node).  ``expand`` takes a per-node array to the concatenation,
     interpolating constrained edge nodes from their traces, and
-    ``expand_T`` is its CSR transpose.  ``read_slots`` gives each
+    ``expand_T`` is its CSR transpose; scipy builds both from
+    (slot, node, weight) triplets.  ``read_slots`` gives each
     non-vertex node's slot in its element, or in its edge's owner
     (``edge_owners``).  The build runs array operations per group and local
     edge; no loop runs over elements.
@@ -484,10 +485,9 @@ class DofMap:
         read = np.empty(self.num_nodes - nv, dtype=int)
         # node[s] is the node that slot s reads directly, -1 for an
         # interpolated edge node, whose row of expand holds the p_low + 1
-        # entries of its trace: (dest slots, trace, P) per block
+        # (slot, trace node, weight) triplets of its trace
         node = np.full(self.total_local, -1)
-        lengths = np.ones(self.total_local, dtype=int)
-        interpolated = []
+        rows, cols, weights = [], [], []
         for key, ids in groups.items():
             ref, p = refs[key], key[1]
             nverts = len(ref.corners)
@@ -521,43 +521,26 @@ class DofMap:
                     if not low.any():
                         continue
                     dest = along[low][:, 1:-1]
-                    lengths[dest] = p_low + 1
-                    interpolated.append((dest, edge_nodes[k[low], :p_low + 1],
-                                         interpolation_matrix(p_low, p)[1:-1]))
+                    shape = dest.shape + (p_low + 1,)
+                    rows.append(np.repeat(dest, p_low + 1))
+                    cols.append(np.broadcast_to(
+                        edge_nodes[k[low], None, :p_low + 1], shape).ravel())
+                    weights.append(np.broadcast_to(
+                        interpolation_matrix(p_low, p)[1:-1], shape).ravel())
             slots.flags.writeable = False
             self.slots[key] = slots
         for key, slots in self.slots.items():
             self.node_ids[key] = node[slots]
             self.node_ids[key].flags.writeable = False
         self.read_slots = read
-        self._build_expand(lengths, node, interpolated)
-
-    def _build_expand(self, lengths, node, interpolated):
-        """``expand`` laid out in CSR row order, each row's columns
-        ascending, and ``expand_T`` from one stable sort of its columns."""
-        indptr = np.zeros(self.total_local + 1, dtype=int)
-        np.cumsum(lengths, out=indptr[1:])
-        nnz = int(indptr[-1])
-        indices, data = np.empty(nnz, dtype=int), np.ones(nnz)
+        # scipy sorts each row's columns and each node's slots ascending
         direct = np.flatnonzero(node >= 0)
-        indices[indptr[direct]] = node[direct]
-        for dest, trace, P in interpolated:
-            # a trace [lo, edge nodes..., hi] ascends as [lo, hi, edge
-            # nodes...]: vertex ids come before every edge node
-            p_low = trace.shape[1] - 1
-            by_id = [0, p_low, *range(1, p_low)]
-            at = indptr[dest][..., None] + np.arange(p_low + 1)
-            indices[at] = trace[:, None, by_id]
-            data[at] = P[:, by_id]
-        shape = (self.total_local, self.num_nodes)
-        self.expand = sp.csr_matrix((data, indices, indptr), shape=shape)
-        rows = np.repeat(np.arange(self.total_local), lengths)
-        by_node = np.argsort(indices, kind="stable")
-        indptr_T = np.zeros(self.num_nodes + 1, dtype=int)
-        np.cumsum(np.bincount(indices, minlength=self.num_nodes),
-                  out=indptr_T[1:])
-        self.expand_T = sp.csr_matrix(
-            (data[by_node], rows[by_node], indptr_T), shape=shape[::-1])
+        self.expand = sp.csr_matrix(
+            (np.concatenate([np.ones(direct.size), *weights]),
+             (np.concatenate([direct, *rows]),
+              np.concatenate([node[direct], *cols]))),
+            shape=(self.total_local, self.num_nodes))
+        self.expand_T = self.expand.T.tocsr()
 
     def marked_node_ids(self, mesh: MixedOrderMesh) -> np.ndarray:
         """Sorted independent node ids lying on the marked faces."""

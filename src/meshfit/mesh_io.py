@@ -262,6 +262,8 @@ def _reject_duplicate_vertices(vertices: np.ndarray):
 _ORDER_COLORS = {1: "#dfe8f5", 2: "#9ecae1", 3: "#4292c6", 4: "#08519c",
                  5: "#08306b", 6: "#041f42"}
 _MATERIAL_COLORS = {1: "#fdd49e", 2: "#a1d99b"}
+#: the fill modes of ``export_svg``
+COLOR_MODES = ("order", "material", "det")
 
 
 def _color_for(el, mode, det_range, d):
@@ -290,10 +292,10 @@ def export_svg(mesh: MixedOrderMesh, path, color_by: str = "order"):
     """Write a 640x640-pixel SVG rendering of the mesh.
 
     Curved edges are drawn as 16-segment polylines; elements are filled
-    according to ``color_by`` in {"order", "material", "det"}, with a legend
-    for the order palette.
+    according to ``color_by``, one of ``COLOR_MODES``, with a legend for
+    the order palette.
     """
-    if color_by not in ("order", "material", "det"):
+    if color_by not in COLOR_MODES:
         raise ValueError(f"unknown color mode {color_by!r}")
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)

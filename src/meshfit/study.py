@@ -15,22 +15,30 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field as dfield
+from dataclasses import astuple, dataclass, field as dfield
+from numbers import Integral
 
 from .adapt import AdaptivityPlan, compute_face_errors, run_rp_adaptivity
 from .levelset import make_levelset
 from .mesh_io import generate_cartesian, read_mesh
-from .tmop import (FitConfig, QualityMetric, SolverControls,
+from .tmop import (METRIC_IDS, FitConfig, QualityMetric, SolverControls,
                    mark_interface_faces, solve_r_adaptivity)
 
 CSV_COLUMNS = ["label", "status", "dofs", "e_F", "sigma_max", "orders",
                "wall_time"]
 
 
-def histogram_text(histogram: dict[int, int]) -> str:
-    """An order histogram as ``p:count`` pairs by ascending order, joined
-    by ``;``, as the study CSV and the adaptive history write it."""
-    return ";".join(f"{p}:{c}" for p, c in sorted(histogram.items()))
+def csv_cell(value) -> str:
+    """A record field as the study CSV and the CLI histories write it:
+    None empty, a float by ``%.17g``, an order histogram as ``p:count``
+    pairs by ascending order joined by ``;``, anything else by ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return "%.17g" % value
+    if isinstance(value, dict):
+        return ";".join(f"{p}:{c}" for p, c in sorted(value.items()))
+    return str(value)
 
 
 @dataclass
@@ -44,19 +52,21 @@ class StudyRecord:
     wall_time: float | None = None
 
     def row(self, include_timing: bool = True) -> list[str]:
-        def num(v, fmt="%.17g"):
-            return "" if v is None else fmt % v
-        wall = num(self.wall_time, "%.3f") if include_timing else ""
-        return [self.label, self.status, num(self.dofs, "%d"),
-                num(self.total_error), num(self.sigma_max),
-                histogram_text(self.histogram), wall]
+        """The CSV row: each field by ``csv_cell``, but the wall time to
+        three decimals, and empty without ``include_timing``."""
+        wall = self.wall_time
+        return [csv_cell(v) for v in astuple(self)[:-1]] + [
+            "%.3f" % wall if include_timing and wall is not None else ""]
 
 
-def metric_from(spec, gamma) -> QualityMetric:
-    """Quality metric from a metric id (2, 77, 80) or name; ValueError if unknown."""
-    names = {2: "mu2", 77: "mu77", 80: "mu80",
-             "2": "mu2", "77": "mu77", "80": "mu80"}
-    return QualityMetric(names.get(spec, spec), gamma=gamma)
+def metric_from(spec, **options) -> QualityMetric:
+    """Quality metric from a metric id (2, 77, 80, as an integer or a
+    string) or name and ``QualityMetric``'s other fields; ValueError if
+    unknown.  Only a non-bool integer or a string is looked up as an id,
+    so 77.0 is no id."""
+    if isinstance(spec, (Integral, str)) and not isinstance(spec, bool):
+        spec = {m[2:]: m for m in METRIC_IDS}.get(str(spec), spec)
+    return QualityMetric(spec, **options)
 
 
 def _kind_and_threshold(key: str, spec, kinds: dict):
@@ -83,15 +93,23 @@ def plan_from(cfg: dict) -> AdaptivityPlan:
     return AdaptivityPlan(**kw)
 
 
+def _set_keys(run: dict, **names) -> dict:
+    """The keys of ``run`` that are set, renamed by ``names`` (run key =
+    keyword), so that an unset key takes the callee's default."""
+    return {name: run[key] for key, name in names.items() if key in run}
+
+
 def fit_config(run: dict) -> FitConfig:
     """Solver settings of a run from its keys ``metric``, ``metric_gamma``,
-    ``fit_weight``, ``max_outer``, ``fit_tol`` and ``boundary``."""
-    metric = metric_from(run.get("metric", 2), run.get("metric_gamma", 0.5))
-    controls = SolverControls(
-        max_iterations=run.get("max_outer", 200),
-        fit_tol=run.get("fit_tol", 1e-8))
-    return FitConfig(metric=metric, fit_weight=run.get("fit_weight", 1.0),
-                     controls=controls, boundary=run.get("boundary", "slide"))
+    ``fit_weight``, ``max_outer``, ``fit_tol`` and ``boundary``; an unset
+    key takes the ``FitConfig`` default."""
+    metric = metric_from(run.get("metric", 2),
+                         **_set_keys(run, metric_gamma="gamma"))
+    controls = SolverControls(**_set_keys(run, max_outer="max_iterations",
+                                          fit_tol="fit_tol"))
+    return FitConfig(metric=metric, controls=controls,
+                     **_set_keys(run, fit_weight="fit_weight",
+                                 boundary="boundary"))
 
 
 def _flag(run: dict, key: str) -> bool:
@@ -113,9 +131,9 @@ def fit_run(run: dict, field):
         mesh = read_mesh(run["mesh"])
     else:
         nx, ny, p = run["generate"]
-        mesh = generate_cartesian(
-            nx, ny, p, box=tuple(run.get("box", (0.0, 0.0, 1.0, 1.0))),
-            split_triangles=_flag(run, "split"))
+        mesh = generate_cartesian(nx, ny, p,
+                                  split_triangles=_flag(run, "split"),
+                                  **_set_keys(run, box="box"))
     fit = fit_config(run)
     boundary_fit = _flag(run, "boundary_fit")
     if "plan" in run:

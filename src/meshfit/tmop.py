@@ -56,7 +56,7 @@ IDEAL_TRIANGLE_TARGET = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
 IDEAL_TRIANGLE_TARGET.flags.writeable = False
 
 METRIC_IDS = ("mu2", "mu77", "mu80")
-_BOUNDARY_MODES = ("slide", "fixed", "free")
+BOUNDARY_MODES = ("slide", "fixed", "free")
 
 
 @dataclass(frozen=True)
@@ -177,8 +177,8 @@ def _check_fit_settings(fit) -> None:
         if not isinstance(getattr(fit, name), kind):
             raise ValueError(f"{name} must be a {kind.__name__}, "
                              f"got {getattr(fit, name)!r}")
-    if fit.boundary not in _BOUNDARY_MODES:
-        raise ValueError(f"boundary must be one of {_BOUNDARY_MODES}, "
+    if fit.boundary not in BOUNDARY_MODES:
+        raise ValueError(f"boundary must be one of {BOUNDARY_MODES}, "
                          f"got {fit.boundary!r}")
 
 
@@ -406,7 +406,7 @@ def boundary_freedom(mesh: MixedOrderMesh, mode: str = "slide"):
     Boundary nodes slide along their boundary edge's line; vertices where two
     boundary lines meet at an angle are fixed.  Returns (kinds, tangents).
     """
-    if mode not in _BOUNDARY_MODES:
+    if mode not in BOUNDARY_MODES:
         raise ValueError(f"unknown boundary mode {mode!r}")
     dm = mesh.dof_map()
     kinds = np.zeros(dm.num_nodes, dtype=int)

@@ -104,6 +104,17 @@ def test_arc_length_of_curved_face():
     assert np.isclose(measured, exact, rtol=1e-8)
 
 
+class _RecordingField:
+    """sigma = x - 0.5 y, with the points of every query kept."""
+
+    def __init__(self):
+        self.queries = []
+
+    def values(self, points):
+        self.queries.append(points.copy())
+        return points[:, 0] - 0.5 * points[:, 1]
+
+
 def test_cached_trace_tables_match_direct_evaluation():
     rng = np.random.default_rng(3)
     for p in range(1, 5):
@@ -116,16 +127,31 @@ def test_cached_trace_tables_match_direct_evaluation():
             assert np.array_equal(derivs, lagrange_1d_deriv(nodes, tq))
             assert np.array_equal(weights, wq)
             assert not (values.flags.writeable or derivs.flags.writeable)
-            x, w, speed = adapt._face_traces(coords[None], q)
-            dx = lagrange_1d_deriv(nodes, tq) @ coords
-            assert np.array_equal(x[0], lagrange_1d(nodes, tq) @ coords)
-            assert np.array_equal(speed[0], np.hypot(dx[:, 0], dx[:, 1]))
             P = interpolation_matrix(p, q)
             assert np.array_equal(P,
                                   lagrange_1d(nodes, _gauss_lobatto_cached(q)))
-            assert np.array_equal(adapt._projected_trace(coords, q),
-                                  P @ coords)
             assert not P.flags.writeable
+            # the trace at face order q, and its order q projection at face
+            # order p, as a derefinement trial stacks them: one query holds
+            # the points of both stacks, and each integral sums the trace's
+            # own points and speeds
+            field = _RecordingField()
+            (err, length), (err_hat, len_hat) = adapt._trace_integrals(
+                field, [(coords[None], q), ((P @ coords)[None], p)])
+            tp, wp = _gauss_legendre_01(2 * p + 3)
+            x = lagrange_1d(nodes, tq) @ coords
+            x_hat = lagrange_1d(_gauss_lobatto_cached(q), tp) @ (P @ coords)
+            assert len(field.queries) == 1
+            assert np.array_equal(field.queries[0], np.concatenate([x, x_hat]))
+            for e, ln, y, y_nodes, t, w in (
+                    (err, length, coords, nodes, tq, wq),
+                    (err_hat, len_hat, P @ coords, _gauss_lobatto_cached(q),
+                     tp, wp)):
+                dx = lagrange_1d_deriv(y_nodes, t) @ y
+                speed = np.hypot(dx[:, 0], dx[:, 1])
+                s = field.values(lagrange_1d(y_nodes, t) @ y)
+                assert e.tolist() == [np.sum(w * s * s * speed)]
+                assert ln.tolist() == [np.sum(w * speed)]
 
 
 def test_compute_face_errors_report():

@@ -1,10 +1,14 @@
-"""The per-state builders against the ones they replaced, kept here as
-references: the DofMap's ``expand`` from COO triplets with its transpose
-from scipy, the motion basis from COO triplets, and the Newton pattern's
-row matrix Q = [E2 Z; Z] from scipy's Kronecker expansion, sparse product
-and stack.  Every array must be equal, dtypes included, on every order
-state of the four 8x8 bench variants, a 6x6 split-triangle p2 mesh, a
-perturbed 4x4 p3 mesh and a 3x3 p1 mesh with a p3 element in the middle."""
+"""The per-state builders against independent references.  The DofMap
+reference builds ``expand`` from COO triplets and its transpose by scipy,
+as ``DofMap`` does, but finds each slot's node through per-group
+(element, local node) tables: it checks the numbering and the triplets,
+not scipy's conversion.  The motion basis from COO triplets and the
+Newton pattern's row matrix Q = [E2 Z; Z] from scipy's Kronecker
+expansion, sparse product and stack are the builds that the hand-laid
+ones replaced.  Every array must be equal, dtypes included, on every
+order state of the four 8x8 bench variants, a 6x6 split-triangle p2 mesh,
+a perturbed 4x4 p3 mesh and a 3x3 p1 mesh with a p3 element in the
+middle."""
 
 import functools
 from types import SimpleNamespace

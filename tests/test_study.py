@@ -1,9 +1,12 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 
 from meshfit import QualityMetric, SolverControls, run_study
+from meshfit.adapt import AdaptRecord
+from meshfit.tmop import IterationRecord
 from meshfit.study import (CSV_COLUMNS, StudyRecord, expand_runs, fit_config,
                            run_one)
 from meshfit import cli
@@ -197,6 +200,29 @@ def test_run_study_rejects_a_boolean_order_or_iteration_field():
             {"label": "max_outer", "generate": [2, 2, 1], "max_outer": True}]
     records, _ = run_study({"levelset": "name:circle", "runs": runs})
     assert [r.status for r in records] == ["failed:ValueError"] * 2
+
+
+def test_run_study_rejects_an_integral_float_metric_id():
+    # 77.0 == 77 finds the id 77 as a dict key and would run as mu77, while
+    # max_outer 3.0 fails like every other fractional integer field
+    runs = [{"label": "metric", "generate": [2, 2, 1], "metric": 77.0},
+            {"label": "max_outer", "generate": [2, 2, 1], "max_outer": 3.0}]
+    records, _ = run_study({"levelset": "name:circle", "runs": runs})
+    assert [r.status for r in records] == ["failed:ValueError"] * 2
+    for spec in (77, "77", "mu77"):
+        assert fit_config({"metric": spec}).metric == QualityMetric("mu77")
+
+
+def test_cli_history_headers_have_one_column_per_record_field():
+    # a history row is its record's fields in order, so a new field must
+    # come with a new column
+    renamed = {"total_error": "e_F", "max_error": "max_face_error",
+               "node_sigma_max": "sigma_max", "histogram": "orders",
+               "index": "iteration"}
+    for columns, record in ((cli.ADAPT_HISTORY_COLUMNS, AdaptRecord),
+                            (cli.SOLVE_HISTORY_COLUMNS, IterationRecord)):
+        assert list(columns) == [renamed.get(f.name, f.name)
+                                 for f in fields(record)]
 
 
 def test_run_study_rejects_a_boolean_tolerance_or_weight():
